@@ -39,7 +39,7 @@
 #include "pbio/encode.h"
 #include "util/endian.h"
 
-namespace pbio {
+namespace pbio::bench {
 namespace {
 
 std::uint64_t now_ns() {
@@ -531,7 +531,7 @@ int run(const std::vector<std::size_t>& conn_list, std::uint32_t frames_opt,
 }
 
 }  // namespace
-}  // namespace pbio
+}  // namespace pbio::bench
 
 int main(int argc, char** argv) {
   std::vector<std::size_t> conns = {100, 1000, 10000};
@@ -597,6 +597,6 @@ int main(int argc, char** argv) {
                  "echo or ack mode\n");
     return 2;
   }
-  return pbio::run(conns, frames, size, workers, mode, decode, write_json,
-                   repeat, scrape_port);
+  return pbio::bench::run(conns, frames, size, workers, mode, decode,
+                          write_json, repeat, scrape_port);
 }

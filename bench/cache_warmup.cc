@@ -29,7 +29,7 @@
 #include "util/stopwatch.h"
 #include "vcode/jit_convert.h"
 
-namespace pbio {
+namespace pbio::bench {
 namespace {
 
 /// Eight structurally distinct wire/native pairs (field mix varies per
@@ -207,7 +207,7 @@ int run(std::size_t connections, std::size_t npairs, bool write_json,
 }
 
 }  // namespace
-}  // namespace pbio
+}  // namespace pbio::bench
 
 int main(int argc, char** argv) {
   std::size_t connections = 10000;
@@ -231,5 +231,5 @@ int main(int argc, char** argv) {
     }
   }
   if (pairs == 0) pairs = 1;
-  return pbio::run(connections, pairs, write_json, dir);
+  return pbio::bench::run(connections, pairs, write_json, dir);
 }

@@ -5,7 +5,7 @@
 //
 // Three receiver configurations drain the same message stream:
 //  * legacy:  pre-buffering path — two read() syscalls and a heap
-//             allocation per frame (set_coalescing(false)),
+//             allocation per frame (TwoReadsChannel below),
 //  * pooled:  buffered framing + pooled frame buffers, one Reader::next()
 //             per message,
 //  * batched: Reader::next_batch() draining every buffered frame per call.
@@ -23,11 +23,63 @@
 
 #include "bench_support/harness.h"
 #include "pbio/pbio.h"
+#include "transport/io_retry.h"
 #include "transport/socket.h"
 #include "util/pool.h"
 
 namespace pbio::bench {
 namespace {
+
+/// The receive path before buffered framing, kept as this bench's
+/// baseline: one read() for the length prefix, one for the body, and a
+/// fresh unpooled heap block per frame. Receive-only; reads an fd the
+/// caller keeps open.
+class TwoReadsChannel final : public transport::Channel {
+ public:
+  explicit TwoReadsChannel(int fd) : fd_(fd) {}
+
+  Status send(std::span<const std::uint8_t> /*bytes*/) override {
+    return Status(Errc::kUnsupported, "receive-only baseline channel");
+  }
+  Result<std::vector<std::uint8_t>> recv() override {
+    auto buf = recv_buf();
+    if (!buf.is_ok()) return buf.status();
+    return std::vector<std::uint8_t>(buf.value().data(),
+                                     buf.value().data() + buf.value().size());
+  }
+  Result<FrameBuf> recv_buf() override {
+    std::uint8_t header[transport::kFrameHeaderLen];
+    Status st = read_full(header, sizeof(header));
+    if (!st.is_ok()) return st;
+    const std::uint64_t len =
+        load_uint(header, transport::kFrameHeaderLen, ByteOrder::kLittle);
+    if (len > transport::kMaxFrameLen) {
+      return Status(Errc::kMalformed, "oversized frame");
+    }
+    FrameBuf msg = FrameBuf::heap(static_cast<std::size_t>(len));
+    st = read_full(msg.data(), msg.size());
+    if (!st.is_ok()) return st;
+    return msg;
+  }
+  std::uint64_t bytes_sent() const override { return 0; }
+
+  std::uint64_t recv_syscalls() const { return reads_; }
+
+ private:
+  Status read_full(std::uint8_t* at, std::size_t n) {
+    while (n > 0) {
+      const ssize_t r = transport::io::retry_read(fd_, at, n);
+      ++reads_;
+      if (r <= 0) return Status(Errc::kChannelClosed, "short read");
+      at += r;
+      n -= static_cast<std::size_t>(r);
+    }
+    return Status::ok();
+  }
+
+  int fd_;
+  std::uint64_t reads_ = 0;
+};
 
 // Fixed-layout records: identical on the wire and in memory, so the decode
 // is the zero-copy fast path and the measurement isolates transport work.
@@ -113,8 +165,14 @@ RunResult run_mode(Mode mode, int messages, const char* fmt_name) {
     sender.join();
     return {};
   }
-  transport::SocketChannel& ch = *accepted.value();
-  if (mode == Mode::kLegacy) ch.set_coalescing(false);
+  transport::SocketChannel& sock = *accepted.value();
+  TwoReadsChannel two_reads(sock.fd());
+  const bool legacy = mode == Mode::kLegacy;
+  transport::Channel& ch =
+      legacy ? static_cast<transport::Channel&>(two_reads) : sock;
+  auto recv_syscalls = [&] {
+    return legacy ? two_reads.recv_syscalls() : sock.recv_syscalls();
+  };
   Reader r(ctx, ch);
   r.expect(id);
 
@@ -129,7 +187,7 @@ RunResult run_mode(Mode mode, int messages, const char* fmt_name) {
   }
 
   const auto pool_before = BufferPool::shared().stats();
-  const std::uint64_t sys_before = ch.recv_syscalls();
+  const std::uint64_t sys_before = recv_syscalls();
   std::uint64_t batches = 0;
   Stopwatch sw;
   if (mode == Mode::kBatched) {
@@ -166,7 +224,7 @@ RunResult run_mode(Mode mode, int messages, const char* fmt_name) {
   RunResult res;
   res.msgs_per_sec = measured / sec;
   res.syscalls_per_msg =
-      static_cast<double>(ch.recv_syscalls() - sys_before) / measured;
+      static_cast<double>(recv_syscalls() - sys_before) / measured;
   const std::uint64_t hits = pool_after.hits - pool_before.hits;
   const std::uint64_t misses = pool_after.misses - pool_before.misses;
   res.pool_hit_rate =

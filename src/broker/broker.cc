@@ -265,7 +265,11 @@ Broker::Broker(Context& ctx, Config cfg)
 Broker::~Broker() { stop(); }
 
 void Broker::expect(const std::string& name, Context::FormatId native_id) {
-  sh_.expected[name] = native_id;
+  const fmt::FormatDesc* f = sh_.ctx.find(native_id);
+  if (f == nullptr) {
+    throw PbioError("Broker::expect: format not registered");
+  }
+  sh_.expected[name] = Expected{native_id, f};
 }
 
 Status Broker::start() {

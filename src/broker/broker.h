@@ -74,7 +74,8 @@ class Broker {
 
   /// Register a decode target: data frames whose wire format carries
   /// `name` are converted to the native format `native_id` when
-  /// Config::decode is on. Must be called before start().
+  /// Config::decode is on. `native_id` must already be registered in the
+  /// context (throws PbioError otherwise). Must be called before start().
   void expect(const std::string& name, Context::FormatId native_id);
 
   /// Bind, spawn the worker threads, return. Idempotent failure: a broker

@@ -31,7 +31,10 @@ obs::MetricId residency_hist(bool ever_paused) {
 }  // namespace
 
 Conn::Conn(int fd, Shared& sh, BufferPool& pool)
-    : pool_(pool), ch_(fd, pool, sh.cfg.stream_chunk_bytes), sh_(sh) {
+    : pool_(pool),
+      ch_(fd, pool, sh.cfg.stream_chunk_bytes),
+      sh_(sh),
+      resolver_(sh.ctx, sh.expected) {
   // Conns are born on their worker thread (add_conn); pin the contract.
   // The dtor deliberately does not assert: stop() tears down from the
   // main thread after the worker loop has exited.
@@ -132,44 +135,26 @@ Status Conn::decode_frame(const FrameBuf& frame) {
   const Context::FormatId wire_id = load_uint(
       frame.data() + kDataHeaderIdOffset, 8, ByteOrder::kLittle);
 
-  // One-entry resolution cache, same shape as Reader::consume_frame: a
-  // same-format streak costs one compare, no registry lock.
-  if (!cache_valid_ || cached_wire_id_ != wire_id) {
-    const fmt::FormatDesc* wire = sh_.ctx.find(wire_id);
-    if (wire == nullptr) {
-      return Status(Errc::kUnknownFormat, "data frame for unannounced format");
-    }
-    cached_wire_id_ = wire_id;
-    cached_wire_ = wire;
-    cached_native_ = nullptr;
-    cached_conv_.reset();
-    cache_valid_ = true;
-    conv_cached_ = false;
-  }
-  if (frame.size() - kDataHeaderSize < cached_wire_->fixed_size) {
+  bool refilled = false;
+  auto resolved = resolver_.resolve(wire_id, &refilled);
+  if (!resolved.is_ok()) return resolved.status();
+  const Resolver::Entry& entry = *resolved.value();
+  if (frame.size() - kDataHeaderSize < entry.wire->fixed_size) {
     return Status(Errc::kTruncated, "payload smaller than record");
   }
-  if (!conv_cached_) {
-    auto it = sh_.expected.find(cached_wire_->name);
-    if (it != sh_.expected.end()) {
-      auto conv = sh_.ctx.try_conversion(cached_wire_id_, it->second);
-      if (!conv.is_ok()) return conv.status();
-      cached_native_ = sh_.ctx.find(it->second);
-      cached_conv_ = std::move(conv).take();
+  if (entry.conv == nullptr) return Status::ok();  // no expected target
 #if PBIO_OBS_ENABLED
-      // Cold: one registration per (wire, native) pair per process — the
-      // per-format-pair latency series behind /metrics p50/p99/p999.
-      decode_hist_ = obs::histogram("pbio.broker.decode_ns." +
-                                    cached_wire_->name + "->" +
-                                    cached_native_->name);
-#endif
-    }
-    conv_cached_ = true;
+  if (refilled) {
+    // Cold: one registration per (wire, native) pair per process — the
+    // per-format-pair latency series behind /metrics p50/p99/p999.
+    decode_hist_ = obs::histogram("pbio.broker.decode_ns." +
+                                  entry.wire->name + "->" +
+                                  entry.native->name);
   }
-  if (cached_conv_ == nullptr) return Status::ok();  // no expected target
+#endif
 
-  if (decode_out_.size() < cached_native_->fixed_size) {
-    decode_out_.resize(cached_native_->fixed_size);
+  if (decode_out_.size() < entry.native->fixed_size) {
+    decode_out_.resize(entry.native->fixed_size);
   }
 #if PBIO_OBS_ENABLED
   const std::uint64_t t0 = obs::ticks();
@@ -178,18 +163,18 @@ Status Conn::decode_frame(const FrameBuf& frame) {
   in.src = frame.data() + kDataHeaderSize;
   in.src_size = frame.size() - kDataHeaderSize;
   in.dst = decode_out_.data();
-  in.dst_size = cached_native_->fixed_size;
+  in.dst_size = entry.native->fixed_size;
   in.mode = convert::VarMode::kPointers;
   in.borrow_from_src = true;
-  if (cached_wire_->is_fixed_layout()) {
-    Status st = cached_conv_->run(in, sh_.cfg.engine);
+  if (entry.wire->is_fixed_layout()) {
+    Status st = pbio::run(*entry.conv, in, sh_.cfg.engine);
     if (!st.is_ok()) return st;
   } else {
     // Variable-length records may need arena space for non-borrowable
     // strings; scoped per frame so it cannot grow without bound.
     Arena scratch;
     in.arena = &scratch;
-    Status st = cached_conv_->run(in, sh_.cfg.engine);
+    Status st = pbio::run(*entry.conv, in, sh_.cfg.engine);
     if (!st.is_ok()) return st;
   }
 #if PBIO_OBS_ENABLED
@@ -272,9 +257,6 @@ Status Conn::dispatch(FrameBuf frame) {
       }
       sh_.ctx.register_format(std::move(meta).take());
       sh_.formats_learned.fetch_add(1, kRelaxed);
-      cache_valid_ = false;
-      conv_cached_ = false;
-      cached_conv_.reset();
       return Status::ok();
     }
     case kFrameData: {

@@ -2,10 +2,10 @@
 //
 // A Conn owns one non-blocking SocketChannel (built over its worker's
 // BufferPool, so frames never bounce between cores), a SendQueue of pending
-// responses, and a one-entry wire-format resolution cache copied from
-// Reader: connection traffic is overwhelmingly same-format streaks, so the
-// common data frame resolves its format and conversion with two pointer
-// compares and no locks.
+// responses, and a pbio::Resolver over the broker-wide expected table:
+// connection traffic is overwhelmingly same-format streaks, so the common
+// data frame resolves its format and conversion with one compare and no
+// locks.
 //
 // service() is the whole per-connection protocol: drain complete frames
 // from the socket (poll_buf — the PR 4 zero-alloc coalesced path),
@@ -20,12 +20,12 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "broker/send_queue.h"
 #include "pbio/context.h"
 #include "pbio/format_service.h"
+#include "pbio/resolver.h"
 #include "transport/socket.h"
 #include "util/affinity.h"
 #include "util/buffer.h"
@@ -94,9 +94,10 @@ struct Shared {
   Context& ctx;
   const Config cfg;
   FormatServiceServer svc;
-  /// Decode targets by format name (native ids registered before start();
-  /// read-only while the broker runs, so lock-free to read).
-  std::unordered_map<std::string, Context::FormatId> expected;
+  /// Decode targets by format name (declared before start(); read-only
+  /// while the broker runs, so every connection's Resolver reads it
+  /// without a lock and none keeps a copy).
+  ExpectedTable expected;
 
   // Gauges backing admission control.
   std::atomic<std::size_t> connections{0};
@@ -188,15 +189,9 @@ class Conn {
   obs::TraceCtx pending_trace_;
   std::uint64_t pending_trace_ns_ = 0;  // ingress wall clock
 
-  // One-entry resolution cache (Reader's idiom, per connection).
-  bool cache_valid_ = false;
-  bool conv_cached_ = false;
-  Context::FormatId cached_wire_id_ = 0;
-  const fmt::FormatDesc* cached_wire_ = nullptr;
-  const fmt::FormatDesc* cached_native_ = nullptr;
-  std::shared_ptr<const Conversion> cached_conv_;
-  /// Per-format-pair decode latency histogram (registered cold when the
-  /// conversion is first cached): pbio.broker.decode_ns.<wire>-><native>.
+  Resolver resolver_;
+  /// Per-format-pair decode latency histogram (registered cold whenever
+  /// the resolver refills its front): pbio.broker.decode_ns.<wire>-><native>.
   obs::MetricId decode_hist_ = obs::kInvalidMetric;
 };
 

@@ -17,10 +17,6 @@ FormatId FormatRegistry::register_format(FormatDesc f) {
   by_name_[f.name] = id;
   formats_.emplace(
       id, Entry{std::make_unique<FormatDesc>(std::move(f)), canonical});
-  // Publish to the negative cache last, while still holding mu_: a probe
-  // that misses the bloom filter can then never race ahead of the map
-  // insert for an id it could legitimately know about.
-  bloom_.insert(id);
   return id;
 }
 

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "fmt/format.h"
-#include "util/bloom.h"
 #include "util/mutex.h"
 
 namespace pbio::fmt {
@@ -36,12 +35,6 @@ class FormatRegistry {
   const FormatDesc* find_by_name(std::string_view name) const;
 
   bool contains(FormatId id) const { return find(id) != nullptr; }
-
-  /// Bloom-filter negative cache in front of the locked maps: false means
-  /// `id` was definitely never registered, answered with a few relaxed
-  /// loads and no mutex — the cheap first gate for frames carrying unknown
-  /// wire ids. True means "probably registered, do the real lookup".
-  bool maybe_contains(FormatId id) const { return bloom_.maybe_contains(id); }
 
   /// A registered format together with its cached canonical structural
   /// hash (fmt::canonical_hash, computed once at registration) — the
@@ -67,8 +60,6 @@ class FormatRegistry {
   // immutable after insert — find() hands out raw pointers by design.
   std::unordered_map<FormatId, Entry> formats_ PBIO_GUARDED_BY(mu_);
   std::unordered_map<std::string, FormatId> by_name_ PBIO_GUARDED_BY(mu_);
-  // Grow-only mirror of formats_'s key set; see maybe_contains().
-  BloomFilter<> bloom_;
 };
 
 }  // namespace pbio::fmt

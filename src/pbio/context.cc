@@ -8,24 +8,6 @@ namespace pbio {
 
 Result<std::shared_ptr<const Conversion>> Context::try_conversion(
     FormatId wire, FormatId native) {
-  {
-    MutexLock lock(mu_);
-    auto it = conversions_.find({wire, native});
-    if (it != conversions_.end()) {
-      conversion_cache_hits_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
-      OBS_COUNT("pbio.conv.cache_hits", 1);
-      return it->second;
-    }
-  }
-  // Bloom-filter negative cache: an id the registry has definitely never
-  // seen is rejected with one lock-free probe — unknown-id storms (fuzzing
-  // peers, id typos) never touch the registry mutex.
-  if (!registry_.maybe_contains(wire) || !registry_.maybe_contains(native)) {
-    negative_cache_hits_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
-    OBS_COUNT("pbio.cache.negative_hits", 1);
-    return Status(Errc::kUnknownFormat,
-                  "Context::conversion: unknown format id");
-  }
   const fmt::FormatRegistry::Resolved src = registry_.resolve(wire);
   const fmt::FormatRegistry::Resolved dst = registry_.resolve(native);
   if (src.desc == nullptr || dst.desc == nullptr) {
@@ -45,7 +27,8 @@ Result<std::shared_ptr<const Conversion>> Context::try_conversion(
   cache::ArtifactCache::Got result = std::move(got).take();
   switch (result.source) {
     case cache::Source::kCached:
-      shared_cache_hits_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
+      conversion_cache_hits_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
+      OBS_COUNT("pbio.conv.cache_hits", 1);
       break;
     case cache::Source::kWaited:
       shared_cache_misses_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
@@ -66,12 +49,7 @@ Result<std::shared_ptr<const Conversion>> Context::try_conversion(
                                 std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
       break;
   }
-  auto conv = std::make_shared<const Conversion>(std::move(result.artifact));
-  MutexLock lock(mu_);
-  auto [it, inserted] = conversions_.try_emplace({wire, native}, conv);
-  // A racing L1 insert for the same pair loses harmlessly: both entries
-  // wrap the same shared artifact.
-  return it->second;
+  return std::move(result.artifact);
 }
 
 std::shared_ptr<const Conversion> Context::conversion(FormatId wire,
@@ -90,14 +68,10 @@ Context::Stats Context::stats() const {
   s.conversion_cache_hits =
       conversion_cache_hits_.load(std::memory_order_relaxed);  // mo: see conversions_compiled
   s.jit_code_bytes = jit_code_bytes_.load(std::memory_order_relaxed);  // mo: see conversions_compiled
-  s.shared_cache_hits =
-      shared_cache_hits_.load(std::memory_order_relaxed);  // mo: see conversions_compiled
   s.shared_cache_misses =
       shared_cache_misses_.load(std::memory_order_relaxed);  // mo: see conversions_compiled
   s.single_flight_waits =
       single_flight_waits_.load(std::memory_order_relaxed);  // mo: see conversions_compiled
-  s.negative_cache_hits =
-      negative_cache_hits_.load(std::memory_order_relaxed);  // mo: see conversions_compiled
   s.persist_loads = persist_loads_.load(std::memory_order_relaxed);  // mo: see conversions_compiled
   return s;
 }

@@ -19,11 +19,11 @@ Status run_conversion(const Conversion& conv, const convert::ExecInput& in,
   if (engine == Engine::kDcg) {
     OBS_SPAN("pbio.decode.dcg", in.src_size);
     OBS_COUNT("pbio.decode.records.dcg", 1);
-    return conv.run(in, engine);
+    return run(conv, in, engine);
   }
   OBS_SPAN("pbio.decode.interp", in.src_size);
   OBS_COUNT("pbio.decode.records.interp", 1);
-  return conv.run(in, engine);
+  return run(conv, in, engine);
 }
 
 }  // namespace

@@ -44,7 +44,9 @@ class Message {
   const fmt::FormatDesc* native_format() const { return native_; }
 
   /// True when the wire layout equals the native layout: view<T>() is free.
-  bool zero_copy() const { return conv_ != nullptr && conv_->identity(); }
+  bool zero_copy() const {
+    return conv_ != nullptr && conv_->plan().identity;
+  }
 
   /// Decode into caller storage of `size` bytes (>= native fixed size).
   /// String/array pointers aim into this message's buffer or arena — they

@@ -12,10 +12,23 @@ void Reader::expect(Context::FormatId native_id) {
   if (f == nullptr) {
     throw PbioError("Reader::expect: format not registered");
   }
-  expected_by_name_[f->name] = native_id;
-  cache_valid_ = false;
-  conv_cached_ = false;
-  cached_conv_.reset();
+  expected_[f->name] = Expected{native_id, f};
+  resolver_.invalidate();
+}
+
+Result<const Resolver::Entry*> Reader::resolve(Context::FormatId wire_id) {
+  auto got = resolver_.resolve(wire_id);
+  if (got.is_ok() || got.status().code() != Errc::kUnknownFormat ||
+      !format_resolver_) {
+    return got;
+  }
+  auto fetched = format_resolver_(wire_id);
+  if (!fetched.is_ok() ||
+      ctx_.register_format(std::move(fetched).take()) != wire_id) {
+    return got;
+  }
+  ++formats_learned_;
+  return resolver_.resolve(wire_id);
 }
 
 Result<bool> Reader::consume_frame(FrameBuf frame, Message* m) {
@@ -33,9 +46,6 @@ Result<bool> Reader::consume_frame(FrameBuf frame, Message* m) {
     if (!meta.is_ok()) return meta.status();
     ctx_.register_format(std::move(meta).take());
     ++formats_learned_;
-    cache_valid_ = false;
-    conv_cached_ = false;
-    cached_conv_.reset();
     return false;
   }
 
@@ -64,59 +74,20 @@ Result<bool> Reader::consume_frame(FrameBuf frame, Message* m) {
   const Context::FormatId wire_id =
       load_uint(frame.data() + kDataHeaderIdOffset, 8, ByteOrder::kLittle);
 
-  const fmt::FormatDesc* wire;
-  if (cache_valid_ && cached_wire_id_ == wire_id) {
-    wire = cached_wire_;
-    OBS_COUNT("pbio.recv.resolve_cache_hits", 1);
-  } else {
-    wire = ctx_.find(wire_id);
-    if (wire == nullptr && resolver_) {
-      auto resolved = resolver_(wire_id);
-      if (resolved.is_ok()) {
-        const Context::FormatId got =
-            ctx_.register_format(std::move(resolved).take());
-        if (got == wire_id) {
-          wire = ctx_.find(wire_id);
-          ++formats_learned_;
-        }
-      }
-    }
-    if (wire == nullptr) {
-      return Status(Errc::kUnknownFormat, "data frame for unannounced format");
-    }
-    cached_wire_id_ = wire_id;
-    cached_wire_ = wire;
-    cached_native_ = nullptr;
-    cached_conv_.reset();
-    cache_valid_ = true;
-    conv_cached_ = false;
-  }
-
-  if (frame.size() - kDataHeaderSize < wire->fixed_size) {
+  auto resolved = resolve(wire_id);
+  if (!resolved.is_ok()) return resolved.status();
+  const Resolver::Entry& entry = *resolved.value();
+  if (frame.size() - kDataHeaderSize < entry.wire->fixed_size) {
     return Status(Errc::kTruncated, "payload smaller than record");
-  }
-
-  if (!conv_cached_) {
-    auto it = expected_by_name_.find(wire->name);
-    if (it != expected_by_name_.end()) {
-      // An announced format whose conversion plan fails static verification
-      // is rejected here, before any plan could execute over the payload —
-      // the wire format is untrusted input, not API misuse.
-      auto conv = ctx_.try_conversion(wire_id, it->second);
-      if (!conv.is_ok()) return conv.status();
-      cached_native_ = ctx_.find(it->second);
-      cached_conv_ = std::move(conv).take();
-    }
-    conv_cached_ = true;
   }
 
   m->buffer_ = std::move(frame);
   m->payload_ = std::span(m->buffer_.data() + kDataHeaderSize,
                           m->buffer_.size() - kDataHeaderSize);
-  m->wire_ = wire;
+  m->wire_ = entry.wire;
   m->wire_id_ = wire_id;
-  m->native_ = cached_native_;
-  m->conv_ = cached_conv_;
+  m->native_ = entry.native;
+  m->conv_ = entry.conv;
 #if PBIO_OBS_ENABLED
   if (pending_trace_.valid()) {
     // The receive span: sidecar arrival to data-frame delivery. The ctx

@@ -5,19 +5,21 @@
 // Two receive shapes:
 //  * next()        — blocking, one message at a time;
 //  * next_batch()  — one blocking receive, then drains every frame the
-//    transport already has buffered without blocking again. Runs of frames
-//    with the same wire id resolve their conversion once (the reader keeps
-//    a one-entry resolution cache), so a burst of small messages costs one
-//    hash-map + conversion-cache walk total, not one per message.
+//    transport already has buffered without blocking again.
+//
+// Wire ids resolve through a pbio::Resolver (resolver.h): runs of frames
+// with the same wire id resolve their conversion once, so a burst of small
+// messages costs one registry + artifact-cache walk total, not one per
+// message. A data frame whose format was never announced falls back to the
+// installed format resolver (a format service), once.
 #pragma once
 
 #include <functional>
-#include <string>
-#include <unordered_map>
 
 #include "obs/tracectx.h"
 #include "pbio/context.h"
 #include "pbio/message.h"
+#include "pbio/resolver.h"
 #include "transport/channel.h"
 #include "util/wire_taint.h"
 
@@ -29,13 +31,18 @@ class Reader {
       std::function<Result<fmt::FormatDesc>(Context::FormatId)>;
 
   Reader(Context& ctx, transport::Channel& channel)
-      : ctx_(ctx), channel_(channel) {}
+      : ctx_(ctx), channel_(channel), resolver_(ctx, expected_) {}
+
+  // resolver_ borrows expected_: a copy would resolve through the
+  // original's table.
+  Reader(const Reader&) = delete;
+  Reader& operator=(const Reader&) = delete;
 
   /// Install a fallback for data frames whose format id was never
   /// announced on this channel — typically a FormatServiceClient's
   /// resolver(). This is what lets a reader join an ongoing stream.
   void set_format_resolver(FormatResolver resolver) {
-    resolver_ = std::move(resolver);
+    format_resolver_ = std::move(resolver);
   }
 
   /// Declare the native format this receiver wants records of the same
@@ -62,10 +69,15 @@ class Reader {
   /// message, false when the frame was a format announcement (consumed).
   WIRE_TAINTED Result<bool> consume_frame(FrameBuf frame, Message* m);
 
+  /// resolver_.resolve(), plus the format-resolver fallback for an id the
+  /// context has never seen: fetch, register, retry once.
+  Result<const Resolver::Entry*> resolve(Context::FormatId wire_id);
+
   Context& ctx_;
   transport::Channel& channel_;
-  std::unordered_map<std::string, Context::FormatId> expected_by_name_;
-  FormatResolver resolver_;
+  ExpectedTable expected_;
+  Resolver resolver_;
+  FormatResolver format_resolver_;
   std::size_t formats_learned_ = 0;
   Status pending_ = Status::ok();  // deferred mid-batch error
 
@@ -74,15 +86,6 @@ class Reader {
   // the peer may be an obs-on build; only the stamping compiles out).
   obs::TraceCtx pending_trace_;
   std::uint64_t pending_trace_ns_ = 0;  // sidecar arrival wall clock
-
-  // One-entry resolution cache: wire id -> (wire desc, native desc,
-  // conversion). Invalidated by expect() and by format announcements.
-  bool cache_valid_ = false;
-  bool conv_cached_ = false;
-  Context::FormatId cached_wire_id_ = 0;
-  const fmt::FormatDesc* cached_wire_ = nullptr;
-  const fmt::FormatDesc* cached_native_ = nullptr;
-  std::shared_ptr<const Conversion> cached_conv_;
 };
 
 }  // namespace pbio

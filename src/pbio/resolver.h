@@ -1,0 +1,86 @@
+// Wire-format resolution for one receive stream (a Reader, or one broker
+// connection): wire id -> (wire format, native target, conversion).
+//
+// The paper's receiver builds a conversion "as soon as the wire format is
+// known" and reuses it from then on. A Resolver holds a one-entry front —
+// the last wire id's resolution — over the context's registry and
+// artifact cache, and nothing else. Stream traffic is mostly same-format
+// streaks, so after the first message a lookup is one compare and no
+// lock; a miss takes three registry lock acquisitions and a lock-free
+// artifact-cache hit, and allocates nothing.
+//
+// Only a change to the expected table can make the front stale: wire ids
+// are content hashes and registry entries are immutable and never
+// removed, so a later format announcement cannot change what a cached id
+// resolves to. Owners call invalidate() after changing the table.
+#pragma once
+
+#include <memory>
+#include <string>
+#include <unordered_map>
+
+#include "obs/span.h"
+#include "pbio/context.h"
+
+namespace pbio {
+
+/// A decode target: the native format records of one wire format *name*
+/// are converted into. The description is looked up once, when the
+/// target is declared, so resolution never re-queries it.
+struct Expected {
+  Context::FormatId id = 0;
+  const fmt::FormatDesc* desc = nullptr;
+};
+
+/// Decode targets by wire format name.
+using ExpectedTable = std::unordered_map<std::string, Expected>;
+
+class Resolver {
+ public:
+  /// Borrows both: `expected` is owned by the caller (a Reader's own
+  /// table, or one table a broker shares across all its connections) and
+  /// must outlive the Resolver.
+  Resolver(Context& ctx, const ExpectedTable& expected)
+      : ctx_(ctx), expected_(expected) {}
+
+  /// What a wire id resolves to.
+  struct Entry {
+    const fmt::FormatDesc* wire = nullptr;
+    /// nullptr when no decode target is expected for wire->name; such
+    /// records still arrive (and can be reflected on) but not decode.
+    const fmt::FormatDesc* native = nullptr;
+    std::shared_ptr<const Conversion> conv;  // set exactly when native is
+  };
+
+  /// Resolve `wire_id`. A repeat of the last resolved id is answered from
+  /// the front (counted as pbio.recv.resolve_cache_hits). Otherwise the
+  /// registry, the expected table and Context::try_conversion refill it:
+  /// kUnknownFormat when the registry has never seen the id, and a
+  /// conversion the verifier rejects is returned as its error; a failed
+  /// miss leaves the front as it was. `refilled`, when given, reports
+  /// whether this call missed the front.
+  Result<const Entry*> resolve(Context::FormatId wire_id,
+                               bool* refilled = nullptr) {
+    if (valid_ && cached_wire_id_ == wire_id) {
+      OBS_COUNT("pbio.recv.resolve_cache_hits", 1);
+      if (refilled != nullptr) *refilled = false;
+      return &front_;
+    }
+    if (refilled != nullptr) *refilled = true;
+    return refill(wire_id);
+  }
+
+  /// Drop the front entry. Call whenever the expected table changes.
+  void invalidate() { valid_ = false; }
+
+ private:
+  Result<const Entry*> refill(Context::FormatId wire_id);
+
+  Context& ctx_;
+  const ExpectedTable& expected_;
+  bool valid_ = false;
+  Context::FormatId cached_wire_id_ = 0;
+  Entry front_;
+};
+
+}  // namespace pbio

@@ -13,6 +13,10 @@
 //                 is its non-blocking sibling (kWouldBlock when no frame is
 //                 available right now) — the primitive Reader::next_batch
 //                 drains buffered frames with.
+//
+// Every library transport receives through its pooled path; the unpooled
+// two-reads-per-frame baseline the receive-path bench compares against is
+// a Channel of the bench's own.
 #pragma once
 
 #include <sys/uio.h>

@@ -156,30 +156,35 @@ Result<std::vector<std::uint8_t>> SocketChannel::recv() {
   return std::vector<std::uint8_t>(f.data(), f.data() + f.size());
 }
 
-/// One read into the stream buffer. Ok with zero committed bytes signals
-/// end of stream; on a non-blocking socket an empty kernel buffer is
-/// surfaced as kWouldBlock instead of spinning.
-Status SocketChannel::fill_blocking() {
+/// One recv() into the stream buffer. `flags` 0 waits on a blocking
+/// socket; MSG_DONTWAIT takes only what the kernel already has. A
+/// non-blocking empty kernel buffer is kWouldBlock, end of stream is
+/// kChannelClosed.
+Status SocketChannel::fill(int flags) {
   auto window = stream_.write_window(stream_.fill_hint());
-  const ssize_t r = io::retry_read(fd_, window.data(), window.size());
+  const ssize_t r = io::retry_recv(fd_, window.data(), window.size(), flags);
   ++recv_syscalls_;
   if (r < 0) {
     if (errno_would_block()) {
+      // Short literal on purpose: fits in the SSO buffer, so draining a
+      // batch to empty costs no heap allocation.
       return Status(Errc::kWouldBlock, "would block");
     }
-    return errno_status("read");
+    return errno_status("recv");
   }
-  if (r > 0) {
-    stream_.commit(static_cast<std::size_t>(r));
-    bytes_received_ += static_cast<std::size_t>(r);
-    OBS_COUNT("transport.socket.read_calls", 1);
-    OBS_COUNT("transport.socket.read_bytes", r);
+  if (r == 0) {
+    return Status(Errc::kChannelClosed,
+                  stream_.buffered_bytes() == 0 ? "end of stream"
+                                                : "truncated frame");
   }
+  stream_.commit(static_cast<std::size_t>(r));
+  bytes_received_ += static_cast<std::size_t>(r);
+  OBS_COUNT("transport.socket.read_calls", 1);
+  OBS_COUNT("transport.socket.read_bytes", r);
   return Status::ok();
 }
 
-Result<FrameBuf> SocketChannel::recv_buf() {
-  if (!coalesce_) return recv_buf_legacy();
+Result<FrameBuf> SocketChannel::pull(int flags) {
   while (true) {
     FrameBuf frame;
     Status err;
@@ -193,100 +198,14 @@ Result<FrameBuf> SocketChannel::recv_buf() {
       case FrameStream::Pull::kNeedMore:
         break;
     }
-    const std::size_t before = stream_.buffered_bytes();
-    Status st = fill_blocking();
+    Status st = fill(flags);
     if (!st.is_ok()) return st;
-    if (stream_.buffered_bytes() == before) {
-      return Status(Errc::kChannelClosed,
-                    before == 0 ? "end of stream" : "truncated frame");
-    }
   }
 }
 
-Result<FrameBuf> SocketChannel::poll_buf() {
-  if (!coalesce_) {
-    return Status(Errc::kWouldBlock, "coalescing disabled");
-  }
-  while (true) {
-    FrameBuf frame;
-    Status err;
-    switch (stream_.next_frame(&frame, &err)) {
-      case FrameStream::Pull::kFrame:
-        OBS_COUNT("transport.socket.msgs_in", 1);
-        OBS_COUNT("transport.socket.bytes_in", frame.size());
-        return frame;
-      case FrameStream::Pull::kBad:
-        return err;
-      case FrameStream::Pull::kNeedMore:
-        break;
-    }
-    // Non-blocking top-up: whatever the kernel already has, or would-block.
-    auto window = stream_.write_window(stream_.fill_hint());
-    const ssize_t r =
-        io::retry_recv(fd_, window.data(), window.size(), MSG_DONTWAIT);
-    ++recv_syscalls_;
-    if (r < 0) {
-      if (errno_would_block()) {
-        // Short literal on purpose: fits in the SSO buffer, so draining a
-        // batch to empty costs no heap allocation.
-        return Status(Errc::kWouldBlock, "would block");
-      }
-      return errno_status("recv");
-    }
-    if (r == 0) {
-      return Status(Errc::kChannelClosed,
-                    stream_.buffered_bytes() == 0 ? "end of stream"
-                                                  : "truncated frame");
-    }
-    stream_.commit(static_cast<std::size_t>(r));
-    bytes_received_ += static_cast<std::size_t>(r);
-    OBS_COUNT("transport.socket.read_calls", 1);
-    OBS_COUNT("transport.socket.read_bytes", r);
-  }
-}
+Result<FrameBuf> SocketChannel::recv_buf() { return pull(0); }
 
-/// The pre-buffering receive path: one read for the 4-byte length prefix,
-/// one for the body, a fresh heap block per frame. Kept (behind
-/// set_coalescing(false)) as the baseline the receive-path bench measures
-/// the pooled path against.
-Result<FrameBuf> SocketChannel::recv_buf_legacy() {
-  std::uint8_t header[kFrameHeaderLen];
-  std::size_t got = 0;
-  while (got < kFrameHeaderLen) {
-    const ssize_t r = io::retry_read(fd_, header + got, kFrameHeaderLen - got);
-    ++recv_syscalls_;
-    if (r < 0) {
-      return errno_status("read");
-    }
-    if (r == 0) {
-      return Status(Errc::kChannelClosed,
-                    got == 0 ? "end of stream" : "truncated frame header");
-    }
-    got += static_cast<std::size_t>(r);
-  }
-  const std::uint64_t len =
-      load_uint(header, kFrameHeaderLen, ByteOrder::kLittle);
-  if (len > kMaxFrameLen) {
-    return Status(Errc::kMalformed, "oversized frame");
-  }
-  FrameBuf msg = FrameBuf::heap(static_cast<std::size_t>(len));
-  std::size_t at = 0;
-  while (at < msg.size()) {
-    const ssize_t r = io::retry_read(fd_, msg.data() + at, msg.size() - at);
-    ++recv_syscalls_;
-    if (r < 0) {
-      return errno_status("read");
-    }
-    if (r == 0) {
-      return Status(Errc::kChannelClosed, "truncated frame body");
-    }
-    at += static_cast<std::size_t>(r);
-  }
-  bytes_received_ += msg.size();
-  OBS_COUNT("transport.socket.msgs_in", 1);
-  OBS_COUNT("transport.socket.bytes_in", msg.size());
-  return msg;
-}
+Result<FrameBuf> SocketChannel::poll_buf() { return pull(MSG_DONTWAIT); }
 
 SocketListener::SocketListener(int backlog, std::uint16_t port) : fd_(-1) {
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);

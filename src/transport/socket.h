@@ -3,11 +3,10 @@
 // equivalent to the paper's testbed socket layer minus the physical wire.
 //
 // Receive side: a FrameStream (framing.h) fills a pooled stream buffer
-// with one large read() and slices every complete frame out of it, so
+// with one large recv() and slices every complete frame out of it, so
 // small-message traffic amortizes to well under one syscall (and zero heap
-// allocations) per frame. set_coalescing(false) restores the pre-buffering
-// behaviour — two read() syscalls and a fresh heap block per frame — kept
-// as the measured baseline for the receive-path benchmark.
+// allocations) per frame. recv_buf() and poll_buf() are one pull loop that
+// differs only in whether its recv() may wait.
 #pragma once
 
 #include <sys/uio.h>
@@ -59,10 +58,6 @@ class SocketChannel final : public Channel, public WireSink {
   /// Returns bytes written, kWouldBlock when the socket buffer is full.
   Result<std::size_t> writev_some(std::span<const iovec> iov) override;
 
-  /// Toggle receive-side syscall coalescing (default on). Off = the
-  /// legacy two-reads-per-frame path with per-frame heap blocks.
-  void set_coalescing(bool on) { coalesce_ = on; }
-
   int fd() const { return fd_; }
 
   /// Kernel crossings so far — syscall-count invariants for tests and the
@@ -74,11 +69,12 @@ class SocketChannel final : public Channel, public WireSink {
   void close();
 
  private:
-  Status fill_blocking();
-  Result<FrameBuf> recv_buf_legacy();
+  // Slice the next buffered frame, fill()ing the stream with recv(flags)
+  // until one is complete.
+  Result<FrameBuf> pull(int flags);
+  Status fill(int flags);
 
   int fd_;
-  bool coalesce_ = true;
   bool nonblocking_ = false;
   FrameStream stream_;
   std::uint64_t bytes_sent_ = 0;

@@ -117,9 +117,9 @@ class FrameBuf {
   /// Drop the lease now (idempotent).
   void reset() { release(); }
 
-  /// A lease over a fresh, unpooled heap block — the legacy per-message
-  /// allocation behaviour, kept for the uncoalesced compatibility path and
-  /// as the pre-PR baseline in benchmarks.
+  /// A lease over a fresh, unpooled heap block — the per-message
+  /// allocation behaviour the receive-path benchmark's unbuffered baseline
+  /// measures the pool against.
   static FrameBuf heap(std::size_t size);
 
  private:

@@ -216,9 +216,10 @@ TEST(AllocInvariant, SteadyStateBatchAllocatesNothing) {
 }
 
 // The artifact cache rides the same invariant: once a conversion is
-// resolved, a warm try_conversion (L1 hit) and a warm shared-cache lookup
-// (lock-free snapshot probe) allocate nothing — 10k connections re-
-// resolving the same pair must not churn the heap.
+// resolved, a warm try_conversion (registry resolve + lock-free snapshot
+// hit) and a bare warm shared-cache lookup allocate nothing — a stream's
+// resolver front misses onto this path, and 10k connections re-resolving
+// the same pair must not churn the heap.
 TEST(AllocInvariant, WarmConversionLookupAllocatesNothing) {
   Context ctx;
   const auto id = register_sample(ctx);
@@ -234,9 +235,9 @@ TEST(AllocInvariant, WarmConversionLookupAllocatesNothing) {
     if (!c.is_ok()) break;
   }
   g_counting = false;
-  const std::uint64_t l1_allocs = g_allocs;
-  EXPECT_EQ(l1_allocs, 0u)
-      << "warm try_conversion allocated " << l1_allocs << " times";
+  const std::uint64_t warm_allocs = g_allocs;
+  EXPECT_EQ(warm_allocs, 0u)
+      << "warm try_conversion allocated " << warm_allocs << " times";
 
   // The shared layer's own hit path, as a second context over the same
   // cache would exercise it.
@@ -252,9 +253,9 @@ TEST(AllocInvariant, WarmConversionLookupAllocatesNothing) {
     if (!got.is_ok()) break;
   }
   g_counting = false;
-  const std::uint64_t l2_allocs = g_allocs;
-  EXPECT_EQ(l2_allocs, 0u)
-      << "warm ArtifactCache hit allocated " << l2_allocs << " times";
+  const std::uint64_t hit_allocs = g_allocs;
+  EXPECT_EQ(hit_allocs, 0u)
+      << "warm ArtifactCache hit allocated " << hit_allocs << " times";
 }
 
 }  // namespace

@@ -438,6 +438,39 @@ struct Sample {
   double b;
 };
 
+struct Other {
+  double x;
+  int n;
+};
+
+/// A format announcement frame for `f`, as a Writer sends it in-band.
+std::vector<std::uint8_t> announce_frame(const fmt::FormatDesc& f) {
+  std::vector<std::uint8_t> frame{kFrameFormat};
+  const auto meta = fmt::encode_meta(f);
+  frame.insert(frame.end(), meta.begin(), meta.end());
+  return frame;
+}
+
+/// A data frame carrying `rec` laid out as wire format `f`.
+std::vector<std::uint8_t> record_frame(const fmt::FormatDesc& f,
+                                       const value::Record& rec) {
+  const auto image = value::materialize(f, rec);
+  std::vector<std::uint8_t> frame(kDataHeaderSize, 0);
+  frame[0] = kFrameData;
+  store_uint(frame.data() + kDataHeaderIdOffset, f.fingerprint(), 8,
+             ByteOrder::kLittle);
+  frame.insert(frame.end(), image.begin(), image.end());
+  return frame;
+}
+
+arch::StructSpec sample_spec() {
+  arch::StructSpec spec;
+  spec.name = "sample";
+  spec.fields = {{.name = "a", .type = arch::CType::kInt},
+                 {.name = "b", .type = arch::CType::kDouble}};
+  return spec;
+}
+
 TEST(Broker, DecodesDataFramesForExpectedFormats) {
   Context ctx;
   const NativeField fields[] = {
@@ -456,29 +489,18 @@ TEST(Broker, DecodesDataFramesForExpectedFormats) {
   // A foreign (sparc) writer announces in-band and streams records; the
   // broker learns the format from the announcement and converts every data
   // frame to the native layout before echoing.
-  arch::StructSpec spec;
-  spec.name = "sample";
-  spec.fields = {{.name = "a", .type = arch::CType::kInt},
-                 {.name = "b", .type = arch::CType::kDouble}};
-  const auto wire_fmt = arch::layout_format(spec, arch::abi_sparc_v8());
+  const auto wire_fmt =
+      arch::layout_format(sample_spec(), arch::abi_sparc_v8());
 
   auto ch = transport::socket_connect(b.port());
   ASSERT_TRUE(ch.is_ok());
-  std::vector<std::uint8_t> announce{kFrameFormat};
-  const auto meta = fmt::encode_meta(wire_fmt);
-  announce.insert(announce.end(), meta.begin(), meta.end());
-  ASSERT_TRUE(ch.value()->send(announce).is_ok());
+  ASSERT_TRUE(ch.value()->send(announce_frame(wire_fmt)).is_ok());
 
   value::Record rec;
   rec.set("a", value::Value(41));
   rec.set("b", value::Value(6.5));
-  const auto image = value::materialize(wire_fmt, rec);
-  std::vector<std::uint8_t> frame(kDataHeaderSize, 0);
-  frame[0] = kFrameData;
-  store_uint(frame.data() + kDataHeaderIdOffset, wire_fmt.fingerprint(), 8,
-             ByteOrder::kLittle);
-  frame.insert(frame.end(), image.begin(), image.end());
-  for (int i = 0; i < 2; ++i) {  // second frame rides the resolution cache
+  const auto frame = record_frame(wire_fmt, rec);
+  for (int i = 0; i < 2; ++i) {  // second frame rides the resolver front
     ASSERT_TRUE(ch.value()->send(frame).is_ok());
     auto echo = ch.value()->recv();
     ASSERT_TRUE(echo.is_ok()) << echo.status().to_string();
@@ -498,6 +520,79 @@ TEST(Broker, DecodesDataFramesForExpectedFormats) {
   EXPECT_EQ(dropped.status().code(), Errc::kChannelClosed);
   ASSERT_TRUE(eventually([&] { return b.stats().protocol_errors >= 1; }));
   b.stop();
+}
+
+TEST(Broker, DecodeStreakResolvesOncePerFormat) {
+  // Each connection resolves through its own Resolver front: a same-format
+  // streak costs one try_conversion, every later frame is a front hit, and
+  // a format announcement mid-streak leaves the front valid.
+  Context ctx;
+  const NativeField sample_fields[] = {
+      PBIO_FIELD(Sample, a, arch::CType::kInt),
+      PBIO_FIELD(Sample, b, arch::CType::kDouble),
+  };
+  const NativeField other_fields[] = {
+      PBIO_FIELD(Other, x, arch::CType::kDouble),
+      PBIO_FIELD(Other, n, arch::CType::kInt),
+  };
+  Config cfg;
+  cfg.decode = true;
+  Broker b(ctx, cfg);
+  b.expect("sample", ctx.register_format(native_format(
+                         "sample", sample_fields, sizeof(Sample))));
+  b.expect("other", ctx.register_format(native_format(
+                        "other", other_fields, sizeof(Other))));
+  ASSERT_TRUE(b.start().is_ok());
+
+  arch::StructSpec other;
+  other.name = "other";
+  other.fields = {{.name = "x", .type = arch::CType::kDouble},
+                  {.name = "n", .type = arch::CType::kInt}};
+  const auto a_fmt = arch::layout_format(sample_spec(), arch::abi_sparc_v8());
+  const auto b_fmt = arch::layout_format(other, arch::abi_sparc_v8());
+  value::Record a_rec;
+  a_rec.set("a", value::Value(7));
+  a_rec.set("b", value::Value(0.25));
+  value::Record b_rec;
+  b_rec.set("x", value::Value(-3.5));
+  b_rec.set("n", value::Value(12));
+  const auto a_frame = record_frame(a_fmt, a_rec);
+  const auto b_frame = record_frame(b_fmt, b_rec);
+
+  auto ch = transport::socket_connect(b.port());
+  ASSERT_TRUE(ch.is_ok());
+  auto echo_n = [&](const std::vector<std::uint8_t>& frame, int n) {
+    for (int i = 0; i < n; ++i) {
+      ASSERT_TRUE(ch.value()->send(frame).is_ok());
+      auto echo = ch.value()->recv();
+      ASSERT_TRUE(echo.is_ok()) << echo.status().to_string();
+      EXPECT_EQ(echo.value(), frame);
+    }
+  };
+  const auto hits = [] {
+    const auto snap = obs::snapshot();
+    const auto* c = snap.find_counter("pbio.recv.resolve_cache_hits");
+    return c == nullptr ? std::uint64_t{0} : c->value;
+  };
+  const std::uint64_t hits0 = hits();
+  constexpr int kStreak = 8;
+  ASSERT_TRUE(ch.value()->send(announce_frame(a_fmt)).is_ok());
+  echo_n(a_frame, kStreak);
+  ASSERT_TRUE(ch.value()->send(announce_frame(b_fmt)).is_ok());
+  echo_n(a_frame, kStreak);
+  echo_n(b_frame, kStreak);
+  b.stop();
+
+  EXPECT_EQ(b.stats().decoded, 3u * kStreak);
+  EXPECT_EQ(b.stats().protocol_errors, 0u);
+  const Context::Stats cs = ctx.stats();
+  EXPECT_EQ(cs.conversion_cache_hits + cs.shared_cache_misses, 2u);
+  EXPECT_EQ(cs.conversions_compiled, 2u);
+#if PBIO_OBS_ENABLED
+  EXPECT_EQ(hits() - hits0, 3u * kStreak - 2u);
+#else
+  (void)hits0;
+#endif
 }
 
 TEST(Broker, GarbageFrameDropsOnlyThatConnection) {

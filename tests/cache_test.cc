@@ -1,8 +1,9 @@
-// Fleet-scale conversion-artifact cache: canonical keying, bloom-filter
-// negative cache, single-flight stampede collapse, cross-context artifact
-// sharing, and the persisted-codegen trust model (a poisoned cache file is
-// rejected by the loader or the translation validator and never executes —
-// the context falls back to a fresh compile and still converts correctly).
+// Fleet-scale conversion-artifact cache: canonical keying, the resolution
+// path in front of it (a stream's Resolver front, unknown ids), single-
+// flight stampede collapse, cross-context artifact sharing, and the
+// persisted-codegen trust model (a poisoned cache file is rejected by the
+// loader or the translation validator and never executes — the context
+// falls back to a fresh compile and still converts correctly).
 #include "cache/artifact_cache.h"
 
 #include <gtest/gtest.h>
@@ -17,7 +18,12 @@
 #include "arch/layout.h"
 #include "cache/persist.h"
 #include "fmt/format.h"
+#include "obs/obs.h"
 #include "pbio/context.h"
+#include "pbio/reader.h"
+#include "pbio/resolver.h"
+#include "pbio/writer.h"
+#include "transport/loopback.h"
 #include "util/endian.h"
 #include "convert/kernels/kernels.h"
 #include "value/materialize.h"
@@ -82,7 +88,7 @@ void expect_converts(const Context& /*ctx*/, const Conversion& conv,
   in.src_size = bytes.size();
   in.dst = out.data();
   in.dst_size = out.size();
-  ASSERT_TRUE(conv.run(in, Engine::kDcg).is_ok());
+  ASSERT_TRUE(run(conv, in, Engine::kDcg).is_ok());
   auto back = value::read_record(native, out);
   ASSERT_TRUE(back.is_ok());
   EXPECT_TRUE(value::equivalent(back.value(), sample_record()))
@@ -145,24 +151,24 @@ TEST(CanonicalHash, StructurallyEqualFormatsShareOneArtifact) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-// ------------------------------------------------------- negative cache
+// ------------------------------------------------------------ resolution
 
-TEST(NegativeCache, UnknownIdRejectedWithoutRegistryLookup) {
+TEST(Resolution, UnknownIdRejectedWithoutBuild) {
   Context ctx;
   const auto native = ctx.register_format(native_desc());
   auto r = ctx.try_conversion(0xdeadbeefdeadbeefull, native);
   ASSERT_FALSE(r.is_ok());
   EXPECT_EQ(r.status().code(), Errc::kUnknownFormat);
-  EXPECT_EQ(ctx.stats().negative_cache_hits, 1u);
+  // A stream's resolver rejects the id at its registry lookup, before any
+  // conversion is requested.
+  const ExpectedTable expected{{"sample", {native, ctx.find(native)}}};
+  Resolver resolver(ctx, expected);
+  auto e = resolver.resolve(0xdeadbeefdeadbeefull);
+  ASSERT_FALSE(e.is_ok());
+  EXPECT_EQ(e.status().code(), Errc::kUnknownFormat);
   EXPECT_EQ(ctx.stats().shared_cache_misses, 0u);
-}
-
-TEST(NegativeCache, RegisteredIdsPassTheFilter) {
-  Context ctx;
-  const auto wire = ctx.register_format(wire_desc());
-  const auto native = ctx.register_format(native_desc());
-  ASSERT_TRUE(ctx.try_conversion(wire, native).is_ok());
-  EXPECT_EQ(ctx.stats().negative_cache_hits, 0u);
+  EXPECT_EQ(ctx.stats().conversion_cache_hits, 0u);
+  EXPECT_EQ(ctx.artifact_cache().stats().compiles, 0u);
 }
 
 // ------------------------------------------------------------- stampede
@@ -197,8 +203,7 @@ TEST(Stampede, ColdPairCompilesExactlyOnceAcrossThreads) {
   EXPECT_EQ(ctx.artifact_cache().stats().compiles, 1u);
   // Every thread received literally the same sealed artifact.
   for (int t = 1; t < kThreads; ++t) {
-    EXPECT_EQ(got[static_cast<std::size_t>(t)]->artifact().get(),
-              got[0]->artifact().get());
+    EXPECT_EQ(got[static_cast<std::size_t>(t)].get(), got[0].get());
   }
   expect_converts(ctx, *got[0], wire_desc(), native_desc());
 }
@@ -221,9 +226,9 @@ TEST(SharedCache, SecondContextCompilesNothing) {
 
   EXPECT_EQ(a.stats().conversions_compiled, 1u);
   EXPECT_EQ(b.stats().conversions_compiled, 0u);
-  EXPECT_EQ(b.stats().shared_cache_hits, 1u);
+  EXPECT_EQ(b.stats().conversion_cache_hits, 1u);
   EXPECT_EQ(shared->stats().compiles, 1u);
-  EXPECT_EQ(ca.value()->artifact().get(), cb.value()->artifact().get());
+  EXPECT_EQ(ca.value().get(), cb.value().get());
 }
 
 TEST(SharedCache, PrivateByDefault) {
@@ -239,14 +244,119 @@ TEST(SharedCache, PrivateByDefault) {
   EXPECT_EQ(b.stats().conversions_compiled, 1u);
 }
 
-TEST(SharedCache, L1HitDoesNotTouchSharedCache) {
-  Context ctx;
-  const auto wire = ctx.register_format(wire_desc());
-  const auto native = ctx.register_format(native_desc());
-  ASSERT_TRUE(ctx.try_conversion(wire, native).is_ok());
-  ASSERT_TRUE(ctx.try_conversion(wire, native).is_ok());
-  EXPECT_EQ(ctx.stats().conversion_cache_hits, 1u);
-  EXPECT_EQ(ctx.artifact_cache().stats().hits, 0u);  // L1 absorbed it
+// --------------------------------------------------------- resolver front
+
+/// Every successful try_conversion counts exactly once in one of these.
+std::uint64_t conversions_resolved(const Context& ctx) {
+  const Context::Stats s = ctx.stats();
+  return s.conversion_cache_hits + s.shared_cache_misses;
+}
+
+std::uint64_t front_hits() {
+  const obs::Snapshot snap = obs::snapshot();
+  const auto* c = snap.find_counter("pbio.recv.resolve_cache_hits");
+  return c == nullptr ? 0 : c->value;
+}
+
+StructSpec other_spec() {
+  StructSpec s;
+  s.name = "other";
+  s.fields = {
+      {.name = "x", .type = CType::kDouble},
+      {.name = "n", .type = CType::kInt},
+  };
+  return s;
+}
+
+Record other_record() {
+  Record r;
+  r.set("x", Value(-1.75));
+  r.set("n", Value(9));
+  return r;
+}
+
+/// A sparc writer and a host reader with their own contexts, as across a
+/// real wire: the reader learns wire formats only from announcements.
+struct Stream {
+  Context wctx;
+  Context rctx;
+  std::pair<std::unique_ptr<transport::LoopbackChannel>,
+            std::unique_ptr<transport::LoopbackChannel>>
+      pair = transport::make_loopback_pair();
+  Writer writer{wctx, *pair.first};
+  Reader reader{rctx, *pair.second};
+
+  /// Register `spec` on both ends; the reader expects it.
+  Context::FormatId add(const StructSpec& spec) {
+    reader.expect(
+        rctx.register_format(arch::layout_format(spec, arch::abi_x86_64())));
+    return wctx.register_format(
+        arch::layout_format(spec, arch::abi_sparc_v8()));
+  }
+
+  /// Write `rec` as `spec` and check the reader decodes it exactly.
+  void round_trip(Context::FormatId wire, const StructSpec& spec,
+                  const Record& rec) {
+    const fmt::FormatDesc wfmt =
+        arch::layout_format(spec, arch::abi_sparc_v8());
+    const fmt::FormatDesc nfmt =
+        arch::layout_format(spec, arch::abi_x86_64());
+    ASSERT_TRUE(writer.write_image(wire, value::materialize(wfmt, rec))
+                    .is_ok());
+    auto m = reader.next();
+    ASSERT_TRUE(m.is_ok()) << m.status().to_string();
+    std::vector<std::uint8_t> out(nfmt.fixed_size, 0);
+    ASSERT_TRUE(m.value().decode_into(out.data(), out.size(), Engine::kDcg)
+                    .is_ok());
+    auto back = value::read_record(nfmt, out);
+    ASSERT_TRUE(back.is_ok());
+    EXPECT_TRUE(value::equivalent(back.value(), rec))
+        << Value(back.value()).to_string();
+  }
+};
+
+TEST(Resolution, ReaderStreakConvertsOnce) {
+  Stream s;
+  const auto wire = s.add(sample_spec());
+  constexpr std::uint64_t kFrames = 16;
+  const std::uint64_t hits0 = front_hits();
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    s.round_trip(wire, sample_spec(), sample_record());
+  }
+  EXPECT_EQ(conversions_resolved(s.rctx), 1u);
+  EXPECT_EQ(s.rctx.stats().conversions_compiled, 1u);
+#if PBIO_OBS_ENABLED
+  EXPECT_EQ(front_hits() - hits0, kFrames - 1);
+#else
+  (void)hits0;
+#endif
+}
+
+TEST(Resolution, AnnouncementMidStreakKeepsDecoding) {
+  // Ids are content hashes and registry entries never change, so a format
+  // announcement in the middle of a streak leaves the front valid: the A
+  // frames after it still hit, then the B streak resolves once.
+  Stream s;
+  const auto a = s.add(sample_spec());
+  const auto b = s.add(other_spec());
+  const std::uint64_t hits0 = front_hits();
+  for (int i = 0; i < 4; ++i) {
+    s.round_trip(a, sample_spec(), sample_record());
+  }
+  ASSERT_TRUE(s.writer.announce(b).is_ok());
+  for (int i = 0; i < 4; ++i) {
+    s.round_trip(a, sample_spec(), sample_record());
+  }
+  for (int i = 0; i < 4; ++i) {
+    s.round_trip(b, other_spec(), other_record());
+  }
+  EXPECT_EQ(s.reader.formats_learned(), 2u);
+  EXPECT_EQ(conversions_resolved(s.rctx), 2u);
+#if PBIO_OBS_ENABLED
+  EXPECT_EQ(front_hits() - hits0, 12u - 2u);
+#else
+  (void)hits0;
+#endif
 }
 
 // ---------------------------------------------------------- persistence

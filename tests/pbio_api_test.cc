@@ -355,11 +355,11 @@ TEST(PbioApi, ConversionCacheHitsAcrossMessages) {
   Particle p{};
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(w.write(id, &p).is_ok());
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(r.next().is_ok());
-  // Ten messages, one compile: the reader's one-entry resolution cache
+  // Ten messages, one compile: the reader's one-entry resolver front
   // absorbs the repeats without even re-querying the context.
   const auto stats = ctx.stats();
   EXPECT_EQ(stats.conversions_compiled, 1u);
-  // A fresh resolution of the same pair hits the context-level cache
+  // A fresh resolution of the same pair hits the artifact cache
   // instead of recompiling.
   ASSERT_TRUE(ctx.try_conversion(id, id).is_ok());
   const auto stats2 = ctx.stats();

@@ -247,7 +247,7 @@ TEST(NextBatch, BitIdenticalToPerMessage_TypeExtension) {
 }
 
 TEST(NextBatch, MixedWireIdsAndAnnouncementsInOneBatch) {
-  // Interleaved formats force the reader's one-entry resolution cache to
+  // Interleaved formats force the reader's one-entry resolver front to
   // switch per run, and each format's first message carries its in-band
   // announcement (a format frame consumed mid-batch).
   struct A {

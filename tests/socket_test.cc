@@ -287,24 +287,6 @@ TEST(SocketSyscalls, CoalescedReceiveAmortizesReads) {
   EXPECT_EQ(pair.receiver->bytes_received(), stream.size());
 }
 
-TEST(SocketSyscalls, LegacyModeUsesTwoReadsPerFrame) {
-  RawPair pair;
-  pair.receiver->set_coalescing(false);
-  std::vector<std::uint8_t> stream;
-  constexpr int kFrames = 10;
-  for (int i = 0; i < kFrames; ++i) {
-    const auto f = framed({static_cast<std::uint8_t>(i)});
-    stream.insert(stream.end(), f.begin(), f.end());
-  }
-  write_all(pair.sender_fd, stream, stream.size());
-  for (int i = 0; i < kFrames; ++i) {
-    auto m = pair.receiver->recv_buf();
-    ASSERT_TRUE(m.is_ok());
-    EXPECT_EQ(m.value().data()[0], i);
-  }
-  EXPECT_EQ(pair.receiver->recv_syscalls(), 2u * kFrames);
-}
-
 TEST(SocketSyscalls, SendFramesBatchesManyFramesPerWritev) {
   SocketListener listener;
   constexpr int kFrames = 100;

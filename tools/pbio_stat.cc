@@ -173,7 +173,7 @@ int run_from_file(const std::string& path, bool json, bool prom,
   }
 }
 
-int run(bool json, bool prom, int messages) {
+int run_canned(bool json, bool prom, int messages) {
   // Canned workload: every size, a heterogeneous direction (x86 wire into
   // x86-64 native: swaps-free but size-changing conversion) and a
   // homogeneous one (identity, the zero-copy path).
@@ -239,5 +239,5 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!from.empty()) return pbio::run_from_file(from, json, prom, watch_sec);
-  return pbio::run(json, prom, messages);
+  return pbio::run_canned(json, prom, messages);
 }
