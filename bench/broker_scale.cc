@@ -2,11 +2,13 @@
 //
 // Spins up the epoll broker (echo mode, optional receiver-side decode) and
 // drives it with N concurrent ping-pong clients pushing the fig3 workload
-// records: each client announces the wire format once, then round-trips
-// data frames with pipeline depth 1. Reports msgs/sec, exact p50/p99/p999
-// latency (sorted raw samples — the obs histograms' power-of-2 buckets
-// would quantize 2x), and syscalls per message from the broker's own
-// counters. Writes BENCH_broker.json.
+// records: each client announces the wire format once, then keeps `depth`
+// data frames in flight, sending one more as each echo returns. Every
+// (connections, depth) pair is one cell. Reports msgs/sec, exact
+// p50/p99/p999 latency from each frame's send to its echo (sorted raw
+// samples — the obs histograms' power-of-2 buckets would quantize 2x), and
+// syscalls per message from the broker's own counters. Writes
+// BENCH_broker.json with a host record (CPU model, nproc, build type).
 //
 // Process model: this host caps any process at ~20k fds, so the client
 // driver FORKS into a child process (its own 10k fds) and reports results
@@ -14,7 +16,8 @@
 // before Broker::start() spawns the workers — which is the only fork-safe
 // window; between cells the broker is fully stopped and joined.
 //
-//   broker_scale [--connections 100,1000,10000] [--frames N] [--size 100B]
+//   broker_scale [--connections 100,1000,10000] [--depth 1,8,64]
+//                [--frames N] [--size 100B]
 //                [--workers N] [--mode echo|ack|sink] [--no-decode]
 //                [--no-json]
 #include <netinet/in.h>
@@ -29,6 +32,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -77,24 +81,33 @@ void append_framed(std::vector<std::uint8_t>& out,
 
 struct Client {
   int fd = -1;
-  enum : std::uint8_t { kConnecting, kSending, kWaiting, kDone } state =
-      kConnecting;
+  bool connecting = true;
+  bool done = false;
   bool want_out = false;
-  std::uint32_t frames_left = 0;   // data frames still to round-trip
-  std::uint32_t warmup_left = 0;   // leading RTTs excluded from samples
+  std::uint32_t unsent = 0;        // data frames not yet handed to send()
+  std::uint32_t replies_left = 0;  // data frames whose echo is still due
+  std::uint32_t warmup_left = 0;   // leading replies excluded from samples
+  std::uint32_t queued = 0;        // data frames waiting behind `out`
   const std::vector<std::uint8_t>* out = nullptr;  // wire bytes being sent
   std::size_t sent = 0;
-  std::size_t got = 0;             // reply bytes received so far
-  std::uint64_t t_send = 0;
+  std::size_t stamped = 0;   // frames of `out` whose send time is recorded
+  std::size_t got = 0;       // bytes of the current reply received so far
+  // Send times of the frames in flight, oldest first (a ring of `depth`).
+  std::vector<std::uint64_t> t_sent;
+  std::size_t t_head = 0;
+  std::size_t inflight = 0;
 };
 
 struct DriverCfg {
   std::uint16_t port = 0;
   std::size_t conns = 0;
   std::uint32_t frames = 0;
+  std::uint32_t depth = 1;
   std::uint32_t warmup = 2;
   std::size_t connect_wave = 512;
-  const std::vector<std::uint8_t>* first_wire = nullptr;  // announce + data
+  // announce + `depth` data frames: the window each client opens with.
+  const std::vector<std::uint8_t>* first_wire = nullptr;
+  std::size_t announce_len = 0;  // framed announce bytes at its head
   const std::vector<std::uint8_t>* data_wire = nullptr;   // one data frame
   std::size_t reply_len = 0;  // framed echo size: 4 + data frame length
 };
@@ -103,10 +116,11 @@ int drive_clients(const DriverCfg& cfg, ChildResult* res) {
   const int ep = ::epoll_create1(EPOLL_CLOEXEC);
   if (ep < 0) return 1;
   std::vector<Client> clients(cfg.conns);
-  std::vector<std::uint8_t> recv_buf(cfg.reply_len);
+  std::vector<std::uint8_t> recv_buf(cfg.reply_len * cfg.depth);
   std::vector<std::uint64_t> samples;
   samples.reserve(cfg.conns *
                   (cfg.frames > cfg.warmup ? cfg.frames - cfg.warmup : 0));
+  const std::size_t data_len = cfg.data_wire->size();
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -129,36 +143,83 @@ int drive_clients(const DriverCfg& cfg, ChildResult* res) {
   };
   const auto finish = [&](std::size_t idx, bool error) {
     Client& c = clients[idx];
-    if (c.state == Client::kDone) return;
+    if (c.done) return;
     if (error) ++res->errors;
     ::close(c.fd);
     c.fd = -1;
-    c.state = Client::kDone;
+    c.done = true;
     ++done;
   };
+  // Whole data frames in out[0, sent): the first window carries the
+  // announce ahead of its data frames.
+  const auto frames_sent = [&](const Client& c) {
+    const std::size_t head = c.out == cfg.first_wire ? cfg.announce_len : 0;
+    return c.sent < head ? 0 : (c.sent - head) / data_len;
+  };
 
-  // Pump one client's pending send; returns false when the client died.
+  // Pump one client's pending sends; returns false when the client died.
+  // Each frame's send time is taken when its last byte is handed over.
   const auto pump_send = [&](std::size_t idx) {
     Client& c = clients[idx];
-    while (c.sent < c.out->size()) {
-      const ssize_t n = ::send(c.fd, c.out->data() + c.sent,
-                               c.out->size() - c.sent, MSG_NOSIGNAL);
-      if (n > 0) {
-        c.sent += static_cast<std::size_t>(n);
-        continue;
+    while (c.out != nullptr) {
+      while (c.sent < c.out->size()) {
+        const ssize_t n = ::send(c.fd, c.out->data() + c.sent,
+                                 c.out->size() - c.sent, MSG_NOSIGNAL);
+        if (n > 0) {
+          c.sent += static_cast<std::size_t>(n);
+          const std::uint64_t t = now_ns();
+          for (const std::size_t k = frames_sent(c); c.stamped < k;
+               ++c.stamped) {
+            c.t_sent[(c.t_head + c.inflight++) % cfg.depth] = t;
+          }
+          continue;
+        }
+        if (n < 0 && errno == EINTR) continue;
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+          mod_events(idx, true);
+          return true;
+        }
+        finish(idx, true);
+        return false;
       }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        mod_events(idx, true);
-        return true;
+      c.out = nullptr;
+      if (c.queued > 0) {
+        --c.queued;
+        c.out = cfg.data_wire;
+        c.sent = 0;
+        c.stamped = 0;
       }
-      finish(idx, true);
-      return false;
     }
     mod_events(idx, false);
-    c.state = Client::kWaiting;
-    c.got = 0;
-    c.t_send = now_ns();
+    return true;
+  };
+
+  // One whole echo arrived; returns false when the client is finished.
+  const auto on_reply = [&](std::size_t idx) {
+    Client& c = clients[idx];
+    ++res->msgs;
+    const std::uint64_t t_send = c.t_sent[c.t_head];
+    c.t_head = (c.t_head + 1) % cfg.depth;
+    --c.inflight;
+    if (c.warmup_left > 0) {
+      --c.warmup_left;
+    } else {
+      samples.push_back(now_ns() - t_send);
+    }
+    if (--c.replies_left == 0) {
+      finish(idx, false);
+      return false;
+    }
+    if (c.unsent > 0) {
+      --c.unsent;
+      if (c.out != nullptr) {
+        ++c.queued;
+      } else {
+        c.out = cfg.data_wire;
+        c.sent = 0;
+        c.stamped = 0;
+      }
+    }
     return true;
   };
 
@@ -169,7 +230,7 @@ int drive_clients(const DriverCfg& cfg, ChildResult* res) {
       c.fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
       if (c.fd < 0) {
         ++res->connect_failures;
-        c.state = Client::kDone;
+        c.done = true;
         ++done;
         continue;
       }
@@ -182,7 +243,7 @@ int drive_clients(const DriverCfg& cfg, ChildResult* res) {
         ::close(c.fd);
         c.fd = -1;
         ++res->connect_failures;
-        c.state = Client::kDone;
+        c.done = true;
         ++done;
         continue;
       }
@@ -191,10 +252,13 @@ int drive_clients(const DriverCfg& cfg, ChildResult* res) {
       ev.data.u64 = idx;
       ::epoll_ctl(ep, EPOLL_CTL_ADD, c.fd, &ev);
       c.want_out = true;
-      c.frames_left = cfg.frames;
+      c.unsent = cfg.frames - cfg.depth;
+      c.replies_left = cfg.frames;
       c.warmup_left = cfg.warmup;
       c.out = cfg.first_wire;
       c.sent = 0;
+      c.stamped = 0;
+      c.t_sent.assign(cfg.depth, 0);
       ++connecting;
     }
   };
@@ -213,64 +277,47 @@ int drive_clients(const DriverCfg& cfg, ChildResult* res) {
     for (int i = 0; i < n; ++i) {
       const std::size_t idx = static_cast<std::size_t>(events[i].data.u64);
       Client& c = clients[idx];
-      if (c.state == Client::kDone) continue;
+      if (c.done) continue;
 
-      if (c.state == Client::kConnecting) {
+      if (c.connecting) {
         int err = 0;
         socklen_t len = sizeof(err);
         ::getsockopt(c.fd, SOL_SOCKET, SO_ERROR, &err, &len);
+        --connecting;
+        start_connects();
         if (err != 0) {
           ++res->connect_failures;
           finish(idx, false);
-          --connecting;
-          start_connects();
           continue;
         }
-        --connecting;
-        start_connects();
-        c.state = Client::kSending;
-        c.want_out = true;  // already armed from the connect
-        if (!pump_send(idx)) continue;
-        if (c.state == Client::kWaiting) mod_events(idx, false);
+        c.connecting = false;
+        pump_send(idx);
         continue;
       }
 
-      if ((events[i].events & EPOLLOUT) != 0 &&
-          c.state == Client::kSending) {
+      if ((events[i].events & EPOLLOUT) != 0 && c.out != nullptr) {
         if (!pump_send(idx)) continue;
       }
 
-      if ((events[i].events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP)) != 0 &&
-          c.state == Client::kWaiting) {
-        while (true) {
-          const ssize_t r = ::recv(c.fd, recv_buf.data(),
-                                   cfg.reply_len - c.got, MSG_DONTWAIT);
-          if (r < 0 && errno == EINTR) continue;
-          if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-          if (r <= 0) {
-            finish(idx, true);
-            break;
-          }
-          c.got += static_cast<std::size_t>(r);
-          if (c.got < cfg.reply_len) continue;
-          // Full echo received: one round trip done.
-          ++res->msgs;
-          if (c.warmup_left > 0) {
-            --c.warmup_left;
-          } else {
-            samples.push_back(now_ns() - c.t_send);
-          }
-          --c.frames_left;
-          if (c.frames_left == 0) {
-            finish(idx, false);
-          } else {
-            c.state = Client::kSending;
-            c.out = cfg.data_wire;
-            c.sent = 0;
-            if (!pump_send(idx)) break;
-          }
-          break;
+      if ((events[i].events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP)) != 0) {
+        // Level-triggered: one recv per event, sized for every echo in
+        // flight; anything left raises the next event.
+        const ssize_t r = ::recv(c.fd, recv_buf.data(), recv_buf.size(),
+                                 MSG_DONTWAIT);
+        if (r < 0 && (errno == EINTR || errno == EAGAIN ||
+                      errno == EWOULDBLOCK)) {
+          continue;
         }
+        if (r <= 0 || c.inflight == 0) {
+          finish(idx, true);  // EOF, error, or an echo nobody asked for
+          continue;
+        }
+        bool live = true;
+        for (c.got += static_cast<std::size_t>(r);
+             live && c.got >= cfg.reply_len; c.got -= cfg.reply_len) {
+          live = on_reply(idx);
+        }
+        if (live && c.out != nullptr && c.sent == 0) pump_send(idx);
       }
     }
   }
@@ -301,6 +348,7 @@ int drive_clients(const DriverCfg& cfg, ChildResult* res) {
 
 struct CellResult {
   std::size_t conns = 0;
+  std::uint32_t depth = 1;
   std::uint32_t frames = 0;
   std::size_t payload = 0;
   ChildResult child;
@@ -309,9 +357,9 @@ struct CellResult {
   double syscalls_per_msg = 0.0;
 };
 
-bool run_cell(std::size_t conns, std::uint32_t frames, bench::Size size,
-              unsigned workers, broker::OnData mode, bool decode,
-              int scrape_port, CellResult* out) {
+bool run_cell(std::size_t conns, std::uint32_t depth, std::uint32_t frames,
+              bench::Size size, unsigned workers, broker::OnData mode,
+              bool decode, int scrape_port, CellResult* out) {
   Context ctx;
   bench::Workload w =
       bench::make_workload(size, arch::abi_x86(), arch::abi_x86_64());
@@ -333,7 +381,8 @@ bool run_cell(std::size_t conns, std::uint32_t frames, bench::Size size,
 
   std::vector<std::uint8_t> first_wire;
   append_framed(first_wire, announce);
-  append_framed(first_wire, data);
+  const std::size_t announce_len = first_wire.size();
+  for (std::uint32_t i = 0; i < depth; ++i) append_framed(first_wire, data);
   std::vector<std::uint8_t> data_wire;
   append_framed(data_wire, data);
 
@@ -361,7 +410,10 @@ bool run_cell(std::size_t conns, std::uint32_t frames, bench::Size size,
     dc.port = b.port();
     dc.conns = conns;
     dc.frames = frames;
+    dc.depth = depth;
+    dc.warmup = std::max<std::uint32_t>(2, depth);
     dc.first_wire = &first_wire;
+    dc.announce_len = announce_len;
     dc.data_wire = &data_wire;
     dc.reply_len = mode == broker::OnData::kAck
                        ? 4 + kDataHeaderSize
@@ -401,6 +453,7 @@ bool run_cell(std::size_t conns, std::uint32_t frames, bench::Size size,
     return false;
   }
   out->conns = conns;
+  out->depth = depth;
   out->frames = frames;
   out->payload = w.src_image.size();
   out->child = res;
@@ -417,9 +470,42 @@ bool run_cell(std::size_t conns, std::uint32_t frames, bench::Size size,
 
 double us(std::uint64_t ns) { return static_cast<double>(ns) / 1e3; }
 
-int run(const std::vector<std::size_t>& conn_list, std::uint32_t frames_opt,
-        bench::Size size, unsigned workers, broker::OnData mode, bool decode,
-        bool write_json, unsigned repeat, int scrape_port) {
+/// Cells with more frames in flight than this are skipped: the broker's
+/// default inflight cap, and a bound on the kernel socket memory one cell
+/// pins (10k connections at depth 64 would queue 640k frames).
+constexpr std::size_t kMaxCellInflight = 65536;
+
+/// CPU model, online CPUs and build type, as one JSON object.
+std::string host_json() {
+  std::string cpu = "unknown";
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos) {
+        cpu = line.substr(colon + 1);
+        cpu.erase(0, cpu.find_first_not_of(' '));
+      }
+      break;
+    }
+  }
+  for (char& c : cpu) {
+    if (c == '"' || c == '\\') c = ' ';
+  }
+  char buf[384];
+  std::snprintf(buf, sizeof buf,
+                "{\"cpu_model\": \"%s\", \"nproc\": %ld, "
+                "\"build_type\": \"%s\"}",
+                cpu.c_str(), ::sysconf(_SC_NPROCESSORS_ONLN),
+                PBIO_BUILD_TYPE);
+  return buf;
+}
+
+int run(const std::vector<std::size_t>& conn_list,
+        const std::vector<std::uint32_t>& depth_list,
+        std::uint32_t frames_opt, bench::Size size, unsigned workers,
+        broker::OnData mode, bool decode, bool write_json, unsigned repeat,
+        int scrape_port) {
   std::printf("broker_scale: echo broker, %s payload, %u worker(s), "
               "decode=%s\n",
               bench::label(size), workers, decode ? "on" : "off");
@@ -428,56 +514,69 @@ int run(const std::vector<std::size_t>& conn_list, std::uint32_t frames_opt,
                 scrape_port);
   }
   std::printf("\n");
-  bench::Table t("Broker scale (ping-pong, depth 1)",
-                 {"conns", "frames/conn", "msgs", "msgs/sec", "p50 us",
-                  "p99 us", "p999 us", "p99/p50", "sys/msg", "sheds"});
+  bench::Table t("Broker scale (ping-pong, `depth` frames in flight per conn)",
+                 {"conns", "depth", "frames/conn", "msgs", "msgs/sec",
+                  "p50 us", "p99 us", "p999 us", "p99/p50", "sys/msg",
+                  "sheds"});
   std::vector<CellResult> cells;
   for (std::size_t conns : conn_list) {
-    const std::uint32_t frames =
-        frames_opt != 0
-            ? frames_opt
-            : std::max<std::uint32_t>(
-                  8, static_cast<std::uint32_t>(200000 / conns));
-    // Depth-1 round-trip tails on a shared core are at the mercy of
-    // whatever else the box runs. The quantity under test is tail
-    // flatness (p99/p50), and external interference only ever inflates
-    // p99 relative to p50 — so across repeats the least-disturbed run is
-    // the one with the smallest ratio; keep that one per cell.
-    CellResult cell;
-    bool have = false;
-    auto ratio_of = [](const CellResult& c) {
-      return c.child.p50_ns > 0 ? static_cast<double>(c.child.p99_ns) /
-                                      static_cast<double>(c.child.p50_ns)
+    for (std::uint32_t depth : depth_list) {
+      if (conns * depth > kMaxCellInflight) {
+        std::printf("skipping %zu conns x depth %u: over %zu frames in "
+                    "flight\n",
+                    conns, depth, kMaxCellInflight);
+        continue;
+      }
+      // A connection keeps `depth` frames in flight for at least four
+      // windows, so the first burst does not dominate its samples.
+      const std::uint32_t frames = std::max<std::uint32_t>(
+          4 * depth, frames_opt != 0
+                         ? frames_opt
+                         : std::max<std::uint32_t>(
+                               8, static_cast<std::uint32_t>(200000 / conns)));
+      // Depth-1 round-trip tails on a shared core are at the mercy of
+      // whatever else the box runs. The quantity under test is tail
+      // flatness (p99/p50), and external interference only ever inflates
+      // p99 relative to p50 — so across repeats the least-disturbed run is
+      // the one with the smallest ratio; keep that one per cell.
+      CellResult cell;
+      bool have = false;
+      auto ratio_of = [](const CellResult& c) {
+        return c.child.p50_ns > 0 ? static_cast<double>(c.child.p99_ns) /
+                                        static_cast<double>(c.child.p50_ns)
+                                  : 0.0;
+      };
+      for (unsigned rep = 0; rep < (repeat == 0 ? 1 : repeat); ++rep) {
+        CellResult attempt;
+        if (!run_cell(conns, depth, frames, size, workers, mode, decode,
+                      scrape_port, &attempt)) {
+          std::fprintf(stderr, "cell %zu conns x depth %u failed\n", conns,
+                       depth);
+          return 1;
+        }
+        if (!have || ratio_of(attempt) < ratio_of(cell)) {
+          cell = attempt;
+          have = true;
+        }
+      }
+      const double ratio =
+          cell.child.p50_ns > 0 ? static_cast<double>(cell.child.p99_ns) /
+                                      static_cast<double>(cell.child.p50_ns)
                                 : 0.0;
-    };
-    for (unsigned rep = 0; rep < (repeat == 0 ? 1 : repeat); ++rep) {
-      CellResult attempt;
-      if (!run_cell(conns, frames, size, workers, mode, decode, scrape_port,
-                    &attempt)) {
-        std::fprintf(stderr, "cell %zu conns failed\n", conns);
-        return 1;
-      }
-      if (!have || ratio_of(attempt) < ratio_of(cell)) {
-        cell = attempt;
-        have = true;
-      }
+      char r[32], mps[32], p50[32], p99[32], p999[32], spm[32];
+      std::snprintf(mps, sizeof mps, "%.0f", cell.msgs_per_sec);
+      std::snprintf(p50, sizeof p50, "%.1f", us(cell.child.p50_ns));
+      std::snprintf(p99, sizeof p99, "%.1f", us(cell.child.p99_ns));
+      std::snprintf(p999, sizeof p999, "%.1f", us(cell.child.p999_ns));
+      std::snprintf(r, sizeof r, "%.2f", ratio);
+      std::snprintf(spm, sizeof spm, "%.2f", cell.syscalls_per_msg);
+      t.add_row({std::to_string(cell.conns), std::to_string(cell.depth),
+                 std::to_string(cell.frames), std::to_string(cell.child.msgs),
+                 mps, p50, p99, p999, r, spm,
+                 std::to_string(cell.stats.shed_connections +
+                                cell.stats.shed_inflight)});
+      cells.push_back(cell);
     }
-    const double ratio =
-        cell.child.p50_ns > 0 ? static_cast<double>(cell.child.p99_ns) /
-                                    static_cast<double>(cell.child.p50_ns)
-                              : 0.0;
-    char r[32], mps[32], p50[32], p99[32], p999[32], spm[32];
-    std::snprintf(mps, sizeof mps, "%.0f", cell.msgs_per_sec);
-    std::snprintf(p50, sizeof p50, "%.1f", us(cell.child.p50_ns));
-    std::snprintf(p99, sizeof p99, "%.1f", us(cell.child.p99_ns));
-    std::snprintf(p999, sizeof p999, "%.1f", us(cell.child.p999_ns));
-    std::snprintf(r, sizeof r, "%.2f", ratio);
-    std::snprintf(spm, sizeof spm, "%.2f", cell.syscalls_per_msg);
-    t.add_row({std::to_string(cell.conns), std::to_string(cell.frames),
-               std::to_string(cell.child.msgs), mps, p50, p99, p999, r, spm,
-               std::to_string(cell.stats.shed_connections +
-                              cell.stats.shed_inflight)});
-    cells.push_back(cell);
   }
   t.print();
 
@@ -497,19 +596,21 @@ int run(const std::vector<std::size_t>& conn_list, std::uint32_t frames_opt,
       return 1;
     }
     std::fprintf(f,
-                 "{\n  \"bench\": \"broker_scale\",\n  \"payload\": \"%s\",\n"
+                 "{\n  \"bench\": \"broker_scale\",\n  \"host\": %s,\n"
+                 "  \"payload\": \"%s\",\n"
                  "  \"workers\": %u,\n  \"decode\": %s,\n  \"rows\": [\n",
-                 bench::label(size), workers, decode ? "true" : "false");
+                 host_json().c_str(), bench::label(size), workers,
+                 decode ? "true" : "false");
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const CellResult& c = cells[i];
       std::fprintf(
           f,
-          "    {\"connections\": %zu, \"frames_per_conn\": %u, "
+          "    {\"connections\": %zu, \"depth\": %u, \"frames_per_conn\": %u, "
           "\"payload_bytes\": %zu, \"msgs\": %llu, \"msgs_per_sec\": %.0f, "
           "\"p50_us\": %.1f, \"p90_us\": %.1f, \"p99_us\": %.1f, "
           "\"p999_us\": %.1f, \"mean_us\": %.1f, \"p99_over_p50\": %.2f, "
           "\"syscalls_per_msg\": %.2f, \"sheds\": %llu, \"errors\": %llu}%s\n",
-          c.conns, c.frames, c.payload,
+          c.conns, c.depth, c.frames, c.payload,
           static_cast<unsigned long long>(c.child.msgs), c.msgs_per_sec,
           us(c.child.p50_ns), us(c.child.p90_ns), us(c.child.p99_ns),
           us(c.child.p999_ns), us(c.child.mean_ns),
@@ -535,6 +636,7 @@ int run(const std::vector<std::size_t>& conn_list, std::uint32_t frames_opt,
 
 int main(int argc, char** argv) {
   std::vector<std::size_t> conns = {100, 1000, 10000};
+  std::vector<std::uint32_t> depths = {1};
   std::uint32_t frames = 0;  // 0: auto-scale to ~200k msgs per cell
   pbio::bench::Size size = pbio::bench::Size::k100B;
   unsigned workers = 1;
@@ -548,6 +650,18 @@ int main(int argc, char** argv) {
       conns.clear();
       for (const char* p = argv[++i]; *p != '\0';) {
         conns.push_back(static_cast<std::size_t>(std::strtoul(p, nullptr, 10)));
+        while (*p != '\0' && *p != ',') ++p;
+        if (*p == ',') ++p;
+      }
+    } else if (std::strcmp(argv[i], "--depth") == 0 && i + 1 < argc) {
+      depths.clear();
+      for (const char* p = argv[++i]; *p != '\0';) {
+        const auto d = static_cast<std::uint32_t>(std::strtoul(p, nullptr, 10));
+        if (d == 0) {
+          std::fprintf(stderr, "--depth takes positive counts\n");
+          return 2;
+        }
+        depths.push_back(d);
         while (*p != '\0' && *p != ',') ++p;
         if (*p == ',') ++p;
       }
@@ -584,7 +698,8 @@ int main(int argc, char** argv) {
       scrape_port = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
     } else {
       std::fprintf(stderr,
-                   "usage: broker_scale [--connections A,B,C] [--frames N] "
+                   "usage: broker_scale [--connections A,B,C] "
+                   "[--depth D,E,F] [--frames N] "
                    "[--size 100B|1KB|10KB|100KB] [--workers N] "
                    "[--mode echo|ack|sink] [--no-decode] [--no-json] "
                    "[--repeat N] [--scrape-port P]\n");
@@ -597,6 +712,6 @@ int main(int argc, char** argv) {
                  "echo or ack mode\n");
     return 2;
   }
-  return pbio::bench::run(conns, frames, size, workers, mode, decode,
+  return pbio::bench::run(conns, depths, frames, size, workers, mode, decode,
                           write_json, repeat, scrape_port);
 }

@@ -118,7 +118,7 @@ class Worker {
         } else if (scrape_conns_.find(fd) != scrape_conns_.end()) {
           service_scrape(fd);
         } else {
-          service_conn(fd);
+          service_conn(fd, events[i].events);
         }
       }
       run_ready();
@@ -129,9 +129,10 @@ class Worker {
 
  private:
   void drain_wake() {
+    // One read zeroes the whole (non-semaphore) counter; a wake() racing
+    // in after it still fires, because wake_ is level-triggered.
     std::uint64_t v;
-    while (::read(wake_, &v, sizeof(v)) > 0) {
-    }
+    [[maybe_unused]] ssize_t n = ::read(wake_, &v, sizeof(v));
     std::vector<int> fds;
     {
       MutexLock lk(inbox_mu_);
@@ -184,7 +185,7 @@ class Worker {
       return;  // conn dtor closes the fd and rolls the gauges back
     }
     conns_.emplace(fd, std::move(conn));
-    service_conn(fd);  // frames may have landed before registration
+    service_conn(fd, EPOLLIN);  // frames may have landed before registration
   }
 
   void accept_scrape_burst() {
@@ -215,11 +216,13 @@ class Worker {
     }
   }
 
-  void service_conn(int fd) {
+  /// `events` is the epoll mask that woke the connection (0 from
+  /// run_ready: no new edge, keep reading only while not drained).
+  void service_conn(int fd, std::uint32_t events) {
     loop_owner_.assert_held("Worker epoll state");
     auto it = conns_.find(fd);
     if (it == conns_.end()) return;
-    switch (it->second->service(kFrameBudget)) {
+    switch (it->second->service(kFrameBudget, events)) {
       case Conn::Verdict::kIdle:
         break;
       case Conn::Verdict::kMore:
@@ -237,7 +240,7 @@ class Worker {
     // fresh events interleaved with this backlog.
     std::vector<int> batch;
     batch.swap(ready_);
-    for (int fd : batch) service_conn(fd);
+    for (int fd : batch) service_conn(fd, 0);
   }
 
   Broker& owner_;

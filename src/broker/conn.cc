@@ -1,5 +1,7 @@
 #include "broker/conn.h"
 
+#include <sys/epoll.h>
+
 #include "fmt/meta.h"
 #include "obs/flight.h"
 #include "obs/span.h"
@@ -308,20 +310,25 @@ Status Conn::dispatch(FrameBuf frame) {
   }
 }
 
-Conn::Verdict Conn::service(std::size_t frame_budget) {
+Conn::Verdict Conn::service(std::size_t frame_budget, std::uint32_t events) {
   owner_.assert_held("Conn::service");
+  if ((events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR)) != 0) {
+    ch_.rearm((events & (EPOLLRDHUP | EPOLLHUP | EPOLLERR)) != 0);
+  }
   std::size_t used = 0;
-  bool more = false;
   while (true) {
-    if (!read_paused_) {
-      while (used < frame_budget) {
+    if (!read_paused_ && !peer_eof_) {
+      while (used < frame_budget && ch_.may_have_input()) {
         auto frame = ch_.poll_buf();
         if (!frame.is_ok()) {
           const Errc c = frame.status().code();
           if (c == Errc::kWouldBlock) break;
-          if (c != Errc::kChannelClosed) {
-            sh_.protocol_errors.fetch_add(1, kRelaxed);
+          if (c == Errc::kChannelClosed) {
+            // Half-closed peers still read: answer what arrived, then close.
+            peer_eof_ = true;
+            break;
           }
+          sh_.protocol_errors.fetch_add(1, kRelaxed);
           fold_syscalls();
           return Verdict::kClose;
         }
@@ -358,10 +365,9 @@ Conn::Verdict Conn::service(std::size_t frame_budget) {
           break;
         }
       }
-      more = used >= frame_budget;
     }
     Status st = flush();
-    if (!st.is_ok()) {
+    if (!st.is_ok() || (peer_eof_ && sq_.empty())) {
       fold_syscalls();
       return Verdict::kClose;
     }
@@ -376,9 +382,10 @@ Conn::Verdict Conn::service(std::size_t frame_budget) {
                          sq_.queued_bytes());
 #endif
       if (used < frame_budget) continue;  // drain what piled up while paused
-      more = true;
     }
     fold_syscalls();
+    const bool more = !read_paused_ && !peer_eof_ && used >= frame_budget &&
+                      ch_.may_have_input();
     return more ? Verdict::kMore : Verdict::kIdle;
   }
 }

@@ -11,10 +11,14 @@
 // from the socket (poll_buf — the PR 4 zero-alloc coalesced path),
 // dispatch each on its first payload byte (pbio frame kinds and format-
 // service request bytes are disjoint), flush responses with gathered
-// writev. Backpressure is a flag, not an epoll transition: when the send
-// queue passes the per-connection byte cap the Conn simply stops draining
-// input, the kernel receive buffer fills, the peer's TCP window closes —
-// and reading resumes once the queue drains below the low watermark.
+// send. Draining stops at the first short read rather than at EAGAIN:
+// under EPOLLET any later byte raises a new edge (see
+// SocketChannel::may_have_input). Backpressure is a flag, not an epoll
+// transition: when the send queue passes the per-connection byte cap the
+// Conn simply stops draining input, the kernel receive buffer fills, the
+// peer's TCP window closes — and reading resumes once the queue drains
+// below the low watermark. Peer EOF stops reading too; the Conn closes
+// once the replies already queued have been flushed.
 #pragma once
 
 #include <atomic>
@@ -147,9 +151,9 @@ class Conn {
   };
 
   /// Drain + dispatch + flush, up to `frame_budget` inbound frames (the
-  /// worker's fairness quantum). Call on EPOLLIN, EPOLLOUT, and again while
-  /// kMore.
-  Verdict service(std::size_t frame_budget);
+  /// worker's fairness quantum). Call with the epoll `events` on every
+  /// edge, and with no events again while kMore.
+  Verdict service(std::size_t frame_budget, std::uint32_t events);
 
   int fd() const { return ch_.fd(); }
   bool want_write() const { return !sq_.empty(); }
@@ -179,6 +183,8 @@ class Conn {
   ByteBuffer svc_reply_{256};
   std::vector<std::uint8_t> decode_out_;
   bool read_paused_ = false;
+  /// The peer sent EOF: read nothing more, close once sq_ has flushed.
+  bool peer_eof_ = false;
   /// Flips on the first pause and never back: this connection's residency
   /// samples land in the "slow" class histogram from then on.
   bool ever_paused_ = false;

@@ -1,5 +1,6 @@
 #include "broker/http.h"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -125,7 +126,8 @@ bool ScrapeConn::service(Broker& b) {
   }
   while (written_ < out_.size()) {
     const ssize_t w =
-        ::write(fd_, out_.data() + written_, out_.size() - written_);
+        ::send(fd_, out_.data() + written_, out_.size() - written_,
+               MSG_NOSIGNAL);
     if (w > 0) {
       written_ += static_cast<std::size_t>(w);
       continue;

@@ -1,12 +1,16 @@
 // EINTR-consistent raw I/O wrappers.
 //
-// Every raw read / recv / write / writev / accept the transports issue goes
-// through these helpers, so the retry-on-EINTR policy lives in exactly one
-// place (historically each call site open-coded its own loop; an audit found
-// them consistent but the duplication invited drift). The helpers retry the
-// syscall while it fails with EINTR and otherwise return the raw result with
-// errno intact — callers still decide what EAGAIN, EOF, or hard errors mean
-// for their protocol state.
+// Every raw read / recv / write / gathered send / accept the transports
+// make goes through these helpers, so the retry-on-EINTR policy lives in
+// exactly one place (historically each call site open-coded its own loop;
+// an audit found them consistent but the duplication invited drift). The
+// helpers retry the syscall while it fails with EINTR and otherwise return
+// the raw result with errno intact — callers still decide what EAGAIN,
+// EOF, or hard errors mean for their protocol state.
+//
+// Gathered socket writes use sendmsg with MSG_NOSIGNAL rather than
+// writev, so writing to a peer that has reset the connection fails with
+// EPIPE instead of raising SIGPIPE and killing the process.
 //
 // connect(2) is deliberately NOT wrapped: after an EINTR the connection
 // attempt continues asynchronously and re-calling connect() yields
@@ -43,9 +47,13 @@ inline ssize_t retry_write(int fd, const void* buf, std::size_t n) {
   }
 }
 
-inline ssize_t retry_writev(int fd, const iovec* iov, int iovcnt) {
+/// writev for sockets, with MSG_NOSIGNAL (see the header comment).
+inline ssize_t retry_sendv(int fd, const iovec* iov, int iovcnt) {
+  msghdr msg{};
+  msg.msg_iov = const_cast<iovec*>(iov);
+  msg.msg_iovlen = static_cast<std::size_t>(iovcnt);
   for (;;) {
-    const ssize_t r = ::writev(fd, iov, iovcnt);
+    const ssize_t r = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (r >= 0 || errno != EINTR) return r;
   }
 }

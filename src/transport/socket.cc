@@ -58,13 +58,13 @@ Status SocketChannel::set_nonblocking(bool on) {
 Result<std::size_t> SocketChannel::writev_some(std::span<const iovec> iov) {
   if (iov.empty()) return std::size_t{0};
   const ssize_t w =
-      io::retry_writev(fd_, iov.data(), static_cast<int>(iov.size()));
+      io::retry_sendv(fd_, iov.data(), static_cast<int>(iov.size()));
   ++send_syscalls_;
   if (w < 0) {
     if (errno_would_block()) {
       return Status(Errc::kWouldBlock, "would block");
     }
-    return errno_status("writev");
+    return errno_status("sendmsg");
   }
   bytes_sent_ += static_cast<std::size_t>(w);
   OBS_COUNT("transport.socket.bytes_out", w);
@@ -92,7 +92,7 @@ Status SocketChannel::send_gather(
 }
 
 Status SocketChannel::send_frames(std::span<const FrameSegments> frames) {
-  // One writev covers every frame: per-frame length prefix plus the
+  // One gathered send covers every frame: per-frame length prefix plus the
   // frame's segments, no concatenation copy. Headers live in a stack
   // block; the iovec scratch is a reused member, so steady-state sends
   // allocate nothing either.
@@ -122,10 +122,10 @@ Status SocketChannel::send_frames(std::span<const FrameSegments> frames) {
     auto* iov = iov_scratch_.data();
     std::size_t iov_left = iov_scratch_.size();
     while (done < want) {
-      const ssize_t w = io::retry_writev(fd_, iov, static_cast<int>(iov_left));
+      const ssize_t w = io::retry_sendv(fd_, iov, static_cast<int>(iov_left));
       ++send_syscalls_;
       if (w < 0) {
-        return errno_status("writev");
+        return errno_status("sendmsg");
       }
       done += static_cast<std::size_t>(w);
       if (done >= want) break;
@@ -159,13 +159,15 @@ Result<std::vector<std::uint8_t>> SocketChannel::recv() {
 /// One recv() into the stream buffer. `flags` 0 waits on a blocking
 /// socket; MSG_DONTWAIT takes only what the kernel already has. A
 /// non-blocking empty kernel buffer is kWouldBlock, end of stream is
-/// kChannelClosed.
+/// kChannelClosed. A short read or EAGAIN marks the channel drained.
 Status SocketChannel::fill(int flags) {
   auto window = stream_.write_window(stream_.fill_hint());
   const ssize_t r = io::retry_recv(fd_, window.data(), window.size(), flags);
   ++recv_syscalls_;
   if (r < 0) {
     if (errno_would_block()) {
+      drained_ = true;
+      eof_pending_ = false;
       // Short literal on purpose: fits in the SSO buffer, so draining a
       // batch to empty costs no heap allocation.
       return Status(Errc::kWouldBlock, "would block");
@@ -177,6 +179,7 @@ Status SocketChannel::fill(int flags) {
                   stream_.buffered_bytes() == 0 ? "end of stream"
                                                 : "truncated frame");
   }
+  drained_ = !eof_pending_ && static_cast<std::size_t>(r) < window.size();
   stream_.commit(static_cast<std::size_t>(r));
   bytes_received_ += static_cast<std::size_t>(r);
   OBS_COUNT("transport.socket.read_calls", 1);
@@ -201,6 +204,10 @@ Result<FrameBuf> SocketChannel::pull(int flags) {
     Status st = fill(flags);
     if (!st.is_ok()) return st;
   }
+}
+
+bool SocketChannel::may_have_input() const {
+  return !drained_ || stream_.has_complete_frame();
 }
 
 Result<FrameBuf> SocketChannel::recv_buf() { return pull(0); }

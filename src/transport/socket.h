@@ -66,6 +66,21 @@ class SocketChannel final : public Channel, public WireSink {
   std::uint64_t recv_syscalls() const { return recv_syscalls_; }
   std::uint64_t bytes_received() const { return bytes_received_; }
 
+  /// Edge-triggered input readiness, for event-loop servers. fill()
+  /// records "drained" when recv() returned less than its window (TCP
+  /// keeps copying while its queue holds data, so the queue was empty at
+  /// that moment) or EAGAIN; a byte or FIN arriving later raises a new
+  /// EPOLLET edge, which the caller reports with rearm(). While this is
+  /// false, poll_buf() could only return kWouldBlock.
+  bool may_have_input() const;
+  /// An epoll edge arrived. `hangup` (EPOLLRDHUP/HUP/ERR): a FIN queued
+  /// behind data raises no further edge, so short reads stop counting as
+  /// drained until recv() returns 0 or EAGAIN.
+  void rearm(bool hangup) {
+    drained_ = false;
+    eof_pending_ = eof_pending_ || hangup;
+  }
+
   void close();
 
  private:
@@ -76,6 +91,8 @@ class SocketChannel final : public Channel, public WireSink {
 
   int fd_;
   bool nonblocking_ = false;
+  bool drained_ = false;
+  bool eof_pending_ = false;
   FrameStream stream_;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t bytes_received_ = 0;

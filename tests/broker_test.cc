@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -54,6 +55,37 @@ bool eventually(Pred pred) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return pred();
+}
+
+/// `n` distinct data frames and the bytes a client writes to send them
+/// back to back.
+struct Burst {
+  std::vector<std::vector<std::uint8_t>> frames;
+  std::vector<std::uint8_t> wire;
+};
+
+Burst make_burst(int n) {
+  Burst b;
+  for (int i = 0; i < n; ++i) {
+    b.frames.push_back(data_frame(static_cast<std::uint64_t>(i),
+                                  24 + static_cast<std::size_t>(i % 40),
+                                  static_cast<std::uint8_t>(i)));
+    const auto& f = b.frames.back();
+    std::uint8_t hdr[kFrameHeaderLen];
+    store_uint(hdr, f.size(), kFrameHeaderLen, ByteOrder::kLittle);
+    b.wire.insert(b.wire.end(), hdr, hdr + kFrameHeaderLen);
+    b.wire.insert(b.wire.end(), f.begin(), f.end());
+  }
+  return b;
+}
+
+/// Every frame of `burst` comes back on `ch`, whole and in order.
+void expect_echoed_in_order(SocketChannel& ch, const Burst& burst) {
+  for (std::size_t i = 0; i < burst.frames.size(); ++i) {
+    auto echo = ch.recv();
+    ASSERT_TRUE(echo.is_ok()) << i << ": " << echo.status().to_string();
+    ASSERT_EQ(echo.value(), burst.frames[i]) << i;
+  }
 }
 
 void clamp_rcvbuf(int fd, int bytes) {
@@ -593,6 +625,152 @@ TEST(Broker, DecodeStreakResolvesOncePerFormat) {
 #else
   (void)hits0;
 #endif
+}
+
+TEST(Broker, DepthOnePingPongCostsTwoSyscallsPerFrame) {
+  // At depth 1 a frame needs one data recv and one writev. The data recv
+  // returns less than its window, which already proves the socket empty,
+  // so no recv that could only return EAGAIN follows it.
+  Context ctx;
+  Broker b(ctx);
+  ASSERT_TRUE(b.start().is_ok());
+  constexpr int kRounds = 500;
+  {
+    auto ch = transport::socket_connect(b.port());
+    ASSERT_TRUE(ch.is_ok());
+    for (int i = 0; i < kRounds; ++i) {
+      const auto f = data_frame(9, 64, static_cast<std::uint8_t>(i));
+      ASSERT_TRUE(ch.value()->send(f).is_ok());
+      auto echo = ch.value()->recv();
+      ASSERT_TRUE(echo.is_ok()) << i << ": " << echo.status().to_string();
+      ASSERT_EQ(echo.value(), f) << i;
+    }
+  }
+  // Closing the Conn folds its last syscall counts into stats().
+  ASSERT_TRUE(eventually([&] { return b.stats().connections == 0; }));
+  const BrokerStats s = b.stats();
+  ASSERT_EQ(s.frames_in, static_cast<std::uint64_t>(kRounds));
+  const double per_frame =
+      static_cast<double>(s.recv_syscalls + s.send_syscalls) /
+      static_cast<double>(s.frames_in);
+  EXPECT_LE(per_frame, 2.05) << "recv " << s.recv_syscalls << ", send "
+                             << s.send_syscalls;
+  b.stop();
+}
+
+TEST(Broker, PipelinedBurstEchoesInOrder) {
+  // 300 frames in one write outrun the worker's 64-frame budget: the
+  // connection re-queues with complete frames buffered after its socket
+  // already read as drained, and each re-run must carry on from the buffer.
+  Context ctx;
+  Broker b(ctx);
+  ASSERT_TRUE(b.start().is_ok());
+  const Burst burst = make_burst(300);
+  auto ch = transport::socket_connect(b.port());
+  ASSERT_TRUE(ch.is_ok());
+  ASSERT_EQ(::send(ch.value()->fd(), burst.wire.data(), burst.wire.size(),
+                   MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.wire.size()));
+  expect_echoed_in_order(*ch.value(), burst);
+  EXPECT_EQ(b.stats().frames_in, burst.frames.size());
+  EXPECT_EQ(b.stats().protocol_errors, 0u);
+  b.stop();
+}
+
+TEST(Broker, DribbledBurstEchoesInOrder) {
+  // The same burst in 1-7-byte writes: frames straddle reads, and edges
+  // land while the stream still holds a complete frame or only part of one.
+  Context ctx;
+  Broker b(ctx);
+  ASSERT_TRUE(b.start().is_ok());
+  const Burst burst = make_burst(300);
+  auto ch = transport::socket_connect(b.port());
+  ASSERT_TRUE(ch.is_ok());
+  std::size_t at = 0;
+  for (std::size_t k = 0; at < burst.wire.size(); ++k) {
+    const std::size_t n = std::min(1 + k % 7, burst.wire.size() - at);
+    const ssize_t w =
+        ::send(ch.value()->fd(), burst.wire.data() + at, n, MSG_NOSIGNAL);
+    ASSERT_GT(w, 0) << "at " << at;
+    at += static_cast<std::size_t>(w);
+  }
+  expect_echoed_in_order(*ch.value(), burst);
+  EXPECT_EQ(b.stats().frames_in, burst.frames.size());
+  EXPECT_EQ(b.stats().protocol_errors, 0u);
+  b.stop();
+}
+
+TEST(Broker, HalfClosedPeerGetsItsReplyThenCloses) {
+  // A client that sends its last request and then shuts down its write
+  // side still reads: the broker must flush the reply before it closes.
+  // A FIN queued behind the data makes the data's read short and raises
+  // no edge of its own; only the EOF guard (read past a short read on
+  // EPOLLRDHUP) sees it, and without it the connection would wait for an
+  // edge that never comes. Each client first makes one round trip, so
+  // the broker is already waiting on the connection when the last request
+  // lands. Even clients then send with MSG_MORE: the FIN rides on the
+  // data segment itself and every one of them hits that case. Odd
+  // clients send the FIN as its own segment.
+  Context ctx;
+  Broker b(ctx);
+  ASSERT_TRUE(b.start().is_ok());
+  constexpr int kClients = 200;
+  for (int c = 0; c < kClients; ++c) {
+    auto ch = transport::socket_connect(b.port());
+    ASSERT_TRUE(ch.is_ok());
+    const Burst one = make_burst(1);
+    const auto& f = one.frames[0];
+    ASSERT_TRUE(ch.value()->send(f).is_ok());
+    auto warm = ch.value()->recv();
+    ASSERT_TRUE(warm.is_ok()) << "client " << c << ": "
+                              << warm.status().to_string();
+    const int flags = MSG_NOSIGNAL | (c % 2 == 0 ? MSG_MORE : 0);
+    ASSERT_EQ(::send(ch.value()->fd(), one.wire.data(), one.wire.size(),
+                     flags),
+              static_cast<ssize_t>(one.wire.size()));
+    ASSERT_EQ(::shutdown(ch.value()->fd(), SHUT_WR), 0);
+    auto echo = ch.value()->recv();
+    ASSERT_TRUE(echo.is_ok()) << "client " << c << ": "
+                              << echo.status().to_string();
+    ASSERT_EQ(echo.value(), f) << "client " << c;
+  }
+  EXPECT_TRUE(eventually([&] { return b.stats().connections == 0; }))
+      << b.stats().connections << " half-closed connections never closed";
+  const BrokerStats s = b.stats();
+  EXPECT_EQ(s.closed, static_cast<std::uint64_t>(kClients));
+  EXPECT_EQ(s.frames_out, static_cast<std::uint64_t>(2 * kClients));
+  EXPECT_EQ(s.protocol_errors, 0u);
+  b.stop();
+}
+
+TEST(Broker, PeerThatClosesWithRepliesUnreadCannotKillTheBroker) {
+  // Each client pipelines more frames than two worker budgets and then
+  // close()s without reading. The first batch of replies reaches a
+  // closed socket, whose RST shuts the broker's side for sending; the
+  // broker's next write to it must fail as an error that closes the
+  // connection, not raise SIGPIPE, which would end this process.
+  Context ctx;
+  Broker b(ctx);
+  ASSERT_TRUE(b.start().is_ok());
+  const Burst burst = make_burst(200);
+  constexpr int kClients = 20;
+  for (int c = 0; c < kClients; ++c) {
+    auto ch = transport::socket_connect(b.port());
+    ASSERT_TRUE(ch.is_ok());
+    ASSERT_EQ(::send(ch.value()->fd(), burst.wire.data(), burst.wire.size(),
+                     MSG_NOSIGNAL),
+              static_cast<ssize_t>(burst.wire.size()));
+  }  // each channel closes here, its replies unread
+  EXPECT_TRUE(eventually([&] { return b.stats().connections == 0; }))
+      << b.stats().connections << " connections never closed";
+  EXPECT_EQ(b.stats().closed, static_cast<std::uint64_t>(kClients));
+  // The broker still serves.
+  auto ch = transport::socket_connect(b.port());
+  ASSERT_TRUE(ch.is_ok());
+  const Burst one = make_burst(1);
+  ASSERT_TRUE(ch.value()->send(one.frames[0]).is_ok());
+  expect_echoed_in_order(*ch.value(), one);
+  b.stop();
 }
 
 TEST(Broker, GarbageFrameDropsOnlyThatConnection) {

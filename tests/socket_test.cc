@@ -435,14 +435,32 @@ TEST(IoRetry, HelpersPassThroughNormalResults) {
   char buf[8];
   EXPECT_EQ(io::retry_read(p[0], buf, sizeof(buf)), 3);
   EXPECT_EQ(std::memcmp(buf, msg, 3), 0);
-  const iovec iov[] = {{const_cast<char*>(msg), 2},
-                       {const_cast<char*>(msg) + 2, 1}};
-  EXPECT_EQ(io::retry_writev(p[1], iov, 2), 3);
-  EXPECT_EQ(io::retry_read(p[0], buf, sizeof(buf)), 3);
   ::close(p[1]);
   // Writer closed: EOF, not an error.
   EXPECT_EQ(io::retry_read(p[0], buf, sizeof(buf)), 0);
   ::close(p[0]);
+
+  int s[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, s), 0);
+  const iovec iov[] = {{const_cast<char*>(msg), 2},
+                       {const_cast<char*>(msg) + 2, 1}};
+  EXPECT_EQ(io::retry_sendv(s[1], iov, 2), 3);
+  EXPECT_EQ(io::retry_read(s[0], buf, sizeof(buf)), 3);
+  EXPECT_EQ(std::memcmp(buf, msg, 3), 0);
+  ::close(s[0]);
+  ::close(s[1]);
+}
+
+TEST(IoRetry, SendvToClosedPeerFailsWithEpipeInsteadOfSignalling) {
+  // Without MSG_NOSIGNAL this write raises SIGPIPE and ends the process.
+  int s[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, s), 0);
+  ::close(s[0]);
+  char c = 'x';
+  const iovec iov[] = {{&c, 1}};
+  EXPECT_EQ(io::retry_sendv(s[1], iov, 1), -1);
+  EXPECT_EQ(errno, EPIPE);
+  ::close(s[1]);
 }
 
 }  // namespace
