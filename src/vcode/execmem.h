@@ -4,6 +4,12 @@
 // generated into that can then be executed "without reference to an external
 // compiler or linker" (paper §4.3). W^X discipline: pages are writable
 // during emission and switched to read+execute before use.
+//
+// One-page buffers come from a process-wide pool of recycled code pages,
+// each flanked by PROT_NONE guards, so sealing one is a single mprotect on
+// a one-page mapping: no mmap, page fault or munmap per compiled
+// conversion. A released page is made writable and zeroed before reuse;
+// larger buffers, and any taken while every slot is live, are mmap'd.
 #pragma once
 
 #include <cstddef>
@@ -12,6 +18,9 @@
 #include "util/error.h"
 
 namespace pbio::vcode {
+
+/// Code pages the pool recycles before one-page buffers fall back to mmap.
+inline constexpr std::size_t kExecPoolSlots = 64;
 
 /// Thread model: exclusively owned while writable (one thread emits and
 /// seals); after make_executable() the pages are immutable and entry() may
@@ -22,8 +31,8 @@ namespace pbio::vcode {
 // thread-domain: any
 class ExecBuffer {
  public:
-  /// Reserve `capacity` bytes of page-aligned memory (rounded up to whole
-  /// pages). Throws PbioError if the OS refuses.
+  /// Reserve `capacity` bytes of zeroed, writable, page-aligned memory
+  /// (rounded up to whole pages). Throws PbioError if the OS refuses.
   explicit ExecBuffer(std::size_t capacity);
   ~ExecBuffer();
 

@@ -761,9 +761,14 @@ TEST(Broker, PeerThatClosesWithRepliesUnreadCannotKillTheBroker) {
                      MSG_NOSIGNAL),
               static_cast<ssize_t>(burst.wire.size()));
   }  // each channel closes here, its replies unread
-  EXPECT_TRUE(eventually([&] { return b.stats().connections == 0; }))
-      << b.stats().connections << " connections never closed";
-  EXPECT_EQ(b.stats().closed, static_cast<std::uint64_t>(kClients));
+  // connections == 0 alone already holds before the broker has accepted
+  // anyone; wait for every client to have been accepted and closed.
+  EXPECT_TRUE(eventually([&] {
+    const auto st = b.stats();
+    return st.closed == static_cast<std::uint64_t>(kClients) &&
+           st.connections == 0;
+  })) << b.stats().closed << " closed, " << b.stats().connections
+      << " connections open";
   // The broker still serves.
   auto ch = transport::socket_connect(b.port());
   ASSERT_TRUE(ch.is_ok());

@@ -11,8 +11,10 @@
 #include "baselines/xmlwire/encode.h"
 #include "bench_support/harness.h"
 #include "bench_support/workload.h"
+#include "obs/obs.h"
 #include "obs/span.h"
 #include "pbio/pbio.h"
+#include "vcode/execmem.h"
 #include "vcode/jit_convert.h"
 
 namespace pbio::bench {
@@ -193,6 +195,32 @@ TEST(PerfInvariants, IdentityPlanCostsNothing) {
   const double t = measure_ms([&] { flag = plan.identity; });
   (void)flag;
   EXPECT_LT(t, 0.001);
+}
+
+TEST(PerfInvariants, RecompilingReusesCodePagesWithoutMapping) {
+  // A compiled conversion's code page goes back to the pool when the
+  // conversion is dropped, so steady compile-and-drop churn (a context
+  // torn down and rebuilt) maps no new memory. A count, not a timing.
+  if (!vcode::jit_supported()) GTEST_SKIP() << "no JIT on this host";
+  Workload w = make_workload(Size::k1KB, arch::abi_sparc_v8(),
+                             arch::abi_x86_64());
+  const auto plan = convert::compile_plan(w.src_fmt, w.dst_fmt);
+  const auto counter = [](const char* name) -> std::uint64_t {
+    const obs::Snapshot snap = obs::snapshot();
+    const obs::CounterSample* c = snap.find_counter(name);
+    EXPECT_NE(c, nullptr) << name << " not registered";
+    return c == nullptr ? 0 : c->value;
+  };
+  ASSERT_TRUE(vcode::CompiledConvert(plan).jitted());  // warm-up
+  const std::uint64_t maps = counter("vcode.exec.maps");
+  const std::uint64_t reuses = counter("vcode.exec.reuses");
+  constexpr int kCompiles = 100;
+  for (int i = 0; i < kCompiles; ++i) {
+    ASSERT_TRUE(vcode::CompiledConvert(plan).jitted());
+  }
+  EXPECT_EQ(counter("vcode.exec.maps"), maps)
+      << "dropping a conversion did not recycle its code page";
+  EXPECT_EQ(counter("vcode.exec.reuses"), reuses + kCompiles);
 }
 
 }  // namespace

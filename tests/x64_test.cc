@@ -4,10 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cinttypes>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "util/endian.h"
 #include "vcode/execmem.h"
@@ -374,12 +379,16 @@ TEST(ExecBuffer, JitSupportedOnThisHost) {
 #endif
 }
 
-/// Page-protection flags of the mapping containing `addr`, from
-/// /proc/self/maps — e.g. "rw-p". Empty if the mapping (or procfs) is not
-/// found.
-std::string mapping_perms(const void* addr) {
+/// The kernel's view of the mapping containing an address, from
+/// /proc/self/maps: its bounds and protection flags (e.g. "rw-p").
+struct Mapping {
+  std::uintptr_t lo = 0;
+  std::uintptr_t hi = 0;
+  std::string perms;  // empty if the mapping (or procfs) is not found
+};
+
+Mapping find_mapping(const void* addr) {
   std::ifstream maps("/proc/self/maps");
-  if (!maps.good()) return "";
   const auto a = reinterpret_cast<std::uintptr_t>(addr);
   std::string line;
   while (std::getline(maps, line)) {
@@ -389,45 +398,124 @@ std::string mapping_perms(const void* addr) {
                     perms) != 3) {
       continue;
     }
-    if (a >= lo && a < hi) return perms;
+    if (a >= lo && a < hi) return {lo, hi, perms};
   }
-  return "";
+  return {};
+}
+
+std::string prot(const void* addr) {
+  return find_mapping(addr).perms.substr(0, 3);
+}
+
+std::size_t page_size() {
+  return static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+/// Where a buffer under test comes from: a pool slot, the slot a sealed
+/// buffer just released, or an mmap fallback (more than one page, or a
+/// one-page buffer taken while every slot is live).
+enum class Source { kPooled, kRecycled, kMultiPage, kWindowFull };
+
+bool pooled(Source src) {
+  return src == Source::kPooled || src == Source::kRecycled;
+}
+
+/// Run `body` on a fresh buffer from each source. Every buffer must start
+/// zeroed, and its page must not be executable once it is released.
+template <typename Body>
+void for_each_source(Body&& body) {
+  const std::size_t page = page_size();
+  for (const auto& [src, name] :
+       {std::pair{Source::kPooled, "pooled"},
+        std::pair{Source::kRecycled, "recycled"},
+        std::pair{Source::kMultiPage, "multi-page"},
+        std::pair{Source::kWindowFull, "window full"}}) {
+    SCOPED_TRACE(name);
+    std::vector<ExecBuffer> held;
+    if (src == Source::kWindowFull) {
+      held.reserve(kExecPoolSlots);
+      for (std::size_t i = 0; i < kExecPoolSlots; ++i) {
+        held.emplace_back(1).make_executable();
+      }
+      // Every slot sealed at once: without guards between them, adjacent
+      // sealed slots would merge into one mapping.
+      for (const ExecBuffer& h : held) {
+        const Mapping m = find_mapping(h.data());
+        EXPECT_EQ(m.hi - m.lo, page) << "sealed slot shares its mapping";
+      }
+    }
+    const std::uint8_t* prior = nullptr;
+    if (src == Source::kRecycled) {
+      ExecBuffer used(1);
+      std::memset(used.data(), 0xC3, used.capacity());  // ret ret ret ...
+      used.make_executable();
+      prior = used.data();
+    }
+    const std::uint8_t* data = nullptr;
+    {
+      ExecBuffer buf(src == Source::kMultiPage ? 3 * page : 64);
+      data = buf.data();
+      if (src == Source::kRecycled) {
+        EXPECT_EQ(data, prior);
+      }
+      if (src == Source::kWindowFull) {
+        const auto a = reinterpret_cast<std::uintptr_t>(data);
+        for (const ExecBuffer& h : held) {
+          const auto slot = reinterpret_cast<std::uintptr_t>(h.data());
+          EXPECT_TRUE(a + page < slot || a > slot + page)
+              << "a buffer taken with every slot live sits in the window";
+        }
+      }
+      EXPECT_EQ(std::count(data, data + buf.capacity(), 0),
+                static_cast<std::ptrdiff_t>(buf.capacity()))
+          << "a new buffer must be all zeros";
+      body(buf, src);
+    }
+    EXPECT_EQ(prot(data).find('x'), std::string::npos)
+        << "released page still executable";
+  }
 }
 
 TEST(ExecBuffer, WxProtectionTransitions) {
   // The W^X contract, verified against the kernel's own view of the pages:
   // writable while emitting, executable only after sealing, and never both
-  // at once at any point in the lifecycle.
-  ExecBuffer buf(64);
-  const std::string rw = mapping_perms(buf.data());
-  if (rw.empty()) GTEST_SKIP() << "/proc/self/maps not available";
-  EXPECT_EQ(rw.substr(0, 3), "rw-");
+  // at once at any point in the lifecycle — for pooled, recycled and
+  // mmap'd buffers alike.
+  if (!std::ifstream("/proc/self/maps").good()) {
+    GTEST_SKIP() << "/proc/self/maps not available";
+  }
+  for_each_source([](ExecBuffer& buf, Source src) {
+    EXPECT_EQ(prot(buf.data()), "rw-");
 
-  buf.data()[0] = 0xC3;  // ret
-  buf.make_executable();
-  const std::string rx = mapping_perms(buf.data());
-  EXPECT_EQ(rx.substr(0, 3), "r-x");
-  buf.entry<void (*)()>()();
+    buf.data()[0] = 0xC3;  // ret
+    buf.make_executable();
+    const Mapping rx = find_mapping(buf.data());
+    EXPECT_EQ(rx.perms.substr(0, 3), "r-x");
+    if (pooled(src)) {
+      // Guard pages keep a sealed slot its own one-page mapping.
+      EXPECT_EQ(rx.hi - rx.lo, page_size());
+    }
+    buf.entry<void (*)()>()();
 
-  buf.make_writable();
-  const std::string rw2 = mapping_perms(buf.data());
-  EXPECT_EQ(rw2.substr(0, 3), "rw-");
+    buf.make_writable();
+    EXPECT_EQ(prot(buf.data()), "rw-");
 
-  buf.make_executable();
-  const std::string rx2 = mapping_perms(buf.data());
-  EXPECT_EQ(rx2.substr(0, 3), "r-x");
+    buf.make_executable();  // released sealed
+    EXPECT_EQ(prot(buf.data()), "r-x");
+  });
 }
 
 TEST(ExecBuffer, EntryRefusedWhileWritable) {
   // W^X enforcement at the API level: no callable handed out while the
   // pages are writable, at creation or after reopening for regeneration.
-  ExecBuffer buf(16);
-  buf.data()[0] = 0xC3;
-  EXPECT_THROW(buf.entry<void (*)()>(), PbioError);
-  buf.make_executable();
-  EXPECT_NO_THROW(buf.entry<void (*)()>());
-  buf.make_writable();
-  EXPECT_THROW(buf.entry<void (*)()>(), PbioError);
+  for_each_source([](ExecBuffer& buf, Source) {
+    buf.data()[0] = 0xC3;
+    EXPECT_THROW(buf.entry<void (*)()>(), PbioError);
+    buf.make_executable();
+    EXPECT_NO_THROW(buf.entry<void (*)()>());
+    buf.make_writable();
+    EXPECT_THROW(buf.entry<void (*)()>(), PbioError);
+  });
 }
 
 TEST(ExecBuffer, MovedFromBufferRejectsSealing) {
