@@ -48,6 +48,13 @@ extern "C" int pbio_jit_var_op(JitRt* rt, std::uint32_t op_index) {
 constexpr unsigned kUnrollLimit = 4;
 constexpr unsigned kInlineCopyLimit = 64;
 
+/// Initial code and macro-note capacity of a compile. Covers every
+/// hetero_bulk pair (at most 224 bytes, 33 macros) and nearly all of the
+/// random-spec corpus (at most 446 bytes, 73 macros), so emission grows
+/// neither buffer in the common case.
+constexpr std::size_t kCodeReserve = 512;
+constexpr std::size_t kMacroReserve = 64;
+
 /// Whether the compiler will emit a batch-kernel call for this array op —
 /// the exact predicate of ConvertCompiler::try_emit_kernel_call, shared so
 /// the load-time relocation walk (call_targets) reproduces the emission
@@ -130,7 +137,8 @@ class ConvertCompiler {
     dst_be_ = plan.dst_order == ByteOrder::kBig;
   }
 
-  std::vector<std::uint8_t> compile() {
+  Emitted compile() {
+    b_.reserve(kCodeReserve, kMacroReserve);
     b_.prologue();
     EmitCtx top;
     for (std::size_t i = 0; i < plan_.ops.size(); ++i) {
@@ -138,10 +146,8 @@ class ConvertCompiler {
     }
     b_.ret_ok();
     b_.finish();
-    return b_.code();
+    return b_.take();
   }
-
-  const Builder& builder() const { return b_; }
 
  private:
   void emit_op(const Op& op, std::uint32_t index, const EmitCtx& ctx) {
@@ -392,11 +398,10 @@ class ConvertCompiler {
   bool dst_be_ = false;
 };
 
-}  // namespace
-
-verify::tval::Options make_tval_options(const Plan& plan) {
+/// Fill `opts` with the allowlist for `plan`, reusing its capacity.
+void fill_tval_options(const Plan& plan, verify::tval::Options& opts) {
   namespace tval = verify::tval;
-  tval::Options opts;
+  opts.callees.clear();
   walk_call_sites(plan, [&opts](std::uint64_t addr, tval::CalleeKind kind,
                                 std::uint8_t ws, std::uint8_t wd) {
     if (addr == 0) return;
@@ -408,6 +413,25 @@ verify::tval::Options make_tval_options(const Plan& plan) {
     }
     opts.callees.push_back({addr, kind, ws, wd});
   });
+}
+
+#if PBIO_TVAL_ENABLED
+/// Validate `code` against `plan` with a per-thread allowlist buffer, so a
+/// warm compile builds the allowlist without allocating.
+verify::tval::Report validate_code(std::span<const std::uint8_t> code,
+                                   const Plan& plan) {
+  OBS_SPAN("vcode.jit.tval");
+  thread_local verify::tval::Options opts;
+  fill_tval_options(plan, opts);
+  return verify::tval::validate(code, plan, opts);
+}
+#endif
+
+}  // namespace
+
+verify::tval::Options make_tval_options(const Plan& plan) {
+  verify::tval::Options opts;
+  fill_tval_options(plan, opts);
   return opts;
 }
 
@@ -452,20 +476,16 @@ CompiledConvert::CompiledConvert(Plan plan) : impl_(std::make_unique<Impl>()) {
   if (!jit_supported()) return;
   OBS_SPAN("vcode.jit.compile");
   OBS_COUNT("vcode.jit.compiles", 1);
-  ConvertCompiler compiler(impl_->plan);
-  const std::vector<std::uint8_t> code = compiler.compile();
+  Emitted out = ConvertCompiler(impl_->plan).compile();
+  const std::vector<std::uint8_t>& code = out.code;
   OBS_COUNT("vcode.jit.code_bytes", code.size());
-  impl_->notes = compiler.builder().notes();
-  impl_->labels = compiler.builder().labels();
-  impl_->call_sites = compiler.builder().call_sites();
+  impl_->notes = std::move(out.notes);
+  impl_->labels = std::move(out.labels);
+  impl_->call_sites = std::move(out.call_sites);
 #if PBIO_TVAL_ENABLED
   // Translation-validate the fresh bytes before they can ever become
   // executable: decode + symbolic execution against the verified plan.
-  {
-    OBS_SPAN("vcode.jit.tval");
-    impl_->tval = verify::tval::validate(code, impl_->plan,
-                                         make_tval_options(impl_->plan));
-  }
+  impl_->tval = validate_code(code, impl_->plan);
   if (!impl_->tval.ok) {
     OBS_COUNT("pbio.jit.tval_rejects", 1);
     log_warn() << "jit: " << impl_->tval.to_string()
@@ -541,11 +561,7 @@ Result<CompiledConvert> CompiledConvert::adopt(
   // against the re-verified plan. Only an accepted buffer is ever sealed.
   CompiledConvert cc;
   cc.impl_->plan = std::move(plan);
-  {
-    OBS_SPAN("vcode.jit.tval");
-    cc.impl_->tval = verify::tval::validate(code, cc.impl_->plan,
-                                            make_tval_options(cc.impl_->plan));
-  }
+  cc.impl_->tval = validate_code(code, cc.impl_->plan);
   if (!cc.impl_->tval.ok) {
     return Status(Errc::kMalformed,
                   "adopt: tval rejected persisted code: " +

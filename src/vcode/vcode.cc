@@ -2,6 +2,22 @@
 
 namespace pbio::vcode {
 
+namespace {
+/// Labels and call sites a conversion function typically binds and makes.
+constexpr std::size_t kSmallTableReserve = 4;
+}  // namespace
+
+void Builder::reserve(std::size_t code_bytes, std::size_t macros) {
+  e_.reserve(code_bytes, kSmallTableReserve);
+  notes_.reserve(macros);
+  call_sites_.reserve(kSmallTableReserve);
+}
+
+Emitted Builder::take() {
+  return {e_.take_code(), std::move(notes_), e_.take_labels(),
+          std::move(call_sites_)};
+}
+
 void Builder::prologue() {
   note("prologue");
   if (prologue_done_) throw PbioError("vcode: prologue emitted twice");

@@ -30,6 +30,14 @@ struct MacroNote {
   const char* macro = "";
 };
 
+/// Everything a finished Builder produced, moved out by Builder::take().
+struct Emitted {
+  std::vector<std::uint8_t> code;
+  std::vector<MacroNote> notes;
+  std::vector<std::size_t> labels;
+  std::vector<std::uint32_t> call_sites;
+};
+
 /// Version of the emitter's code shapes. Persisted conversion artifacts
 /// (src/cache) record it and are rejected on mismatch: loaded bytes are
 /// re-proven by the translation validator anyway, but the validator and
@@ -54,6 +62,15 @@ struct Regs {
 class Builder {
  public:
   Builder() = default;
+
+  /// Reserve room for `code_bytes` of code and `macros` macro notes (and a
+  /// few labels and call sites), so emission does not grow its buffers
+  /// instruction by instruction.
+  void reserve(std::size_t code_bytes, std::size_t macros);
+
+  /// Move code, notes, labels and call sites out (after finish()); the
+  /// Builder is spent after.
+  Emitted take();
 
   /// Emit the function prologue: save callee-saved registers, move the
   /// System V argument registers into the convention registers.

@@ -45,6 +45,17 @@ class X64Emitter {
   const std::vector<std::uint8_t>& code() const { return code_; }
   std::size_t size() const { return code_.size(); }
 
+  /// Reserve room for `code_bytes` of code and `labels` label binds, so
+  /// emission does not grow the buffers instruction by instruction.
+  void reserve(std::size_t code_bytes, std::size_t labels) {
+    code_.reserve(code_bytes);
+    labels_.reserve(labels);
+  }
+
+  /// Move the code and the label table out; the emitter is spent after.
+  std::vector<std::uint8_t> take_code() { return std::move(code_); }
+  std::vector<std::size_t> take_labels() { return std::move(labels_); }
+
   /// Offsets at which labels were bound, in bind order — decoder-friendly
   /// emission metadata (loop tops, the shared epilogue) for disassembly
   /// annotation. Diagnostics only: the translation validator re-derives

@@ -1,5 +1,6 @@
 #include "verify/tval/decode.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -122,7 +123,12 @@ std::uint8_t xmm_of(std::uint8_t idx) {
   return idx;
 }
 
-Inst decode_one(std::span<const std::uint8_t> code, std::size_t start) {
+/// Decode the instruction at `start` into `inst`, a value-initialized slot
+/// the caller owns. Filling the slot in place, rather than returning an Inst
+/// built field by field on the stack, avoids a store-forwarding stall per
+/// instruction on the copy out.
+void decode_one(std::span<const std::uint8_t> code, std::size_t start,
+                Inst& inst) {
   Cursor c(code, start);
   Prefixes pfx;
 
@@ -147,7 +153,6 @@ Inst decode_one(std::span<const std::uint8_t> code, std::size_t start) {
     fail("redundant REX prefix never emitted");
   }
 
-  Inst inst;
   inst.off = start;
 
   auto expect_no_legacy = [&] {
@@ -162,7 +167,6 @@ Inst decode_one(std::span<const std::uint8_t> code, std::size_t start) {
   auto finish = [&](Opc opc) {
     inst.opc = opc;
     inst.len = static_cast<std::uint8_t>(c.pos() - start);
-    return inst;
   };
 
   switch (b) {
@@ -445,22 +449,38 @@ Inst decode_one(std::span<const std::uint8_t> code, std::size_t start) {
 
 }  // namespace
 
-Decoded decode(std::span<const std::uint8_t> code) {
-  Decoded out;
+std::size_t Decoded::index_at(std::size_t off) const {
+  auto it = std::lower_bound(
+      insts.begin(), insts.end(), off,
+      [](const Inst& inst, std::size_t o) { return inst.off < o; });
+  if (it == insts.end() || it->off != off) return SIZE_MAX;
+  return static_cast<std::size_t>(it - insts.begin());
+}
+
+void decode_into(std::span<const std::uint8_t> code, Decoded& out) {
+  out.insts.clear();
+  out.ok = false;
+  out.fail_off = 0;
+  out.error.clear();
   std::size_t pos = 0;
-  while (pos < code.size()) {
-    try {
-      Inst inst = decode_one(code, pos);
-      out.by_off.emplace(inst.off, out.insts.size());
-      out.insts.push_back(inst);
+  try {
+    while (pos < code.size()) {
+      Inst& inst = out.insts.emplace_back();
+      decode_one(code, pos, inst);
       pos += inst.len;
-    } catch (const DecodeFail& f) {
-      out.fail_off = pos;
-      out.error = f.msg;
-      return out;
     }
+  } catch (const DecodeFail& f) {
+    out.insts.pop_back();  // the partly decoded instruction
+    out.fail_off = pos;
+    out.error = f.msg;
+    return;
   }
   out.ok = true;
+}
+
+Decoded decode(std::span<const std::uint8_t> code) {
+  Decoded out;
+  decode_into(code, out);
   return out;
 }
 

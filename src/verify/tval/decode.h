@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace pbio::verify::tval {
@@ -96,24 +95,24 @@ struct Inst {
 inline constexpr std::uint8_t kCcNe = 0x5;
 
 struct Decoded {
-  std::vector<Inst> insts;
+  std::vector<Inst> insts;   // in ascending offset order
   bool ok = false;
   std::size_t fail_off = 0;  // first undecodable offset when !ok
   std::string error;         // what went wrong there
 
-  /// Instruction index starting at byte offset `off`, or SIZE_MAX.
-  std::size_t index_at(std::size_t off) const {
-    auto it = by_off.find(off);
-    return it == by_off.end() ? SIZE_MAX : it->second;
-  }
-
-  std::unordered_map<std::size_t, std::size_t> by_off;
+  /// Instruction index starting at byte offset `off`, or SIZE_MAX. A binary
+  /// search: `insts` is sorted by offset by construction.
+  std::size_t index_at(std::size_t off) const;
 };
 
 /// Decode the whole buffer front to back. Stops at the first byte sequence
 /// outside the emitter vocabulary (ok = false, fail_off/error say where and
 /// why).
 Decoded decode(std::span<const std::uint8_t> code);
+
+/// decode() into `out`, reusing its capacity: once `out` has seen a buffer
+/// of this size, decoding an accepted buffer allocates nothing.
+void decode_into(std::span<const std::uint8_t> code, Decoded& out);
 
 /// Render one instruction as text (intel-ish, for pbio_dump --disasm and
 /// rejection diagnostics).

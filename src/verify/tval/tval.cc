@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <map>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "verify/tval/decode.h"
 
@@ -46,17 +46,28 @@ std::int64_t saturate(__int128 v) {
   return static_cast<std::int64_t>(v);
 }
 
+/// The emitter nests loops at most two deep (enter_loop rejects deeper), so
+/// a cursor legitimately carries at most two dimensions. Keeping them inline
+/// makes AbsVal and State plain values that copy without allocating.
+constexpr std::size_t kMaxDims = 2;
+
 /// Abstract register value: fully unknown, a compile-time constant, or an
 /// address into one of the three regions with an interval of offsets
 /// described by a base displacement plus loop dimensions.
 struct AbsVal {
   enum Kind : std::uint8_t { kUnknown, kConst, kAddr } kind = kUnknown;
-  std::uint64_t cval = 0;
   Region region = Region::kSrc;
+  std::uint8_t ndims = 0;
+  std::uint64_t cval = 0;
   std::int64_t off = 0;
-  std::vector<Dim> dims;
+  std::array<Dim, kMaxDims> dims{};
 
-  bool operator==(const AbsVal&) const = default;
+  std::span<const Dim> live_dims() const { return {dims.data(), ndims}; }
+
+  bool operator==(const AbsVal& o) const {
+    return kind == o.kind && region == o.region && cval == o.cval &&
+           off == o.off && std::ranges::equal(live_dims(), o.live_dims());
+  }
 
   static AbsVal unknown() { return {}; }
   static AbsVal constant(std::uint64_t v) {
@@ -75,7 +86,7 @@ struct AbsVal {
 
   std::int64_t min_off() const {
     __int128 m = off;
-    for (const Dim& d : dims) {
+    for (const Dim& d : live_dims()) {
       const __int128 span =
           static_cast<__int128>(d.stride) *
           static_cast<__int128>(d.trips == 0 ? 0 : d.trips - 1);
@@ -86,7 +97,7 @@ struct AbsVal {
 
   std::int64_t max_off() const {
     __int128 m = off;
-    for (const Dim& d : dims) {
+    for (const Dim& d : live_dims()) {
       const __int128 span =
           static_cast<__int128>(d.stride) *
           static_cast<__int128>(d.trips == 0 ? 0 : d.trips - 1);
@@ -140,18 +151,19 @@ void add_interval(std::vector<Interval>& v, std::int64_t lo, std::int64_t hi) {
   if (hi > lo) v.push_back({lo, hi});
 }
 
-std::vector<Interval> merge(std::vector<Interval> v) {
+/// Sort `v` and coalesce overlapping or touching intervals, in place.
+void merge(std::vector<Interval>& v) {
   std::sort(v.begin(), v.end(),
             [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
-  std::vector<Interval> out;
-  for (const Interval& iv : v) {
-    if (!out.empty() && iv.lo <= out.back().hi) {
-      out.back().hi = std::max(out.back().hi, iv.hi);
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (n != 0 && v[i].lo <= v[n - 1].hi) {
+      v[n - 1].hi = std::max(v[n - 1].hi, v[i].hi);
     } else {
-      out.push_back(iv);
+      v[n++] = v[i];
     }
   }
-  return out;
+  v.resize(n);
 }
 
 bool contains(const std::vector<Interval>& v, std::int64_t lo,
@@ -230,13 +242,15 @@ void op_footprint(const Op& op, std::int64_t sbase, std::int64_t dbase,
   }
 }
 
-PlanModel build_model(const Plan& plan) {
-  PlanModel m;
+/// Fill `m` from the plan, reusing its vectors' capacity.
+void build_model(const Plan& plan, PlanModel& m) {
+  m.src_fp.clear();
+  m.dst_fp.clear();
+  m.loops.clear();
   m.src_size = plan.src_fixed_size;
   m.dst_size = plan.dst_fixed_size;
-  std::vector<Interval> src, dst;
   for (const Op& op : plan.ops) {
-    op_footprint(op, 0, 0, 1, 0, 0, src, dst);
+    op_footprint(op, 0, 0, 1, 0, 0, m.src_fp, m.dst_fp);
     switch (op.code) {
       case OpCode::kSwap:
       case OpCode::kCvtNum:
@@ -254,9 +268,8 @@ PlanModel build_model(const Plan& plan) {
         break;
     }
   }
-  m.src_fp = merge(std::move(src));
-  m.dst_fp = merge(std::move(dst));
-  return m;
+  merge(m.src_fp);
+  merge(m.dst_fp);
 }
 
 // --- loop structure ----------------------------------------------------------
@@ -284,16 +297,51 @@ constexpr PinSet kLoopRegs[2] = {
     {Reg::r8, Reg::r9, Reg::rdi},    // loop nested in a kSubLoop body
 };
 
+/// A pending forward-branch target: the joined state of every branch to it.
+using Pending = std::pair<std::size_t, State>;
+
+/// Every buffer one validation needs. One per thread, reused across
+/// validations so a warm validate() allocates nothing; the Validator clears
+/// it on construction, so a validation that threw part-way leaves nothing
+/// behind for the next one.
+struct Scratch {
+  Decoded dec;
+  PlanModel model;
+  std::vector<LoopInfo> loops;       // sorted by top_off
+  std::vector<Pending> pending;      // sorted by target offset
+  std::vector<const LoopInfo*> lstack;
+};
+
+/// First element of the offset-sorted `v` whose `key` is not below `off`.
+template <typename T>
+auto find_at(std::vector<T>& v, std::size_t off, std::size_t T::*key) {
+  return std::lower_bound(
+      v.begin(), v.end(), off,
+      [key](const T& e, std::size_t o) { return e.*key < o; });
+}
+
 // --- the validator -----------------------------------------------------------
 
 class Validator {
  public:
   Validator(std::span<const std::uint8_t> code, const Plan& plan,
-            const Options& opts)
-      : code_(code), opts_(opts), model_(build_model(plan)), plan_(plan) {}
+            const Options& opts, Scratch& s)
+      : code_(code),
+        opts_(opts),
+        plan_(plan),
+        dec_(s.dec),
+        model_(s.model),
+        loops_(s.loops),
+        pending_(s.pending),
+        lstack_(s.lstack) {
+    loops_.clear();
+    pending_.clear();
+    lstack_.clear();
+    build_model(plan, model_);
+  }
 
   void run() {
-    dec_ = decode(code_);
+    decode_into(code_, dec_);
     if (!dec_.ok) reject(Fault::kDecode, dec_.fail_off, dec_.error);
     check_prologue();
     check_epilogue();
@@ -410,19 +458,27 @@ class Validator {
       L.jcc_idx = j;
       L.top_off = static_cast<std::size_t>(t);
       L.end_off = b.off + b.len;
-      if (!loops_by_top_.emplace(L.top_off, L).second) {
+      const auto at = find_at(loops_, L.top_off, &LoopInfo::top_off);
+      if (at != loops_.end() && at->top_off == L.top_off) {
         reject(Fault::kLoop, b.off, "two backedges share a loop top");
       }
+      loops_.insert(at, L);
     }
     // Loop regions must nest properly or be disjoint.
-    for (const auto& [ta, a] : loops_by_top_) {
-      for (const auto& [tb, bl] : loops_by_top_) {
-        if (ta >= tb) continue;
+    for (const LoopInfo& a : loops_) {
+      for (const LoopInfo& bl : loops_) {
+        if (a.top_off >= bl.top_off) continue;
         if (bl.top_off < a.end_off && a.end_off < bl.end_off) {
           reject(Fault::kLoop, bl.top_off, "overlapping loop regions");
         }
       }
     }
+  }
+
+  /// The loop whose top is at `off`, or nullptr.
+  const LoopInfo* loop_at(std::size_t off) {
+    const auto it = find_at(loops_, off, &LoopInfo::top_off);
+    return it != loops_.end() && it->top_off == off ? &*it : nullptr;
   }
 
   bool in_loop(const LoopInfo& L, std::size_t off) const {
@@ -445,10 +501,10 @@ class Validator {
     }
   }
 
-  void write_reg(State& st, Reg r, AbsVal v, std::size_t idx,
+  void write_reg(State& st, Reg r, const AbsVal& v, std::size_t idx,
                  std::size_t off) const {
     check_writable(r, idx, off);
-    st.regs[ridx(r)] = std::move(v);
+    st.regs[ridx(r)] = v;
   }
 
   // --- memory access checks ---------------------------------------------------
@@ -491,7 +547,7 @@ class Validator {
     return nullptr;
   }
 
-  AbsVal arg(const State& st, Reg r) const { return st.regs[ridx(r)]; }
+  const AbsVal& arg(const State& st, Reg r) const { return st.regs[ridx(r)]; }
 
   void check_call(std::size_t i, const Inst& ins, State& st) {
     if (ins.reg != Reg::rax) {
@@ -505,9 +561,9 @@ class Validator {
     if (callee == nullptr) {
       reject(Fault::kCall, ins.off, "call target not allowlisted");
     }
-    const AbsVal rdi = arg(st, Reg::rdi);
-    const AbsVal rsi = arg(st, Reg::rsi);
-    const AbsVal rdx = arg(st, Reg::rdx);
+    const AbsVal& rdi = arg(st, Reg::rdi);
+    const AbsVal& rsi = arg(st, Reg::rsi);
+    const AbsVal& rdx = arg(st, Reg::rdx);
     switch (callee->kind) {
       case CalleeKind::kMemmove: {
         if (rdx.kind != AbsVal::kConst) {
@@ -557,7 +613,7 @@ class Validator {
           reject(Fault::kCall, ins.off, "variable-op call inside a loop");
         }
         if (rdi.kind != AbsVal::kAddr || rdi.region != Region::kCtx ||
-            rdi.off != 0 || !rdi.dims.empty()) {
+            rdi.off != 0 || rdi.ndims != 0) {
           reject(Fault::kCall, ins.off,
                  "variable-op call without the runtime context");
         }
@@ -615,14 +671,14 @@ class Validator {
     if (dec_.index_at(toff) == SIZE_MAX) {
       reject(Fault::kFlow, ins.off, "branch into instruction interior");
     }
-    for (const auto& [top, L] : loops_by_top_) {
+    for (const LoopInfo& L : loops_) {
       if (in_loop(L, toff) != in_loop(L, ins.off)) {
         reject(Fault::kFlow, ins.off, "branch across a loop boundary");
       }
     }
-    auto it = pending_.find(toff);
-    if (it == pending_.end()) {
-      pending_.emplace(toff, st);
+    const auto it = find_at(pending_, toff, &Pending::first);
+    if (it == pending_.end() || it->first != toff) {
+      pending_.insert(it, {toff, st});
     } else {
       it->second = join(it->second, st);
     }
@@ -661,10 +717,20 @@ class Validator {
     }
     // Widen: at the loop top, across all iterations, the cursors take
     // exactly the values base + k*stride for k in [0, count).
-    vs.dims.push_back({L.ss, L.count});
-    vd.dims.push_back({L.sd, L.count});
+    widen(vs, {L.ss, L.count}, L);
+    widen(vd, {L.sd, L.count}, L);
     vc = AbsVal::unknown();
     lstack_.push_back(&L);
+  }
+
+  /// Add a loop dimension to a cursor. Nesting is at most two deep, so a
+  /// third dimension can only come from a cursor copied out of an earlier
+  /// nest: never emitted, so rejected rather than tracked.
+  static void widen(AbsVal& v, Dim d, const LoopInfo& L) {
+    if (v.ndims == kMaxDims) {
+      reject(Fault::kLoop, L.top_off, "cursor widened through too many loops");
+    }
+    v.dims[v.ndims++] = d;
   }
 
   void exit_loop(const LoopInfo& L, State& st) {
@@ -687,18 +753,20 @@ class Validator {
 
     for (std::size_t i = kPrologueLen; i < epi_idx_; ++i) {
       const Inst& ins = insts()[i];
-      if (auto it = pending_.find(ins.off); it != pending_.end()) {
-        if (auto lt = loops_by_top_.find(ins.off); lt != loops_by_top_.end()) {
+      const LoopInfo* loop = loop_at(ins.off);
+      if (auto it = find_at(pending_, ins.off, &Pending::first);
+          it != pending_.end() && it->first == ins.off) {
+        if (loop != nullptr) {
           reject(Fault::kFlow, ins.off, "branch into a loop top");
         }
         st = st.reachable ? join(st, it->second) : it->second;
         pending_.erase(it);
       }
-      if (auto lt = loops_by_top_.find(ins.off); lt != loops_by_top_.end()) {
+      if (loop != nullptr) {
         if (!st.reachable) {
           reject(Fault::kFlow, ins.off, "unreachable loop");
         }
-        enter_loop(lt->second, st);
+        enter_loop(*loop, st);
       }
       if (!st.reachable) {
         reject(Fault::kFlow, ins.off, "unreachable instruction");
@@ -768,7 +836,7 @@ class Validator {
         } else if (a.kind == AbsVal::kConst && b.kind == AbsVal::kAddr) {
           out = b.plus(static_cast<std::int64_t>(a.cval));
         }
-        write_reg(st, ins.base, std::move(out), i, ins.off);
+        write_reg(st, ins.base, out, i, ins.off);
         return;
       }
       case Opc::kOrRR:
@@ -847,14 +915,14 @@ class Validator {
 
   std::span<const std::uint8_t> code_;
   const Options& opts_;
-  PlanModel model_;
   const Plan& plan_;
-  Decoded dec_;
+  Decoded& dec_;
+  PlanModel& model_;
+  std::vector<LoopInfo>& loops_;
+  std::vector<Pending>& pending_;
+  std::vector<const LoopInfo*>& lstack_;
   std::size_t epi_idx_ = 0;
   std::size_t epi_off_ = 0;
-  std::map<std::size_t, LoopInfo> loops_by_top_;
-  std::map<std::size_t, State> pending_;
-  std::vector<const LoopInfo*> lstack_;
 };
 
 }  // namespace
@@ -894,9 +962,10 @@ std::string Report::to_string() const {
 
 Report validate(std::span<const std::uint8_t> code, const convert::Plan& plan,
                 const Options& opts) {
+  thread_local Scratch scratch;
   Report rep;
   try {
-    Validator(code, plan, opts).run();
+    Validator(code, plan, opts, scratch).run();
     rep.ok = true;
   } catch (const Reject& r) {
     rep.ok = false;

@@ -4,8 +4,8 @@
 // Message holds a lease, and every scratch structure is reused.
 //
 // Counting is thread-local so the sender thread (and any background gtest
-// machinery) cannot pollute the measurement. Only operator new is counted;
-// frees are irrelevant to the invariant.
+// machinery) cannot pollute the measurement. Every form of operator new is
+// counted (alloc_hook.h); frees are irrelevant to the invariant.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -16,12 +16,11 @@
 #endif
 
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <span>
 #include <thread>
 #include <vector>
 
+#include "alloc_hook.h"
 #include "pbio/pbio.h"
 #include "transport/socket.h"
 
@@ -30,54 +29,19 @@ namespace {
 thread_local bool g_counting = false;
 thread_local std::uint64_t g_allocs = 0;
 
-void* counted_alloc(std::size_t n) {
-  if (g_counting) {
-    ++g_allocs;
-#ifdef PBIO_ALLOC_TRACE
-    g_counting = false;
-    void* frames[16];
-    int depth = backtrace(frames, 16);
-    backtrace_symbols_fd(frames, depth, 2);
-    fprintf(stderr, "---- alloc of %zu bytes ----\n", n);
-    g_counting = true;
-#endif
-  }
-  void* p = std::malloc(n ? n : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* counted_alloc_aligned(std::size_t n, std::size_t align) {
-  if (g_counting) ++g_allocs;
-  void* p = nullptr;
-  if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align,
-                     n ? n : 1) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
 }  // namespace
 
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  return counted_alloc_aligned(n, static_cast<std::size_t>(a));
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return counted_alloc_aligned(n, static_cast<std::size_t>(a));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+void note_alloc([[maybe_unused]] std::size_t n) {
+  if (!g_counting) return;
+  ++g_allocs;
+#ifdef PBIO_ALLOC_TRACE
+  g_counting = false;
+  void* frames[16];
+  int depth = backtrace(frames, 16);
+  backtrace_symbols_fd(frames, depth, 2);
+  fprintf(stderr, "---- alloc of %zu bytes ----\n", n);
+  g_counting = true;
+#endif
 }
 
 namespace pbio {

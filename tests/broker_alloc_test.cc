@@ -8,17 +8,17 @@
 // reader), the work here happens on a broker worker thread, so counting is
 // process-global and armed only while the client thread drives warm
 // round trips using raw syscalls and stack buffers (no allocations of its
-// own). Only operator new is counted; frees are irrelevant.
+// own). Every form of operator new is counted (alloc_hook.h); frees are
+// irrelevant.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <vector>
 
+#include "alloc_hook.h"
 #include "broker/broker.h"
 #include "pbio/encode.h"
 #include "transport/socket.h"
@@ -29,48 +29,12 @@ namespace {
 std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_allocs{0};
 
-void* counted_alloc(std::size_t n) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(n ? n : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* counted_alloc_aligned(std::size_t n, std::size_t align) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = nullptr;
-  if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align,
-                     n ? n : 1) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
 }  // namespace
 
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  return counted_alloc_aligned(n, static_cast<std::size_t>(a));
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return counted_alloc_aligned(n, static_cast<std::size_t>(a));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+void note_alloc(std::size_t) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 namespace pbio::broker {

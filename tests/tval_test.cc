@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <random>
+#include <thread>
 
 #include "arch/layout.h"
 #include "value/random.h"
@@ -198,11 +201,9 @@ struct Fixture {
   }
 };
 
-Fixture make_fixture(const StructSpec& spec, const arch::Abi& src_abi,
-                     const arch::Abi& dst_abi) {
+Fixture make_fixture(Plan plan) {
   Fixture f;
-  f.plan = convert::compile_plan(arch::layout_format(spec, src_abi),
-                                 arch::layout_format(spec, dst_abi));
+  f.plan = std::move(plan);
   f.cc = std::make_unique<CompiledConvert>(f.plan);
   EXPECT_TRUE(f.cc->jitted());
   EXPECT_TRUE(f.cc->tval_report().ok) << f.cc->tval_report().to_string();
@@ -210,6 +211,13 @@ Fixture make_fixture(const StructSpec& spec, const arch::Abi& src_abi,
   f.dec = tval::decode(f.bytes);
   EXPECT_TRUE(f.dec.ok) << f.dec.error;
   return f;
+}
+
+Fixture make_fixture(const StructSpec& spec, const arch::Abi& src_abi,
+                     const arch::Abi& dst_abi) {
+  return make_fixture(
+      convert::compile_plan(arch::layout_format(spec, src_abi),
+                            arch::layout_format(spec, dst_abi)));
 }
 
 Fixture het_fixture() {
@@ -245,12 +253,33 @@ Fixture var_fixture() {
   return make_fixture(s, arch::abi_x86_64(), arch::abi_x86_64());
 }
 
+/// Big-endian unsigned 64-bit into double: the branchy u64_to_f64 idiom, so
+/// the body carries forward branches that join at a later label.
+Fixture branchy_fixture() {
+  StructSpec send_spec;
+  send_spec.name = "u";
+  send_spec.fields = {{.name = "u", .type = CType::kULongLong}};
+  StructSpec recv_spec;
+  recv_spec.name = "u";
+  recv_spec.fields = {{.name = "u", .type = CType::kDouble}};
+  return make_fixture(convert::compile_plan(
+      arch::layout_format(send_spec, arch::abi_sparc_v9()),
+      arch::layout_format(recv_spec, arch::abi_x86_64())));
+}
+
 Fixture kernel_fixture() {
   StructSpec s;
   s.name = "vec";
   s.fields = {{.name = "vals", .type = CType::kDouble, .array_elems = 64}};
   return make_fixture(s, arch::abi_sparc_v9(), arch::abi_x86_64());
 }
+
+/// Every fixture above, by name.
+const std::pair<const char*, Fixture (*)()> kFixtures[] = {
+    {"het", het_fixture},       {"loop", loop_fixture},
+    {"memmove", memmove_fixture}, {"var", var_fixture},
+    {"kernel", kernel_fixture}, {"branchy", branchy_fixture},
+};
 
 template <typename Pred>
 std::size_t find_inst(const tval::Decoded& d, Pred p) {
@@ -743,20 +772,192 @@ TEST(TvalMutation, RandomByteFlipFuzz) {
   // inside the plan's write footprint is different-but-safe, and safety is
   // the property tval proves — but flips must overwhelmingly be rejected,
   // and opcode-level corruption always is.
-  Fixture f = loop_fixture();
-  const auto opts = vcode::make_tval_options(f.plan);
-  std::mt19937_64 rng(2024);
-  int rejected = 0;
-  const int kIters = 300;
-  for (int iter = 0; iter < kIters; ++iter) {
-    const std::size_t pos = rng() % f.bytes.size();
-    const std::uint8_t flip = static_cast<std::uint8_t>(1u << (rng() % 8));
-    std::vector<std::uint8_t> mutated = f.bytes;
-    mutated[pos] ^= flip;
-    if (!tval::validate(mutated, f.plan, opts).ok) ++rejected;
+  for (const auto& [name, make] : kFixtures) {
+    const Fixture f = make();
+    const auto opts = vcode::make_tval_options(f.plan);
+    std::mt19937_64 rng(2024);
+    int rejected = 0;
+    const int kIters = 300;
+    for (int iter = 0; iter < kIters; ++iter) {
+      const std::size_t pos = rng() % f.bytes.size();
+      const std::uint8_t flip = static_cast<std::uint8_t>(1u << (rng() % 8));
+      std::vector<std::uint8_t> mutated = f.bytes;
+      mutated[pos] ^= flip;
+      if (!tval::validate(mutated, f.plan, opts).ok) ++rejected;
+    }
+    EXPECT_GT(rejected, kIters * 3 / 4)
+        << name << ": only " << rejected << "/" << kIters
+        << " corruptions rejected";
   }
-  EXPECT_GT(rejected, kIters * 3 / 4) << "only " << rejected << "/" << kIters
-                                      << " corruptions rejected";
+}
+
+TEST(TvalMutation, CursorWidenedThroughThreeLoops) {
+  REQUIRE_JIT();
+  // Hand-made code: a cursor copied out of a struct-array nest (two loop
+  // dimensions) seeds a later top-level loop, which would widen it a third
+  // time. The emitter nests at most two deep and never re-uses a cursor, so
+  // the validator refuses to track a third dimension.
+  StructSpec block;
+  block.name = "blk";
+  block.fields = {{.name = "vals", .type = CType::kDouble, .array_elems = 16},
+                  {.name = "tag", .type = CType::kInt}};
+  StructSpec top;
+  top.name = "grid";
+  top.fields = {{.name = "blocks", .array_elems = 10, .subformat = "blk"}};
+  top.subs = {block};
+  const Plan plan =
+      convert::compile_plan(arch::layout_format(top, arch::abi_sparc_v9()),
+                            arch::layout_format(top, arch::abi_x86_64()));
+  ASSERT_EQ(plan.ops.size(), 1u);
+  const convert::Op& outer = plan.ops[0];
+  ASSERT_EQ(outer.code, convert::OpCode::kSubLoop);
+  const auto inner = std::find_if(
+      outer.sub.begin(), outer.sub.end(),
+      [](const convert::Op& op) { return op.count > 4; });
+  ASSERT_NE(inner, outer.sub.end());
+
+  using vcode::Gp;
+  const auto soff = static_cast<std::int32_t>(outer.src_off);
+  const auto doff = static_cast<std::int32_t>(outer.dst_off);
+  const auto ss = static_cast<std::int32_t>(outer.src_stride);
+  const auto sd = static_cast<std::int32_t>(outer.dst_stride);
+  auto build = [&](bool third_loop) {
+    vcode::Builder b;
+    b.prologue();
+    b.counted_loop(outer.count, soff, doff, ss, sd, [&] {
+      b.lea(Gp::r8, Gp::rbx, 0);
+      b.lea(Gp::r9, Gp::rbp, 0);
+      b.ld_imm32(Gp::rdi, inner->count);
+      vcode::Label top_label;
+      b.raw().bind(top_label);
+      b.mov(Gp::rax, Gp::r8);  // the two-dimensional cursor escapes
+      b.raw().add_ri(Gp::r8, inner->width_src);
+      b.raw().add_ri(Gp::r9, inner->width_dst);
+      b.raw().dec32(Gp::rdi);
+      b.raw().jcc(vcode::Cond::ne, top_label);
+    });
+    if (third_loop) {
+      b.lea(Gp::rbx, Gp::rax, 0);
+      b.lea(Gp::rbp, Gp::r13, doff);
+      b.ld_imm32(Gp::r15, outer.count);
+      vcode::Label top_label;
+      b.raw().bind(top_label);
+      b.raw().add_ri(Gp::rbx, ss);
+      b.raw().add_ri(Gp::rbp, sd);
+      b.raw().dec32(Gp::r15);
+      b.raw().jcc(vcode::Cond::ne, top_label);
+    }
+    b.ret_ok();
+    b.finish();
+    return b.code();
+  };
+  const auto opts = vcode::make_tval_options(plan);
+  const tval::Report two = tval::validate(build(false), plan, opts);
+  EXPECT_TRUE(two.ok) << two.to_string();
+  const tval::Report three = tval::validate(build(true), plan, opts);
+  EXPECT_FALSE(three.ok);
+  EXPECT_EQ(three.fault, tval::Fault::kLoop) << three.to_string();
+  EXPECT_EQ(three.message, "cursor widened through too many loops");
+}
+
+// ---------------------------------------------------------------------------
+// Scratch reuse: validations share one per-thread scratch, so a rejection
+// part-way through must leave nothing that changes the next verdict.
+// ---------------------------------------------------------------------------
+
+std::string verdict_on_fresh_thread(const Fixture& f,
+                                    const std::vector<std::uint8_t>& bytes) {
+  std::string out;
+  std::thread([&] {
+    out = tval::validate(bytes, f.plan, vcode::make_tval_options(f.plan))
+              .to_string();
+  }).join();
+  return out;
+}
+
+/// `mutate` edits the fixture's bytes into one the validator rejects with
+/// `fault` part-way through its walk.
+void expect_reuse_is_stateless(
+    const Fixture& f, tval::Fault fault,
+    const std::function<void(const Fixture&, std::vector<std::uint8_t>&)>&
+        mutate) {
+  std::vector<std::uint8_t> bad = f.bytes;
+  mutate(f, bad);
+  if (::testing::Test::HasFatalFailure()) return;
+  const auto opts = vcode::make_tval_options(f.plan);
+  const tval::Report before = tval::validate(f.bytes, f.plan, opts);
+  const tval::Report rejected = tval::validate(bad, f.plan, opts);
+  const tval::Report after = tval::validate(f.bytes, f.plan, opts);
+  EXPECT_TRUE(before.ok) << before.to_string();
+  EXPECT_EQ(rejected.fault, fault) << rejected.to_string();
+  EXPECT_EQ(before.to_string(), after.to_string());
+  EXPECT_EQ(after.to_string(), verdict_on_fresh_thread(f, f.bytes));
+  EXPECT_EQ(rejected.to_string(), verdict_on_fresh_thread(f, bad));
+  // Stale state would reach the validation right after the rejection, and
+  // only show where offsets differ: follow the rejection with every fixture.
+  for (const auto& [name, make] : kFixtures) {
+    const Fixture g = make();
+    EXPECT_FALSE(tval::validate(bad, f.plan, opts).ok);
+    EXPECT_EQ(g.validate().to_string(), verdict_on_fresh_thread(g, g.bytes))
+        << "after the rejection: " << name;
+  }
+}
+
+TEST(TvalScratch, RejectInsideLoopLeavesNoState) {
+  REQUIRE_JIT();
+  // A store in the struct loop's body retargeted to the source cursor:
+  // rejected with the loop open.
+  expect_reuse_is_stateless(
+      loop_fixture(), tval::Fault::kBounds,
+      [](const Fixture& f, std::vector<std::uint8_t>& b) {
+        const std::size_t i = find_inst(f.dec, [&](const tval::Inst& in) {
+          return in.opc == tval::Opc::kStore && in.base == tval::Reg::rbp &&
+                 in.disp > 0 && in.width == 4 && b[in.off] == 0x89;
+        });
+        ASSERT_NE(i, SIZE_MAX);
+        const auto& in = f.dec.insts[i];
+        b[in.off + 1] = static_cast<std::uint8_t>((b[in.off + 1] & ~0x07) |
+                                                  0x03);  // rbp -> rbx
+      });
+}
+
+TEST(TvalScratch, RejectWithPendingBranchLeavesNoState) {
+  REQUIRE_JIT();
+  // `mov r10, src` on the big-value path becomes `mov r12, src`: rejected
+  // after the forward jmp to the join label was registered, before it is
+  // reached.
+  expect_reuse_is_stateless(
+      branchy_fixture(), tval::Fault::kConvention,
+      [](const Fixture& f, std::vector<std::uint8_t>& b) {
+        const std::size_t i = find_inst(f.dec, [](const tval::Inst& in) {
+          return in.opc == tval::Opc::kMovRR && in.base == tval::Reg::r10;
+        });
+        ASSERT_NE(i, SIZE_MAX);
+        const auto& in = f.dec.insts[i];
+        b[in.off + 2] = static_cast<std::uint8_t>((b[in.off + 2] & ~0x07) |
+                                                  0x04);  // r10 -> r12
+      });
+}
+
+TEST(TvalScratch, RejectAtLastBranchLeavesNoState) {
+  REQUIRE_JIT();
+  // ret_ok's `xor eax, eax` becomes `test eax, eax`: rejected at the final
+  // jmp to the epilogue, after the whole body was walked.
+  expect_reuse_is_stateless(
+      het_fixture(), tval::Fault::kFlow,
+      [](const Fixture& f, std::vector<std::uint8_t>& b) {
+        std::size_t pos = SIZE_MAX;
+        for (std::size_t k = 0; k + 1 < f.dec.insts.size(); ++k) {
+          const auto& a = f.dec.insts[k];
+          if (a.opc == tval::Opc::kXorRR32 && a.base == tval::Reg::rax &&
+              a.reg == tval::Reg::rax &&
+              f.dec.insts[k + 1].opc == tval::Opc::kJmp && b[a.off] == 0x31) {
+            pos = a.off;
+          }
+        }
+        ASSERT_NE(pos, SIZE_MAX);
+        b[pos] = 0x85;
+      });
 }
 
 }  // namespace
