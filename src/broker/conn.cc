@@ -257,7 +257,11 @@ Status Conn::dispatch(FrameBuf frame) {
         sh_.protocol_errors.fetch_add(1, kRelaxed);
         return meta.status();
       }
-      sh_.ctx.register_format(std::move(meta).take());
+      auto learned = sh_.ctx.learn_format(std::move(meta).take());
+      if (!learned.is_ok()) {
+        sh_.protocol_errors.fetch_add(1, kRelaxed);
+        return learned.status();
+      }
       sh_.formats_learned.fetch_add(1, kRelaxed);
       return Status::ok();
     }

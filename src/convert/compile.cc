@@ -72,6 +72,9 @@ class PlanCompiler {
     plan.dst_order = dst_.byte_order;
     plan.src_pointer_size = src_.pointer_size;
     plan.dst_pointer_size = dst_.pointer_size;
+    // One op per native field in the common case; zero-filled tails and
+    // flattened struct arrays grow it past that.
+    plan.ops.reserve(dst_.fields.size());
 
     for (const FieldDesc& d : dst_.fields) {
       const FieldDesc* s = src_.find_field(d.name);
@@ -165,7 +168,8 @@ class PlanCompiler {
                            dst_fmt);
       return;
     }
-    compile_atomic_array(s, d, src_base, dst_base, ops);
+    compile_atomic_array(s, d, src_base + s.offset, dst_base + d.offset,
+                         s.static_elems, d.static_elems, ops);
   }
 
   /// Widths the conversion engines (and their batch kernels / generated
@@ -179,12 +183,13 @@ class PlanCompiler {
            elem_size == 8;
   }
 
+  /// `s_elems` elements of `s` at `src_off` into `d_elems` elements of `d`
+  /// at `dst_off`: the field's own array, or one variable-array element.
   void compile_atomic_array(const FieldDesc& s, const FieldDesc& d,
-                            std::uint32_t src_base, std::uint32_t dst_base,
+                            std::uint32_t src_off, std::uint32_t dst_off,
+                            std::uint32_t s_elems, std::uint32_t d_elems,
                             std::vector<Op>& ops) {
-    const std::uint32_t count = std::min(s.static_elems, d.static_elems);
-    const std::uint32_t src_off = src_base + s.offset;
-    const std::uint32_t dst_off = dst_base + d.offset;
+    const std::uint32_t count = std::min(s_elems, d_elems);
     if (count > 0) {
       if (!elem_identical(s, d) &&
           (!convertible_width(s.elem_size) || !convertible_width(d.elem_size))) {
@@ -226,9 +231,9 @@ class PlanCompiler {
         ops.push_back(op);
       }
     }
-    if (d.static_elems > count) {
+    if (d_elems > count) {
       emit_zero(ops, dst_off + count * d.elem_size,
-                (d.static_elems - count) * d.elem_size);
+                (d_elems - count) * d.elem_size);
     }
   }
 
@@ -237,6 +242,7 @@ class PlanCompiler {
   std::vector<Op> compile_struct_elem(Plan& plan, const FormatDesc& ssub,
                                       const FormatDesc& dsub) {
     std::vector<Op> ops;
+    ops.reserve(dsub.fields.size());
     for (const FieldDesc& d : dsub.fields) {
       const FieldDesc* s = ssub.find_field(d.name);
       if (s == nullptr || !compatible(*s, d)) {
@@ -247,7 +253,8 @@ class PlanCompiler {
       // Subformats are fixed-layout by validation; only atomic and nested
       // struct fields appear. Nested structs inside subformats are rejected
       // by the layout engine, so only atomics remain.
-      compile_atomic_array(*s, d, 0, 0, ops);
+      compile_atomic_array(*s, d, s->offset, d.offset, s->static_elems,
+                           d.static_elems, ops);
     }
     return ops;
   }
@@ -345,15 +352,7 @@ class PlanCompiler {
           op.sub[0].src_off == 0 && op.sub[0].dst_off == 0 &&
           op.sub[0].byte_len == ssub->fixed_size;
     } else if (is_numeric(s.base) && is_numeric(d.base)) {
-      FieldDesc se = s;
-      se.offset = 0;
-      se.static_elems = 1;
-      se.var_dim_field.clear();
-      FieldDesc de = d;
-      de.offset = 0;
-      de.static_elems = 1;
-      de.var_dim_field.clear();
-      compile_atomic_array(se, de, 0, 0, op.sub);
+      compile_atomic_array(s, d, 0, 0, 1, 1, op.sub);
       op.elem_identity =
           op.sub.size() == 1 && op.sub[0].code == OpCode::kCopy;
     } else {
@@ -379,10 +378,13 @@ class PlanCompiler {
                        if (linear(a) != linear(b)) return linear(a);
                        return a.dst_off < b.dst_off;
                      });
-    std::vector<Op> out;
-    for (Op& op : plan.ops) {
-      if (!out.empty() && linear(op) && linear(out.back())) {
-        Op& prev = out.back();
+    // Merge in place: ops[0, n) is the merged prefix.
+    std::vector<Op>& ops = plan.ops;
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      Op& op = ops[i];
+      if (n > 0 && linear(op) && linear(ops[n - 1])) {
+        Op& prev = ops[n - 1];
         if (prev.code == OpCode::kCopy && op.code == OpCode::kCopy) {
           const std::uint64_t prev_dst_end = prev.dst_off + prev.byte_len;
           const std::uint64_t prev_src_end = prev.src_off + prev.byte_len;
@@ -407,9 +409,10 @@ class PlanCompiler {
           continue;
         }
       }
-      out.push_back(std::move(op));
+      if (n != i) ops[n] = std::move(op);
+      ++n;
     }
-    plan.ops = std::move(out);
+    ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(n), ops.end());
   }
 
   void detect_identity(Plan& plan) {
@@ -506,8 +509,8 @@ class PlanCompiler {
     plan.inplace_safe = check.ok;
   }
 
-  FormatDesc src_;
-  FormatDesc dst_;
+  const FormatDesc& src_;
+  const FormatDesc& dst_;
   CompileOptions opts_;
   bool swap_ = false;
 };

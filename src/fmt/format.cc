@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "fmt/meta.h"
-#include "util/hash.h"
-
 namespace pbio::fmt {
 
 const char* to_string(BaseType t) {
@@ -47,14 +44,16 @@ bool FormatDesc::is_fixed_layout() const {
   return true;
 }
 
-std::uint64_t FormatDesc::fingerprint() const {
-  // Hash the canonical meta encoding so that equality of wire-relevant
-  // content implies equal ids regardless of how the description was built.
-  const auto bytes = encode_meta(*this);
-  return fnv1a(bytes.data(), bytes.size());
-}
-
 namespace {
+
+/// Rejects field `fd` of format `f`. The message is built here, on the
+/// throwing branch only: validating a good format builds no strings.
+[[noreturn]] void reject_field(const FormatDesc& f, const FieldDesc& fd,
+                               std::string_view what) {
+  std::string msg = "format '" + f.name + "' field '" + fd.name + "': ";
+  msg += what;
+  throw PbioError(msg);
+}
 
 void validate_fields(const FormatDesc& root, const FormatDesc& f,
                      bool is_subformat) {
@@ -63,70 +62,71 @@ void validate_fields(const FormatDesc& root, const FormatDesc& f,
     throw PbioError("format '" + f.name + "' has no fields");
   }
   for (const FieldDesc& fd : f.fields) {
-    const std::string where = "format '" + f.name + "' field '" + fd.name + "'";
     if (fd.name.empty()) throw PbioError("format '" + f.name + "': empty field name");
-    if (fd.slot_size == 0) throw PbioError(where + ": zero slot size");
+    if (fd.slot_size == 0) reject_field(f, fd, "zero slot size");
     // 64-bit sum: offset + slot_size near UINT32_MAX must not wrap back
     // under fixed_size and slip through.
     if (std::uint64_t{fd.offset} + fd.slot_size > f.fixed_size) {
-      throw PbioError(where + ": slot extends past fixed_size");
+      reject_field(f, fd, "slot extends past fixed_size");
     }
     if (fd.is_variable()) {
       if (is_subformat) {
-        throw PbioError(where + ": variable-length fields are not supported "
-                                "inside subformats");
+        reject_field(f, fd,
+                     "variable-length fields are not supported inside "
+                     "subformats");
       }
       if (fd.slot_size != root.pointer_size) {
-        throw PbioError(where + ": variable field slot must be pointer-sized");
+        reject_field(f, fd, "variable field slot must be pointer-sized");
       }
     } else if (fd.base != BaseType::kStruct) {
-      if (fd.elem_size == 0) throw PbioError(where + ": zero element size");
+      if (fd.elem_size == 0) reject_field(f, fd, "zero element size");
       if (fd.slot_size !=
           std::uint64_t{fd.elem_size} * fd.static_elems) {
-        throw PbioError(where + ": slot size != elem_size * static_elems");
+        reject_field(f, fd, "slot size != elem_size * static_elems");
       }
     }
     if (fd.base == BaseType::kFloat && fd.elem_size != 4 && fd.elem_size != 8) {
-      throw PbioError(where + ": float element size must be 4 or 8");
+      reject_field(f, fd, "float element size must be 4 or 8");
     }
     if (fd.base == BaseType::kChar && fd.elem_size != 1) {
-      throw PbioError(where + ": char element size must be 1");
+      reject_field(f, fd, "char element size must be 1");
     }
     if (!fd.var_dim_field.empty()) {
       const FieldDesc* dim = f.find_field(fd.var_dim_field);
       if (dim == nullptr) {
-        throw PbioError(where + ": var-dim field '" + fd.var_dim_field +
-                        "' not found");
+        reject_field(f, fd,
+                     "var-dim field '" + fd.var_dim_field + "' not found");
       }
       if (dim->base != BaseType::kInt && dim->base != BaseType::kUInt) {
-        throw PbioError(where + ": var-dim field must be an integer");
+        reject_field(f, fd, "var-dim field must be an integer");
       }
       if (dim->static_elems != 1 || dim->is_variable()) {
-        throw PbioError(where + ": var-dim field must be a scalar integer");
+        reject_field(f, fd, "var-dim field must be a scalar integer");
       }
     }
     if (fd.base == BaseType::kStruct) {
       const FormatDesc* sub = root.find_subformat(fd.subformat);
       if (sub == nullptr) {
-        throw PbioError(where + ": subformat '" + fd.subformat +
-                        "' not found");
+        reject_field(f, fd, "subformat '" + fd.subformat + "' not found");
       }
       if (fd.elem_size != sub->fixed_size) {
-        throw PbioError(where + ": element size != subformat fixed size");
+        reject_field(f, fd, "element size != subformat fixed size");
       }
       if (fd.var_dim_field.empty() &&
           fd.slot_size != fd.elem_size * fd.static_elems) {
-        throw PbioError(where + ": struct slot size mismatch");
+        reject_field(f, fd, "struct slot size mismatch");
       }
     } else if (!fd.subformat.empty()) {
-      throw PbioError(where + ": subformat set on non-struct field");
+      reject_field(f, fd, "subformat set on non-struct field");
     }
   }
 }
 
 void validate_no_overlap(const FormatDesc& f) {
-  std::vector<const FieldDesc*> sorted;
-  sorted.reserve(f.fields.size());
+  // A per-thread buffer, so checking a valid format allocates nothing once
+  // the thread has seen a format this wide.
+  thread_local std::vector<const FieldDesc*> sorted;
+  sorted.clear();
   for (const FieldDesc& fd : f.fields) sorted.push_back(&fd);
   std::sort(sorted.begin(), sorted.end(),
             [](const FieldDesc* a, const FieldDesc* b) {
@@ -176,36 +176,6 @@ std::string describe(const FormatDesc& f) {
     os << "  sub" << describe(sub);
   }
   return os.str();
-}
-
-namespace {
-
-void canonicalize_fields(FormatDesc* f) {
-  f->arch_name.clear();
-  std::sort(f->fields.begin(), f->fields.end(),
-            [](const FieldDesc& a, const FieldDesc& b) {
-              if (a.offset != b.offset) return a.offset < b.offset;
-              return a.name < b.name;
-            });
-}
-
-}  // namespace
-
-std::uint64_t canonical_hash(const FormatDesc& f) {
-  // Normalize a copy, then hash its meta encoding — the encoding already
-  // covers every wire-relevant attribute, so canonicalization only has to
-  // erase the non-semantic degrees of freedom.
-  FormatDesc canon = f;
-  canonicalize_fields(&canon);
-  std::sort(canon.subformats.begin(), canon.subformats.end(),
-            [](const FormatDesc& a, const FormatDesc& b) {
-              return a.name < b.name;
-            });
-  for (FormatDesc& sub : canon.subformats) canonicalize_fields(&sub);
-  const auto bytes = encode_meta(canon);
-  // Domain-separate from fingerprint() so the two id spaces cannot be
-  // confused even for formats whose canonical form is their announced form.
-  return fnv1a(bytes.data(), bytes.size(), fnv1a("pbio.canonical.v1"));
 }
 
 }  // namespace pbio::fmt

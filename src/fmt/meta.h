@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "fmt/format.h"
+#include "util/buffer.h"
 #include "util/error.h"
 #include "util/wire_taint.h"
 
@@ -19,6 +20,9 @@ namespace pbio::fmt {
 
 /// Serialize a format description (including subformats) to bytes.
 std::vector<std::uint8_t> encode_meta(const FormatDesc& f);
+
+/// Append the same bytes to `out` (announce frames, service messages).
+void encode_meta(const FormatDesc& f, ByteBuffer& out);
 
 /// Decode a format description. Fails (never throws) on malformed input.
 /// Tainted AND a sanitizer: it ingests announcement bytes, but every

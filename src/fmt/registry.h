@@ -7,11 +7,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "fmt/format.h"
+#include "util/error.h"
 #include "util/mutex.h"
 
 namespace pbio::fmt {
@@ -25,6 +26,14 @@ class FormatRegistry {
   /// collides on id throws (fingerprints are content hashes, so this
   /// indicates either a hash collision or a corrupted description).
   FormatId register_format(FormatDesc f);
+
+  /// The non-throwing form, for descriptions that came off the wire: the
+  /// same checks and the same messages, but a description that fails
+  /// validate() or whose id is held by different content is a kMalformed
+  /// status. FNV-1a is not collision-resistant, so a peer can announce
+  /// such a pair on purpose; each collision counts in
+  /// pbio.fmt.id_collisions and the first content registered keeps the id.
+  Result<FormatId> learn(FormatDesc f);
 
   /// Look up a registered format. The returned pointer is stable for the
   /// registry's lifetime (formats are never removed).
@@ -53,13 +62,15 @@ class FormatRegistry {
  private:
   mutable Mutex mu_;
   struct Entry {
-    std::unique_ptr<FormatDesc> desc;
+    FormatDesc desc;
     std::uint64_t canonical = 0;
   };
-  // Entry values are guarded but the FormatDescs they point at are
-  // immutable after insert — find() hands out raw pointers by design.
+  // Map nodes never move, and entries are never removed or changed after
+  // insert — find() hands out raw pointers to them by design, and by_name_
+  // keys are views of their names.
   std::unordered_map<FormatId, Entry> formats_ PBIO_GUARDED_BY(mu_);
-  std::unordered_map<std::string, FormatId> by_name_ PBIO_GUARDED_BY(mu_);
+  std::unordered_map<std::string_view, FormatId> by_name_
+      PBIO_GUARDED_BY(mu_);
 };
 
 }  // namespace pbio::fmt

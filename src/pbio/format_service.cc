@@ -25,17 +25,16 @@ Status FormatServiceServer::handle(std::span<const std::uint8_t> request,
         return Status::ok();
       }
       reply.append_uint(kSvcFound, 1, ByteOrder::kLittle);
-      const auto meta = fmt::encode_meta(*f);
-      reply.append(meta.data(), meta.size());
+      fmt::encode_meta(*f, reply);
       return Status::ok();
     }
     case kSvcRegister: {
       auto meta = fmt::decode_meta(request.subspan(1));
       if (!meta.is_ok()) return meta.status();
-      const Context::FormatId id =
-          ctx_.register_format(std::move(meta).take());
+      auto id = ctx_.learn_format(std::move(meta).take());
+      if (!id.is_ok()) return id.status();
       reply.append_uint(kSvcRegistered, 1, ByteOrder::kLittle);
-      reply.append_uint(id, 8, ByteOrder::kLittle);
+      reply.append_uint(id.value(), 8, ByteOrder::kLittle);
       return Status::ok();
     }
     default:
@@ -86,8 +85,7 @@ Result<Context::FormatId> FormatServiceClient::publish(
     const fmt::FormatDesc& f) {
   ByteBuffer req(256);
   req.append_uint(kSvcRegister, 1, ByteOrder::kLittle);
-  const auto meta = fmt::encode_meta(f);
-  req.append(meta.data(), meta.size());
+  fmt::encode_meta(f, req);
   Status st = ch_.send(req.view());
   if (!st.is_ok()) return st;
   auto reply = ch_.recv();

@@ -23,10 +23,10 @@ Result<const Resolver::Entry*> Reader::resolve(Context::FormatId wire_id) {
     return got;
   }
   auto fetched = format_resolver_(wire_id);
-  if (!fetched.is_ok() ||
-      ctx_.register_format(std::move(fetched).take()) != wire_id) {
-    return got;
-  }
+  if (!fetched.is_ok()) return got;
+  auto learned = ctx_.learn_format(std::move(fetched).take());
+  if (!learned.is_ok()) return learned.status();
+  if (learned.value() != wire_id) return got;
   ++formats_learned_;
   return resolver_.resolve(wire_id);
 }
@@ -44,7 +44,8 @@ Result<bool> Reader::consume_frame(FrameBuf frame, Message* m) {
     auto meta =
         fmt::decode_meta(std::span(frame.data() + 1, frame.size() - 1));
     if (!meta.is_ok()) return meta.status();
-    ctx_.register_format(std::move(meta).take());
+    auto learned = ctx_.learn_format(std::move(meta).take());
+    if (!learned.is_ok()) return learned.status();
     ++formats_learned_;
     return false;
   }

@@ -14,8 +14,7 @@ Status Writer::build_announce(Context::FormatId fmt_id, ByteBuffer& frame) {
   }
   frame.clear();
   frame.append_uint(kFrameFormat, 1, ByteOrder::kLittle);
-  const auto meta = fmt::encode_meta(*f);
-  frame.append(meta.data(), meta.size());
+  fmt::encode_meta(*f, frame);
   OBS_COUNT("pbio.encode.meta_bytes", frame.view().size());
   return Status::ok();
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <sstream>
 
 namespace pbio::verify {
@@ -59,23 +60,50 @@ bool kind_ok(NumKind k) {
 class Verifier {
  public:
   Verifier(const Plan& plan, const VerifyOptions& opts)
-      : plan_(plan), opts_(opts) {}
+      : plan_(plan), opts_(opts), scratch_(thread_scratch()) {
+    scratch_.writes.clear();
+  }
 
   Report run() {
-    check_frame(plan_.ops, "ops", plan_.src_fixed_size, plan_.dst_fixed_size,
-                /*depth=*/0);
+    check_frame(plan_.ops, nullptr, plan_.src_fixed_size,
+                plan_.dst_fixed_size, /*depth=*/0);
     check_flags();
     return std::move(report_);
   }
 
  private:
+  /// An op's position in the plan, e.g. "ops[3].sub[1]". Spelled out only
+  /// when an issue names it.
+  struct Path {
+    const Path* outer = nullptr;  // the loop or var-array op of this frame
+    std::size_t index = 0;
+
+    std::string str() const {
+      std::string s = outer == nullptr ? "ops" : outer->str() + ".sub";
+      return s + "[" + std::to_string(index) + "]";
+    }
+  };
+
   struct Interval {
     std::uint64_t begin = 0;
     std::uint64_t end = 0;
     std::size_t op_index = 0;
     OpCode code = OpCode::kCopy;
-    std::string where;
   };
+
+  /// The write intervals of the frames being checked, stacked (a loop's
+  /// frame is pushed and popped above its parent's), and the overlap
+  /// sweep's active list. One per thread, so a warm verification
+  /// allocates nothing.
+  struct Scratch {
+    std::vector<Interval> writes;
+    std::vector<const Interval*> active;
+  };
+
+  static Scratch& thread_scratch() {
+    thread_local Scratch scratch;
+    return scratch;
+  }
 
   /// Ops the optimizer sorts to the front and coalesces; everything else
   /// (kCvtNum, kSubLoop, kString, kVarArray) runs after them and may
@@ -88,13 +116,9 @@ class Verifier {
   // be quadratic; past this many issues the verdict cannot change.
   static constexpr std::size_t kMaxIssues = 64;
 
-  void issue(Check c, const std::string& where, std::string message) {
+  void issue(Check c, std::string where, std::string message) {
     if (report_.issues.size() >= kMaxIssues) return;
-    report_.issues.push_back({c, where, std::move(message)});
-  }
-
-  static std::string at(const std::string& base, std::size_t i) {
-    return base + "[" + std::to_string(i) + "]";
+    report_.issues.push_back({c, std::move(where), std::move(message)});
   }
 
   /// Destination extent of a fixed-part op (what it writes into its frame's
@@ -118,164 +142,165 @@ class Verifier {
     return 0;
   }
 
-  void check_frame(const std::vector<Op>& ops, const std::string& base,
+  void check_frame(const std::vector<Op>& ops, const Path* outer,
                    std::uint64_t src_limit, std::uint64_t dst_limit,
                    int depth) {
-    std::vector<Interval> writes;
-    writes.reserve(ops.size());
+    std::vector<Interval>& writes = scratch_.writes;
+    const std::size_t first = writes.size();
     for (std::size_t i = 0; i < ops.size(); ++i) {
-      const std::string where = at(base, i);
+      const Path at{outer, i};
       if (++visited_ > opts_.max_ops) {
-        issue(Check::kGeometry, where,
+        issue(Check::kGeometry, at.str(),
               "plan exceeds " + std::to_string(opts_.max_ops) + " ops");
+        writes.resize(first);
         return;
       }
       const Op& op = ops[i];
-      check_op(op, where, src_limit, dst_limit, depth);
+      check_op(op, at, src_limit, dst_limit, depth);
       const std::uint64_t extent = dst_extent(op, plan_.dst_pointer_size);
       if (extent > 0) {
-        writes.push_back({op.dst_off, op.dst_off + extent, i, op.code, where});
+        writes.push_back({op.dst_off, op.dst_off + extent, i, op.code});
       }
     }
-    check_overlap(writes);
+    check_overlap(first, outer);
+    writes.resize(first);
   }
 
-  void check_op(const Op& op, const std::string& where,
-                std::uint64_t src_limit, std::uint64_t dst_limit, int depth) {
+  void check_op(const Op& op, const Path& at, std::uint64_t src_limit,
+                std::uint64_t dst_limit, int depth) {
     switch (op.code) {
       case OpCode::kCopy:
         if (op.byte_len == 0) {
-          issue(Check::kGeometry, where, "empty copy");
+          issue(Check::kGeometry, at.str(), "empty copy");
           return;
         }
-        bound_src(where, op.src_off, op.byte_len, src_limit);
-        bound_dst(where, op.dst_off, op.byte_len, dst_limit);
+        bound_src(at, op.src_off, op.byte_len, src_limit);
+        bound_dst(at, op.dst_off, op.byte_len, dst_limit);
         return;
 
       case OpCode::kZero:
         if (op.byte_len == 0) {
-          issue(Check::kGeometry, where, "empty zero fill");
+          issue(Check::kGeometry, at.str(), "empty zero fill");
           return;
         }
-        bound_dst(where, op.dst_off, op.byte_len, dst_limit);
+        bound_dst(at, op.dst_off, op.byte_len, dst_limit);
         return;
 
       case OpCode::kSwap: {
         if (op.width_src != op.width_dst) {
-          issue(Check::kWidth, where,
+          issue(Check::kWidth, at.str(),
                 "swap width_src " + std::to_string(op.width_src) +
                     " != width_dst " + std::to_string(op.width_dst));
           return;
         }
         if (op.width_src != 2 && op.width_src != 4 && op.width_src != 8) {
-          issue(Check::kWidth, where,
+          issue(Check::kWidth, at.str(),
                 "swap width " + std::to_string(op.width_src) +
                     " not in {2,4,8}");
           return;
         }
         if (op.count == 0) {
-          issue(Check::kGeometry, where, "swap of zero elements");
+          issue(Check::kGeometry, at.str(), "swap of zero elements");
           return;
         }
         const std::uint64_t bytes = std::uint64_t{op.count} * op.width_src;
-        bound_src(where, op.src_off, bytes, src_limit);
-        bound_dst(where, op.dst_off, bytes, dst_limit);
+        bound_src(at, op.src_off, bytes, src_limit);
+        bound_dst(at, op.dst_off, bytes, dst_limit);
         return;
       }
 
       case OpCode::kCvtNum: {
         if (!kind_ok(op.src_kind) || !kind_ok(op.dst_kind)) {
-          issue(Check::kKind, where, "numeric kind out of range");
+          issue(Check::kKind, at.str(), "numeric kind out of range");
           return;
         }
         if (!pow2_width_le8(op.width_src) || !pow2_width_le8(op.width_dst)) {
-          issue(Check::kWidth, where,
+          issue(Check::kWidth, at.str(),
                 "cvt widths " + std::to_string(op.width_src) + "->" +
                     std::to_string(op.width_dst) + " not in {1,2,4,8}");
           return;
         }
         if ((op.src_kind == NumKind::kFloat && op.width_src < 4) ||
             (op.dst_kind == NumKind::kFloat && op.width_dst < 4)) {
-          issue(Check::kWidth, where, "float element narrower than 4 bytes");
+          issue(Check::kWidth, at.str(),
+                "float element narrower than 4 bytes");
           return;
         }
         if (op.count == 0) {
-          issue(Check::kGeometry, where, "cvt of zero elements");
+          issue(Check::kGeometry, at.str(), "cvt of zero elements");
           return;
         }
-        bound_src(where, op.src_off, std::uint64_t{op.count} * op.width_src,
+        bound_src(at, op.src_off, std::uint64_t{op.count} * op.width_src,
                   src_limit);
-        bound_dst(where, op.dst_off, std::uint64_t{op.count} * op.width_dst,
+        bound_dst(at, op.dst_off, std::uint64_t{op.count} * op.width_dst,
                   dst_limit);
         return;
       }
 
       case OpCode::kSubLoop: {
         if (depth != 0) {
-          issue(Check::kNesting, where,
+          issue(Check::kNesting, at.str(),
                 "nested kSubLoop (subformats are flat)");
           return;
         }
         if (op.count == 0 || op.src_stride == 0 || op.dst_stride == 0) {
-          issue(Check::kGeometry, where,
+          issue(Check::kGeometry, at.str(),
                 "loop with zero count or zero stride");
           return;
         }
         if (op.sub.empty()) {
-          issue(Check::kGeometry, where, "loop with empty body");
+          issue(Check::kGeometry, at.str(), "loop with empty body");
           return;
         }
-        bound_src(where, op.src_off,
-                  std::uint64_t{op.count} * op.src_stride, src_limit);
-        bound_dst(where, op.dst_off,
-                  std::uint64_t{op.count} * op.dst_stride, dst_limit);
+        bound_src(at, op.src_off, std::uint64_t{op.count} * op.src_stride,
+                  src_limit);
+        bound_dst(at, op.dst_off, std::uint64_t{op.count} * op.dst_stride,
+                  dst_limit);
         // Element ops live in element-relative coordinates; each iteration
         // must stay inside its own element on both sides.
-        check_frame(op.sub, where + ".sub", op.src_stride, op.dst_stride,
-                    depth + 1);
+        check_frame(op.sub, &at, op.src_stride, op.dst_stride, depth + 1);
         return;
       }
 
       case OpCode::kString:
         if (depth != 0) {
-          issue(Check::kNesting, where, "variable op below top level");
+          issue(Check::kNesting, at.str(), "variable op below top level");
           return;
         }
-        check_var_slot(op, where, src_limit, dst_limit);
+        check_var_slot(op, at, src_limit, dst_limit);
         return;
 
       case OpCode::kVarArray: {
         if (depth != 0) {
-          issue(Check::kNesting, where, "variable op below top level");
+          issue(Check::kNesting, at.str(), "variable op below top level");
           return;
         }
-        if (!check_var_slot(op, where, src_limit, dst_limit)) return;
+        if (!check_var_slot(op, at, src_limit, dst_limit)) return;
         if (op.dim_width != 1 && op.dim_width != 2 && op.dim_width != 4 &&
             op.dim_width != 8) {
-          issue(Check::kWidth, where,
+          issue(Check::kWidth, at.str(),
                 "dim width " + std::to_string(op.dim_width) +
                     " not in {1,2,4,8}");
           return;
         }
-        bound_src(where + " (dim)", op.dim_src_off, op.dim_width, src_limit);
+        bound_src(at, op.dim_src_off, op.dim_width, src_limit, " (dim)");
         // The interpreter divides by src_stride to bound the element count
         // against the received bytes — zero would be UB before any element
         // is touched.
         if (op.src_stride == 0 || op.dst_stride == 0) {
-          issue(Check::kGeometry, where, "variable array with zero stride");
+          issue(Check::kGeometry, at.str(), "variable array with zero stride");
           return;
         }
         if (op.sub.empty()) {
-          issue(Check::kGeometry, where,
+          issue(Check::kGeometry, at.str(),
                 "variable array with empty element plan");
           return;
         }
-        check_frame(op.sub, where + ".sub", op.src_stride, op.dst_stride,
-                    depth + 1);
+        check_frame(op.sub, &at, op.src_stride, op.dst_stride, depth + 1);
         return;
       }
     }
-    issue(Check::kKind, where,
+    issue(Check::kKind, at.str(),
           "opcode " + std::to_string(static_cast<unsigned>(op.code)) +
               " out of range");
   }
@@ -283,22 +308,23 @@ class Verifier {
   /// Slot geometry shared by kString / kVarArray: the fixed part holds an
   /// offset of src_pointer_size bytes, the native record a slot of
   /// dst_pointer_size bytes.
-  bool check_var_slot(const Op& op, const std::string& where,
-                      std::uint64_t src_limit, std::uint64_t dst_limit) {
+  bool check_var_slot(const Op& op, const Path& at, std::uint64_t src_limit,
+                      std::uint64_t dst_limit) {
     if (plan_.src_pointer_size == 0 || plan_.src_pointer_size > 8 ||
         plan_.dst_pointer_size == 0 || plan_.dst_pointer_size > 8) {
-      issue(Check::kWidth, where, "pointer size not in [1,8]");
+      issue(Check::kWidth, at.str(), "pointer size not in [1,8]");
       return false;
     }
-    bool ok = bound_src(where, op.src_off, plan_.src_pointer_size, src_limit);
-    ok &= bound_dst(where, op.dst_off, plan_.dst_pointer_size, dst_limit);
+    bool ok = bound_src(at, op.src_off, plan_.src_pointer_size, src_limit);
+    ok &= bound_dst(at, op.dst_off, plan_.dst_pointer_size, dst_limit);
     return ok;
   }
 
-  bool bound_src(const std::string& where, std::uint64_t off,
-                 std::uint64_t bytes, std::uint64_t limit) {
+  /// `part` qualifies the op in the issue, e.g. " (dim)".
+  bool bound_src(const Path& at, std::uint64_t off, std::uint64_t bytes,
+                 std::uint64_t limit, const char* part = "") {
     if (off + bytes > limit) {
-      issue(Check::kSrcBounds, where,
+      issue(Check::kSrcBounds, at.str() + part,
             "reads [" + std::to_string(off) + ", " +
                 std::to_string(off + bytes) + ") past source limit " +
                 std::to_string(limit));
@@ -307,10 +333,10 @@ class Verifier {
     return true;
   }
 
-  bool bound_dst(const std::string& where, std::uint64_t off,
-                 std::uint64_t bytes, std::uint64_t limit) {
+  bool bound_dst(const Path& at, std::uint64_t off, std::uint64_t bytes,
+                 std::uint64_t limit) {
     if (off + bytes > limit) {
-      issue(Check::kDstBounds, where,
+      issue(Check::kDstBounds, at.str(),
             "writes [" + std::to_string(off) + ", " +
                 std::to_string(off + bytes) + ") past destination limit " +
                 std::to_string(limit));
@@ -329,7 +355,9 @@ class Verifier {
   /// may overwrite bytes an earlier kCopy covered; every other overlap —
   /// linear over linear, non-linear over non-linear, or anything
   /// clobbering an already-applied non-linear result — is rejected.
-  void check_overlap(std::vector<Interval>& writes) {
+  /// Checks the frame whose writes start at scratch index `first`.
+  void check_overlap(std::size_t first, const Path* outer) {
+    const auto writes = std::span(scratch_.writes).subspan(first);
     std::sort(writes.begin(), writes.end(),
               [](const Interval& a, const Interval& b) {
                 return a.begin < b.begin;
@@ -339,7 +367,8 @@ class Verifier {
     // (one fixed copy plus disjoint var slots riding on it), so the active
     // list — and with the issue cap below, the whole pass — stays linear
     // even on adversarial plans.
-    std::vector<const Interval*> active;
+    std::vector<const Interval*>& active = scratch_.active;
+    active.clear();
     for (const Interval& cur : writes) {
       std::erase_if(active,
                     [&](const Interval* p) { return p->end <= cur.begin; });
@@ -350,10 +379,11 @@ class Verifier {
             (!linear_op(prev->code) && cur.code == OpCode::kCopy &&
              prev->op_index > cur.op_index);
         if (!allowed) {
-          issue(Check::kOverlap, cur.where,
+          issue(Check::kOverlap, Path{outer, cur.op_index}.str(),
                 "destination bytes [" + std::to_string(cur.begin) + ", " +
                     std::to_string(std::min(prev->end, cur.end)) +
-                    ") already written by " + prev->where);
+                    ") already written by " +
+                    Path{outer, prev->op_index}.str());
           if (report_.issues.size() >= kMaxIssues) return;
         }
       }
@@ -483,6 +513,7 @@ class Verifier {
 
   const Plan& plan_;
   const VerifyOptions& opts_;
+  Scratch& scratch_;
   Report report_;
   std::uint32_t visited_ = 0;
 };

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "arch/layout.h"
+#include "collision_pair.h"
 #include "fmt/meta.h"
 #include "obs/obs.h"
 #include "pbio/pbio.h"
@@ -792,6 +793,35 @@ TEST(Broker, GarbageFrameDropsOnlyThatConnection) {
   auto dropped = bad.value()->recv();
   EXPECT_EQ(dropped.status().code(), Errc::kChannelClosed);
   ASSERT_TRUE(eventually([&] { return b.stats().protocol_errors >= 1; }));
+
+  const auto f = data_frame(5, 32, 8);
+  ASSERT_TRUE(good.value()->send(f).is_ok());
+  auto echo = good.value()->recv();
+  ASSERT_TRUE(echo.is_ok());
+  EXPECT_EQ(echo.value(), f);
+  b.stop();
+}
+
+TEST(Broker, CollidingAnnouncementsDropOnlyThatConnection) {
+  Context ctx;
+  Broker b(ctx);
+  ASSERT_TRUE(b.start().is_ok());
+  auto good = transport::socket_connect(b.port());
+  auto bad = transport::socket_connect(b.port());
+  ASSERT_TRUE(good.is_ok());
+  ASSERT_TRUE(bad.is_ok());
+
+  const fmt::FormatDesc first = colliding_format(0);
+  const fmt::FormatDesc second = colliding_format(1);
+  ASSERT_EQ(first.fingerprint(), second.fingerprint());
+  ASSERT_TRUE(bad.value()->send(announce_frame(first)).is_ok());
+  ASSERT_TRUE(bad.value()->send(announce_frame(second)).is_ok());
+  auto dropped = bad.value()->recv();
+  EXPECT_EQ(dropped.status().code(), Errc::kChannelClosed);
+  ASSERT_TRUE(eventually([&] { return b.stats().protocol_errors >= 1; }));
+  EXPECT_EQ(b.stats().formats_learned, 1u);
+  ASSERT_NE(ctx.find(first.fingerprint()), nullptr);
+  EXPECT_EQ(*ctx.find(first.fingerprint()), first);
 
   const auto f = data_frame(5, 32, 8);
   ASSERT_TRUE(good.value()->send(f).is_ok());

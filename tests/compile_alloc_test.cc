@@ -1,17 +1,25 @@
-// Allocation counts of the compile path, the set-up half of the paper's DCG
-// cost argument (§4.3, Table B): a receiver compiles each new conversion
-// once, so that one-time work has to stay small.
+// Allocation counts of the set-up path, the one-time half of the paper's
+// DCG cost argument (§4.3, Table B): a receiver learns each new format and
+// compiles each new conversion once, so that work has to stay small.
 //
 //  * Once warm, translation validation allocates nothing: its decoder
 //    output, plan model, loop table and pending-branch states live in one
 //    per-thread scratch that every validation reuses.
 //  * A whole CompiledConvert (plan verification, emission, validation,
 //    sealing) makes at most kMaxCompileAllocs allocations.
+//  * Checking and hashing a valid format description allocates nothing:
+//    diagnostics are built only when a check fails, and both hashes stream
+//    the meta encoding instead of building it.
+//  * A Reader learns a format announcement in at most kMaxLearnAllocs
+//    allocations: the decoded description and its registry entry.
+//  * Plan compilation, plan verification and the CompiledConvert together
+//    make at most kMaxSetupAllocs per hetero_bulk pair.
 //
 // These are counts, not timings, so they hold on any host. Counting is
 // thread-local (alloc_hook.h replaces every form of operator new).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -19,9 +27,11 @@
 #include "arch/layout.h"
 #include "bench_support/workload.h"
 #include "convert/plan.h"
+#include "pbio/pbio.h"
 #include "vcode/execmem.h"
 #include "vcode/jit_convert.h"
 #include "verify/tval/tval.h"
+#include "verify/verify.h"
 
 namespace {
 
@@ -44,6 +54,8 @@ using arch::StructSpec;
 using convert::Plan;
 
 constexpr std::uint64_t kMaxCompileAllocs = 12;
+constexpr std::uint64_t kMaxLearnAllocs = 6;
+constexpr std::uint64_t kMaxSetupAllocs = 10;
 
 /// Allocations made by `fn` on this thread.
 template <typename Fn>
@@ -63,16 +75,22 @@ Plan plan_for(const StructSpec& spec, const arch::Abi& src,
 
 /// The nine fixed-layout pairs hetero_bulk sets up: three record sizes from
 /// three foreign ABIs into x86-64.
-std::vector<Plan> hetero_bulk_plans() {
-  std::vector<Plan> out;
+std::vector<bench::Workload> hetero_bulk_workloads() {
+  std::vector<bench::Workload> out;
   for (bench::Size s :
        {bench::Size::k1KB, bench::Size::k10KB, bench::Size::k100KB}) {
     for (const arch::Abi* abi :
          {&arch::abi_sparc_v8(), &arch::abi_x86(), &arch::abi_ppc64()}) {
-      const bench::Workload w = bench::make_workload(s, *abi,
-                                                     arch::abi_x86_64());
-      out.push_back(convert::compile_plan(w.src_fmt, w.dst_fmt));
+      out.push_back(bench::make_workload(s, *abi, arch::abi_x86_64()));
     }
+  }
+  return out;
+}
+
+std::vector<Plan> hetero_bulk_plans() {
+  std::vector<Plan> out;
+  for (const bench::Workload& w : hetero_bulk_workloads()) {
+    out.push_back(convert::compile_plan(w.src_fmt, w.dst_fmt));
   }
   return out;
 }
@@ -173,6 +191,90 @@ TEST(CompileAllocs, CompiledConvertStaysUnderBudget) {
     });
     EXPECT_TRUE(ok);
     EXPECT_LE(allocs, kMaxCompileAllocs) << plan.describe();
+  }
+}
+
+TEST(CompileAllocs, CheckingAndHashingAValidFormatAllocatesNothing) {
+  std::vector<fmt::FormatDesc> formats;
+  for (const bench::Workload& w : hetero_bulk_workloads()) {
+    formats.push_back(w.src_fmt);
+    formats.push_back(w.dst_fmt);
+  }
+  StructSpec pt;
+  pt.name = "pt";
+  pt.fields = {{.name = "x", .type = CType::kDouble},
+               {.name = "tag", .type = CType::kShort}};
+  StructSpec msg;
+  msg.name = "msg";
+  msg.fields = {{.name = "n", .type = CType::kUInt},
+                {.name = "name", .type = CType::kString},
+                {.name = "pts", .array_elems = 3, .subformat = "pt"},
+                {.name = "vals", .type = CType::kDouble, .var_dim_field = "n"}};
+  msg.subs = {pt};
+  formats.push_back(arch::layout_format(msg, arch::abi_sparc_v8()));
+  // Declared out of offset order: the overlap check and the canonical hash
+  // sort an index in per-thread scratch.
+  formats.push_back(formats.back());
+  std::reverse(formats.back().fields.begin(), formats.back().fields.end());
+
+  for (const fmt::FormatDesc& f : formats) {  // warm-up
+    f.validate();
+    (void)fmt::canonical_hash(f);
+  }
+  for (const fmt::FormatDesc& f : formats) {
+    EXPECT_EQ(count_allocs([&] { f.validate(); }), 0u) << f.name;
+    std::uint64_t id = 0, canonical = 0;
+    EXPECT_EQ(count_allocs([&] { id = f.fingerprint(); }), 0u) << f.name;
+    EXPECT_EQ(count_allocs([&] { canonical = fmt::canonical_hash(f); }), 0u)
+        << f.name;
+    EXPECT_NE(id, canonical);
+  }
+}
+
+/// Allocations a fresh Reader makes to learn `f` from an announcement.
+std::uint64_t learn_allocs(const fmt::FormatDesc& f) {
+  Context wctx;
+  Context rctx;
+  const Context::FormatId id = wctx.register_format(f);
+  auto [tx, rx] = transport::make_loopback_pair();
+  Writer writer(wctx, *tx);
+  Reader reader(rctx, *rx);
+  EXPECT_TRUE(writer.announce(id).is_ok());
+  tx->close();
+  Result<Message> got = Status::ok();
+  const std::uint64_t allocs = count_allocs([&] { got = reader.next(); });
+  EXPECT_EQ(got.status().code(), Errc::kChannelClosed);
+  EXPECT_NE(rctx.find(id), nullptr);
+  return allocs;
+}
+
+TEST(CompileAllocs, ReaderLearnsAnAnnouncementInFewAllocations) {
+  const std::vector<bench::Workload> workloads = hetero_bulk_workloads();
+  (void)learn_allocs(workloads.front().src_fmt);  // warm-up
+  for (const bench::Workload& w : workloads) {
+    EXPECT_LE(learn_allocs(w.src_fmt), kMaxLearnAllocs) << w.src_fmt.name;
+  }
+}
+
+TEST(CompileAllocs, PlanVerifyAndCompileStayUnderBudget) {
+  REQUIRE_TVAL();
+  const std::vector<bench::Workload> workloads = hetero_bulk_workloads();
+  const auto set_up = [](const bench::Workload& w) {
+    // As ArtifactCache builds an artifact: compile, verify, hand over.
+    Plan plan = convert::compile_plan(w.src_fmt, w.dst_fmt);
+    const bool verified = verify::verify_plan(plan).ok();
+    plan.verified = verified;
+    const vcode::CompiledConvert cc(std::move(plan));
+    return verified && cc.jitted() && cc.tval_report().ok;
+  };
+  for (const bench::Workload& w : workloads) {  // warm-up
+    ASSERT_TRUE(set_up(w));
+  }
+  for (const bench::Workload& w : workloads) {
+    bool ok = false;
+    const std::uint64_t allocs = count_allocs([&] { ok = set_up(w); });
+    EXPECT_TRUE(ok);
+    EXPECT_LE(allocs, kMaxSetupAllocs) << w.src_fmt.name;
   }
 }
 

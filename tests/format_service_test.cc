@@ -4,6 +4,7 @@
 
 #include <thread>
 
+#include "collision_pair.h"
 #include "fmt/meta.h"
 #include "pbio/pbio.h"
 #include "util/endian.h"
@@ -200,6 +201,40 @@ TEST(FormatServiceHandle, MissAndMalformedRequests) {
   const auto meta = fmt::encode_meta(sample_format());
   req.append(meta.data(), meta.size());
   EXPECT_TRUE(server.handle(req.view(), reply).is_ok());
+}
+
+TEST(FormatServiceHandle, CollidingRegistrationIsRejected) {
+  Context ctx;
+  FormatServiceServer server(ctx);
+  const fmt::FormatDesc a = colliding_format(0);
+  const fmt::FormatDesc b = colliding_format(1);
+  const auto register_request = [](const fmt::FormatDesc& f) {
+    ByteBuffer req(64);
+    req.append_uint(kSvcRegister, 1, ByteOrder::kLittle);
+    fmt::encode_meta(f, req);
+    return req;
+  };
+  ByteBuffer reply(64);
+  ASSERT_TRUE(server.handle(register_request(a).view(), reply).is_ok());
+  ASSERT_EQ(reply.size(), 9u);
+  const std::uint64_t id =
+      load_uint(reply.data() + 1, 8, ByteOrder::kLittle);
+  EXPECT_EQ(id, a.fingerprint());
+
+  Status st;
+  ASSERT_NO_THROW(st = server.handle(register_request(b).view(), reply));
+  EXPECT_EQ(st.code(), Errc::kMalformed);
+  EXPECT_EQ(reply.size(), 0u);
+
+  // The id still names the first registration.
+  ByteBuffer lookup(16);
+  lookup.append_uint(kSvcLookup, 1, ByteOrder::kLittle);
+  lookup.append_uint(id, 8, ByteOrder::kLittle);
+  ASSERT_TRUE(server.handle(lookup.view(), reply).is_ok());
+  ASSERT_EQ(reply.view()[0], kSvcFound);
+  auto found = fmt::decode_meta(reply.view().subspan(1));
+  ASSERT_TRUE(found.is_ok());
+  EXPECT_EQ(found.value(), a);
 }
 
 TEST(FormatService, ServerSurvivesMalformedRequests) {

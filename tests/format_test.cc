@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 namespace pbio::fmt {
 namespace {
 
@@ -115,6 +118,174 @@ TEST(Format, VariableFieldInsideSubformatFails) {
                       .offset = 4,
                       .slot_size = 8});
   EXPECT_THROW(f.validate(), PbioError);
+}
+
+/// simple_format() plus a one-field subformat "pt" (8 bytes) and a struct
+/// field "p" of it at offset 16.
+FormatDesc format_with_sub() {
+  FormatDesc f = simple_format();
+  f.fixed_size = 24;
+  FormatDesc sub;
+  sub.name = "pt";
+  sub.fixed_size = 8;
+  sub.fields = {{.name = "x", .base = BaseType::kFloat, .elem_size = 8,
+                 .offset = 0, .slot_size = 8}};
+  f.subformats.push_back(sub);
+  f.fields.push_back({.name = "p", .base = BaseType::kStruct,
+                      .subformat = "pt", .elem_size = 8, .offset = 16,
+                      .slot_size = 8});
+  return f;
+}
+
+/// The exact text of every validate() rejection. The messages reach peers
+/// and logs through decode_meta's status, so they are part of the format
+/// layer's behaviour, not just of its tests.
+TEST(FormatDiagnostics, EveryRejectionMessage) {
+  struct Case {
+    const char* label;
+    std::function<void(FormatDesc&)> mutate;
+    const char* what;
+  };
+  const Case cases[] = {
+      {"empty name", [](FormatDesc& f) { f.name.clear(); },
+       "format has empty name"},
+      {"no fields", [](FormatDesc& f) { f.fields.clear(); },
+       "format 'simple' has no fields"},
+      {"empty field name", [](FormatDesc& f) { f.fields[1].name.clear(); },
+       "format 'simple': empty field name"},
+      {"zero slot", [](FormatDesc& f) { f.fields[1].slot_size = 0; },
+       "format 'simple' field 'b': zero slot size"},
+      {"past end", [](FormatDesc& f) { f.fields[1].offset = 20; },
+       "format 'simple' field 'b': slot extends past fixed_size"},
+      {"past end, wrapping",
+       [](FormatDesc& f) { f.fields[1].offset = 0xFFFFFFFCu; },
+       "format 'simple' field 'b': slot extends past fixed_size"},
+      {"variable in subformat",
+       [](FormatDesc& f) {
+         f.subformats[0].fields[0] = {.name = "s", .base = BaseType::kString,
+                                      .elem_size = 1, .offset = 0,
+                                      .slot_size = 8};
+       },
+       "format 'pt' field 's': variable-length fields are not supported "
+       "inside subformats"},
+      {"variable slot not pointer-sized",
+       [](FormatDesc& f) {
+         f.fields[1] = {.name = "s", .base = BaseType::kString,
+                        .elem_size = 1, .offset = 8, .slot_size = 4};
+       },
+       "format 'simple' field 's': variable field slot must be "
+       "pointer-sized"},
+      {"zero element size", [](FormatDesc& f) { f.fields[0].elem_size = 0; },
+       "format 'simple' field 'a': zero element size"},
+      {"slot != elems", [](FormatDesc& f) { f.fields[0].static_elems = 2; },
+       "format 'simple' field 'a': slot size != elem_size * static_elems"},
+      {"float size",
+       [](FormatDesc& f) {
+         f.fields[0].base = BaseType::kFloat;
+         f.fields[0].elem_size = 2;
+         f.fields[0].static_elems = 2;
+       },
+       "format 'simple' field 'a': float element size must be 4 or 8"},
+      {"char size",
+       [](FormatDesc& f) {
+         f.fields[0].base = BaseType::kChar;
+         f.fields[0].elem_size = 2;
+         f.fields[0].static_elems = 2;
+       },
+       "format 'simple' field 'a': char element size must be 1"},
+      {"var-dim missing",
+       [](FormatDesc& f) {
+         f.fields[1] = {.name = "v", .base = BaseType::kFloat,
+                        .elem_size = 8, .var_dim_field = "n", .offset = 8,
+                        .slot_size = 8};
+       },
+       "format 'simple' field 'v': var-dim field 'n' not found"},
+      {"var-dim not integer",
+       [](FormatDesc& f) {
+         f.fields[0].base = BaseType::kFloat;
+         f.fields[1] = {.name = "v", .base = BaseType::kFloat,
+                        .elem_size = 8, .var_dim_field = "a", .offset = 8,
+                        .slot_size = 8};
+       },
+       "format 'simple' field 'v': var-dim field must be an integer"},
+      {"var-dim not scalar",
+       [](FormatDesc& f) {
+         f.fields[0].elem_size = 2;
+         f.fields[0].static_elems = 2;
+         f.fields[1] = {.name = "v", .base = BaseType::kFloat,
+                        .elem_size = 8, .var_dim_field = "a", .offset = 8,
+                        .slot_size = 8};
+       },
+       "format 'simple' field 'v': var-dim field must be a scalar integer"},
+      {"subformat missing",
+       [](FormatDesc& f) { f.fields[2].subformat = "nope"; },
+       "format 'simple' field 'p': subformat 'nope' not found"},
+      {"struct element size",
+       [](FormatDesc& f) {
+         f.fields[2].elem_size = 4;
+         f.fields[2].slot_size = 4;
+       },
+       "format 'simple' field 'p': element size != subformat fixed size"},
+      {"struct slot", [](FormatDesc& f) { f.fields[2].slot_size = 4; },
+       "format 'simple' field 'p': struct slot size mismatch"},
+      {"subformat on non-struct",
+       [](FormatDesc& f) { f.fields[0].subformat = "pt"; },
+       "format 'simple' field 'a': subformat set on non-struct field"},
+      {"overlap, declared in offset order",
+       [](FormatDesc& f) { f.fields[0].offset = 6; },
+       "format 'simple': fields 'a' and 'b' overlap"},
+      {"overlap, declared out of order",
+       [](FormatDesc& f) {
+         f.fields = {{.name = "c", .base = BaseType::kChar, .elem_size = 1,
+                      .offset = 9, .slot_size = 1},
+                     {.name = "b", .base = BaseType::kFloat, .elem_size = 8,
+                      .offset = 8, .slot_size = 8},
+                     {.name = "a", .base = BaseType::kInt, .elem_size = 4,
+                      .offset = 0, .slot_size = 4}};
+       },
+       "format 'simple': fields 'b' and 'c' overlap"},
+      {"overlap, first pair in declaration order is not the reported one",
+       [](FormatDesc& f) {
+         f.fields = {{.name = "a", .base = BaseType::kFloat, .elem_size = 8,
+                      .offset = 0, .slot_size = 8},
+                     {.name = "b", .base = BaseType::kInt, .elem_size = 4,
+                      .offset = 4, .slot_size = 4},
+                     {.name = "c", .base = BaseType::kChar, .elem_size = 1,
+                      .offset = 2, .slot_size = 1}};
+       },
+       "format 'simple': fields 'a' and 'c' overlap"},
+      {"overlap, equal offsets",
+       [](FormatDesc& f) { f.fields[1].offset = 0; },
+       "format 'simple': fields 'a' and 'b' overlap"},
+      {"overlap inside a subformat",
+       [](FormatDesc& f) {
+         f.subformats[0].fields.push_back({.name = "y",
+                                           .base = BaseType::kInt,
+                                           .elem_size = 4, .offset = 4,
+                                           .slot_size = 4});
+       },
+       "format 'pt': fields 'x' and 'y' overlap"},
+      {"nested subformat list",
+       [](FormatDesc& f) {
+         f.subformats[0].subformats.push_back(f.subformats[0]);
+       },
+       "subformat 'pt' must not carry its own subformat list (kept flat at "
+       "the root)"},
+      {"subformat field rejection",
+       [](FormatDesc& f) { f.subformats[0].fields[0].elem_size = 3; },
+       "format 'pt' field 'x': slot size != elem_size * static_elems"},
+  };
+  ASSERT_NO_THROW(format_with_sub().validate());
+  for (const Case& c : cases) {
+    FormatDesc f = format_with_sub();
+    c.mutate(f);
+    try {
+      f.validate();
+      ADD_FAILURE() << c.label << ": accepted";
+    } catch (const PbioError& e) {
+      EXPECT_STREQ(e.what(), c.what) << c.label;
+    }
+  }
 }
 
 TEST(Format, FingerprintDiffersOnContentChange) {

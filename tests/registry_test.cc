@@ -5,6 +5,8 @@
 #include <thread>
 #include <vector>
 
+#include "collision_pair.h"
+
 namespace pbio::fmt {
 namespace {
 
@@ -66,6 +68,44 @@ TEST(Registry, MalformedFormatRejected) {
   bad.fields = {{.name = "x", .base = BaseType::kInt, .elem_size = 4,
                  .offset = 0, .slot_size = 4}};
   EXPECT_THROW(reg.register_format(bad), PbioError);
+  EXPECT_EQ(reg.size(), 0u);
+}
+
+TEST(Registry, CollidingContentKeepsTheFirstRegistration) {
+  const FormatDesc a = colliding_format(0);
+  const FormatDesc b = colliding_format(1);
+  ASSERT_NE(a, b);
+  ASSERT_EQ(a.fingerprint(), b.fingerprint());
+  const std::string what = "format id collision for '" + b.name + "'";
+
+  FormatRegistry reg;
+  const Result<FormatId> id = reg.learn(a);
+  ASSERT_TRUE(id.is_ok());
+  const Result<FormatId> clash = reg.learn(b);
+  EXPECT_EQ(clash.status().code(), Errc::kMalformed);
+  EXPECT_EQ(clash.status().message(), what);
+  try {
+    reg.register_format(b);
+    ADD_FAILURE() << "collision accepted";
+  } catch (const PbioError& e) {
+    EXPECT_EQ(e.what(), what);
+  }
+  EXPECT_EQ(reg.size(), 1u);
+  ASSERT_NE(reg.find(id.value()), nullptr);
+  EXPECT_EQ(*reg.find(id.value()), a);
+  EXPECT_EQ(reg.find_by_name(b.name), nullptr);
+  // Identical content is still idempotent.
+  EXPECT_EQ(reg.learn(a).value(), id.value());
+}
+
+TEST(Registry, LearnReportsMalformedDescriptionsWithoutThrowing) {
+  FormatRegistry reg;
+  FormatDesc bad = make_format("bad", 4);
+  bad.fixed_size = 2;
+  const Result<FormatId> id = reg.learn(bad);
+  EXPECT_EQ(id.status().code(), Errc::kMalformed);
+  EXPECT_EQ(id.status().message(),
+            "format 'bad' field 'x': slot extends past fixed_size");
   EXPECT_EQ(reg.size(), 0u);
 }
 

@@ -8,9 +8,11 @@
 #include "baselines/cdr/giop.h"
 #include "baselines/xmlwire/decode.h"
 #include "baselines/xmlwire/sax.h"
+#include "collision_pair.h"
 #include "fmt/meta.h"
 #include "pbio/pbio.h"
 #include "util/endian.h"
+#include "obs/obs.h"
 #include "value/read.h"
 
 namespace pbio {
@@ -99,6 +101,63 @@ TEST(Robustness, RandomFramesIntoReader) {
       (void)msg.value().reflect();
     }
   }
+}
+
+std::vector<std::uint8_t> announcement(const fmt::FormatDesc& f) {
+  std::vector<std::uint8_t> frame{kFrameFormat};
+  const auto meta = fmt::encode_meta(f);
+  frame.insert(frame.end(), meta.begin(), meta.end());
+  return frame;
+}
+
+std::uint64_t id_collisions() {
+  const auto snap = obs::snapshot();
+  const auto* c = snap.find_counter("pbio.fmt.id_collisions");
+  return c == nullptr ? 0 : c->value;
+}
+
+TEST(Robustness, CollidingAnnouncementsFailCleanly) {
+  const fmt::FormatDesc a = colliding_format(0);
+  const fmt::FormatDesc b = colliding_format(1);
+  ASSERT_EQ(a.fingerprint(), b.fingerprint());
+  const std::uint64_t collisions0 = id_collisions();
+
+  Context ctx;
+  auto [tx, rx] = transport::make_loopback_pair();
+  ASSERT_TRUE(tx->send(announcement(a)).is_ok());
+  ASSERT_TRUE(tx->send(announcement(b)).is_ok());
+  tx->close();
+  Reader r(ctx, *rx);
+  Result<Message> got = Status::ok();
+  ASSERT_NO_THROW(got = r.next());
+  EXPECT_EQ(got.status().code(), Errc::kMalformed);
+  EXPECT_EQ(got.status().message(), "format id collision for '" + b.name + "'");
+  EXPECT_EQ(r.next().status().code(), Errc::kChannelClosed);
+  // The first announcement keeps the id.
+  ASSERT_NE(ctx.find(a.fingerprint()), nullptr);
+  EXPECT_EQ(*ctx.find(a.fingerprint()), a);
+  EXPECT_EQ(id_collisions(), collisions0 + 1);
+}
+
+TEST(Robustness, ResolverAnsweringWithACollidingFormatFailsCleanly) {
+  const fmt::FormatDesc a = colliding_format(0);
+  Context ctx;
+  ctx.register_format(a);
+  auto [tx, rx] = transport::make_loopback_pair();
+  std::vector<std::uint8_t> data(kDataHeaderSize + 4, 0);
+  data[0] = kFrameData;
+  store_uint(data.data() + kDataHeaderIdOffset, 0x1234, 8,
+             ByteOrder::kLittle);
+  ASSERT_TRUE(tx->send(data).is_ok());
+  tx->close();
+  Reader r(ctx, *rx);
+  r.set_format_resolver([](Context::FormatId) -> Result<fmt::FormatDesc> {
+    return colliding_format(1);
+  });
+  Result<Message> got = Status::ok();
+  ASSERT_NO_THROW(got = r.next());
+  EXPECT_EQ(got.status().code(), Errc::kMalformed);
+  EXPECT_EQ(*ctx.find(a.fingerprint()), a);
 }
 
 TEST(Robustness, TruncatedDataFrames) {

@@ -43,6 +43,93 @@ Plan base_plan() {
   return p;
 }
 
+Op copy_op(std::uint32_t src_off, std::uint32_t dst_off, std::uint32_t len) {
+  Op op;
+  op.code = OpCode::kCopy;
+  op.src_off = src_off;
+  op.dst_off = dst_off;
+  op.byte_len = len;
+  return op;
+}
+
+/// The exact text of a few issues: where (an op's path, with a part
+/// qualifier for a var-array's dim) and message, as verify_status reports
+/// them.
+TEST(VerifyDiagnostics, IssueText) {
+  struct Case {
+    const char* label;
+    Plan plan;
+    VerifyOptions opts;
+    const char* text;
+  };
+  std::vector<Case> cases;
+
+  Plan p = base_plan();
+  p.ops[0].src_off = 8;
+  cases.push_back({"source bounds", p, {},
+                   "ops[0]: reads [8, 24) past source limit 16 [src-bounds]"});
+
+  p = base_plan();
+  p.src_fixed_size = p.dst_fixed_size = 64;
+  p.ops[0] = copy_op(48, 48, 16);
+  Op loop;
+  loop.code = OpCode::kSubLoop;
+  loop.count = 2;
+  loop.src_stride = loop.dst_stride = 16;
+  loop.sub = {copy_op(0, 0, 8), copy_op(4, 4, 8)};
+  p.ops.push_back(loop);
+  cases.push_back({"overlap inside a loop body", p, {},
+                   "ops[1].sub[1]: destination bytes [4, 8) already written "
+                   "by ops[1].sub[0] [overlap]"});
+
+  Op inner = loop;
+  inner.count = 1;
+  inner.sub = {copy_op(0, 0, 8)};
+  p.ops[1].sub = {inner};
+  cases.push_back({"nested loop", p, {},
+                   "ops[1].sub[0]: nested kSubLoop (subformats are flat) "
+                   "[nesting]"});
+
+  p = base_plan();
+  p.has_variable = true;
+  Op var;
+  var.code = OpCode::kVarArray;
+  var.dim_src_off = 14;
+  var.dim_width = 4;
+  var.src_stride = var.dst_stride = 8;
+  var.sub = {copy_op(0, 0, 8)};
+  p.ops[0] = var;
+  cases.push_back({"var-array dim bounds", p, {},
+                   "ops[0] (dim): reads [14, 18) past source limit 16 "
+                   "[src-bounds]"});
+
+  p = base_plan();
+  p.ops = {copy_op(0, 0, 4), copy_op(4, 4, 4), copy_op(8, 8, 4)};
+  cases.push_back({"op budget", p, {.max_ops = 2},
+                   "ops[2]: plan exceeds 2 ops [geometry]"});
+
+  p = base_plan();
+  p.ops[0].dst_off = 0;
+  p.ops[0].src_off = 0;
+  p.ops.push_back(copy_op(0, 0, 4));
+  p.ops[0].byte_len = 8;
+  p.ops[1] = copy_op(8, 4, 4);
+  p.identity = true;
+  p.inplace_safe = true;
+  cases.push_back({"identity flag", p, {},
+                   "ops[1]: destination bytes [4, 8) already written by "
+                   "ops[0] [overlap]; plan: identity claimed but ops are not "
+                   "shift-free copies [flag]"});
+
+  for (const Case& c : cases) {
+    EXPECT_EQ(verify_plan(c.plan, c.opts).to_string(), c.text) << c.label;
+    const Status st = verify_status(c.plan, c.opts);
+    EXPECT_EQ(st.message(),
+              std::string("conversion plan failed verification: ") + c.text)
+        << c.label;
+  }
+}
+
 TEST(VerifyReject, SourceReadOutOfBounds) {
   Plan p = base_plan();
   p.ops[0].src_off = 8;  // [8, 24) past the 16-byte wire record
