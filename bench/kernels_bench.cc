@@ -174,7 +174,7 @@ int run() {
   // Drive the interpreted decode over the heterogeneous workload set (the
   // fig3 direction: x86 wire into sparc native) so the per-tier kernel
   // dispatch counters reflect a realistic mix, then embed the registry
-  // snapshot in the JSON. With PBIO_OBS=OFF this is an empty snapshot.
+  // snapshot in the JSON. With PBIO_OBS=OFF it holds the counters only.
   obs::reset();
   for (Size s : all_sizes()) {
     Workload w = make_workload(s, arch::abi_x86(), arch::abi_sparc_v8());

@@ -16,13 +16,14 @@
 #include "obs/obs.h"
 #include "util/affinity.h"
 #include "util/error.h"
+#include "util/mutex.h"
 
 namespace pbio::broker {
 
 namespace {
-// mo: every kRelaxed site below is an independent gauge or monotonic
-// counter (admission hints and observability); none publishes data other
-// threads then dereference — the epoll loop and inbox_mu_ carry ordering.
+// mo: every kRelaxed site below is an independent gauge (admission hints
+// and observability); none publishes data other threads then dereference
+// — the epoll loop and inbox_mu_ carry ordering.
 constexpr auto kRelaxed = std::memory_order_relaxed;
 /// Frames one service() call may consume — the fairness quantum keeping a
 /// firehose connection from starving its worker's other connections.
@@ -146,7 +147,7 @@ class Worker {
     while (true) {
       auto fd = owner_.listener_.accept_fd(true);
       if (!fd.is_ok()) return;  // kWouldBlock (queue empty) or hard error
-      owner_.sh_.accepted.fetch_add(1, kRelaxed);
+      owner_.sh_.counters.add(kAccepted, 1);
       if (owner_.sh_.connections.load(kRelaxed) >=
           owner_.sh_.cfg.max_connections) {
         // Over the connection cap: shed with an immediate close. The
@@ -157,7 +158,7 @@ class Worker {
                            owner_.sh_.connections.load(kRelaxed));
 #endif
         ::close(fd.value());
-        owner_.sh_.shed_connections.fetch_add(1, kRelaxed);
+        owner_.sh_.counters.add(kShedConnections, 1);
         continue;
       }
       const std::size_t target =
@@ -317,12 +318,10 @@ Status Broker::start() {
   if (!sh_.cfg.stats_file.empty()) {
     stats_thread_ = std::thread([this] {
       while (!stopping_.load(std::memory_order_acquire)) {  // mo: pairs with stop()'s release store
-        publish_obs();
         dump_stats_file();
         std::this_thread::sleep_for(
             std::chrono::milliseconds(sh_.cfg.stats_interval_ms));
       }
-      publish_obs();
       dump_stats_file();
     });
   }
@@ -342,28 +341,29 @@ void Broker::stop() {
 }
 
 BrokerStats Broker::stats() const {
+  const obs::CounterBlock& c = sh_.counters;
   BrokerStats s;
   s.connections = sh_.connections.load(kRelaxed);
   s.inflight = sh_.inflight.load(kRelaxed);
   s.queued_bytes = sh_.queued_bytes.load(kRelaxed);
   s.paused = sh_.paused.load(kRelaxed);
-  s.accepted = sh_.accepted.load(kRelaxed);
-  s.closed = sh_.closed.load(kRelaxed);
-  s.shed_connections = sh_.shed_connections.load(kRelaxed);
-  s.shed_inflight = sh_.shed_inflight.load(kRelaxed);
-  s.protocol_errors = sh_.protocol_errors.load(kRelaxed);
-  s.frames_in = sh_.frames_in.load(kRelaxed);
-  s.frames_out = sh_.frames_out.load(kRelaxed);
-  s.bytes_in = sh_.bytes_in.load(kRelaxed);
-  s.bytes_out = sh_.bytes_out.load(kRelaxed);
-  s.formats_learned = sh_.formats_learned.load(kRelaxed);
-  s.decoded = sh_.decoded.load(kRelaxed);
-  s.svc_requests = sh_.svc_requests.load(kRelaxed);
-  s.pauses = sh_.pauses.load(kRelaxed);
-  s.resumes = sh_.resumes.load(kRelaxed);
-  s.recv_syscalls = sh_.recv_syscalls.load(kRelaxed);
-  s.send_syscalls = sh_.send_syscalls.load(kRelaxed);
-  s.slow_frames = sh_.slow_frames.load(kRelaxed);
+  s.accepted = c.get(kAccepted);
+  s.closed = c.get(kClosed);
+  s.shed_connections = c.get(kShedConnections);
+  s.shed_inflight = c.get(kShedInflight);
+  s.protocol_errors = c.get(kProtocolErrors);
+  s.frames_in = c.get(kFramesIn);
+  s.frames_out = c.get(kFramesOut);
+  s.bytes_in = c.get(kBytesIn);
+  s.bytes_out = c.get(kBytesOut);
+  s.formats_learned = c.get(kFormatsLearned);
+  s.decoded = c.get(kDecoded);
+  s.svc_requests = sh_.svc.requests_served();
+  s.pauses = c.get(kPauses);
+  s.resumes = c.get(kResumes);
+  s.recv_syscalls = c.get(kRecvSyscalls);
+  s.send_syscalls = c.get(kSendSyscalls);
+  s.slow_frames = c.get(kSlowFrames);
   return s;
 }
 
@@ -377,43 +377,6 @@ BufferPool::Stats Broker::pool_stats() const {
     total.recycled += s.recycled;
   }
   return total;
-}
-
-void Broker::publish_obs() {
-  // Publish monotonic deltas; gauges are derivable from the monotonic
-  // pairs (connections = accepts - closes - sheds, and so on), which keeps
-  // the obs contract — counters only ever go up. Serialized because both
-  // the stats thread and /metrics scrapes land here.
-  MutexLock lk(publish_mu_);
-  const BrokerStats now = stats();
-  const auto pub = [](const char* name, std::uint64_t cur,
-                      std::uint64_t& last) {
-    if (cur > last) obs::counter_add(obs::counter(name), cur - last);
-    last = cur;
-  };
-  pub("pbio.broker.accepted", now.accepted, published_.accepted);
-  pub("pbio.broker.closed", now.closed, published_.closed);
-  pub("pbio.broker.shed_connections", now.shed_connections,
-      published_.shed_connections);
-  pub("pbio.broker.shed_inflight", now.shed_inflight,
-      published_.shed_inflight);
-  pub("pbio.broker.protocol_errors", now.protocol_errors,
-      published_.protocol_errors);
-  pub("pbio.broker.frames_in", now.frames_in, published_.frames_in);
-  pub("pbio.broker.frames_out", now.frames_out, published_.frames_out);
-  pub("pbio.broker.bytes_in", now.bytes_in, published_.bytes_in);
-  pub("pbio.broker.bytes_out", now.bytes_out, published_.bytes_out);
-  pub("pbio.broker.formats_learned", now.formats_learned,
-      published_.formats_learned);
-  pub("pbio.broker.decoded", now.decoded, published_.decoded);
-  pub("pbio.broker.svc_requests", now.svc_requests, published_.svc_requests);
-  pub("pbio.broker.pauses", now.pauses, published_.pauses);
-  pub("pbio.broker.resumes", now.resumes, published_.resumes);
-  pub("pbio.broker.recv_syscalls", now.recv_syscalls,
-      published_.recv_syscalls);
-  pub("pbio.broker.send_syscalls", now.send_syscalls,
-      published_.send_syscalls);
-  pub("pbio.broker.slow_frames", now.slow_frames, published_.slow_frames);
 }
 
 void Broker::dump_stats_file() {

@@ -21,9 +21,10 @@
 //
 // Threads: start() spawns Config::workers event-loop threads (worker 0
 // also owns the listener) and, when Config::stats_file is set, one stats
-// thread that mirrors broker counters into the obs registry as
-// pbio.broker.* and dumps obs::to_json periodically — `pbio_stat --watch`
-// tails that file from another terminal.
+// thread that dumps obs::to_json periodically — `pbio_stat --watch` tails
+// that file from another terminal. The broker's monotonic counters live
+// in an obs::CounterBlock (Shared::counters), so every snapshot already
+// holds the current pbio.broker.* values; there is nothing to publish.
 #pragma once
 
 #include <atomic>
@@ -32,13 +33,15 @@
 #include <vector>
 
 #include "broker/conn.h"
-#include "util/mutex.h"
 
 namespace pbio::broker {
 
 class Worker;
 
-/// Monotonic + gauge snapshot of a running (or stopped) broker.
+/// Monotonic + gauge snapshot of a running (or stopped) broker. Each
+/// monotonic field reads the counter behind this broker's share of
+/// pbio.broker.<field> (Shared::counters); svc_requests reads its format
+/// server's pbio.svc.requests.
 struct BrokerStats {
   std::size_t connections = 0;
   std::size_t inflight = 0;
@@ -104,11 +107,6 @@ class Broker {
   /// connections close — the lease-release invariant tests watch this.
   BufferPool::Stats pool_stats() const;
 
-  /// Mirror the monotonic broker counters into the obs registry as
-  /// pbio.broker.* (publishes the delta since the last call). The stats
-  /// thread calls it once per interval; tests and benches may call it too.
-  void publish_obs();
-
  private:
   friend class Worker;
 
@@ -123,9 +121,6 @@ class Broker {
   std::thread stats_thread_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
-  Mutex publish_mu_;  // stats thread and /metrics scrapes both publish
-  /// Last obs-published values — the delta baseline.
-  BrokerStats published_ PBIO_GUARDED_BY(publish_mu_){};
 };
 
 }  // namespace pbio::broker

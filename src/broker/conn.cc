@@ -13,9 +13,9 @@
 namespace pbio::broker {
 
 namespace {
-// mo: every kRelaxed site below is an independent admission gauge or
-// monotonic observability counter; no thread dereferences data published
-// through them — ordering comes from the per-worker event loop itself.
+// mo: every kRelaxed site below is an independent admission gauge; no
+// thread dereferences data published through them — ordering comes from
+// the per-worker event loop itself.
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
 #if PBIO_OBS_ENABLED
@@ -50,15 +50,15 @@ Conn::Conn(int fd, Shared& sh, BufferPool& pool)
 
 Conn::~Conn() {
   sh_.connections.fetch_sub(1, kRelaxed);
-  sh_.closed.fetch_add(1, kRelaxed);
+  sh_.counters.add(kClosed, 1);
   if (read_paused_) sh_.paused.fetch_sub(1, kRelaxed);
   // Undrained responses die with the connection: release their slots in
   // the global inflight/byte gauges (the FrameBuf leases themselves return
   // to the pool when the SendQueue member destructs).
   sh_.inflight.fetch_sub(sq_.queued_frames(), kRelaxed);
   sh_.queued_bytes.fetch_sub(sq_.queued_bytes(), kRelaxed);
-  sh_.recv_syscalls.fetch_add(ch_.recv_syscalls() - folded_recv_, kRelaxed);
-  sh_.send_syscalls.fetch_add(ch_.send_syscalls() - folded_send_, kRelaxed);
+  sh_.counters.add(kRecvSyscalls, ch_.recv_syscalls() - folded_recv_);
+  sh_.counters.add(kSendSyscalls, ch_.send_syscalls() - folded_send_);
 #if PBIO_OBS_ENABLED
   obs::flight_record(obs::FlightKind::kClose,
                      static_cast<std::uint64_t>(ch_.fd()));
@@ -68,8 +68,8 @@ Conn::~Conn() {
 void Conn::fold_syscalls() {
   const std::uint64_t r = ch_.recv_syscalls();
   const std::uint64_t s = ch_.send_syscalls();
-  sh_.recv_syscalls.fetch_add(r - folded_recv_, kRelaxed);
-  sh_.send_syscalls.fetch_add(s - folded_send_, kRelaxed);
+  sh_.counters.add(kRecvSyscalls, r - folded_recv_);
+  sh_.counters.add(kSendSyscalls, s - folded_send_);
   folded_recv_ = r;
   folded_send_ = s;
 }
@@ -81,7 +81,7 @@ Status Conn::enqueue(FrameBuf frame, const obs::TraceCtx* trace) {
   const std::size_t prev = sh_.inflight.fetch_add(1, kRelaxed);
   if (prev >= sh_.cfg.max_inflight_frames) {
     sh_.inflight.fetch_sub(1, kRelaxed);
-    sh_.shed_inflight.fetch_add(1, kRelaxed);
+    sh_.counters.add(kShedInflight, 1);
 #if PBIO_OBS_ENABLED
     obs::flight_record(obs::FlightKind::kShedInflight,
                        static_cast<std::uint64_t>(ch_.fd()), prev);
@@ -121,8 +121,8 @@ Status Conn::flush() {
   if (!res.is_ok()) return res.status();
   sh_.inflight.fetch_sub(res.value().frames, kRelaxed);
   sh_.queued_bytes.fetch_sub(res.value().bytes, kRelaxed);
-  sh_.frames_out.fetch_add(res.value().frames, kRelaxed);
-  sh_.bytes_out.fetch_add(res.value().bytes, kRelaxed);
+  sh_.counters.add(kFramesOut, res.value().frames);
+  sh_.counters.add(kBytesOut, res.value().bytes);
   return Status::ok();
 }
 
@@ -185,7 +185,7 @@ Status Conn::decode_frame(const FrameBuf& frame) {
                           obs::ticks_to_ns(obs::ticks() - t0));
   }
 #endif
-  sh_.decoded.fetch_add(1, kRelaxed);
+  sh_.counters.add(kDecoded, 1);
   return Status::ok();
 }
 
@@ -243,41 +243,40 @@ Status Conn::on_data_frame(FrameBuf frame) {
 
 Status Conn::dispatch(FrameBuf frame) {
   if (frame.empty()) {
-    sh_.protocol_errors.fetch_add(1, kRelaxed);
+    sh_.counters.add(kProtocolErrors, 1);
     return Status(Errc::kMalformed, "empty frame");
   }
-  sh_.frames_in.fetch_add(1, kRelaxed);
-  sh_.bytes_in.fetch_add(transport::kFrameHeaderLen + frame.size(), kRelaxed);
+  sh_.counters.add(kFramesIn, 1);
+  sh_.counters.add(kBytesIn, transport::kFrameHeaderLen + frame.size());
 
   switch (frame.data()[0]) {
     case kFrameFormat: {
       auto meta =
           fmt::decode_meta(std::span(frame.data() + 1, frame.size() - 1));
       if (!meta.is_ok()) {
-        sh_.protocol_errors.fetch_add(1, kRelaxed);
+        sh_.counters.add(kProtocolErrors, 1);
         return meta.status();
       }
       auto learned = sh_.ctx.learn_format(std::move(meta).take());
       if (!learned.is_ok()) {
-        sh_.protocol_errors.fetch_add(1, kRelaxed);
+        sh_.counters.add(kProtocolErrors, 1);
         return learned.status();
       }
-      sh_.formats_learned.fetch_add(1, kRelaxed);
+      sh_.counters.add(kFormatsLearned, 1);
       return Status::ok();
     }
     case kFrameData: {
       Status st = on_data_frame(std::move(frame));
       if (!st.is_ok() && st.code() != Errc::kOverloaded) {
-        sh_.protocol_errors.fetch_add(1, kRelaxed);
+        sh_.counters.add(kProtocolErrors, 1);
       }
       return st;
     }
     case kSvcLookup:
     case kSvcRegister: {
-      sh_.svc_requests.fetch_add(1, kRelaxed);
       Status st = sh_.svc.handle(frame.view(), svc_reply_);
       if (!st.is_ok()) {
-        sh_.protocol_errors.fetch_add(1, kRelaxed);
+        sh_.counters.add(kProtocolErrors, 1);
         return st;
       }
       FrameBuf reply = pool().lease(svc_reply_.size());
@@ -291,7 +290,7 @@ Status Conn::dispatch(FrameBuf frame) {
       // the ingress timestamping is an obs concern.
       obs::TraceCtx ctx;
       if (!transport::decode_trace_frame(frame.view(), &ctx)) {
-        sh_.protocol_errors.fetch_add(1, kRelaxed);
+        sh_.counters.add(kProtocolErrors, 1);
 #if PBIO_OBS_ENABLED
         obs::flight_record(obs::FlightKind::kProtocolError,
                            static_cast<std::uint64_t>(ch_.fd()));
@@ -305,7 +304,7 @@ Status Conn::dispatch(FrameBuf frame) {
       return Status::ok();
     }
     default:
-      sh_.protocol_errors.fetch_add(1, kRelaxed);
+      sh_.counters.add(kProtocolErrors, 1);
 #if PBIO_OBS_ENABLED
       obs::flight_record(obs::FlightKind::kProtocolError,
                          static_cast<std::uint64_t>(ch_.fd()));
@@ -332,7 +331,7 @@ Conn::Verdict Conn::service(std::size_t frame_budget, std::uint32_t events) {
             peer_eof_ = true;
             break;
           }
-          sh_.protocol_errors.fetch_add(1, kRelaxed);
+          sh_.counters.add(kProtocolErrors, 1);
           fold_syscalls();
           return Verdict::kClose;
         }
@@ -345,7 +344,7 @@ Conn::Verdict Conn::service(std::size_t frame_budget, std::uint32_t events) {
         const std::uint64_t disp_ns =
             obs::ticks_to_ns(obs::ticks() - disp_t0);
         if (disp_ns > sh_.cfg.slow_frame_ns) {
-          sh_.slow_frames.fetch_add(1, kRelaxed);
+          sh_.counters.add(kSlowFrames, 1);
           obs::flight_record(obs::FlightKind::kSlowFrame,
                              static_cast<std::uint64_t>(ch_.fd()), disp_ns);
         }
@@ -359,7 +358,7 @@ Conn::Verdict Conn::service(std::size_t frame_budget, std::uint32_t events) {
           // receive buffer fills and TCP backpressures the sender.
           read_paused_ = true;
           ever_paused_ = true;
-          sh_.pauses.fetch_add(1, kRelaxed);
+          sh_.counters.add(kPauses, 1);
           sh_.paused.fetch_add(1, kRelaxed);
 #if PBIO_OBS_ENABLED
           obs::flight_record(obs::FlightKind::kPause,
@@ -378,7 +377,7 @@ Conn::Verdict Conn::service(std::size_t frame_budget, std::uint32_t events) {
     if (read_paused_ &&
         sq_.queued_bytes() <= sh_.cfg.conn_queue_resume_bytes) {
       read_paused_ = false;
-      sh_.resumes.fetch_add(1, kRelaxed);
+      sh_.counters.add(kResumes, 1);
       sh_.paused.fetch_sub(1, kRelaxed);
 #if PBIO_OBS_ENABLED
       obs::flight_record(obs::FlightKind::kResume,

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "broker/send_queue.h"
+#include "obs/obs.h"
 #include "pbio/context.h"
 #include "pbio/format_service.h"
 #include "pbio/resolver.h"
@@ -88,9 +89,18 @@ struct Config {
   std::uint64_t slow_frame_ns = 10'000'000;
 };
 
-/// State shared by every connection across all workers. Counters are
-/// relaxed atomics — workers never synchronize through them; they exist for
-/// admission decisions (connections, inflight) and observability.
+/// Monotonic broker counters, in BrokerStats field order: the indices of
+/// Shared::counters, whose series are pbio.broker.<field>.
+enum Counter : std::size_t {
+  kAccepted, kClosed, kShedConnections, kShedInflight, kProtocolErrors,
+  kFramesIn, kFramesOut, kBytesIn, kBytesOut, kFormatsLearned, kDecoded,
+  kPauses, kResumes, kRecvSyscalls, kSendSyscalls, kSlowFrames,
+};
+
+/// State shared by every connection across all workers. Gauges and
+/// counters are relaxed atomics — workers never synchronize through them;
+/// they exist for admission decisions (connections, inflight) and
+/// observability.
 // thread-domain: any
 struct Shared {
   Shared(Context& c, Config cf) : ctx(c), cfg(std::move(cf)), svc(c) {}
@@ -109,24 +119,14 @@ struct Shared {
   std::atomic<std::size_t> queued_bytes{0};  // bytes across all send queues
   std::atomic<std::size_t> paused{0};        // connections with reads paused
 
-  // Monotonic counters (mirrored into obs as pbio.broker.*).
-  std::atomic<std::uint64_t> accepted{0};
-  std::atomic<std::uint64_t> closed{0};
-  std::atomic<std::uint64_t> shed_connections{0};  // over max_connections
-  std::atomic<std::uint64_t> shed_inflight{0};     // over max_inflight_frames
-  std::atomic<std::uint64_t> protocol_errors{0};
-  std::atomic<std::uint64_t> frames_in{0};
-  std::atomic<std::uint64_t> frames_out{0};
-  std::atomic<std::uint64_t> bytes_in{0};
-  std::atomic<std::uint64_t> bytes_out{0};
-  std::atomic<std::uint64_t> formats_learned{0};
-  std::atomic<std::uint64_t> decoded{0};
-  std::atomic<std::uint64_t> svc_requests{0};
-  std::atomic<std::uint64_t> pauses{0};
-  std::atomic<std::uint64_t> resumes{0};
-  std::atomic<std::uint64_t> recv_syscalls{0};
-  std::atomic<std::uint64_t> send_syscalls{0};
-  std::atomic<std::uint64_t> slow_frames{0};  // dispatch over slow_frame_ns
+  obs::CounterBlock counters{
+      "pbio.broker.accepted", "pbio.broker.closed",
+      "pbio.broker.shed_connections", "pbio.broker.shed_inflight",
+      "pbio.broker.protocol_errors", "pbio.broker.frames_in",
+      "pbio.broker.frames_out", "pbio.broker.bytes_in", "pbio.broker.bytes_out",
+      "pbio.broker.formats_learned", "pbio.broker.decoded",
+      "pbio.broker.pauses", "pbio.broker.resumes", "pbio.broker.recv_syscalls",
+      "pbio.broker.send_syscalls", "pbio.broker.slow_frames"};
 };
 
 /// A Conn lives its whole life on the worker thread its fd hashed to:

@@ -45,7 +45,6 @@ void json_field(std::string& out, const char* name, std::uint64_t v,
 }  // namespace
 
 std::string render_metrics(Broker& b) {
-  b.publish_obs();
   std::string out = obs::to_prometheus(obs::snapshot());
   const BrokerStats s = b.stats();
   gauge(out, "pbio_broker_connections", s.connections);

@@ -48,12 +48,10 @@ Result<ArtifactCache::Got> ArtifactCache::get_or_build(
     const fmt::FormatDesc& wire, const fmt::FormatDesc& native, PairKey key) {
   Shard& shard = shards_[shard_of(key)];
   if (auto hit = probe(shard, key)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic
-    OBS_COUNT("pbio.cache.hits", 1);
+    counters_.add(kHits, 1);
     return Got{std::move(hit), Source::kCached};
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic
-  OBS_COUNT("pbio.cache.misses", 1);
+  counters_.add(kMisses, 1);
 
   // Single-flight: exactly one caller builds a given key; the rest park on
   // the flight's condvar and share the result (or the failure).
@@ -76,8 +74,7 @@ Result<ArtifactCache::Got> ArtifactCache::get_or_build(
   }
 
   if (!leader) {
-    waits_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic
-    OBS_COUNT("pbio.cache.single_flight_waits", 1);
+    counters_.add(kWaits, 1);
     MutexLock lock(flight->mu);
     // The predicate runs with flight->mu held (CondVar::wait's contract),
     // but the analysis cannot see through condition_variable_any's template.
@@ -150,19 +147,15 @@ Result<ArtifactCache::Got> ArtifactCache::build(const fmt::FormatDesc& wire,
       if (adopted.is_ok()) {
         auto artifact = std::make_shared<const vcode::CompiledConvert>(
             std::move(adopted).take());
-        persist_loads_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic
-        jit_code_bytes_.fetch_add(artifact->code_size(),
-                                  std::memory_order_relaxed);  // mo: independent statistic
-        OBS_COUNT("pbio.cache.persist_loads", 1);
+        counters_.add(kPersistLoads, 1);
+        counters_.add(kJitCodeBytes, artifact->code_size());
         return Got{std::move(artifact), Source::kPersisted};
       }
-      persist_rejects_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic
-      OBS_COUNT("pbio.cache.persist_rejects", 1);
+      counters_.add(kPersistRejects, 1);
       // Fall through to a fresh compile — persistence is an optimization,
       // never a correctness dependency.
     } else if (st == persist::LoadStatus::kRejected) {
-      persist_rejects_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic
-      OBS_COUNT("pbio.cache.persist_rejects", 1);
+      counters_.add(kPersistRejects, 1);
     }
   }
 
@@ -172,10 +165,8 @@ Result<ArtifactCache::Got> ArtifactCache::build(const fmt::FormatDesc& wire,
     artifact =
         std::make_shared<const vcode::CompiledConvert>(std::move(plan));
   }
-  compiles_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic
-  jit_code_bytes_.fetch_add(artifact->code_size(),
-                            std::memory_order_relaxed);  // mo: independent statistic
-  OBS_COUNT("pbio.cache.compiles", 1);
+  counters_.add(kCompiles, 1);
+  counters_.add(kJitCodeBytes, artifact->code_size());
 
   // Persist the sealed buffer with its call-target slots zeroed: the file
   // carries offsets, never addresses (addresses are process-local and the
@@ -200,8 +191,7 @@ Result<ArtifactCache::Got> ArtifactCache::build(const fmt::FormatDesc& wire,
       std::memset(img.code.data() + site, 0, 8);
     }
     if (sites_ok && persist::save(dir, img)) {
-      persist_saves_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic
-      OBS_COUNT("pbio.cache.persist_saves", 1);
+      counters_.add(kPersistSaves, 1);
     }
   }
   return Got{std::move(artifact), Source::kCompiled};
@@ -218,16 +208,10 @@ std::string ArtifactCache::persist_dir() const {
 }
 
 ArtifactCache::Stats ArtifactCache::stats() const {
-  Stats s;
-  s.hits = hits_.load(std::memory_order_relaxed);  // mo: monotonic statistics; cross-counter consistency not promised
-  s.misses = misses_.load(std::memory_order_relaxed);  // mo: see hits
-  s.single_flight_waits = waits_.load(std::memory_order_relaxed);  // mo: see hits
-  s.compiles = compiles_.load(std::memory_order_relaxed);  // mo: see hits
-  s.jit_code_bytes = jit_code_bytes_.load(std::memory_order_relaxed);  // mo: see hits
-  s.persist_loads = persist_loads_.load(std::memory_order_relaxed);  // mo: see hits
-  s.persist_saves = persist_saves_.load(std::memory_order_relaxed);  // mo: see hits
-  s.persist_rejects = persist_rejects_.load(std::memory_order_relaxed);  // mo: see hits
-  return s;
+  return {counters_.get(kHits),         counters_.get(kMisses),
+          counters_.get(kWaits),        counters_.get(kCompiles),
+          counters_.get(kJitCodeBytes), counters_.get(kPersistLoads),
+          counters_.get(kPersistSaves), counters_.get(kPersistRejects)};
 }
 
 std::size_t ArtifactCache::size() const {

@@ -28,8 +28,8 @@
 //    a poisoned cache file can never execute.
 //
 // Metrics: pbio.cache.{hits,misses,single_flight_waits,compiles,
-// persist_loads,persist_saves,persist_rejects} via obs, mirrored in
-// Stats for mutex-free polling (Context::stats() forwards them).
+// jit_code_bytes,persist_loads,persist_saves,persist_rejects}, one
+// obs::CounterBlock per cache; stats() reads the same counters mutex-free.
 // thread-domain: any
 #pragma once
 
@@ -42,6 +42,7 @@
 
 #include "cache/persist.h"
 #include "fmt/format.h"
+#include "obs/obs.h"
 #include "util/error.h"
 #include "util/mutex.h"
 #include "vcode/jit_convert.h"
@@ -86,8 +87,8 @@ class ArtifactCache {
   void set_persist_dir(std::string dir);
   std::string persist_dir() const;
 
-  /// Mutex-free counter snapshot (relaxed atomics; cross-counter
-  /// consistency not promised).
+  /// This cache's share of the pbio.cache.* series, read mutex-free
+  /// (relaxed; cross-counter consistency not promised).
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -152,14 +153,16 @@ class ArtifactCache {
   mutable Mutex persist_mu_;
   std::string persist_dir_ PBIO_GUARDED_BY(persist_mu_);
 
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> waits_{0};
-  std::atomic<std::uint64_t> compiles_{0};
-  std::atomic<std::uint64_t> jit_code_bytes_{0};
-  std::atomic<std::uint64_t> persist_loads_{0};
-  std::atomic<std::uint64_t> persist_saves_{0};
-  std::atomic<std::uint64_t> persist_rejects_{0};
+  // In Stats field order.
+  enum Counter : std::size_t {
+    kHits, kMisses, kWaits, kCompiles, kJitCodeBytes,
+    kPersistLoads, kPersistSaves, kPersistRejects,
+  };
+  obs::CounterBlock counters_{
+      "pbio.cache.hits", "pbio.cache.misses", "pbio.cache.single_flight_waits",
+      "pbio.cache.compiles", "pbio.cache.jit_code_bytes",
+      "pbio.cache.persist_loads", "pbio.cache.persist_saves",
+      "pbio.cache.persist_rejects"};
 };
 
 /// The process-wide cache: what a fleet of broker workers / tools shares

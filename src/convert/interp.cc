@@ -11,7 +11,6 @@ namespace pbio::convert {
 
 namespace {
 
-#if PBIO_OBS_ENABLED
 /// Per-tier kernel usage (convert.kernels.<isa>.{calls,elems}). One add
 /// per dispatched op — amortized over >= kMinCount elements.
 void count_kernel_use(kernels::Isa isa, std::uint64_t elems) {
@@ -29,9 +28,6 @@ void count_kernel_use(kernels::Isa isa, std::uint64_t elems) {
   obs::counter_add(calls[static_cast<int>(isa)], 1);
   obs::counter_add(counts[static_cast<int>(isa)], elems);
 }
-#else
-inline void count_kernel_use(kernels::Isa, std::uint64_t) {}
-#endif
 
 /// The batch kernels (convert/kernels) forbid partial overlap: they process
 /// blocks with all loads before all stores, so they are only sequentially

@@ -1,6 +1,6 @@
 #include "fmt/registry.h"
 
-#include "obs/obs.h"
+#include "obs/span.h"
 
 namespace pbio::fmt {
 
@@ -22,11 +22,7 @@ Result<FormatId> FormatRegistry::learn(FormatDesc f) {
   auto it = formats_.find(id);
   if (it != formats_.end()) {
     if (it->second.desc != f) {
-      // Recorded through the registry API, not OBS_COUNT, so the count is
-      // kept in builds with the span instrumentation compiled out too.
-      static const obs::MetricId collisions =
-          obs::counter("pbio.fmt.id_collisions");
-      obs::counter_add(collisions, 1);
+      OBS_COUNT("pbio.fmt.id_collisions", 1);
       return Status(Errc::kMalformed,
                     "format id collision for '" + f.name + "'");
     }

@@ -77,7 +77,11 @@ struct Registry {
   // lock-free by their owner threads (see slot_add) — hence no
   // PT_GUARDED_BY, which would be a false claim.
   std::vector<ThreadSlab*> live PBIO_GUARDED_BY(mu);
-  ThreadSlab retired PBIO_GUARDED_BY(mu);  // merged totals of exited threads
+  // Same split for counter blocks: the list is guarded, the slots are
+  // relaxed atomics their owners bump without the lock.
+  std::vector<CounterBlock*> blocks PBIO_GUARDED_BY(mu);
+  // Merged totals of exited threads and destroyed counter blocks.
+  ThreadSlab retired PBIO_GUARDED_BY(mu);
   std::uint32_t next_tid PBIO_GUARDED_BY(mu) = 1;
   std::unordered_map<std::uint32_t, std::string> thread_names
       PBIO_GUARDED_BY(mu);
@@ -155,6 +159,27 @@ MetricId histogram(std::string_view name) {
                          kHistSink, name);
 }
 
+CounterBlock::CounterBlock(std::initializer_list<std::string_view> names)
+    : slots_(std::make_unique<std::atomic<std::uint64_t>[]>(names.size())) {
+  Registry& r = reg();
+  MutexLock lock(r.mu);
+  ids_.reserve(names.size());
+  for (std::string_view name : names) {
+    ids_.push_back(register_metric(r, r.counter_names, r.counter_ids,
+                                   kMaxCounters, kCounterSink, name));
+  }
+  r.blocks.push_back(this);
+}
+
+CounterBlock::~CounterBlock() {
+  Registry& r = reg();
+  MutexLock lock(r.mu);
+  for (std::size_t i = 0; i < ids_.size(); ++i) {
+    r.retired.counters[ids_[i]] += get(i);
+  }
+  r.blocks.erase(std::find(r.blocks.begin(), r.blocks.end(), this));
+}
+
 void counter_add(MetricId id, std::uint64_t v) {
   slot_add(slab().counters[id < kMaxCounters ? id : kCounterSink], v);
 }
@@ -219,13 +244,17 @@ Snapshot snapshot() {
   Registry& r = reg();
   MutexLock lock(r.mu);
   Snapshot s;
-  s.counters.reserve(r.counter_names.size());
+  s.counters.resize(r.counter_names.size());
   for (std::size_t i = 0; i < r.counter_names.size(); ++i) {
-    CounterSample c;
+    CounterSample& c = s.counters[i];
     c.name = r.counter_names[i];
     c.value = r.retired.counters[i];
     for (ThreadSlab* t : r.live) c.value += slot_load(t->counters[i]);
-    s.counters.push_back(std::move(c));
+  }
+  for (CounterBlock* b : r.blocks) {
+    for (std::size_t j = 0; j < b->ids_.size(); ++j) {
+      s.counters[b->ids_[j]].value += b->get(j);
+    }
   }
   s.histograms.reserve(r.hist_names.size());
   for (std::size_t i = 0; i < r.hist_names.size(); ++i) {
@@ -268,6 +297,11 @@ void reset() {
   };
   zero(r.retired);
   for (ThreadSlab* t : r.live) zero(*t);
+  for (CounterBlock* b : r.blocks) {
+    for (std::size_t j = 0; j < b->ids_.size(); ++j) {
+      b->slots_[j].store(0, std::memory_order_relaxed);  // mo: reset path, same contract as slot_store
+    }
+  }
 }
 
 namespace {

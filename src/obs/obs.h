@@ -10,14 +10,17 @@
 // std::atomic_ref), so a snapshot taken after the producing threads joined
 // is exact.
 //
-// The span instrumentation layered on top lives in obs/span.h and is
-// compiled out entirely when the PBIO_OBS CMake option is OFF; this
-// registry API itself stays available in both configurations (it also
-// backs Context::stats()-style cold accounting and the pbio_stat tool).
+// Counters owned by one object (a pool, a cache, a broker) live in a
+// CounterBlock: one store behind both its stats() view and snapshot().
+// Counters are compiled in every configuration; PBIO_OBS=OFF removes only
+// the span instrumentation (obs/span.h) and so the histograms.
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -101,9 +104,45 @@ struct Snapshot {
 
 Snapshot snapshot();
 
-/// Zero every slot (live slabs and retired totals). Racy against concurrent
-/// writers by design — tools and tests call it between quiescent phases.
+/// Zero every slot (live slabs, live counter blocks and retired totals),
+/// so the stats() views over counter blocks restart from zero too. Racy
+/// against concurrent writers by design — tools and tests call it between
+/// quiescent phases.
 void reset();
+
+/// A fixed set of monotonic counters owned by one object: the single store
+/// behind that owner's stats() view and behind the series of the same
+/// names in snapshot(). Owners index it with a local enum in name order.
+///
+/// add() is one relaxed fetch_add, callable from any thread. snapshot()
+/// adds every live block to its names' totals; a destroyed block's values
+/// move into the retired totals (as an exited thread's slab does), so a
+/// series keeps counting across owner lifetimes while get() reads only
+/// this owner's share. Construction and destruction take the registry
+/// mutex once. Names past kMaxCounters alias onto the sink slot.
+// thread-domain: any
+class CounterBlock {
+ public:
+  CounterBlock(std::initializer_list<std::string_view> names);
+  ~CounterBlock();
+
+  CounterBlock(const CounterBlock&) = delete;
+  CounterBlock& operator=(const CounterBlock&) = delete;
+
+  void add(std::size_t i, std::uint64_t v) {
+    slots_[i].fetch_add(v, std::memory_order_relaxed);  // mo: independent monotonic counter; readers promise no cross-counter consistency
+  }
+  std::uint64_t get(std::size_t i) const {
+    return slots_[i].load(std::memory_order_relaxed);  // mo: see add()
+  }
+
+ private:
+  friend Snapshot snapshot();
+  friend void reset();
+
+  std::vector<MetricId> ids_;
+  std::unique_ptr<std::atomic<std::uint64_t>[]> slots_;
+};
 
 /// JSON exporter: {"counters": {...}, "histograms": {...}}. Histogram
 /// bucket arrays are trimmed after the last non-zero bucket.

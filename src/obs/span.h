@@ -1,7 +1,8 @@
 // Scoped trace spans and counting macros — the instrumentation layer the
-// wire path uses. Gated by the PBIO_OBS CMake option (PBIO_OBS_ENABLED
-// compile definition): when OFF every macro expands to ((void)0) and no obs
-// code reaches the hot paths at all.
+// wire path uses. OBS_SPAN is gated by the PBIO_OBS CMake option
+// (PBIO_OBS_ENABLED compile definition): when OFF it expands to ((void)0)
+// and no timing code reaches the hot paths. OBS_COUNT counts in every
+// configuration.
 //
 // When ON, the steady-state cost of an OBS_SPAN whose trace sink is idle is
 // the site's initialized-static guard (a predicted branch), two rdtsc
@@ -76,6 +77,12 @@ class ScopedSpan {
   const ::pbio::obs::ScopedSpan PBIO_OBS_CAT(pbio_obs_span_, __LINE__)(  \
       PBIO_OBS_CAT(pbio_obs_site_, __LINE__) __VA_OPT__(, ) __VA_ARGS__)
 
+#else  // !PBIO_OBS_ENABLED
+
+#define OBS_SPAN(...) ((void)0)
+
+#endif  // PBIO_OBS_ENABLED
+
 /// Bump counter `name` by `n`. The metric id resolves once per callsite.
 #define OBS_COUNT(name, n)                                               \
   do {                                                                   \
@@ -83,10 +90,3 @@ class ScopedSpan {
         ::pbio::obs::counter(name);                                      \
     ::pbio::obs::counter_add(pbio_obs_id_, (n));                         \
   } while (0)
-
-#else  // !PBIO_OBS_ENABLED
-
-#define OBS_SPAN(...) ((void)0)
-#define OBS_COUNT(...) ((void)0)
-
-#endif  // PBIO_OBS_ENABLED

@@ -27,26 +27,21 @@ Result<std::shared_ptr<const Conversion>> Context::try_conversion(
   cache::ArtifactCache::Got result = std::move(got).take();
   switch (result.source) {
     case cache::Source::kCached:
-      conversion_cache_hits_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
-      OBS_COUNT("pbio.conv.cache_hits", 1);
+      counters_.add(kCacheHits, 1);
       break;
     case cache::Source::kWaited:
-      shared_cache_misses_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
-      single_flight_waits_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
+      counters_.add(kSharedCacheMisses, 1);
+      counters_.add(kSingleFlightWaits, 1);
       break;
     case cache::Source::kCompiled:
-      shared_cache_misses_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
-      conversions_compiled_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
-      jit_code_bytes_.fetch_add(result.artifact->code_size(),
-                                std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
-      OBS_COUNT("pbio.conv.compiled", 1);
-      OBS_COUNT("pbio.conv.jit_code_bytes", result.artifact->code_size());
+      counters_.add(kSharedCacheMisses, 1);
+      counters_.add(kCompiled, 1);
+      counters_.add(kJitCodeBytes, result.artifact->code_size());
       break;
     case cache::Source::kPersisted:
-      shared_cache_misses_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
-      persist_loads_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
-      jit_code_bytes_.fetch_add(result.artifact->code_size(),
-                                std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
+      counters_.add(kSharedCacheMisses, 1);
+      counters_.add(kPersistLoads, 1);
+      counters_.add(kJitCodeBytes, result.artifact->code_size());
       break;
   }
   return std::move(result.artifact);
@@ -62,18 +57,9 @@ std::shared_ptr<const Conversion> Context::conversion(FormatId wire,
 }
 
 Context::Stats Context::stats() const {
-  Stats s;
-  s.conversions_compiled =
-      conversions_compiled_.load(std::memory_order_relaxed);  // mo: monotonic statistics; cross-counter consistency not promised
-  s.conversion_cache_hits =
-      conversion_cache_hits_.load(std::memory_order_relaxed);  // mo: see conversions_compiled
-  s.jit_code_bytes = jit_code_bytes_.load(std::memory_order_relaxed);  // mo: see conversions_compiled
-  s.shared_cache_misses =
-      shared_cache_misses_.load(std::memory_order_relaxed);  // mo: see conversions_compiled
-  s.single_flight_waits =
-      single_flight_waits_.load(std::memory_order_relaxed);  // mo: see conversions_compiled
-  s.persist_loads = persist_loads_.load(std::memory_order_relaxed);  // mo: see conversions_compiled
-  return s;
+  return {counters_.get(kCompiled),          counters_.get(kCacheHits),
+          counters_.get(kJitCodeBytes),      counters_.get(kSharedCacheMisses),
+          counters_.get(kSingleFlightWaits), counters_.get(kPersistLoads)};
 }
 
 }  // namespace pbio

@@ -11,7 +11,7 @@ Status FormatServiceServer::handle(std::span<const std::uint8_t> request,
   if (request.empty()) {
     return Status(Errc::kMalformed, "empty service request");
   }
-  requests_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic
+  requests_.add(0, 1);
   switch (request[0]) {
     case kSvcLookup: {
       if (request.size() < 9) {

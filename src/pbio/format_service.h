@@ -15,9 +15,9 @@
 //               [0x2F]              lookup miss
 #pragma once
 
-#include <atomic>
 #include <functional>
 
+#include "obs/obs.h"
 #include "pbio/context.h"
 #include "transport/channel.h"
 #include "util/buffer.h"
@@ -40,6 +40,7 @@ inline constexpr std::uint8_t kSvcMiss = 0x2F;
 ///    thread-safe (the registry locks internally; the request counter is
 ///    atomic), so thousands of connections across worker threads can share
 ///    one format registry.
+/// Every non-empty request counts once in pbio.svc.requests.
 class FormatServiceServer {
  public:
   explicit FormatServiceServer(Context& ctx) : ctx_(ctx) {}
@@ -57,13 +58,12 @@ class FormatServiceServer {
   /// Handle requests until the channel closes.
   void serve_until_closed(transport::Channel& ch);
 
-  std::uint64_t requests_served() const {
-    return requests_.load(std::memory_order_relaxed);  // mo: independent statistic
-  }
+  /// This server's share of pbio.svc.requests.
+  std::uint64_t requests_served() const { return requests_.get(0); }
 
  private:
   Context& ctx_;
-  std::atomic<std::uint64_t> requests_{0};
+  obs::CounterBlock requests_{"pbio.svc.requests"};
 };
 
 /// Client side: synchronous RPC over a dedicated channel.

@@ -3,7 +3,6 @@
 #include <cstring>
 #include <new>
 
-#include "obs/span.h"
 #include "util/error.h"
 
 namespace pbio {
@@ -83,10 +82,8 @@ std::uint32_t BufferPool::class_for(std::size_t size) {
 FrameBuf BufferPool::lease(std::size_t size) {
   owner_.assert_held("BufferPool::lease");
   if (size > (std::size_t{1} << kMaxClassLog)) {
-    oversize_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
-    misses_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
-    OBS_COUNT("pbio.pool.oversize", 1);
-    OBS_COUNT("pbio.pool.misses", 1);
+    counters_.add(kOversize, 1);
+    counters_.add(kMisses, 1);
     pooldetail::Block* b = pooldetail::new_block(nullptr, size, 0);
     return FrameBuf(b, b->bytes(), size);
   }
@@ -99,13 +96,11 @@ FrameBuf BufferPool::lease(std::size_t size) {
       --free_count_[cls];
       b->next_free = nullptr;
       b->refs.store(1, std::memory_order_relaxed);  // mo: block is unpublished while on the freelist; mu_ ordered the previous owner's release
-      hits_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
-      OBS_COUNT("pbio.pool.hits", 1);
+      counters_.add(kHits, 1);
       return FrameBuf(b, b->bytes(), size);
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
-  OBS_COUNT("pbio.pool.misses", 1);
+  counters_.add(kMisses, 1);
   pooldetail::Block* b = pooldetail::new_block(
       this, std::size_t{1} << (cls + kMinClassLog), cls);
   return FrameBuf(b, b->bytes(), size);
@@ -119,7 +114,7 @@ void BufferPool::recycle(pooldetail::Block* b) {
       b->next_free = free_[b->size_class];
       free_[b->size_class] = b;
       ++free_count_[b->size_class];
-      recycled_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
+      counters_.add(kRecycled, 1);
       return;
     }
   }
@@ -138,12 +133,8 @@ BufferPool::~BufferPool() {
 }
 
 BufferPool::Stats BufferPool::stats() const {
-  Stats s;
-  s.hits = hits_.load(std::memory_order_relaxed);  // mo: monotonic statistics; cross-counter consistency not promised
-  s.misses = misses_.load(std::memory_order_relaxed);  // mo: see hits
-  s.oversize = oversize_.load(std::memory_order_relaxed);  // mo: see hits
-  s.recycled = recycled_.load(std::memory_order_relaxed);  // mo: see hits
-  return s;
+  return {counters_.get(kHits), counters_.get(kMisses),
+          counters_.get(kOversize), counters_.get(kRecycled)};
 }
 
 BufferPool& BufferPool::shared() {

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <span>
 
+#include "obs/obs.h"
 #include "util/affinity.h"
 #include "util/mutex.h"
 
@@ -154,6 +155,7 @@ class BufferPool {
   /// Lease a buffer of at least `size` bytes; size() is preset to `size`.
   FrameBuf lease(std::size_t size);
 
+  /// This pool's share of the pbio.pool.* series (the same counters).
   struct Stats {
     std::uint64_t hits = 0;      // leases served from a freelist
     std::uint64_t misses = 0;    // leases that had to allocate
@@ -185,10 +187,9 @@ class BufferPool {
   Mutex mu_;
   pooldetail::Block* free_[kClasses] PBIO_GUARDED_BY(mu_) = {};
   std::size_t free_count_[kClasses] PBIO_GUARDED_BY(mu_) = {};
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> oversize_{0};
-  std::atomic<std::uint64_t> recycled_{0};
+  enum Counter : std::size_t { kHits, kMisses, kOversize, kRecycled };
+  obs::CounterBlock counters_{"pbio.pool.hits", "pbio.pool.misses",
+                              "pbio.pool.oversize", "pbio.pool.recycled"};
 };
 
 }  // namespace pbio

@@ -273,9 +273,8 @@ TEST(Broker, ShedsAcceptsOverConnectionCap) {
   ASSERT_TRUE(echo.is_ok());
   EXPECT_EQ(echo.value(), f);
 
-  // The shed is visible on the telemetry plane too: publishing mirrors it
-  // into the obs registry as the series /metrics serves.
-  b.publish_obs();
+  // The shed is visible on the telemetry plane too: the counter behind
+  // stats() is the series /metrics serves.
   const auto snap = obs::snapshot();
   const auto* shed_ctr = snap.find_counter("pbio.broker.shed_connections");
   ASSERT_NE(shed_ctr, nullptr);
@@ -332,7 +331,6 @@ TEST(Broker, ShedsConnectionOverInflightFrameCap) {
   EXPECT_EQ(b.stats().inflight, 0u);
   EXPECT_EQ(b.stats().queued_bytes, 0u);
 
-  b.publish_obs();
   const auto snap = obs::snapshot();
   const auto* shed_ctr = snap.find_counter("pbio.broker.shed_inflight");
   ASSERT_NE(shed_ctr, nullptr);
@@ -621,11 +619,7 @@ TEST(Broker, DecodeStreakResolvesOncePerFormat) {
   const Context::Stats cs = ctx.stats();
   EXPECT_EQ(cs.conversion_cache_hits + cs.shared_cache_misses, 2u);
   EXPECT_EQ(cs.conversions_compiled, 2u);
-#if PBIO_OBS_ENABLED
   EXPECT_EQ(hits() - hits0, 3u * kStreak - 2u);
-#else
-  (void)hits0;
-#endif
 }
 
 TEST(Broker, DepthOnePingPongCostsTwoSyscallsPerFrame) {
@@ -832,35 +826,129 @@ TEST(Broker, CollidingAnnouncementsDropOnlyThatConnection) {
 }
 
 TEST(Broker, PublishesObsCountersUnderBrokerNamespace) {
-  Context ctx;
-  Broker b(ctx);
-  ASSERT_TRUE(b.start().is_ok());
-  auto ch = transport::socket_connect(b.port());
-  ASSERT_TRUE(ch.is_ok());
+  // No publish step: the broker's counters are obs series from the first
+  // event on, and a destroyed broker's counts stay in the retired totals —
+  // so deltas around the broker's whole life are exact.
+  const auto value = [](const obs::Snapshot& snap, const char* name) {
+    const auto* c = snap.find_counter(name);
+    return c == nullptr ? std::uint64_t{0} : c->value;
+  };
+  const obs::Snapshot before = obs::snapshot();
   constexpr int kFrames = 5;
-  for (int i = 0; i < kFrames; ++i) {
-    const auto f = data_frame(6, 24, 2);
-    ASSERT_TRUE(ch.value()->send(f).is_ok());
-    ASSERT_TRUE(ch.value()->recv().is_ok());
+  {
+    Context ctx;
+    Broker b(ctx);
+    ASSERT_TRUE(b.start().is_ok());
+    auto ch = transport::socket_connect(b.port());
+    ASSERT_TRUE(ch.is_ok());
+    for (int i = 0; i < kFrames; ++i) {
+      const auto f = data_frame(6, 24, 2);
+      ASSERT_TRUE(ch.value()->send(f).is_ok());
+      ASSERT_TRUE(ch.value()->recv().is_ok());
+    }
+    // The client sees an echo mid-writev, a beat before the worker thread
+    // bumps frames_out after the flush returns — wait for the counter.
+    ASSERT_TRUE(eventually([&] {
+      return b.stats().frames_out == static_cast<std::uint64_t>(kFrames);
+    }));
+    const obs::Snapshot live = obs::snapshot();
+    EXPECT_EQ(value(live, "pbio.broker.frames_in") -
+                  value(before, "pbio.broker.frames_in"),
+              static_cast<std::uint64_t>(kFrames));
+    b.stop();
   }
-  // The client sees an echo mid-writev, a beat before the worker thread
-  // bumps frames_out after the flush returns — wait for the counter.
-  ASSERT_TRUE(eventually([&] {
-    return b.stats().frames_out == static_cast<std::uint64_t>(kFrames);
-  }));
-  b.publish_obs();
-  b.publish_obs();  // delta publishing: a second call must not double-count
-  const auto snap = obs::snapshot();
-  const auto* in = snap.find_counter("pbio.broker.frames_in");
-  const auto* out = snap.find_counter("pbio.broker.frames_out");
-  const auto* acc = snap.find_counter("pbio.broker.accepted");
-  ASSERT_NE(in, nullptr);
-  ASSERT_NE(out, nullptr);
-  ASSERT_NE(acc, nullptr);
-  EXPECT_EQ(in->value, static_cast<std::uint64_t>(kFrames));
-  EXPECT_EQ(out->value, static_cast<std::uint64_t>(kFrames));
-  EXPECT_EQ(acc->value, 1u);
+  const obs::Snapshot after = obs::snapshot();
+  EXPECT_EQ(value(after, "pbio.broker.frames_in") -
+                value(before, "pbio.broker.frames_in"),
+            static_cast<std::uint64_t>(kFrames));
+  EXPECT_EQ(value(after, "pbio.broker.frames_out") -
+                value(before, "pbio.broker.frames_out"),
+            static_cast<std::uint64_t>(kFrames));
+  EXPECT_EQ(value(after, "pbio.broker.accepted") -
+                value(before, "pbio.broker.accepted"),
+            1u);
+}
+
+TEST(Broker, StatsAndObsSeriesReadTheSameCounters) {
+  // Every monotonic BrokerStats field is this broker's share of its
+  // pbio.broker.* series (svc_requests: pbio.svc.requests), with no
+  // publish step in between.
+  const obs::Snapshot before = obs::snapshot();
+  Context ctx;
+  const NativeField fields[] = {
+      PBIO_FIELD(Sample, a, arch::CType::kInt),
+      PBIO_FIELD(Sample, b, arch::CType::kDouble),
+  };
+  Config cfg;
+  cfg.decode = true;
+  Broker b(ctx, cfg);
+  b.expect("sample", ctx.register_format(
+                         native_format("sample", fields, sizeof(Sample))));
+  ASSERT_TRUE(b.start().is_ok());
+
+  const auto wire_fmt =
+      arch::layout_format(sample_spec(), arch::abi_sparc_v8());
+  value::Record rec;
+  rec.set("a", value::Value(3));
+  rec.set("b", value::Value(1.5));
+  {
+    auto ch = transport::socket_connect(b.port());
+    ASSERT_TRUE(ch.is_ok());
+    ASSERT_TRUE(ch.value()->send(announce_frame(wire_fmt)).is_ok());
+    const auto frame = record_frame(wire_fmt, rec);
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(ch.value()->send(frame).is_ok());
+      ASSERT_TRUE(ch.value()->recv().is_ok());
+    }
+    FormatServiceClient client(*ch.value());
+    ASSERT_TRUE(client.lookup(wire_fmt.fingerprint()).is_ok());
+  }
+  {
+    auto bad = transport::socket_connect(b.port());
+    ASSERT_TRUE(bad.is_ok());
+    const std::vector<std::uint8_t> junk{0x7E, 1, 2};
+    ASSERT_TRUE(bad.value()->send(junk).is_ok());
+    EXPECT_FALSE(bad.value()->recv().is_ok());
+  }
+  ASSERT_TRUE(eventually([&] { return b.stats().closed == 2; }));
   b.stop();
+
+  const obs::Snapshot after = obs::snapshot();
+  const auto delta = [&](const char* name) {
+    const auto* c0 = before.find_counter(name);
+    const auto* c1 = after.find_counter(name);
+    EXPECT_NE(c1, nullptr) << name << " is not served";
+    return (c1 == nullptr ? 0 : c1->value) - (c0 == nullptr ? 0 : c0->value);
+  };
+  const BrokerStats s = b.stats();
+  EXPECT_EQ(delta("pbio.broker.accepted"), s.accepted);
+  EXPECT_EQ(delta("pbio.broker.closed"), s.closed);
+  EXPECT_EQ(delta("pbio.broker.shed_connections"), s.shed_connections);
+  EXPECT_EQ(delta("pbio.broker.shed_inflight"), s.shed_inflight);
+  EXPECT_EQ(delta("pbio.broker.protocol_errors"), s.protocol_errors);
+  EXPECT_EQ(delta("pbio.broker.frames_in"), s.frames_in);
+  EXPECT_EQ(delta("pbio.broker.frames_out"), s.frames_out);
+  EXPECT_EQ(delta("pbio.broker.bytes_in"), s.bytes_in);
+  EXPECT_EQ(delta("pbio.broker.bytes_out"), s.bytes_out);
+  EXPECT_EQ(delta("pbio.broker.formats_learned"), s.formats_learned);
+  EXPECT_EQ(delta("pbio.broker.decoded"), s.decoded);
+  EXPECT_EQ(delta("pbio.broker.pauses"), s.pauses);
+  EXPECT_EQ(delta("pbio.broker.resumes"), s.resumes);
+  EXPECT_EQ(delta("pbio.broker.recv_syscalls"), s.recv_syscalls);
+  EXPECT_EQ(delta("pbio.broker.send_syscalls"), s.send_syscalls);
+  EXPECT_EQ(delta("pbio.broker.slow_frames"), s.slow_frames);
+  EXPECT_EQ(delta("pbio.svc.requests"), s.svc_requests);
+
+  // The workload itself, so the equalities above are not all 0 == 0.
+  EXPECT_EQ(s.accepted, 2u);
+  EXPECT_EQ(s.frames_in, 1u + 3u + 1u + 1u);
+  EXPECT_EQ(s.frames_out, 3u + 1u);
+  EXPECT_EQ(s.decoded, 3u);
+  EXPECT_EQ(s.formats_learned, 1u);
+  EXPECT_EQ(s.svc_requests, 1u);
+  EXPECT_EQ(s.protocol_errors, 1u);
+  EXPECT_GT(s.recv_syscalls, 0u);
+  EXPECT_GT(s.send_syscalls, 0u);
 }
 
 }  // namespace

@@ -325,11 +325,7 @@ TEST(Resolution, ReaderStreakConvertsOnce) {
   }
   EXPECT_EQ(conversions_resolved(s.rctx), 1u);
   EXPECT_EQ(s.rctx.stats().conversions_compiled, 1u);
-#if PBIO_OBS_ENABLED
   EXPECT_EQ(front_hits() - hits0, kFrames - 1);
-#else
-  (void)hits0;
-#endif
 }
 
 TEST(Resolution, AnnouncementMidStreakKeepsDecoding) {
@@ -352,11 +348,87 @@ TEST(Resolution, AnnouncementMidStreakKeepsDecoding) {
   }
   EXPECT_EQ(s.reader.formats_learned(), 2u);
   EXPECT_EQ(conversions_resolved(s.rctx), 2u);
-#if PBIO_OBS_ENABLED
   EXPECT_EQ(front_hits() - hits0, 12u - 2u);
-#else
-  (void)hits0;
-#endif
+}
+
+// --------------------------------------------------------- counter store
+
+/// Every Stats field of the caches and contexts below, summed, must move
+/// its pbio.* series by exactly as much: both read the same counters.
+TEST(CounterStore, CacheAndContextStatsAreTheirObsSeries) {
+  const obs::Snapshot before = obs::snapshot();
+  TempDir dir;
+  auto shared = std::make_shared<ArtifactCache>();
+  shared->set_persist_dir(dir.path);
+  Context a(shared);
+  Context b(shared);
+  for (Context* ctx : {&a, &b}) {  // a compiles (and persists), b hits
+    const auto w = ctx->register_format(wire_desc());
+    const auto n = ctx->register_format(native_desc());
+    ASSERT_TRUE(ctx->try_conversion(w, n).is_ok());
+    ASSERT_TRUE(ctx->try_conversion(w, n).is_ok());
+  }
+  // A restart over the same directory re-proves the saved code where the
+  // build can (JIT + tval); a stampede on a cold pair may ride a flight.
+  Context restarted;
+  restarted.artifact_cache().set_persist_dir(dir.path);
+  {
+    const auto w = restarted.register_format(wire_desc());
+    const auto n = restarted.register_format(native_desc());
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&] {
+        EXPECT_TRUE(restarted.try_conversion(w, n).is_ok());
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  const obs::Snapshot after = obs::snapshot();
+  const auto delta = [&](const char* name) {
+    const auto* c0 = before.find_counter(name);
+    const auto* c1 = after.find_counter(name);
+    EXPECT_NE(c1, nullptr) << name << " is not served";
+    return (c1 == nullptr ? 0 : c1->value) - (c0 == nullptr ? 0 : c0->value);
+  };
+
+  const ArtifactCache::Stats c1 = shared->stats();
+  const ArtifactCache::Stats c2 = restarted.artifact_cache().stats();
+  EXPECT_EQ(delta("pbio.cache.hits"), c1.hits + c2.hits);
+  EXPECT_EQ(delta("pbio.cache.misses"), c1.misses + c2.misses);
+  EXPECT_EQ(delta("pbio.cache.single_flight_waits"),
+            c1.single_flight_waits + c2.single_flight_waits);
+  EXPECT_EQ(delta("pbio.cache.compiles"), c1.compiles + c2.compiles);
+  EXPECT_EQ(delta("pbio.cache.jit_code_bytes"),
+            c1.jit_code_bytes + c2.jit_code_bytes);
+  EXPECT_EQ(delta("pbio.cache.persist_loads"),
+            c1.persist_loads + c2.persist_loads);
+  EXPECT_EQ(delta("pbio.cache.persist_saves"),
+            c1.persist_saves + c2.persist_saves);
+  EXPECT_EQ(delta("pbio.cache.persist_rejects"),
+            c1.persist_rejects + c2.persist_rejects);
+
+  Context::Stats sum;
+  for (const Context* ctx : {&a, &b, &restarted}) {
+    const Context::Stats s = ctx->stats();
+    sum.conversions_compiled += s.conversions_compiled;
+    sum.conversion_cache_hits += s.conversion_cache_hits;
+    sum.jit_code_bytes += s.jit_code_bytes;
+    sum.shared_cache_misses += s.shared_cache_misses;
+    sum.single_flight_waits += s.single_flight_waits;
+    sum.persist_loads += s.persist_loads;
+  }
+  EXPECT_EQ(delta("pbio.conv.compiled"), sum.conversions_compiled);
+  EXPECT_EQ(delta("pbio.conv.cache_hits"), sum.conversion_cache_hits);
+  EXPECT_EQ(delta("pbio.conv.jit_code_bytes"), sum.jit_code_bytes);
+  EXPECT_EQ(delta("pbio.conv.shared_cache_misses"), sum.shared_cache_misses);
+  EXPECT_EQ(delta("pbio.conv.single_flight_waits"), sum.single_flight_waits);
+  EXPECT_EQ(delta("pbio.conv.persist_loads"), sum.persist_loads);
+
+  // The workload itself: one compile for a and b, one hit by b.
+  EXPECT_EQ(a.stats().conversions_compiled, 1u);
+  EXPECT_EQ(b.stats().conversion_cache_hits, 2u);
+  EXPECT_EQ(c1.compiles, 1u);
+  EXPECT_EQ(sum.conversion_cache_hits + sum.shared_cache_misses, 8u);
 }
 
 // ---------------------------------------------------------- persistence

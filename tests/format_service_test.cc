@@ -6,6 +6,7 @@
 
 #include "collision_pair.h"
 #include "fmt/meta.h"
+#include "obs/obs.h"
 #include "pbio/pbio.h"
 #include "util/endian.h"
 #include "value/materialize.h"
@@ -201,6 +202,35 @@ TEST(FormatServiceHandle, MissAndMalformedRequests) {
   const auto meta = fmt::encode_meta(sample_format());
   req.append(meta.data(), meta.size());
   EXPECT_TRUE(server.handle(req.view(), reply).is_ok());
+}
+
+TEST(FormatServiceHandle, RequestCountIsTheObsSeries) {
+  // requests_served() and pbio.svc.requests read one counter: two servers'
+  // requests (malformed ones included, the empty one not) move the
+  // series by the sum of their views.
+  const auto series = [] {
+    const obs::Snapshot snap = obs::snapshot();
+    const obs::CounterSample* c = snap.find_counter("pbio.svc.requests");
+    return c == nullptr ? std::uint64_t{0} : c->value;
+  };
+  const std::uint64_t before = series();
+  Context ctx;
+  FormatServiceServer one(ctx);
+  FormatServiceServer two(ctx);
+  ByteBuffer req(16);
+  ByteBuffer reply(64);
+  req.append_uint(kSvcLookup, 1, ByteOrder::kLittle);
+  req.append_uint(0xDEADBEEF, 8, ByteOrder::kLittle);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(one.handle(req.view(), reply).is_ok());
+  }
+  const std::uint8_t junk[] = {0x77};
+  EXPECT_FALSE(two.handle(junk, reply).is_ok());
+  EXPECT_FALSE(two.handle({}, reply).is_ok());
+  EXPECT_EQ(one.requests_served(), 3u);
+  EXPECT_EQ(two.requests_served(), 1u);
+  ASSERT_NE(obs::snapshot().find_counter("pbio.svc.requests"), nullptr);
+  EXPECT_EQ(series() - before, 4u);
 }
 
 TEST(FormatServiceHandle, CollidingRegistrationIsRejected) {

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -52,6 +55,89 @@ TEST(ObsCounters, RegistrationIsIdempotent) {
   const MetricId b = counter("test.obs.same");
   EXPECT_EQ(a, b);
   EXPECT_NE(a, counter("test.obs.other"));
+}
+
+std::uint64_t counter_value(const Snapshot& snap, std::string_view name) {
+  const CounterSample* c = snap.find_counter(name);
+  return c == nullptr ? 0 : c->value;
+}
+
+TEST(ObsCounterBlock, LiveBlocksWithOneNameSumInSnapshot) {
+  reset();
+  CounterBlock a{"test.obs.block.x", "test.obs.block.y"};
+  CounterBlock b{"test.obs.block.x"};
+  a.add(0, 3);
+  a.add(1, 10);
+  b.add(0, 4);
+  EXPECT_EQ(a.get(0), 3u);  // each owner reads only its own share
+  EXPECT_EQ(b.get(0), 4u);
+  const Snapshot snap = snapshot();
+  EXPECT_EQ(counter_value(snap, "test.obs.block.x"), 7u);
+  EXPECT_EQ(counter_value(snap, "test.obs.block.y"), 10u);
+}
+
+TEST(ObsCounterBlock, SharesSeriesWithPerThreadCounters) {
+  reset();
+  CounterBlock blk{"test.obs.block.mixed"};
+  blk.add(0, 5);
+  counter_add(counter("test.obs.block.mixed"), 6);
+  EXPECT_EQ(counter_value(snapshot(), "test.obs.block.mixed"), 11u);
+}
+
+TEST(ObsCounterBlock, DestroyedBlockSurvivesInRetiredTotals) {
+  reset();
+  {
+    CounterBlock gone{"test.obs.block.retired"};
+    gone.add(0, 9);
+  }
+  EXPECT_EQ(counter_value(snapshot(), "test.obs.block.retired"), 9u);
+  CounterBlock next{"test.obs.block.retired"};
+  next.add(0, 1);
+  EXPECT_EQ(next.get(0), 1u);
+  EXPECT_EQ(counter_value(snapshot(), "test.obs.block.retired"), 10u);
+}
+
+TEST(ObsCounterBlock, ResetZeroesLiveBlocks) {
+  CounterBlock blk{"test.obs.block.reset"};
+  blk.add(0, 41);
+  reset();
+  EXPECT_EQ(blk.get(0), 0u);
+  EXPECT_EQ(counter_value(snapshot(), "test.obs.block.reset"), 0u);
+  blk.add(0, 2);
+  EXPECT_EQ(counter_value(snapshot(), "test.obs.block.reset"), 2u);
+}
+
+TEST(ObsCounterBlock, AddRacesSnapshotAndBlockTeardown) {
+  // Writers bump their own block while others are created and destroyed
+  // and a reader snapshots throughout: the race detector's case. Once the
+  // writers joined, the retired totals hold every increment exactly.
+  reset();
+  constexpr int kThreads = 4;
+  constexpr int kBlocksPerThread = 50;
+  constexpr int kAdds = 200;
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    std::uint64_t last = 0;
+    while (!done.load()) {
+      const std::uint64_t v = counter_value(snapshot(), "test.obs.block.race");
+      EXPECT_GE(v, last);  // monotonic under concurrent teardown
+      last = v;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([] {
+      for (int b = 0; b < kBlocksPerThread; ++b) {
+        CounterBlock blk{"test.obs.block.race"};
+        for (int i = 0; i < kAdds; ++i) blk.add(0, 1);
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(counter_value(snapshot(), "test.obs.block.race"),
+            std::uint64_t{kThreads} * kBlocksPerThread * kAdds);
 }
 
 TEST(ObsHistogram, BucketMath) {
@@ -337,6 +423,36 @@ TEST(ObsSpan, SpansFeedTraceSinkWhenEnabled) {
   std::remove(path.c_str());
 }
 #endif  // PBIO_OBS_ENABLED
+
+// Fills the registry, so it stays the last test (and suite) in this file:
+// anything registered after it aliases onto the sink slot when the binary
+// runs all tests in one process.
+TEST(ObsRegistryFull, CounterBlockPastCapacityAliasesOntoSink) {
+  for (std::uint32_t i = 0; i < kMaxCounters; ++i) {
+    (void)counter("test.obs.fill." + std::to_string(i));
+  }
+  // Past capacity every name maps to one sink series; adding must neither
+  // crash nor write outside the registry.
+  CounterBlock over{"test.obs.over.a", "test.obs.over.b"};
+  over.add(0, 2);
+  over.add(1, 3);
+  EXPECT_EQ(over.get(0), 2u);
+  EXPECT_EQ(over.get(1), 3u);
+  EXPECT_EQ(snapshot().find_counter("test.obs.over.a"), nullptr);
+  EXPECT_EQ(snapshot().counters.size(), std::size_t{kMaxCounters});
+  const auto total = [] {
+    std::uint64_t sum = 0;
+    for (const auto& c : snapshot().counters) sum += c.value;
+    return sum;
+  };
+  const std::uint64_t before = total();
+  {
+    CounterBlock gone{"test.obs.over.c"};
+    gone.add(0, 5);
+  }
+  const std::uint64_t after = total();
+  EXPECT_EQ(after - before, 5u);  // the retired sink slot kept it
+}
 
 }  // namespace
 }  // namespace pbio::obs

@@ -7,6 +7,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/obs.h"
+
 namespace pbio {
 namespace {
 
@@ -137,6 +139,41 @@ TEST(BufferPool, CrossThreadReleaseIsSafe) {
   other.join();
   const auto stats = pool.stats();
   EXPECT_GE(stats.recycled, 1u);
+}
+
+TEST(BufferPool, StatsAndObsSeriesReadTheSameCounters) {
+  // Two pools feed one pbio.pool.* series; with no other pool active,
+  // the series moves by exactly the sum of their stats() deltas.
+  const auto series = [](const char* name) {
+    const obs::Snapshot snap = obs::snapshot();
+    const obs::CounterSample* c = snap.find_counter(name);
+    return c == nullptr ? std::uint64_t{0} : c->value;
+  };
+  const char* const names[] = {"pbio.pool.hits", "pbio.pool.misses",
+                               "pbio.pool.oversize", "pbio.pool.recycled"};
+  std::uint64_t before[4];
+  for (int i = 0; i < 4; ++i) before[i] = series(names[i]);
+  BufferPool a(2);
+  BufferPool b;
+  {
+    std::vector<FrameBuf> held;
+    for (int i = 0; i < 4; ++i) held.push_back(a.lease(100));  // 4 misses
+  }  // 2 recycled, 2 over the freelist bound and freed
+  for (int i = 0; i < 3; ++i) FrameBuf hit = a.lease(100);
+  FrameBuf big = b.lease((std::size_t{1} << 20) + 1);
+  const BufferPool::Stats sa = a.stats();
+  const BufferPool::Stats sb = b.stats();
+  const std::uint64_t got[4] = {sa.hits + sb.hits, sa.misses + sb.misses,
+                                sa.oversize + sb.oversize,
+                                sa.recycled + sb.recycled};
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_NE(obs::snapshot().find_counter(names[i]), nullptr) << names[i];
+    EXPECT_EQ(series(names[i]) - before[i], got[i]) << names[i];
+  }
+  EXPECT_EQ(sa.misses, 4u);
+  EXPECT_EQ(sa.hits, 3u);
+  EXPECT_EQ(sa.recycled, 2u + 3u);
+  EXPECT_EQ(sb.oversize, 1u);
 }
 
 }  // namespace

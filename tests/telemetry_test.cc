@@ -412,7 +412,34 @@ TEST(Scrape, ServesMetricsHealthzAndTracez) {
   ASSERT_TRUE(ch.value()->send(frame).is_ok());
   EXPECT_TRUE(ch.value()->recv().is_ok());
   b.stop();
-  obs::reset();  // don't leak published counters into later tests
+  obs::reset();  // don't leak counters into later tests
+}
+
+TEST(Scrape, ServesEveryCounterBehindTheStatsViews) {
+  // Series that used to exist only inside a stats() struct: /metrics
+  // serves them straight from the counters those structs read.
+  Context ctx;
+  broker::Config cfg;
+  cfg.scrape_port = 0;
+  broker::Broker b(ctx, cfg);
+  ASSERT_TRUE(b.start().is_ok());
+  auto ch = transport::socket_connect(b.port());
+  ASSERT_TRUE(ch.is_ok());
+  FormatServiceClient client(*ch.value());
+  EXPECT_EQ(client.lookup(0x1234).status().code(), Errc::kUnknownFormat);
+
+  const std::string metrics =
+      http_get(b.scrape_port(), "GET /metrics HTTP/1.0\r\n\r\n");
+  for (const char* series :
+       {"pbio_pool_recycled ", "pbio_cache_jit_code_bytes ",
+        "pbio_conv_shared_cache_misses ", "pbio_conv_single_flight_waits ",
+        "pbio_conv_persist_loads ", "pbio_broker_frames_in "}) {
+    EXPECT_NE(metrics.find(std::string("\n") + series), std::string::npos)
+        << series << "missing from\n" << metrics;
+  }
+  EXPECT_NE(metrics.find("\npbio_svc_requests 1\n"), std::string::npos)
+      << metrics;
+  b.stop();
 }
 
 TEST(Scrape, OffByDefault) {

@@ -75,8 +75,8 @@ std::uint64_t counter_or_zero(const obs::Snapshot& snap, const char* name) {
   return c == nullptr ? 0 : c->value;
 }
 
-/// The broker publishes monotonic pbio.broker.* counters; the live gauges
-/// a watcher actually wants are derived pairs.
+/// A broker's snapshot carries monotonic pbio.broker.* counters; the live
+/// gauges a watcher actually wants are derived pairs.
 void render_broker(const obs::Snapshot& snap, const obs::Snapshot* prev,
                    double interval_s) {
   const std::uint64_t accepted = counter_or_zero(snap, "pbio.broker.accepted");
@@ -193,9 +193,8 @@ int run_canned(bool json, bool prom, int messages) {
   }
 
 #if !PBIO_OBS_ENABLED
-  std::printf("note: built with PBIO_OBS=OFF — span histograms and hot-path "
-              "counters are compiled out;\nonly always-on accounting "
-              "appears below.\n");
+  std::printf("note: built with PBIO_OBS=OFF — span histograms are compiled "
+              "out; counters are complete.\n");
 #endif
   render(snap, nullptr, 0.0);
   std::printf(
