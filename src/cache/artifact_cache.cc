@@ -45,7 +45,25 @@ void ArtifactCache::publish(
 }
 
 Result<ArtifactCache::Got> ArtifactCache::get_or_build(
-    const fmt::FormatDesc& wire, const fmt::FormatDesc& native, PairKey key) {
+    const fmt::FormatDesc& wire, const fmt::FormatDesc& native, PairKey key,
+    Build mode) {
+  Result<Got> got = find_or_build(wire, native, key, mode);
+  if (!got.is_ok() || mode != Build::kEager) return got;
+  // Eager: a plan-only artifact gets its code here, or from the thread
+  // already generating it.
+  Got& g = got.value();
+  if (g.artifact->pending()) {
+    const Got up = tier_up(wire, native, key, g.artifact);
+    g.code_bytes = up.code_bytes;
+    g.persisted = up.persisted;
+  }
+  g.artifact->wait_tier_up();
+  return got;
+}
+
+Result<ArtifactCache::Got> ArtifactCache::find_or_build(
+    const fmt::FormatDesc& wire, const fmt::FormatDesc& native, PairKey key,
+    Build mode) {
   Shard& shard = shards_[shard_of(key)];
   if (auto hit = probe(shard, key)) {
     counters_.add(kHits, 1);
@@ -86,7 +104,7 @@ Result<ArtifactCache::Got> ArtifactCache::get_or_build(
   }
 
   // Leader path: build with no locks held, then publish and wake waiters.
-  Result<Got> built = build(wire, native, key);
+  Result<Got> built = build(wire, native, key, mode);
   if (built.is_ok()) {
     MutexLock lock(shard.mu);
     publish(shard, key, built.value().artifact);
@@ -108,9 +126,20 @@ Result<ArtifactCache::Got> ArtifactCache::get_or_build(
   return built;
 }
 
+ArtifactCache::Got ArtifactCache::tier_up(
+    const fmt::FormatDesc& wire, const fmt::FormatDesc& native, PairKey key,
+    std::shared_ptr<const vcode::CompiledConvert> artifact) {
+  Got got;
+  got.artifact = std::move(artifact);
+  if (!got.artifact->claim_tier_up()) return got;
+  counters_.add(kTierUps, 1);
+  generate(wire, native, key, got);
+  return got;
+}
+
 Result<ArtifactCache::Got> ArtifactCache::build(const fmt::FormatDesc& wire,
                                                 const fmt::FormatDesc& native,
-                                                PairKey key) {
+                                                PairKey key, Build mode) {
   convert::Plan plan;
   {
     OBS_SPAN("pbio.cache.plan");
@@ -130,26 +159,43 @@ Result<ArtifactCache::Got> ArtifactCache::build(const fmt::FormatDesc& wire,
   }
   plan.verified = true;
 
+  Got got;
+  got.source = Source::kCompiled;
+  got.artifact = std::make_shared<const vcode::CompiledConvert>(
+      std::move(plan), vcode::CompiledConvert::Deferred{});
+  if (mode == Build::kEager) {
+    got.artifact->claim_tier_up();
+    generate(wire, native, key, got);
+    if (got.persisted) got.source = Source::kPersisted;
+  }
+  // A deferred artifact counts here even if its code later comes from
+  // disk: `compiles` counts artifacts built from a plan, one per pair.
+  if (got.source == Source::kCompiled) counters_.add(kCompiles, 1);
+  return got;
+}
+
+void ArtifactCache::generate(const fmt::FormatDesc& wire,
+                             const fmt::FormatDesc& native, PairKey key,
+                             Got& got) {
+  const vcode::CompiledConvert& artifact = *got.artifact;
   const std::string dir = persist_dir();
   const auto tier = static_cast<std::uint32_t>(convert::kernels::active_isa());
 
-  // Try the persisted code first: structural load, then adopt() re-proves
-  // the bytes (relocate from the plan, translation-validate, W^X seal).
+  // Try the persisted code first: structural load, then adopt_code()
+  // re-proves the bytes (relocate from the plan, translation-validate, W^X
+  // seal).
   if (!dir.empty() && vcode::tval_enabled()) {
     persist::FileImage img;
     std::string why;
     const persist::LoadStatus st = persist::load(
         dir, key, tier, vcode::kEmitterVersion, &img, &why);
     if (st == persist::LoadStatus::kLoaded) {
-      convert::Plan adopted_plan = plan;
-      auto adopted = vcode::CompiledConvert::adopt(
-          std::move(adopted_plan), std::move(img.code), img.call_sites);
-      if (adopted.is_ok()) {
-        auto artifact = std::make_shared<const vcode::CompiledConvert>(
-            std::move(adopted).take());
+      if (artifact.adopt_code(std::move(img.code), img.call_sites).is_ok()) {
+        got.persisted = true;
+        got.code_bytes = artifact.code_size();
         counters_.add(kPersistLoads, 1);
-        counters_.add(kJitCodeBytes, artifact->code_size());
-        return Got{std::move(artifact), Source::kPersisted};
+        counters_.add(kJitCodeBytes, got.code_bytes);
+        return;
       }
       counters_.add(kPersistRejects, 1);
       // Fall through to a fresh compile — persistence is an optimization,
@@ -159,28 +205,26 @@ Result<ArtifactCache::Got> ArtifactCache::build(const fmt::FormatDesc& wire,
     }
   }
 
-  std::shared_ptr<const vcode::CompiledConvert> artifact;
   {
     OBS_SPAN("pbio.cache.compile");
-    artifact =
-        std::make_shared<const vcode::CompiledConvert>(std::move(plan));
+    artifact.generate();
   }
-  counters_.add(kCompiles, 1);
-  counters_.add(kJitCodeBytes, artifact->code_size());
+  got.code_bytes = artifact.code_size();
+  counters_.add(kJitCodeBytes, got.code_bytes);
 
   // Persist the sealed buffer with its call-target slots zeroed: the file
   // carries offsets, never addresses (addresses are process-local and the
   // loader must re-derive them from the plan anyway).
-  if (!dir.empty() && artifact->jitted() && vcode::tval_enabled() &&
-      artifact->tval_report().ok) {
+  if (!dir.empty() && artifact.jitted() && vcode::tval_enabled() &&
+      artifact.tval_report().ok) {
     persist::FileImage img;
     img.emitter_version = vcode::kEmitterVersion;
     img.isa_tier = tier;
     img.key = key;
-    img.call_sites = artifact->call_sites();
+    img.call_sites = artifact.call_sites();
     img.wire_meta = fmt::encode_meta(wire);
     img.native_meta = fmt::encode_meta(native);
-    const std::span<const std::uint8_t> code = artifact->code();
+    const std::span<const std::uint8_t> code = artifact.code();
     img.code.assign(code.begin(), code.end());
     bool sites_ok = true;
     for (std::uint32_t site : img.call_sites) {
@@ -194,7 +238,6 @@ Result<ArtifactCache::Got> ArtifactCache::build(const fmt::FormatDesc& wire,
       counters_.add(kPersistSaves, 1);
     }
   }
-  return Got{std::move(artifact), Source::kCompiled};
 }
 
 void ArtifactCache::set_persist_dir(std::string dir) {
@@ -211,7 +254,8 @@ ArtifactCache::Stats ArtifactCache::stats() const {
   return {counters_.get(kHits),         counters_.get(kMisses),
           counters_.get(kWaits),        counters_.get(kCompiles),
           counters_.get(kJitCodeBytes), counters_.get(kPersistLoads),
-          counters_.get(kPersistSaves), counters_.get(kPersistRejects)};
+          counters_.get(kPersistSaves), counters_.get(kPersistRejects),
+          counters_.get(kTierUps)};
 }
 
 std::size_t ArtifactCache::size() const {

@@ -25,11 +25,16 @@
 //    from the registry's descriptions, re-verified, the loaded bytes are
 //    relocated from the plan and the translation validator must accept
 //    them before the W^X seal. A warm restart performs zero JIT compiles;
-//    a poisoned cache file can never execute.
+//    a poisoned cache file can never execute;
+//  * code can be deferred (Build::kDeferred): the artifact is published
+//    with its verified plan only and interprets until tier_up() runs the
+//    same persisted-load-or-JIT step into it. Receive streams build this
+//    way and tier up a pair once it recurs (pbio/resolver.h).
 //
 // Metrics: pbio.cache.{hits,misses,single_flight_waits,compiles,
-// jit_code_bytes,persist_loads,persist_saves,persist_rejects}, one
-// obs::CounterBlock per cache; stats() reads the same counters mutex-free.
+// jit_code_bytes,persist_loads,persist_saves,persist_rejects,tier_ups},
+// one obs::CounterBlock per cache; stats() reads the same counters
+// mutex-free.
 // thread-domain: any
 #pragma once
 
@@ -58,6 +63,12 @@ enum class Source : std::uint8_t {
   kPersisted,  // this call re-proved and sealed a persisted code buffer
 };
 
+/// When get_or_build() generates an artifact's code.
+enum class Build : std::uint8_t {
+  kEager,     // before returning it (tiering up a plan-only hit)
+  kDeferred,  // not yet: a new artifact is plan-only until tier_up()
+};
+
 // thread-domain: any
 class ArtifactCache {
  public:
@@ -70,14 +81,30 @@ class ArtifactCache {
   struct Got {
     std::shared_ptr<const vcode::CompiledConvert> artifact;
     Source source = Source::kCached;
+    /// Bytes of code this call sealed into the artifact (0 when it
+    /// generated none).
+    std::size_t code_bytes = 0;
+    /// Whether that code was re-proven from disk rather than emitted.
+    bool persisted = false;
   };
 
   /// Fetch (building on first use, stampede-collapsed) the conversion
   /// artifact for `wire` -> `native`, keyed by the canonical hashes the
   /// caller resolved alongside the descriptions. Failures (plan build or
   /// verification errors) are returned to every waiter and are not cached.
+  /// `mode` says whether the artifact must carry its code on return.
   Result<Got> get_or_build(const fmt::FormatDesc& wire,
-                           const fmt::FormatDesc& native, PairKey key);
+                           const fmt::FormatDesc& native, PairKey key,
+                           Build mode = Build::kEager);
+
+  /// Generate the code of a plan-only `artifact` of this pair: persisted
+  /// load, else JIT + tval + W^X seal, published into the artifact itself.
+  /// Never waits: a call that loses the artifact's claim (another thread
+  /// is generating, or it already happened) returns at once, having
+  /// generated nothing. The winner counts pbio.cache.tier_ups.
+  Got tier_up(const fmt::FormatDesc& wire, const fmt::FormatDesc& native,
+              PairKey key,
+              std::shared_ptr<const vcode::CompiledConvert> artifact);
 
   /// Lock-free probe without build (tests, tools).
   std::shared_ptr<const vcode::CompiledConvert> lookup(PairKey key) const;
@@ -98,6 +125,7 @@ class ArtifactCache {
     std::uint64_t persist_loads = 0;
     std::uint64_t persist_saves = 0;
     std::uint64_t persist_rejects = 0;
+    std::uint64_t tier_ups = 0;  // plan-only artifacts given code later
   };
   Stats stats() const;
 
@@ -142,11 +170,22 @@ class ArtifactCache {
                std::shared_ptr<const vcode::CompiledConvert> artifact)
       PBIO_REQUIRES(shard.mu);
 
-  /// The full build pipeline (leader only, no locks held): plan build +
-  /// static verify, then persisted-load-and-re-prove or fresh JIT + tval,
-  /// then persist of freshly sealed code.
+  /// get_or_build() up to the code: the snapshot hit, the single-flight
+  /// wait, or the leader's build().
+  Result<Got> find_or_build(const fmt::FormatDesc& wire,
+                            const fmt::FormatDesc& native, PairKey key,
+                            Build mode);
+
+  /// The build pipeline (leader only, no locks held): plan build + static
+  /// verify into a plan-only artifact, then, for kEager, generate().
   Result<Got> build(const fmt::FormatDesc& wire, const fmt::FormatDesc& native,
-                    PairKey key);
+                    PairKey key, Build mode);
+
+  /// The code step for an artifact whose tier-up claim the caller holds:
+  /// persisted-load-and-re-prove or fresh JIT + tval, then persist of
+  /// freshly sealed code. Fills `got`'s code_bytes and persisted.
+  void generate(const fmt::FormatDesc& wire, const fmt::FormatDesc& native,
+                PairKey key, Got& got);
 
   Shard shards_[kShards];
 
@@ -156,13 +195,13 @@ class ArtifactCache {
   // In Stats field order.
   enum Counter : std::size_t {
     kHits, kMisses, kWaits, kCompiles, kJitCodeBytes,
-    kPersistLoads, kPersistSaves, kPersistRejects,
+    kPersistLoads, kPersistSaves, kPersistRejects, kTierUps,
   };
   obs::CounterBlock counters_{
       "pbio.cache.hits", "pbio.cache.misses", "pbio.cache.single_flight_waits",
       "pbio.cache.compiles", "pbio.cache.jit_code_bytes",
       "pbio.cache.persist_loads", "pbio.cache.persist_saves",
-      "pbio.cache.persist_rejects"};
+      "pbio.cache.persist_rejects", "pbio.cache.tier_ups"};
 };
 
 /// The process-wide cache: what a fleet of broker workers / tools shares

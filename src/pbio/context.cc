@@ -7,7 +7,7 @@
 namespace pbio {
 
 Result<std::shared_ptr<const Conversion>> Context::try_conversion(
-    FormatId wire, FormatId native) {
+    FormatId wire, FormatId native, cache::Build build) {
   const fmt::FormatRegistry::Resolved src = registry_.resolve(wire);
   const fmt::FormatRegistry::Resolved dst = registry_.resolve(native);
   if (src.desc == nullptr || dst.desc == nullptr) {
@@ -19,7 +19,7 @@ Result<std::shared_ptr<const Conversion>> Context::try_conversion(
   // validation, persistence and stampede collapse all live there; this
   // context only keeps its own accounting straight from the Source tag.
   auto got = cache_->get_or_build(*src.desc, *dst.desc,
-                                  {src.canonical, dst.canonical});
+                                  {src.canonical, dst.canonical}, build);
   if (!got.is_ok()) {
     OBS_COUNT("pbio.conv.verify_rejects", 1);
     return got.status();
@@ -36,15 +36,27 @@ Result<std::shared_ptr<const Conversion>> Context::try_conversion(
     case cache::Source::kCompiled:
       counters_.add(kSharedCacheMisses, 1);
       counters_.add(kCompiled, 1);
-      counters_.add(kJitCodeBytes, result.artifact->code_size());
       break;
     case cache::Source::kPersisted:
       counters_.add(kSharedCacheMisses, 1);
-      counters_.add(kPersistLoads, 1);
-      counters_.add(kJitCodeBytes, result.artifact->code_size());
       break;
   }
+  count_code(result);
   return std::move(result.artifact);
+}
+
+void Context::tier_up(FormatId wire, FormatId native,
+                      std::shared_ptr<const Conversion> conv) {
+  const fmt::FormatRegistry::Resolved src = registry_.resolve(wire);
+  const fmt::FormatRegistry::Resolved dst = registry_.resolve(native);
+  if (src.desc == nullptr || dst.desc == nullptr) return;
+  count_code(cache_->tier_up(*src.desc, *dst.desc,
+                             {src.canonical, dst.canonical}, std::move(conv)));
+}
+
+void Context::count_code(const cache::ArtifactCache::Got& got) {
+  counters_.add(kJitCodeBytes, got.code_bytes);
+  if (got.persisted) counters_.add(kPersistLoads, 1);
 }
 
 std::shared_ptr<const Conversion> Context::conversion(FormatId wire,

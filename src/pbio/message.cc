@@ -14,16 +14,20 @@ namespace {
 /// where conversion time goes (kDcg vs kInterpreted), with the source size
 /// riding on the trace event. Span sites latch their name at first use, so
 /// the conditional needs two distinct sites rather than one dynamic name.
+/// Records count by the engine that ran: a kDcg request interprets while
+/// the conversion has no code (before its tier-up, after a tval
+/// rejection, on a host without a JIT). Code, once published, stays, so
+/// the run takes the engine the check saw.
 Status run_conversion(const Conversion& conv, const convert::ExecInput& in,
                       Engine engine) {
-  if (engine == Engine::kDcg) {
+  if (engine == Engine::kDcg && conv.jitted()) {
     OBS_SPAN("pbio.decode.dcg", in.src_size);
     OBS_COUNT("pbio.decode.records.dcg", 1);
-    return run(conv, in, engine);
+    return conv.run(in);
   }
   OBS_SPAN("pbio.decode.interp", in.src_size);
   OBS_COUNT("pbio.decode.records.interp", 1);
-  return run(conv, in, engine);
+  return run(conv, in, Engine::kInterpreted);
 }
 
 }  // namespace

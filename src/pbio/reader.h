@@ -11,7 +11,8 @@
 // with the same wire id resolve their conversion once, so a burst of small
 // messages costs one registry + artifact-cache walk total, not one per
 // message. A data frame whose format was never announced falls back to the
-// installed format resolver (a format service), once.
+// installed format resolver (a format service), once. A pair's first record
+// is interpreted; its code is generated on reuse (resolver.h).
 #pragma once
 
 #include <functional>

@@ -13,8 +13,16 @@
 // are content hashes and registry entries are immutable and never
 // removed, so a later format announcement cannot change what a cached id
 // resolves to. Owners call invalidate() after changing the table.
+//
+// Code is generated only for pairs that recur. A miss resolves with
+// deferred code, so a pair's first record runs the bounds-checked
+// interpreter over the verified plan. Every resolution of a conversion
+// that has no code yet counts one use on the shared conversion; the
+// kTierUpUses-th use, across every stream holding it, tiers it up (see
+// Context::tier_up), and every holder switches to the generated code.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -34,6 +42,14 @@ struct Expected {
 
 /// Decode targets by wire format name.
 using ExpectedTable = std::unordered_map<std::string, Expected>;
+
+/// The use of a conversion at which it gets generated code: its first
+/// reuse. Table B (EXPERIMENTS.md) has a compile (~7 µs) paid back within
+/// one record against the paper's interpreted baseline; against our block
+/// interpreter the engines nearly tie (≤ 0.2 µs a record), so waiting
+/// longer would save little and would move the compile into a stream's
+/// steady state.
+inline constexpr std::uint32_t kTierUpUses = 2;
 
 class Resolver {
  public:
@@ -64,6 +80,7 @@ class Resolver {
     if (valid_ && cached_wire_id_ == wire_id) {
       OBS_COUNT("pbio.recv.resolve_cache_hits", 1);
       if (refilled != nullptr) *refilled = false;
+      if (counting_) count_use();
       return &front_;
     }
     if (refilled != nullptr) *refilled = true;
@@ -76,10 +93,17 @@ class Resolver {
  private:
   Result<const Entry*> refill(Context::FormatId wire_id);
 
+  /// Count a use of the front's code-less conversion; tier it up at
+  /// kTierUpUses. Stops counting once it has code or a tier-up is claimed.
+  void count_use();
+
   Context& ctx_;
   const ExpectedTable& expected_;
   bool valid_ = false;
+  /// The front's conversion had no code when last looked at.
+  bool counting_ = false;
   Context::FormatId cached_wire_id_ = 0;
+  Context::FormatId native_id_ = 0;
   Entry front_;
 };
 

@@ -42,7 +42,8 @@ void FrameBuf::set_size(std::size_t n) {
 }
 
 FrameBuf FrameBuf::slice(std::size_t off, std::size_t len) const {
-  if (block_ == nullptr || off + len > capacity()) {
+  // Two comparisons, not `off + len > capacity()`: that sum can wrap.
+  if (block_ == nullptr || off > capacity() || len > capacity() - off) {
     throw PbioError("FrameBuf::slice out of range");
   }
   block_->refs.fetch_add(1, std::memory_order_relaxed);  // mo: refcount increment from a live lease; release() pairs acq_rel

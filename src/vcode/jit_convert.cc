@@ -1,5 +1,6 @@
 #include "vcode/jit_convert.h"
 
+#include <atomic>
 #include <cassert>
 #include <cstring>
 
@@ -446,6 +447,10 @@ std::vector<std::uint64_t> call_targets(const Plan& plan) {
 bool tval_enabled() { return PBIO_TVAL_ENABLED != 0; }
 
 struct CompiledConvert::Impl {
+  /// Tier-up progress. kPending -> kClaimed by claim_tier_up(), then
+  /// kDone once generate() or adopt_code() has run to its end.
+  enum Tier : std::uint8_t { kPending, kClaimed, kDone };
+
   Plan plan;
   std::unique_ptr<ExecBuffer> buf;
   std::size_t code_size = 0;
@@ -456,10 +461,34 @@ struct CompiledConvert::Impl {
   std::vector<std::uint32_t> call_sites;
 
   using Fn = int (*)(const std::uint8_t*, std::uint8_t*, JitRt*);
-  Fn fn = nullptr;
+  /// Set at most once, by the tier-up's claim holder, with release; every
+  /// reader loads it with acquire, which also orders the fields above.
+  std::atomic<Fn> fn{nullptr};
+  std::atomic<std::uint8_t> tier{kPending};
+  std::atomic<std::uint32_t> uses{0};
+
+  /// Seal `code` into an executable buffer and publish its entry point.
+  void seal(std::span<const std::uint8_t> code) {
+    buf = std::make_unique<ExecBuffer>(code.size());
+    std::memcpy(buf->data(), code.data(), code.size());
+    buf->make_executable();
+    code_size = code.size();
+    fn.store(buf->entry<Fn>(), std::memory_order_release);  // mo: release pairs with run()/jitted()'s acquire load; publishes buf and the fields above
+  }
+
+  void finish() {
+    tier.store(kDone, std::memory_order_release);  // mo: release pairs with wait_tier_up()'s acquire load
+    tier.notify_all();
+  }
 };
 
-CompiledConvert::CompiledConvert(Plan plan) : impl_(std::make_unique<Impl>()) {
+CompiledConvert::CompiledConvert(Plan plan)
+    : CompiledConvert(std::move(plan), Deferred{}) {
+  if (claim_tier_up()) generate();
+}
+
+CompiledConvert::CompiledConvert(Plan plan, Deferred)
+    : impl_(std::make_unique<Impl>()) {
   impl_->plan = std::move(plan);
   // Generated code has no per-op bounds checks: it trusts the plan's
   // geometry completely. Never emit code — and never fall back to the
@@ -469,78 +498,89 @@ CompiledConvert::CompiledConvert(Plan plan) : impl_(std::make_unique<Impl>()) {
     if (!vst.is_ok()) {
       OBS_COUNT("vcode.jit.verify_rejects", 1);
       impl_->verify_error = std::move(vst);
+      impl_->tier.store(Impl::kDone, std::memory_order_relaxed);  // mo: not yet shared
       return;
     }
     impl_->plan.verified = true;
   }
+}
+
+bool CompiledConvert::pending() const {
+  return impl_->tier.load(std::memory_order_acquire) == Impl::kPending;  // mo: acquire pairs with finish()'s release store
+}
+
+std::uint32_t CompiledConvert::count_use() const {
+  return impl_->uses.fetch_add(1, std::memory_order_relaxed) + 1;  // mo: a heuristic count; claim_tier_up() orders the tier-up itself
+}
+
+bool CompiledConvert::claim_tier_up() const {
+  std::uint8_t expected = Impl::kPending;
+  return impl_->tier.compare_exchange_strong(
+      expected, Impl::kClaimed, std::memory_order_acq_rel);  // mo: one winner; acquire orders it after the constructor's writes
+}
+
+void CompiledConvert::wait_tier_up() const {
+  for (;;) {
+    const std::uint8_t t = impl_->tier.load(std::memory_order_acquire);  // mo: acquire pairs with finish()'s release store
+    if (t != Impl::kClaimed) return;
+    impl_->tier.wait(t, std::memory_order_acquire);  // mo: as the load above
+  }
+}
+
+void CompiledConvert::generate() const {
+  Impl& im = *impl_;
+  assert(im.tier.load(std::memory_order_relaxed) == Impl::kClaimed);  // mo: claim holder reads its own store
+  // Every exit ends the tier-up, with or without code (and if sealing
+  // throws), so nothing waits on it forever.
+  struct Finish {
+    Impl& im;
+    ~Finish() { im.finish(); }
+  } finish{im};
   if (!jit_supported()) return;
   OBS_SPAN("vcode.jit.compile");
   OBS_COUNT("vcode.jit.compiles", 1);
-  Emitted out = ConvertCompiler(impl_->plan).compile();
+  Emitted out = ConvertCompiler(im.plan).compile();
   const std::vector<std::uint8_t>& code = out.code;
   OBS_COUNT("vcode.jit.code_bytes", code.size());
-  impl_->notes = std::move(out.notes);
-  impl_->labels = std::move(out.labels);
-  impl_->call_sites = std::move(out.call_sites);
+  im.notes = std::move(out.notes);
+  im.labels = std::move(out.labels);
+  im.call_sites = std::move(out.call_sites);
 #if PBIO_TVAL_ENABLED
   // Translation-validate the fresh bytes before they can ever become
   // executable: decode + symbolic execution against the verified plan.
-  impl_->tval = validate_code(code, impl_->plan);
-  if (!impl_->tval.ok) {
+  im.tval = validate_code(code, im.plan);
+  if (!im.tval.ok) {
     OBS_COUNT("pbio.jit.tval_rejects", 1);
-    log_warn() << "jit: " << impl_->tval.to_string()
+    log_warn() << "jit: " << im.tval.to_string()
                << " — falling back to the interpreter";
-    assert(impl_->tval.ok && "tval rejected freshly generated code");
-    return;  // interpreter fallback: fn stays null, buffer never sealed
+    assert(im.tval.ok && "tval rejected freshly generated code");
+    return;  // interpreter fallback: fn stays null, code never sealed
   }
   OBS_COUNT("pbio.jit.tval_accepts", 1);
 #else
-  impl_->tval.fault = verify::tval::Fault::kNone;
-  impl_->tval.message = "not validated";
+  im.tval.fault = verify::tval::Fault::kNone;
+  im.tval.message = "not validated";
 #endif
-  impl_->buf = std::make_unique<ExecBuffer>(code.size());
-  std::memcpy(impl_->buf->data(), code.data(), code.size());
-  impl_->buf->make_executable();
-  impl_->code_size = code.size();
-  impl_->fn = impl_->buf->entry<Impl::Fn>();
+  im.seal(code);
 }
 
-const verify::tval::Report& CompiledConvert::tval_report() const {
-  return impl_->tval;
-}
-
-const std::vector<MacroNote>& CompiledConvert::macro_notes() const {
-  return impl_->notes;
-}
-
-const std::vector<std::uint32_t>& CompiledConvert::call_sites() const {
-  return impl_->call_sites;
-}
-
-CompiledConvert::CompiledConvert() : impl_(std::make_unique<Impl>()) {}
-
-Result<CompiledConvert> CompiledConvert::adopt(
-    Plan plan, std::vector<std::uint8_t> code,
-    std::span<const std::uint32_t> sites) {
+Status CompiledConvert::adopt_code(std::vector<std::uint8_t> code,
+                                   std::span<const std::uint32_t> sites) const {
 #if !PBIO_TVAL_ENABLED
-  (void)plan;
   (void)code;
   (void)sites;
   return Status(Errc::kUnsupported,
                 "adopt: persisted code needs the translation validator "
                 "(PBIO_TVAL=OFF)");
 #else
+  Impl& im = *impl_;
+  assert(im.tier.load(std::memory_order_relaxed) == Impl::kClaimed);  // mo: claim holder reads its own store
   if (!jit_supported()) {
     return Status(Errc::kUnsupported, "adopt: no JIT on this host");
   }
-  if (!plan.verified) {
-    Status vst = verify::verify_status(plan);
-    if (!vst.is_ok()) return vst;
-    plan.verified = true;
-  }
   // Re-resolve every call target from the plan (the file never supplies
   // addresses, only slot offsets) and patch the zeroed slots.
-  const std::vector<std::uint64_t> targets = call_targets(plan);
+  const std::vector<std::uint64_t> targets = call_targets(im.plan);
   if (targets.size() != sites.size()) {
     return Status(Errc::kMalformed, "adopt: call-site count mismatch");
   }
@@ -559,22 +599,39 @@ Result<CompiledConvert> CompiledConvert::adopt(
   }
   // The trust anchor: decode + symbolically execute the patched buffer
   // against the re-verified plan. Only an accepted buffer is ever sealed.
-  CompiledConvert cc;
-  cc.impl_->plan = std::move(plan);
-  cc.impl_->tval = validate_code(code, cc.impl_->plan);
-  if (!cc.impl_->tval.ok) {
+  im.tval = validate_code(code, im.plan);
+  if (!im.tval.ok) {
     return Status(Errc::kMalformed,
-                  "adopt: tval rejected persisted code: " +
-                      cc.impl_->tval.to_string());
+                  "adopt: tval rejected persisted code: " + im.tval.to_string());
   }
-  cc.impl_->call_sites.assign(sites.begin(), sites.end());
-  cc.impl_->buf = std::make_unique<ExecBuffer>(code.size());
-  std::memcpy(cc.impl_->buf->data(), code.data(), code.size());
-  cc.impl_->buf->make_executable();
-  cc.impl_->code_size = code.size();
-  cc.impl_->fn = cc.impl_->buf->entry<Impl::Fn>();
-  return cc;
+  im.call_sites.assign(sites.begin(), sites.end());
+  im.seal(code);
+  im.finish();
+  return Status::ok();
 #endif
+}
+
+Result<CompiledConvert> CompiledConvert::adopt(
+    Plan plan, std::vector<std::uint8_t> code,
+    std::span<const std::uint32_t> sites) {
+  CompiledConvert cc(std::move(plan), Deferred{});
+  if (!cc.impl_->verify_error.is_ok()) return cc.impl_->verify_error;
+  cc.claim_tier_up();
+  Status st = cc.adopt_code(std::move(code), sites);
+  if (!st.is_ok()) return st;
+  return cc;
+}
+
+const verify::tval::Report& CompiledConvert::tval_report() const {
+  return impl_->tval;
+}
+
+const std::vector<MacroNote>& CompiledConvert::macro_notes() const {
+  return impl_->notes;
+}
+
+const std::vector<std::uint32_t>& CompiledConvert::call_sites() const {
+  return impl_->call_sites;
 }
 
 const std::vector<std::size_t>& CompiledConvert::label_offsets() const {
@@ -586,12 +643,16 @@ CompiledConvert::CompiledConvert(CompiledConvert&&) noexcept = default;
 CompiledConvert& CompiledConvert::operator=(CompiledConvert&&) noexcept =
     default;
 
-bool CompiledConvert::jitted() const { return impl_->fn != nullptr; }
+bool CompiledConvert::jitted() const {
+  return impl_->fn.load(std::memory_order_acquire) != nullptr;  // mo: acquire pairs with seal()'s release store
+}
 
-std::size_t CompiledConvert::code_size() const { return impl_->code_size; }
+std::size_t CompiledConvert::code_size() const {
+  return jitted() ? impl_->code_size : 0;
+}
 
 std::span<const std::uint8_t> CompiledConvert::code() const {
-  if (impl_->buf == nullptr) return {};
+  if (!jitted()) return {};
   return {impl_->buf->data(), impl_->code_size};
 }
 
@@ -600,8 +661,9 @@ const Plan& CompiledConvert::plan() const { return impl_->plan; }
 Status CompiledConvert::run(const ExecInput& in) const {
   const Plan& plan = impl_->plan;
   if (!impl_->verify_error.is_ok()) return impl_->verify_error;
-  if (impl_->fn == nullptr) {
-    return convert::run_plan(plan, in);  // portable fallback
+  const Impl::Fn fn = impl_->fn.load(std::memory_order_acquire);  // mo: acquire pairs with seal()'s release store
+  if (fn == nullptr) {
+    return convert::run_plan(plan, in);  // no code (yet): interpret
   }
   // The generated code assumes validated geometry — same checks as the
   // interpreter's entry.
@@ -632,7 +694,7 @@ Status CompiledConvert::run(const ExecInput& in) const {
   }
   Status status;
   JitRt rt{&plan, &in, &status};
-  const int rc = impl_->fn(in.src, in.dst, &rt);
+  const int rc = fn(in.src, in.dst, &rt);
   if (rc == 0) return Status::ok();
   if (!status.is_ok()) return status;
   return Status(static_cast<Errc>(rc), "jit conversion failed");

@@ -406,6 +406,7 @@ TEST(CounterStore, CacheAndContextStatsAreTheirObsSeries) {
             c1.persist_saves + c2.persist_saves);
   EXPECT_EQ(delta("pbio.cache.persist_rejects"),
             c1.persist_rejects + c2.persist_rejects);
+  EXPECT_EQ(delta("pbio.cache.tier_ups"), c1.tier_ups + c2.tier_ups);
 
   Context::Stats sum;
   for (const Context* ctx : {&a, &b, &restarted}) {

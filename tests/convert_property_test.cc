@@ -2,7 +2,9 @@
 // ordered pair of modelled ABIs, materialize -> convert -> read-back must be
 // lossless. Also checks that disabling the optimizer never changes results
 // and that field reordering / extension / truncation behave per the paper's
-// name-matching rules.
+// name-matching rules. Through a Reader, the interpreter that runs a
+// pair's first record and the code generated on its reuse must agree byte
+// for byte.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -10,9 +12,13 @@
 #include "arch/layout.h"
 #include "convert/interp.h"
 #include "convert/plan.h"
+#include "obs/obs.h"
+#include "pbio/pbio.h"
+#include "transport/loopback.h"
 #include "value/materialize.h"
 #include "value/random.h"
 #include "value/read.h"
+#include "vcode/execmem.h"
 
 namespace pbio::convert {
 namespace {
@@ -95,6 +101,61 @@ TEST_P(ConvertPropertyTest, OptimizerNeverChangesResults) {
     ASSERT_TRUE(b.is_ok());
     EXPECT_TRUE(value::equivalent(a.value(), b.value()))
         << src->name << "->" << dst->name;
+  }
+}
+
+std::uint64_t counter(const char* name) {
+  const obs::Snapshot snap = obs::snapshot();
+  const obs::CounterSample* c = snap.find_counter(name);
+  return c == nullptr ? 0 : c->value;
+}
+
+TEST_P(ConvertPropertyTest, ReaderInterpretsThenGeneratesIdenticalBytes) {
+  // Through a Reader, a pair's first record runs the interpreter and the
+  // kTierUpUses-th runs generated code. Both must write the same bytes,
+  // padding included, into a destination filled the same way.
+  std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()) * 6151 + 3);
+  value::RandomSpecOptions opts;
+  opts.allow_strings = false;  // pointer-mode decode: fixed layouts only
+  opts.allow_var_arrays = false;
+  const StructSpec spec = value::random_spec(rng, opts);
+  const Record rec = value::random_record(spec, rng);
+  for (const auto& [src_abi, dst_abi] : all_pairs()) {
+    const std::string pair = src_abi->name + "->" + dst_abi->name;
+    const auto src = arch::layout_format(spec, *src_abi);
+    const auto dst = arch::layout_format(spec, *dst_abi);
+    Context wctx;
+    Context rctx;
+    auto [tx, rx] = transport::make_loopback_pair();
+    Writer writer(wctx, *tx);
+    Reader reader(rctx, *rx);
+    const auto wire = wctx.register_format(src);
+    reader.expect(rctx.register_format(dst));
+    const auto image = value::materialize(src, rec);
+    std::vector<std::vector<std::uint8_t>> outs;
+    for (std::uint32_t i = 0; i < kTierUpUses; ++i) {
+      ASSERT_TRUE(writer.write_image(wire, image).is_ok()) << pair;
+      auto m = reader.next();
+      ASSERT_TRUE(m.is_ok()) << pair << ": " << m.status().to_string();
+      const std::uint64_t interp0 = counter("pbio.decode.records.interp");
+      const std::uint64_t dcg0 = counter("pbio.decode.records.dcg");
+      std::vector<std::uint8_t> out(dst.fixed_size, 0xAB);
+      ASSERT_TRUE(
+          m.value().decode_into(out.data(), out.size(), Engine::kDcg).is_ok())
+          << pair;
+      if (!m.value().zero_copy()) {
+        const bool dcg = i + 1 >= kTierUpUses && vcode::jit_supported();
+        EXPECT_EQ(counter("pbio.decode.records.interp") - interp0, dcg ? 0u : 1u)
+            << pair << " record " << i;
+        EXPECT_EQ(counter("pbio.decode.records.dcg") - dcg0, dcg ? 1u : 0u)
+            << pair << " record " << i;
+      }
+      outs.push_back(std::move(out));
+    }
+    EXPECT_EQ(outs.front(), outs.back()) << pair;
+    auto back = value::read_record(dst, outs.back());
+    ASSERT_TRUE(back.is_ok()) << pair;
+    EXPECT_TRUE(value::equivalent(back.value(), rec)) << pair;
   }
 }
 

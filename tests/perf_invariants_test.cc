@@ -14,6 +14,7 @@
 #include "obs/obs.h"
 #include "obs/span.h"
 #include "pbio/pbio.h"
+#include "transport/loopback.h"
 #include "vcode/execmem.h"
 #include "vcode/jit_convert.h"
 
@@ -226,6 +227,69 @@ TEST(PerfInvariants, RecompilingReusesCodePagesWithoutMapping) {
   EXPECT_EQ(counter("vcode.exec.maps"), maps)
       << "dropping a conversion did not recycle its code page";
   EXPECT_EQ(counter("vcode.exec.reuses"), reuses + kCompiles);
+}
+
+/// hetero_bulk's host-native variable-length record.
+struct NativeEvent {
+  int seq;
+  unsigned n;
+  char* name;
+  double* samples;
+};
+
+TEST(PerfInvariants, FirstRecordOfEachPairGeneratesNoCode) {
+  // A stream generates code only for pairs that recur. A Reader receiving
+  // one record of each of hetero_bulk's 10 pairs (three record sizes from
+  // three foreign ABIs, plus a host var-length record) builds and verifies
+  // 10 plans and compiles nothing. A count, not a timing.
+  Context wctx;
+  Context rctx;
+  auto [tx, rx] = transport::make_loopback_pair();
+  Writer writer(wctx, *tx);
+  Reader reader(rctx, *rx);
+  for (Size s : {Size::k1KB, Size::k10KB, Size::k100KB}) {
+    reader.expect(rctx.register_format(
+        make_workload(s, arch::abi_x86_64(), arch::abi_x86_64()).dst_fmt));
+    for (const arch::Abi* abi :
+         {&arch::abi_sparc_v8(), &arch::abi_x86(), &arch::abi_ppc64()}) {
+      const Workload w = make_workload(s, *abi, arch::abi_x86_64());
+      ASSERT_TRUE(
+          writer.write_image(wctx.register_format(w.src_fmt), w.src_image)
+              .is_ok());
+    }
+  }
+  const NativeField fields[] = {
+      PBIO_FIELD(NativeEvent, seq, arch::CType::kInt),
+      PBIO_FIELD(NativeEvent, n, arch::CType::kUInt),
+      PBIO_STRING(NativeEvent, name),
+      PBIO_VARARRAY(NativeEvent, samples, arch::CType::kDouble, "n"),
+  };
+  const fmt::FormatDesc event =
+      native_format("event", fields, sizeof(NativeEvent));
+  reader.expect(rctx.register_format(event));
+  char name[] = "probe";
+  double samples[3] = {1.5, -2.5, 3.5};
+  const NativeEvent ev{7, 3, name, samples};
+  ASSERT_TRUE(writer.write(wctx.register_format(event), &ev).is_ok());
+
+  const std::uint64_t jit0 = [] {
+    const obs::Snapshot snap = obs::snapshot();
+    const obs::CounterSample* c = snap.find_counter("vcode.jit.compiles");
+    return c == nullptr ? std::uint64_t{0} : c->value;
+  }();
+  for (int i = 0; i < 10; ++i) {
+    auto m = reader.next();
+    ASSERT_TRUE(m.is_ok()) << m.status().to_string();
+    EXPECT_TRUE(m.value().has_native());
+  }
+  const cache::ArtifactCache::Stats st = rctx.artifact_cache().stats();
+  EXPECT_EQ(st.compiles, 10u) << "one verified plan per pair";
+  EXPECT_EQ(st.tier_ups, 0u);
+  EXPECT_EQ(st.jit_code_bytes, 0u);
+  EXPECT_EQ(rctx.stats().conversions_compiled, 10u);
+  const obs::Snapshot snap = obs::snapshot();
+  const obs::CounterSample* jit = snap.find_counter("vcode.jit.compiles");
+  EXPECT_EQ(jit == nullptr ? 0 : jit->value, jit0) << "code was generated";
 }
 
 }  // namespace

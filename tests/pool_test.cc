@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "util/error.h"
 
 namespace pbio {
 namespace {
@@ -82,6 +83,18 @@ TEST(BufferPool, SliceAliasesAndPinsTheBlock) {
   // The slice keeps the block alive.
   EXPECT_EQ(part.data()[0], 100);
   EXPECT_EQ(part.data()[49], 149);
+}
+
+TEST(BufferPool, SliceRejectsRangesPastTheBlock) {
+  BufferPool pool;
+  FrameBuf whole = pool.lease(256);
+  const std::size_t cap = whole.capacity();
+  EXPECT_EQ(whole.slice(cap, 0).size(), 0u);
+  EXPECT_THROW((void)whole.slice(cap - 10, 11), PbioError);
+  EXPECT_THROW((void)whole.slice(cap + 1, 0), PbioError);
+  // off + len wraps to 15 here, which a summed bound check would accept.
+  EXPECT_THROW((void)whole.slice(16, SIZE_MAX), PbioError);
+  EXPECT_THROW((void)whole.slice(SIZE_MAX, 16), PbioError);
 }
 
 TEST(BufferPool, BlockReturnsToPoolOnLastRelease) {
