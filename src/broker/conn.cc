@@ -2,10 +2,10 @@
 
 #include <sys/epoll.h>
 
-#include "fmt/meta.h"
 #include "obs/flight.h"
 #include "obs/span.h"
 #include "pbio/encode.h"
+#include "pbio/message.h"
 #include "transport/tracewire.h"
 #include "util/arena.h"
 #include "util/endian.h"
@@ -94,11 +94,11 @@ Status Conn::enqueue(FrameBuf frame, const obs::TraceCtx* trace) {
   return Status::ok();
 }
 
-Status Conn::forward_trace(FrameBuf response) {
+Status Conn::forward_trace(FrameBuf response, const obs::TraceCtx& trace) {
   // The sidecar goes out ahead of the response it describes, re-stamped
   // with a fresh span id so each hop's emission is distinguishable; the
   // ids let the Reader on the far side continue the same trace.
-  obs::TraceCtx fwd = pending_trace_;
+  obs::TraceCtx fwd = trace;
 #if PBIO_OBS_ENABLED
   fwd.span_id = obs::new_trace_id();
 #endif
@@ -108,7 +108,7 @@ Status Conn::forward_trace(FrameBuf response) {
   std::copy_n(raw, transport::kTraceFrameLen, side.data());
   Status st = enqueue(std::move(side));
   if (!st.is_ok()) return st;
-  return enqueue(std::move(response), &pending_trace_);
+  return enqueue(std::move(response), &trace);
 }
 
 Status Conn::flush() {
@@ -126,113 +126,56 @@ Status Conn::flush() {
   return Status::ok();
 }
 
-Status Conn::decode_frame(const FrameBuf& frame) {
-  // on_data_frame already rejects short frames, but this function sizes
-  // `frame.size() - kDataHeaderSize` below — a guard living only in the
-  // caller would let any new call site wrap that subtraction. Check
-  // locally; wire-length trust is never inherited across functions.
-  if (frame.size() < kDataHeaderSize) {
-    return Status(Errc::kTruncated, "short data frame");
-  }
-  const Context::FormatId wire_id = load_uint(
-      frame.data() + kDataHeaderIdOffset, 8, ByteOrder::kLittle);
-
-  bool refilled = false;
-  auto resolved = resolver_.resolve(wire_id, &refilled);
-  if (!resolved.is_ok()) return resolved.status();
-  const Resolver::Entry& entry = *resolved.value();
-  if (frame.size() - kDataHeaderSize < entry.wire->fixed_size) {
-    return Status(Errc::kTruncated, "payload smaller than record");
-  }
-  if (entry.conv == nullptr) return Status::ok();  // no expected target
+Status Conn::on_data_frame(FrameBuf frame, const Resolver::Frame& f) {
+  const Resolver::Entry* entry = f.entry;  // set when Config::decode is on
+  if (entry != nullptr && entry->conv != nullptr) {
 #if PBIO_OBS_ENABLED
-  if (refilled) {
-    // Cold: one registration per (wire, native) pair per process — the
-    // per-format-pair latency series behind /metrics p50/p99/p999.
-    decode_hist_ = obs::histogram("pbio.broker.decode_ns." +
-                                  entry.wire->name + "->" +
-                                  entry.native->name);
-  }
-#endif
-
-  if (decode_out_.size() < entry.native->fixed_size) {
-    decode_out_.resize(entry.native->fixed_size);
-  }
-#if PBIO_OBS_ENABLED
-  const std::uint64_t t0 = obs::ticks();
-#endif
-  convert::ExecInput in;
-  in.src = frame.data() + kDataHeaderSize;
-  in.src_size = frame.size() - kDataHeaderSize;
-  in.dst = decode_out_.data();
-  in.dst_size = entry.native->fixed_size;
-  in.mode = convert::VarMode::kPointers;
-  in.borrow_from_src = true;
-  if (entry.wire->is_fixed_layout()) {
-    Status st = pbio::run(*entry.conv, in, sh_.cfg.engine);
-    if (!st.is_ok()) return st;
-  } else {
-    // Variable-length records may need arena space for non-borrowable
-    // strings; scoped per frame so it cannot grow without bound.
-    Arena scratch;
-    in.arena = &scratch;
-    Status st = pbio::run(*entry.conv, in, sh_.cfg.engine);
-    if (!st.is_ok()) return st;
-  }
-#if PBIO_OBS_ENABLED
-  if (decode_hist_ != obs::kInvalidMetric) {
-    obs::histogram_record(decode_hist_,
-                          obs::ticks_to_ns(obs::ticks() - t0));
-  }
-#endif
-  sh_.counters.add(kDecoded, 1);
-  return Status::ok();
-}
-
-Status Conn::on_data_frame(FrameBuf frame) {
-  if (frame.size() < kDataHeaderSize) {
-    return Status(Errc::kTruncated, "short data frame");
-  }
-  if (sh_.cfg.decode) {
-    Status st = decode_frame(frame);
-    if (!st.is_ok()) {
-#if PBIO_OBS_ENABLED
-      obs::flight_record(obs::FlightKind::kDecodeError,
-                         static_cast<std::uint64_t>(ch_.fd()),
-                         static_cast<std::uint64_t>(st.code()));
-#endif
-      return st;
+    if (f.refilled) {
+      // Cold: one registration per (wire, native) pair per process — the
+      // per-format-pair latency series behind /metrics p50/p99/p999.
+      decode_hist_ = obs::histogram("pbio.broker.decode_ns." +
+                                    entry->wire->name + "->" +
+                                    entry->native->name);
     }
+    const std::uint64_t t0 = obs::ticks();
+#endif
+    const std::size_t out_size = entry->native->fixed_size;
+    if (decode_out_.size() < out_size) decode_out_.resize(out_size);
+    // Strings that cannot be borrowed from the frame land here, scoped per
+    // frame so the arena cannot grow without bound.
+    Arena scratch;
+    Status st = decode_record(*entry->conv, f.payload, decode_out_.data(),
+                              out_size, scratch);
+    if (!st.is_ok()) return st;
+#if PBIO_OBS_ENABLED
+    if (decode_hist_ != obs::kInvalidMetric) {
+      obs::histogram_record(decode_hist_,
+                            obs::ticks_to_ns(obs::ticks() - t0));
+    }
+#endif
+    sh_.counters.add(kDecoded, 1);
   }
-  // This data frame consumes any pending trace sidecar: emit the ingress
-  // span (sidecar arrival to dispatch complete) and clear it regardless of
-  // response mode, so a stale ctx can never attach to a later message.
-  const bool traced = pending_trace_.valid();
+  // The ingress span: sidecar arrival to dispatch complete.
+  const bool traced = f.trace.valid();
 #if PBIO_OBS_ENABLED
   if (traced) {
-    obs::trace_emit_ctx("pbio.trace.ingress", pending_trace_,
-                        pending_trace_ns_, obs::epoch_ns());
+    obs::trace_emit_ctx("pbio.trace.ingress", f.trace, f.trace_ns,
+                        obs::epoch_ns());
   }
 #endif
-  struct ClearTrace {
-    obs::TraceCtx* ctx;
-    ~ClearTrace() { *ctx = obs::TraceCtx{}; }
-  } clear{&pending_trace_};
 
   switch (sh_.cfg.on_data) {
     case OnData::kEcho:
-      if (traced) return forward_trace(std::move(frame));
+      if (traced) return forward_trace(std::move(frame), f.trace);
       return enqueue(std::move(frame));
     case OnData::kAck: {
-      const Context::FormatId wire_id = load_uint(
-          frame.data() + kDataHeaderIdOffset, 8, ByteOrder::kLittle);
       frame.reset();  // drop the lease before taking a fresh one
       FrameBuf ack = pool().lease(kDataHeaderSize);
       std::fill_n(ack.data(), kDataHeaderSize, std::uint8_t{0});
       ack.data()[0] = kFrameAck;
-      store_uint(ack.data() + kDataHeaderIdOffset, wire_id, 8,
+      store_uint(ack.data() + kDataHeaderIdOffset, f.wire_id, 8,
                  ByteOrder::kLittle);
-      if (traced) return forward_trace(std::move(ack));
+      if (traced) return forward_trace(std::move(ack), f.trace);
       return enqueue(std::move(ack));
     }
     case OnData::kSink:
@@ -242,38 +185,11 @@ Status Conn::on_data_frame(FrameBuf frame) {
 }
 
 Status Conn::dispatch(FrameBuf frame) {
-  if (frame.empty()) {
-    sh_.counters.add(kProtocolErrors, 1);
-    return Status(Errc::kMalformed, "empty frame");
-  }
-  sh_.counters.add(kFramesIn, 1);
-  sh_.counters.add(kBytesIn, transport::kFrameHeaderLen + frame.size());
-
-  switch (frame.data()[0]) {
-    case kFrameFormat: {
-      auto meta =
-          fmt::decode_meta(std::span(frame.data() + 1, frame.size() - 1));
-      if (!meta.is_ok()) {
-        sh_.counters.add(kProtocolErrors, 1);
-        return meta.status();
-      }
-      auto learned = sh_.ctx.learn_format(std::move(meta).take());
-      if (!learned.is_ok()) {
-        sh_.counters.add(kProtocolErrors, 1);
-        return learned.status();
-      }
-      sh_.counters.add(kFormatsLearned, 1);
-      return Status::ok();
-    }
-    case kFrameData: {
-      Status st = on_data_frame(std::move(frame));
-      if (!st.is_ok() && st.code() != Errc::kOverloaded) {
-        sh_.counters.add(kProtocolErrors, 1);
-      }
-      return st;
-    }
-    case kSvcLookup:
-    case kSvcRegister: {
+  if (!frame.empty()) {
+    sh_.counters.add(kFramesIn, 1);
+    sh_.counters.add(kBytesIn, transport::kFrameHeaderLen + frame.size());
+    const std::uint8_t kind = frame.data()[0];
+    if (kind == kSvcLookup || kind == kSvcRegister) {
       Status st = sh_.svc.handle(frame.view(), svc_reply_);
       if (!st.is_ok()) {
         sh_.counters.add(kProtocolErrors, 1);
@@ -284,33 +200,31 @@ Status Conn::dispatch(FrameBuf frame) {
       frame.reset();
       return enqueue(std::move(reply));
     }
-    case transport::kFrameTrace: {
-      // Trace sidecar for the next data frame. Handled in every build
-      // configuration (the sampling writer may be an obs-on peer); only
-      // the ingress timestamping is an obs concern.
-      obs::TraceCtx ctx;
-      if (!transport::decode_trace_frame(frame.view(), &ctx)) {
-        sh_.counters.add(kProtocolErrors, 1);
-#if PBIO_OBS_ENABLED
-        obs::flight_record(obs::FlightKind::kProtocolError,
-                           static_cast<std::uint64_t>(ch_.fd()));
-#endif
-        return Status(Errc::kMalformed, "bad trace sidecar frame");
-      }
-      pending_trace_ = ctx;
-#if PBIO_OBS_ENABLED
-      pending_trace_ns_ = obs::epoch_ns();
-#endif
-      return Status::ok();
-    }
-    default:
-      sh_.counters.add(kProtocolErrors, 1);
-#if PBIO_OBS_ENABLED
-      obs::flight_record(obs::FlightKind::kProtocolError,
-                         static_cast<std::uint64_t>(ch_.fd()));
-#endif
-      return Status(Errc::kMalformed, "unknown frame kind");
   }
+
+  using Kind = Resolver::Frame::Kind;
+  Resolver::Frame f;
+  Status st = resolver_.interpret(frame.view(), &f, sh_.cfg.decode);
+  if (st.is_ok()) {
+    if (f.kind == Kind::kFormat) sh_.counters.add(kFormatsLearned, 1);
+    if (f.kind != Kind::kData) return st;
+    st = on_data_frame(std::move(frame), f);
+    if (st.is_ok() || st.code() == Errc::kOverloaded) return st;
+  }
+  sh_.counters.add(kProtocolErrors, 1);
+#if PBIO_OBS_ENABLED
+  // Garbage framing and records that would not decode leave flight
+  // events; a bad announcement or a short data frame does not.
+  if (f.kind == Kind::kUnknown || f.kind == Kind::kTrace) {
+    obs::flight_record(obs::FlightKind::kProtocolError,
+                       static_cast<std::uint64_t>(ch_.fd()));
+  } else if (f.kind == Kind::kData) {
+    obs::flight_record(obs::FlightKind::kDecodeError,
+                       static_cast<std::uint64_t>(ch_.fd()),
+                       static_cast<std::uint64_t>(st.code()));
+  }
+#endif
+  return st;
 }
 
 Conn::Verdict Conn::service(std::size_t frame_budget, std::uint32_t events) {

@@ -2,23 +2,25 @@
 //
 // A Conn owns one non-blocking SocketChannel (built over its worker's
 // BufferPool, so frames never bounce between cores), a SendQueue of pending
-// responses, and a pbio::Resolver over the broker-wide expected table:
-// connection traffic is overwhelmingly same-format streaks, so the common
-// data frame resolves its format and conversion with one compare and no
-// locks.
+// responses, and a pbio::Resolver over the broker-wide expected table. The
+// Resolver is the pbio frame interpreter a Reader runs too: it learns
+// announcements, holds trace sidecars and resolves data frames, and a
+// same-format streak resolves its conversion with one compare and no
+// locks. What stays here is the broker's own part: format-service
+// requests, echo / ack / sink, counters and flight records.
 //
 // service() is the whole per-connection protocol: drain complete frames
-// from the socket (poll_buf — the PR 4 zero-alloc coalesced path),
-// dispatch each on its first payload byte (pbio frame kinds and format-
-// service request bytes are disjoint), flush responses with gathered
-// send. Draining stops at the first short read rather than at EAGAIN:
-// under EPOLLET any later byte raises a new edge (see
-// SocketChannel::may_have_input). Backpressure is a flag, not an epoll
-// transition: when the send queue passes the per-connection byte cap the
-// Conn simply stops draining input, the kernel receive buffer fills, the
-// peer's TCP window closes — and reading resumes once the queue drains
-// below the low watermark. Peer EOF stops reading too; the Conn closes
-// once the replies already queued have been flushed.
+// from the socket (poll_buf, which slices coalesced frames out of one
+// pooled stream buffer without allocating), dispatch each on its first
+// payload byte (pbio frame kinds and format-service request bytes are
+// disjoint), flush responses with gathered send. Draining stops at the
+// first short read rather than at EAGAIN: under EPOLLET any later byte
+// raises a new edge (see SocketChannel::may_have_input). Backpressure is a
+// flag, not an epoll transition: when the send queue passes the
+// per-connection byte cap the Conn simply stops draining input, the kernel
+// receive buffer fills, the peer's TCP window closes — and reading resumes
+// once the queue drains below the low watermark. Peer EOF stops reading
+// too; the Conn closes once the replies already queued have been flushed.
 #pragma once
 
 #include <atomic>
@@ -68,8 +70,9 @@ struct Config {
   /// userspace send-queue caps the operative backpressure layer.
   int so_sndbuf = 0;
   OnData on_data = OnData::kEcho;
-  bool decode = false;            // run wire->native conversion per frame
-  Engine engine = Engine::kDcg;
+  /// Convert each data frame wire->native before forwarding it; off, data
+  /// frames are forwarded without being resolved.
+  bool decode = false;
   std::string stats_file;         // periodic obs::to_json dump (empty: off)
   unsigned stats_interval_ms = 1000;
   /// HTTP scrape endpoint (/metrics, /healthz, /tracez) riding worker 0's
@@ -161,11 +164,12 @@ class Conn {
 
  private:
   WIRE_TAINTED Status dispatch(FrameBuf frame);
-  WIRE_TAINTED Status on_data_frame(FrameBuf frame);
-  WIRE_TAINTED Status decode_frame(const FrameBuf& frame);
+  // Decode (with Config::decode) and answer one interpreted data frame.
+  WIRE_TAINTED Status on_data_frame(FrameBuf frame,
+                                    const Resolver::Frame& f);
   Status enqueue(FrameBuf frame, const obs::TraceCtx* trace = nullptr);
-  // Forward the pending trace sidecar ahead of the traced response frame.
-  Status forward_trace(FrameBuf response);
+  // Forward `trace`'s sidecar ahead of the response frame it describes.
+  Status forward_trace(FrameBuf response, const obs::TraceCtx& trace);
   // Flush the send queue; updates inflight/byte gauges. kWouldBlock is
   // success (blocked=true inside); hard errors mean the peer is gone.
   Status flush();
@@ -188,12 +192,6 @@ class Conn {
   /// Flips on the first pause and never back: this connection's residency
   /// samples land in the "slow" class histogram from then on.
   bool ever_paused_ = false;
-
-  // Trace sidecar for the next data frame on this connection (see
-  // transport/tracewire.h). Parsed even in PBIO_OBS=OFF builds so an
-  // obs-on writer can traverse an obs-off broker; stamping is gated.
-  obs::TraceCtx pending_trace_;
-  std::uint64_t pending_trace_ns_ = 0;  // ingress wall clock
 
   Resolver resolver_;
   /// Per-format-pair decode latency histogram (registered cold whenever

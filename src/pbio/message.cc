@@ -32,6 +32,33 @@ Status run_conversion(const Conversion& conv, const convert::ExecInput& in,
 
 }  // namespace
 
+Status decode_record(const Conversion& conv, std::span<const std::uint8_t> src,
+                     void* out, std::size_t size, Arena& arena,
+                     Engine engine) {
+  const convert::Plan& plan = conv.plan();
+  if (plan.identity) {
+    // Identity layouts: a single block copy of the fixed part suffices; in
+    // fact callers should prefer view<T>() and skip even this copy.
+    if (size < plan.dst_fixed_size) {
+      return Status(Errc::kTruncated, "output smaller than record");
+    }
+    OBS_COUNT("pbio.decode.identity_hits", 1);
+    const std::size_t n =
+        std::min(src.size(), std::size_t{plan.dst_fixed_size});
+    std::memcpy(out, src.data(), n);
+    return Status::ok();
+  }
+  convert::ExecInput in;
+  in.src = src.data();
+  in.src_size = src.size();
+  in.dst = static_cast<std::uint8_t*>(out);
+  in.dst_size = size;
+  in.mode = convert::VarMode::kPointers;
+  in.arena = &arena;
+  in.borrow_from_src = true;  // pointers may alias the received frame
+  return run_conversion(conv, in, engine);
+}
+
 Status Message::decode_into(void* out, std::size_t size, Engine engine) {
   if (!has_native() || conv_ == nullptr) {
     return Status(Errc::kUnknownFormat, "no native format expected");
@@ -53,26 +80,7 @@ Status Message::decode_into(void* out, std::size_t size, Engine engine) {
     }
   } stamp{this, traced, trace_t0};
 #endif
-  if (zero_copy()) {
-    // Identity layouts: a single block copy of the fixed part suffices; in
-    // fact callers should prefer view<T>() and skip even this copy.
-    if (size < native_->fixed_size) {
-      return Status(Errc::kTruncated, "output smaller than record");
-    }
-    OBS_COUNT("pbio.decode.identity_hits", 1);
-    std::memcpy(out, payload_.data(),
-                std::min<std::size_t>(payload_.size(), native_->fixed_size));
-    return Status::ok();
-  }
-  convert::ExecInput in;
-  in.src = payload_.data();
-  in.src_size = payload_.size();
-  in.dst = static_cast<std::uint8_t*>(out);
-  in.dst_size = size;
-  in.mode = convert::VarMode::kPointers;
-  in.arena = &arena_;
-  in.borrow_from_src = true;  // pointers may alias this message's buffer
-  return run_conversion(*conv_, in, engine);
+  return decode_record(*conv_, payload_, out, size, arena_, engine);
 }
 
 Status Message::decode_at(std::size_t index, void* out, std::size_t size,
@@ -83,24 +91,8 @@ Status Message::decode_at(std::size_t index, void* out, std::size_t size,
   if (index >= count()) {
     return Status(Errc::kTruncated, "record index out of range");
   }
-  const std::size_t at = index * wire_->fixed_size;
-  if (zero_copy()) {
-    if (size < native_->fixed_size) {
-      return Status(Errc::kTruncated, "output smaller than record");
-    }
-    OBS_COUNT("pbio.decode.identity_hits", 1);
-    std::memcpy(out, payload_.data() + at, native_->fixed_size);
-    return Status::ok();
-  }
-  convert::ExecInput in;
-  in.src = payload_.data() + at;
-  in.src_size = payload_.size() - at;
-  in.dst = static_cast<std::uint8_t*>(out);
-  in.dst_size = size;
-  in.mode = convert::VarMode::kPointers;
-  in.arena = &arena_;
-  in.borrow_from_src = true;
-  return run_conversion(*conv_, in, engine);
+  return decode_record(*conv_, payload_.subspan(index * wire_->fixed_size),
+                       out, size, arena_, engine);
 }
 
 Status Message::decode_all(void* out, std::size_t stride,

@@ -28,6 +28,18 @@ namespace pbio {
 
 class Reader;
 
+/// Decode one received record into `out` (`size` bytes). `src` is its
+/// wire image through the end of the payload, since a variable part lies
+/// past the fixed one. An identity layout copies the fixed part; any other
+/// pair runs `conv` on `engine`, counted by the engine that ran
+/// (pbio.decode.records.{dcg,interp}), with variable-length data pointing
+/// into `src` or landing in `arena`. Message's decodes and a decoding
+/// broker connection both run this.
+WIRE_TAINTED Status decode_record(const Conversion& conv,
+                                  std::span<const std::uint8_t> src,
+                                  void* out, std::size_t size, Arena& arena,
+                                  Engine engine = Engine::kDcg);
+
 class Message {
  public:
   Message() = default;

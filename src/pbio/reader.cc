@@ -1,9 +1,6 @@
 #include "pbio/reader.h"
 
-#include "fmt/meta.h"
 #include "obs/span.h"
-#include "pbio/encode.h"
-#include "transport/tracewire.h"
 
 namespace pbio {
 
@@ -16,87 +13,33 @@ void Reader::expect(Context::FormatId native_id) {
   resolver_.invalidate();
 }
 
-Result<const Resolver::Entry*> Reader::resolve(Context::FormatId wire_id) {
-  auto got = resolver_.resolve(wire_id);
-  if (got.is_ok() || got.status().code() != Errc::kUnknownFormat ||
-      !format_resolver_) {
-    return got;
-  }
-  auto fetched = format_resolver_(wire_id);
-  if (!fetched.is_ok()) return got;
-  auto learned = ctx_.learn_format(std::move(fetched).take());
-  if (!learned.is_ok()) return learned.status();
-  if (learned.value() != wire_id) return got;
-  ++formats_learned_;
-  return resolver_.resolve(wire_id);
-}
-
 Result<bool> Reader::consume_frame(FrameBuf frame, Message* m) {
-  if (frame.empty()) {
-    return Status(Errc::kMalformed, "empty frame");
+  using Kind = Resolver::Frame::Kind;
+  Resolver::Frame f;
+  const Status st = resolver_.interpret(frame.view(), &f);
+  if (f.kind != Kind::kEmpty) {
+    OBS_COUNT("pbio.recv.frames", 1);
+    OBS_COUNT("pbio.recv.bytes", frame.size());
   }
-  const std::uint8_t kind = frame.data()[0];
-  OBS_COUNT("pbio.recv.frames", 1);
-  OBS_COUNT("pbio.recv.bytes", frame.size());
+  if (f.kind == Kind::kFormat) OBS_COUNT("pbio.recv.format_frames", 1);
+  if (f.kind == Kind::kData) OBS_COUNT("pbio.recv.data_frames", 1);
+  if (!st.is_ok()) return st;
+  if (f.kind != Kind::kData) return false;
 
-  if (kind == kFrameFormat) {
-    OBS_COUNT("pbio.recv.format_frames", 1);
-    auto meta =
-        fmt::decode_meta(std::span(frame.data() + 1, frame.size() - 1));
-    if (!meta.is_ok()) return meta.status();
-    auto learned = ctx_.learn_format(std::move(meta).take());
-    if (!learned.is_ok()) return learned.status();
-    ++formats_learned_;
-    return false;
-  }
-
-  if (kind == transport::kFrameTrace) {
-    // Sidecar for the next data frame. Parsed unconditionally (an obs-on
-    // peer may sample regardless of this build's configuration); a
-    // malformed sidecar is a protocol error like any other bad frame.
-    obs::TraceCtx ctx;
-    if (!transport::decode_trace_frame(frame.view(), &ctx)) {
-      return Status(Errc::kMalformed, "bad trace sidecar frame");
-    }
-#if PBIO_OBS_ENABLED
-    pending_trace_ = ctx;
-    pending_trace_ns_ = obs::epoch_ns();
-#endif
-    return false;
-  }
-
-  if (kind != kFrameData) {
-    return Status(Errc::kMalformed, "unknown frame kind");
-  }
-  if (frame.size() < kDataHeaderSize) {
-    return Status(Errc::kTruncated, "short data frame");
-  }
-  OBS_COUNT("pbio.recv.data_frames", 1);
-  const Context::FormatId wire_id =
-      load_uint(frame.data() + kDataHeaderIdOffset, 8, ByteOrder::kLittle);
-
-  auto resolved = resolve(wire_id);
-  if (!resolved.is_ok()) return resolved.status();
-  const Resolver::Entry& entry = *resolved.value();
-  if (frame.size() - kDataHeaderSize < entry.wire->fixed_size) {
-    return Status(Errc::kTruncated, "payload smaller than record");
-  }
-
-  m->buffer_ = std::move(frame);
-  m->payload_ = std::span(m->buffer_.data() + kDataHeaderSize,
-                          m->buffer_.size() - kDataHeaderSize);
+  const Resolver::Entry& entry = *f.entry;
+  m->buffer_ = std::move(frame);  // a moved lease keeps its bytes in place
+  m->payload_ = f.payload;
   m->wire_ = entry.wire;
-  m->wire_id_ = wire_id;
+  m->wire_id_ = f.wire_id;
   m->native_ = entry.native;
   m->conv_ = entry.conv;
 #if PBIO_OBS_ENABLED
-  if (pending_trace_.valid()) {
+  if (f.trace.valid()) {
     // The receive span: sidecar arrival to data-frame delivery. The ctx
     // rides on the Message so decode_into can stamp the decode span too.
-    m->trace_ctx_ = pending_trace_;
-    obs::trace_emit_ctx("pbio.trace.recv", pending_trace_, pending_trace_ns_,
+    m->trace_ctx_ = f.trace;
+    obs::trace_emit_ctx("pbio.trace.recv", f.trace, f.trace_ns,
                         obs::epoch_ns());
-    pending_trace_ = obs::TraceCtx{};
   }
 #endif
   return true;

@@ -7,17 +7,17 @@
 //  * next_batch()  — one blocking receive, then drains every frame the
 //    transport already has buffered without blocking again.
 //
-// Wire ids resolve through a pbio::Resolver (resolver.h): runs of frames
-// with the same wire id resolve their conversion once, so a burst of small
-// messages costs one registry + artifact-cache walk total, not one per
-// message. A data frame whose format was never announced falls back to the
-// installed format resolver (a format service), once. A pair's first record
-// is interpreted; its code is generated on reuse (resolver.h).
+// Every frame goes through the stream's pbio::Resolver (resolver.h), the
+// frame interpreter a broker connection runs too: it learns announcements,
+// holds trace sidecars and resolves data frames. Runs of frames with the
+// same wire id resolve their conversion once, so a burst of small messages
+// costs one registry + artifact-cache walk total, not one per message. A
+// data frame whose format was never announced falls back to the installed
+// format resolver (a format service), once. A pair's first record is
+// interpreted; its code is generated on reuse (resolver.h). The Reader
+// itself only turns a resolved data frame into a Message.
 #pragma once
 
-#include <functional>
-
-#include "obs/tracectx.h"
 #include "pbio/context.h"
 #include "pbio/message.h"
 #include "pbio/resolver.h"
@@ -28,8 +28,7 @@ namespace pbio {
 
 class Reader {
  public:
-  using FormatResolver =
-      std::function<Result<fmt::FormatDesc>(Context::FormatId)>;
+  using FormatResolver = Resolver::FormatResolver;
 
   Reader(Context& ctx, transport::Channel& channel)
       : ctx_(ctx), channel_(channel), resolver_(ctx, expected_) {}
@@ -43,7 +42,7 @@ class Reader {
   /// announced on this channel — typically a FormatServiceClient's
   /// resolver(). This is what lets a reader join an ongoing stream.
   void set_format_resolver(FormatResolver resolver) {
-    format_resolver_ = std::move(resolver);
+    resolver_.set_format_resolver(std::move(resolver));
   }
 
   /// Declare the native format this receiver wants records of the same
@@ -63,30 +62,20 @@ class Reader {
   Result<std::size_t> next_batch(std::span<Message> out);
 
   /// Formats learned from announcements on this channel.
-  std::size_t formats_learned() const { return formats_learned_; }
+  std::size_t formats_learned() const {
+    return resolver_.formats_learned();
+  }
 
  private:
   /// Process one frame. Returns true when `m` was filled with a data
   /// message, false when the frame was a format announcement (consumed).
   WIRE_TAINTED Result<bool> consume_frame(FrameBuf frame, Message* m);
 
-  /// resolver_.resolve(), plus the format-resolver fallback for an id the
-  /// context has never seen: fetch, register, retry once.
-  Result<const Resolver::Entry*> resolve(Context::FormatId wire_id);
-
   Context& ctx_;
   transport::Channel& channel_;
   ExpectedTable expected_;
   Resolver resolver_;
-  FormatResolver format_resolver_;
-  std::size_t formats_learned_ = 0;
   Status pending_ = Status::ok();  // deferred mid-batch error
-
-  // Trace sidecar consumed but not yet attached: it describes the next
-  // data frame on the channel (always consumed, even with PBIO_OBS=OFF —
-  // the peer may be an obs-on build; only the stamping compiles out).
-  obs::TraceCtx pending_trace_;
-  std::uint64_t pending_trace_ns_ = 0;  // sidecar arrival wall clock
 };
 
 }  // namespace pbio

@@ -2,13 +2,89 @@
 
 #include <utility>
 
+#include "fmt/meta.h"
+#include "pbio/encode.h"
+#include "transport/tracewire.h"
+#include "util/endian.h"
+
 namespace pbio {
+
+Status Resolver::interpret(std::span<const std::uint8_t> frame, Frame* out,
+                           bool resolve_data) {
+  using Kind = Frame::Kind;
+  if (frame.empty()) return Status(Errc::kMalformed, "empty frame");
+  switch (frame[0]) {
+    case kFrameFormat: {
+      out->kind = Kind::kFormat;
+      auto meta = fmt::decode_meta(frame.subspan(1));
+      if (!meta.is_ok()) return meta.status();
+      auto learned = ctx_.learn_format(std::move(meta).take());
+      if (!learned.is_ok()) return learned.status();
+      ++formats_learned_;
+      return Status::ok();
+    }
+    case transport::kFrameTrace: {
+      out->kind = Kind::kTrace;
+      obs::TraceCtx ctx;
+      if (!transport::decode_trace_frame(frame, &ctx)) {
+        return Status(Errc::kMalformed, "bad trace sidecar frame");
+      }
+      pending_trace_ = ctx;
+#if PBIO_OBS_ENABLED
+      pending_trace_ns_ = obs::epoch_ns();
+#endif
+      return Status::ok();
+    }
+    case kFrameData:
+      break;
+    default:
+      out->kind = Kind::kUnknown;
+      return Status(Errc::kMalformed, "unknown frame kind");
+  }
+
+  // A sidecar describes the next data frame only: this one takes it,
+  // whatever becomes of the frame.
+  out->trace = std::exchange(pending_trace_, obs::TraceCtx{});
+  out->trace_ns = pending_trace_ns_;
+  if (frame.size() < kDataHeaderSize) {
+    out->kind = Kind::kShortData;
+    return Status(Errc::kTruncated, "short data frame");
+  }
+  out->kind = Kind::kData;
+  out->wire_id =
+      load_uint(frame.data() + kDataHeaderIdOffset, 8, ByteOrder::kLittle);
+  out->payload = frame.subspan(kDataHeaderSize);
+  if (!resolve_data) return Status::ok();
+  auto resolved = resolve(out->wire_id, &out->refilled);
+  if (!resolved.is_ok()) return resolved.status();
+  if (out->payload.size() < resolved.value()->wire->fixed_size) {
+    return Status(Errc::kTruncated, "payload smaller than record");
+  }
+  out->entry = resolved.value();
+  return Status::ok();
+}
+
+Result<const fmt::FormatDesc*> Resolver::fetch(Context::FormatId wire_id) {
+  const auto unknown = [] {
+    return Status(Errc::kUnknownFormat, "data frame for unannounced format");
+  };
+  if (!format_resolver_) return unknown();
+  auto fetched = format_resolver_(wire_id);
+  if (!fetched.is_ok()) return unknown();
+  auto learned = ctx_.learn_format(std::move(fetched).take());
+  if (!learned.is_ok()) return learned.status();
+  if (learned.value() != wire_id) return unknown();
+  ++formats_learned_;
+  return ctx_.find(wire_id);
+}
 
 Result<const Resolver::Entry*> Resolver::refill(Context::FormatId wire_id) {
   Entry e;
   e.wire = ctx_.find(wire_id);
   if (e.wire == nullptr) {
-    return Status(Errc::kUnknownFormat, "data frame for unannounced format");
+    auto fetched = fetch(wire_id);
+    if (!fetched.is_ok()) return fetched.status();
+    e.wire = fetched.value();
   }
   auto it = expected_.find(e.wire->name);
   if (it != expected_.end()) {

@@ -622,6 +622,58 @@ TEST(Broker, DecodeStreakResolvesOncePerFormat) {
   EXPECT_EQ(hits() - hits0, 3u * kStreak - 2u);
 }
 
+TEST(Broker, DecodesCountByTheEngineThatRan) {
+  // A decoding connection runs Message's record decode: a fresh pair's
+  // first record is interpreted, its reuse tiers it up, and every later
+  // record runs the generated code, each counted under its engine.
+  Context ctx;
+  const NativeField fields[] = {
+      PBIO_FIELD(Sample, a, arch::CType::kInt),
+      PBIO_FIELD(Sample, b, arch::CType::kDouble),
+  };
+  Config cfg;
+  cfg.decode = true;
+  Broker b(ctx, cfg);
+  b.expect("sample", ctx.register_format(
+                         native_format("sample", fields, sizeof(Sample))));
+  ASSERT_TRUE(b.start().is_ok());
+
+  const auto wire_fmt =
+      arch::layout_format(sample_spec(), arch::abi_sparc_v8());
+  value::Record rec;
+  rec.set("a", value::Value(3));
+  rec.set("b", value::Value(1.5));
+  const auto frame = record_frame(wire_fmt, rec);
+  const auto records = [](const char* engine) {
+    const auto snap = obs::snapshot();
+    const auto* c = snap.find_counter(std::string("pbio.decode.records.") +
+                                      engine);
+    return c == nullptr ? std::uint64_t{0} : c->value;
+  };
+  const std::uint64_t interp0 = records("interp");
+  const std::uint64_t dcg0 = records("dcg");
+
+  auto ch = transport::socket_connect(b.port());
+  ASSERT_TRUE(ch.is_ok());
+  ASSERT_TRUE(ch.value()->send(announce_frame(wire_fmt)).is_ok());
+  auto echo_one = [&] {
+    ASSERT_TRUE(ch.value()->send(frame).is_ok());
+    auto echo = ch.value()->recv();
+    ASSERT_TRUE(echo.is_ok()) << echo.status().to_string();
+    EXPECT_EQ(echo.value(), frame);
+  };
+  echo_one();
+  EXPECT_EQ(records("interp") - interp0, 1u);
+  EXPECT_EQ(records("dcg") - dcg0, 0u);
+  constexpr std::uint64_t kLater = 3;
+  for (std::uint64_t i = 0; i < kLater; ++i) echo_one();
+  EXPECT_EQ(records("interp") - interp0, 1u);
+  EXPECT_EQ(records("dcg") - dcg0, kLater);
+  b.stop();
+  EXPECT_EQ(b.stats().decoded, 1u + kLater);
+  EXPECT_EQ(b.stats().protocol_errors, 0u);
+}
+
 TEST(Broker, DepthOnePingPongCostsTwoSyscallsPerFrame) {
   // At depth 1 a frame needs one data recv and one writev. The data recv
   // returns less than its window, which already proves the socket empty,

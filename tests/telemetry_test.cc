@@ -27,6 +27,7 @@
 #include "arch/layout.h"
 #include "broker/broker.h"
 #include "broker/http.h"
+#include "fmt/meta.h"
 #include "obs/flight.h"
 #include "obs/obs.h"
 #include "obs/prom.h"
@@ -591,6 +592,59 @@ TEST(Telemetry, UnsampledTrafficCarriesNoSidecar) {
   ASSERT_TRUE(msg.is_ok());
   EXPECT_FALSE(msg.value().trace().valid());
   b.stop();
+  obs::reset();
+}
+TEST(Telemetry, SidecarOfAFailedDataFrameStampsNoLaterMessage) {
+  // A sidecar describes the data frame right after it. When that frame
+  // fails, the sidecar goes with it: the next message is unsampled.
+  obs::set_trace_sampling(0);
+  Context ctx;
+  const NativeField fields[] = {
+      PBIO_FIELD(TSample, a, arch::CType::kInt),
+      PBIO_FIELD(TSample, b, arch::CType::kDouble),
+  };
+  const auto native_id = ctx.register_format(
+      native_format("tsample_lost", fields, sizeof(TSample)));
+  arch::StructSpec spec;
+  spec.name = "tsample_lost";
+  spec.fields = {{.name = "a", .type = arch::CType::kInt},
+                 {.name = "b", .type = arch::CType::kDouble}};
+  const auto wire_fmt = arch::layout_format(spec, arch::abi_sparc_v8());
+  value::Record rec;
+  rec.set("a", value::Value(5));
+  rec.set("b", value::Value(0.5));
+  const auto image = value::materialize(wire_fmt, rec);
+  std::vector<std::uint8_t> data(kDataHeaderSize, 0);
+  data[0] = kFrameData;
+  store_uint(data.data() + kDataHeaderIdOffset, wire_fmt.fingerprint(), 8,
+             ByteOrder::kLittle);
+  data.insert(data.end(), image.begin(), image.end());
+  std::vector<std::uint8_t> announce{kFrameFormat};
+  const auto meta = fmt::encode_meta(wire_fmt);
+  announce.insert(announce.end(), meta.begin(), meta.end());
+
+  obs::TraceCtx tc;
+  tc.trace_id = 0x1234;
+  tc.span_id = 0x5678;
+  std::uint8_t sidecar[transport::kTraceFrameLen];
+  transport::encode_trace_frame(sidecar, tc);
+  auto flipped = data;
+  flipped[kDataHeaderIdOffset] ^= 1;
+
+  auto [tx, rx] = transport::make_loopback_pair();
+  Reader r(ctx, *rx);
+  r.expect(native_id);
+  ASSERT_TRUE(tx->send(std::span<const std::uint8_t>(sidecar)).is_ok());
+  ASSERT_TRUE(tx->send(flipped).is_ok());
+  auto failed = r.next();
+  ASSERT_FALSE(failed.is_ok());
+  EXPECT_EQ(failed.status().code(), Errc::kUnknownFormat);
+
+  ASSERT_TRUE(tx->send(announce).is_ok());
+  ASSERT_TRUE(tx->send(data).is_ok());
+  auto msg = r.next();
+  ASSERT_TRUE(msg.is_ok()) << msg.status().to_string();
+  EXPECT_FALSE(msg.value().trace().valid());
   obs::reset();
 }
 #endif  // PBIO_OBS_ENABLED

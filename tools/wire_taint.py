@@ -31,9 +31,11 @@ Rules:
 
   T1 required-taint      the functions in REQUIRED_SOURCES (the wire
                          ingestion surface: FrameStream slicing, fmt
-                         announcement decode, format-service requests,
-                         persist-file loads, broker dispatch, reader
-                         frame consumption) must carry WIRE_TAINTED.
+                         announcement decode, the receive stream's frame
+                         interpreter, format-service requests, persist-
+                         file loads, broker dispatch, reader frame
+                         consumption, record decode) must carry
+                         WIRE_TAINTED.
   T2 unsanitized-sink    inside an annotated function, a tainted value
                          reaches a sink — memcpy/memmove/memset size,
                          allocation size (resize/reserve/lease/malloc/
@@ -98,11 +100,12 @@ REQUIRED_SOURCES = [
     ("src/transport/framing", "fill_hint"),
     ("src/transport/tracewire", "decode_trace_frame"),
     ("src/fmt/meta", "decode_meta"),                  # announcement decode
+    ("src/pbio/resolver", "interpret"),               # stream frame protocol
     ("src/pbio/reader", "consume_frame"),             # reader dispatch
     ("src/pbio/format_service", "handle"),            # service requests
     ("src/broker/conn", "dispatch"),                  # broker first byte
     ("src/broker/conn", "on_data_frame"),
-    ("src/broker/conn", "decode_frame"),
+    ("src/pbio/message", "decode_record"),            # record decode
     ("src/cache/persist", "decode_file"),             # .pbcc files
     ("src/cache/persist", "load"),
 ]
