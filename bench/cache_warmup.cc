@@ -7,17 +7,12 @@
 //   shared   — every connection resolves through one process-wide cache:
 //              compiles are capped by the number of distinct pairs, no
 //              matter how many connections stampede in.
-//   restart  — a fresh shared cache over the persisted codegen directory
-//              the `shared` pass wrote: a warm restart performs ZERO JIT
-//              compiles; every artifact is re-proven (plan re-verify +
-//              relocation + translation validation) from disk.
 //
 // Writes BENCH_cache.json.
 //
-//   cache_warmup [--connections N] [--pairs N] [--no-json] [--dir PATH]
+//   cache_warmup [--connections N] [--pairs N] [--no-json]
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -62,8 +57,6 @@ struct RowResult {
   std::size_t connections = 0;
   std::size_t pairs = 0;
   std::uint64_t compiles = 0;
-  std::uint64_t persist_loads = 0;
-  std::uint64_t persist_rejects = 0;
   double total_ms = 0.0;
   double us_per_conn = 0.0;
 };
@@ -93,19 +86,12 @@ RowResult run_pass(
       std::exit(1);
     }
     compiles += ctx.stats().conversions_compiled;
-    if (!shared) {
-      const auto cs = ctx.artifact_cache().stats();
-      row.persist_loads += cs.persist_loads;
-      row.persist_rejects += cs.persist_rejects;
-    }
   }
   row.total_ms = static_cast<double>(sw.elapsed_ns()) / 1e6;
   row.compiles = compiles;
   if (shared) {
-    const auto cs = shared->stats();
-    row.compiles = cs.compiles;  // fleet-wide truth, not per-context sums
-    row.persist_loads = cs.persist_loads;
-    row.persist_rejects = cs.persist_rejects;
+    // Fleet-wide truth, not per-context sums.
+    row.compiles = shared->stats().compiles;
   }
   row.us_per_conn =
       connections > 0 ? row.total_ms * 1000.0 / static_cast<double>(connections)
@@ -113,60 +99,31 @@ RowResult run_pass(
   return row;
 }
 
-int run(std::size_t connections, std::size_t npairs, bool write_json,
-        std::string dir) {
-  bench::print_header(
-      "Cache warmup",
-      "JIT compiles per fleet cold start: private vs shared vs persisted");
-  if (!vcode::tval_enabled()) {
-    std::printf("note: PBIO_TVAL=OFF build — persisted cache disabled, the "
-                "restart row degenerates to shared\n");
-  }
+int run(std::size_t connections, std::size_t npairs, bool write_json) {
+  bench::print_header("Cache warmup",
+                      "JIT compiles per fleet cold start: private vs shared");
   const auto pairs = make_pairs(npairs);
-
-  const bool own_dir = dir.empty();
-  if (own_dir) {
-    dir = (std::filesystem::temp_directory_path() / "pbio_cache_warmup")
-              .string();
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);  // cold start means a cold disk
-  }
 
   std::vector<RowResult> rows;
   rows.push_back(run_pass("private", connections, pairs, nullptr));
-
-  auto shared = std::make_shared<cache::ArtifactCache>();
-  shared->set_persist_dir(dir);
-  rows.push_back(run_pass("shared", connections, pairs, shared));
-
-  // "Restart": a fresh cache over the directory the shared pass persisted.
-  auto restarted = std::make_shared<cache::ArtifactCache>();
-  restarted->set_persist_dir(dir);
-  rows.push_back(run_pass("restart", connections, pairs, restarted));
+  rows.push_back(run_pass("shared", connections, pairs,
+                          std::make_shared<cache::ArtifactCache>()));
 
   bench::Table t("Fleet cold start (" + std::to_string(connections) +
                      " connections, " + std::to_string(npairs) +
                      " distinct pairs)",
-                 {"mode", "compiles", "persist_loads", "total_ms",
-                  "us/conn"});
+                 {"mode", "compiles", "total_ms", "us/conn"});
   for (const RowResult& r : rows) {
     char total[32], per[32];
     std::snprintf(total, sizeof total, "%.1f", r.total_ms);
     std::snprintf(per, sizeof per, "%.1f", r.us_per_conn);
-    t.add_row({r.mode, std::to_string(r.compiles),
-               std::to_string(r.persist_loads), total, per});
+    t.add_row({r.mode, std::to_string(r.compiles), total, per});
   }
   t.print();
 
-  const RowResult& sh = rows[1];
-  const RowResult& re = rows[2];
-  const bool shared_ok = sh.compiles <= npairs;
-  const bool restart_ok =
-      !vcode::tval_enabled() || (re.compiles == 0 && re.persist_loads > 0);
+  const bool shared_ok = rows[1].compiles <= npairs;
   std::printf("\nshared-cache target (compiles <= %zu pairs): %s\n", npairs,
               shared_ok ? "met" : "MISSED");
-  std::printf("warm-restart target (0 JIT compiles): %s\n",
-              restart_ok ? "met" : "MISSED");
 
   if (write_json) {
     std::FILE* f = std::fopen("BENCH_cache.json", "w");
@@ -185,13 +142,10 @@ int run(std::size_t connections, std::size_t npairs, bool write_json,
       std::fprintf(
           f,
           "    {\"mode\": \"%s\", \"connections\": %zu, \"pairs\": %zu, "
-          "\"compiles\": %llu, \"persist_loads\": %llu, "
-          "\"persist_rejects\": %llu, \"total_ms\": %.2f, "
+          "\"compiles\": %llu, \"total_ms\": %.2f, "
           "\"us_per_conn\": %.2f}%s\n",
           r.mode.c_str(), r.connections, r.pairs,
-          static_cast<unsigned long long>(r.compiles),
-          static_cast<unsigned long long>(r.persist_loads),
-          static_cast<unsigned long long>(r.persist_rejects), r.total_ms,
+          static_cast<unsigned long long>(r.compiles), r.total_ms,
           r.us_per_conn, i + 1 == rows.size() ? "" : ",");
     }
     std::fprintf(f, "  ]\n}\n");
@@ -199,11 +153,7 @@ int run(std::size_t connections, std::size_t npairs, bool write_json,
     std::printf("wrote BENCH_cache.json (%zu rows)\n", rows.size());
   }
 
-  if (own_dir) {
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
-  }
-  return (shared_ok && restart_ok) ? 0 : 1;
+  return shared_ok ? 0 : 1;
 }
 
 }  // namespace
@@ -213,7 +163,6 @@ int main(int argc, char** argv) {
   std::size_t connections = 10000;
   std::size_t pairs = 8;
   bool write_json = true;
-  std::string dir;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--connections") == 0 && i + 1 < argc) {
       connections = std::strtoul(argv[++i], nullptr, 10);
@@ -221,15 +170,13 @@ int main(int argc, char** argv) {
       pairs = std::strtoul(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--no-json") == 0) {
       write_json = false;
-    } else if (std::strcmp(argv[i], "--dir") == 0 && i + 1 < argc) {
-      dir = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: cache_warmup [--connections N] [--pairs N] "
-                   "[--no-json] [--dir PATH]\n");
+                   "[--no-json]\n");
       return 2;
     }
   }
   if (pairs == 0) pairs = 1;
-  return pbio::bench::run(connections, pairs, write_json, dir);
+  return pbio::bench::run(connections, pairs, write_json);
 }

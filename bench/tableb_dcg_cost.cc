@@ -5,83 +5,30 @@
 // size, per-record win, and the break-even record count.
 //
 // Also the DESIGN.md ablation: plan optimization (block-copy coalescing)
-// on vs off, for both engines; and the code step a tier-up or a warm
-// restart pays per pair, persisted load next to a fresh compile, with the
-// break-even behind pbio::kTierUpUses.
+// on vs off, for both engines; and the code step a tier-up pays per pair,
+// with the break-even behind pbio::kTierUpUses.
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 
 #include "bench_support/harness.h"
 #include "bench_support/workload.h"
-#include "cache/artifact_cache.h"
-#include "cache/persist.h"
-#include "convert/kernels/kernels.h"
 #include "pbio/resolver.h"
 #include "vcode/jit_convert.h"
 
 namespace pbio::bench {
 namespace {
 
-/// The code step per pair: a fresh compile (emit + tval + W^X seal) and a
-/// persisted load (read the .pbcc, relocate, tval + seal), in µs. The
-/// load columns read n/a where a build cannot persist (PBIO_TVAL=OFF, no
-/// JIT).
-void persisted_vs_fresh() {
-  Table table("Code step per pair: persisted load vs fresh compile",
-              {"size", "compile_us", "load_us", "of_it_read_us",
-               "load/compile"});
-  namespace fs = std::filesystem;
-  std::string tmpl =
-      (fs::temp_directory_path() / "pbio_tableb_XXXXXX").string();
-  if (mkdtemp(tmpl.data()) == nullptr) return;
-  const auto tier = static_cast<std::uint32_t>(convert::kernels::active_isa());
+/// The code step per pair: a fresh compile (emit + tval + W^X seal), in
+/// µs — what a tier-up pays.
+void code_step() {
+  Table table("Code step per pair", {"size", "compile_us"});
   for (Size s : all_sizes()) {
     Workload w = make_workload(s, arch::abi_x86(), arch::abi_sparc_v8());
-    // Unverified, so both columns include the plan verification.
+    // Unverified, so the step includes the plan verification.
     const convert::Plan plan = convert::compile_plan(w.src_fmt, w.dst_fmt);
     const double compile_us =
         measure_ms([&] { vcode::CompiledConvert cc(plan); }) * 1000.0;
-
-    // Persist the pair's code, then time what a tier-up pays to adopt it.
-    const std::string dir = (fs::path(tmpl) / label(s)).string();
-    fs::create_directories(dir);
-    cache::ArtifactCache warm;
-    warm.set_persist_dir(dir);
-    const cache::PairKey key{fmt::canonical_hash(w.src_fmt),
-                             fmt::canonical_hash(w.dst_fmt)};
-    std::string load_cell = "n/a", read_cell = "n/a", ratio_cell = "n/a";
-    if (warm.get_or_build(w.src_fmt, w.dst_fmt, key).is_ok() &&
-        warm.stats().persist_saves == 1) {
-      bool ok = true;
-      const auto read = [&](cache::persist::FileImage& img) {
-        std::string why;
-        return cache::persist::load(dir, key, tier, vcode::kEmitterVersion,
-                                    &img, &why) ==
-               cache::persist::LoadStatus::kLoaded;
-      };
-      const double read_us = measure_ms([&] {
-        cache::persist::FileImage img;
-        ok = ok && read(img);
-      }) * 1000.0;
-      const double load_us = measure_ms([&] {
-        cache::persist::FileImage img;
-        ok = ok && read(img) &&
-             vcode::CompiledConvert::adopt(plan, std::move(img.code),
-                                           img.call_sites)
-                 .is_ok();
-      }) * 1000.0;
-      if (ok) {
-        load_cell = fmt_ms(load_us);
-        read_cell = fmt_ms(read_us);
-        ratio_cell = fmt_ratio(load_us / compile_us);
-      }
-    }
-    table.add_row(
-        {label(s), fmt_ms(compile_us), load_cell, read_cell, ratio_cell});
+    table.add_row({label(s), fmt_ms(compile_us)});
   }
-  std::error_code ec;
-  fs::remove_all(tmpl, ec);
   table.print();
 }
 
@@ -129,7 +76,7 @@ int run() {
       "(pbio::kTierUpUses).\n\n",
       kTierUpUses);
 
-  persisted_vs_fresh();
+  code_step();
 
   // Ablation: disable block-copy coalescing / identity detection.
   Table ablation("Ablation: plan optimizer off (same conversion)",

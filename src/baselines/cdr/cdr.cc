@@ -29,13 +29,6 @@ bool Decoder::get_uint(std::uint64_t* v, std::uint32_t size) {
   return in_.read_uint(v, size, order_);
 }
 
-bool Decoder::get_int(std::int64_t* v, std::uint32_t size) {
-  std::uint64_t u = 0;
-  if (!get_uint(&u, size)) return false;
-  *v = sign_extend(u, size);
-  return true;
-}
-
 bool Decoder::get_float(double* v, std::uint32_t size) {
   if (!in_.align_to(size)) return false;
   return in_.read_float(v, size, order_);

@@ -49,7 +49,6 @@ class Decoder {
       : in_(in), order_(sender_order) {}
 
   bool get_uint(std::uint64_t* v, std::uint32_t size);
-  bool get_int(std::int64_t* v, std::uint32_t size);
   bool get_float(double* v, std::uint32_t size);
   bool get_octets(void* p, std::size_t n);
   std::size_t position() const { return in_.position(); }

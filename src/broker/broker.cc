@@ -282,9 +282,6 @@ Status Broker::start() {
   if (!st.is_ok()) return st;
 
   if (!sh_.cfg.flight_file.empty()) obs::flight_arm(sh_.cfg.flight_file);
-  if (!sh_.cfg.cache_dir.empty()) {
-    sh_.ctx.artifact_cache().set_persist_dir(sh_.cfg.cache_dir);
-  }
   if (sh_.cfg.scrape_port >= 0) {
     try {
       scrape_listener_ = std::make_unique<transport::SocketListener>(

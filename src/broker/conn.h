@@ -82,11 +82,6 @@ struct Config {
   /// Arm the fault flight recorder with this post-mortem path (empty:
   /// off). See obs/flight.h for what gets recorded and when it dumps.
   std::string flight_file;
-  /// Persisted-codegen cache directory, applied to the Context's artifact
-  /// cache at start() (empty: off). A warm broker restart re-proves
-  /// yesterday's sealed conversions from disk instead of re-JITting —
-  /// every worker and connection resolves through the same shared cache.
-  std::string cache_dir;
   /// Dispatch time above which a frame counts as "slow" (flight event +
   /// pbio.broker.slow_frames). Only measured in PBIO_OBS builds.
   std::uint64_t slow_frame_ns = 10'000'000;

@@ -1,12 +1,9 @@
 #include "cache/artifact_cache.h"
 
 #include <cassert>
-#include <cstring>
 #include <utility>
 
-#include "convert/kernels/kernels.h"
 #include "convert/plan.h"
-#include "fmt/meta.h"
 #include "obs/obs.h"
 #include "obs/span.h"
 #include "verify/verify.h"
@@ -52,11 +49,7 @@ Result<ArtifactCache::Got> ArtifactCache::get_or_build(
   // Eager: a plan-only artifact gets its code here, or from the thread
   // already generating it.
   Got& g = got.value();
-  if (g.artifact->pending()) {
-    const Got up = tier_up(wire, native, key, g.artifact);
-    g.code_bytes = up.code_bytes;
-    g.persisted = up.persisted;
-  }
+  if (g.artifact->pending()) g.code_bytes = tier_up(g.artifact).code_bytes;
   g.artifact->wait_tier_up();
   return got;
 }
@@ -104,7 +97,7 @@ Result<ArtifactCache::Got> ArtifactCache::find_or_build(
   }
 
   // Leader path: build with no locks held, then publish and wake waiters.
-  Result<Got> built = build(wire, native, key, mode);
+  Result<Got> built = build(wire, native, mode);
   if (built.is_ok()) {
     MutexLock lock(shard.mu);
     publish(shard, key, built.value().artifact);
@@ -127,19 +120,18 @@ Result<ArtifactCache::Got> ArtifactCache::find_or_build(
 }
 
 ArtifactCache::Got ArtifactCache::tier_up(
-    const fmt::FormatDesc& wire, const fmt::FormatDesc& native, PairKey key,
     std::shared_ptr<const vcode::CompiledConvert> artifact) {
   Got got;
   got.artifact = std::move(artifact);
   if (!got.artifact->claim_tier_up()) return got;
   counters_.add(kTierUps, 1);
-  generate(wire, native, key, got);
+  generate(got);
   return got;
 }
 
 Result<ArtifactCache::Got> ArtifactCache::build(const fmt::FormatDesc& wire,
                                                 const fmt::FormatDesc& native,
-                                                PairKey key, Build mode) {
+                                                Build mode) {
   convert::Plan plan;
   {
     OBS_SPAN("pbio.cache.plan");
@@ -165,97 +157,25 @@ Result<ArtifactCache::Got> ArtifactCache::build(const fmt::FormatDesc& wire,
       std::move(plan), vcode::CompiledConvert::Deferred{});
   if (mode == Build::kEager) {
     got.artifact->claim_tier_up();
-    generate(wire, native, key, got);
-    if (got.persisted) got.source = Source::kPersisted;
+    generate(got);
   }
-  // A deferred artifact counts here even if its code later comes from
-  // disk: `compiles` counts artifacts built from a plan, one per pair.
-  if (got.source == Source::kCompiled) counters_.add(kCompiles, 1);
+  counters_.add(kCompiles, 1);
   return got;
 }
 
-void ArtifactCache::generate(const fmt::FormatDesc& wire,
-                             const fmt::FormatDesc& native, PairKey key,
-                             Got& got) {
-  const vcode::CompiledConvert& artifact = *got.artifact;
-  const std::string dir = persist_dir();
-  const auto tier = static_cast<std::uint32_t>(convert::kernels::active_isa());
-
-  // Try the persisted code first: structural load, then adopt_code()
-  // re-proves the bytes (relocate from the plan, translation-validate, W^X
-  // seal).
-  if (!dir.empty() && vcode::tval_enabled()) {
-    persist::FileImage img;
-    std::string why;
-    const persist::LoadStatus st = persist::load(
-        dir, key, tier, vcode::kEmitterVersion, &img, &why);
-    if (st == persist::LoadStatus::kLoaded) {
-      if (artifact.adopt_code(std::move(img.code), img.call_sites).is_ok()) {
-        got.persisted = true;
-        got.code_bytes = artifact.code_size();
-        counters_.add(kPersistLoads, 1);
-        counters_.add(kJitCodeBytes, got.code_bytes);
-        return;
-      }
-      counters_.add(kPersistRejects, 1);
-      // Fall through to a fresh compile — persistence is an optimization,
-      // never a correctness dependency.
-    } else if (st == persist::LoadStatus::kRejected) {
-      counters_.add(kPersistRejects, 1);
-    }
-  }
-
+void ArtifactCache::generate(Got& got) {
   {
     OBS_SPAN("pbio.cache.compile");
-    artifact.generate();
+    got.artifact->generate();
   }
-  got.code_bytes = artifact.code_size();
+  got.code_bytes = got.artifact->code_size();
   counters_.add(kJitCodeBytes, got.code_bytes);
-
-  // Persist the sealed buffer with its call-target slots zeroed: the file
-  // carries offsets, never addresses (addresses are process-local and the
-  // loader must re-derive them from the plan anyway).
-  if (!dir.empty() && artifact.jitted() && vcode::tval_enabled() &&
-      artifact.tval_report().ok) {
-    persist::FileImage img;
-    img.emitter_version = vcode::kEmitterVersion;
-    img.isa_tier = tier;
-    img.key = key;
-    img.call_sites = artifact.call_sites();
-    img.wire_meta = fmt::encode_meta(wire);
-    img.native_meta = fmt::encode_meta(native);
-    const std::span<const std::uint8_t> code = artifact.code();
-    img.code.assign(code.begin(), code.end());
-    bool sites_ok = true;
-    for (std::uint32_t site : img.call_sites) {
-      if (static_cast<std::size_t>(site) + 8 > img.code.size()) {
-        sites_ok = false;  // defensive: never write a malformed image
-        break;
-      }
-      std::memset(img.code.data() + site, 0, 8);
-    }
-    if (sites_ok && persist::save(dir, img)) {
-      counters_.add(kPersistSaves, 1);
-    }
-  }
-}
-
-void ArtifactCache::set_persist_dir(std::string dir) {
-  MutexLock lock(persist_mu_);
-  persist_dir_ = std::move(dir);
-}
-
-std::string ArtifactCache::persist_dir() const {
-  MutexLock lock(persist_mu_);
-  return persist_dir_;
 }
 
 ArtifactCache::Stats ArtifactCache::stats() const {
   return {counters_.get(kHits),         counters_.get(kMisses),
           counters_.get(kWaits),        counters_.get(kCompiles),
-          counters_.get(kJitCodeBytes), counters_.get(kPersistLoads),
-          counters_.get(kPersistSaves), counters_.get(kPersistRejects),
-          counters_.get(kTierUps)};
+          counters_.get(kJitCodeBytes), counters_.get(kTierUps)};
 }
 
 std::size_t ArtifactCache::size() const {

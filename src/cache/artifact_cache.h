@@ -4,8 +4,7 @@
 // Motivation (ROADMAP item 1): a broker fleet holds thousands of
 // connections that share a handful of (wire, native) format pairs, yet
 // each Context used to pay plan build + static verify + JIT + translation
-// validation per pair — and a restarted server re-entered JIT warmup from
-// zero. This cache makes the artifact the unit of sharing:
+// validation per pair. This cache makes the artifact the unit of sharing:
 //
 //  * keys are canonical structural hashes (fmt::canonical_hash) of the
 //    format pair, so byte-order/field-order/arch-name presentation
@@ -20,19 +19,14 @@
 //    caller compiles, everyone else blocks on that flight's condvar and
 //    shares the one sealed buffer — a 10k-connection cold start performs
 //    exactly one compile per distinct pair;
-//  * with a persist directory configured, sealed buffers are written to
-//    disk (cache/persist.h) and re-proven on load: the plan is recompiled
-//    from the registry's descriptions, re-verified, the loaded bytes are
-//    relocated from the plan and the translation validator must accept
-//    them before the W^X seal. A warm restart performs zero JIT compiles;
-//    a poisoned cache file can never execute;
 //  * code can be deferred (Build::kDeferred): the artifact is published
 //    with its verified plan only and interprets until tier_up() runs the
-//    same persisted-load-or-JIT step into it. Receive streams build this
-//    way and tier up a pair once it recurs (pbio/resolver.h).
+//    code step (JIT + translation validation + W^X seal) into it. Receive
+//    streams build this way and tier up a pair once it recurs
+//    (pbio/resolver.h).
 //
 // Metrics: pbio.cache.{hits,misses,single_flight_waits,compiles,
-// jit_code_bytes,persist_loads,persist_saves,persist_rejects,tier_ups},
+// jit_code_bytes,tier_ups},
 // one obs::CounterBlock per cache; stats() reads the same counters
 // mutex-free.
 // thread-domain: any
@@ -41,11 +35,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "cache/persist.h"
 #include "fmt/format.h"
 #include "obs/obs.h"
 #include "util/error.h"
@@ -54,13 +46,27 @@
 
 namespace pbio::cache {
 
+/// Conversion-artifact cache key: the canonical structural hashes
+/// (fmt::canonical_hash) of the wire and native format descriptions.
+struct PairKey {
+  std::uint64_t wire = 0;
+  std::uint64_t native = 0;
+
+  bool operator==(const PairKey&) const = default;
+};
+
+struct PairKeyHash {
+  std::size_t operator()(const PairKey& k) const {
+    return static_cast<std::size_t>(k.wire * 0x9E3779B97F4A7C15ull ^ k.native);
+  }
+};
+
 /// Where an artifact handed out by get_or_build() came from — callers
 /// (Context) use it to keep their own per-context accounting honest.
 enum class Source : std::uint8_t {
-  kCached,     // lock-free hit on the snapshot map
-  kWaited,     // another caller was already compiling; shared its result
-  kCompiled,   // this call ran the full plan+verify+JIT+tval pipeline
-  kPersisted,  // this call re-proved and sealed a persisted code buffer
+  kCached,    // lock-free hit on the snapshot map
+  kWaited,    // another caller was already compiling; shared its result
+  kCompiled,  // this call ran the full plan+verify+JIT+tval pipeline
 };
 
 /// When get_or_build() generates an artifact's code.
@@ -84,8 +90,6 @@ class ArtifactCache {
     /// Bytes of code this call sealed into the artifact (0 when it
     /// generated none).
     std::size_t code_bytes = 0;
-    /// Whether that code was re-proven from disk rather than emitted.
-    bool persisted = false;
   };
 
   /// Fetch (building on first use, stampede-collapsed) the conversion
@@ -97,22 +101,15 @@ class ArtifactCache {
                            const fmt::FormatDesc& native, PairKey key,
                            Build mode = Build::kEager);
 
-  /// Generate the code of a plan-only `artifact` of this pair: persisted
-  /// load, else JIT + tval + W^X seal, published into the artifact itself.
-  /// Never waits: a call that loses the artifact's claim (another thread
-  /// is generating, or it already happened) returns at once, having
-  /// generated nothing. The winner counts pbio.cache.tier_ups.
-  Got tier_up(const fmt::FormatDesc& wire, const fmt::FormatDesc& native,
-              PairKey key,
-              std::shared_ptr<const vcode::CompiledConvert> artifact);
+  /// Generate the code of a plan-only `artifact` (JIT + tval + W^X seal),
+  /// published into the artifact itself. Never waits: a call that loses
+  /// the artifact's claim (another thread is generating, or it already
+  /// happened) returns at once, having generated nothing. The winner
+  /// counts pbio.cache.tier_ups.
+  Got tier_up(std::shared_ptr<const vcode::CompiledConvert> artifact);
 
   /// Lock-free probe without build (tests, tools).
   std::shared_ptr<const vcode::CompiledConvert> lookup(PairKey key) const;
-
-  /// Enable (non-empty) or disable (empty) the on-disk persisted codegen
-  /// cache. Cold-path setting; takes effect for subsequent builds.
-  void set_persist_dir(std::string dir);
-  std::string persist_dir() const;
 
   /// This cache's share of the pbio.cache.* series, read mutex-free
   /// (relaxed; cross-counter consistency not promised).
@@ -122,9 +119,6 @@ class ArtifactCache {
     std::uint64_t single_flight_waits = 0;
     std::uint64_t compiles = 0;
     std::uint64_t jit_code_bytes = 0;
-    std::uint64_t persist_loads = 0;
-    std::uint64_t persist_saves = 0;
-    std::uint64_t persist_rejects = 0;
     std::uint64_t tier_ups = 0;  // plan-only artifacts given code later
   };
   Stats stats() const;
@@ -179,29 +173,22 @@ class ArtifactCache {
   /// The build pipeline (leader only, no locks held): plan build + static
   /// verify into a plan-only artifact, then, for kEager, generate().
   Result<Got> build(const fmt::FormatDesc& wire, const fmt::FormatDesc& native,
-                    PairKey key, Build mode);
+                    Build mode);
 
   /// The code step for an artifact whose tier-up claim the caller holds:
-  /// persisted-load-and-re-prove or fresh JIT + tval, then persist of
-  /// freshly sealed code. Fills `got`'s code_bytes and persisted.
-  void generate(const fmt::FormatDesc& wire, const fmt::FormatDesc& native,
-                PairKey key, Got& got);
+  /// JIT + tval + W^X seal. Fills `got`'s code_bytes.
+  void generate(Got& got);
 
   Shard shards_[kShards];
 
-  mutable Mutex persist_mu_;
-  std::string persist_dir_ PBIO_GUARDED_BY(persist_mu_);
-
   // In Stats field order.
   enum Counter : std::size_t {
-    kHits, kMisses, kWaits, kCompiles, kJitCodeBytes,
-    kPersistLoads, kPersistSaves, kPersistRejects, kTierUps,
+    kHits, kMisses, kWaits, kCompiles, kJitCodeBytes, kTierUps,
   };
   obs::CounterBlock counters_{
       "pbio.cache.hits", "pbio.cache.misses", "pbio.cache.single_flight_waits",
       "pbio.cache.compiles", "pbio.cache.jit_code_bytes",
-      "pbio.cache.persist_loads", "pbio.cache.persist_saves",
-      "pbio.cache.persist_rejects", "pbio.cache.tier_ups"};
+      "pbio.cache.tier_ups"};
 };
 
 /// The process-wide cache: what a fleet of broker workers / tools shares

@@ -16,8 +16,8 @@ Result<std::shared_ptr<const Conversion>> Context::try_conversion(
   }
   // Resolve through the artifact cache, keyed by the canonical structural
   // hash of the pair. Plan build, static verification, JIT, translation
-  // validation, persistence and stampede collapse all live there; this
-  // context only keeps its own accounting straight from the Source tag.
+  // validation and stampede collapse all live there; this context only
+  // keeps its own accounting straight from the Source tag.
   auto got = cache_->get_or_build(*src.desc, *dst.desc,
                                   {src.canonical, dst.canonical}, build);
   if (!got.is_ok()) {
@@ -37,26 +37,13 @@ Result<std::shared_ptr<const Conversion>> Context::try_conversion(
       counters_.add(kSharedCacheMisses, 1);
       counters_.add(kCompiled, 1);
       break;
-    case cache::Source::kPersisted:
-      counters_.add(kSharedCacheMisses, 1);
-      break;
   }
-  count_code(result);
+  counters_.add(kJitCodeBytes, result.code_bytes);
   return std::move(result.artifact);
 }
 
-void Context::tier_up(FormatId wire, FormatId native,
-                      std::shared_ptr<const Conversion> conv) {
-  const fmt::FormatRegistry::Resolved src = registry_.resolve(wire);
-  const fmt::FormatRegistry::Resolved dst = registry_.resolve(native);
-  if (src.desc == nullptr || dst.desc == nullptr) return;
-  count_code(cache_->tier_up(*src.desc, *dst.desc,
-                             {src.canonical, dst.canonical}, std::move(conv)));
-}
-
-void Context::count_code(const cache::ArtifactCache::Got& got) {
-  counters_.add(kJitCodeBytes, got.code_bytes);
-  if (got.persisted) counters_.add(kPersistLoads, 1);
+void Context::tier_up(std::shared_ptr<const Conversion> conv) {
+  counters_.add(kJitCodeBytes, cache_->tier_up(std::move(conv)).code_bytes);
 }
 
 std::shared_ptr<const Conversion> Context::conversion(FormatId wire,
@@ -69,9 +56,9 @@ std::shared_ptr<const Conversion> Context::conversion(FormatId wire,
 }
 
 Context::Stats Context::stats() const {
-  return {counters_.get(kCompiled),          counters_.get(kCacheHits),
-          counters_.get(kJitCodeBytes),      counters_.get(kSharedCacheMisses),
-          counters_.get(kSingleFlightWaits), counters_.get(kPersistLoads)};
+  return {counters_.get(kCompiled),     counters_.get(kCacheHits),
+          counters_.get(kJitCodeBytes), counters_.get(kSharedCacheMisses),
+          counters_.get(kSingleFlightWaits)};
 }
 
 }  // namespace pbio

@@ -96,7 +96,6 @@ Result<const Resolver::Entry*> Resolver::refill(Context::FormatId wire_id) {
     if (!conv.is_ok()) return conv.status();
     e.native = it->second.desc;
     e.conv = std::move(conv).take();
-    native_id_ = it->second.id;
   }
   front_ = std::move(e);
   cached_wire_id_ = wire_id;
@@ -114,7 +113,7 @@ void Resolver::count_use() {
   }
   if (conv->count_use() < kTierUpUses) return;
   counting_ = false;
-  ctx_.tier_up(cached_wire_id_, native_id_, conv);
+  ctx_.tier_up(conv);
 }
 
 }  // namespace pbio

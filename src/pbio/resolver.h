@@ -167,7 +167,6 @@ class Resolver {
   /// The front's conversion had no code when last looked at.
   bool counting_ = false;
   Context::FormatId cached_wire_id_ = 0;
-  Context::FormatId native_id_ = 0;
   Entry front_;
   FormatResolver format_resolver_;
   std::size_t formats_learned_ = 0;

@@ -30,30 +30,6 @@ struct NetworkModel {
   }
 };
 
-/// Host-side syscall cost model, complementing NetworkModel's wire time.
-/// The batched receive path amortizes kernel crossings over many frames
-/// (one writev/read covers a whole batch); this models how that changes
-/// the per-message host overhead for a given coalescing factor.
-struct SyscallModel {
-  double syscall_us = 1.2;  // one kernel crossing (read/write/writev)
-
-  /// Host syscall time per message when `frames_per_syscall` frames share
-  /// each kernel crossing. The legacy receive path is frames_per_syscall
-  /// = 0.5 (two reads per frame); the coalesced path commonly reaches
-  /// 10-100x that over loopback.
-  double per_message_us(double frames_per_syscall) const {
-    if (frames_per_syscall <= 0.0) return syscall_us;
-    return syscall_us / frames_per_syscall;
-  }
-
-  /// Total host syscall time for a burst of `messages` frames delivered
-  /// with `syscalls` kernel crossings (the counters SocketChannel keeps).
-  double burst_us(std::uint64_t messages, std::uint64_t syscalls) const {
-    (void)messages;
-    return syscall_us * static_cast<double>(syscalls);
-  }
-};
-
 /// Model matching the paper's Figure 1 network components: with
 /// latency ~70us and 100 Mbps, a 100-byte message costs ~0.08ms... The
 /// paper measured ~0.227ms one-way for 100B and ~15.39ms for 100KB; its

@@ -58,8 +58,8 @@ constexpr std::size_t kMacroReserve = 64;
 
 /// Whether the compiler will emit a batch-kernel call for this array op —
 /// the exact predicate of ConvertCompiler::try_emit_kernel_call, shared so
-/// the load-time relocation walk (call_targets) reproduces the emission
-/// decisions bit for bit.
+/// walk_call_sites (the tval allowlist) reproduces the emission decisions
+/// bit for bit.
 bool kernel_call_emitted(const Plan& plan, const Op& op, bool top,
                          kernels::KernelFn fn) {
   if (fn == nullptr || !top || op.count < kernels::kMinCount) return false;
@@ -436,19 +436,11 @@ verify::tval::Options make_tval_options(const Plan& plan) {
   return opts;
 }
 
-std::vector<std::uint64_t> call_targets(const Plan& plan) {
-  std::vector<std::uint64_t> out;
-  walk_call_sites(plan,
-                  [&out](std::uint64_t addr, verify::tval::CalleeKind,
-                         std::uint8_t, std::uint8_t) { out.push_back(addr); });
-  return out;
-}
-
 bool tval_enabled() { return PBIO_TVAL_ENABLED != 0; }
 
 struct CompiledConvert::Impl {
   /// Tier-up progress. kPending -> kClaimed by claim_tier_up(), then
-  /// kDone once generate() or adopt_code() has run to its end.
+  /// kDone once generate() has run to its end.
   enum Tier : std::uint8_t { kPending, kClaimed, kDone };
 
   Plan plan;
@@ -458,7 +450,6 @@ struct CompiledConvert::Impl {
   verify::tval::Report tval;
   std::vector<MacroNote> notes;
   std::vector<std::size_t> labels;
-  std::vector<std::uint32_t> call_sites;
 
   using Fn = int (*)(const std::uint8_t*, std::uint8_t*, JitRt*);
   /// Set at most once, by the tier-up's claim holder, with release; every
@@ -544,7 +535,6 @@ void CompiledConvert::generate() const {
   OBS_COUNT("vcode.jit.code_bytes", code.size());
   im.notes = std::move(out.notes);
   im.labels = std::move(out.labels);
-  im.call_sites = std::move(out.call_sites);
 #if PBIO_TVAL_ENABLED
   // Translation-validate the fresh bytes before they can ever become
   // executable: decode + symbolic execution against the verified plan.
@@ -564,74 +554,12 @@ void CompiledConvert::generate() const {
   im.seal(code);
 }
 
-Status CompiledConvert::adopt_code(std::vector<std::uint8_t> code,
-                                   std::span<const std::uint32_t> sites) const {
-#if !PBIO_TVAL_ENABLED
-  (void)code;
-  (void)sites;
-  return Status(Errc::kUnsupported,
-                "adopt: persisted code needs the translation validator "
-                "(PBIO_TVAL=OFF)");
-#else
-  Impl& im = *impl_;
-  assert(im.tier.load(std::memory_order_relaxed) == Impl::kClaimed);  // mo: claim holder reads its own store
-  if (!jit_supported()) {
-    return Status(Errc::kUnsupported, "adopt: no JIT on this host");
-  }
-  // Re-resolve every call target from the plan (the file never supplies
-  // addresses, only slot offsets) and patch the zeroed slots.
-  const std::vector<std::uint64_t> targets = call_targets(im.plan);
-  if (targets.size() != sites.size()) {
-    return Status(Errc::kMalformed, "adopt: call-site count mismatch");
-  }
-  std::uint64_t prev_end = 0;
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    const std::uint64_t off = sites[i];
-    if (off < prev_end || off + 8 > code.size()) {
-      return Status(Errc::kMalformed, "adopt: call-site offset out of range");
-    }
-    std::uint64_t zero = 0;
-    if (std::memcmp(code.data() + off, &zero, 8) != 0) {
-      return Status(Errc::kMalformed, "adopt: call-target slot not zeroed");
-    }
-    std::memcpy(code.data() + off, &targets[i], 8);
-    prev_end = off + 8;
-  }
-  // The trust anchor: decode + symbolically execute the patched buffer
-  // against the re-verified plan. Only an accepted buffer is ever sealed.
-  im.tval = validate_code(code, im.plan);
-  if (!im.tval.ok) {
-    return Status(Errc::kMalformed,
-                  "adopt: tval rejected persisted code: " + im.tval.to_string());
-  }
-  im.call_sites.assign(sites.begin(), sites.end());
-  im.seal(code);
-  im.finish();
-  return Status::ok();
-#endif
-}
-
-Result<CompiledConvert> CompiledConvert::adopt(
-    Plan plan, std::vector<std::uint8_t> code,
-    std::span<const std::uint32_t> sites) {
-  CompiledConvert cc(std::move(plan), Deferred{});
-  if (!cc.impl_->verify_error.is_ok()) return cc.impl_->verify_error;
-  cc.claim_tier_up();
-  Status st = cc.adopt_code(std::move(code), sites);
-  if (!st.is_ok()) return st;
-  return cc;
-}
-
 const verify::tval::Report& CompiledConvert::tval_report() const {
   return impl_->tval;
 }
 
 const std::vector<MacroNote>& CompiledConvert::macro_notes() const {
   return impl_->notes;
-}
-
-const std::vector<std::uint32_t>& CompiledConvert::call_sites() const {
-  return impl_->call_sites;
 }
 
 const std::vector<std::size_t>& CompiledConvert::label_offsets() const {

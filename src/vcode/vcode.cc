@@ -3,19 +3,17 @@
 namespace pbio::vcode {
 
 namespace {
-/// Labels and call sites a conversion function typically binds and makes.
+/// Labels a conversion function typically binds.
 constexpr std::size_t kSmallTableReserve = 4;
 }  // namespace
 
 void Builder::reserve(std::size_t code_bytes, std::size_t macros) {
   e_.reserve(code_bytes, kSmallTableReserve);
   notes_.reserve(macros);
-  call_sites_.reserve(kSmallTableReserve);
 }
 
 Emitted Builder::take() {
-  return {e_.take_code(), std::move(notes_), e_.take_labels(),
-          std::move(call_sites_)};
+  return {e_.take_code(), std::move(notes_), e_.take_labels()};
 }
 
 void Builder::prologue() {
@@ -50,7 +48,6 @@ void Builder::finish() {
   note("epilogue");
   if (finished_) throw PbioError("vcode: finish called twice");
   finished_ = true;
-  epilogue_off_ = e_.size();
   e_.bind(out_);
   e_.add_ri(Gp::rsp, 8);
   e_.pop(Gp::r15);
@@ -77,15 +74,6 @@ void Builder::st(Gp base, std::int32_t disp, Gp src, unsigned width) {
   e_.store(base, disp, src, width);
 }
 
-void Builder::ld_imm(Gp r, std::uint64_t v) {
-  note("ld_imm");
-  if (v <= 0xFFFFFFFFull) {
-    e_.mov_ri32(r, static_cast<std::uint32_t>(v));  // zero-extends
-  } else {
-    e_.mov_ri64(r, v);
-  }
-}
-
 void Builder::ld_imm32(Gp r, std::uint32_t v) { note("ld_imm32"); e_.mov_ri32(r, v); }
 
 void Builder::swap(Gp r, unsigned width) {
@@ -109,8 +97,6 @@ void Builder::swap(Gp r, unsigned width) {
 }
 
 void Builder::mov(Gp dst, Gp src) { note("mov"); e_.mov_rr64(dst, src); }
-
-void Builder::add_imm(Gp r, std::int32_t v) { note("add_imm"); e_.add_ri(r, v); }
 
 void Builder::lea(Gp dst, Gp base, std::int32_t disp) {
   note("lea");
@@ -166,9 +152,8 @@ void Builder::xmm_to_gp(Gp dst, Xmm src, unsigned width) {
 
 void Builder::call(const void* fn) {
   note("call");
-  // mov_ri64(rax, imm) encodes as REX.W + B8: two opcode bytes, then the
-  // imm64 — record where the immediate lands (the persistable relocation).
-  call_sites_.push_back(static_cast<std::uint32_t>(e_.size() + 2));
+  // The target is an absolute imm64 (the generated code's only absolute
+  // address); the translation validator checks it against the allowlist.
   e_.mov_ri64(Gp::rax, reinterpret_cast<std::uint64_t>(fn));
   e_.call_reg(Gp::rax);
 }

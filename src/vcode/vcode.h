@@ -35,16 +35,7 @@ struct Emitted {
   std::vector<std::uint8_t> code;
   std::vector<MacroNote> notes;
   std::vector<std::size_t> labels;
-  std::vector<std::uint32_t> call_sites;
 };
-
-/// Version of the emitter's code shapes. Persisted conversion artifacts
-/// (src/cache) record it and are rejected on mismatch: loaded bytes are
-/// re-proven by the translation validator anyway, but the validator and
-/// emitter evolve together, so code from another emitter generation is
-/// discarded up front instead of burning a doomed validation pass. Bump on
-/// any change to emitted code or to the call()/relocation scheme.
-inline constexpr std::uint32_t kEmitterVersion = 1;
 
 /// Well-known registers of the generated-function convention.
 struct Regs {
@@ -92,12 +83,9 @@ class Builder {
   void ld(Gp dst, Gp base, std::int32_t disp, unsigned width, bool sign);
   /// Store the low `width` bytes of src to [base+disp].
   void st(Gp base, std::int32_t disp, Gp src, unsigned width);
-  /// Load a 64-bit immediate (absolute addresses, counts).
-  void ld_imm(Gp r, std::uint64_t v);
   /// Reverse the low `width` bytes of r (2, 4 or 8); upper bits zeroed.
   void swap(Gp r, unsigned width);
   void mov(Gp dst, Gp src);
-  void add_imm(Gp r, std::int32_t v);
   void lea(Gp dst, Gp base, std::int32_t disp);
 
   // --- numeric conversion composites ----------------------------------------
@@ -146,18 +134,8 @@ class Builder {
   /// notes()[i+1].off). Diagnostics only, never trusted by validation.
   const std::vector<MacroNote>& notes() const { return notes_; }
 
-  /// Byte offset of each call()'s 64-bit target immediate (inside the
-  /// `mov rax, imm64`), in emission order. These are the only absolute
-  /// addresses in generated code — everything else is RIP-relative — so
-  /// they are exactly the relocations a persisted code buffer needs: zero
-  /// the slots on save, re-resolve the targets from the plan on load.
-  const std::vector<std::uint32_t>& call_sites() const { return call_sites_; }
-
   /// Label-bind offsets from the underlying emitter.
   const std::vector<std::size_t>& labels() const { return e_.label_table(); }
-
-  /// Offset of the shared epilogue (valid after finish()).
-  std::size_t epilogue_offset() const { return epilogue_off_; }
 
  private:
   void note(const char* macro) { notes_.push_back({e_.size(), macro}); }
@@ -165,8 +143,6 @@ class Builder {
   X64Emitter e_;
   Label out_;
   std::vector<MacroNote> notes_;
-  std::vector<std::uint32_t> call_sites_;
-  std::size_t epilogue_off_ = 0;
   bool prologue_done_ = false;
   bool finished_ = false;
 };

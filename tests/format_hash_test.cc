@@ -4,8 +4,8 @@
 // encode_meta of a normalized copy — arch_name cleared, fields sorted by
 // (offset, name), subformats by name. The library streams both without
 // building the bytes or the copy. These tests pin the streamed hashes to
-// that definition, written out here the long way, because wire ids and
-// persisted .pbcc keys must not move.
+// that definition, written out here the long way: wire ids cross process
+// boundaries and must not move, and the cache key moves only on purpose.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -434,7 +434,7 @@ TEST(Scrape, ServesEveryCounterBehindTheStatsViews) {
   for (const char* series :
        {"pbio_pool_recycled ", "pbio_cache_jit_code_bytes ",
         "pbio_conv_shared_cache_misses ", "pbio_conv_single_flight_waits ",
-        "pbio_conv_persist_loads ", "pbio_broker_frames_in "}) {
+        "pbio_conv_compiled ", "pbio_broker_frames_in "}) {
     EXPECT_NE(metrics.find(std::string("\n") + series), std::string::npos)
         << series << "missing from\n" << metrics;
   }

@@ -1,21 +1,16 @@
 // Tiered conversion on the stream path: a Reader interprets a pair's first
 // record and generates code once the shared conversion has been resolved
 // kTierUpUses times. Covers the use count, the one-shot tier-up, decode
-// counting by the engine that ran, persisted code adopted (or a poisoned
-// file refused) at tier-up, and a race of streams on one shared cache —
-// the test that runs under tsan.
+// counting by the engine that ran, and a race of streams on one shared
+// cache — the test that runs under tsan.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <latch>
 #include <thread>
 #include <vector>
 
 #include "arch/layout.h"
 #include "cache/artifact_cache.h"
-#include "cache/persist.h"
 #include "obs/obs.h"
 #include "pbio/pbio.h"
 #include "transport/loopback.h"
@@ -35,7 +30,7 @@ using value::Record;
 using value::Value;
 
 /// Byte-swapped doubles with a 32-element array: the generated code calls
-/// the batch kernels, so a persisted copy carries call sites to relocate.
+/// the batch kernels.
 StructSpec sample_spec() {
   StructSpec s;
   s.name = "sample";
@@ -198,87 +193,6 @@ TEST(TierUp, StreamsRacingOnOneSharedCacheCompileOnce) {
   const auto conv = streams[0]->conversion();
   EXPECT_EQ(conv->jitted(), vcode::jit_supported());
   EXPECT_EQ(st.jit_code_bytes, conv->code_size());
-}
-
-// ------------------------------------------------------------ persistence
-
-/// mkdtemp-backed scratch directory, removed on scope exit.
-struct TempDir {
-  TempDir() {
-    std::string tmpl =
-        (std::filesystem::temp_directory_path() / "pbio_tier_XXXXXX")
-            .string();
-    path = mkdtemp(tmpl.data());
-    EXPECT_FALSE(path.empty());
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-  std::string path;
-};
-
-class TierUpPersist : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!vcode::tval_enabled() || !vcode::jit_supported()) {
-      GTEST_SKIP() << "persisted cache requires JIT + tval";
-    }
-    // An eager compile writes the pair's .pbcc.
-    Context ctx;
-    ctx.artifact_cache().set_persist_dir(dir_.path);
-    ASSERT_TRUE(ctx.try_conversion(ctx.register_format(wire_desc()),
-                                   ctx.register_format(native_desc()))
-                    .is_ok());
-    ASSERT_EQ(cache::persist::list(dir_.path).size(), 1u);
-  }
-
-  /// A restarted reader over the directory streams past its tier-up.
-  void restart_and_stream(Stream& s) {
-    s.rctx.artifact_cache().set_persist_dir(dir_.path);
-    for (std::uint32_t i = 0; i < kTierUpUses + 2; ++i) {
-      s.round_trip(static_cast<int>(i));
-    }
-    EXPECT_EQ(s.rctx.artifact_cache().stats().tier_ups, 1u);
-    EXPECT_TRUE(s.conversion()->jitted());
-  }
-
-  TempDir dir_;
-};
-
-TEST_F(TierUpPersist, PersistedCodeIsAdoptedAtTierUp) {
-  Stream s;
-  restart_and_stream(s);
-  const ArtifactCache::Stats st = s.rctx.artifact_cache().stats();
-  EXPECT_EQ(st.persist_loads, 1u);
-  EXPECT_EQ(st.persist_rejects, 0u);
-  EXPECT_EQ(st.persist_saves, 0u);
-  EXPECT_EQ(s.rctx.stats().persist_loads, 1u);
-}
-
-TEST_F(TierUpPersist, PoisonedFileIsRejectedAtTierUp) {
-  // Flip instruction bytes and re-seal the checksum: only the translation
-  // validator stands between this file and execution.
-  const std::string path = cache::persist::list(dir_.path)[0];
-  std::ifstream in(path, std::ios::binary);
-  const std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                        std::istreambuf_iterator<char>());
-  cache::persist::FileImage img;
-  std::string why;
-  ASSERT_TRUE(cache::persist::decode_file(bytes, &img, &why)) << why;
-  img.code[0] ^= 0xFF;
-  img.code[img.code.size() / 2] ^= 0xFF;
-  const std::vector<std::uint8_t> poisoned = cache::persist::encode_file(img);
-  std::ofstream(path, std::ios::binary | std::ios::trunc)
-      .write(reinterpret_cast<const char*>(poisoned.data()),
-             static_cast<std::streamsize>(poisoned.size()));
-
-  Stream s;
-  restart_and_stream(s);  // still decodes right, on freshly generated code
-  const ArtifactCache::Stats st = s.rctx.artifact_cache().stats();
-  EXPECT_EQ(st.persist_loads, 0u);
-  EXPECT_GE(st.persist_rejects, 1u);
-  EXPECT_EQ(s.rctx.stats().persist_loads, 0u);
 }
 
 }  // namespace

@@ -791,6 +791,28 @@ TEST(TvalMutation, RandomByteFlipFuzz) {
   }
 }
 
+TEST(TvalMutation, NopSledWithZeroedCallSlots) {
+  REQUIRE_JIT();
+  // Every byte a nop except the call-target immediates, which are zeroed:
+  // the buffer keeps its length and its call slots but has no prologue,
+  // epilogue or bounds logic left.
+  std::size_t slots = 0;
+  for (const auto& [name, make] : kFixtures) {
+    Fixture f = make();
+    std::fill(f.bytes.begin(), f.bytes.end(), 0x90);
+    for (const tval::Inst& in : f.dec.insts) {
+      if (in.opc != tval::Opc::kMovRI64 || in.reg != tval::Reg::rax) continue;
+      const std::size_t imm = in.off + in.len - 8;  // the call target
+      std::fill_n(f.bytes.begin() + static_cast<std::ptrdiff_t>(imm), 8, 0);
+      ++slots;
+    }
+    const tval::Report rep = f.validate();
+    EXPECT_FALSE(rep.ok) << name << ": nop sled accepted";
+    EXPECT_NE(rep.fault, tval::Fault::kNone) << name;
+  }
+  EXPECT_GT(slots, 0u) << "no fixture carries a call slot";
+}
+
 TEST(TvalMutation, CursorWidenedThroughThreeLoops) {
   REQUIRE_JIT();
   // Hand-made code: a cursor copied out of a struct-array nest (two loop

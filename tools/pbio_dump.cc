@@ -3,7 +3,6 @@
 //
 //   pbio_dump <frame-log> [--formats] [--max N] [--disasm FORMAT]
 //   pbio_dump --flight <dump-file>
-//   pbio_dump --cache <dir>
 //     --formats  also print each format description as it is announced
 //     --max N    stop after N records
 //     --flight   read a fault flight-recorder dump (obs::flight_dump, the
@@ -15,13 +14,6 @@
 //                generated code as a lifted instruction trace — annotated
 //                with the emitter's macro ranges and label binds — plus the
 //                translation-validation verdict for the buffer.
-//     --cache    inspect a persisted conversion-artifact cache directory
-//                (cache/persist.h): per file, the pair key, ISA tier,
-//                emitter version, code size — and, when the file matches
-//                this host's tier, the translation-validation verdict an
-//                actual load would get (the metas carried in the file
-//                rebuild the plan; CompiledConvert::adopt re-proves the
-//                relocated bytes exactly as the in-process loader does).
 //
 // Create a log with transport::FileWriteChannel + pbio::Writer (see
 // tests/file_channel_test.cc or the visualization example).
@@ -34,9 +26,6 @@
 #include <vector>
 
 #include "arch/layout.h"
-#include "cache/persist.h"
-#include "convert/kernels/kernels.h"
-#include "fmt/meta.h"
 #include "obs/flight.h"
 #include "pbio/pbio.h"
 #include "verify/tval/decode.h"
@@ -141,97 +130,8 @@ int disassemble(const pbio::fmt::FormatDesc& wire) {
 
 int usage() {
   std::fprintf(stderr, "usage: pbio_dump <frame-log> [--formats] [--max N] "
-                       "[--disasm FORMAT] | pbio_dump --flight <dump-file> | "
-                       "pbio_dump --cache <dir>\n");
+                       "[--disasm FORMAT] | pbio_dump --flight <dump-file>\n");
   return 2;
-}
-
-/// Inspect a persisted conversion-artifact cache directory: one line of
-/// header facts per file plus — tier permitting — the verdict an in-process
-/// load would get. Never executes any loaded code (adopt() seals but this
-/// tool never runs the conversion). Returns a process exit code.
-int dump_cache(const char* dir) {
-  namespace persist = pbio::cache::persist;
-  const auto paths = persist::list(dir);
-  if (paths.empty()) {
-    std::printf("-- no cache entries in %s\n", dir);
-    return 0;
-  }
-  const auto host_tier = static_cast<std::uint32_t>(
-      pbio::convert::kernels::active_isa());
-  int bad = 0;
-  for (const auto& path : paths) {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-      std::printf("%s: unreadable\n", path.c_str());
-      ++bad;
-      continue;
-    }
-    std::vector<std::uint8_t> bytes;
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-      bytes.insert(bytes.end(), buf, buf + n);
-    }
-    std::fclose(f);
-
-    persist::FileImage img;
-    std::string why;
-    if (!persist::decode_file(bytes, &img, &why)) {
-      std::printf("%s: REJECTED (%s)\n", path.c_str(), why.c_str());
-      ++bad;
-      continue;
-    }
-    std::printf("%s:\n  key %016llx -> %016llx  isa t%u  emitter e%u  "
-                "code %zu bytes  call sites %zu\n",
-                path.c_str(), static_cast<unsigned long long>(img.key.wire),
-                static_cast<unsigned long long>(img.key.native), img.isa_tier,
-                img.emitter_version, img.code.size(), img.call_sites.size());
-
-    auto wire = pbio::fmt::decode_meta(img.wire_meta);
-    auto native = pbio::fmt::decode_meta(img.native_meta);
-    if (!wire.is_ok() || !native.is_ok()) {
-      std::printf("  tval: REJECTED (embedded format metas do not decode)\n");
-      ++bad;
-      continue;
-    }
-    if (pbio::fmt::canonical_hash(wire.value()) != img.key.wire ||
-        pbio::fmt::canonical_hash(native.value()) != img.key.native) {
-      std::printf("  tval: REJECTED (metas do not hash to the file's key)\n");
-      ++bad;
-      continue;
-    }
-    if (img.emitter_version != pbio::vcode::kEmitterVersion) {
-      std::printf("  tval: skipped (emitter e%u, this build is e%u)\n",
-                  img.emitter_version, pbio::vcode::kEmitterVersion);
-      continue;
-    }
-    if (img.isa_tier != host_tier) {
-      std::printf("  tval: skipped (ISA tier t%u, this host runs t%u)\n",
-                  img.isa_tier, host_tier);
-      continue;
-    }
-    pbio::convert::Plan plan;
-    try {
-      plan = pbio::convert::compile_plan(wire.value(), native.value());
-    } catch (const pbio::convert::PlanBuildError& e) {
-      std::printf("  tval: REJECTED (plan rebuild failed: %s)\n", e.what());
-      ++bad;
-      continue;
-    }
-    auto adopted = pbio::vcode::CompiledConvert::adopt(
-        std::move(plan), std::move(img.code), img.call_sites);
-    if (adopted.is_ok()) {
-      std::printf("  %s\n",
-                  adopted.value().tval_report().to_string().c_str());
-    } else {
-      std::printf("  tval: REJECTED (%s)\n",
-                  adopted.status().to_string().c_str());
-      ++bad;
-    }
-  }
-  std::printf("-- %zu cache entries, %d rejected\n", paths.size(), bad);
-  return bad == 0 ? 0 : 1;
 }
 
 /// Render a flight-recorder dump as a single time-sorted event listing.
@@ -274,13 +174,10 @@ int main(int argc, char** argv) {
   const char* disasm_format = nullptr;
   bool show_formats = false;
   bool flight = false;
-  bool cache = false;
   long max_records = -1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--flight") == 0) {
       flight = true;
-    } else if (std::strcmp(argv[i], "--cache") == 0) {
-      cache = true;
     } else if (std::strcmp(argv[i], "--formats") == 0) {
       show_formats = true;
     } else if (std::strcmp(argv[i], "--max") == 0 && i + 1 < argc) {
@@ -298,9 +195,6 @@ int main(int argc, char** argv) {
   }
   if (flight) {
     return dump_flight(path);
-  }
-  if (cache) {
-    return dump_cache(path);
   }
 
   auto ch = pbio::transport::FileReadChannel::open(path);

@@ -5,7 +5,7 @@ The fifth static-analysis layer (lint -> taint -> plan verifier -> tval ->
 concurrency). The existing gauntlet proves the *conversion plans and
 emitted code* correct; this tool checks the *parsing code* that builds
 those plans from hostile bytes: frame headers, format announcements,
-format-service replies, .pbcc persist files, broker first-byte dispatch.
+format-service replies, broker first-byte dispatch.
 
 The model is gradual typing for trust. src/util/wire_taint.h provides the
 vocabulary:
@@ -32,9 +32,9 @@ Rules:
   T1 required-taint      the functions in REQUIRED_SOURCES (the wire
                          ingestion surface: FrameStream slicing, fmt
                          announcement decode, the receive stream's frame
-                         interpreter, format-service requests, persist-
-                         file loads, broker dispatch, reader frame
-                         consumption, record decode) must carry
+                         interpreter, format-service requests, broker
+                         dispatch, reader frame consumption, record
+                         decode) must carry
                          WIRE_TAINTED.
   T2 unsanitized-sink    inside an annotated function, a tainted value
                          reaches a sink — memcpy/memmove/memset size,
@@ -106,8 +106,6 @@ REQUIRED_SOURCES = [
     ("src/broker/conn", "dispatch"),                  # broker first byte
     ("src/broker/conn", "on_data_frame"),
     ("src/pbio/message", "decode_record"),            # record decode
-    ("src/cache/persist", "decode_file"),             # .pbcc files
-    ("src/cache/persist", "load"),
 ]
 
 ANNO_TAINTED = "WIRE_TAINTED"
