@@ -127,15 +127,15 @@ Status Conn::flush() {
 }
 
 Status Conn::on_data_frame(FrameBuf frame, const Resolver::Frame& f) {
-  const Resolver::Entry* entry = f.entry;  // set when Config::decode is on
+  Resolver::Entry* entry = f.entry;  // set when Config::decode is on
   if (entry != nullptr && entry->conv != nullptr) {
 #if PBIO_OBS_ENABLED
     if (f.refilled) {
-      // Cold: one registration per (wire, native) pair per process — the
-      // per-format-pair latency series behind /metrics p50/p99/p999.
-      decode_hist_ = obs::histogram("pbio.broker.decode_ns." +
-                                    entry->wire->name + "->" +
-                                    entry->native->name);
+      // Cold: once per wire id the connection resolves — the per-format-
+      // pair latency series behind /metrics p50/p99/p999.
+      entry->decode_hist = obs::histogram("pbio.broker.decode_ns." +
+                                          entry->wire->name + "->" +
+                                          entry->native->name);
     }
     const std::uint64_t t0 = obs::ticks();
 #endif
@@ -148,8 +148,8 @@ Status Conn::on_data_frame(FrameBuf frame, const Resolver::Frame& f) {
                               out_size, scratch);
     if (!st.is_ok()) return st;
 #if PBIO_OBS_ENABLED
-    if (decode_hist_ != obs::kInvalidMetric) {
-      obs::histogram_record(decode_hist_,
+    if (entry->decode_hist != obs::kInvalidMetric) {
+      obs::histogram_record(entry->decode_hist,
                             obs::ticks_to_ns(obs::ticks() - t0));
     }
 #endif

@@ -4,10 +4,11 @@
 // BufferPool, so frames never bounce between cores), a SendQueue of pending
 // responses, and a pbio::Resolver over the broker-wide expected table. The
 // Resolver is the pbio frame interpreter a Reader runs too: it learns
-// announcements, holds trace sidecars and resolves data frames, and a
-// same-format streak resolves its conversion with one compare and no
-// locks. What stays here is the broker's own part: format-service
-// requests, echo / ack / sink, counters and flight records.
+// announcements, holds trace sidecars and resolves data frames; a frame
+// of a wire id the connection has resolved before finds its conversion in
+// the Resolver's per-stream table, with no lock. What stays here is the
+// broker's own part: format-service requests, echo / ack / sink, counters
+// and flight records.
 //
 // service() is the whole per-connection protocol: drain complete frames
 // from the socket (poll_buf, which slices coalesced frames out of one
@@ -188,10 +189,9 @@ class Conn {
   /// samples land in the "slow" class histogram from then on.
   bool ever_paused_ = false;
 
+  /// Keeps each resolved wire id's per-pair decode latency histogram,
+  /// pbio.broker.decode_ns.<wire>-><native>, in its Entry.
   Resolver resolver_;
-  /// Per-format-pair decode latency histogram (registered cold whenever
-  /// the resolver refills its front): pbio.broker.decode_ns.<wire>-><native>.
-  obs::MetricId decode_hist_ = obs::kInvalidMetric;
 };
 
 }  // namespace pbio::broker

@@ -9,13 +9,14 @@
 //
 // Every frame goes through the stream's pbio::Resolver (resolver.h), the
 // frame interpreter a broker connection runs too: it learns announcements,
-// holds trace sidecars and resolves data frames. Runs of frames with the
-// same wire id resolve their conversion once, so a burst of small messages
-// costs one registry + artifact-cache walk total, not one per message. A
-// data frame whose format was never announced falls back to the installed
-// format resolver (a format service), once. A pair's first record is
-// interpreted; its code is generated on reuse (resolver.h). The Reader
-// itself only turns a resolved data frame into a Message.
+// holds trace sidecars and resolves data frames. Each wire id resolves its
+// conversion once per stream, however the ids interleave, so a stream of
+// small messages costs one registry + artifact-cache walk per format, not
+// one per message. A data frame whose format was never announced falls
+// back to the installed format resolver (a format service), once. A
+// pair's first record is interpreted; its code is generated on reuse
+// (resolver.h). The Reader itself only turns a resolved data frame into a
+// Message.
 #pragma once
 
 #include "pbio/context.h"

@@ -78,15 +78,15 @@ Result<const fmt::FormatDesc*> Resolver::fetch(Context::FormatId wire_id) {
   return ctx_.find(wire_id);
 }
 
-Result<const Resolver::Entry*> Resolver::refill(Context::FormatId wire_id) {
-  Entry e;
-  e.wire = ctx_.find(wire_id);
-  if (e.wire == nullptr) {
+Result<Resolver::Entry*> Resolver::refill(Context::FormatId wire_id) {
+  Known k;
+  k.entry.wire = ctx_.find(wire_id);
+  if (k.entry.wire == nullptr) {
     auto fetched = fetch(wire_id);
     if (!fetched.is_ok()) return fetched.status();
-    e.wire = fetched.value();
+    k.entry.wire = fetched.value();
   }
-  auto it = expected_.find(e.wire->name);
+  auto it = expected_.find(k.entry.wire->name);
   if (it != expected_.end()) {
     // An announced format whose conversion plan fails static verification
     // is rejected here, before any plan could execute over the payload —
@@ -94,25 +94,24 @@ Result<const Resolver::Entry*> Resolver::refill(Context::FormatId wire_id) {
     auto conv =
         ctx_.try_conversion(wire_id, it->second.id, cache::Build::kDeferred);
     if (!conv.is_ok()) return conv.status();
-    e.native = it->second.desc;
-    e.conv = std::move(conv).take();
+    k.entry.native = it->second.desc;
+    k.entry.conv = std::move(conv).take();
+    k.counting = true;
   }
-  front_ = std::move(e);
-  cached_wire_id_ = wire_id;
-  valid_ = true;
-  counting_ = front_.conv != nullptr;
-  if (counting_) count_use();
-  return &front_;
+  if (known_.size() == kMaxKnownIds) known_.clear();
+  Known& known = known_.insert(wire_id, std::move(k));
+  if (known.counting) count_use(known);
+  return &known.entry;
 }
 
-void Resolver::count_use() {
-  const std::shared_ptr<const Conversion>& conv = front_.conv;
+void Resolver::count_use(Known& k) {
+  const std::shared_ptr<const Conversion>& conv = k.entry.conv;
   if (!conv->pending()) {
-    counting_ = false;
+    k.counting = false;
     return;
   }
   if (conv->count_use() < kTierUpUses) return;
-  counting_ = false;
+  k.counting = false;
   ctx_.tier_up(conv);
 }
 

@@ -6,24 +6,27 @@
 // does with the result.
 //
 // The paper's receiver builds a conversion "as soon as the wire format is
-// known" and reuses it from then on. A Resolver holds a one-entry front —
-// the last wire id's resolution — over the context's registry and
-// artifact cache, and nothing else. Stream traffic is mostly same-format
-// streaks, so after the first message a lookup is one compare and no
-// lock; a miss takes three registry lock acquisitions and a lock-free
-// artifact-cache hit, and allocates nothing.
+// known" and reuses it from then on. A Resolver keeps a table of every
+// wire id the stream has resolved (pbio/id_table.h), so a frame of a known
+// id resolves from stream-local memory however the ids interleave: one
+// probe, no lock, no call into the context. Only an id's first frame walks
+// the registry, the expected table and the artifact cache (three registry
+// lock acquisitions and a lock-free artifact-cache hit), and only that
+// frame can allocate. The table holds at most kMaxKnownIds ids, so a peer
+// announcing many formats cannot grow it.
 //
-// Only a change to the expected table can make the front stale: wire ids
+// Only a change to the expected table can make an entry stale: wire ids
 // are content hashes and registry entries are immutable and never
-// removed, so a later format announcement cannot change what a cached id
+// removed, so a later format announcement cannot change what a known id
 // resolves to. Owners call invalidate() after changing the table.
 //
-// Code is generated only for pairs that recur. A miss resolves with
-// deferred code, so a pair's first record runs the bounds-checked
-// interpreter over the verified plan. Every resolution of a conversion
-// that has no code yet counts one use on the shared conversion; the
-// kTierUpUses-th use, across every stream holding it, tiers it up (see
-// Context::tier_up), and every holder switches to the generated code.
+// Code is generated only for pairs that recur. An id's first frame
+// resolves with deferred code, so a pair's first record runs the
+// bounds-checked interpreter over the verified plan. Every resolution of a
+// conversion that has no code yet counts one use on the shared conversion,
+// whatever ids arrive in between; the kTierUpUses-th use, across every
+// stream holding it, tiers it up (see Context::tier_up), and every holder
+// switches to the generated code.
 #pragma once
 
 #include <cstdint>
@@ -33,9 +36,11 @@
 #include <string>
 #include <unordered_map>
 
+#include "obs/obs.h"
 #include "obs/span.h"
 #include "obs/tracectx.h"
 #include "pbio/context.h"
+#include "pbio/id_table.h"
 #include "util/wire_taint.h"
 
 namespace pbio {
@@ -79,7 +84,16 @@ class Resolver {
     /// records still arrive (and can be reflected on) but not decode.
     const fmt::FormatDesc* native = nullptr;
     std::shared_ptr<const Conversion> conv;  // set exactly when native is
+    /// The receiver's own per-pair series, for it to fill on the frame
+    /// that resolved the id (Frame::refilled); the broker keeps its
+    /// decode-latency histogram here. The Resolver only stores it.
+    obs::MetricId decode_hist = obs::kInvalidMetric;
   };
+
+  /// The most wire ids a stream keeps resolved. The id that would pass
+  /// the bound empties the table first, and the ids after it resolve
+  /// afresh.
+  static constexpr std::size_t kMaxKnownIds = 64;
 
   /// What interpret() found in one frame. `kind` is set as soon as the
   /// frame shows it, so a caller can tell failures apart.
@@ -96,9 +110,9 @@ class Resolver {
     Context::FormatId wire_id = 0;          // kData
     std::span<const std::uint8_t> payload;  // kData: the record image
     /// kData, when resolved: the wire id's resolution (owned by the
-    /// Resolver, valid until its next call), and whether it missed the
-    /// front.
-    const Entry* entry = nullptr;
+    /// Resolver, valid until its next call), and whether this frame
+    /// resolved the id afresh instead of finding it in the table.
+    Entry* entry = nullptr;
     bool refilled = false;
     /// kData or kShortData: the sidecar that preceded the frame (invalid
     /// when none did) and its arrival wall clock (PBIO_OBS builds).
@@ -128,46 +142,52 @@ class Resolver {
   /// Formats learned from announcements and the format resolver.
   std::size_t formats_learned() const { return formats_learned_; }
 
-  /// Resolve `wire_id`. A repeat of the last resolved id is answered from
-  /// the front (counted as pbio.recv.resolve_cache_hits). Otherwise the
-  /// registry, the expected table and Context::try_conversion refill it:
-  /// kUnknownFormat when neither the registry nor the format resolver
-  /// knows the id, and a conversion the verifier rejects is returned as
-  /// its error; a failed miss leaves the front as it was. `refilled`, when
-  /// given, reports whether this call missed the front.
-  Result<const Entry*> resolve(Context::FormatId wire_id,
-                               bool* refilled = nullptr) {
-    if (valid_ && cached_wire_id_ == wire_id) {
+  /// Resolve `wire_id`. A known id is answered from the table (counted
+  /// as pbio.recv.resolve_cache_hits). Otherwise the registry, the
+  /// expected table and Context::try_conversion resolve it and the table
+  /// keeps the result: kUnknownFormat when neither the registry nor the
+  /// format resolver knows the id, and a conversion the verifier rejects
+  /// is returned as its error; a failure is not kept. `refilled`, when
+  /// given, reports whether this call resolved the id afresh.
+  Result<Entry*> resolve(Context::FormatId wire_id,
+                         bool* refilled = nullptr) {
+    if (Known* k = known_.find(wire_id)) {
       OBS_COUNT("pbio.recv.resolve_cache_hits", 1);
       if (refilled != nullptr) *refilled = false;
-      if (counting_) count_use();
-      return &front_;
+      if (k->counting) count_use(*k);
+      return &k->entry;
     }
     if (refilled != nullptr) *refilled = true;
     return refill(wire_id);
   }
 
-  /// Drop the front entry. Call whenever the expected table changes.
-  void invalidate() { valid_ = false; }
+  /// Forget every resolved id. Call whenever the expected table changes.
+  void invalidate() { known_.clear(); }
+
+  /// Wire ids the table holds: at most kMaxKnownIds.
+  std::size_t known_ids() const { return known_.size(); }
 
  private:
-  Result<const Entry*> refill(Context::FormatId wire_id);
+  /// A resolved id: its entry, and whether its conversion had no code
+  /// when last looked at.
+  struct Known {
+    Entry entry;
+    bool counting = false;
+  };
+
+  Result<Entry*> refill(Context::FormatId wire_id);
 
   /// The format resolver's description of `wire_id`, learned into the
   /// context; kUnknownFormat when there is none.
   Result<const fmt::FormatDesc*> fetch(Context::FormatId wire_id);
 
-  /// Count a use of the front's code-less conversion; tier it up at
+  /// Count a use of `k`'s code-less conversion; tier it up at
   /// kTierUpUses. Stops counting once it has code or a tier-up is claimed.
-  void count_use();
+  void count_use(Known& k);
 
   Context& ctx_;
   const ExpectedTable& expected_;
-  bool valid_ = false;
-  /// The front's conversion had no code when last looked at.
-  bool counting_ = false;
-  Context::FormatId cached_wire_id_ = 0;
-  Entry front_;
+  IdTable<Known> known_;
   FormatResolver format_resolver_;
   std::size_t formats_learned_ = 0;
 

@@ -7,28 +7,34 @@
 
 namespace pbio {
 
-Status Writer::build_announce(Context::FormatId fmt_id, ByteBuffer& frame) {
+Writer::Known* Writer::known(Context::FormatId fmt_id) {
+  if (Known* k = known_.find(fmt_id)) return k;
   const fmt::FormatDesc* f = ctx_.find(fmt_id);
-  if (f == nullptr) {
-    return Status(Errc::kUnknownFormat, "announce: format not registered");
-  }
-  frame.clear();
-  frame.append_uint(kFrameFormat, 1, ByteOrder::kLittle);
-  fmt::encode_meta(*f, frame);
-  OBS_COUNT("pbio.encode.meta_bytes", frame.view().size());
-  return Status::ok();
+  if (f == nullptr) return nullptr;
+  return &known_.insert(fmt_id, Known{f, false});
+}
+
+void Writer::build_announce(const fmt::FormatDesc& f) {
+  announce_buf_.clear();
+  announce_buf_.append_uint(kFrameFormat, 1, ByteOrder::kLittle);
+  fmt::encode_meta(f, announce_buf_);
+  OBS_COUNT("pbio.encode.meta_bytes", announce_buf_.view().size());
 }
 
 Status Writer::announce(Context::FormatId fmt_id) {
-  if (!announce_in_band_ || announced_.contains(fmt_id)) return Status::ok();
-  Status st = build_announce(fmt_id, announce_buf_);
-  if (!st.is_ok()) return st;
-  st = channel_.send(announce_buf_.view());
-  if (st.is_ok()) announced_.insert(fmt_id);
+  if (!announce_in_band_) return Status::ok();
+  Known* k = known(fmt_id);
+  if (k == nullptr) {
+    return Status(Errc::kUnknownFormat, "announce: format not registered");
+  }
+  if (k->announced) return Status::ok();
+  build_announce(*k->desc);
+  Status st = channel_.send(announce_buf_.view());
+  if (st.is_ok()) k->announced = true;
   return st;
 }
 
-Status Writer::send_payload(Context::FormatId fmt_id,
+Status Writer::send_payload(Context::FormatId fmt_id, Known& k,
                             std::span<const std::uint8_t> image) {
   std::uint8_t header[kDataHeaderSize] = {};
   header[0] = kFrameData;
@@ -53,7 +59,7 @@ Status Writer::send_payload(Context::FormatId fmt_id,
 #endif
 
   Status st;
-  const bool announce_now = announce_in_band_ && !announced_.contains(fmt_id);
+  const bool announce_now = announce_in_band_ && !k.announced;
   if (announce_now || traced) {
     // Multi-frame send: [announce]? [trace sidecar]? [data] in one
     // gathered call — on sockets a single writev, so neither the format's
@@ -63,8 +69,7 @@ Status Writer::send_payload(Context::FormatId fmt_id,
     transport::FrameSegments frames[3];
     std::size_t n = 0;
     if (announce_now) {
-      st = build_announce(fmt_id, announce_buf_);
-      if (!st.is_ok()) return st;
+      build_announce(*k.desc);
       fmt_segs[0] = announce_buf_.view();
       frames[n++] = {fmt_segs};
     }
@@ -78,7 +83,7 @@ Status Writer::send_payload(Context::FormatId fmt_id,
 #endif
     frames[n++] = {data_segs};
     st = channel_.send_frames({frames, n});
-    if (st.is_ok() && announce_now) announced_.insert(fmt_id);
+    if (st.is_ok() && announce_now) k.announced = true;
   } else {
     st = channel_.send_gather(data_segs);
   }
@@ -100,44 +105,48 @@ Status Writer::send_payload(Context::FormatId fmt_id,
 
 Status Writer::write(Context::FormatId fmt_id, const void* record) {
   OBS_SPAN("pbio.encode");
-  const fmt::FormatDesc* f = ctx_.find(fmt_id);
-  if (f == nullptr) {
+  Known* k = known(fmt_id);
+  if (k == nullptr) {
     return Status(Errc::kUnknownFormat, "write: format not registered");
   }
-  if (f->is_fixed_layout()) {
+  const fmt::FormatDesc& f = *k->desc;
+  if (f.is_fixed_layout()) {
     // NDR fast path: the record *is* the wire image.
     return send_payload(
-        fmt_id, {static_cast<const std::uint8_t*>(record), f->fixed_size});
+        fmt_id, *k, {static_cast<const std::uint8_t*>(record), f.fixed_size});
   }
   gather_buf_.clear();
-  Status st = encode_native(*f, record, gather_buf_);
+  Status st = encode_native(f, record, gather_buf_);
   if (!st.is_ok()) return st;
-  return send_payload(fmt_id, gather_buf_.view());
+  return send_payload(fmt_id, *k, gather_buf_.view());
 }
 
 Status Writer::write_image(Context::FormatId fmt_id,
                            std::span<const std::uint8_t> image) {
   OBS_SPAN("pbio.encode", image.size());
-  if (ctx_.find(fmt_id) == nullptr) {
+  Known* k = known(fmt_id);
+  if (k == nullptr) {
     return Status(Errc::kUnknownFormat, "write_image: format not registered");
   }
-  return send_payload(fmt_id, image);
+  return send_payload(fmt_id, *k, image);
 }
 
 Status Writer::write_array(Context::FormatId fmt_id, const void* records,
                            std::uint32_t count) {
   OBS_SPAN("pbio.encode", count);
-  const fmt::FormatDesc* f = ctx_.find(fmt_id);
-  if (f == nullptr) {
+  Known* k = known(fmt_id);
+  if (k == nullptr) {
     return Status(Errc::kUnknownFormat, "write_array: format not registered");
   }
-  if (!f->is_fixed_layout()) {
+  const fmt::FormatDesc& f = *k->desc;
+  if (!f.is_fixed_layout()) {
     return Status(Errc::kUnsupported,
                   "write_array requires a fixed-layout format");
   }
   return send_payload(
-      fmt_id, {static_cast<const std::uint8_t*>(records),
-               static_cast<std::size_t>(f->fixed_size) * count});
+      fmt_id, *k,
+      {static_cast<const std::uint8_t*>(records),
+       static_cast<std::size_t>(f.fixed_size) * count});
 }
 
 }  // namespace pbio

@@ -1,12 +1,18 @@
 // PBIO writer: sends records in the sender's Natural Data Representation,
 // announcing each format's meta-information once per channel.
+//
+// A Writer keeps a table of the ids it has written (pbio/id_table.h): an
+// id's description is looked up in the context on its first write only,
+// so a later write takes no lock. Registry entries are immutable and never
+// removed, so a kept description never goes stale; an unregistered id is
+// not kept, and a write after its registration succeeds.
 #pragma once
 
 #include <span>
-#include <unordered_set>
 
 #include "pbio/context.h"
 #include "pbio/encode.h"
+#include "pbio/id_table.h"
 #include "transport/channel.h"
 
 namespace pbio {
@@ -43,13 +49,23 @@ class Writer {
   std::uint64_t records_written() const { return records_written_; }
 
  private:
-  Status build_announce(Context::FormatId fmt_id, ByteBuffer& frame);
-  Status send_payload(Context::FormatId fmt_id,
+  /// A registered id this Writer has used.
+  struct Known {
+    const fmt::FormatDesc* desc = nullptr;
+    bool announced = false;  // its announcement has been sent
+  };
+
+  /// `fmt_id`'s entry, from the context on first use; nullptr when the id
+  /// is not registered. Valid until the next call.
+  Known* known(Context::FormatId fmt_id);
+  /// Fill announce_buf_ with the announcement frame of `f`.
+  void build_announce(const fmt::FormatDesc& f);
+  Status send_payload(Context::FormatId fmt_id, Known& k,
                       std::span<const std::uint8_t> image);
 
   Context& ctx_;
   transport::Channel& channel_;
-  std::unordered_set<Context::FormatId> announced_;
+  IdTable<Known> known_;
   bool announce_in_band_ = true;
   ByteBuffer gather_buf_;
   ByteBuffer announce_buf_;

@@ -28,7 +28,7 @@ Status LoopbackChannel::enqueue(FrameBuf msg, std::size_t bytes) {
   bytes_sent_ += bytes;
   OBS_COUNT("transport.loopback.msgs_out", 1);
   OBS_COUNT("transport.loopback.bytes_out", bytes);
-  out_->cv.notify_one();
+  if (out_->waiters != 0) out_->cv.notify_one();
   return Status::ok();
 }
 
@@ -62,11 +62,15 @@ Result<std::vector<std::uint8_t>> LoopbackChannel::recv() {
 
 Result<FrameBuf> LoopbackChannel::recv_buf() {
   MutexLock lock(in_->mu);
-  // The predicate runs with in_->mu held (CondVar::wait's contract), but
-  // the analysis cannot see through condition_variable_any's template.
-  in_->cv.wait(lock, [&]() PBIO_NO_THREAD_SAFETY_ANALYSIS {
-    return !in_->messages.empty() || in_->closed;
-  });
+  if (in_->messages.empty() && !in_->closed) {
+    ++in_->waiters;
+    // The predicate runs with in_->mu held (CondVar::wait's contract), but
+    // the analysis cannot see through condition_variable_any's template.
+    in_->cv.wait(lock, [&]() PBIO_NO_THREAD_SAFETY_ANALYSIS {
+      return !in_->messages.empty() || in_->closed;
+    });
+    --in_->waiters;
+  }
   if (in_->messages.empty()) {
     return Status(Errc::kChannelClosed, "loopback closed");
   }

@@ -50,6 +50,9 @@ class LoopbackChannel final : public Channel {
     CondVar cv;
     std::deque<FrameBuf> messages PBIO_GUARDED_BY(mu);
     bool closed PBIO_GUARDED_BY(mu) = false;
+    /// Receivers blocked in recv_buf(): a send notifies cv only when one
+    /// is, since a notify takes the condition variable's own mutex.
+    std::size_t waiters PBIO_GUARDED_BY(mu) = 0;
   };
 
   Status enqueue(FrameBuf msg, std::size_t bytes);

@@ -179,11 +179,84 @@ TEST(AllocInvariant, SteadyStateBatchAllocatesNothing) {
   sender.join();
 }
 
+TEST(AllocInvariant, SteadyStateInterleavedFormatsAllocateNothing) {
+  // Three formats in round-robin order: once each id has been written and
+  // resolved, neither the Writer nor the Reader allocates for a frame,
+  // whatever id came before it.
+  auto [client, server] = channel_pair();
+  Context ctx;
+  const NativeField fields[] = {
+      PBIO_FIELD(Sample, seq, arch::CType::kInt),
+      PBIO_FIELD(Sample, a, arch::CType::kDouble),
+      PBIO_FIELD(Sample, b, arch::CType::kDouble),
+  };
+  const Context::FormatId ids[] = {
+      ctx.register_format(native_format("x", fields, sizeof(Sample))),
+      ctx.register_format(native_format("y", fields, sizeof(Sample))),
+      ctx.register_format(native_format("z", fields, sizeof(Sample))),
+  };
+  constexpr int kFormats = 3;
+  std::uint64_t sender_allocs = 0;
+  std::thread sender([&ctx, &ids, &sender_allocs,
+                      ch = std::move(client)]() mutable {
+    Writer w(ctx, *ch);
+    for (int i = 0; i < kWarmup + kMeasured; ++i) {
+      if (i == kWarmup) {
+        g_allocs = 0;
+        g_counting = true;
+      }
+      Sample s{i, 0.25 * i, 3.0};
+      const Status st = w.write(ids[i % kFormats], &s);
+      if (!st.is_ok()) break;
+    }
+    g_counting = false;
+    sender_allocs = g_allocs;
+  });
+
+  Reader r(ctx, *server);
+  for (const auto id : ids) r.expect(id);
+  int bad = 0;
+  for (int i = 0; i < kWarmup; ++i) {
+    auto m = r.next();
+    if (!m.is_ok() || m.value().wire_id() != ids[i % kFormats] ||
+        !m.value().view<Sample>().is_ok()) {
+      ++bad;
+    }
+  }
+  ASSERT_EQ(bad, 0);
+
+  g_allocs = 0;
+  g_counting = true;
+  for (int i = kWarmup; i < kWarmup + kMeasured; ++i) {
+    auto m = r.next();
+    if (!m.is_ok()) {
+      ++bad;
+      break;
+    }
+    auto v = m.value().view<Sample>();
+    if (m.value().wire_id() != ids[i % kFormats] || !v.is_ok() ||
+        v.value()->seq != i) {
+      ++bad;
+    }
+  }
+  g_counting = false;
+  const std::uint64_t allocs = g_allocs;
+  sender.join();
+
+  EXPECT_EQ(bad, 0);
+  EXPECT_EQ(allocs, 0u) << "steady-state interleaved Reader::next allocated "
+                        << allocs << " times over " << kMeasured
+                        << " messages";
+  EXPECT_EQ(sender_allocs, 0u)
+      << "steady-state interleaved Writer::write allocated " << sender_allocs
+      << " times over " << kMeasured << " messages";
+}
+
 // The artifact cache rides the same invariant: once a conversion is
 // resolved, a warm try_conversion (registry resolve + lock-free snapshot
 // hit) and a bare warm shared-cache lookup allocate nothing — a stream's
-// resolver front misses onto this path, and 10k connections re-resolving
-// the same pair must not churn the heap.
+// resolver resolves an id it has not seen on this path, and 10k
+// connections resolving the same pair must not churn the heap.
 TEST(AllocInvariant, WarmConversionLookupAllocatesNothing) {
   Context ctx;
   const auto id = register_sample(ctx);

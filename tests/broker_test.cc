@@ -531,7 +531,7 @@ TEST(Broker, DecodesDataFramesForExpectedFormats) {
   rec.set("a", value::Value(41));
   rec.set("b", value::Value(6.5));
   const auto frame = record_frame(wire_fmt, rec);
-  for (int i = 0; i < 2; ++i) {  // second frame rides the resolver front
+  for (int i = 0; i < 2; ++i) {  // second frame hits the resolver table
     ASSERT_TRUE(ch.value()->send(frame).is_ok());
     auto echo = ch.value()->recv();
     ASSERT_TRUE(echo.is_ok()) << echo.status().to_string();
@@ -553,73 +553,138 @@ TEST(Broker, DecodesDataFramesForExpectedFormats) {
   b.stop();
 }
 
-TEST(Broker, DecodeStreakResolvesOncePerFormat) {
-  // Each connection resolves through its own Resolver front: a same-format
-  // streak costs one try_conversion, every later frame is a front hit, and
-  // a format announcement mid-streak leaves the front valid.
-  Context ctx;
-  const NativeField sample_fields[] = {
-      PBIO_FIELD(Sample, a, arch::CType::kInt),
-      PBIO_FIELD(Sample, b, arch::CType::kDouble),
-  };
-  const NativeField other_fields[] = {
-      PBIO_FIELD(Other, x, arch::CType::kDouble),
-      PBIO_FIELD(Other, n, arch::CType::kInt),
-  };
-  Config cfg;
-  cfg.decode = true;
-  Broker b(ctx, cfg);
-  b.expect("sample", ctx.register_format(native_format(
-                         "sample", sample_fields, sizeof(Sample))));
-  b.expect("other", ctx.register_format(native_format(
-                        "other", other_fields, sizeof(Other))));
-  ASSERT_TRUE(b.start().is_ok());
+/// A decoding broker expecting "sample" and "other", one connection to
+/// it, and a sparc data frame of each format.
+struct TwoFormatBroker {
+  TwoFormatBroker() {
+    const NativeField sample_fields[] = {
+        PBIO_FIELD(Sample, a, arch::CType::kInt),
+        PBIO_FIELD(Sample, b, arch::CType::kDouble),
+    };
+    const NativeField other_fields[] = {
+        PBIO_FIELD(Other, x, arch::CType::kDouble),
+        PBIO_FIELD(Other, n, arch::CType::kInt),
+    };
+    b.expect("sample", ctx.register_format(native_format(
+                           "sample", sample_fields, sizeof(Sample))));
+    b.expect("other", ctx.register_format(native_format(
+                          "other", other_fields, sizeof(Other))));
+    EXPECT_TRUE(b.start().is_ok());
 
-  arch::StructSpec other;
-  other.name = "other";
-  other.fields = {{.name = "x", .type = arch::CType::kDouble},
-                  {.name = "n", .type = arch::CType::kInt}};
-  const auto a_fmt = arch::layout_format(sample_spec(), arch::abi_sparc_v8());
-  const auto b_fmt = arch::layout_format(other, arch::abi_sparc_v8());
-  value::Record a_rec;
-  a_rec.set("a", value::Value(7));
-  a_rec.set("b", value::Value(0.25));
-  value::Record b_rec;
-  b_rec.set("x", value::Value(-3.5));
-  b_rec.set("n", value::Value(12));
-  const auto a_frame = record_frame(a_fmt, a_rec);
-  const auto b_frame = record_frame(b_fmt, b_rec);
+    arch::StructSpec other;
+    other.name = "other";
+    other.fields = {{.name = "x", .type = arch::CType::kDouble},
+                    {.name = "n", .type = arch::CType::kInt}};
+    a_fmt = arch::layout_format(sample_spec(), arch::abi_sparc_v8());
+    b_fmt = arch::layout_format(other, arch::abi_sparc_v8());
+    value::Record a_rec;
+    a_rec.set("a", value::Value(7));
+    a_rec.set("b", value::Value(0.25));
+    value::Record b_rec;
+    b_rec.set("x", value::Value(-3.5));
+    b_rec.set("n", value::Value(12));
+    a_frame = record_frame(a_fmt, a_rec);
+    b_frame = record_frame(b_fmt, b_rec);
 
-  auto ch = transport::socket_connect(b.port());
-  ASSERT_TRUE(ch.is_ok());
-  auto echo_n = [&](const std::vector<std::uint8_t>& frame, int n) {
-    for (int i = 0; i < n; ++i) {
-      ASSERT_TRUE(ch.value()->send(frame).is_ok());
-      auto echo = ch.value()->recv();
-      ASSERT_TRUE(echo.is_ok()) << echo.status().to_string();
-      EXPECT_EQ(echo.value(), frame);
-    }
-  };
-  const auto hits = [] {
+    auto connected = transport::socket_connect(b.port());
+    EXPECT_TRUE(connected.is_ok());
+    if (connected.is_ok()) ch = std::move(connected).take();
+  }
+
+  static Config decoding() {
+    Config cfg;
+    cfg.decode = true;
+    return cfg;
+  }
+
+  void announce(const fmt::FormatDesc& f) {
+    ASSERT_TRUE(ch->send(announce_frame(f)).is_ok());
+  }
+
+  /// Send `frame` and check it comes back verbatim.
+  void echo(const std::vector<std::uint8_t>& frame) {
+    ASSERT_TRUE(ch->send(frame).is_ok());
+    auto back = ch->recv();
+    ASSERT_TRUE(back.is_ok()) << back.status().to_string();
+    EXPECT_EQ(back.value(), frame);
+  }
+
+  static std::uint64_t hits() {
     const auto snap = obs::snapshot();
     const auto* c = snap.find_counter("pbio.recv.resolve_cache_hits");
     return c == nullptr ? std::uint64_t{0} : c->value;
-  };
-  const std::uint64_t hits0 = hits();
-  constexpr int kStreak = 8;
-  ASSERT_TRUE(ch.value()->send(announce_frame(a_fmt)).is_ok());
-  echo_n(a_frame, kStreak);
-  ASSERT_TRUE(ch.value()->send(announce_frame(b_fmt)).is_ok());
-  echo_n(a_frame, kStreak);
-  echo_n(b_frame, kStreak);
-  b.stop();
+  }
 
-  EXPECT_EQ(b.stats().decoded, 3u * kStreak);
-  EXPECT_EQ(b.stats().protocol_errors, 0u);
-  const Context::Stats cs = ctx.stats();
+  Context ctx;
+  Broker b{ctx, decoding()};
+  fmt::FormatDesc a_fmt;
+  fmt::FormatDesc b_fmt;
+  std::vector<std::uint8_t> a_frame;
+  std::vector<std::uint8_t> b_frame;
+  std::unique_ptr<SocketChannel> ch;
+};
+
+TEST(Broker, DecodeStreakResolvesOncePerFormat) {
+  // Each connection resolves through its own Resolver table: a same-format
+  // streak costs one try_conversion, every later frame is a table hit, and
+  // a format announcement mid-streak leaves the table valid.
+  TwoFormatBroker t;
+  ASSERT_NE(t.ch, nullptr);
+  const std::uint64_t hits0 = TwoFormatBroker::hits();
+  constexpr int kStreak = 8;
+  t.announce(t.a_fmt);
+  for (int i = 0; i < kStreak; ++i) t.echo(t.a_frame);
+  t.announce(t.b_fmt);
+  for (int i = 0; i < kStreak; ++i) t.echo(t.a_frame);
+  for (int i = 0; i < kStreak; ++i) t.echo(t.b_frame);
+  t.b.stop();
+
+  EXPECT_EQ(t.b.stats().decoded, 3u * kStreak);
+  EXPECT_EQ(t.b.stats().protocol_errors, 0u);
+  const Context::Stats cs = t.ctx.stats();
   EXPECT_EQ(cs.conversion_cache_hits + cs.shared_cache_misses, 2u);
   EXPECT_EQ(cs.conversions_compiled, 2u);
-  EXPECT_EQ(hits() - hits0, 3u * kStreak - 2u);
+  EXPECT_EQ(TwoFormatBroker::hits() - hits0, 3u * kStreak - 2u);
+}
+
+TEST(Broker, InterleavedDecodeResolvesOncePerFormat) {
+  // A/B/A/B on one decoding connection: each wire id reaches the context
+  // on its first frame only, and each pair's decode latency lands in its
+  // own histogram.
+  TwoFormatBroker t;
+  ASSERT_NE(t.ch, nullptr);
+#if PBIO_OBS_ENABLED
+  constexpr const char* kPairs[] = {"pbio.broker.decode_ns.sample->sample",
+                                     "pbio.broker.decode_ns.other->other"};
+  const auto decodes = [](const char* pair) {
+    const obs::Snapshot snap = obs::snapshot();
+    const auto* h = snap.find_histogram(pair);
+    return h == nullptr ? std::uint64_t{0} : h->count;
+  };
+  const std::uint64_t decodes0[] = {decodes(kPairs[0]), decodes(kPairs[1])};
+#endif
+  t.announce(t.a_fmt);
+  t.announce(t.b_fmt);
+  const std::uint64_t hits0 = TwoFormatBroker::hits();
+  constexpr int kRounds = 8;
+  for (int i = 0; i < kRounds; ++i) {
+    t.echo(t.a_frame);
+    t.echo(t.b_frame);
+  }
+  t.b.stop();
+
+  EXPECT_EQ(t.b.stats().decoded, 2u * kRounds);
+  EXPECT_EQ(t.b.stats().protocol_errors, 0u);
+  const Context::Stats cs = t.ctx.stats();
+  EXPECT_EQ(cs.conversion_cache_hits + cs.shared_cache_misses, 2u);
+  EXPECT_EQ(TwoFormatBroker::hits() - hits0, 2u * kRounds - 2u);
+#if PBIO_OBS_ENABLED
+  for (int p = 0; p < 2; ++p) {
+    EXPECT_EQ(decodes(kPairs[p]) - decodes0[p],
+              static_cast<std::uint64_t>(kRounds))
+        << kPairs[p];
+  }
+#endif
 }
 
 TEST(Broker, DecodesCountByTheEngineThatRan) {

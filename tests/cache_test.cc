@@ -1,5 +1,5 @@
 // Fleet-scale conversion-artifact cache: canonical keying, the resolution
-// path in front of it (a stream's Resolver front, unknown ids), single-
+// path in front of it (a stream's Resolver table, unknown ids), single-
 // flight stampede collapse, cross-context artifact sharing, and the
 // counter store behind the cache and context stats.
 #include "cache/artifact_cache.h"
@@ -218,7 +218,7 @@ TEST(SharedCache, PrivateByDefault) {
   EXPECT_EQ(b.stats().conversions_compiled, 1u);
 }
 
-// --------------------------------------------------------- resolver front
+// --------------------------------------------------------- resolver table
 
 /// Every successful try_conversion counts exactly once in one of these.
 std::uint64_t conversions_resolved(const Context& ctx) {
@@ -226,7 +226,7 @@ std::uint64_t conversions_resolved(const Context& ctx) {
   return s.conversion_cache_hits + s.shared_cache_misses;
 }
 
-std::uint64_t front_hits() {
+std::uint64_t table_hits() {
   const obs::Snapshot snap = obs::snapshot();
   const auto* c = snap.find_counter("pbio.recv.resolve_cache_hits");
   return c == nullptr ? 0 : c->value;
@@ -246,6 +246,23 @@ Record other_record() {
   Record r;
   r.set("x", Value(-1.75));
   r.set("n", Value(9));
+  return r;
+}
+
+StructSpec third_spec() {
+  StructSpec s;
+  s.name = "third";
+  s.fields = {
+      {.name = "t", .type = CType::kShort},
+      {.name = "u", .type = CType::kLongLong},
+  };
+  return s;
+}
+
+Record third_record() {
+  Record r;
+  r.set("t", Value(-5));
+  r.set("u", Value(std::int64_t{1} << 40));
   return r;
 }
 
@@ -293,23 +310,23 @@ TEST(Resolution, ReaderStreakConvertsOnce) {
   Stream s;
   const auto wire = s.add(sample_spec());
   constexpr std::uint64_t kFrames = 16;
-  const std::uint64_t hits0 = front_hits();
+  const std::uint64_t hits0 = table_hits();
   for (std::uint64_t i = 0; i < kFrames; ++i) {
     s.round_trip(wire, sample_spec(), sample_record());
   }
   EXPECT_EQ(conversions_resolved(s.rctx), 1u);
   EXPECT_EQ(s.rctx.stats().conversions_compiled, 1u);
-  EXPECT_EQ(front_hits() - hits0, kFrames - 1);
+  EXPECT_EQ(table_hits() - hits0, kFrames - 1);
 }
 
 TEST(Resolution, AnnouncementMidStreakKeepsDecoding) {
   // Ids are content hashes and registry entries never change, so a format
-  // announcement in the middle of a streak leaves the front valid: the A
+  // announcement in the middle of a streak leaves the table valid: the A
   // frames after it still hit, then the B streak resolves once.
   Stream s;
   const auto a = s.add(sample_spec());
   const auto b = s.add(other_spec());
-  const std::uint64_t hits0 = front_hits();
+  const std::uint64_t hits0 = table_hits();
   for (int i = 0; i < 4; ++i) {
     s.round_trip(a, sample_spec(), sample_record());
   }
@@ -322,7 +339,27 @@ TEST(Resolution, AnnouncementMidStreakKeepsDecoding) {
   }
   EXPECT_EQ(s.reader.formats_learned(), 2u);
   EXPECT_EQ(conversions_resolved(s.rctx), 2u);
-  EXPECT_EQ(front_hits() - hits0, 12u - 2u);
+  EXPECT_EQ(table_hits() - hits0, 12u - 2u);
+}
+
+TEST(Resolution, InterleavedFormatsResolveOncePerIdPerStream) {
+  // Frames of three formats in round-robin order: each wire id walks the
+  // registry and the artifact cache on its first frame only; every later
+  // frame resolves from the stream's table, whatever ids came between.
+  Stream s;
+  const auto a = s.add(sample_spec());
+  const auto b = s.add(other_spec());
+  const auto c = s.add(third_spec());
+  constexpr std::uint64_t kFormats = 3;
+  constexpr std::uint64_t kRounds = 8;
+  const std::uint64_t hits0 = table_hits();
+  for (std::uint64_t i = 0; i < kRounds; ++i) {
+    s.round_trip(a, sample_spec(), sample_record());
+    s.round_trip(b, other_spec(), other_record());
+    s.round_trip(c, third_spec(), third_record());
+  }
+  EXPECT_EQ(conversions_resolved(s.rctx), kFormats);
+  EXPECT_EQ(table_hits() - hits0, kFormats * kRounds - kFormats);
 }
 
 // --------------------------------------------------------- counter store

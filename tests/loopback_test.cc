@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <thread>
 
@@ -90,6 +92,60 @@ TEST(Loopback, CrossThreadProducerConsumer) {
     EXPECT_EQ(got, i);
   }
   producer.join();
+}
+
+TEST(Loopback, BlockedRecvBufIsWokenBySendAndByClose) {
+  // A send notifies only when a receiver waits: the waiting one must
+  // still wake, for a message and for a close.
+  auto [a, b] = make_loopback_pair();
+  Result<FrameBuf> got = Status(Errc::kWouldBlock, "not received");
+  std::atomic<bool> woken{false};
+  std::thread receiver([&b, &got, &woken] {
+    got = b->recv_buf();
+    woken = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_TRUE(a->send(bytes({5, 6})).is_ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!woken && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(woken) << "send() left the blocked receiver asleep";
+  if (!woken) a->close();  // a close always notifies: end the test
+  receiver.join();
+  ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+  EXPECT_EQ(got.value().view().size(), 2u);
+  EXPECT_EQ(got.value().data()[1], 6);
+
+  std::thread closed([&b, &got] { got = b->recv_buf(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  a->close();
+  closed.join();
+  ASSERT_FALSE(got.is_ok());
+  EXPECT_EQ(got.status().code(), Errc::kChannelClosed);
+}
+
+TEST(Loopback, PingPongLosesNoWakeup) {
+  // Each side blocks in recv_buf() until the other answers, so most
+  // receives wait and most sends find a waiter to notify.
+  auto [a, b] = make_loopback_pair();
+  constexpr int kRounds = 2000;
+  std::thread echo([&b] {
+    for (int i = 0; i < kRounds; ++i) {
+      auto m = b->recv_buf();
+      ASSERT_TRUE(m.is_ok());
+      ASSERT_TRUE(b->send(m.value().view()).is_ok());
+    }
+  });
+  for (int i = 0; i < kRounds; ++i) {
+    const std::uint8_t v = static_cast<std::uint8_t>(i);
+    ASSERT_TRUE(a->send(std::span<const std::uint8_t>(&v, 1)).is_ok());
+    auto m = a->recv_buf();
+    ASSERT_TRUE(m.is_ok());
+    ASSERT_EQ(m.value().data()[0], v);
+  }
+  echo.join();
 }
 
 }  // namespace

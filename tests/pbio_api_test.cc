@@ -75,6 +75,65 @@ TEST(PbioApi, FormatAnnouncedExactlyOnce) {
   EXPECT_EQ(r.formats_learned(), 1u);
 }
 
+TEST(PbioApi, InterleavedFormatsAnnouncedOncePerWriter) {
+  // Each id's announcement leaves with its first write only, whatever ids
+  // come between; an explicit announce() of a sent id sends nothing, and a
+  // second Writer announces on its own channel.
+  Context ctx;
+  auto [wch, rch] = transport::make_loopback_pair();
+  const auto a = register_particle(ctx);
+  const auto b = ctx.register_format(
+      native_format("mote", kParticleFields, sizeof(Particle)));
+  Writer w(ctx, *wch);
+  Particle p{};
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(w.write(a, &p).is_ok());
+    ASSERT_TRUE(w.write(b, &p).is_ok());
+  }
+  ASSERT_TRUE(w.announce(a).is_ok());
+  EXPECT_EQ(rch->pending(), 2u + 6u);
+  Reader r(ctx, *rch);
+  r.expect(a);
+  r.expect(b);
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(r.next().is_ok());
+  EXPECT_EQ(r.formats_learned(), 2u);
+
+  auto [wch2, rch2] = transport::make_loopback_pair();
+  Writer w2(ctx, *wch2);
+  ASSERT_TRUE(w2.write(a, &p).is_ok());
+  EXPECT_EQ(rch2->pending(), 2u);
+}
+
+TEST(PbioApi, WriteToUnregisteredIdFailsUntilRegistered) {
+  // A failed lookup is not kept: once the format is registered, the next
+  // write of its id succeeds and carries its announcement.
+  Context ctx;
+  auto [wch, rch] = transport::make_loopback_pair();
+  const fmt::FormatDesc f =
+      native_format("particle", kParticleFields, sizeof(Particle));
+  const Context::FormatId id = f.fingerprint();
+  Writer w(ctx, *wch);
+  Particle p{7, 1.5, {}, "late"};
+  const std::span<const std::uint8_t> image(
+      reinterpret_cast<const std::uint8_t*>(&p), sizeof(p));
+  EXPECT_EQ(w.write(id, &p).code(), Errc::kUnknownFormat);
+  EXPECT_EQ(w.write_image(id, image).code(), Errc::kUnknownFormat);
+  EXPECT_EQ(w.write_array(id, &p, 1).code(), Errc::kUnknownFormat);
+  EXPECT_EQ(w.announce(id).code(), Errc::kUnknownFormat);
+  EXPECT_EQ(rch->pending(), 0u);
+
+  ASSERT_EQ(ctx.register_format(f), id);
+  ASSERT_TRUE(w.write(id, &p).is_ok());
+  EXPECT_EQ(rch->pending(), 2u);
+  Reader r(ctx, *rch);
+  r.expect(id);
+  auto msg = r.next();
+  ASSERT_TRUE(msg.is_ok()) << msg.status().to_string();
+  auto view = msg.value().view<Particle>();
+  ASSERT_TRUE(view.is_ok());
+  EXPECT_EQ(view.value()->id, 7);
+}
+
 TEST(PbioApi, HeterogeneousSenderConvertsOnReceive) {
   // A simulated sparc-v8 sender: big-endian, 4-byte longs. The receiver
   // decodes into the host struct via the DCG conversion.
@@ -355,8 +414,8 @@ TEST(PbioApi, ConversionCacheHitsAcrossMessages) {
   Particle p{};
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(w.write(id, &p).is_ok());
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(r.next().is_ok());
-  // Ten messages, one compile: the reader's one-entry resolver front
-  // absorbs the repeats without even re-querying the context.
+  // Ten messages, one compile: the reader's resolver table absorbs the
+  // repeats without even re-querying the context.
   const auto stats = ctx.stats();
   EXPECT_EQ(stats.conversions_compiled, 1u);
   // A fresh resolution of the same pair hits the artifact cache

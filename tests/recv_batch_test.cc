@@ -247,9 +247,10 @@ TEST(NextBatch, BitIdenticalToPerMessage_TypeExtension) {
 }
 
 TEST(NextBatch, MixedWireIdsAndAnnouncementsInOneBatch) {
-  // Interleaved formats force the reader's one-entry resolver front to
-  // switch per run, and each format's first message carries its in-band
-  // announcement (a format frame consumed mid-batch).
+  // Interleaved formats resolve from the reader's resolver table, each
+  // wire id walking the context on its first frame only, and each
+  // format's first message carries its in-band announcement (a format
+  // frame consumed mid-batch).
   struct A {
     std::int32_t x;
   };
