@@ -29,17 +29,6 @@ void count_kernel_use(kernels::Isa isa, std::uint64_t elems) {
   obs::counter_add(counts[static_cast<int>(isa)], elems);
 }
 
-/// The batch kernels (convert/kernels) forbid partial overlap: they process
-/// blocks with all loads before all stores, so they are only sequentially
-/// equivalent to the per-element loops when src and dst element addresses
-/// coincide exactly (the dst == src in-place path) or the ranges are
-/// disjoint. Overlapping cases keep the per-element code below.
-bool batch_ranges_ok(const std::uint8_t* s, std::size_t src_bytes,
-                     const std::uint8_t* d, std::size_t dst_bytes) {
-  if (d == s) return src_bytes == dst_bytes;
-  return d + dst_bytes <= s || s + src_bytes <= d;
-}
-
 /// Hot inner loops. Each op converts a run of identically-typed elements,
 /// so the per-op dispatch cost is amortized across the run — this is what
 /// makes the PBIO interpreter faster than per-element interpreted
@@ -49,31 +38,8 @@ class Executor {
   Executor(const Plan& plan, const ExecInput& in) : plan_(plan), in_(in) {}
 
   Status run() {
-    if (in_.src_size < plan_.src_fixed_size) {
-      return Status(Errc::kTruncated, "wire record smaller than fixed part");
-    }
-    if (in_.dst_size < plan_.dst_fixed_size) {
-      return Status(Errc::kTruncated, "destination smaller than fixed part");
-    }
-    const bool overlap =
-        in_.dst < in_.src + in_.src_size && in_.src < in_.dst + in_.dst_size;
-    if (overlap && !(plan_.inplace_safe && in_.dst == in_.src)) {
-      return Status(Errc::kUnsupported,
-                    "overlapping buffers need an inplace-safe plan with "
-                    "dst == src");
-    }
-    if (plan_.has_variable) {
-      if (in_.mode == VarMode::kPointers &&
-          (plan_.dst_pointer_size != sizeof(void*) || in_.arena == nullptr)) {
-        return Status(Errc::kUnsupported,
-                      "pointer-mode decode requires host pointer size and an "
-                      "arena");
-      }
-      if (in_.mode == VarMode::kOffsets && in_.dst_var == nullptr) {
-        return Status(Errc::kUnsupported,
-                      "offset-mode decode requires a variable-data buffer");
-      }
-    }
+    Status st = check_exec_input(plan_, in_);
+    if (!st.is_ok()) return st;
     return exec_ops(plan_.ops, in_.src, in_.dst);
   }
 
@@ -125,9 +91,8 @@ class Executor {
 
   void exec_swap(const Op& op, const std::uint8_t* s, std::uint8_t* d) {
     if (op.count >= kernels::kMinCount) {
-      const std::size_t bytes = std::size_t{op.count} * op.width_src;
       if (const auto k = kernels::resolve_swap_kernel(op.width_src);
-          k.fn != nullptr && batch_ranges_ok(s, bytes, d, bytes)) {
+          k.fn != nullptr) {
         k.fn(d, s, op.count);
         count_kernel_use(k.isa, op.count);
         return;
@@ -174,10 +139,7 @@ class Executor {
     const ByteOrder dord = plan_.dst_order;
     if (op.count >= kernels::kMinCount) {
       const kernels::CvtKey key = kernels::cvt_key(op, so, dord);
-      if (const auto k = kernels::resolve_cvt_kernel(key);
-          k.fn != nullptr &&
-          batch_ranges_ok(s, std::size_t{op.count} * op.width_src, d,
-                          std::size_t{op.count} * op.width_dst)) {
+      if (const auto k = kernels::resolve_cvt_kernel(key); k.fn != nullptr) {
         k.fn(d, s, op.count);
         count_kernel_use(k.isa, op.count);
         return;
@@ -314,6 +276,35 @@ class Executor {
 };
 
 }  // namespace
+
+Status check_exec_input(const Plan& plan, const ExecInput& in) {
+  if (in.src_size < plan.src_fixed_size) {
+    return Status(Errc::kTruncated, "wire record smaller than fixed part");
+  }
+  if (in.dst_size < plan.dst_fixed_size) {
+    return Status(Errc::kTruncated, "destination smaller than fixed part");
+  }
+  const bool overlap =
+      in.dst < in.src + in.src_size && in.src < in.dst + in.dst_size;
+  if (overlap && !(plan.inplace_safe && in.dst == in.src)) {
+    return Status(Errc::kUnsupported,
+                  "overlapping buffers need an inplace-safe plan with "
+                  "dst == src");
+  }
+  if (plan.has_variable) {
+    if (in.mode == VarMode::kPointers &&
+        (plan.dst_pointer_size != sizeof(void*) || in.arena == nullptr)) {
+      return Status(Errc::kUnsupported,
+                    "pointer-mode decode requires host pointer size and an "
+                    "arena");
+    }
+    if (in.mode == VarMode::kOffsets && in.dst_var == nullptr) {
+      return Status(Errc::kUnsupported,
+                    "offset-mode decode requires a variable-data buffer");
+    }
+  }
+  return Status::ok();
+}
 
 Status run_plan(const Plan& plan, const ExecInput& in) {
   return Executor(plan, in).run();

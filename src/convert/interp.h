@@ -38,8 +38,16 @@ struct ExecInput {
   bool borrow_from_src = true;        // allow zero-copy into the src buffer
 };
 
+/// The entry check of both engines: the buffers hold the fixed parts, they
+/// overlap only as dst == src on an inplace_safe plan, and a plan with
+/// variable fields gets what its VarMode needs. Every op of an inplace_safe
+/// plan overlaps forward, which the batch kernels accept
+/// (convert/kernels/kernels.h), so no op needs an overlap check of its own.
+Status check_exec_input(const Plan& plan, const ExecInput& in);
+
 /// Execute `plan` over `in`. Fixed-part geometry is validated once up
-/// front; variable-data offsets are bounds-checked as encountered.
+/// front (check_exec_input); variable-data offsets are bounds-checked as
+/// encountered.
 Status run_plan(const Plan& plan, const ExecInput& in);
 
 /// Execute a single op of `plan` (bases = in.src / in.dst) without the

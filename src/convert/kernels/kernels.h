@@ -14,15 +14,21 @@
 //
 // Contract (every kernel, every tier):
 //  * src and dst may be unaligned;
-//  * dst == src (identical element addresses, same element width) is
-//    allowed — the in-place receive-buffer path;
-//  * any other overlap is NOT allowed. Kernels process blocks with all
-//    loads before all stores, so partially-overlapping ranges would
-//    diverge from the interpreter's sequential per-element semantics.
-//    Callers check this (interp at run time, the JIT at codegen time)
-//    and keep the per-element path for the overlapping cases.
+//  * the ranges are disjoint, or they overlap forward: dst <= src with
+//    width_dst <= width_src (dst == src included) — the in-place
+//    receive-buffer path. Every kernel walks its blocks in ascending
+//    order and loads a block before storing it, and the scalar tail does
+//    the same per element; under a forward overlap the stores for
+//    elements 0..i end at or below the end of source element i, so they
+//    only reach source bytes already read. Any other overlap (dst above
+//    src, or a widening conversion running into its own source) is NOT
+//    allowed. Callers need no check of their own: both engines admit
+//    overlapping buffers only through convert::check_exec_input, i.e.
+//    dst == src on an inplace_safe plan, whose every op (nested ones
+//    included) writes at or below where it reads and never widens;
 //  * output is byte-identical to the scalar reference at every tier
-//    (asserted by tests/kernels_property_test.cc).
+//    (asserted by tests/kernels_property_test.cc, forward overlaps
+//    included).
 #pragma once
 
 #include <cstddef>

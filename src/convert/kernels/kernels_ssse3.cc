@@ -62,8 +62,8 @@ void swap_simd(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
 
 // --- numeric conversions ----------------------------------------------------
 // Each processes 4 (or 8 for 16-bit sources) elements per iteration, with
-// every load of a block issued before its stores (the dst==src in-place
-// case stays correct because src/dst element addresses coincide).
+// every load of a block issued before its stores, blocks ascending — what
+// the forward-overlap contract (kernels.h) rests on.
 
 template <bool SS, bool DS>
 void cvt_f32_f64(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {

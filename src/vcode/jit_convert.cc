@@ -60,18 +60,8 @@ constexpr std::size_t kMacroReserve = 64;
 /// the exact predicate of ConvertCompiler::try_emit_kernel_call, shared so
 /// walk_call_sites (the tval allowlist) reproduces the emission decisions
 /// bit for bit.
-bool kernel_call_emitted(const Plan& plan, const Op& op, bool top,
-                         kernels::KernelFn fn) {
-  if (fn == nullptr || !top || op.count < kernels::kMinCount) return false;
-  if (plan.inplace_safe) {
-    const std::uint64_t sbeg = op.src_off;
-    const std::uint64_t send = sbeg + std::uint64_t{op.count} * op.width_src;
-    const std::uint64_t dbeg = op.dst_off;
-    const std::uint64_t dend = dbeg + std::uint64_t{op.count} * op.width_dst;
-    const bool identical = sbeg == dbeg && op.width_src == op.width_dst;
-    if (!identical && dend > sbeg && send > dbeg) return false;
-  }
-  return true;
+bool kernel_call_emitted(const Op& op, bool top, kernels::KernelFn fn) {
+  return fn != nullptr && top && op.count >= kernels::kMinCount;
 }
 
 /// Visit every call the compiler emits for `plan`, in emission order.
@@ -94,7 +84,7 @@ void walk_call_sites(const Plan& plan, Sink&& sink) {
         return;
       case OpCode::kSwap: {
         kernels::KernelFn fn = kernels::swap_kernel(op.width_src);
-        if (kernel_call_emitted(plan, op, top, fn)) {
+        if (kernel_call_emitted(op, top, fn)) {
           sink(reinterpret_cast<std::uint64_t>(fn),
                verify::tval::CalleeKind::kKernel, op.width_src, op.width_src);
         }
@@ -103,7 +93,7 @@ void walk_call_sites(const Plan& plan, Sink&& sink) {
       case OpCode::kCvtNum: {
         kernels::KernelFn fn = kernels::cvt_kernel(
             kernels::cvt_key(op, plan.src_order, plan.dst_order));
-        if (kernel_call_emitted(plan, op, top, fn)) {
+        if (kernel_call_emitted(op, top, fn)) {
           sink(reinterpret_cast<std::uint64_t>(fn),
                verify::tval::CalleeKind::kKernel, op.width_src, op.width_dst);
         }
@@ -245,15 +235,17 @@ class ConvertCompiler {
   /// and keeps the generated-code-size/codegen-cost story of
   /// tableb_dcg_cost measurable.
   ///
-  /// The kernel contract forbids partially-overlapping src/dst. Overlap can
-  /// only reach generated code through the in-place path (run() rejects any
-  /// other overlap), i.e. dst base == src base, so safety is decidable at
-  /// codegen time from the op's offsets. Top level only: inside a kSubLoop
-  /// the per-iteration bases make the intervals depend on the stride, and
-  /// per-record element runs are small anyway.
+  /// No overlap check: the kernels accept disjoint ranges and forward
+  /// overlaps (dst <= src, never widening), and run()'s entry check
+  /// (convert::check_exec_input) admits overlapping buffers only as
+  /// dst == src on an inplace_safe plan, whose ops all satisfy that
+  /// (convert/kernels/kernels.h). So a kernel call is as legal for an
+  /// in-place run as for separate buffers. Top level only:
+  /// that is a code-size choice — inside a kSubLoop every iteration would
+  /// pay a call, and per-record element runs there are small anyway.
   bool try_emit_kernel_call(const Op& op, const EmitCtx& ctx,
                             kernels::KernelFn fn) {
-    if (!kernel_call_emitted(plan_, op, /*top=*/ctx.loop_depth == 0, fn)) {
+    if (!kernel_call_emitted(op, /*top=*/ctx.loop_depth == 0, fn)) {
       return false;
     }
     // void kernel(uint8_t* dst, const uint8_t* src, size_t count) — the
@@ -593,32 +585,10 @@ Status CompiledConvert::run(const ExecInput& in) const {
   if (fn == nullptr) {
     return convert::run_plan(plan, in);  // no code (yet): interpret
   }
-  // The generated code assumes validated geometry — same checks as the
-  // interpreter's entry.
-  if (in.src_size < plan.src_fixed_size) {
-    return Status(Errc::kTruncated, "wire record smaller than fixed part");
-  }
-  if (in.dst_size < plan.dst_fixed_size) {
-    return Status(Errc::kTruncated, "destination smaller than fixed part");
-  }
-  const bool overlap =
-      in.dst < in.src + in.src_size && in.src < in.dst + in.dst_size;
-  if (overlap && !(plan.inplace_safe && in.dst == in.src)) {
-    return Status(Errc::kUnsupported,
-                  "overlapping buffers need an inplace-safe plan with "
-                  "dst == src");
-  }
-  if (plan.has_variable) {
-    if (in.mode == convert::VarMode::kPointers &&
-        (plan.dst_pointer_size != sizeof(void*) || in.arena == nullptr)) {
-      return Status(Errc::kUnsupported,
-                    "pointer-mode decode requires host pointer size and an "
-                    "arena");
-    }
-    if (in.mode == convert::VarMode::kOffsets && in.dst_var == nullptr) {
-      return Status(Errc::kUnsupported,
-                    "offset-mode decode requires a variable-data buffer");
-    }
+  // The generated code assumes validated geometry: the interpreter's
+  // entry check.
+  if (Status st = convert::check_exec_input(plan, in); !st.is_ok()) {
+    return st;
   }
   Status status;
   JitRt rt{&plan, &in, &status};

@@ -494,8 +494,10 @@ class Verifier {
 
     // identity => trivially in-place; otherwise a claimed inplace_safe must
     // survive the write-never-clobbers-unread-source analysis. The claim
-    // matters: the JIT trusts it when deciding batch-kernel legality and
-    // Message::in_place_view() runs dst == src on its strength.
+    // matters: the engines' entry check admits dst == src on its strength
+    // (Message::in_place_view() runs that way), and the batch kernels are
+    // only correct there because every op of such a plan writes at or
+    // below where it reads and never widens.
     if (plan_.inplace_safe && !plan_.identity) {
       if (has_var) {
         issue(Check::kFlag, "plan", "inplace_safe plan with variable ops");

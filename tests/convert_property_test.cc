@@ -7,10 +7,13 @@
 // for byte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <random>
 
 #include "arch/layout.h"
 #include "convert/interp.h"
+#include "convert/kernels/kernels.h"
 #include "convert/plan.h"
 #include "obs/obs.h"
 #include "pbio/pbio.h"
@@ -19,6 +22,7 @@
 #include "value/random.h"
 #include "value/read.h"
 #include "vcode/execmem.h"
+#include "vcode/jit_convert.h"
 
 namespace pbio::convert {
 namespace {
@@ -233,6 +237,94 @@ TEST(ConvertExtension, ExtraWireFieldsIgnoredExpectedOnesIntact) {
     ASSERT_TRUE(got.is_ok());
     EXPECT_TRUE(value::equivalent(got.value(), rec)) << "iter " << iter;
   }
+}
+
+/// Targets of the batch-kernel calls in `cc`'s generated code, sorted. A
+/// `call` macro is `mov rax, imm64; call rax`; memmove/memset targets are
+/// block copies, not kernels.
+std::vector<std::uint64_t> kernel_call_targets(const vcode::CompiledConvert& cc) {
+  std::vector<std::uint64_t> targets;
+  const auto code = cc.code();
+  for (const vcode::MacroNote& note : cc.macro_notes()) {
+    if (std::strcmp(note.macro, "call") != 0) continue;
+    EXPECT_LE(note.off + 10, code.size());
+    EXPECT_EQ(code[note.off], 0x48);      // REX.W
+    EXPECT_EQ(code[note.off + 1], 0xB8);  // mov rax, imm64
+    std::uint64_t target = 0;
+    std::memcpy(&target, code.data() + note.off + 2, sizeof(target));
+    if (target != reinterpret_cast<std::uint64_t>(&std::memmove) &&
+        target != reinterpret_cast<std::uint64_t>(&std::memset)) {
+      targets.push_back(target);
+    }
+  }
+  std::sort(targets.begin(), targets.end());
+  return targets;
+}
+
+/// Top-level array runs of `plan` that have a batch kernel and reach
+/// kMinCount: each must become one kernel call in generated code.
+std::size_t eligible_kernel_runs(const Plan& plan) {
+  std::size_t n = 0;
+  for (const Op& op : plan.ops) {
+    if (op.count < kernels::kMinCount) continue;
+    if (op.code == OpCode::kSwap && kernels::swap_kernel(op.width_src)) ++n;
+    if (op.code == OpCode::kCvtNum &&
+        kernels::cvt_kernel(
+            kernels::cvt_key(op, plan.src_order, plan.dst_order))) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+TEST(ConvertExtension, UnexpectedFieldKeepsKernelCallSites) {
+  // Figure 6 by counts: an unexpected field (leading, middle or trailing)
+  // must not cost the conversion a single kernel call. A leading or middle
+  // field moves the runs after it down, which makes the plan in-place safe
+  // with shifted runs; narrowing ABI pairs (8-byte long wire, 4-byte long
+  // native) shift runs down without any extension. Neighbouring arrays
+  // differ in element width so the optimizer merges no two of them, with or
+  // without the extra field.
+  StructSpec base;
+  base.name = "runs";
+  base.fields = {
+      {.name = "s", .type = arch::CType::kShort, .array_elems = 17},
+      {.name = "i", .type = arch::CType::kInt, .array_elems = 16},
+      {.name = "d", .type = arch::CType::kDouble, .array_elems = 19},
+      {.name = "us", .type = arch::CType::kUShort, .array_elems = 20},
+      {.name = "f", .type = arch::CType::kFloat, .array_elems = 21},
+      {.name = "ll", .type = arch::CType::kLongLong, .array_elems = 16},
+      {.name = "c", .type = arch::CType::kChar, .array_elems = 5},
+      {.name = "l", .type = arch::CType::kLong, .array_elems = 18},
+  };
+  const arch::SpecField extra{.name = "surprise",
+                              .type = arch::CType::kDouble};
+  std::size_t kernel_calls = 0;
+  for (const AbiPair& pair : all_pairs()) {
+    const auto dst = arch::layout_format(base, *pair.dst);
+    const Plan base_plan =
+        compile_plan(arch::layout_format(base, *pair.src), dst);
+    const vcode::CompiledConvert base_cc(base_plan);
+    ASSERT_TRUE(base_cc.jitted());
+    const auto want = kernel_call_targets(base_cc);
+    const std::string name = pair.src->name + "->" + pair.dst->name;
+    EXPECT_EQ(want.size(), eligible_kernel_runs(base_plan)) << name;
+    kernel_calls += want.size();
+    for (const std::size_t at : {std::size_t{0}, base.fields.size() / 2,
+                                 base.fields.size()}) {
+      StructSpec ext = base;
+      ext.fields.insert(ext.fields.begin() + static_cast<std::ptrdiff_t>(at),
+                        extra);
+      const Plan plan = compile_plan(arch::layout_format(ext, *pair.src), dst);
+      ASSERT_EQ(plan.ignored_wire_fields.size(), 1u) << name;
+      const vcode::CompiledConvert cc(plan);
+      ASSERT_TRUE(cc.jitted());
+      EXPECT_EQ(kernel_call_targets(cc), want)
+          << name << " extra field at " << at
+          << (plan.inplace_safe ? " (in-place safe)" : "");
+    }
+  }
+  EXPECT_GT(kernel_calls, 0u);
 }
 
 TEST(ConvertExtension, MissingWireFieldsReadAsZero) {

@@ -106,7 +106,11 @@ TEST(EncodeNative, AppendsToExistingBuffer) {
   const auto f = event_format();
   char name[] = "x";
   Event rec{0, name, nullptr};
-  ByteBuffer out;
+  // Start with capacity, as encoders do: a constant-size append into a
+  // capacity-0 vector sends GCC 12 down vector::insert's reallocation path,
+  // where it misreads the empty tail move as a write past the new block
+  // (-Wstringop-overflow).
+  ByteBuffer out(64);
   out.append("prefix", 6);
   ASSERT_TRUE(encode_native(f, &rec, out).is_ok());
   EXPECT_EQ(std::memcmp(out.data(), "prefix", 6), 0);

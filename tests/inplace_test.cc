@@ -6,6 +6,7 @@
 
 #include "arch/layout.h"
 #include "convert/interp.h"
+#include "convert/kernels/kernels.h"
 #include "pbio/pbio.h"
 #include "value/materialize.h"
 #include "value/random.h"
@@ -114,11 +115,13 @@ TEST(Inplace, OverlappingBuffersRejectedWithoutSafety) {
 
 /// Run a conversion both out-of-place and in-place (when safe) with both
 /// engines; all safe paths must agree with the out-of-place reference.
-void check_inplace_matches(const StructSpec& spec, const arch::Abi& src_abi,
-                           const arch::Abi& dst_abi, const Record& rec,
-                           const std::string& context, int* safe_count) {
-  const auto src = arch::layout_format(spec, src_abi);
-  const auto dst = arch::layout_format(spec, dst_abi);
+/// `rec` holds the sender's values (`send` may carry fields `recv` lacks).
+void check_inplace_matches(const StructSpec& send, const StructSpec& recv,
+                           const arch::Abi& src_abi, const arch::Abi& dst_abi,
+                           const Record& rec, const std::string& context,
+                           int* safe_count) {
+  const auto src = arch::layout_format(send, src_abi);
+  const auto dst = arch::layout_format(recv, dst_abi);
   const auto wire = value::materialize(src, rec);
   const Plan plan = compile_plan(src, dst);
   if (!plan.inplace_safe) return;
@@ -182,7 +185,7 @@ TEST(Inplace, PropertyInplaceMatchesOutOfPlace) {
     const Record rec = value::random_record(spec, rng);
     for (const auto* s : arch::all_abis()) {
       for (const auto* d : arch::all_abis()) {
-        check_inplace_matches(spec, *s, *d, rec,
+        check_inplace_matches(spec, spec, *s, *d, rec,
                               std::to_string(i) + " " + s->name + "->" +
                                   d->name,
                               &safe_count);
@@ -191,6 +194,55 @@ TEST(Inplace, PropertyInplaceMatchesOutOfPlace) {
   }
   // The sweep must actually exercise in-place paths, not vacuously pass.
   EXPECT_GT(safe_count, 50);
+}
+
+TEST(Inplace, KernelRunsBehindLeadingFieldMatchOutOfPlace) {
+  // Runs long enough for the batch kernels behind an unexpected leading
+  // field of 1..64 bytes: dropping it moves every run down, so each kernel
+  // call of an in-place run overlaps forward (dst below src). Both engines
+  // run it under each tier the host has; a sample of leading sizes keeps
+  // the sweep short.
+  StructSpec recv;
+  recv.name = "runs";
+  recv.fields = {
+      {.name = "s", .type = CType::kShort, .array_elems = 17},
+      {.name = "i", .type = CType::kInt, .array_elems = kernels::kMinCount},
+      {.name = "l", .type = CType::kLong, .array_elems = 19},
+      {.name = "f", .type = CType::kFloat, .array_elems = 21},
+      {.name = "d", .type = CType::kDouble, .array_elems = 23},
+      {.name = "u", .type = CType::kULong, .array_elems = 18},
+  };
+  std::vector<kernels::Isa> tiers = {kernels::Isa::kScalar};
+  if (kernels::detected_isa() >= kernels::Isa::kSsse3) {
+    tiers.push_back(kernels::Isa::kSsse3);
+  }
+  if (kernels::detected_isa() >= kernels::Isa::kAvx2) {
+    tiers.push_back(kernels::Isa::kAvx2);
+  }
+  std::mt19937_64 rng(6464);
+  int safe_count = 0;
+  for (int k = 0; k < 8; ++k) {
+    const std::uint32_t lead = 1 + static_cast<std::uint32_t>(rng() % 64);
+    StructSpec send = recv;
+    send.fields.insert(send.fields.begin(), {.name = "lead",
+                                             .type = CType::kChar,
+                                             .array_elems = lead});
+    const Record rec = value::random_record(send, rng);
+    for (const kernels::Isa isa : tiers) {
+      kernels::force_isa(isa);
+      for (const auto* s : arch::all_abis()) {
+        for (const auto* d : arch::all_abis()) {
+          check_inplace_matches(send, recv, *s, *d, rec,
+                                "lead=" + std::to_string(lead) + " " +
+                                    kernels::to_string(isa) + " " + s->name +
+                                    "->" + d->name,
+                                &safe_count);
+        }
+      }
+    }
+  }
+  kernels::reset_isa();
+  EXPECT_GT(safe_count, 0);
 }
 
 TEST(Inplace, MessageInPlaceView) {
