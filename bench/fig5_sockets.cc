@@ -116,9 +116,9 @@ double raw_roundtrip_ms(Size s) {
     auto ch = transport::socket_connect(port);
     if (!ch.is_ok()) return;
     for (int i = 0; i < kRoundTrips + 1; ++i) {
-      auto msg = ch.value()->recv();
+      auto msg = ch.value()->recv_buf();
       if (!msg.is_ok()) return;
-      if (!ch.value()->send(msg.value()).is_ok()) return;
+      if (!ch.value()->send(msg.value().view()).is_ok()) return;
     }
   });
   auto accepted = listener.accept();
@@ -127,11 +127,11 @@ double raw_roundtrip_ms(Size s) {
     return -1;
   }
   (void)accepted.value()->send(w.src_image);
-  (void)accepted.value()->recv();
+  (void)accepted.value()->recv_buf();
   Stopwatch sw;
   for (int i = 0; i < kRoundTrips; ++i) {
     if (!accepted.value()->send(w.src_image).is_ok()) break;
-    auto msg = accepted.value()->recv();
+    auto msg = accepted.value()->recv_buf();
     if (!msg.is_ok()) break;
   }
   const double total = sw.elapsed_ms();

@@ -38,14 +38,8 @@ class TwoReadsChannel final : public transport::Channel {
  public:
   explicit TwoReadsChannel(int fd) : fd_(fd) {}
 
-  Status send(std::span<const std::uint8_t> /*bytes*/) override {
+  Status send_frames(std::span<const transport::FrameSegments>) override {
     return Status(Errc::kUnsupported, "receive-only baseline channel");
-  }
-  Result<std::vector<std::uint8_t>> recv() override {
-    auto buf = recv_buf();
-    if (!buf.is_ok()) return buf.status();
-    return std::vector<std::uint8_t>(buf.value().data(),
-                                     buf.value().data() + buf.value().size());
   }
   Result<FrameBuf> recv_buf() override {
     std::uint8_t header[transport::kFrameHeaderLen];

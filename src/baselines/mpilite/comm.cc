@@ -16,9 +16,9 @@ Status Comm::send(const Datatype& t, const void* buf, std::uint32_t count,
 
 Status Comm::recv(const Datatype& t, void* buf, std::size_t buf_size,
                   std::uint32_t count, std::uint32_t expected_tag) {
-  auto msg = channel_.recv();
+  auto msg = channel_.recv_buf();
   if (!msg.is_ok()) return msg.status();
-  const auto& bytes = msg.value();
+  const auto bytes = msg.value().view();
   if (bytes.size() < 8) {
     return Status(Errc::kTruncated, "mpilite: short envelope");
   }
@@ -30,8 +30,7 @@ Status Comm::recv(const Datatype& t, void* buf, std::size_t buf_size,
   if (n != count) {
     return Status(Errc::kTypeMismatch, "mpilite: count mismatch");
   }
-  return unpack(t, std::span(bytes.data() + 8, bytes.size() - 8), buf,
-                buf_size, count);
+  return unpack(t, bytes.subspan(8), buf, buf_size, count);
 }
 
 }  // namespace pbio::mpilite

@@ -17,18 +17,13 @@ namespace pbio::bench {
 /// any transport work when measuring encode times.
 class NullChannel final : public transport::Channel {
  public:
-  Status send(std::span<const std::uint8_t> bytes) override {
-    bytes_sent_ += bytes.size();
-    ++messages_;
+  Status send_frames(
+      std::span<const transport::FrameSegments> frames) override {
+    for (const auto& f : frames) bytes_sent_ += f.size();
+    messages_ += frames.size();
     return Status::ok();
   }
-  Status send_gather(
-      std::span<const std::span<const std::uint8_t>> segments) override {
-    for (const auto& s : segments) bytes_sent_ += s.size();
-    ++messages_;
-    return Status::ok();
-  }
-  Result<std::vector<std::uint8_t>> recv() override {
+  Result<FrameBuf> recv_buf() override {
     return Status(Errc::kChannelClosed, "null channel");
   }
   std::uint64_t bytes_sent() const override { return bytes_sent_; }

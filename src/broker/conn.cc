@@ -89,8 +89,12 @@ Status Conn::enqueue(FrameBuf frame, const obs::TraceCtx* trace) {
     return Status(Errc::kOverloaded, "inflight frame cap");
   }
   const std::size_t wire = transport::kFrameHeaderLen + frame.size();
+  Status st = sq_.push(std::move(frame), trace);
+  if (!st.is_ok()) {
+    sh_.inflight.fetch_sub(1, kRelaxed);
+    return st;
+  }
   sh_.queued_bytes.fetch_add(wire, kRelaxed);
-  sq_.push(std::move(frame), trace);
   return Status::ok();
 }
 

@@ -1,7 +1,6 @@
 #include "broker/send_queue.h"
 
 #include "obs/span.h"
-#include "util/endian.h"
 
 namespace pbio::broker {
 
@@ -19,11 +18,12 @@ void SendQueue::grow() {
   head_ = 0;
 }
 
-void SendQueue::push(FrameBuf frame, const obs::TraceCtx* trace) {
+Status SendQueue::push(FrameBuf frame, const obs::TraceCtx* trace) {
+  Status st = transport::check_frame_len(frame.size());
+  if (!st.is_ok()) return st;
   if (count_ == ring_.size()) grow();
   Item& it = ring_[(head_ + count_) & (ring_.size() - 1)];
-  store_uint(it.hdr, frame.size(), transport::kFrameHeaderLen,
-             ByteOrder::kLittle);
+  transport::encode_frame_header(frame.size(), it.hdr);
   queued_bytes_ += transport::kFrameHeaderLen + frame.size();
   it.frame = std::move(frame);
 #if PBIO_OBS_ENABLED
@@ -33,6 +33,7 @@ void SendQueue::push(FrameBuf frame, const obs::TraceCtx* trace) {
   (void)trace;
 #endif
   ++count_;
+  return Status::ok();
 }
 
 Result<SendQueue::FlushResult> SendQueue::flush(transport::WireSink& sink,

@@ -37,10 +37,12 @@ class SendQueue {
   SendQueue() = default;
 
   /// Append `frame` (taking ownership of the lease). The wire image is
-  /// [len u32 LE][frame bytes], matching FrameStream on the peer side.
-  /// A non-null `trace` marks the frame as belonging to a sampled message:
-  /// its queue-residency span is emitted when the frame fully drains.
-  void push(FrameBuf frame, const obs::TraceCtx* trace = nullptr);
+  /// [len u32 LE][frame bytes], matching FrameStream on the peer side; a
+  /// frame longer than transport::kMaxFrameLen is refused (kMalformed,
+  /// nothing queued). A non-null `trace` marks the frame as belonging to
+  /// a sampled message: its queue-residency span is emitted when the
+  /// frame fully drains.
+  Status push(FrameBuf frame, const obs::TraceCtx* trace = nullptr);
 
   struct FlushResult {
     std::size_t bytes = 0;    // wire bytes written (headers + payloads)

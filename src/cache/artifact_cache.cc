@@ -187,13 +187,4 @@ std::size_t ArtifactCache::size() const {
   return n;
 }
 
-std::shared_ptr<ArtifactCache> process_cache() {
-  // Leaked intentionally: sealed code buffers may still be executing on
-  // detached threads during static destruction.
-  static ArtifactCache* const kCache = new ArtifactCache();
-  static const std::shared_ptr<ArtifactCache> kHandle(kCache,
-                                                      [](ArtifactCache*) {});
-  return kHandle;
-}
-
 }  // namespace pbio::cache

@@ -191,9 +191,4 @@ class ArtifactCache {
       "pbio.cache.tier_ups"};
 };
 
-/// The process-wide cache: what a fleet of broker workers / tools shares
-/// by constructing their Context over it. Never destroyed (artifacts may
-/// be executing on any thread at process exit).
-std::shared_ptr<ArtifactCache> process_cache();
-
 }  // namespace pbio::cache

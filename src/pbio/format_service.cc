@@ -43,10 +43,10 @@ Status FormatServiceServer::handle(std::span<const std::uint8_t> request,
 }
 
 Status FormatServiceServer::serve_one(transport::Channel& ch) {
-  auto req = ch.recv();
+  auto req = ch.recv_buf();
   if (!req.is_ok()) return req.status();
   ByteBuffer reply(256);
-  Status st = handle(req.value(), reply);
+  Status st = handle(req.value().view(), reply);
   if (!st.is_ok()) return st;
   return ch.send(reply.view());
 }
@@ -66,9 +66,9 @@ Result<fmt::FormatDesc> FormatServiceClient::lookup(Context::FormatId id) {
   req.append_uint(id, 8, ByteOrder::kLittle);
   Status st = ch_.send(req.view());
   if (!st.is_ok()) return st;
-  auto reply = ch_.recv();
+  auto reply = ch_.recv_buf();
   if (!reply.is_ok()) return reply.status();
-  const auto& bytes = reply.value();
+  const auto bytes = reply.value().view();
   if (bytes.empty()) {
     return Status(Errc::kMalformed, "empty service reply");
   }
@@ -78,7 +78,7 @@ Result<fmt::FormatDesc> FormatServiceClient::lookup(Context::FormatId id) {
   if (bytes[0] != kSvcFound) {
     return Status(Errc::kMalformed, "unexpected service reply");
   }
-  return fmt::decode_meta(std::span(bytes.data() + 1, bytes.size() - 1));
+  return fmt::decode_meta(bytes.subspan(1));
 }
 
 Result<Context::FormatId> FormatServiceClient::publish(
@@ -88,9 +88,9 @@ Result<Context::FormatId> FormatServiceClient::publish(
   fmt::encode_meta(f, req);
   Status st = ch_.send(req.view());
   if (!st.is_ok()) return st;
-  auto reply = ch_.recv();
+  auto reply = ch_.recv_buf();
   if (!reply.is_ok()) return reply.status();
-  const auto& bytes = reply.value();
+  const auto bytes = reply.value().view();
   if (bytes.size() < 9 || bytes[0] != kSvcRegistered) {
     return Status(Errc::kMalformed, "unexpected service reply");
   }

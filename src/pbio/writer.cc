@@ -29,7 +29,9 @@ Status Writer::announce(Context::FormatId fmt_id) {
   }
   if (k->announced) return Status::ok();
   build_announce(*k->desc);
-  Status st = channel_.send(announce_buf_.view());
+  const std::span<const std::uint8_t> segs[] = {announce_buf_.view()};
+  const transport::FrameSegments frame{segs};
+  Status st = channel_.send_frames({&frame, 1});
   if (st.is_ok()) k->announced = true;
   return st;
 }
@@ -49,46 +51,34 @@ Status Writer::send_payload(Context::FormatId fmt_id, Known& k,
   // (the default) costs one relaxed load here.
   obs::TraceCtx tctx;
   std::uint8_t tframe[transport::kTraceFrameLen];
+  const std::span<const std::uint8_t> trace_segs[] = {
+      {tframe, transport::kTraceFrameLen}};
   const bool traced = obs::trace_sample();
   if (traced) {
     tctx = obs::make_trace_ctx();
     transport::encode_trace_frame(tframe, tctx);
   }
-#else
-  constexpr bool traced = false;
 #endif
 
-  Status st;
+  // One send_frames call: [announce]? [trace sidecar]? [data] — on
+  // sockets a single writev, so neither the format's meta-information nor
+  // the sidecar costs an extra kernel crossing.
   const bool announce_now = announce_in_band_ && !k.announced;
-  if (announce_now || traced) {
-    // Multi-frame send: [announce]? [trace sidecar]? [data] in one
-    // gathered call — on sockets a single writev, so neither the format's
-    // meta-information nor the sidecar costs an extra kernel crossing.
-    std::span<const std::uint8_t> fmt_segs[1];
-    std::span<const std::uint8_t> trace_segs[1];
-    transport::FrameSegments frames[3];
-    std::size_t n = 0;
-    if (announce_now) {
-      build_announce(*k.desc);
-      fmt_segs[0] = announce_buf_.view();
-      frames[n++] = {fmt_segs};
-    }
-#if PBIO_OBS_ENABLED
-    if (traced) {
-      trace_segs[0] = {tframe, transport::kTraceFrameLen};
-      frames[n++] = {trace_segs};
-    }
-#else
-    (void)trace_segs;
-#endif
-    frames[n++] = {data_segs};
-    st = channel_.send_frames({frames, n});
-    if (st.is_ok() && announce_now) k.announced = true;
-  } else {
-    st = channel_.send_gather(data_segs);
+  std::span<const std::uint8_t> fmt_segs[1];
+  transport::FrameSegments frames[3];
+  std::size_t n = 0;
+  if (announce_now) {
+    build_announce(*k.desc);
+    fmt_segs[0] = announce_buf_.view();
+    frames[n++] = {fmt_segs};
   }
+#if PBIO_OBS_ENABLED
+  if (traced) frames[n++] = {trace_segs};
+#endif
+  frames[n++] = {data_segs};
+  Status st = channel_.send_frames({frames, n});
   if (st.is_ok()) {
-    ++records_written_;
+    if (announce_now) k.announced = true;
     OBS_COUNT("pbio.encode.records", 1);
     OBS_COUNT("pbio.encode.data_bytes", kDataHeaderSize + image.size());
 #if PBIO_OBS_ENABLED

@@ -6,6 +6,10 @@
 // so a later write takes no lock. Registry entries are immutable and never
 // removed, so a kept description never goes stale; an unregistered id is
 // not kept, and a write after its registration succeeds.
+//
+// Every write and every announcement is one Channel::send_frames() call:
+// a format's announcement and an optional trace sidecar ride in the same
+// call as the data frame.
 #pragma once
 
 #include <span>
@@ -46,8 +50,6 @@ class Writer {
   /// demand (late joiners never see in-band announcements anyway).
   void set_announce_in_band(bool on) { announce_in_band_ = on; }
 
-  std::uint64_t records_written() const { return records_written_; }
-
  private:
   /// A registered id this Writer has used.
   struct Known {
@@ -69,7 +71,6 @@ class Writer {
   bool announce_in_band_ = true;
   ByteBuffer gather_buf_;
   ByteBuffer announce_buf_;
-  std::uint64_t records_written_ = 0;
 };
 
 }  // namespace pbio

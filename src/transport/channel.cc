@@ -1,42 +1,26 @@
 #include "transport/channel.h"
 
-#include <cstring>
-
 namespace pbio::transport {
-
-Status Channel::send_gather(
-    std::span<const std::span<const std::uint8_t>> segments) {
-  std::size_t total = 0;
-  for (const auto& s : segments) total += s.size();
-  std::vector<std::uint8_t> flat;
-  flat.reserve(total);
-  for (const auto& s : segments) {
-    flat.insert(flat.end(), s.begin(), s.end());
-  }
-  return send(flat);
-}
-
-Status Channel::send_frames(std::span<const FrameSegments> frames) {
-  for (const FrameSegments& f : frames) {
-    Status st = send_gather(f.segments);
-    if (!st.is_ok()) return st;
-  }
-  return Status::ok();
-}
-
-Result<FrameBuf> Channel::recv_buf() {
-  auto msg = recv();
-  if (!msg.is_ok()) return msg.status();
-  const std::vector<std::uint8_t>& bytes = msg.value();
-  FrameBuf buf = BufferPool::shared().lease(bytes.size());
-  if (!bytes.empty()) {
-    std::memcpy(buf.data(), bytes.data(), bytes.size());
-  }
-  return buf;
-}
 
 Result<FrameBuf> Channel::poll_buf() {
   return Status(Errc::kWouldBlock, "transport does not buffer frames");
+}
+
+Status Channel::send(std::span<const std::uint8_t> bytes) {
+  return send_gather({&bytes, 1});
+}
+
+Status Channel::send_gather(
+    std::span<const std::span<const std::uint8_t>> segments) {
+  const FrameSegments frame{segments};
+  return send_frames({&frame, 1});
+}
+
+Result<std::vector<std::uint8_t>> Channel::recv() {
+  auto buf = recv_buf();
+  if (!buf.is_ok()) return buf.status();
+  const FrameBuf& f = buf.value();
+  return std::vector<std::uint8_t>(f.data(), f.data() + f.size());
 }
 
 }  // namespace pbio::transport

@@ -1,7 +1,6 @@
 #include "transport/file.h"
 
 #include "obs/span.h"
-#include "util/endian.h"
 
 namespace pbio::transport {
 
@@ -18,21 +17,34 @@ FileWriteChannel::~FileWriteChannel() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-Status FileWriteChannel::send(std::span<const std::uint8_t> bytes) {
-  std::uint8_t header[kFrameHeaderLen];
-  store_uint(header, bytes.size(), kFrameHeaderLen, ByteOrder::kLittle);
-  if (std::fwrite(header, 1, kFrameHeaderLen, file_) != kFrameHeaderLen ||
-      (!bytes.empty() &&
-       std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size())) {
-    return Status(Errc::kIo, "short write to frame log");
+Status FileWriteChannel::send_frames(std::span<const FrameSegments> frames) {
+  // Check every length before the first fwrite: a refused frame leaves
+  // the log as it was.
+  for (const FrameSegments& f : frames) {
+    Status st = check_frame_len(f.size());
+    if (!st.is_ok()) return st;
   }
-  bytes_sent_ += bytes.size();
-  OBS_COUNT("transport.file.msgs_out", 1);
-  OBS_COUNT("transport.file.bytes_out", bytes.size());
+  for (const FrameSegments& f : frames) {
+    const std::size_t len = f.size();
+    std::uint8_t header[kFrameHeaderLen];
+    encode_frame_header(len, header);
+    if (std::fwrite(header, 1, kFrameHeaderLen, file_) != kFrameHeaderLen) {
+      return Status(Errc::kIo, "short write to frame log");
+    }
+    for (const auto& s : f.segments) {
+      if (!s.empty() &&
+          std::fwrite(s.data(), 1, s.size(), file_) != s.size()) {
+        return Status(Errc::kIo, "short write to frame log");
+      }
+    }
+    bytes_sent_ += len;
+    OBS_COUNT("transport.file.msgs_out", 1);
+    OBS_COUNT("transport.file.bytes_out", len);
+  }
   return Status::ok();
 }
 
-Result<std::vector<std::uint8_t>> FileWriteChannel::recv() {
+Result<FrameBuf> FileWriteChannel::recv_buf() {
   return Status(Errc::kUnsupported, "write-only channel");
 }
 
@@ -56,15 +68,8 @@ FileReadChannel::~FileReadChannel() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-Status FileReadChannel::send(std::span<const std::uint8_t>) {
+Status FileReadChannel::send_frames(std::span<const FrameSegments>) {
   return Status(Errc::kUnsupported, "read-only channel");
-}
-
-Result<std::vector<std::uint8_t>> FileReadChannel::recv() {
-  auto buf = recv_buf();
-  if (!buf.is_ok()) return buf.status();
-  const FrameBuf& f = buf.value();
-  return std::vector<std::uint8_t>(f.data(), f.data() + f.size());
 }
 
 Result<FrameBuf> FileReadChannel::recv_buf() {

@@ -30,8 +30,9 @@ class FileWriteChannel final : public Channel {
   FileWriteChannel(const FileWriteChannel&) = delete;
   FileWriteChannel& operator=(const FileWriteChannel&) = delete;
 
-  Status send(std::span<const std::uint8_t> bytes) override;
-  Result<std::vector<std::uint8_t>> recv() override;  // always fails
+  /// One fwrite per length prefix and per segment, into stdio's buffer.
+  Status send_frames(std::span<const FrameSegments> frames) override;
+  Result<FrameBuf> recv_buf() override;  // always fails
   std::uint64_t bytes_sent() const override { return bytes_sent_; }
 
   Status flush();
@@ -51,8 +52,8 @@ class FileReadChannel final : public Channel {
   FileReadChannel(const FileReadChannel&) = delete;
   FileReadChannel& operator=(const FileReadChannel&) = delete;
 
-  Status send(std::span<const std::uint8_t> bytes) override;  // always fails
-  Result<std::vector<std::uint8_t>> recv() override;
+  Status send_frames(
+      std::span<const FrameSegments> frames) override;  // always fails
   Result<FrameBuf> recv_buf() override;
   Result<FrameBuf> poll_buf() override;
   std::uint64_t bytes_sent() const override { return 0; }

@@ -15,6 +15,18 @@ bool aligned16(const std::uint8_t* p) {
 
 }  // namespace
 
+Status check_frame_len(std::size_t len) {
+  if (len > kMaxFrameLen) {
+    OBS_COUNT("transport.frames.refused", 1);
+    return Status(Errc::kMalformed, "oversized frame");
+  }
+  return Status::ok();
+}
+
+void encode_frame_header(std::size_t len, std::uint8_t* out) {
+  store_uint(out, len, kFrameHeaderLen, ByteOrder::kLittle);
+}
+
 bool FrameStream::has_complete_frame() const {
   const std::size_t have = buffered_bytes();
   if (have < kFrameHeaderLen) return false;

@@ -34,6 +34,16 @@ inline constexpr std::size_t kFrameHeaderLen = 4;
 /// Default stream-buffer fill size: one read gathers up to this many bytes.
 inline constexpr std::size_t kStreamChunk = 64 * 1024;
 
+/// Refuse a frame no receiver accepts: longer than kMaxFrameLen is
+/// kMalformed. No FrameStream would take it, and past 4 GiB its prefix
+/// would wrap and desync the stream. Every sender checks each frame of a
+/// call before it writes any byte of it.
+Status check_frame_len(std::size_t len);
+
+/// Write the `[len u32 LE]` prefix of a `len`-byte frame into `out`, the
+/// one place a sender builds it. `len` must have passed check_frame_len.
+void encode_frame_header(std::size_t len, std::uint8_t* out);
+
 class FrameStream {
  public:
   explicit FrameStream(BufferPool& pool = BufferPool::shared(),

@@ -19,45 +19,28 @@ make_loopback_pair() {
   return {std::move(a), std::move(b)};
 }
 
-Status LoopbackChannel::enqueue(FrameBuf msg, std::size_t bytes) {
-  MutexLock lock(out_->mu);
-  if (out_->closed) {
-    return Status(Errc::kChannelClosed, "peer closed");
-  }
-  out_->messages.push_back(std::move(msg));
-  bytes_sent_ += bytes;
-  OBS_COUNT("transport.loopback.msgs_out", 1);
-  OBS_COUNT("transport.loopback.bytes_out", bytes);
-  if (out_->waiters != 0) out_->cv.notify_one();
-  return Status::ok();
-}
-
-Status LoopbackChannel::send(std::span<const std::uint8_t> bytes) {
-  FrameBuf msg = BufferPool::shared().lease(bytes.size());
-  if (!bytes.empty()) std::memcpy(msg.data(), bytes.data(), bytes.size());
-  return enqueue(std::move(msg), bytes.size());
-}
-
-Status LoopbackChannel::send_gather(
-    std::span<const std::span<const std::uint8_t>> segments) {
-  std::size_t total = 0;
-  for (const auto& s : segments) total += s.size();
-  FrameBuf msg = BufferPool::shared().lease(total);
-  std::size_t at = 0;
-  for (const auto& s : segments) {
-    if (!s.empty()) {
-      std::memcpy(msg.data() + at, s.data(), s.size());
-      at += s.size();
+Status LoopbackChannel::send_frames(std::span<const FrameSegments> frames) {
+  for (const FrameSegments& f : frames) {
+    // The lease is filled before the lock, so the receiver never waits
+    // behind a memcpy.
+    const std::size_t len = f.size();
+    FrameBuf msg = BufferPool::shared().lease(len);
+    std::size_t off = 0;
+    for (const auto& s : f.segments) {
+      if (!s.empty()) std::memcpy(msg.data() + off, s.data(), s.size());
+      off += s.size();
     }
+    MutexLock lock(out_->mu);
+    if (out_->closed) {
+      return Status(Errc::kChannelClosed, "peer closed");
+    }
+    out_->messages.push_back(std::move(msg));
+    bytes_sent_ += len;
+    OBS_COUNT("transport.loopback.msgs_out", 1);
+    OBS_COUNT("transport.loopback.bytes_out", len);
+    if (out_->waiters != 0) out_->cv.notify_one();
   }
-  return enqueue(std::move(msg), total);
-}
-
-Result<std::vector<std::uint8_t>> LoopbackChannel::recv() {
-  auto buf = recv_buf();
-  if (!buf.is_ok()) return buf.status();
-  const FrameBuf& f = buf.value();
-  return std::vector<std::uint8_t>(f.data(), f.data() + f.size());
+  return Status::ok();
 }
 
 Result<FrameBuf> LoopbackChannel::recv_buf() {

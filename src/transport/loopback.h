@@ -2,7 +2,8 @@
 // thread-safe message queues. Used by unit tests, examples, and the
 // CPU-cost benches (where network time is modelled analytically).
 //
-// Queued messages are pooled FrameBuf leases (copied once at send), so the
+// Queued messages are pooled FrameBuf leases (each frame copied once at
+// send: one lease, one memcpy per segment, one queue lock), so the
 // receive side is allocation-free in steady state and poll_buf() lets
 // Reader::next_batch drain everything already enqueued without blocking.
 #pragma once
@@ -25,15 +26,12 @@ make_loopback_pair();
 
 class LoopbackChannel final : public Channel {
  public:
-  Status send(std::span<const std::uint8_t> bytes) override;
-  Status send_gather(
-      std::span<const std::span<const std::uint8_t>> segments) override;
-  Result<std::vector<std::uint8_t>> recv() override;
+  Status send_frames(std::span<const FrameSegments> frames) override;
   Result<FrameBuf> recv_buf() override;
   Result<FrameBuf> poll_buf() override;
   std::uint64_t bytes_sent() const override { return bytes_sent_; }
 
-  /// Close the channel: pending and future recv() calls on the peer fail
+  /// Close the channel: pending and future receives on the peer fail
   /// with kChannelClosed once drained.
   void close();
 
@@ -54,8 +52,6 @@ class LoopbackChannel final : public Channel {
     /// is, since a notify takes the condition variable's own mutex.
     std::size_t waiters PBIO_GUARDED_BY(mu) = 0;
   };
-
-  Status enqueue(FrameBuf msg, std::size_t bytes);
 
   std::shared_ptr<Queue> in_;
   std::shared_ptr<Queue> out_;

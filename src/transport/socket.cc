@@ -13,7 +13,6 @@
 
 #include "obs/span.h"
 #include "transport/io_retry.h"
-#include "util/endian.h"
 
 namespace pbio::transport {
 
@@ -80,22 +79,17 @@ void SocketChannel::close() {
   }
 }
 
-Status SocketChannel::send(std::span<const std::uint8_t> bytes) {
-  const std::span<const std::uint8_t> one[] = {bytes};
-  return send_gather(one);
-}
-
-Status SocketChannel::send_gather(
-    std::span<const std::span<const std::uint8_t>> segments) {
-  const FrameSegments one[] = {{segments}};
-  return send_frames(one);
-}
-
 Status SocketChannel::send_frames(std::span<const FrameSegments> frames) {
-  // One gathered send covers every frame: per-frame length prefix plus the
-  // frame's segments, no concatenation copy. Headers live in a stack
-  // block; the iovec scratch is a reused member, so steady-state sends
-  // allocate nothing either.
+  // Check every length before the first byte goes out: a refused frame
+  // leaves the stream untouched. Then one gathered send covers up to
+  // kMaxPerCall frames: per-frame length prefix plus the frame's segments,
+  // no concatenation copy. Headers live in a stack block; the iovec
+  // scratch is a reused member, so steady-state sends allocate nothing
+  // either.
+  for (const FrameSegments& f : frames) {
+    Status st = check_frame_len(f.size());
+    if (!st.is_ok()) return st;
+  }
   constexpr std::size_t kMaxPerCall = 64;
   std::size_t at = 0;
   while (at < frames.size()) {
@@ -105,9 +99,8 @@ Status SocketChannel::send_frames(std::span<const FrameSegments> frames) {
     std::size_t payload = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const FrameSegments& f = frames[at + i];
-      std::size_t frame_len = 0;
-      for (const auto& s : f.segments) frame_len += s.size();
-      store_uint(headers[i], frame_len, kFrameHeaderLen, ByteOrder::kLittle);
+      const std::size_t frame_len = f.size();
+      encode_frame_header(frame_len, headers[i]);
       iov_scratch_.push_back({headers[i], kFrameHeaderLen});
       for (const auto& s : f.segments) {
         if (!s.empty()) {
@@ -147,13 +140,6 @@ Status SocketChannel::send_frames(std::span<const FrameSegments> frames) {
     at += n;
   }
   return Status::ok();
-}
-
-Result<std::vector<std::uint8_t>> SocketChannel::recv() {
-  auto buf = recv_buf();
-  if (!buf.is_ok()) return buf.status();
-  const FrameBuf& f = buf.value();
-  return std::vector<std::uint8_t>(f.data(), f.data() + f.size());
 }
 
 /// One recv() into the stream buffer. `flags` 0 waits on a blocking

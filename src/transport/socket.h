@@ -37,11 +37,7 @@ class SocketChannel final : public Channel, public WireSink {
   SocketChannel(const SocketChannel&) = delete;
   SocketChannel& operator=(const SocketChannel&) = delete;
 
-  Status send(std::span<const std::uint8_t> bytes) override;
-  Status send_gather(
-      std::span<const std::span<const std::uint8_t>> segments) override;
   Status send_frames(std::span<const FrameSegments> frames) override;
-  Result<std::vector<std::uint8_t>> recv() override;
   Result<FrameBuf> recv_buf() override;
   Result<FrameBuf> poll_buf() override;
   std::uint64_t bytes_sent() const override { return bytes_sent_; }
@@ -49,8 +45,8 @@ class SocketChannel final : public Channel, public WireSink {
   /// Switch the socket to (or from) non-blocking mode. In non-blocking
   /// mode recv_buf() returns kWouldBlock instead of waiting (poll_buf()
   /// is unchanged — it never waited), and writev_some() is the send
-  /// surface: the blocking send paths (send / send_frames) must not be
-  /// used, since a mid-frame EAGAIN would leave the stream torn.
+  /// surface: the blocking send_frames() must not be used, since a
+  /// mid-frame EAGAIN would leave the stream torn.
   Status set_nonblocking(bool on);
   bool nonblocking() const { return nonblocking_; }
 

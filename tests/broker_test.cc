@@ -34,6 +34,7 @@ namespace {
 using transport::SocketChannel;
 using transport::ThrottledWireSink;
 using transport::kFrameHeaderLen;
+using transport::kMaxFrameLen;
 
 /// Build a self-contained data frame: header + `payload` bytes of `fill`.
 /// With Config::decode off the broker never resolves the id, so tests that
@@ -155,6 +156,16 @@ TEST(SendQueue, StalledSinkKeepsEverythingQueued) {
   EXPECT_EQ(r.value().frames, 0u);
   EXPECT_EQ(sq.queued_bytes(), queued);
   EXPECT_EQ(sq.queued_frames(), 2u);
+}
+
+TEST(SendQueue, RefusesFrameNoReceiverAccepts) {
+  // An unpooled lease whose pages are never touched: only its size
+  // matters to push().
+  SendQueue sq;
+  EXPECT_EQ(sq.push(FrameBuf::heap(kMaxFrameLen + 1)).code(),
+            Errc::kMalformed);
+  EXPECT_TRUE(sq.empty());
+  EXPECT_EQ(sq.queued_bytes(), 0u);
 }
 
 TEST(Broker, EchoesAcrossManyConcurrentClients) {
