@@ -71,7 +71,8 @@ int run() {
         arch::CType::kShort, arch::CType::kLongLong};
     for (std::uint32_t i = 0; i < nfields; ++i) {
       spec.fields.push_back(
-          {.name = "s" + std::to_string(i), .type = kTypes[i % 5]});
+          {.name = std::string("s").append(std::to_string(i)),
+           .type = kTypes[i % 5]});
     }
     const auto src_fmt = arch::layout_format(spec, arch::abi_x86());
     const auto dst_fmt = arch::layout_format(spec, arch::abi_sparc_v8());

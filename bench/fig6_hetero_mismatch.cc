@@ -7,7 +7,6 @@
 //
 // The wire format's extra field is inserted *before* all expected fields —
 // the paper's worst case, shifting every expected field's offset.
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -19,32 +18,6 @@
 
 namespace pbio::bench {
 namespace {
-
-// The two plans are timed in alternating rounds (which plan goes first
-// flips every round), each round a batch of back-to-back calls long enough
-// to dwarf the clock's resolution; medians over the rounds shed scheduler
-// noise and the alternation spreads any drift over both plans.
-constexpr int kRounds = 21;
-constexpr double kBatchNs = 200'000;
-
-/// ns per call of `fn`, over `reps` back-to-back calls.
-template <typename Fn>
-double per_call_ns(Fn& fn, std::size_t reps) {
-  Stopwatch sw;
-  for (std::size_t i = 0; i < reps; ++i) fn();
-  return static_cast<double>(sw.elapsed_ns()) / static_cast<double>(reps);
-}
-
-double median(std::vector<double> v) {
-  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-  return v[v.size() / 2];
-}
-
-std::string fmt_us4(double us) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.4f", us);
-  return buf;
-}
 
 std::string fmt_pct(double pct) {
   char buf[32];
@@ -88,26 +61,10 @@ int run() {
     auto run_m = [&] { (void)matched.run(in_m); };
     auto run_x = [&] { (void)mismatched.run(in_x); };
 
-    // Warm both plans, then size a batch from the slower one's cost.
-    const double est =
-        std::max({per_call_ns(run_m, 64), per_call_ns(run_x, 64), 1.0});
-    const auto reps = static_cast<std::size_t>(std::max(1.0, kBatchNs / est));
-    std::vector<double> t_m;
-    std::vector<double> t_x;
+    const auto [t_m, t_x] = alternating_rounds_ns(run_m, run_x);
     std::vector<double> ratio;
-    for (int r = 0; r < kRounds; ++r) {
-      double m = 0;
-      double x = 0;
-      if (r % 2 == 0) {
-        m = per_call_ns(run_m, reps);
-        x = per_call_ns(run_x, reps);
-      } else {
-        x = per_call_ns(run_x, reps);
-        m = per_call_ns(run_m, reps);
-      }
-      t_m.push_back(m);
-      t_x.push_back(x);
-      ratio.push_back(x / m);
+    for (std::size_t r = 0; r < t_m.size(); ++r) {
+      ratio.push_back(t_x[r] / t_m[r]);
     }
 
     table.add_row({label(s), fmt_us4(median(t_m) / 1e3),

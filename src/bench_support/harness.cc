@@ -1,5 +1,6 @@
 #include "bench_support/harness.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <iomanip>
 #include <sstream>
@@ -58,6 +59,12 @@ std::string fmt_us(double us) {
   return buf;
 }
 
+std::string fmt_us4(double us) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.4f", us);
+  return buf;
+}
+
 std::string fmt_ratio(double r) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.1fx", r);
@@ -65,6 +72,11 @@ std::string fmt_ratio(double r) {
 }
 
 std::string fmt_bytes(std::uint64_t n) { return std::to_string(n); }
+
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
 
 void print_header(const std::string& figure, const std::string& summary) {
   std::cout << "################################################\n"

@@ -4,6 +4,8 @@
 // records the paper-vs-measured comparison.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -55,6 +57,8 @@ class Table {
 std::string fmt_ms(double ms);
 /// Microseconds ("3.2us").
 std::string fmt_us(double us);
+/// Microseconds to four decimals, unitless ("0.0274").
+std::string fmt_us4(double us);
 /// Ratio ("5.2x").
 std::string fmt_ratio(double r);
 /// Byte counts ("102400").
@@ -64,6 +68,49 @@ std::string fmt_bytes(std::uint64_t n);
 template <typename Fn>
 double measure_ms(Fn&& fn) {
   return time_operation(std::forward<Fn>(fn)).median_ns / 1e6;
+}
+
+/// ns per call of `fn`, over `reps` back-to-back calls.
+template <typename Fn>
+double per_call_ns(Fn& fn, std::size_t reps) {
+  Stopwatch sw;
+  for (std::size_t i = 0; i < reps; ++i) fn();
+  return static_cast<double>(sw.elapsed_ns()) / static_cast<double>(reps);
+}
+
+/// Median of `v` (the upper middle value for an even count).
+double median(std::vector<double> v);
+
+/// Rounds of alternating_rounds_ns(), and the length of one batch.
+inline constexpr int kRounds = 21;
+inline constexpr double kBatchNs = 200'000;
+
+/// Times `fns` against each other in alternating rounds: a round is one
+/// batch of back-to-back calls per function, each batch long enough
+/// (kBatchNs, sized from a warm-up) to dwarf the clock's resolution, and
+/// the order of the batches reverses every round so any drift spreads
+/// over all of them. Returns ns per call, one per-round vector per
+/// function in argument order; take medians over the rounds to shed
+/// scheduler noise.
+template <typename... Fns>
+std::array<std::vector<double>, sizeof...(Fns)> alternating_rounds_ns(
+    Fns&... fns) {
+  constexpr std::size_t n = sizeof...(Fns);
+  std::array<std::size_t, n> reps{};
+  std::size_t at = 0;
+  ((reps[at++] = static_cast<std::size_t>(std::max(
+        1.0, kBatchNs / std::max(per_call_ns(fns, 64), 1.0)))),
+   ...);
+  std::array<std::vector<double>, n> ns;
+  for (int r = 0; r < kRounds; ++r) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::size_t k = r % 2 == 0 ? j : n - 1 - j;
+      at = 0;
+      ((at++ == k ? ns[k].push_back(per_call_ns(fns, reps[k])) : void()),
+       ...);
+    }
+  }
+  return ns;
 }
 
 /// Shared preamble: prints what figure this binary reproduces.

@@ -13,8 +13,8 @@ namespace pbio::cache {
 ArtifactCache::ArtifactCache() = default;
 ArtifactCache::~ArtifactCache() = default;
 
-std::shared_ptr<const vcode::CompiledConvert> ArtifactCache::probe(
-    const Shard& shard, PairKey key) const {
+ArtifactCache::Artifact ArtifactCache::probe(const Shard& shard,
+                                             PairKey key) const {
   // Pairs with the release store in publish(): a reader that sees the new
   // map pointer also sees the fully constructed map behind it.
   const Map* map = shard.live.load(std::memory_order_acquire);  // mo: acquire pairs with publish()'s release store
@@ -24,14 +24,7 @@ std::shared_ptr<const vcode::CompiledConvert> ArtifactCache::probe(
   return it->second;
 }
 
-std::shared_ptr<const vcode::CompiledConvert> ArtifactCache::lookup(
-    PairKey key) const {
-  return probe(shards_[shard_of(key)], key);
-}
-
-void ArtifactCache::publish(
-    Shard& shard, PairKey key,
-    std::shared_ptr<const vcode::CompiledConvert> artifact) {
+void ArtifactCache::publish(Shard& shard, PairKey key, Artifact artifact) {
   const Map* old = shard.live.load(std::memory_order_relaxed);  // mo: mu held; only publishers (who hold mu) store this pointer
   auto next = old != nullptr ? std::make_unique<Map>(*old)
                              : std::make_unique<Map>();
@@ -41,26 +34,26 @@ void ArtifactCache::publish(
   shard.live.store(fresh, std::memory_order_release);  // mo: release pairs with probe()'s acquire load; publishes the map contents
 }
 
-Result<ArtifactCache::Got> ArtifactCache::get_or_build(
+Result<ArtifactCache::Artifact> ArtifactCache::get_or_build(
     const fmt::FormatDesc& wire, const fmt::FormatDesc& native, PairKey key,
     Build mode) {
-  Result<Got> got = find_or_build(wire, native, key, mode);
+  Result<Artifact> got = find_or_build(wire, native, key, mode);
   if (!got.is_ok() || mode != Build::kEager) return got;
   // Eager: a plan-only artifact gets its code here, or from the thread
   // already generating it.
-  Got& g = got.value();
-  if (g.artifact->pending()) g.code_bytes = tier_up(g.artifact).code_bytes;
-  g.artifact->wait_tier_up();
+  const Artifact& artifact = got.value();
+  if (artifact->pending()) tier_up(artifact);
+  artifact->wait_tier_up();
   return got;
 }
 
-Result<ArtifactCache::Got> ArtifactCache::find_or_build(
+Result<ArtifactCache::Artifact> ArtifactCache::find_or_build(
     const fmt::FormatDesc& wire, const fmt::FormatDesc& native, PairKey key,
     Build mode) {
   Shard& shard = shards_[shard_of(key)];
-  if (auto hit = probe(shard, key)) {
+  if (Artifact hit = probe(shard, key)) {
     counters_.add(kHits, 1);
-    return Got{std::move(hit), Source::kCached};
+    return hit;
   }
   counters_.add(kMisses, 1);
 
@@ -72,9 +65,7 @@ Result<ArtifactCache::Got> ArtifactCache::find_or_build(
     MutexLock lock(shard.mu);
     // Re-probe under the lock: a build may have been published between the
     // lock-free miss above and here.
-    if (auto hit = probe(shard, key)) {
-      return Got{std::move(hit), Source::kCached};
-    }
+    if (Artifact hit = probe(shard, key)) return hit;
     auto [it, inserted] =
         shard.inflight.try_emplace(key, std::shared_ptr<Flight>());
     if (inserted) {
@@ -93,14 +84,14 @@ Result<ArtifactCache::Got> ArtifactCache::find_or_build(
       return flight->done;
     });
     if (!flight->error.is_ok()) return flight->error;
-    return Got{flight->artifact, Source::kWaited};
+    return flight->artifact;
   }
 
   // Leader path: build with no locks held, then publish and wake waiters.
-  Result<Got> built = build(wire, native, mode);
+  Result<Artifact> built = build(wire, native, mode);
   if (built.is_ok()) {
     MutexLock lock(shard.mu);
-    publish(shard, key, built.value().artifact);
+    publish(shard, key, built.value());
     shard.inflight.erase(key);
   } else {
     MutexLock lock(shard.mu);
@@ -110,7 +101,7 @@ Result<ArtifactCache::Got> ArtifactCache::find_or_build(
     MutexLock lock(flight->mu);
     flight->done = true;
     if (built.is_ok()) {
-      flight->artifact = built.value().artifact;
+      flight->artifact = built.value();
     } else {
       flight->error = built.status();
     }
@@ -119,19 +110,14 @@ Result<ArtifactCache::Got> ArtifactCache::find_or_build(
   return built;
 }
 
-ArtifactCache::Got ArtifactCache::tier_up(
-    std::shared_ptr<const vcode::CompiledConvert> artifact) {
-  Got got;
-  got.artifact = std::move(artifact);
-  if (!got.artifact->claim_tier_up()) return got;
+void ArtifactCache::tier_up(const Artifact& artifact) {
+  if (!artifact->claim_tier_up()) return;
   counters_.add(kTierUps, 1);
-  generate(got);
-  return got;
+  generate(artifact);
 }
 
-Result<ArtifactCache::Got> ArtifactCache::build(const fmt::FormatDesc& wire,
-                                                const fmt::FormatDesc& native,
-                                                Build mode) {
+Result<ArtifactCache::Artifact> ArtifactCache::build(
+    const fmt::FormatDesc& wire, const fmt::FormatDesc& native, Build mode) {
   convert::Plan plan;
   {
     OBS_SPAN("pbio.cache.plan");
@@ -151,25 +137,22 @@ Result<ArtifactCache::Got> ArtifactCache::build(const fmt::FormatDesc& wire,
   }
   plan.verified = true;
 
-  Got got;
-  got.source = Source::kCompiled;
-  got.artifact = std::make_shared<const vcode::CompiledConvert>(
+  Artifact artifact = std::make_shared<const vcode::CompiledConvert>(
       std::move(plan), vcode::CompiledConvert::Deferred{});
   if (mode == Build::kEager) {
-    got.artifact->claim_tier_up();
-    generate(got);
+    artifact->claim_tier_up();
+    generate(artifact);
   }
   counters_.add(kCompiles, 1);
-  return got;
+  return artifact;
 }
 
-void ArtifactCache::generate(Got& got) {
+void ArtifactCache::generate(const Artifact& artifact) {
   {
     OBS_SPAN("pbio.cache.compile");
-    got.artifact->generate();
+    artifact->generate();
   }
-  got.code_bytes = got.artifact->code_size();
-  counters_.add(kJitCodeBytes, got.code_bytes);
+  counters_.add(kJitCodeBytes, artifact->code_size());
 }
 
 ArtifactCache::Stats ArtifactCache::stats() const {

@@ -1,10 +1,14 @@
-// Process-wide conversion-artifact cache: verified plans and sealed JIT
-// code buffers, shared across every Context/worker/connection that opts in.
+// Conversion-artifact cache: verified plans and sealed JIT code buffers,
+// one per structural (wire, native) format pair. Each pbio::Context owns
+// one, so every caller that resolves through a Context — the readers of a
+// process, or every connection and worker of a broker (broker::Shared::ctx)
+// — shares its artifacts.
 //
-// Motivation (ROADMAP item 1): a broker fleet holds thousands of
+// Motivation: a broker fleet holds thousands of
 // connections that share a handful of (wire, native) format pairs, yet
-// each Context used to pay plan build + static verify + JIT + translation
-// validation per pair. This cache makes the artifact the unit of sharing:
+// each connection used to pay plan build + static verify + JIT +
+// translation validation per pair. This cache makes the artifact the unit
+// of sharing:
 //
 //  * keys are canonical structural hashes (fmt::canonical_hash) of the
 //    format pair, so byte-order/field-order/arch-name presentation
@@ -26,9 +30,9 @@
 //    (pbio/resolver.h).
 //
 // Metrics: pbio.cache.{hits,misses,single_flight_waits,compiles,
-// jit_code_bytes,tier_ups},
-// one obs::CounterBlock per cache; stats() reads the same counters
-// mutex-free.
+// jit_code_bytes,tier_ups}, one obs::CounterBlock per cache and the only
+// count of these events; stats() (and Context::stats()) read the same
+// counters mutex-free.
 // thread-domain: any
 #pragma once
 
@@ -61,14 +65,6 @@ struct PairKeyHash {
   }
 };
 
-/// Where an artifact handed out by get_or_build() came from — callers
-/// (Context) use it to keep their own per-context accounting honest.
-enum class Source : std::uint8_t {
-  kCached,    // lock-free hit on the snapshot map
-  kWaited,    // another caller was already compiling; shared its result
-  kCompiled,  // this call ran the full plan+verify+JIT+tval pipeline
-};
-
 /// When get_or_build() generates an artifact's code.
 enum class Build : std::uint8_t {
   kEager,     // before returning it (tiering up a plan-only hit)
@@ -84,32 +80,23 @@ class ArtifactCache {
   ArtifactCache(const ArtifactCache&) = delete;
   ArtifactCache& operator=(const ArtifactCache&) = delete;
 
-  struct Got {
-    std::shared_ptr<const vcode::CompiledConvert> artifact;
-    Source source = Source::kCached;
-    /// Bytes of code this call sealed into the artifact (0 when it
-    /// generated none).
-    std::size_t code_bytes = 0;
-  };
+  using Artifact = std::shared_ptr<const vcode::CompiledConvert>;
 
   /// Fetch (building on first use, stampede-collapsed) the conversion
   /// artifact for `wire` -> `native`, keyed by the canonical hashes the
   /// caller resolved alongside the descriptions. Failures (plan build or
   /// verification errors) are returned to every waiter and are not cached.
   /// `mode` says whether the artifact must carry its code on return.
-  Result<Got> get_or_build(const fmt::FormatDesc& wire,
-                           const fmt::FormatDesc& native, PairKey key,
-                           Build mode = Build::kEager);
+  Result<Artifact> get_or_build(const fmt::FormatDesc& wire,
+                                const fmt::FormatDesc& native, PairKey key,
+                                Build mode = Build::kEager);
 
   /// Generate the code of a plan-only `artifact` (JIT + tval + W^X seal),
   /// published into the artifact itself. Never waits: a call that loses
   /// the artifact's claim (another thread is generating, or it already
   /// happened) returns at once, having generated nothing. The winner
   /// counts pbio.cache.tier_ups.
-  Got tier_up(std::shared_ptr<const vcode::CompiledConvert> artifact);
-
-  /// Lock-free probe without build (tests, tools).
-  std::shared_ptr<const vcode::CompiledConvert> lookup(PairKey key) const;
+  void tier_up(const Artifact& artifact);
 
   /// This cache's share of the pbio.cache.* series, read mutex-free
   /// (relaxed; cross-counter consistency not promised).
@@ -129,16 +116,14 @@ class ArtifactCache {
   static constexpr unsigned kShards = 8;
 
  private:
-  using Map = std::unordered_map<
-      PairKey, std::shared_ptr<const vcode::CompiledConvert>, PairKeyHash>;
+  using Map = std::unordered_map<PairKey, Artifact, PairKeyHash>;
 
   /// One in-progress build, shared by the leader and every waiter.
   struct Flight {
     Mutex mu;
     CondVar cv;
     bool done PBIO_GUARDED_BY(mu) = false;
-    std::shared_ptr<const vcode::CompiledConvert> artifact
-        PBIO_GUARDED_BY(mu);
+    Artifact artifact PBIO_GUARDED_BY(mu);
     Status error PBIO_GUARDED_BY(mu);
   };
 
@@ -158,26 +143,24 @@ class ArtifactCache {
     return PairKeyHash{}(key) % kShards;
   }
 
-  std::shared_ptr<const vcode::CompiledConvert> probe(const Shard& shard,
-                                                      PairKey key) const;
-  void publish(Shard& shard, PairKey key,
-               std::shared_ptr<const vcode::CompiledConvert> artifact)
+  Artifact probe(const Shard& shard, PairKey key) const;
+  void publish(Shard& shard, PairKey key, Artifact artifact)
       PBIO_REQUIRES(shard.mu);
 
   /// get_or_build() up to the code: the snapshot hit, the single-flight
   /// wait, or the leader's build().
-  Result<Got> find_or_build(const fmt::FormatDesc& wire,
-                            const fmt::FormatDesc& native, PairKey key,
-                            Build mode);
+  Result<Artifact> find_or_build(const fmt::FormatDesc& wire,
+                                 const fmt::FormatDesc& native, PairKey key,
+                                 Build mode);
 
   /// The build pipeline (leader only, no locks held): plan build + static
   /// verify into a plan-only artifact, then, for kEager, generate().
-  Result<Got> build(const fmt::FormatDesc& wire, const fmt::FormatDesc& native,
-                    Build mode);
+  Result<Artifact> build(const fmt::FormatDesc& wire,
+                         const fmt::FormatDesc& native, Build mode);
 
   /// The code step for an artifact whose tier-up claim the caller holds:
-  /// JIT + tval + W^X seal. Fills `got`'s code_bytes.
-  void generate(Got& got);
+  /// JIT + tval + W^X seal.
+  void generate(const Artifact& artifact);
 
   Shard shards_[kShards];
 

@@ -16,34 +16,11 @@ Result<std::shared_ptr<const Conversion>> Context::try_conversion(
   }
   // Resolve through the artifact cache, keyed by the canonical structural
   // hash of the pair. Plan build, static verification, JIT, translation
-  // validation and stampede collapse all live there; this context only
-  // keeps its own accounting straight from the Source tag.
-  auto got = cache_->get_or_build(*src.desc, *dst.desc,
-                                  {src.canonical, dst.canonical}, build);
-  if (!got.is_ok()) {
-    OBS_COUNT("pbio.conv.verify_rejects", 1);
-    return got.status();
-  }
-  cache::ArtifactCache::Got result = std::move(got).take();
-  switch (result.source) {
-    case cache::Source::kCached:
-      counters_.add(kCacheHits, 1);
-      break;
-    case cache::Source::kWaited:
-      counters_.add(kSharedCacheMisses, 1);
-      counters_.add(kSingleFlightWaits, 1);
-      break;
-    case cache::Source::kCompiled:
-      counters_.add(kSharedCacheMisses, 1);
-      counters_.add(kCompiled, 1);
-      break;
-  }
-  counters_.add(kJitCodeBytes, result.code_bytes);
-  return std::move(result.artifact);
-}
-
-void Context::tier_up(std::shared_ptr<const Conversion> conv) {
-  counters_.add(kJitCodeBytes, cache_->tier_up(std::move(conv)).code_bytes);
+  // validation, stampede collapse and their counts all live there.
+  auto got = cache_.get_or_build(*src.desc, *dst.desc,
+                                 {src.canonical, dst.canonical}, build);
+  if (!got.is_ok()) OBS_COUNT("pbio.conv.verify_rejects", 1);
+  return got;
 }
 
 std::shared_ptr<const Conversion> Context::conversion(FormatId wire,
@@ -56,9 +33,8 @@ std::shared_ptr<const Conversion> Context::conversion(FormatId wire,
 }
 
 Context::Stats Context::stats() const {
-  return {counters_.get(kCompiled),     counters_.get(kCacheHits),
-          counters_.get(kJitCodeBytes), counters_.get(kSharedCacheMisses),
-          counters_.get(kSingleFlightWaits)};
+  const cache::ArtifactCache::Stats s = cache_.stats();
+  return {s.compiles, s.hits, s.jit_code_bytes};
 }
 
 }  // namespace pbio

@@ -90,7 +90,10 @@ StructSpec random_spec(std::mt19937_64& rng, const RandomSpecOptions& opts) {
     const std::size_t nf = 1 + rng() % 4;
     for (std::size_t i = 0; i < nf; ++i) {
       SpecField f;
-      f.name = "s" + std::to_string(s) + "f" + std::to_string(i);
+      f.name = std::string("s")
+                   .append(std::to_string(s))
+                   .append("f")
+                   .append(std::to_string(i));
       f.type = random_scalar_type(rng);
       if (rng() % 4 == 0) {
         f.array_elems = 1 + static_cast<std::uint32_t>(
@@ -104,7 +107,7 @@ StructSpec random_spec(std::mt19937_64& rng, const RandomSpecOptions& opts) {
   const std::size_t nfields = static_cast<std::size_t>(
       pick(rng, opts.min_fields, opts.max_fields));
   for (std::size_t i = 0; i < nfields; ++i) {
-    const std::string base_name = "f" + std::to_string(i);
+    const std::string base_name = std::string("f").append(std::to_string(i));
     const std::uint64_t kind = rng() % 10;
     if (kind == 0 && opts.allow_strings) {
       SpecField f;

@@ -652,9 +652,9 @@ TEST(Broker, DecodeStreakResolvesOncePerFormat) {
 
   EXPECT_EQ(t.b.stats().decoded, 3u * kStreak);
   EXPECT_EQ(t.b.stats().protocol_errors, 0u);
-  const Context::Stats cs = t.ctx.stats();
-  EXPECT_EQ(cs.conversion_cache_hits + cs.shared_cache_misses, 2u);
-  EXPECT_EQ(cs.conversions_compiled, 2u);
+  const cache::ArtifactCache::Stats cs = t.ctx.artifact_cache().stats();
+  EXPECT_EQ(cs.hits + cs.misses, 2u);
+  EXPECT_EQ(cs.compiles, 2u);
   EXPECT_EQ(TwoFormatBroker::hits() - hits0, 3u * kStreak - 2u);
 }
 
@@ -686,8 +686,8 @@ TEST(Broker, InterleavedDecodeResolvesOncePerFormat) {
 
   EXPECT_EQ(t.b.stats().decoded, 2u * kRounds);
   EXPECT_EQ(t.b.stats().protocol_errors, 0u);
-  const Context::Stats cs = t.ctx.stats();
-  EXPECT_EQ(cs.conversion_cache_hits + cs.shared_cache_misses, 2u);
+  const cache::ArtifactCache::Stats cs = t.ctx.artifact_cache().stats();
+  EXPECT_EQ(cs.hits + cs.misses, 2u);
   EXPECT_EQ(TwoFormatBroker::hits() - hits0, 2u * kRounds - 2u);
 #if PBIO_OBS_ENABLED
   for (int p = 0; p < 2; ++p) {

@@ -1,7 +1,7 @@
 // Fleet-scale conversion-artifact cache: canonical keying, the resolution
 // path in front of it (a stream's Resolver table, unknown ids), single-
-// flight stampede collapse, cross-context artifact sharing, and the
-// counter store behind the cache and context stats.
+// flight stampede collapse, artifact sharing across the readers of one
+// Context, and the counter store behind the cache and context stats.
 #include "cache/artifact_cache.h"
 
 #include <gtest/gtest.h>
@@ -120,7 +120,7 @@ TEST(CanonicalHash, StructurallyEqualFormatsShareOneArtifact) {
   auto second = cache.get_or_build(renamed, native, key2);
   ASSERT_TRUE(first.is_ok());
   ASSERT_TRUE(second.is_ok());
-  EXPECT_EQ(first.value().artifact.get(), second.value().artifact.get());
+  EXPECT_EQ(first.value().get(), second.value().get());
   EXPECT_EQ(cache.stats().compiles, 1u);
   EXPECT_EQ(cache.size(), 1u);
 }
@@ -140,9 +140,10 @@ TEST(Resolution, UnknownIdRejectedWithoutBuild) {
   auto e = resolver.resolve(0xdeadbeefdeadbeefull);
   ASSERT_FALSE(e.is_ok());
   EXPECT_EQ(e.status().code(), Errc::kUnknownFormat);
-  EXPECT_EQ(ctx.stats().shared_cache_misses, 0u);
-  EXPECT_EQ(ctx.stats().conversion_cache_hits, 0u);
-  EXPECT_EQ(ctx.artifact_cache().stats().compiles, 0u);
+  const ArtifactCache::Stats st = ctx.artifact_cache().stats();
+  EXPECT_EQ(st.misses, 0u);
+  EXPECT_EQ(st.hits, 0u);
+  EXPECT_EQ(st.compiles, 0u);
 }
 
 // ------------------------------------------------------------- stampede
@@ -184,28 +185,8 @@ TEST(Stampede, ColdPairCompilesExactlyOnceAcrossThreads) {
 
 // -------------------------------------------------------------- sharing
 
-TEST(SharedCache, SecondContextCompilesNothing) {
-  auto shared = std::make_shared<ArtifactCache>();
-  Context a(shared);
-  Context b(shared);
-  const auto wa = a.register_format(wire_desc());
-  const auto na = a.register_format(native_desc());
-  const auto wb = b.register_format(wire_desc());
-  const auto nb = b.register_format(native_desc());
-
-  auto ca = a.try_conversion(wa, na);
-  ASSERT_TRUE(ca.is_ok());
-  auto cb = b.try_conversion(wb, nb);
-  ASSERT_TRUE(cb.is_ok());
-
-  EXPECT_EQ(a.stats().conversions_compiled, 1u);
-  EXPECT_EQ(b.stats().conversions_compiled, 0u);
-  EXPECT_EQ(b.stats().conversion_cache_hits, 1u);
-  EXPECT_EQ(shared->stats().compiles, 1u);
-  EXPECT_EQ(ca.value().get(), cb.value().get());
-}
-
 TEST(SharedCache, PrivateByDefault) {
+  // Each Context owns its cache: two contexts compile the pair twice.
   Context a;
   Context b;
   const auto wa = a.register_format(wire_desc());
@@ -222,8 +203,8 @@ TEST(SharedCache, PrivateByDefault) {
 
 /// Every successful try_conversion counts exactly once in one of these.
 std::uint64_t conversions_resolved(const Context& ctx) {
-  const Context::Stats s = ctx.stats();
-  return s.conversion_cache_hits + s.shared_cache_misses;
+  const ArtifactCache::Stats s = ctx.artifact_cache().stats();
+  return s.hits + s.misses;
 }
 
 std::uint64_t table_hits() {
@@ -267,10 +248,15 @@ Record third_record() {
 }
 
 /// A sparc writer and a host reader with their own contexts, as across a
-/// real wire: the reader learns wire formats only from announcements.
+/// real wire: the reader learns wire formats only from announcements. The
+/// reader's context may be shared with other streams.
 struct Stream {
+  Stream() : Stream(own_rctx) {}
+  explicit Stream(Context& reader_ctx) : rctx(reader_ctx) {}
+
+  Context own_rctx;
   Context wctx;
-  Context rctx;
+  Context& rctx;
   std::pair<std::unique_ptr<transport::LoopbackChannel>,
             std::unique_ptr<transport::LoopbackChannel>>
       pair = transport::make_loopback_pair();
@@ -362,22 +348,40 @@ TEST(Resolution, InterleavedFormatsResolveOncePerIdPerStream) {
   EXPECT_EQ(table_hits() - hits0, kFormats * kRounds - kFormats);
 }
 
+TEST(SharedCache, SecondReaderCompilesNothing) {
+  // Two streams whose readers share one Context share its artifacts: the
+  // pair compiles once, and the second reader is served the first one's
+  // artifact out of the cache.
+  Context rctx;
+  Stream a(rctx);
+  Stream b(rctx);
+  const auto wa = a.add(sample_spec());
+  const auto wb = b.add(sample_spec());
+  a.round_trip(wa, sample_spec(), sample_record());
+  b.round_trip(wb, sample_spec(), sample_record());
+
+  const ArtifactCache::Stats st = rctx.artifact_cache().stats();
+  EXPECT_EQ(st.compiles, 1u);
+  EXPECT_EQ(st.misses, 1u);
+  EXPECT_EQ(st.hits, 1u);
+  EXPECT_EQ(rctx.artifact_cache().size(), 1u);
+}
+
 // --------------------------------------------------------- counter store
 
-/// Every Stats field of the caches and contexts below, summed, must move
-/// its pbio.* series by exactly as much: both read the same counters.
+/// Every Stats field of the caches below moves its pbio.cache.* series by
+/// exactly as much, and a Context's stats are its cache's: both read the
+/// same counters, and nothing else counts these events.
 TEST(CounterStore, CacheAndContextStatsAreTheirObsSeries) {
   const obs::Snapshot before = obs::snapshot();
-  auto shared = std::make_shared<ArtifactCache>();
-  Context a(shared);
-  Context b(shared);
-  for (Context* ctx : {&a, &b}) {  // a compiles, b hits
-    const auto w = ctx->register_format(wire_desc());
-    const auto n = ctx->register_format(native_desc());
-    ASSERT_TRUE(ctx->try_conversion(w, n).is_ok());
-    ASSERT_TRUE(ctx->try_conversion(w, n).is_ok());
+  Context warm;  // compiles, then hits
+  {
+    const auto w = warm.register_format(wire_desc());
+    const auto n = warm.register_format(native_desc());
+    ASSERT_TRUE(warm.try_conversion(w, n).is_ok());
+    ASSERT_TRUE(warm.try_conversion(w, n).is_ok());
   }
-  // A stampede on a cold pair over a fresh private cache may ride a flight.
+  // A stampede on a cold pair may ride a flight.
   Context cold;
   {
     const auto w = cold.register_format(wire_desc());
@@ -398,7 +402,7 @@ TEST(CounterStore, CacheAndContextStatsAreTheirObsSeries) {
     return (c1 == nullptr ? 0 : c1->value) - (c0 == nullptr ? 0 : c0->value);
   };
 
-  const ArtifactCache::Stats c1 = shared->stats();
+  const ArtifactCache::Stats c1 = warm.artifact_cache().stats();
   const ArtifactCache::Stats c2 = cold.artifact_cache().stats();
   EXPECT_EQ(delta("pbio.cache.hits"), c1.hits + c2.hits);
   EXPECT_EQ(delta("pbio.cache.misses"), c1.misses + c2.misses);
@@ -409,26 +413,24 @@ TEST(CounterStore, CacheAndContextStatsAreTheirObsSeries) {
             c1.jit_code_bytes + c2.jit_code_bytes);
   EXPECT_EQ(delta("pbio.cache.tier_ups"), c1.tier_ups + c2.tier_ups);
 
-  Context::Stats sum;
-  for (const Context* ctx : {&a, &b, &cold}) {
+  for (const Context* ctx : {&warm, &cold}) {
     const Context::Stats s = ctx->stats();
-    sum.conversions_compiled += s.conversions_compiled;
-    sum.conversion_cache_hits += s.conversion_cache_hits;
-    sum.jit_code_bytes += s.jit_code_bytes;
-    sum.shared_cache_misses += s.shared_cache_misses;
-    sum.single_flight_waits += s.single_flight_waits;
+    const ArtifactCache::Stats c = ctx->artifact_cache().stats();
+    EXPECT_EQ(s.conversions_compiled, c.compiles);
+    EXPECT_EQ(s.conversion_cache_hits, c.hits);
+    EXPECT_EQ(s.jit_code_bytes, c.jit_code_bytes);
   }
-  EXPECT_EQ(delta("pbio.conv.compiled"), sum.conversions_compiled);
-  EXPECT_EQ(delta("pbio.conv.cache_hits"), sum.conversion_cache_hits);
-  EXPECT_EQ(delta("pbio.conv.jit_code_bytes"), sum.jit_code_bytes);
-  EXPECT_EQ(delta("pbio.conv.shared_cache_misses"), sum.shared_cache_misses);
-  EXPECT_EQ(delta("pbio.conv.single_flight_waits"), sum.single_flight_waits);
+  for (const char* gone : {"pbio.conv.compiled", "pbio.conv.cache_hits",
+                           "pbio.conv.jit_code_bytes"}) {
+    EXPECT_EQ(after.find_counter(gone), nullptr) << gone << " is counted twice";
+  }
 
-  // The workload itself: one compile for a and b, one hit by b.
-  EXPECT_EQ(a.stats().conversions_compiled, 1u);
-  EXPECT_EQ(b.stats().conversion_cache_hits, 2u);
+  // The workload itself: one compile and one hit for `warm`, one compile
+  // for the stampede, and one hit or miss per resolution.
   EXPECT_EQ(c1.compiles, 1u);
-  EXPECT_EQ(sum.conversion_cache_hits + sum.shared_cache_misses, 8u);
+  EXPECT_EQ(c1.hits, 1u);
+  EXPECT_EQ(c2.compiles, 1u);
+  EXPECT_EQ(c1.hits + c1.misses + c2.hits + c2.misses, 6u);
 }
 
 }  // namespace

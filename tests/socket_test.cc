@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -14,7 +15,6 @@
 #include <thread>
 
 #include "transport/io_retry.h"
-#include "util/endian.h"
 
 namespace pbio::transport {
 namespace {
@@ -37,9 +37,9 @@ struct RawPair {
 };
 
 std::vector<std::uint8_t> framed(const std::vector<std::uint8_t>& body) {
-  std::vector<std::uint8_t> out(kFrameHeaderLen);
-  store_uint(out.data(), body.size(), kFrameHeaderLen, ByteOrder::kLittle);
-  out.insert(out.end(), body.begin(), body.end());
+  std::vector<std::uint8_t> out(kFrameHeaderLen + body.size());
+  encode_frame_header(body.size(), out.data());
+  std::copy(body.begin(), body.end(), out.begin() + kFrameHeaderLen);
   return out;
 }
 

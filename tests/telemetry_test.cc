@@ -433,8 +433,8 @@ TEST(Scrape, ServesEveryCounterBehindTheStatsViews) {
       http_get(b.scrape_port(), "GET /metrics HTTP/1.0\r\n\r\n");
   for (const char* series :
        {"pbio_pool_recycled ", "pbio_cache_jit_code_bytes ",
-        "pbio_conv_shared_cache_misses ", "pbio_conv_single_flight_waits ",
-        "pbio_conv_compiled ", "pbio_broker_frames_in "}) {
+        "pbio_cache_misses ", "pbio_cache_single_flight_waits ",
+        "pbio_cache_compiles ", "pbio_broker_frames_in "}) {
     EXPECT_NE(metrics.find(std::string("\n") + series), std::string::npos)
         << series << "missing from\n" << metrics;
   }

@@ -3,8 +3,8 @@
 // kTierUpUses times. Covers the use count (also with pairs interleaved),
 // the one-shot tier-up, decode counting by the engine that ran, a stream
 // with more formats than its Resolver table holds, a new decode target
-// after traffic, and a race of streams on one shared cache — the test that
-// runs under tsan.
+// after traffic, and a race of readers on one shared Context — the test
+// that runs under tsan.
 #include <gtest/gtest.h>
 
 #include <latch>
@@ -83,11 +83,10 @@ void expect_decodes(Message& m, const fmt::FormatDesc& native,
 }
 
 /// A sparc writer and a host reader over a loopback pair. The reader's
-/// context may share a cache with other streams.
+/// context may be shared with other streams.
 struct Stream {
-  explicit Stream(std::shared_ptr<ArtifactCache> cache =
-                      std::make_shared<ArtifactCache>())
-      : rctx(std::move(cache)) {
+  Stream() : Stream(own_rctx) {}
+  explicit Stream(Context& reader_ctx) : rctx(reader_ctx) {
     wire = wctx.register_format(wire_desc());
     native = rctx.register_format(native_desc());
     reader.expect(native);
@@ -112,8 +111,9 @@ struct Stream {
     return c.is_ok() ? std::move(c).take() : nullptr;
   }
 
+  Context own_rctx;
   Context wctx;
-  Context rctx;
+  Context& rctx;
   std::pair<std::unique_ptr<transport::LoopbackChannel>,
             std::unique_ptr<transport::LoopbackChannel>>
       pair = transport::make_loopback_pair();
@@ -337,13 +337,13 @@ TEST(TierUp, ExpectAfterTrafficResolvesTheNextFrameToTheNewTarget) {
   }
 }
 
-TEST(TierUp, StreamsRacingOnOneSharedCacheCompileOnce) {
+TEST(TierUp, ReadersRacingOnOneContextCompileOnce) {
   constexpr int kThreads = 4;
   constexpr int kRecords = static_cast<int>(kTierUpUses) * 8;
-  auto shared = std::make_shared<ArtifactCache>();
+  Context rctx;
   std::vector<std::unique_ptr<Stream>> streams;
   for (int t = 0; t < kThreads; ++t) {
-    streams.push_back(std::make_unique<Stream>(shared));
+    streams.push_back(std::make_unique<Stream>(rctx));
   }
   std::latch start(kThreads);
   std::vector<std::thread> threads;
@@ -355,10 +355,10 @@ TEST(TierUp, StreamsRacingOnOneSharedCacheCompileOnce) {
   }
   for (std::thread& th : threads) th.join();
 
-  const ArtifactCache::Stats st = shared->stats();
+  const ArtifactCache::Stats st = rctx.artifact_cache().stats();
   EXPECT_EQ(st.compiles, 1u);
   EXPECT_EQ(st.tier_ups, 1u);
-  EXPECT_EQ(shared->size(), 1u);
+  EXPECT_EQ(rctx.artifact_cache().size(), 1u);
   const auto conv = streams[0]->conversion();
   EXPECT_EQ(conv->jitted(), vcode::jit_supported());
   EXPECT_EQ(st.jit_code_bytes, conv->code_size());

@@ -24,7 +24,7 @@ struct Events {
     h.start_element = [this](std::string_view n, const auto& attrs) {
       std::string e = "<" + std::string(n);
       for (const auto& [k, v] : attrs) {
-        e += " " + std::string(k) + "=" + v;
+        e.append(" ").append(k).append("=").append(v);
       }
       log.push_back(e + ">");
     };
