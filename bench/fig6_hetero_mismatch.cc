@@ -62,14 +62,9 @@ int run() {
     auto run_x = [&] { (void)mismatched.run(in_x); };
 
     const auto [t_m, t_x] = alternating_rounds_ns(run_m, run_x);
-    std::vector<double> ratio;
-    for (std::size_t r = 0; r < t_m.size(); ++r) {
-      ratio.push_back(t_x[r] / t_m[r]);
-    }
-
     table.add_row({label(s), fmt_us4(median(t_m) / 1e3),
                    fmt_us4(median(t_x) / 1e3),
-                   fmt_pct((median(ratio) - 1.0) * 100.0)});
+                   fmt_pct((median_ratio(t_x, t_m) - 1.0) * 100.0)});
   }
   table.print();
   return 0;

@@ -90,16 +90,12 @@ int run() {
     const auto [t_matched, t_front, t_end, t_memcpy] =
         alternating_rounds_ns(recv_matched, recv_front, recv_end, copy);
     (void)sink;
-    std::vector<double> ratio;
-    for (std::size_t r = 0; r < t_front.size(); ++r) {
-      ratio.push_back(t_front[r] / t_memcpy[r]);
-    }
 
     table.add_row({label(s), fmt_us4(median(t_matched) / 1e3),
                    fmt_us4(median(t_front) / 1e3),
                    fmt_us4(median(t_end) / 1e3),
                    fmt_us4(median(t_memcpy) / 1e3),
-                   fmt_ratio(median(ratio))});
+                   fmt_ratio(median_ratio(t_front, t_memcpy))});
   }
   table.print();
   std::cout << "\nmatched / mismatch_end rows are the zero-copy path "

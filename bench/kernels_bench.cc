@@ -4,7 +4,9 @@
 // Prints the harness tables and also emits machine-readable results to
 // BENCH_kernels.json (in the working directory) so the perf trajectory of
 // the swap/convert hot loops is tracked from run to run.
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
@@ -169,6 +171,55 @@ int run() {
     t.add_row({c.name, fmt_ns(scalar_ns), ssse3_cell, avx2_cell});
   }
   t.print();
+
+  // --- destination alignment ------------------------------------------------
+  // One ~99 KB source (Figure 4's 100 KB record) per call, src 64-byte
+  // aligned, dst at each 8-byte offset from a 32-byte boundary, at each
+  // SIMD tier, with a same-size memcpy (dst at +8) as the floor. Timed in
+  // alternating rounds; median us per call.
+  Table at("Destination alignment, ~99 KB per call (us; dst offset mod 32)",
+           {"kernel", "+0", "+8", "+16", "+24", "memcpy"});
+  std::vector<std::uint8_t> abuf_src(99'224 + 64);
+  std::vector<std::uint8_t> abuf_dst(2 * 99'224 + 128);
+  for (auto& b : abuf_src) b = static_cast<std::uint8_t>(rng());
+  const auto align64 = [](std::uint8_t* p) {
+    return p + (64 - reinterpret_cast<std::uintptr_t>(p) % 64) % 64;
+  };
+  const std::uint8_t* asrc = align64(abuf_src.data());
+  std::uint8_t* adst = align64(abuf_dst.data());
+  const auto alignment_row = [&](const std::string& name, KernelFn fn,
+                                 unsigned width_src, unsigned width_dst) {
+    const std::size_t n = 99'224 / width_src;
+    auto at_offset = [&, fn, n](std::size_t off) {
+      return [=] { fn(adst + off, asrc, n); };
+    };
+    auto k0 = at_offset(0);
+    auto k8 = at_offset(8);
+    auto k16 = at_offset(16);
+    auto k24 = at_offset(24);
+    auto copy = [&, n] { std::memcpy(adst + 8, asrc, n * width_dst); };
+    const auto [t0, t8, t16, t24, tc] =
+        alternating_rounds_ns(k0, k8, k16, k24, copy);
+    at.add_row({name, fmt_ns(median(t0) / 1e3), fmt_ns(median(t8) / 1e3),
+                fmt_ns(median(t16) / 1e3), fmt_ns(median(t24) / 1e3),
+                fmt_ns(median(tc) / 1e3)});
+  };
+  for (Isa isa : tiers()) {
+    if (isa == Isa::kScalar) continue;
+    const std::string tier =
+        std::string(" ") + convert::kernels::to_string(isa);
+    for (unsigned w : {2u, 4u, 8u}) {
+      alignment_row("swap w" + std::to_string(w) + tier,
+                    convert::kernels::swap_kernel(w, isa), w, w);
+    }
+    for (const Case& c : cases) {
+      KernelFn fn = convert::kernels::cvt_kernel(c.key, isa);
+      if (fn != nullptr) {
+        alignment_row(c.name + tier, fn, c.key.width_src, c.key.width_dst);
+      }
+    }
+  }
+  at.print();
 
   // --- wire-path metrics snapshot -------------------------------------------
   // Drive the interpreted decode over the heterogeneous workload set (the

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <iomanip>
 #include <sstream>
+#include <utility>
 
 namespace pbio::bench {
 
@@ -76,6 +77,13 @@ std::string fmt_bytes(std::uint64_t n) { return std::to_string(n); }
 double median(std::vector<double> v) {
   std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
   return v[v.size() / 2];
+}
+
+double median_ratio(const std::vector<double>& num,
+                    const std::vector<double>& den) {
+  std::vector<double> ratio(num.size());
+  for (std::size_t r = 0; r < num.size(); ++r) ratio[r] = num[r] / den[r];
+  return median(std::move(ratio));
 }
 
 void print_header(const std::string& figure, const std::string& summary) {

@@ -81,6 +81,11 @@ double per_call_ns(Fn& fn, std::size_t reps) {
 /// Median of `v` (the upper middle value for an even count).
 double median(std::vector<double> v);
 
+/// Median over rounds of num[r] / den[r], for two series of
+/// alternating_rounds_ns(): each ratio pairs times from the same round.
+double median_ratio(const std::vector<double>& num,
+                    const std::vector<double>& den);
+
 /// Rounds of alternating_rounds_ns(), and the length of one batch.
 inline constexpr int kRounds = 21;
 inline constexpr double kBatchNs = 200'000;

@@ -13,27 +13,6 @@ namespace pbio::cache {
 ArtifactCache::ArtifactCache() = default;
 ArtifactCache::~ArtifactCache() = default;
 
-ArtifactCache::Artifact ArtifactCache::probe(const Shard& shard,
-                                             PairKey key) const {
-  // Pairs with the release store in publish(): a reader that sees the new
-  // map pointer also sees the fully constructed map behind it.
-  const Map* map = shard.live.load(std::memory_order_acquire);  // mo: acquire pairs with publish()'s release store
-  if (map == nullptr) return nullptr;
-  auto it = map->find(key);
-  if (it == map->end()) return nullptr;
-  return it->second;
-}
-
-void ArtifactCache::publish(Shard& shard, PairKey key, Artifact artifact) {
-  const Map* old = shard.live.load(std::memory_order_relaxed);  // mo: mu held; only publishers (who hold mu) store this pointer
-  auto next = old != nullptr ? std::make_unique<Map>(*old)
-                             : std::make_unique<Map>();
-  (*next)[key] = std::move(artifact);
-  const Map* fresh = next.get();
-  shard.history.push_back(std::move(next));
-  shard.live.store(fresh, std::memory_order_release);  // mo: release pairs with probe()'s acquire load; publishes the map contents
-}
-
 Result<ArtifactCache::Artifact> ArtifactCache::get_or_build(
     const fmt::FormatDesc& wire, const fmt::FormatDesc& native, PairKey key,
     Build mode) {
@@ -50,63 +29,40 @@ Result<ArtifactCache::Artifact> ArtifactCache::get_or_build(
 Result<ArtifactCache::Artifact> ArtifactCache::find_or_build(
     const fmt::FormatDesc& wire, const fmt::FormatDesc& native, PairKey key,
     Build mode) {
-  Shard& shard = shards_[shard_of(key)];
-  if (Artifact hit = probe(shard, key)) {
-    counters_.add(kHits, 1);
-    return hit;
-  }
-  counters_.add(kMisses, 1);
-
-  // Single-flight: exactly one caller builds a given key; the rest park on
-  // the flight's condvar and share the result (or the failure).
+  // Single-flight: exactly one caller builds a given key; the rest wait on
+  // cv_ for its flight and share the result (or the failure).
   std::shared_ptr<Flight> flight;
-  bool leader = false;
   {
-    MutexLock lock(shard.mu);
-    // Re-probe under the lock: a build may have been published between the
-    // lock-free miss above and here.
-    if (Artifact hit = probe(shard, key)) return hit;
-    auto [it, inserted] =
-        shard.inflight.try_emplace(key, std::shared_ptr<Flight>());
-    if (inserted) {
-      it->second = std::make_shared<Flight>();
-      leader = true;
+    MutexLock lock(mu_);
+    if (auto it = artifacts_.find(key); it != artifacts_.end()) {
+      counters_.add(kHits, 1);
+      return it->second;
     }
-    flight = it->second;
+    counters_.add(kMisses, 1);
+    std::shared_ptr<Flight>& slot = inflight_[key];
+    if (slot != nullptr) {
+      counters_.add(kWaits, 1);
+      flight = slot;
+      // The predicate runs with mu_ held (CondVar::wait's contract), but
+      // the analysis cannot see through condition_variable_any's template.
+      cv_.wait(lock, [&]() PBIO_NO_THREAD_SAFETY_ANALYSIS {
+        return flight->done;
+      });
+      return flight->result;
+    }
+    slot = flight = std::make_shared<Flight>();
   }
 
-  if (!leader) {
-    counters_.add(kWaits, 1);
-    MutexLock lock(flight->mu);
-    // The predicate runs with flight->mu held (CondVar::wait's contract),
-    // but the analysis cannot see through condition_variable_any's template.
-    flight->cv.wait(lock, [&]() PBIO_NO_THREAD_SAFETY_ANALYSIS {
-      return flight->done;
-    });
-    if (!flight->error.is_ok()) return flight->error;
-    return flight->artifact;
-  }
-
-  // Leader path: build with no locks held, then publish and wake waiters.
+  // Leader path: build with no lock held, then insert and wake waiters.
   Result<Artifact> built = build(wire, native, mode);
-  if (built.is_ok()) {
-    MutexLock lock(shard.mu);
-    publish(shard, key, built.value());
-    shard.inflight.erase(key);
-  } else {
-    MutexLock lock(shard.mu);
-    shard.inflight.erase(key);
-  }
   {
-    MutexLock lock(flight->mu);
+    MutexLock lock(mu_);
+    if (built.is_ok()) artifacts_.emplace(key, built.value());
+    inflight_.erase(key);
     flight->done = true;
-    if (built.is_ok()) {
-      flight->artifact = built.value();
-    } else {
-      flight->error = built.status();
-    }
+    flight->result = built;
   }
-  flight->cv.notify_all();
+  cv_.notify_all();
   return built;
 }
 
@@ -162,12 +118,8 @@ ArtifactCache::Stats ArtifactCache::stats() const {
 }
 
 std::size_t ArtifactCache::size() const {
-  std::size_t n = 0;
-  for (const Shard& shard : shards_) {
-    const Map* map = shard.live.load(std::memory_order_acquire);  // mo: acquire pairs with publish()'s release store
-    if (map != nullptr) n += map->size();
-  }
-  return n;
+  MutexLock lock(mu_);
+  return artifacts_.size();
 }
 
 }  // namespace pbio::cache

@@ -13,14 +13,13 @@
 //  * keys are canonical structural hashes (fmt::canonical_hash) of the
 //    format pair, so byte-order/field-order/arch-name presentation
 //    differences collapse onto one artifact;
-//  * the cache is N-way sharded; the hit path is lock-free: one acquire
-//    load of the shard's immutable snapshot map, a find, a shared_ptr
-//    refcount bump. Inserts copy-on-write the snapshot under the shard
-//    mutex and publish with a release store. Retired snapshots are kept
-//    until cache destruction (read-mostly: one small retired map per
-//    compiled pair, i.e. per handful-of-microseconds event);
+//  * one map under one mutex: a lookup takes the lock and finds the
+//    artifact, joins a build already in flight, or starts one. Receive
+//    streams ask only on a stream's first frame of each wire id (their
+//    Resolver tables answer every later frame), so the lock is off the
+//    per-message path;
 //  * a stampede of cold callers is collapsed by single-flight: the first
-//    caller compiles, everyone else blocks on that flight's condvar and
+//    caller compiles, everyone else waits on the cache's condvar and
 //    shares the one sealed buffer — a 10k-connection cold start performs
 //    exactly one compile per distinct pair;
 //  * code can be deferred (Build::kDeferred): the artifact is published
@@ -36,11 +35,9 @@
 // thread-domain: any
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "fmt/format.h"
 #include "obs/obs.h"
@@ -113,42 +110,16 @@ class ArtifactCache {
   /// Number of distinct artifacts currently published.
   std::size_t size() const;
 
-  static constexpr unsigned kShards = 8;
-
  private:
-  using Map = std::unordered_map<PairKey, Artifact, PairKeyHash>;
-
-  /// One in-progress build, shared by the leader and every waiter.
+  /// One in-progress build, shared by the leader and every waiter; both
+  /// fields are read and written only under the cache's mu_.
   struct Flight {
-    Mutex mu;
-    CondVar cv;
-    bool done PBIO_GUARDED_BY(mu) = false;
-    Artifact artifact PBIO_GUARDED_BY(mu);
-    Status error PBIO_GUARDED_BY(mu);
+    bool done = false;
+    Result<Artifact> result = Artifact();  // valid once done
   };
 
-  struct Shard {
-    /// The live snapshot. Readers load-acquire and never lock; the pointee
-    /// is immutable and owned by `history` below.
-    std::atomic<const Map*> live{nullptr};
-    mutable Mutex mu;
-    /// Every snapshot ever published (the last entry is `live`). Kept
-    /// until cache destruction so a reader can never observe a freed map.
-    std::vector<std::unique_ptr<const Map>> history PBIO_GUARDED_BY(mu);
-    std::unordered_map<PairKey, std::shared_ptr<Flight>, PairKeyHash>
-        inflight PBIO_GUARDED_BY(mu);
-  };
-
-  static std::size_t shard_of(PairKey key) {
-    return PairKeyHash{}(key) % kShards;
-  }
-
-  Artifact probe(const Shard& shard, PairKey key) const;
-  void publish(Shard& shard, PairKey key, Artifact artifact)
-      PBIO_REQUIRES(shard.mu);
-
-  /// get_or_build() up to the code: the snapshot hit, the single-flight
-  /// wait, or the leader's build().
+  /// get_or_build() up to the code: the map hit, the single-flight wait,
+  /// or the leader's build().
   Result<Artifact> find_or_build(const fmt::FormatDesc& wire,
                                  const fmt::FormatDesc& native, PairKey key,
                                  Build mode);
@@ -162,7 +133,13 @@ class ArtifactCache {
   /// JIT + tval + W^X seal.
   void generate(const Artifact& artifact);
 
-  Shard shards_[kShards];
+  mutable Mutex mu_;
+  /// Signalled when a flight completes; waiters re-check their own.
+  CondVar cv_;
+  std::unordered_map<PairKey, Artifact, PairKeyHash> artifacts_
+      PBIO_GUARDED_BY(mu_);
+  std::unordered_map<PairKey, std::shared_ptr<Flight>, PairKeyHash> inflight_
+      PBIO_GUARDED_BY(mu_);
 
   // In Stats field order.
   enum Counter : std::size_t {

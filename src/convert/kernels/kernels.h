@@ -69,6 +69,12 @@ void reset_isa();
 /// runs; the measured crossover is recorded in EXPERIMENTS.md).
 inline constexpr std::uint32_t kMinCount = 16;
 
+/// dst bytes from which a SIMD kernel first converts scalar elements up to
+/// a vector-width dst boundary, so its stores do not split cache lines.
+/// Below it that head costs more than the split stores it avoids (the
+/// break-even is 2-4 KB; EXPERIMENTS.md, "Kernel tier speedups").
+inline constexpr std::size_t kAlignMinBytes = 4096;
+
 /// Byte-swap kernel for elements of `width` bytes (2, 4 or 8; other widths
 /// return nullptr). width_src == width_dst for kSwap ops.
 KernelFn swap_kernel(unsigned width);

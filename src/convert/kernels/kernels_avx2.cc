@@ -1,6 +1,8 @@
 // AVX2 tier: 256-bit byte-swap and widen/narrow/f32<->f64 loops. Compiled
 // with -mavx2 on x86-64; never executed unless cpuid (plus the XGETBV ymm
 // check) reports AVX2. GCC/Clang insert vzeroupper at the boundaries.
+// As in the SSSE3 tier, the swap and widening kernels convert a scalar
+// head up to the first 32-byte dst boundary before their 256-bit stores.
 #include "convert/kernels/kernels_impl.h"
 
 #if defined(__x86_64__) && defined(__AVX2__)
@@ -68,7 +70,8 @@ template <unsigned W>
 void swap_simd(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
   using T = typename UIntBits<W>::type;
   const std::size_t total = n * W;
-  std::size_t i = 0;
+  // A byte swap is a same-type cvt of a swapped source.
+  std::size_t i = cvt_head<T, T, true, false, 32>(dst, src, n) * W;
   for (; i + 64 <= total; i += 64) {
     const __m256i a = bswap_elems<W>(loadu256(src + i));
     const __m256i b = bswap_elems<W>(loadu256(src + i + 32));
@@ -86,7 +89,7 @@ void swap_simd(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
 
 template <bool SS, bool DS>
 void cvt_f32_f64(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
-  std::size_t i = 0;
+  std::size_t i = cvt_head<float, double, SS, DS, 32>(dst, src, n);
   for (; i + 4 <= n; i += 4) {
     __m128i raw = loadu128(src + 4 * i);
     if constexpr (SS) raw = bswap32x(raw);
@@ -113,7 +116,8 @@ void cvt_f64_f32(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
 
 template <bool Signed, bool SS, bool DS>
 void cvt_i32_i64(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
-  std::size_t i = 0;
+  using S = std::conditional_t<Signed, std::int32_t, std::uint32_t>;
+  std::size_t i = cvt_head<S, std::uint64_t, SS, DS, 32>(dst, src, n);
   for (; i + 4 <= n; i += 4) {
     __m128i v = loadu128(src + 4 * i);
     if constexpr (SS) v = bswap32x(v);
@@ -121,7 +125,6 @@ void cvt_i32_i64(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
     if constexpr (DS) d = bswap64y(d);
     storeu256(dst + 8 * i, d);
   }
-  using S = std::conditional_t<Signed, std::int32_t, std::uint32_t>;
   cvt_scalar<S, std::uint64_t, SS, DS>(dst + 8 * i, src + 4 * i, n - i);
 }
 
@@ -143,7 +146,8 @@ void cvt_i64_i32(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
 
 template <bool Signed, bool SS, bool DS>
 void cvt_i16_i32(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
-  std::size_t i = 0;
+  using S = std::conditional_t<Signed, std::int16_t, std::uint16_t>;
+  std::size_t i = cvt_head<S, std::uint32_t, SS, DS, 32>(dst, src, n);
   for (; i + 8 <= n; i += 8) {
     __m128i v = loadu128(src + 2 * i);
     if constexpr (SS) v = bswap16x(v);
@@ -151,13 +155,12 @@ void cvt_i16_i32(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
     if constexpr (DS) d = bswap32y(d);
     storeu256(dst + 4 * i, d);
   }
-  using S = std::conditional_t<Signed, std::int16_t, std::uint16_t>;
   cvt_scalar<S, std::uint32_t, SS, DS>(dst + 4 * i, src + 2 * i, n - i);
 }
 
 template <bool SS, bool DS>
 void cvt_i32_f64(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
-  std::size_t i = 0;
+  std::size_t i = cvt_head<std::int32_t, double, SS, DS, 32>(dst, src, n);
   for (; i + 4 <= n; i += 4) {
     __m128i v = loadu128(src + 4 * i);
     if constexpr (SS) v = bswap32x(v);

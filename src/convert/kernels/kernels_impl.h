@@ -10,6 +10,7 @@
 // against an independent oracle built on util/endian.h.
 #pragma once
 
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <type_traits>
@@ -120,6 +121,21 @@ void cvt_scalar(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
     if constexpr (DSwap) draw = byte_swap(draw);
     std::memcpy(dst + i * sizeof(D), &draw, sizeof(D));
   }
+}
+
+/// A SIMD kernel's scalar head: converts, one at a time, the elements that
+/// bring `dst` to an Align-byte boundary and returns their count; none
+/// for a run under kAlignMinBytes, or when dst is not element-aligned (no
+/// whole number of elements gets there). Going first keeps the ascending,
+/// load-before-store order of the forward-overlap contract (kernels.h).
+template <typename S, typename D, bool SSwap, bool DSwap, std::size_t Align>
+inline std::size_t cvt_head(std::uint8_t* dst, const std::uint8_t* src,
+                            std::size_t n) {
+  const auto addr = reinterpret_cast<std::uintptr_t>(dst);
+  if (n * sizeof(D) < kAlignMinBytes || addr % sizeof(D) != 0) return 0;
+  const std::size_t head = (Align - addr % Align) % Align / sizeof(D);
+  cvt_scalar<S, D, SSwap, DSwap>(dst, src, head);
+  return head;
 }
 
 // Per-tier lookups. The scalar ones live in kernels.cc; the SIMD ones in

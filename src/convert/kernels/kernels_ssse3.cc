@@ -2,6 +2,10 @@
 // and f32<->f64 convert loops. Compiled with -mssse3 on x86-64 (see
 // src/convert/CMakeLists.txt); never executed unless cpuid reports SSSE3.
 // All loads/stores are unaligned forms; tails reuse the scalar templates.
+// The swap and widening kernels first convert a scalar head up to the
+// first 16-byte dst boundary (cvt_head), so with an element-aligned
+// dst no vector store splits a cache line. The narrowing kernels keep no
+// head: one measured mixed there (EXPERIMENTS.md, "Kernel tier speedups").
 #include "convert/kernels/kernels_impl.h"
 
 #if defined(__x86_64__) && defined(__SSSE3__)
@@ -46,7 +50,8 @@ template <unsigned W>
 void swap_simd(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
   using T = typename UIntBits<W>::type;
   const std::size_t total = n * W;
-  std::size_t i = 0;
+  // A byte swap is a same-type cvt of a swapped source.
+  std::size_t i = cvt_head<T, T, true, false, 16>(dst, src, n) * W;
   for (; i + 32 <= total; i += 32) {
     const __m128i a = bswap_elems<W>(loadu(src + i));
     const __m128i b = bswap_elems<W>(loadu(src + i + 16));
@@ -61,13 +66,14 @@ void swap_simd(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
 }
 
 // --- numeric conversions ----------------------------------------------------
-// Each processes 4 (or 8 for 16-bit sources) elements per iteration, with
-// every load of a block issued before its stores, blocks ascending — what
-// the forward-overlap contract (kernels.h) rests on.
+// Each processes 4 (or 8 for 16-bit sources) elements per iteration (after
+// its scalar head, if it has one), with every load of a block issued
+// before its stores, blocks ascending — what the forward-overlap contract
+// (kernels.h) rests on.
 
 template <bool SS, bool DS>
 void cvt_f32_f64(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
-  std::size_t i = 0;
+  std::size_t i = cvt_head<float, double, SS, DS, 16>(dst, src, n);
   for (; i + 4 <= n; i += 4) {
     __m128i raw = loadu(src + 4 * i);
     if constexpr (SS) raw = bswap32x4(raw);
@@ -105,7 +111,8 @@ void cvt_f64_f32(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
 
 template <bool Signed, bool SS, bool DS>
 void cvt_i32_i64(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
-  std::size_t i = 0;
+  using S = std::conditional_t<Signed, std::int32_t, std::uint32_t>;
+  std::size_t i = cvt_head<S, std::uint64_t, SS, DS, 16>(dst, src, n);
   for (; i + 4 <= n; i += 4) {
     __m128i v = loadu(src + 4 * i);
     if constexpr (SS) v = bswap32x4(v);
@@ -120,7 +127,6 @@ void cvt_i32_i64(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
     storeu(dst + 8 * i, lo);
     storeu(dst + 8 * i + 16, hi);
   }
-  using S = std::conditional_t<Signed, std::int32_t, std::uint32_t>;
   cvt_scalar<S, std::uint64_t, SS, DS>(dst + 8 * i, src + 4 * i, n - i);
 }
 
@@ -148,7 +154,8 @@ void cvt_i64_i32(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
 
 template <bool Signed, bool SS, bool DS>
 void cvt_i16_i32(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
-  std::size_t i = 0;
+  using S = std::conditional_t<Signed, std::int16_t, std::uint16_t>;
+  std::size_t i = cvt_head<S, std::uint32_t, SS, DS, 16>(dst, src, n);
   for (; i + 8 <= n; i += 8) {
     __m128i v = loadu(src + 2 * i);
     if constexpr (SS) v = bswap16x8(v);
@@ -168,7 +175,6 @@ void cvt_i16_i32(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
     storeu(dst + 4 * i, lo);
     storeu(dst + 4 * i + 16, hi);
   }
-  using S = std::conditional_t<Signed, std::int16_t, std::uint16_t>;
   cvt_scalar<S, std::uint32_t, SS, DS>(dst + 4 * i, src + 2 * i, n - i);
 }
 
@@ -198,7 +204,7 @@ void cvt_i32_i16(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
 
 template <bool SS, bool DS>
 void cvt_i32_f64(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
-  std::size_t i = 0;
+  std::size_t i = cvt_head<std::int32_t, double, SS, DS, 16>(dst, src, n);
   for (; i + 4 <= n; i += 4) {
     __m128i v = loadu(src + 4 * i);
     if constexpr (SS) v = bswap32x4(v);

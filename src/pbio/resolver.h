@@ -11,7 +11,7 @@
 // id resolves from stream-local memory however the ids interleave: one
 // probe, no lock, no call into the context. Only an id's first frame walks
 // the registry, the expected table and the artifact cache (three registry
-// lock acquisitions and a lock-free artifact-cache hit), and only that
+// lock acquisitions and one artifact-cache lock), and only that
 // frame can allocate. The table holds at most kMaxKnownIds ids, so a peer
 // announcing many formats cannot grow it.
 //

@@ -1,5 +1,6 @@
 #include "transport/loopback.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "obs/span.h"
@@ -19,6 +20,25 @@ make_loopback_pair() {
   return {std::move(a), std::move(b)};
 }
 
+void LoopbackChannel::Queue::push(FrameBuf msg) {
+  if (count == ring.size()) {
+    std::rotate(ring.begin(), ring.begin() + static_cast<std::ptrdiff_t>(head),
+                ring.end());
+    ring.resize(std::max<std::size_t>(16, 2 * count));
+    head = 0;
+  }
+  ring[(head + count++) % ring.size()] = std::move(msg);
+}
+
+FrameBuf LoopbackChannel::Queue::pop() {
+  FrameBuf msg = std::move(ring[head]);
+  head = (head + 1) % ring.size();
+  --count;
+  OBS_COUNT("transport.loopback.msgs_in", 1);
+  OBS_COUNT("transport.loopback.bytes_in", msg.size());
+  return msg;
+}
+
 Status LoopbackChannel::send_frames(std::span<const FrameSegments> frames) {
   for (const FrameSegments& f : frames) {
     // The lease is filled before the lock, so the receiver never waits
@@ -34,7 +54,7 @@ Status LoopbackChannel::send_frames(std::span<const FrameSegments> frames) {
     if (out_->closed) {
       return Status(Errc::kChannelClosed, "peer closed");
     }
-    out_->messages.push_back(std::move(msg));
+    out_->push(std::move(msg));
     bytes_sent_ += len;
     OBS_COUNT("transport.loopback.msgs_out", 1);
     OBS_COUNT("transport.loopback.bytes_out", len);
@@ -45,28 +65,24 @@ Status LoopbackChannel::send_frames(std::span<const FrameSegments> frames) {
 
 Result<FrameBuf> LoopbackChannel::recv_buf() {
   MutexLock lock(in_->mu);
-  if (in_->messages.empty() && !in_->closed) {
+  if (in_->count == 0 && !in_->closed) {
     ++in_->waiters;
     // The predicate runs with in_->mu held (CondVar::wait's contract), but
     // the analysis cannot see through condition_variable_any's template.
     in_->cv.wait(lock, [&]() PBIO_NO_THREAD_SAFETY_ANALYSIS {
-      return !in_->messages.empty() || in_->closed;
+      return in_->count != 0 || in_->closed;
     });
     --in_->waiters;
   }
-  if (in_->messages.empty()) {
+  if (in_->count == 0) {
     return Status(Errc::kChannelClosed, "loopback closed");
   }
-  FrameBuf msg = std::move(in_->messages.front());
-  in_->messages.pop_front();
-  OBS_COUNT("transport.loopback.msgs_in", 1);
-  OBS_COUNT("transport.loopback.bytes_in", msg.size());
-  return msg;
+  return in_->pop();
 }
 
 Result<FrameBuf> LoopbackChannel::poll_buf() {
   MutexLock lock(in_->mu);
-  if (in_->messages.empty()) {
+  if (in_->count == 0) {
     if (in_->closed) {
       return Status(Errc::kChannelClosed, "loopback closed");
     }
@@ -74,11 +90,7 @@ Result<FrameBuf> LoopbackChannel::poll_buf() {
     // batch to empty costs no heap allocation.
     return Status(Errc::kWouldBlock, "would block");
   }
-  FrameBuf msg = std::move(in_->messages.front());
-  in_->messages.pop_front();
-  OBS_COUNT("transport.loopback.msgs_in", 1);
-  OBS_COUNT("transport.loopback.bytes_in", msg.size());
-  return msg;
+  return in_->pop();
 }
 
 void LoopbackChannel::close() {
@@ -91,7 +103,7 @@ void LoopbackChannel::close() {
 
 std::size_t LoopbackChannel::pending() const {
   MutexLock lock(in_->mu);
-  return in_->messages.size();
+  return in_->count;
 }
 
 }  // namespace pbio::transport

@@ -3,14 +3,15 @@
 // CPU-cost benches (where network time is modelled analytically).
 //
 // Queued messages are pooled FrameBuf leases (each frame copied once at
-// send: one lease, one memcpy per segment, one queue lock), so the
-// receive side is allocation-free in steady state and poll_buf() lets
-// Reader::next_batch drain everything already enqueued without blocking.
+// send: one lease, one memcpy per segment, one queue lock) held in a ring
+// that grows only when full, so both sides are allocation-free in steady
+// state and poll_buf() lets Reader::next_batch drain everything already
+// enqueued without blocking.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "transport/channel.h"
 #include "util/mutex.h"
@@ -46,11 +47,19 @@ class LoopbackChannel final : public Channel {
   struct Queue {
     Mutex mu;
     CondVar cv;
-    std::deque<FrameBuf> messages PBIO_GUARDED_BY(mu);
+    /// The queued frames: `count` slots of `ring` from `head` on, wrapping.
+    std::vector<FrameBuf> ring PBIO_GUARDED_BY(mu);
+    std::size_t head PBIO_GUARDED_BY(mu) = 0;
+    std::size_t count PBIO_GUARDED_BY(mu) = 0;
     bool closed PBIO_GUARDED_BY(mu) = false;
     /// Receivers blocked in recv_buf(): a send notifies cv only when one
     /// is, since a notify takes the condition variable's own mutex.
     std::size_t waiters PBIO_GUARDED_BY(mu) = 0;
+
+    /// Append `msg`, doubling the ring first if it is full.
+    void push(FrameBuf msg) PBIO_REQUIRES(mu);
+    /// Take the oldest frame and count it received; needs count != 0.
+    FrameBuf pop() PBIO_REQUIRES(mu);
   };
 
   std::shared_ptr<Queue> in_;

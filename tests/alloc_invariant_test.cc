@@ -22,6 +22,7 @@
 
 #include "alloc_hook.h"
 #include "pbio/pbio.h"
+#include "transport/loopback.h"
 #include "transport/socket.h"
 
 namespace {
@@ -116,6 +117,50 @@ TEST(AllocInvariant, SteadyStateNextAllocatesNothing) {
       << "steady-state Reader::next allocated " << allocs << " times over "
       << kMeasured << " messages";
   sender.join();
+}
+
+// The in-process transport keeps the same promise on both ends: a warm
+// Writer -> LoopbackChannel -> Reader round trip allocates nothing, however
+// many frames have passed through the queue.
+TEST(AllocInvariant, SteadyStateLoopbackRoundTripAllocatesNothing) {
+  auto [client, server] = transport::make_loopback_pair();
+  Context ctx;
+  const auto id = register_sample(ctx);
+  Writer w(ctx, *client);
+  Reader r(ctx, *server);
+  r.expect(id);
+  constexpr int kDepth = 4;
+  int seq = 0;
+  int bad = 0;
+  const auto round = [&] {
+    for (int i = 0; i < kDepth; ++i) {
+      Sample s{seq + i, 0.25 * i, 3.0};
+      if (!w.write(id, &s).is_ok()) ++bad;
+    }
+    for (int i = 0; i < kDepth; ++i) {
+      auto m = r.next();
+      if (!m.is_ok()) {
+        ++bad;
+        continue;
+      }
+      auto v = m.value().view<Sample>();
+      if (!v.is_ok() || v.value()->seq != seq + i) ++bad;
+    }
+    seq += kDepth;
+  };
+  for (int i = 0; i < kWarmup; ++i) round();
+  ASSERT_EQ(bad, 0);
+
+  g_allocs = 0;
+  g_counting = true;
+  for (int i = 0; i < kMeasured; ++i) round();
+  g_counting = false;
+  const std::uint64_t allocs = g_allocs;
+
+  EXPECT_EQ(bad, 0);
+  EXPECT_EQ(allocs, 0u)
+      << "steady-state loopback write + next allocated " << allocs
+      << " times over " << kMeasured * kDepth << " messages";
 }
 
 TEST(AllocInvariant, SteadyStateBatchAllocatesNothing) {
@@ -253,10 +298,10 @@ TEST(AllocInvariant, SteadyStateInterleavedFormatsAllocateNothing) {
 }
 
 // The artifact cache rides the same invariant: once a conversion is
-// resolved, a warm try_conversion (registry resolve + lock-free snapshot
-// hit) and a bare warm shared-cache lookup allocate nothing — a stream's
-// resolver resolves an id it has not seen on this path, and 10k
-// connections resolving the same pair must not churn the heap.
+// resolved, a warm try_conversion (registry resolve + cache map hit) and a
+// bare warm ArtifactCache lookup allocate nothing — a stream's resolver
+// resolves an id it has not seen on this path, and 10k connections
+// resolving the same pair must not churn the heap.
 TEST(AllocInvariant, WarmConversionLookupAllocatesNothing) {
   Context ctx;
   const auto id = register_sample(ctx);
@@ -276,8 +321,7 @@ TEST(AllocInvariant, WarmConversionLookupAllocatesNothing) {
   EXPECT_EQ(warm_allocs, 0u)
       << "warm try_conversion allocated " << warm_allocs << " times";
 
-  // The shared layer's own hit path, as a second context over the same
-  // cache would exercise it.
+  // The cache's own hit path, without the registry in front of it.
   auto& cache = ctx.artifact_cache();
   const auto* desc = ctx.find(id);
   ASSERT_NE(desc, nullptr);

@@ -1,14 +1,21 @@
 // Fleet-scale conversion-artifact cache: canonical keying, the resolution
 // path in front of it (a stream's Resolver table, unknown ids), single-
-// flight stampede collapse, artifact sharing across the readers of one
-// Context, and the counter store behind the cache and context stats.
+// flight stampede collapse, the cost of an insert into a large cache,
+// artifact sharing across the readers of one Context, and the counter
+// store behind the cache and context stats.
+//
+// Every form of operator new is counted (alloc_hook.h), on the calling
+// thread only and only while a test asks for it.
 #include "cache/artifact_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc_hook.h"
 #include "arch/layout.h"
 #include "fmt/format.h"
 #include "obs/obs.h"
@@ -21,6 +28,17 @@
 #include "value/random.h"
 #include "value/read.h"
 #include "vcode/jit_convert.h"
+
+namespace {
+
+thread_local bool g_counting = false;
+thread_local std::uint64_t g_allocs = 0;
+
+}  // namespace
+
+void note_alloc(std::size_t /*n*/) {
+  if (g_counting) ++g_allocs;
+}
 
 namespace pbio {
 namespace {
@@ -181,6 +199,85 @@ TEST(Stampede, ColdPairCompilesExactlyOnceAcrossThreads) {
     EXPECT_EQ(got[static_cast<std::size_t>(t)].get(), got[0].get());
   }
   expect_converts(ctx, *got[0], wire_desc(), native_desc());
+}
+
+// ------------------------------------------------------- many pairs
+
+/// The (wire, native) ids of `n` structurally distinct pairs, registered in
+/// `ctx`: each pair is the sample layout under its own format name.
+std::vector<std::pair<Context::FormatId, Context::FormatId>> distinct_pairs(
+    Context& ctx, int n) {
+  std::vector<std::pair<Context::FormatId, Context::FormatId>> ids;
+  ids.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    StructSpec spec = sample_spec();
+    spec.name = "pair" + std::to_string(i);
+    ids.emplace_back(
+        ctx.register_format(arch::layout_format(spec, arch::abi_sparc_v8())),
+        ctx.register_format(arch::layout_format(spec, arch::abi_x86_64())));
+  }
+  return ids;
+}
+
+/// Resolving a new pair costs the same whatever the cache already holds:
+/// an insert adds one entry and copies nothing.
+TEST(ManyPairs, InsertCostDoesNotGrowWithTheCache) {
+  constexpr int kFilled = 1000;
+  constexpr int kNew = 100;
+  // The compile pipeline (plan, verify, JIT, tval) plus the insert and an
+  // occasional rehash take 13 on x86-64, so this leaves room to spare;
+  // copying a map of the pairs already cached (hundreds of nodes) does not.
+  constexpr std::uint64_t kMaxAllocsPerPair = 32;
+  Context ctx;
+  const auto ids = distinct_pairs(ctx, kFilled + kNew);
+  for (int i = 0; i < kFilled; ++i) {
+    const auto [w, n] = ids[static_cast<std::size_t>(i)];
+    ASSERT_TRUE(ctx.try_conversion(w, n).is_ok());
+  }
+  std::uint64_t worst = 0;
+  for (int i = kFilled; i < kFilled + kNew; ++i) {
+    const auto [w, n] = ids[static_cast<std::size_t>(i)];
+    g_allocs = 0;
+    g_counting = true;
+    const bool ok = ctx.try_conversion(w, n).is_ok();
+    g_counting = false;
+    ASSERT_TRUE(ok);
+    worst = std::max(worst, g_allocs);
+  }
+  EXPECT_LE(worst, kMaxAllocsPerPair)
+      << "resolving one new pair allocated " << worst << " times with "
+      << kFilled << "+ pairs cached";
+  EXPECT_EQ(ctx.artifact_cache().size(),
+            static_cast<std::size_t>(kFilled + kNew));
+  EXPECT_EQ(ctx.artifact_cache().stats().compiles,
+            static_cast<std::uint64_t>(kFilled + kNew));
+}
+
+/// Four threads resolve the same cold pairs in different orders: each pair
+/// compiles once, and every resolution counts exactly one hit or miss.
+TEST(ManyPairs, ConcurrentColdPairsCompileOnceEach) {
+  constexpr int kPairs = 64;
+  constexpr int kThreads = 4;
+  Context ctx;
+  const auto ids = distinct_pairs(ctx, kPairs);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPairs; ++i) {
+        const auto [w, n] =
+            ids[static_cast<std::size_t>((i + t * kPairs / kThreads) % kPairs)];
+        EXPECT_TRUE(ctx.try_conversion(w, n).is_ok());
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const ArtifactCache::Stats st = ctx.artifact_cache().stats();
+  EXPECT_EQ(st.compiles, static_cast<std::uint64_t>(kPairs));
+  EXPECT_EQ(ctx.artifact_cache().size(), static_cast<std::size_t>(kPairs));
+  EXPECT_EQ(st.hits + st.misses,
+            static_cast<std::uint64_t>(kPairs * kThreads));
 }
 
 // -------------------------------------------------------------- sharing

@@ -1,13 +1,15 @@
 // Property tests for the batch conversion kernels (src/convert/kernels):
 // for random widths, counts, alignments and values — including dst == src
-// in-place, forward overlaps (dst below src, never widening) and odd
-// misaligned offsets — every SIMD tier produces output
+// in-place, forward overlaps (dst below src, never widening), odd
+// misaligned offsets and every dst offset from a 32-byte boundary — every
+// SIMD tier produces output
 // byte-identical to an independent scalar oracle built on util/endian.h,
 // and both conversion engines stay correct with dispatch forced to the
 // scalar tier (the non-SIMD fallback path).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <random>
@@ -241,15 +243,20 @@ TEST(KernelsProperty, SwapForwardOverlapMatchesOracleAllTiers) {
   }
 }
 
-TEST(KernelsProperty, CvtForwardOverlapMatchesOracleAllTiers) {
-  std::mt19937 rng(8484);
+/// Calls check(key, fn, what) once per distinct kernel function of each
+/// cvt key over every kind, width and swap pair (widening keys only when
+/// asked), at each tier up to the detected one, and returns how many it
+/// checked. A tier without its own form resolves to a lower tier's
+/// kernel, so each distinct function is checked once.
+template <typename Check>
+int for_each_cvt_kernel(bool widening, Check&& check) {
   const NumKind kinds[] = {NumKind::kInt, NumKind::kUInt, NumKind::kFloat};
   int checked = 0;
   for (NumKind sk : kinds) {
     for (NumKind dk : kinds) {
       for (unsigned ws : {1u, 2u, 4u, 8u}) {
         for (unsigned wd : {1u, 2u, 4u, 8u}) {
-          if (wd > ws) continue;  // widening is outside the contract
+          if (wd > ws && !widening) continue;
           for (int swaps = 0; swaps < 4; ++swaps) {
             CvtKey key;
             key.src_kind = sk;
@@ -258,8 +265,6 @@ TEST(KernelsProperty, CvtForwardOverlapMatchesOracleAllTiers) {
             key.dst_kind = dk;
             key.width_dst = static_cast<std::uint8_t>(wd);
             key.dst_swap = (swaps & 2) != 0 && wd > 1;
-            // A tier without its own form resolves to a lower tier's
-            // kernel: check each distinct function once.
             KernelFn seen[3] = {};
             for (Isa isa : tiers_up_to_detected()) {
               KernelFn fn = cvt_kernel(key, isa);
@@ -270,25 +275,115 @@ TEST(KernelsProperty, CvtForwardOverlapMatchesOracleAllTiers) {
               }
               seen[static_cast<int>(isa)] = fn;
               ++checked;
-              expect_forward_overlap_matches(
-                  fn, ws,
-                  [&key](std::uint8_t* d, const std::uint8_t* s,
-                         std::size_t n) { oracle_cvt(key, d, s, n); },
-                  rng,
-                  "cvt src(" + std::to_string(int(sk)) + ",w" +
-                      std::to_string(ws) + ",s" +
-                      std::to_string(key.src_swap) + ") dst(" +
-                      std::to_string(int(dk)) + ",w" + std::to_string(wd) +
-                      ",s" + std::to_string(key.dst_swap) +
-                      ") isa=" + to_string(isa));
+              check(key, fn,
+                    "cvt src(" + std::to_string(int(sk)) + ",w" +
+                        std::to_string(ws) + ",s" +
+                        std::to_string(key.src_swap) + ") dst(" +
+                        std::to_string(int(dk)) + ",w" +
+                        std::to_string(wd) + ",s" +
+                        std::to_string(key.dst_swap) +
+                        ") isa=" + to_string(isa));
             }
           }
         }
       }
     }
   }
+  return checked;
+}
+
+TEST(KernelsProperty, CvtForwardOverlapMatchesOracleAllTiers) {
+  std::mt19937 rng(8484);
+  // Widening is outside the overlap contract.
+  const int checked = for_each_cvt_kernel(
+      false, [&rng](const CvtKey& key, KernelFn fn, const std::string& what) {
+        expect_forward_overlap_matches(
+            fn, key.width_src,
+            [&key](std::uint8_t* d, const std::uint8_t* s, std::size_t n) {
+              oracle_cvt(key, d, s, n);
+            },
+            rng, what);
+      });
   // Float kinds only exist at widths 4 and 8 (the loops' other float
   // keys have no kernel); the sweep must not pass vacuously.
+  EXPECT_GT(checked, 100);
+}
+
+/// Every dst offset 0..31 from a 32-byte boundary, which moves the SIMD
+/// kernels' scalar heads through every length they can take: each offset
+/// converts disjointly from an independent random src offset and, unless
+/// the kernel widens, in place over a forward overlap (dst = src - shift,
+/// shift 0..64). Each offset runs a count below kAlignMinBytes (no head);
+/// each element-aligned offset, which is where a head can start, also runs
+/// one past it with a tail.
+template <typename Oracle>
+void expect_every_dst_offset_matches(KernelFn fn, unsigned width_src,
+                                     unsigned width_dst, Oracle&& oracle,
+                                     std::mt19937& rng,
+                                     const std::string& what) {
+  const std::size_t small = kMinCount + 7;
+  const std::size_t large = kAlignMinBytes / width_dst + 37;
+  // The first 32-byte boundary in a vector: base(v) + k is k mod 32.
+  const auto base = [](std::vector<std::uint8_t>& v) {
+    const auto addr = reinterpret_cast<std::uintptr_t>(v.data());
+    return v.data() + (32 - addr % 32) % 32;
+  };
+  for (std::size_t dst_off = 0; dst_off < 32; ++dst_off) {
+    for (std::size_t n : {small, large}) {
+      if (n == large && dst_off % width_dst != 0) continue;
+      const std::size_t src_off = rng() % 32;
+      std::vector<std::uint8_t> src(32 + src_off + n * width_src + 32);
+      fill_random(src.data(), src.size(), rng);
+      std::vector<std::uint8_t> got(32 + dst_off + n * width_dst + 32, 0xEE);
+      std::vector<std::uint8_t> want = got;
+      const std::uint8_t* s = base(src) + src_off;
+      std::uint8_t* d = base(got) + dst_off;
+      fn(d, s, n);
+      oracle(want.data() + (d - got.data()), s, n);
+      ASSERT_EQ(got, want) << what << " dst_off=" << dst_off
+                           << " src_off=" << src_off << " n=" << n;
+
+      if (width_dst > width_src) continue;  // outside the overlap contract
+      const std::size_t shift =
+          width_dst == width_src ? rng() % 65 : 1 + rng() % 64;
+      std::vector<std::uint8_t> buf(32 + dst_off + shift + n * width_src + 8);
+      fill_random(buf.data(), buf.size(), rng);
+      std::vector<std::uint8_t> want_ov = buf;
+      d = base(buf) + dst_off;
+      const std::ptrdiff_t at = d - buf.data();
+      oracle(want_ov.data() + at, d + shift, n);
+      fn(d, d + shift, n);
+      ASSERT_EQ(buf, want_ov) << what << " overlap dst_off=" << dst_off
+                              << " shift=" << shift << " n=" << n;
+    }
+  }
+}
+
+TEST(KernelsProperty, SwapEveryDstOffsetMatchesOracleAllTiers) {
+  std::mt19937 rng(3131);
+  for (unsigned w : {2u, 4u, 8u}) {
+    for (Isa isa : tiers_up_to_detected()) {
+      expect_every_dst_offset_matches(
+          swap_kernel(w, isa), w, w,
+          [w](std::uint8_t* d, const std::uint8_t* s, std::size_t n) {
+            oracle_swap(w, d, s, n);
+          },
+          rng, "swap w=" + std::to_string(w) + " isa=" + to_string(isa));
+    }
+  }
+}
+
+TEST(KernelsProperty, CvtEveryDstOffsetMatchesOracleAllTiers) {
+  std::mt19937 rng(6262);
+  const int checked = for_each_cvt_kernel(
+      true, [&rng](const CvtKey& key, KernelFn fn, const std::string& what) {
+        expect_every_dst_offset_matches(
+            fn, key.width_src, key.width_dst,
+            [&key](std::uint8_t* d, const std::uint8_t* s, std::size_t n) {
+              oracle_cvt(key, d, s, n);
+            },
+            rng, what);
+      });
   EXPECT_GT(checked, 100);
 }
 
