@@ -32,7 +32,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -470,36 +469,16 @@ bool run_cell(std::size_t conns, std::uint32_t depth, std::uint32_t frames,
 
 double us(std::uint64_t ns) { return static_cast<double>(ns) / 1e3; }
 
+double p99_over_p50(const CellResult& c) {
+  return c.child.p50_ns > 0 ? static_cast<double>(c.child.p99_ns) /
+                                  static_cast<double>(c.child.p50_ns)
+                            : 0.0;
+}
+
 /// Cells with more frames in flight than this are skipped: the broker's
 /// default inflight cap, and a bound on the kernel socket memory one cell
 /// pins (10k connections at depth 64 would queue 640k frames).
 constexpr std::size_t kMaxCellInflight = 65536;
-
-/// CPU model, online CPUs and build type, as one JSON object.
-std::string host_json() {
-  std::string cpu = "unknown";
-  std::ifstream in("/proc/cpuinfo");
-  for (std::string line; std::getline(in, line);) {
-    if (line.rfind("model name", 0) == 0) {
-      const auto colon = line.find(':');
-      if (colon != std::string::npos) {
-        cpu = line.substr(colon + 1);
-        cpu.erase(0, cpu.find_first_not_of(' '));
-      }
-      break;
-    }
-  }
-  for (char& c : cpu) {
-    if (c == '"' || c == '\\') c = ' ';
-  }
-  char buf[384];
-  std::snprintf(buf, sizeof buf,
-                "{\"cpu_model\": \"%s\", \"nproc\": %ld, "
-                "\"build_type\": \"%s\"}",
-                cpu.c_str(), ::sysconf(_SC_NPROCESSORS_ONLN),
-                PBIO_BUILD_TYPE);
-  return buf;
-}
 
 int run(const std::vector<std::size_t>& conn_list,
         const std::vector<std::uint32_t>& depth_list,
@@ -541,11 +520,6 @@ int run(const std::vector<std::size_t>& conn_list,
       // the one with the smallest ratio; keep that one per cell.
       CellResult cell;
       bool have = false;
-      auto ratio_of = [](const CellResult& c) {
-        return c.child.p50_ns > 0 ? static_cast<double>(c.child.p99_ns) /
-                                        static_cast<double>(c.child.p50_ns)
-                                  : 0.0;
-      };
       for (unsigned rep = 0; rep < (repeat == 0 ? 1 : repeat); ++rep) {
         CellResult attempt;
         if (!run_cell(conns, depth, frames, size, workers, mode, decode,
@@ -554,21 +528,17 @@ int run(const std::vector<std::size_t>& conn_list,
                        depth);
           return 1;
         }
-        if (!have || ratio_of(attempt) < ratio_of(cell)) {
+        if (!have || p99_over_p50(attempt) < p99_over_p50(cell)) {
           cell = attempt;
           have = true;
         }
       }
-      const double ratio =
-          cell.child.p50_ns > 0 ? static_cast<double>(cell.child.p99_ns) /
-                                      static_cast<double>(cell.child.p50_ns)
-                                : 0.0;
       char r[32], mps[32], p50[32], p99[32], p999[32], spm[32];
       std::snprintf(mps, sizeof mps, "%.0f", cell.msgs_per_sec);
       std::snprintf(p50, sizeof p50, "%.1f", us(cell.child.p50_ns));
       std::snprintf(p99, sizeof p99, "%.1f", us(cell.child.p99_ns));
       std::snprintf(p999, sizeof p999, "%.1f", us(cell.child.p999_ns));
-      std::snprintf(r, sizeof r, "%.2f", ratio);
+      std::snprintf(r, sizeof r, "%.2f", p99_over_p50(cell));
       std::snprintf(spm, sizeof spm, "%.2f", cell.syscalls_per_msg);
       t.add_row({std::to_string(cell.conns), std::to_string(cell.depth),
                  std::to_string(cell.frames), std::to_string(cell.child.msgs),
@@ -590,43 +560,35 @@ int run(const std::vector<std::size_t>& conn_list,
               tail_ok ? "met" : "MISSED");
 
   if (write_json) {
-    std::FILE* f = std::fopen("BENCH_broker.json", "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write BENCH_broker.json\n");
+    std::vector<bench::JsonFields> json;
+    for (const CellResult& c : cells) {
+      json.push_back(
+          {{"connections", std::to_string(c.conns)},
+           {"depth", std::to_string(c.depth)},
+           {"frames_per_conn", std::to_string(c.frames)},
+           {"payload_bytes", std::to_string(c.payload)},
+           {"msgs", std::to_string(c.child.msgs)},
+           {"msgs_per_sec", bench::json_num(c.msgs_per_sec, 0)},
+           {"p50_us", bench::json_num(us(c.child.p50_ns), 1)},
+           {"p90_us", bench::json_num(us(c.child.p90_ns), 1)},
+           {"p99_us", bench::json_num(us(c.child.p99_ns), 1)},
+           {"p999_us", bench::json_num(us(c.child.p999_ns), 1)},
+           {"mean_us", bench::json_num(us(c.child.mean_ns), 1)},
+           {"p99_over_p50", bench::json_num(p99_over_p50(c), 2)},
+           {"syscalls_per_msg", bench::json_num(c.syscalls_per_msg, 2)},
+           {"sheds", std::to_string(c.stats.shed_connections +
+                                    c.stats.shed_inflight)},
+           {"errors",
+            std::to_string(c.child.errors + c.child.connect_failures)}});
+    }
+    if (!bench::write_bench_json(
+            "BENCH_broker.json", "broker_scale",
+            {{"payload", bench::json_str(bench::label(size))},
+             {"workers", std::to_string(workers)},
+             {"decode", decode ? "true" : "false"}},
+            json)) {
       return 1;
     }
-    std::fprintf(f,
-                 "{\n  \"bench\": \"broker_scale\",\n  \"host\": %s,\n"
-                 "  \"payload\": \"%s\",\n"
-                 "  \"workers\": %u,\n  \"decode\": %s,\n  \"rows\": [\n",
-                 host_json().c_str(), bench::label(size), workers,
-                 decode ? "true" : "false");
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const CellResult& c = cells[i];
-      std::fprintf(
-          f,
-          "    {\"connections\": %zu, \"depth\": %u, \"frames_per_conn\": %u, "
-          "\"payload_bytes\": %zu, \"msgs\": %llu, \"msgs_per_sec\": %.0f, "
-          "\"p50_us\": %.1f, \"p90_us\": %.1f, \"p99_us\": %.1f, "
-          "\"p999_us\": %.1f, \"mean_us\": %.1f, \"p99_over_p50\": %.2f, "
-          "\"syscalls_per_msg\": %.2f, \"sheds\": %llu, \"errors\": %llu}%s\n",
-          c.conns, c.depth, c.frames, c.payload,
-          static_cast<unsigned long long>(c.child.msgs), c.msgs_per_sec,
-          us(c.child.p50_ns), us(c.child.p90_ns), us(c.child.p99_ns),
-          us(c.child.p999_ns), us(c.child.mean_ns),
-          c.child.p50_ns > 0 ? static_cast<double>(c.child.p99_ns) /
-                                   static_cast<double>(c.child.p50_ns)
-                             : 0.0,
-          c.syscalls_per_msg,
-          static_cast<unsigned long long>(c.stats.shed_connections +
-                                          c.stats.shed_inflight),
-          static_cast<unsigned long long>(c.child.errors +
-                                          c.child.connect_failures),
-          i + 1 == cells.size() ? "" : ",");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote BENCH_broker.json (%zu rows)\n", cells.size());
   }
   return 0;
 }

@@ -19,7 +19,6 @@
 #include "arch/layout.h"
 #include "bench_support/harness.h"
 #include "pbio/context.h"
-#include "util/stopwatch.h"
 #include "vcode/jit_convert.h"
 
 namespace pbio::bench {
@@ -129,31 +128,23 @@ int run(std::size_t connections, std::size_t npairs, bool write_json) {
               npairs, shared_ok ? "met" : "MISSED");
 
   if (write_json) {
-    std::FILE* f = std::fopen("BENCH_cache.json", "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write BENCH_cache.json\n");
+    std::vector<JsonFields> json;
+    for (const RowResult& r : rows) {
+      json.push_back({{"mode", json_str(r.mode)},
+                      {"connections", std::to_string(r.connections)},
+                      {"pairs", std::to_string(r.pairs)},
+                      {"compiles", std::to_string(r.compiles)},
+                      {"total_ms", json_num(r.total_ms, 2)},
+                      {"us_per_conn", json_num(r.us_per_conn, 2)}});
+    }
+    if (!write_bench_json(
+            "BENCH_cache.json", "cache_warmup",
+            {{"connections", std::to_string(connections)},
+             {"pairs", std::to_string(npairs)},
+             {"tval", vcode::tval_enabled() ? "true" : "false"}},
+            json)) {
       return 1;
     }
-    std::fprintf(f,
-                 "{\n  \"bench\": \"cache_warmup\",\n"
-                 "  \"connections\": %zu,\n  \"pairs\": %zu,\n"
-                 "  \"tval\": %s,\n  \"rows\": [\n",
-                 connections, npairs,
-                 vcode::tval_enabled() ? "true" : "false");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const RowResult& r = rows[i];
-      std::fprintf(
-          f,
-          "    {\"mode\": \"%s\", \"connections\": %zu, \"pairs\": %zu, "
-          "\"compiles\": %llu, \"total_ms\": %.2f, "
-          "\"us_per_conn\": %.2f}%s\n",
-          r.mode.c_str(), r.connections, r.pairs,
-          static_cast<unsigned long long>(r.compiles), r.total_ms,
-          r.us_per_conn, i + 1 == rows.size() ? "" : ",");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote BENCH_cache.json (%zu rows)\n", rows.size());
   }
 
   return shared_ok ? 0 : 1;

@@ -13,61 +13,48 @@
 //    x86 side) maps our costs onto the 1999 testbed. Every other cell is
 //    then a prediction checked against the paper, which reports
 //    encode/decode at ~66% of the total exchange.
+//
+// The four marshalling steps of each row are timed against each other in
+// alternating rounds (bench/roundtrip.h); each cell is a median in µs.
+#include <cstdio>
 #include <vector>
 
-#include "baselines/mpilite/pack.h"
 #include "bench_support/harness.h"
 #include "bench_support/workload.h"
+#include "roundtrip.h"
 #include "transport/simnet.h"
 
 namespace pbio::bench {
 namespace {
 
-struct Cells {
-  double sparc_enc, i86_dec, i86_enc, sparc_dec, net_ms;
-  double total() const {
-    return sparc_enc + net_ms + i86_dec + i86_enc + net_ms + sparc_dec;
-  }
-  double encdec_pct() const {
-    return (sparc_enc + i86_dec + i86_enc + sparc_dec) / total() * 100.0;
-  }
-};
-
-Cells measure_cells(Size s, const transport::NetworkModel& net) {
-  Workload ab = make_workload(s, arch::abi_sparc_v8(), arch::abi_x86());
-  Workload ba = make_workload(s, arch::abi_x86(), arch::abi_sparc_v8());
-  const auto dt_sparc = datatype_for(ab.src_fmt);
-  const auto dt_x86 = datatype_for(ba.src_fmt);
-  ByteBuffer packed_ab, packed_ba;
-  std::vector<std::uint8_t> x86_native(ba.src_fmt.fixed_size);
-  std::vector<std::uint8_t> sparc_native(ab.src_fmt.fixed_size);
-  Cells c;
-  c.sparc_enc = measure_ms([&] {
-    packed_ab.clear();
-    (void)mpilite::pack(dt_sparc, ab.src_image.data(), 1, packed_ab);
-  });
-  c.i86_dec = measure_ms([&] {
-    (void)mpilite::unpack(dt_x86, packed_ab.view(), x86_native.data(),
-                          x86_native.size(), 1);
-  });
-  c.i86_enc = measure_ms([&] {
-    packed_ba.clear();
-    (void)mpilite::pack(dt_x86, ba.src_image.data(), 1, packed_ba);
-  });
-  c.sparc_dec = measure_ms([&] {
-    (void)mpilite::unpack(dt_sparc, packed_ba.view(), sparc_native.data(),
-                          sparc_native.size(), 1);
-  });
-  c.net_ms = net.transfer_ms(packed_ab.size() + 8);
-  return c;
+Roundtrip measure(Size s, const transport::NetworkModel& net) {
+  MpichSteps m(s);
+  auto sparc_enc = [&] { m.sparc_enc(); };
+  auto i86_dec = [&] { m.i86_dec(); };
+  auto i86_enc = [&] { m.i86_enc(); };
+  auto sparc_dec = [&] { m.sparc_dec(); };
+  auto [t_se, t_id, t_ie, t_sd] =
+      alternating_rounds_ns(sparc_enc, i86_dec, i86_enc, sparc_dec);
+  return {std::move(t_se), std::move(t_id), std::move(t_ie), std::move(t_sd),
+          net.transfer_ms(m.packed_ab.size() + 8) * 1e6,
+          net.transfer_ms(m.packed_ba.size() + 8) * 1e6};
 }
 
-void add_row(Table& t, Size s, const Cells& c, const char* extra = nullptr) {
+void add_row(Table& t, Size s, const Roundtrip& c,
+             const char* extra = nullptr) {
+  char share[32];
+  std::snprintf(share, sizeof share, "%.1f%%",
+                median_ratio(c.cpu(), c.total()) * 100.0);
   std::vector<std::string> row = {
-      label(s),           fmt_ms(c.sparc_enc), fmt_ms(c.net_ms),
-      fmt_ms(c.i86_dec),  fmt_ms(c.i86_enc),   fmt_ms(c.net_ms),
-      fmt_ms(c.sparc_dec), fmt_ms(c.total()),
-      fmt_ms(c.encdec_pct()) + "%"};
+      label(s),
+      fmt_us(median(c.sparc_enc)),
+      fmt_us(c.net_ab_ns),
+      fmt_us(median(c.i86_dec)),
+      fmt_us(median(c.i86_enc)),
+      fmt_us(c.net_ba_ns),
+      fmt_us(median(c.sparc_dec)),
+      fmt_us(median(c.total())),
+      share};
   if (extra != nullptr) row.push_back(extra);
   t.add_row(std::move(row));
 }
@@ -75,35 +62,30 @@ void add_row(Table& t, Size s, const Cells& c, const char* extra = nullptr) {
 int run() {
   print_header("Figure 1",
                "MPICH round-trip cost breakdown, sparc <-> x86, 100 Mbps "
-               "model; times in ms");
+               "model; median us over alternating rounds");
   const auto net = transport::paper_network();
   const std::vector<std::string> cols = {"size",    "sparc_enc", "net",
                                          "i86_dec", "i86_enc",   "net ",
                                          "sparc_dec", "total",   "enc+dec%"};
   auto era_cols = cols;
   era_cols.push_back("paper_total");
-  Table measured("MPICH roundtrip breakdown (ms), measured CPU", cols);
-  Table era("MPICH roundtrip breakdown (ms), era-scaled CPU", era_cols);
-  const char* paper_total[] = {"0.66", "1.11", "8.43", "80.0"};
+  Table measured("MPICH roundtrip breakdown (us), measured CPU", cols);
+  Table era("MPICH roundtrip breakdown (us), era-scaled CPU", era_cols);
+  // The paper's Figure 1 totals: 0.66, 1.11, 8.43 and 80.0 ms.
+  const char* paper_total[] = {"660", "1110", "8430", "80000"};
 
-  std::vector<Cells> cells;
+  std::vector<Roundtrip> cells;
   for (Size s : all_sizes()) {
-    cells.push_back(measure_cells(s, net));
+    cells.push_back(measure(s, net));
     add_row(measured, s, cells.back());
   }
   measured.print();
 
   // Era calibration on the 100 Kb sparc-encode cell (paper: 13.31 ms).
-  const double era_scale = 13.31 / cells.back().sparc_enc;
-  int row = 0;
-  for (Size s : all_sizes()) {
-    Cells c = cells[static_cast<std::size_t>(row)];
-    c.sparc_enc *= era_scale;
-    c.sparc_dec *= era_scale;
-    c.i86_dec *= era_scale / 2.0;  // the testbed PC was ~2x the Sparc
-    c.i86_enc *= era_scale / 2.0;
-    add_row(era, s, c, paper_total[row]);
-    ++row;
+  const double era_scale = 13.31e6 / median(cells.back().sparc_enc);
+  for (std::size_t row = 0; row < cells.size(); ++row) {
+    add_row(era, all_sizes()[row], cells[row].era_scaled(era_scale),
+            paper_total[row]);
   }
   era.print();
   std::cout << "\nEra scaling: CPU x" << static_cast<int>(era_scale)

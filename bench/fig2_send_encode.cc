@@ -4,6 +4,10 @@
 // Paper shape to confirm: XML is 1-2 orders above the binary systems;
 // MPICH/CORBA grow with message size; PBIO stays flat (NDR sends the
 // record's own bytes — the only work is a 16-byte header and a gather).
+//
+// The four encoders of each row are timed against each other in
+// alternating rounds (bench_support/harness.h); each cell is the median µs
+// per record and each ratio the median of its per-round ratios.
 #include <string>
 
 #include "baselines/cdr/cdr.h"
@@ -19,8 +23,9 @@ namespace {
 
 int run() {
   print_header("Figure 2",
-               "Sender-side encode times on the sparc sender; times in ms");
-  Table table("Send encode times (ms)",
+               "Sender-side encode times on the sparc sender; median us per "
+               "record over alternating rounds");
+  Table table("Send encode times (us)",
               {"size", "XML", "MPICH", "CORBA", "PBIO", "MPICH/PBIO",
                "XML/PBIO"});
 
@@ -38,17 +43,17 @@ int run() {
     (void)writer.announce(fmt_id);
 
     std::string xml;
-    const double t_xml = measure_ms([&] {
+    auto xml_enc = [&] {
       xml.clear();
       (void)xmlwire::encode_xml(w.src_fmt, w.src_image, xml, era_style);
-    });
+    };
     ByteBuffer packed;
-    const double t_mpich = measure_ms([&] {
+    auto mpich = [&] {
       packed.clear();
       (void)mpilite::pack(dt, w.src_image.data(), 1, packed);
-    });
+    };
     ByteBuffer cdr_buf;
-    const double t_corba = measure_ms([&] {
+    auto corba = [&] {
       cdr_buf.clear();
       cdr::GiopHeader h;
       h.byte_order = w.src_fmt.byte_order;
@@ -56,14 +61,15 @@ int run() {
       cdr::write_giop_header(h, cdr_buf);
       cdr::Encoder enc(cdr_buf, w.src_fmt.byte_order);
       (void)cdr::encode_record(w.src_fmt, w.src_image, enc);
-    });
-    const double t_pbio = measure_ms([&] {
-      (void)writer.write_image(fmt_id, w.src_image);
-    });
+    };
+    auto pbio = [&] { (void)writer.write_image(fmt_id, w.src_image); };
+    const auto [t_xml, t_mpich, t_corba, t_pbio] =
+        alternating_rounds_ns(xml_enc, mpich, corba, pbio);
 
-    table.add_row({label(s), fmt_ms(t_xml), fmt_ms(t_mpich), fmt_ms(t_corba),
-                   fmt_ms(t_pbio), fmt_ratio(t_mpich / t_pbio),
-                   fmt_ratio(t_xml / t_pbio)});
+    table.add_row({label(s), fmt_us(median(t_xml)), fmt_us(median(t_mpich)),
+                   fmt_us(median(t_corba)), fmt_us(median(t_pbio)),
+                   fmt_ratio(median_ratio(t_mpich, t_pbio)),
+                   fmt_ratio(median_ratio(t_xml, t_pbio))});
   }
   table.print();
   std::cout << "\nPBIO send cost is flat: NDR transmits the record image "

@@ -6,6 +6,10 @@
 // systems; PBIO's interpreted converter is at or below MPICH (it converts
 // whole field runs per dispatch and reuses the receive buffer; MPICH
 // dispatches per element into a separate buffer).
+//
+// The four decoders of each row are timed against each other in
+// alternating rounds (bench_support/harness.h); each cell is the median µs
+// per record and each ratio the median of its per-round ratios.
 #include <string>
 
 #include "baselines/cdr/cdr.h"
@@ -22,8 +26,8 @@ namespace {
 int run() {
   print_header("Figure 3",
                "Receiver-side decode times (interpreted), x86 wire -> sparc "
-               "native; times in ms");
-  Table table("Receive decode times (ms)",
+               "native; median us per record over alternating rounds");
+  Table table("Receive decode times (us)",
               {"size", "XML", "MPICH", "CORBA", "PBIO", "XML/PBIO",
                "MPICH/PBIO"});
 
@@ -45,27 +49,27 @@ int run() {
     const convert::Plan plan = convert::compile_plan(w.src_fmt, w.dst_fmt);
 
     std::vector<std::uint8_t> out(w.dst_fmt.fixed_size);
-    const double t_xml = measure_ms(
-        [&] { (void)xmlwire::decode_xml(w.dst_fmt, xml, out); });
-    const double t_mpich = measure_ms([&] {
+    convert::ExecInput in;
+    in.src = w.src_image.data();
+    in.src_size = w.src_image.size();
+    in.dst = out.data();
+    in.dst_size = out.size();
+    auto xml_dec = [&] { (void)xmlwire::decode_xml(w.dst_fmt, xml, out); };
+    auto mpich = [&] {
       (void)mpilite::unpack(dt_dst, packed.view(), out.data(), out.size(), 1);
-    });
-    const double t_corba = measure_ms([&] {
+    };
+    auto corba = [&] {
       cdr::Decoder dec(cdr_stream.view(), w.src_fmt.byte_order);
       (void)cdr::decode_record(w.dst_fmt, dec, out);
-    });
-    const double t_pbio = measure_ms([&] {
-      convert::ExecInput in;
-      in.src = w.src_image.data();
-      in.src_size = w.src_image.size();
-      in.dst = out.data();
-      in.dst_size = out.size();
-      (void)convert::run_plan(plan, in);
-    });
+    };
+    auto pbio = [&] { (void)convert::run_plan(plan, in); };
+    const auto [t_xml, t_mpich, t_corba, t_pbio] =
+        alternating_rounds_ns(xml_dec, mpich, corba, pbio);
 
-    table.add_row({label(s), fmt_ms(t_xml), fmt_ms(t_mpich), fmt_ms(t_corba),
-                   fmt_ms(t_pbio), fmt_ratio(t_xml / t_pbio),
-                   fmt_ratio(t_mpich / t_pbio)});
+    table.add_row({label(s), fmt_us(median(t_xml)), fmt_us(median(t_mpich)),
+                   fmt_us(median(t_corba)), fmt_us(median(t_pbio)),
+                   fmt_ratio(median_ratio(t_xml, t_pbio)),
+                   fmt_ratio(median_ratio(t_mpich, t_pbio))});
   }
   table.print();
   return 0;

@@ -52,10 +52,10 @@ int run() {
     const auto [t_mpich, t_interp, t_dcg, t_memcpy] =
         alternating_rounds_ns(mpich, interp, gen, copy);
 
-    table.add_row({label(s), fmt_us4(median(t_mpich) / 1e3),
-                   fmt_us4(median(t_interp) / 1e3),
-                   fmt_us4(median(t_dcg) / 1e3),
-                   fmt_us4(median(t_memcpy) / 1e3),
+    table.add_row({label(s), fmt_us(median(t_mpich)),
+                   fmt_us(median(t_interp)),
+                   fmt_us(median(t_dcg)),
+                   fmt_us(median(t_memcpy)),
                    fmt_ratio(median_ratio(t_interp, t_dcg)),
                    fmt_ratio(median_ratio(t_dcg, t_memcpy))});
   }
@@ -105,9 +105,9 @@ int run() {
     const auto [t_mpich, t_interp, t_dcg] =
         alternating_rounds_ns(mpich, interp, gen);
     scalar_table.add_row({std::to_string(nfields),
-                          fmt_us4(median(t_mpich) / 1e3),
-                          fmt_us4(median(t_interp) / 1e3),
-                          fmt_us4(median(t_dcg) / 1e3),
+                          fmt_us(median(t_mpich)),
+                          fmt_us(median(t_interp)),
+                          fmt_us(median(t_dcg)),
                           fmt_ratio(median_ratio(t_interp, t_dcg))});
   }
   scalar_table.print();

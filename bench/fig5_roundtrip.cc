@@ -1,155 +1,127 @@
 // Figure 5 reproduction: full round-trip cost comparison, PBIO (with DCG)
-// vs MPICH, with per-component breakdown — the paper's headline result
+// vs MPICH — the paper's headline result
 // ("PBIO can accomplish a round-trip in 45% of the time required by
 // MPICH" at large sizes).
 //
 // CPU components are measured; network components use the calibrated
-// 100 Mbps model applied to each system's actual wire size.
-#include "baselines/mpilite/pack.h"
+// 100 Mbps model applied to each system's actual wire size. The eight
+// marshalling steps of each size (four per system) are timed against each
+// other in alternating rounds (bench/roundtrip.h); each cell is a median in
+// µs and each ratio the median of its per-round ratios.
 #include "bench_support/harness.h"
 #include "bench_support/workload.h"
 #include "pbio/pbio.h"
+#include "roundtrip.h"
 #include "transport/simnet.h"
 #include "vcode/jit_convert.h"
 
 namespace pbio::bench {
 namespace {
 
-struct SystemRoundtrip {
-  double enc_a, dec_b, enc_b, dec_a, net_ab, net_ba;
-  double total() const {
-    return enc_a + net_ab + dec_b + enc_b + net_ba + dec_a;
-  }
+struct Row {
+  Roundtrip mpich, pbio;
+  // Wire bytes each way, for the modern-network view.
+  std::size_t mpich_ab, mpich_ba, pbio_ab, pbio_ba;
 };
+
+Row measure(Size s, Context& ctx, Writer& writer,
+            const transport::NetworkModel& net) {
+  MpichSteps m(s);
+  const Workload& ab = m.ab;
+  const Workload& ba = m.ba;
+  auto m_sparc_enc = [&] { m.sparc_enc(); };
+  auto m_i86_dec = [&] { m.i86_dec(); };
+  auto m_i86_enc = [&] { m.i86_enc(); };
+  auto m_sparc_dec = [&] { m.sparc_dec(); };
+
+  // ---- PBIO with DCG ----
+  const auto id_ab = ctx.register_format(ab.src_fmt);
+  const auto id_ba = ctx.register_format(ba.src_fmt);
+  (void)writer.announce(id_ab);
+  (void)writer.announce(id_ba);
+  const vcode::CompiledConvert conv_b(
+      convert::compile_plan(ab.src_fmt, ba.src_fmt));  // sparc wire -> x86
+  const vcode::CompiledConvert conv_a(
+      convert::compile_plan(ba.src_fmt, ab.src_fmt));  // x86 wire -> sparc
+  convert::ExecInput in_b;
+  in_b.src = ab.src_image.data();
+  in_b.src_size = ab.src_image.size();
+  in_b.dst = m.x86_native.data();
+  in_b.dst_size = m.x86_native.size();
+  convert::ExecInput in_a;
+  in_a.src = ba.src_image.data();
+  in_a.src_size = ba.src_image.size();
+  in_a.dst = m.sparc_native.data();
+  in_a.dst_size = m.sparc_native.size();
+  auto p_sparc_enc = [&] { (void)writer.write_image(id_ab, ab.src_image); };
+  auto p_i86_dec = [&] { (void)conv_b.run(in_b); };
+  auto p_i86_enc = [&] { (void)writer.write_image(id_ba, ba.src_image); };
+  auto p_sparc_dec = [&] { (void)conv_a.run(in_a); };
+
+  auto [mse, mid, mie, msd, pse, pid, pie, psd] = alternating_rounds_ns(
+      m_sparc_enc, m_i86_dec, m_i86_enc, m_sparc_dec, p_sparc_enc, p_i86_dec,
+      p_i86_enc, p_sparc_dec);
+  Row row{.mpich_ab = m.packed_ab.size() + 8,
+          .mpich_ba = m.packed_ba.size() + 8,
+          .pbio_ab = ab.src_image.size() + kDataHeaderSize,
+          .pbio_ba = ba.src_image.size() + kDataHeaderSize};
+  row.mpich = {std::move(mse), std::move(mid), std::move(mie), std::move(msd),
+               net.transfer_ms(row.mpich_ab) * 1e6,
+               net.transfer_ms(row.mpich_ba) * 1e6};
+  row.pbio = {std::move(pse), std::move(pid), std::move(pie), std::move(psd),
+              net.transfer_ms(row.pbio_ab) * 1e6,
+              net.transfer_ms(row.pbio_ba) * 1e6};
+  return row;
+}
+
+void add_total_row(Table& t, Size s, const Roundtrip& mpich,
+                   const Roundtrip& pbio, const char* paper = nullptr) {
+  std::vector<std::string> row = {label(s), fmt_us(median(mpich.total())),
+                                  fmt_us(median(pbio.total())),
+                                  fmt_ratio(median_ratio(pbio.total(),
+                                                         mpich.total()))};
+  if (paper != nullptr) row.push_back(paper);
+  t.add_row(std::move(row));
+}
 
 int run() {
   print_header("Figure 5",
                "Round-trip comparison PBIO-DCG vs MPICH, sparc <-> x86; "
-               "times in ms");
+               "median us over alternating rounds");
   const auto net = transport::paper_network();
   const auto modern = transport::modern_network();
-  Table table("Roundtrip totals (ms), measured CPU + 1999 network",
+  Table table("Roundtrip totals (us), measured CPU + 1999 network",
               {"size", "MPICH", "PBIO", "PBIO/MPICH", "paper"});
-  Table era("Roundtrip totals (ms), era-scaled CPU + 1999 network",
+  Table era("Roundtrip totals (us), era-scaled CPU + 1999 network",
             {"size", "MPICH", "PBIO", "PBIO/MPICH", "paper"});
-  Table today("Roundtrip totals (ms), measured CPU + modern 25GbE network",
+  Table today("Roundtrip totals (us), measured CPU + modern 25GbE network",
               {"size", "MPICH", "PBIO", "PBIO/MPICH"});
-  Table breakdown("PBIO roundtrip breakdown (ms)",
-                  {"size", "sparc_enc", "net", "i86_dec", "i86_enc", "net ",
-                   "sparc_dec"});
 
   // Paper's Figure 5 ratios (PBIO roundtrip / MPICH roundtrip).
   const char* paper_ratio[] = {"0.94x", "0.78x", "0.51x", "0.44x"};
-  SystemRoundtrip mpich_all[4]{};
-  SystemRoundtrip pbio_all[4]{};
-  int row = 0;
 
   Context ctx;
   NullChannel null_channel;
   Writer writer(ctx, null_channel);
+  std::vector<Row> rows;
+  for (Size s : all_sizes()) rows.push_back(measure(s, ctx, writer, net));
 
-  for (Size s : all_sizes()) {
-    Workload ab = make_workload(s, arch::abi_sparc_v8(), arch::abi_x86());
-    Workload ba = make_workload(s, arch::abi_x86(), arch::abi_sparc_v8());
-
-    // ---- MPICH ----
-    const auto dt_sparc = datatype_for(ab.src_fmt);
-    const auto dt_x86 = datatype_for(ba.src_fmt);
-    ByteBuffer packed_ab, packed_ba;
-    std::vector<std::uint8_t> x86_native(ba.src_fmt.fixed_size);
-    std::vector<std::uint8_t> sparc_native(ab.src_fmt.fixed_size);
-    SystemRoundtrip mpich;
-    mpich.enc_a = measure_ms([&] {
-      packed_ab.clear();
-      (void)mpilite::pack(dt_sparc, ab.src_image.data(), 1, packed_ab);
-    });
-    mpich.dec_b = measure_ms([&] {
-      (void)mpilite::unpack(dt_x86, packed_ab.view(), x86_native.data(),
-                            x86_native.size(), 1);
-    });
-    mpich.enc_b = measure_ms([&] {
-      packed_ba.clear();
-      (void)mpilite::pack(dt_x86, ba.src_image.data(), 1, packed_ba);
-    });
-    mpich.dec_a = measure_ms([&] {
-      (void)mpilite::unpack(dt_sparc, packed_ba.view(), sparc_native.data(),
-                            sparc_native.size(), 1);
-    });
-    mpich.net_ab = net.transfer_ms(packed_ab.size() + 8);
-    mpich.net_ba = net.transfer_ms(packed_ba.size() + 8);
-
-    // ---- PBIO with DCG ----
-    const auto id_ab = ctx.register_format(ab.src_fmt);
-    const auto id_ba = ctx.register_format(ba.src_fmt);
-    (void)writer.announce(id_ab);
-    (void)writer.announce(id_ba);
-    const vcode::CompiledConvert conv_b(
-        convert::compile_plan(ab.src_fmt, ba.src_fmt));  // sparc wire -> x86
-    const vcode::CompiledConvert conv_a(
-        convert::compile_plan(ba.src_fmt, ab.src_fmt));  // x86 wire -> sparc
-
-    SystemRoundtrip pbio;
-    pbio.enc_a =
-        measure_ms([&] { (void)writer.write_image(id_ab, ab.src_image); });
-    convert::ExecInput in_b;
-    in_b.src = ab.src_image.data();
-    in_b.src_size = ab.src_image.size();
-    in_b.dst = x86_native.data();
-    in_b.dst_size = x86_native.size();
-    pbio.dec_b = measure_ms([&] { (void)conv_b.run(in_b); });
-    pbio.enc_b =
-        measure_ms([&] { (void)writer.write_image(id_ba, ba.src_image); });
-    convert::ExecInput in_a;
-    in_a.src = ba.src_image.data();
-    in_a.src_size = ba.src_image.size();
-    in_a.dst = sparc_native.data();
-    in_a.dst_size = sparc_native.size();
-    pbio.dec_a = measure_ms([&] { (void)conv_a.run(in_a); });
-    pbio.net_ab = net.transfer_ms(ab.src_image.size() + kDataHeaderSize);
-    pbio.net_ba = net.transfer_ms(ba.src_image.size() + kDataHeaderSize);
-
-    table.add_row({label(s), fmt_ms(mpich.total()), fmt_ms(pbio.total()),
-                   fmt_ratio(pbio.total() / mpich.total()),
-                   paper_ratio[row]});
-    breakdown.add_row({label(s), fmt_ms(pbio.enc_a), fmt_ms(pbio.net_ab),
-                       fmt_ms(pbio.dec_b), fmt_ms(pbio.enc_b),
-                       fmt_ms(pbio.net_ba), fmt_ms(pbio.dec_a)});
-
-    mpich_all[row] = mpich;
-    pbio_all[row] = pbio;
-
-    // Era-scaled view: map CPU costs onto the 1999 testbed. The 100 Kb
-    // MPICH sparc encode is the calibration cell (paper: 13.31 ms); it is
-    // measured last, so the scaled table is emitted on the final size.
-    if (s == Size::k100KB) {
-      const double era_scale = 13.31 / mpich.enc_a;
-      auto scaled = [&](const SystemRoundtrip& r) {
-        SystemRoundtrip e = r;
-        e.enc_a *= era_scale;
-        e.dec_a *= era_scale;
-        e.enc_b *= era_scale / 2.0;  // the testbed PC was ~2x the Sparc
-        e.dec_b *= era_scale / 2.0;
-        return e;
-      };
-      // Re-derive every size with the now-known scale.
-      for (int i = 0; i < 4; ++i) {
-        const SystemRoundtrip em = scaled(mpich_all[i]);
-        const SystemRoundtrip ep = scaled(pbio_all[i]);
-        era.add_row({label(all_sizes()[i]), fmt_ms(em.total()),
-                     fmt_ms(ep.total()), fmt_ratio(ep.total() / em.total()),
-                     paper_ratio[i]});
-      }
-    }
-
+  // Era-scaled view: map CPU costs onto the 1999 testbed. The 100 Kb MPICH
+  // sparc encode is the calibration cell (paper: 13.31 ms).
+  const double era_scale = 13.31e6 / median(rows.back().mpich.sparc_enc);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Size s = all_sizes()[i];
+    const Row& r = rows[i];
+    add_total_row(table, s, r.mpich, r.pbio, paper_ratio[i]);
+    add_total_row(era, s, r.mpich.era_scaled(era_scale),
+                  r.pbio.era_scaled(era_scale), paper_ratio[i]);
     // Modern-network view: measured CPU, 25 GbE.
-    SystemRoundtrip m_mpich = mpich, m_pbio = pbio;
-    m_mpich.net_ab = modern.transfer_ms(packed_ab.size() + 8);
-    m_mpich.net_ba = modern.transfer_ms(packed_ba.size() + 8);
-    m_pbio.net_ab = modern.transfer_ms(ab.src_image.size() + kDataHeaderSize);
-    m_pbio.net_ba = modern.transfer_ms(ba.src_image.size() + kDataHeaderSize);
-    today.add_row({label(s), fmt_ms(m_mpich.total()), fmt_ms(m_pbio.total()),
-                   fmt_ratio(m_pbio.total() / m_mpich.total())});
-    ++row;
+    Roundtrip m_mpich = r.mpich, m_pbio = r.pbio;
+    m_mpich.net_ab_ns = modern.transfer_ms(r.mpich_ab) * 1e6;
+    m_mpich.net_ba_ns = modern.transfer_ms(r.mpich_ba) * 1e6;
+    m_pbio.net_ab_ns = modern.transfer_ms(r.pbio_ab) * 1e6;
+    m_pbio.net_ba_ns = modern.transfer_ms(r.pbio_ba) * 1e6;
+    add_total_row(today, s, m_mpich, m_pbio);
   }
   table.print();
   era.print();

@@ -3,10 +3,15 @@
 // effects (the paper notes "most of the cost of receiving data is actually
 // caused by the overhead of the kernel select() call" for small records).
 //
-// Three systems echo the same records through a server thread:
+// Three systems echo the same records, each over its own live connection
+// whose peer thread echoes until the connection closes:
 //  * PBIO: Writer/Reader + DCG decode into the native struct on each side,
 //  * MPICH-style: mpilite pack -> send -> recv -> unpack on each side,
 //  * raw: untyped byte echo (the transport floor).
+// The three round trips are timed against each other in alternating
+// rounds (bench_support/harness.h); each cell is a median in µs.
+#include <cstdio>
+#include <memory>
 #include <thread>
 
 #include "baselines/mpilite/comm.h"
@@ -18,145 +23,131 @@
 namespace pbio::bench {
 namespace {
 
-constexpr int kRoundTrips = 200;
-
-double pbio_roundtrip_ms(Size s) {
-  // Heterogeneous pair: "sparc" client record images, x86-64 server decode.
-  Context ctx;
-  Workload w = make_workload(s, arch::abi_sparc_v8(), arch::abi_x86_64());
-  const auto wire_id = ctx.register_format(w.src_fmt);
-  const auto native_id = ctx.register_format(w.dst_fmt);
-
-  transport::SocketListener listener;
-  std::thread server([&ctx, native_id, wire_id, &w,
-                      port = listener.port()] {
-    auto ch = transport::socket_connect(port);
-    if (!ch.is_ok()) return;
-    Reader r(ctx, *ch.value());
-    r.expect(native_id);
-    Writer reply(ctx, *ch.value());
-    std::vector<std::uint8_t> native(w.dst_fmt.fixed_size);
-    for (int i = 0; i < kRoundTrips + 1; ++i) {
-      auto msg = r.next();
-      if (!msg.is_ok()) return;
-      // Decode (DCG) then echo the record back in server-native form.
-      if (!msg.value().decode_into(native.data(), native.size()).is_ok()) {
-        return;
-      }
-      if (!reply.write_image(native_id, native).is_ok()) return;
-    }
-  });
-
-  auto accepted = listener.accept();
-  if (!accepted.is_ok()) {
-    server.join();
-    return -1;
+/// A live TCP-loopback connection; a peer thread runs `echo` on the other
+/// end until the connection closes, which the destructor does.
+class Link {
+ public:
+  template <typename Echo>
+  explicit Link(Echo echo) {
+    transport::SocketListener listener;
+    peer_ = std::thread([echo, port = listener.port()]() mutable {
+      auto ch = transport::socket_connect(port);
+      if (ch.is_ok()) echo(*ch.value());
+    });
+    auto accepted = listener.accept();
+    if (accepted.is_ok()) ch_ = std::move(accepted.value());
   }
-  Writer wr(ctx, *accepted.value());
-  Reader rd(ctx, *accepted.value());
-  rd.expect(wire_id);
-  // Warm-up round trip (announcements + conversion compile).
-  (void)wr.write_image(wire_id, w.src_image);
-  (void)rd.next();
-
-  Stopwatch sw;
-  for (int i = 0; i < kRoundTrips; ++i) {
-    (void)wr.write_image(wire_id, w.src_image);
-    auto msg = rd.next();
-    if (!msg.is_ok()) break;
+  ~Link() {
+    ch_.reset();
+    peer_.join();
   }
-  const double total = sw.elapsed_ms();
-  server.join();
-  return total / kRoundTrips;
-}
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
 
-double mpich_roundtrip_ms(Size s) {
-  Workload w = make_workload(s, arch::abi_sparc_v8(), arch::abi_x86_64());
-  const auto dt_client = datatype_for(w.src_fmt);
-  const auto dt_server = datatype_for(w.dst_fmt);
+  bool ok() const { return ch_ != nullptr; }
+  transport::SocketChannel& channel() { return *ch_; }
 
-  transport::SocketListener listener;
-  std::thread server([&, port = listener.port()] {
-    auto ch = transport::socket_connect(port);
-    if (!ch.is_ok()) return;
-    mpilite::Comm comm(*ch.value());
-    std::vector<std::uint8_t> native(w.dst_fmt.fixed_size);
-    for (int i = 0; i < kRoundTrips + 1; ++i) {
-      if (!comm.recv(dt_server, native.data(), native.size(), 1, 1).is_ok()) {
-        return;
-      }
-      if (!comm.send(dt_server, native.data(), 1, 1).is_ok()) return;
-    }
-  });
+ private:
+  std::unique_ptr<transport::SocketChannel> ch_;
+  std::thread peer_;
+};
 
-  auto accepted = listener.accept();
-  if (!accepted.is_ok()) {
-    server.join();
-    return -1;
-  }
-  mpilite::Comm comm(*accepted.value());
-  std::vector<std::uint8_t> back(w.src_fmt.fixed_size);
-  (void)comm.send(dt_client, w.src_image.data(), 1, 1);
-  (void)comm.recv(dt_client, back.data(), back.size(), 1, 1);
-
-  Stopwatch sw;
-  for (int i = 0; i < kRoundTrips; ++i) {
-    if (!comm.send(dt_client, w.src_image.data(), 1, 1).is_ok()) break;
-    if (!comm.recv(dt_client, back.data(), back.size(), 1, 1).is_ok()) break;
-  }
-  const double total = sw.elapsed_ms();
-  server.join();
-  return total / kRoundTrips;
-}
-
-double raw_roundtrip_ms(Size s) {
-  Workload w = make_workload(s, arch::abi_sparc_v8(), arch::abi_x86_64());
-  transport::SocketListener listener;
-  std::thread server([&, port = listener.port()] {
-    auto ch = transport::socket_connect(port);
-    if (!ch.is_ok()) return;
-    for (int i = 0; i < kRoundTrips + 1; ++i) {
-      auto msg = ch.value()->recv_buf();
-      if (!msg.is_ok()) return;
-      if (!ch.value()->send(msg.value().view()).is_ok()) return;
-    }
-  });
-  auto accepted = listener.accept();
-  if (!accepted.is_ok()) {
-    server.join();
-    return -1;
-  }
-  (void)accepted.value()->send(w.src_image);
-  (void)accepted.value()->recv_buf();
-  Stopwatch sw;
-  for (int i = 0; i < kRoundTrips; ++i) {
-    if (!accepted.value()->send(w.src_image).is_ok()) break;
-    auto msg = accepted.value()->recv_buf();
-    if (!msg.is_ok()) break;
-  }
-  const double total = sw.elapsed_ms();
-  server.join();
-  return total / kRoundTrips;
+/// Per-round differences a[r] - b[r].
+std::vector<double> minus(const std::vector<double>& a,
+                          const std::vector<double>& b) {
+  std::vector<double> d(a.size());
+  for (std::size_t r = 0; r < d.size(); ++r) d[r] = a[r] - b[r];
+  return d;
 }
 
 int run() {
   print_header("Figure 5 (sockets)",
-               "Real TCP-loopback round trips (incl. kernel path); mean ms "
-               "over 200 round trips");
-  Table table("Socket roundtrips (ms)",
+               "Real TCP-loopback round trips (incl. kernel path); median "
+               "us over alternating rounds");
+  Table table("Socket roundtrips (us)",
               {"size", "raw_echo", "PBIO", "MPICH", "PBIO_overhead",
                "MPICH_overhead", "PBIO/MPICH"});
   for (Size s : all_sizes()) {
-    const double raw = raw_roundtrip_ms(s);
-    const double pbio = pbio_roundtrip_ms(s);
-    const double mpich = mpich_roundtrip_ms(s);
-    table.add_row({label(s), fmt_ms(raw), fmt_ms(pbio), fmt_ms(mpich),
-                   fmt_ms(pbio - raw), fmt_ms(mpich - raw),
-                   fmt_ratio(pbio / mpich)});
+    // Heterogeneous pair: "sparc" client record images, x86-64 peer.
+    Context ctx;
+    const Workload w =
+        make_workload(s, arch::abi_sparc_v8(), arch::abi_x86_64());
+    const auto wire_id = ctx.register_format(w.src_fmt);
+    const auto native_id = ctx.register_format(w.dst_fmt);
+    const auto dt_client = datatype_for(w.src_fmt);
+    const auto dt_peer = datatype_for(w.dst_fmt);
+
+    Link raw_link([](transport::SocketChannel& ch) {
+      for (auto m = ch.recv_buf(); m.is_ok(); m = ch.recv_buf()) {
+        if (!ch.send(m.value().view()).is_ok()) return;
+      }
+    });
+    Link pbio_link([&ctx, &w, native_id](transport::SocketChannel& ch) {
+      Reader r(ctx, ch);
+      r.expect(native_id);
+      Writer reply(ctx, ch);
+      std::vector<std::uint8_t> native(w.dst_fmt.fixed_size);
+      // Decode (DCG) then echo the record back in peer-native form.
+      for (auto m = r.next(); m.is_ok(); m = r.next()) {
+        if (!m.value().decode_into(native.data(), native.size()).is_ok() ||
+            !reply.write_image(native_id, native).is_ok()) {
+          return;
+        }
+      }
+    });
+    Link mpich_link([&w, &dt_peer](transport::SocketChannel& ch) {
+      mpilite::Comm comm(ch);
+      std::vector<std::uint8_t> native(w.dst_fmt.fixed_size);
+      while (comm.recv(dt_peer, native.data(), native.size(), 1, 1).is_ok() &&
+             comm.send(dt_peer, native.data(), 1, 1).is_ok()) {
+      }
+    });
+    if (!raw_link.ok() || !pbio_link.ok() || !mpich_link.ok()) {
+      std::fprintf(stderr, "%s: connection set-up failed\n", label(s));
+      return 1;
+    }
+
+    int failures = 0;
+    auto raw = [&] {
+      if (!raw_link.channel().send(w.src_image).is_ok() ||
+          !raw_link.channel().recv_buf().is_ok()) {
+        ++failures;
+      }
+    };
+    Writer wr(ctx, pbio_link.channel());
+    Reader rd(ctx, pbio_link.channel());
+    rd.expect(wire_id);
+    auto pbio = [&] {
+      if (!wr.write_image(wire_id, w.src_image).is_ok() ||
+          !rd.next().is_ok()) {
+        ++failures;
+      }
+    };
+    mpilite::Comm comm(mpich_link.channel());
+    std::vector<std::uint8_t> back(w.src_fmt.fixed_size);
+    auto mpich = [&] {
+      if (!comm.send(dt_client, w.src_image.data(), 1, 1).is_ok() ||
+          !comm.recv(dt_client, back.data(), back.size(), 1, 1).is_ok()) {
+        ++failures;
+      }
+    };
+    const auto [t_raw, t_pbio, t_mpich] =
+        alternating_rounds_ns(raw, pbio, mpich);
+    if (failures != 0) {
+      std::fprintf(stderr, "%s: %d round trips failed\n", label(s),
+                   failures);
+      return 1;
+    }
+    table.add_row({label(s), fmt_us(median(t_raw)), fmt_us(median(t_pbio)),
+                   fmt_us(median(t_mpich)),
+                   fmt_us(median(minus(t_pbio, t_raw))),
+                   fmt_us(median(minus(t_mpich, t_raw))),
+                   fmt_ratio(median_ratio(t_pbio, t_mpich))});
   }
   table.print();
-  std::cout << "\n'overhead' = round trip minus the raw byte echo: the "
-               "marshalling cost each\nsystem adds on a real kernel path.\n";
+  std::cout << "\n'overhead' = round trip minus the raw byte echo in the "
+               "same round: the\nmarshalling cost each system adds on a "
+               "real kernel path.\n";
   return 0;
 }
 

@@ -62,8 +62,8 @@ int run() {
     auto run_x = [&] { (void)mismatched.run(in_x); };
 
     const auto [t_m, t_x] = alternating_rounds_ns(run_m, run_x);
-    table.add_row({label(s), fmt_us4(median(t_m) / 1e3),
-                   fmt_us4(median(t_x) / 1e3),
+    table.add_row({label(s), fmt_us(median(t_m)),
+                   fmt_us(median(t_x)),
                    fmt_pct((median_ratio(t_x, t_m) - 1.0) * 100.0)});
   }
   table.print();

@@ -91,10 +91,10 @@ int run() {
         alternating_rounds_ns(recv_matched, recv_front, recv_end, copy);
     (void)sink;
 
-    table.add_row({label(s), fmt_us4(median(t_matched) / 1e3),
-                   fmt_us4(median(t_front) / 1e3),
-                   fmt_us4(median(t_end) / 1e3),
-                   fmt_us4(median(t_memcpy) / 1e3),
+    table.add_row({label(s), fmt_us(median(t_matched)),
+                   fmt_us(median(t_front)),
+                   fmt_us(median(t_end)),
+                   fmt_us(median(t_memcpy)),
                    fmt_ratio(median_ratio(t_front, t_memcpy))});
   }
   table.print();

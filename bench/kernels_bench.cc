@@ -4,8 +4,9 @@
 // Prints the harness tables and also emits machine-readable results to
 // BENCH_kernels.json (in the working directory) so the perf trajectory of
 // the swap/convert hot loops is tracked from run to run.
+#include <algorithm>
+#include <array>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <random>
 #include <string>
@@ -27,16 +28,14 @@ using convert::kernels::CvtKey;
 using convert::kernels::Isa;
 using convert::kernels::KernelFn;
 
-/// ns per element for `fn` on `count` elements; tiny counts run in an
-/// inner batch so one timed call stays ~1us+ (above clock granularity).
-double ns_per_elem(KernelFn fn, std::uint8_t* dst, const std::uint8_t* src,
-                   std::size_t count) {
-  const std::size_t reps = count >= 4096 ? 1 : 4096 / count + 1;
-  const double ms = measure_ms([&] {
-    for (std::size_t r = 0; r < reps; ++r) fn(dst, src, count);
-  });
-  return ms * 1e6 / static_cast<double>(reps) / static_cast<double>(count);
-}
+/// One kernel call on fixed buffers, a callable for alternating_rounds_ns().
+struct Call {
+  KernelFn fn;
+  std::uint8_t* dst;
+  const std::uint8_t* src;
+  std::size_t count;
+  void operator()() const { fn(dst, src, count); }
+};
 
 /// The interpreter's pre-kernel per-element swap loop (exec_swap's shape),
 /// kept here as the comparison baseline.
@@ -51,26 +50,28 @@ void per_elem_swap(std::uint8_t* dst, const std::uint8_t* src,
   }
 }
 
-std::string fmt_ns(double ns) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.3f", ns);
-  return buf;
-}
+constexpr std::array<Isa, 3> kTiers = {Isa::kScalar, Isa::kSsse3, Isa::kAvx2};
 
-struct JsonRow {
-  std::string kernel;
-  unsigned width = 0;
-  std::size_t count = 0;
-  std::string isa;
-  double ns_elem = 0;
-  double speedup_vs_scalar = 0;
+/// One row's kernel calls at each tier, in kTiers order. A tier the host
+/// or the conversion lacks (`has` false) runs the scalar kernel in its
+/// slot, so every row times the same calls; it prints "-" and writes no
+/// JSON row.
+struct TierCalls {
+  std::array<Call, 3> call;
+  std::array<bool, 3> has{};
 };
 
-std::vector<Isa> tiers() {
-  std::vector<Isa> t = {Isa::kScalar};
-  if (convert::kernels::detected_isa() >= Isa::kSsse3)
-    t.push_back(Isa::kSsse3);
-  if (convert::kernels::detected_isa() >= Isa::kAvx2) t.push_back(Isa::kAvx2);
+template <typename KernelOf>
+TierCalls tier_calls(KernelOf kernel_of, std::uint8_t* dst,
+                     const std::uint8_t* src, std::size_t n) {
+  TierCalls t;
+  for (std::size_t k = 0; k < kTiers.size(); ++k) {
+    const KernelFn fn = convert::kernels::detected_isa() >= kTiers[k]
+                            ? kernel_of(kTiers[k])
+                            : nullptr;
+    t.has[k] = fn != nullptr;
+    t.call[k] = {t.has[k] ? fn : t.call[0].fn, dst, src, n};
+  }
   return t;
 }
 
@@ -78,43 +79,60 @@ int run() {
   print_header("Kernels",
                "Batch swap/convert kernels: scalar vs SIMD tiers; host " +
                    describe(cpu_features()));
-  std::vector<JsonRow> json;
+  std::vector<JsonFields> json;
   const std::vector<std::size_t> counts = {16, 64, 256, 1024, 4096, 65536};
 
   std::mt19937 rng(42);
   std::vector<std::uint8_t> src(65536 * 8 + 64);
   for (auto& b : src) b = static_cast<std::uint8_t>(rng());
   std::vector<std::uint8_t> dst(65536 * 8 + 64);
+  // Each present tier's speedup over scalar (0 where absent), and its
+  // JSON row.
+  const auto report = [&](const std::string& kernel, unsigned width,
+                          const TierCalls& t,
+                          const std::array<std::vector<double>, 3>& ns) {
+    std::array<double, 3> speedup{};
+    for (std::size_t k = 0; k < kTiers.size(); ++k) {
+      if (!t.has[k]) continue;
+      const std::size_t n = t.call[k].count;
+      speedup[k] = median_ratio(ns[0], ns[k]);
+      json.push_back(
+          {{"kernel", json_str(kernel)},
+           {"width", std::to_string(width)},
+           {"count", std::to_string(n)},
+           {"isa", json_str(convert::kernels::to_string(kTiers[k]))},
+           {"ns_per_elem", json_num(median(ns[k]) / static_cast<double>(n), 4)},
+           {"speedup_vs_scalar", json_num(speedup[k], 3)}});
+    }
+    return speedup;
+  };
+  const auto cell = [](const TierCalls& t, const std::array<double, 3>& x,
+                       std::size_t k) {
+    return t.has[k] ? fmt_ratio(x[k]) : std::string("-");
+  };
 
   // --- byte swap ------------------------------------------------------------
   for (unsigned w : {2u, 4u, 8u}) {
     Table t("Byte swap, width " + std::to_string(w) +
-                " (ns/elem; speedup vs scalar kernel)",
+                " (us per 1k elements; speedup vs scalar kernel)",
             {"count", "per-elem", "scalar", "ssse3", "avx2", "best_speedup"});
+    const KernelFn per_elem = w == 2   ? &per_elem_swap<std::uint16_t>
+                              : w == 4 ? &per_elem_swap<std::uint32_t>
+                                       : &per_elem_swap<std::uint64_t>;
     for (std::size_t n : counts) {
-      const double base =
-          w == 2   ? ns_per_elem(&per_elem_swap<std::uint16_t>, dst.data(),
-                                 src.data(), n)
-          : w == 4 ? ns_per_elem(&per_elem_swap<std::uint32_t>, dst.data(),
-                                 src.data(), n)
-                   : ns_per_elem(&per_elem_swap<std::uint64_t>, dst.data(),
-                                 src.data(), n);
-      double scalar_ns = 0;
-      double best = 0;
-      std::string ssse3_cell = "-", avx2_cell = "-";
-      for (Isa isa : tiers()) {
-        KernelFn fn = convert::kernels::swap_kernel(w, isa);
-        const double ns = ns_per_elem(fn, dst.data(), src.data(), n);
-        if (isa == Isa::kScalar) scalar_ns = ns;
-        const double speedup = scalar_ns > 0 ? scalar_ns / ns : 0;
-        if (isa == Isa::kSsse3) ssse3_cell = fmt_ratio(speedup);
-        if (isa == Isa::kAvx2) avx2_cell = fmt_ratio(speedup);
-        if (speedup > best) best = speedup;
-        json.push_back({"swap", w, n, convert::kernels::to_string(isa), ns,
-                        speedup});
-      }
-      t.add_row({std::to_string(n), fmt_ns(base), fmt_ns(scalar_ns),
-                 ssse3_cell, avx2_cell, fmt_ratio(best)});
+      TierCalls tc = tier_calls(
+          [w](Isa isa) { return convert::kernels::swap_kernel(w, isa); },
+          dst.data(), src.data(), n);
+      Call per{per_elem, dst.data(), src.data(), n};
+      const auto [t_per, t0, t1, t2] =
+          alternating_rounds_ns(per, tc.call[0], tc.call[1], tc.call[2]);
+      const auto speedup = report("swap", w, tc, {t0, t1, t2});
+      const auto per_1k = [n](const std::vector<double>& ns) {
+        return fmt_us(median(ns) * 1e3 / static_cast<double>(n));
+      };
+      t.add_row({std::to_string(n), per_1k(t_per), per_1k(t0),
+                 cell(tc, speedup, 1), cell(tc, speedup, 2),
+                 fmt_ratio(*std::max_element(speedup.begin(), speedup.end()))});
     }
     t.print();
   }
@@ -147,28 +165,28 @@ int run() {
       {"i32->f64", key(NumKind::kInt, 4, false, NumKind::kFloat, 8, false)},
       {"f64->i32", key(NumKind::kFloat, 8, false, NumKind::kInt, 4, false)},
   };
-  Table t("Numeric conversions at count=4096 (ns/elem; speedup vs scalar)",
+  Table t("Numeric conversions at count=4096 (us per 1k elements; speedup "
+          "vs scalar)",
           {"conversion", "scalar", "ssse3", "avx2"});
   for (const Case& c : cases) {
-    double scalar_ns = 0;
-    std::string ssse3_cell = "-", avx2_cell = "-";
-    for (Isa isa : tiers()) {
-      KernelFn fn = convert::kernels::cvt_kernel(c.key, isa);
-      if (fn == nullptr) continue;
-      for (std::size_t n : counts) {
-        const double ns = ns_per_elem(fn, dst.data(), src.data(), n);
-        if (isa == Isa::kScalar && n == 4096) scalar_ns = ns;
-        const double speedup = scalar_ns > 0 ? scalar_ns / ns : 0;
-        if (n == 4096) {
-          if (isa == Isa::kSsse3) ssse3_cell = fmt_ratio(speedup);
-          if (isa == Isa::kAvx2) avx2_cell = fmt_ratio(speedup);
-        }
-        json.push_back({c.name, c.key.width_src, n,
-                        convert::kernels::to_string(isa), ns,
-                        isa == Isa::kScalar ? 1.0 : speedup});
+    std::string scalar_cell, ssse3_cell, avx2_cell;
+    for (std::size_t n : counts) {
+      TierCalls tc = tier_calls(
+          [&c](Isa isa) { return convert::kernels::cvt_kernel(c.key, isa); },
+          dst.data(), src.data(), n);
+      if (!tc.has[0]) break;
+      const auto [t0, t1, t2] =
+          alternating_rounds_ns(tc.call[0], tc.call[1], tc.call[2]);
+      const auto speedup = report(c.name, c.key.width_src, tc, {t0, t1, t2});
+      if (n == 4096) {
+        scalar_cell = fmt_us(median(t0) * 1e3 / static_cast<double>(n));
+        ssse3_cell = cell(tc, speedup, 1);
+        avx2_cell = cell(tc, speedup, 2);
       }
     }
-    t.add_row({c.name, fmt_ns(scalar_ns), ssse3_cell, avx2_cell});
+    if (!scalar_cell.empty()) {
+      t.add_row({c.name, scalar_cell, ssse3_cell, avx2_cell});
+    }
   }
   t.print();
 
@@ -179,7 +197,9 @@ int run() {
   // alternating rounds; median us per call.
   Table at("Destination alignment, ~99 KB per call (us; dst offset mod 32)",
            {"kernel", "+0", "+8", "+16", "+24", "memcpy"});
-  std::vector<std::uint8_t> abuf_src(99'224 + 64);
+  // The memcpy floor copies as many bytes as the kernel writes, up to
+  // twice the source for the widening kernels.
+  std::vector<std::uint8_t> abuf_src(2 * 99'224 + 64);
   std::vector<std::uint8_t> abuf_dst(2 * 99'224 + 128);
   for (auto& b : abuf_src) b = static_cast<std::uint8_t>(rng());
   const auto align64 = [](std::uint8_t* p) {
@@ -200,12 +220,12 @@ int run() {
     auto copy = [&, n] { std::memcpy(adst + 8, asrc, n * width_dst); };
     const auto [t0, t8, t16, t24, tc] =
         alternating_rounds_ns(k0, k8, k16, k24, copy);
-    at.add_row({name, fmt_ns(median(t0) / 1e3), fmt_ns(median(t8) / 1e3),
-                fmt_ns(median(t16) / 1e3), fmt_ns(median(t24) / 1e3),
-                fmt_ns(median(tc) / 1e3)});
+    at.add_row({name, fmt_us(median(t0)), fmt_us(median(t8)),
+                fmt_us(median(t16)), fmt_us(median(t24)),
+                fmt_us(median(tc))});
   };
-  for (Isa isa : tiers()) {
-    if (isa == Isa::kScalar) continue;
+  for (Isa isa : {Isa::kSsse3, Isa::kAvx2}) {
+    if (convert::kernels::detected_isa() < isa) continue;
     const std::string tier =
         std::string(" ") + convert::kernels::to_string(isa);
     for (unsigned w : {2u, 4u, 8u}) {
@@ -241,29 +261,16 @@ int run() {
   const std::string metrics = obs::to_json(obs::snapshot());
 
   // --- machine-readable trajectory ------------------------------------------
-  std::FILE* f = std::fopen("BENCH_kernels.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_kernels.json\n");
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"host_features\": \"%s\",\n  \"detected_isa\": \"%s\",\n",
-               describe(cpu_features()).c_str(),
-               convert::kernels::to_string(convert::kernels::detected_isa()));
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < json.size(); ++i) {
-    const JsonRow& r = json[i];
-    std::fprintf(f,
-                 "    {\"kernel\": \"%s\", \"width\": %u, \"count\": %zu, "
-                 "\"isa\": \"%s\", \"ns_per_elem\": %.4f, "
-                 "\"speedup_vs_scalar\": %.3f}%s\n",
-                 r.kernel.c_str(), r.width, r.count, r.isa.c_str(), r.ns_elem,
-                 r.speedup_vs_scalar, i + 1 == json.size() ? "" : ",");
-  }
-  std::fprintf(f, "  ],\n  \"obs_enabled\": %s,\n  \"metrics\": %s\n}\n",
-               PBIO_OBS_ENABLED ? "true" : "false", metrics.c_str());
-  std::fclose(f);
-  std::printf("wrote BENCH_kernels.json (%zu rows)\n", json.size());
-  return 0;
+  const bool written = write_bench_json(
+      "BENCH_kernels.json", "kernels_bench",
+      {{"host_features", json_str(describe(cpu_features()))},
+       {"detected_isa",
+        json_str(convert::kernels::to_string(
+            convert::kernels::detected_isa()))},
+       {"obs_enabled", PBIO_OBS_ENABLED ? "true" : "false"},
+       {"metrics", metrics}},
+      json);
+  return written ? 0 : 1;
 }
 
 }  // namespace

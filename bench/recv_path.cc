@@ -205,7 +205,7 @@ RunResult run_mode(Mode mode, int messages, const char* fmt_name) {
       ++received;
     }
   }
-  const double sec = sw.elapsed_ms() / 1e3;
+  const double sec = static_cast<double>(sw.elapsed_ns()) / 1e9;
   sender.join();
   if (received != messages || checksum == 0) {
     std::fprintf(stderr, "%s/%s: received %d of %d\n", mode_name(mode),
@@ -228,20 +228,12 @@ RunResult run_mode(Mode mode, int messages, const char* fmt_name) {
   return res;
 }
 
-struct JsonRow {
-  std::string mode;
-  std::size_t record_bytes;
-  int messages;
-  RunResult r;
-  double speedup_vs_legacy;
-};
-
 int run() {
   print_header("Receive path",
                "TCP-loopback receive throughput: legacy two-reads-per-frame "
                "vs pooled buffered framing vs batched drain");
   constexpr int kMessages = 20000;
-  std::vector<JsonRow> json;
+  std::vector<JsonFields> json;
 
   for (std::size_t rec_bytes : {sizeof(Rec64), sizeof(Rec256)}) {
     Table t("Records of " + std::to_string(rec_bytes) + " bytes (" +
@@ -261,34 +253,23 @@ int run() {
       std::snprintf(sys, sizeof(sys), "%.3f", r.syscalls_per_msg);
       std::snprintf(hit, sizeof(hit), "%.1f%%", 100.0 * r.pool_hit_rate);
       t.add_row({mode_name(mode), rate, sys, hit, fmt_ratio(speedup)});
-      json.push_back({mode_name(mode), rec_bytes, kMessages, r, speedup});
+      json.push_back({{"mode", json_str(mode_name(mode))},
+                      {"record_bytes", std::to_string(rec_bytes)},
+                      {"msgs_per_sec", json_num(r.msgs_per_sec, 0)},
+                      {"syscalls_per_msg", json_num(r.syscalls_per_msg, 3)},
+                      {"pool_hit_rate", json_num(r.pool_hit_rate, 3)},
+                      {"frames_per_batch", json_num(r.frames_per_batch, 1)},
+                      {"speedup_vs_legacy", json_num(speedup, 2)}});
     }
     t.print();
   }
 
-  std::FILE* f = std::fopen("BENCH_recv_path.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_recv_path.json\n");
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"messages_per_run\": %d,\n  \"results\": [\n",
-               kMessages);
-  for (std::size_t i = 0; i < json.size(); ++i) {
-    const JsonRow& r = json[i];
-    std::fprintf(f,
-                 "    {\"mode\": \"%s\", \"record_bytes\": %zu, "
-                 "\"msgs_per_sec\": %.0f, \"syscalls_per_msg\": %.3f, "
-                 "\"pool_hit_rate\": %.3f, \"frames_per_batch\": %.1f, "
-                 "\"speedup_vs_legacy\": %.2f}%s\n",
-                 r.mode.c_str(), r.record_bytes, r.r.msgs_per_sec,
-                 r.r.syscalls_per_msg, r.r.pool_hit_rate,
-                 r.r.frames_per_batch, r.speedup_vs_legacy,
-                 i + 1 == json.size() ? "" : ",");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote BENCH_recv_path.json (%zu rows)\n", json.size());
-  return 0;
+  std::printf("\n");
+  return write_bench_json("BENCH_recv_path.json", "recv_path",
+                          {{"messages_per_run", std::to_string(kMessages)}},
+                          json)
+             ? 0
+             : 1;
 }
 
 }  // namespace

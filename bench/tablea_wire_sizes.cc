@@ -22,7 +22,7 @@ int run() {
   const auto net = transport::paper_network();
   Table table("Wire sizes",
               {"size", "native", "PBIO", "MPICH", "CORBA", "XML",
-               "XML_expansion", "XML_compact", "XML_net_ms", "PBIO_net_ms"});
+               "XML_expansion", "XML_compact", "XML_net_us", "PBIO_net_us"});
 
   for (Size s : all_sizes()) {
     Workload w = make_workload(s, arch::abi_sparc_v8(), arch::abi_x86());
@@ -46,43 +46,37 @@ int run() {
          fmt_ratio(static_cast<double>(xml.size()) /
                    static_cast<double>(native)),
          fmt_bytes(xml_compact.size()),
-         fmt_ms(net.transfer_ms(xml.size())),
-         fmt_ms(net.transfer_ms(pbio_wire))});
+         fmt_us(net.transfer_ms(xml.size()) * 1e6),
+         fmt_us(net.transfer_ms(pbio_wire) * 1e6)});
   }
   table.print();
 
   // One-time meta-information cost: what PBIO ships once per
   // (channel, format) pair that fixed-format systems never send — both the
-  // bytes and the first-write vs steady-state send time.
+  // bytes and the first-write vs steady-state send time, timed against
+  // each other in alternating rounds (median us per write).
   Table meta_table("PBIO one-time format announcement",
-                   {"size", "meta_bytes", "fields", "first_write_ms",
-                    "steady_write_ms"});
+                   {"size", "meta_bytes", "fields", "first_write_us",
+                    "steady_write_us"});
   for (Size s : all_sizes()) {
     Workload w = make_workload(s, arch::abi_sparc_v8(), arch::abi_x86());
     Context ctx;
     const auto id = ctx.register_format(w.src_fmt);
-    // First write: includes meta encoding + the announcement frame.
-    const double first = [&] {
-      double total = 0;
-      constexpr int kRounds = 64;
-      for (int i = 0; i < kRounds; ++i) {
-        NullChannel ch;
-        Writer fresh(ctx, ch);
-        Stopwatch sw;
-        (void)fresh.write_image(id, w.src_image);
-        total += static_cast<double>(sw.elapsed_ns()) / 1e6;
-      }
-      return total / kRounds;
-    }();
+    // First write: a fresh Writer encodes the meta-information and sends
+    // the announcement frame before the record.
+    auto first = [&] {
+      NullChannel ch;
+      Writer fresh(ctx, ch);
+      (void)fresh.write_image(id, w.src_image);
+    };
     NullChannel ch;
     Writer writer(ctx, ch);
-    (void)writer.write_image(id, w.src_image);
-    const double steady =
-        measure_ms([&] { (void)writer.write_image(id, w.src_image); });
+    auto steady = [&] { (void)writer.write_image(id, w.src_image); };
+    const auto [t_first, t_steady] = alternating_rounds_ns(first, steady);
     meta_table.add_row(
         {label(s), fmt_bytes(fmt::encode_meta(w.src_fmt).size() + 1),
-         std::to_string(w.src_fmt.fields.size()), fmt_ms(first),
-         fmt_ms(steady)});
+         std::to_string(w.src_fmt.fields.size()), fmt_us(median(t_first)),
+         fmt_us(median(t_steady))});
   }
   meta_table.print();
   return 0;

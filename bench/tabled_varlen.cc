@@ -8,6 +8,10 @@
 //  * XML: text conversion of everything.
 // Receive side: PBIO converts (or borrows) per field; CDR and XML rebuild
 // the record from the stream.
+//
+// The six costs of each row are timed against each other in alternating
+// rounds (bench_support/harness.h); each cell is the median µs per record
+// and the ratio the median of its per-round ratios.
 #include <string>
 
 #include "baselines/cdr/cdr.h"
@@ -58,8 +62,8 @@ struct NativeEvent {
 int run() {
   print_header("Table D",
                "Variable-length records (string + n doubles): encode/decode "
-               "times in ms");
-  Table table("Variable-length costs (ms)",
+               "times, median us over alternating rounds");
+  Table table("Variable-length costs (us)",
               {"samples", "PBIO_enc", "CDR_enc", "XML_enc", "PBIO_dec",
                "CDR_dec", "XML_dec", "XML/PBIO_dec"});
 
@@ -88,30 +92,34 @@ int run() {
 
     // ---- encode ----
     ByteBuffer pbio_wire;
-    const double pbio_enc = measure_ms([&] {
+    auto pbio_enc = [&] {
       pbio_wire.clear();
       (void)encode_native(native_fmt, &ev, pbio_wire);
-    });
+    };
     const auto image = value::materialize(fmt_host, rec);  // = pbio wire
     ByteBuffer cdr_wire;
-    const double cdr_enc = measure_ms([&] {
+    auto cdr_enc = [&] {
       cdr_wire.clear();
       cdr::Encoder enc(cdr_wire, fmt_host.byte_order);
       (void)cdr::encode_record(fmt_host, image, enc);
-    });
+    };
     std::string xml;
-    const double xml_enc = measure_ms([&] {
+    auto xml_enc = [&] {
       xml.clear();
       (void)xmlwire::encode_xml(fmt_host, image, xml,
                                 xmlwire::XmlStyle{.element_per_value = true});
-    });
+    };
+    // Each decoder reads its encoder's output.
+    pbio_enc();
+    cdr_enc();
+    xml_enc();
 
     // ---- decode (into a native-convention image) ----
     const convert::Plan plan = convert::compile_plan(fmt_host, native_fmt);
     const vcode::CompiledConvert dcg(plan);
     NativeEvent out{};
     Arena arena;
-    const double pbio_dec = measure_ms([&] {
+    auto pbio_dec = [&] {
       arena.reset();
       convert::ExecInput in;
       in.src = pbio_wire.data();
@@ -121,23 +129,27 @@ int run() {
       in.mode = convert::VarMode::kPointers;
       in.arena = &arena;
       (void)dcg.run(in);
-    });
+    };
     std::vector<std::uint8_t> fixed(fmt_host.fixed_size);
     ByteBuffer var;
-    const double cdr_dec = measure_ms([&] {
+    auto cdr_dec = [&] {
       var.clear();
       cdr::Decoder dec(cdr_wire.view(), fmt_host.byte_order);
       (void)cdr::decode_record(fmt_host, dec, fixed, &var);
-    });
-    const double xml_dec = measure_ms([&] {
+    };
+    auto xml_dec = [&] {
       var.clear();
       (void)xmlwire::decode_xml(fmt_host, xml, fixed, &var);
-    });
+    };
 
-    table.add_row({std::to_string(samples), fmt_ms(pbio_enc),
-                   fmt_ms(cdr_enc), fmt_ms(xml_enc), fmt_ms(pbio_dec),
-                   fmt_ms(cdr_dec), fmt_ms(xml_dec),
-                   fmt_ratio(xml_dec / (pbio_dec > 0 ? pbio_dec : 1e-9))});
+    const auto [t_penc, t_cenc, t_xenc, t_pdec, t_cdec, t_xdec] =
+        alternating_rounds_ns(pbio_enc, cdr_enc, xml_enc, pbio_dec, cdr_dec,
+                              xml_dec);
+    table.add_row({std::to_string(samples), fmt_us(median(t_penc)),
+                   fmt_us(median(t_cenc)), fmt_us(median(t_xenc)),
+                   fmt_us(median(t_pdec)), fmt_us(median(t_cdec)),
+                   fmt_us(median(t_xdec)),
+                   fmt_ratio(median_ratio(t_xdec, t_pdec))});
   }
   table.print();
   std::cout << "\nPBIO decode borrows string/array data straight from the "

@@ -1,17 +1,21 @@
-// Text-table output for the figure reproductions, in the spirit of the
-// paper's figures: one row per message size, one column per system or cost
-// component. Every bench binary prints these tables to stdout; EXPERIMENTS.md
-// records the paper-vs-measured comparison.
+// The figure reproductions' harness: the one timer (alternating rounds),
+// text tables in the spirit of the paper's figures (one row per message
+// size, one column per system or cost component) with one time format,
+// and one BENCH_*.json writer. EXPERIMENTS.md records the
+// paper-vs-measured comparison.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <chrono>
+#include <cstdint>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "transport/channel.h"
-#include "util/stopwatch.h"
 
 namespace pbio::bench {
 
@@ -53,22 +57,42 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Milliseconds with sensible precision ("0.003", "12.4").
-std::string fmt_ms(double ms);
-/// Microseconds ("3.2us").
-std::string fmt_us(double us);
-/// Microseconds to four decimals, unitless ("0.0274").
-std::string fmt_us4(double us);
+/// A time given in ns, printed in µs in fixed notation with at least
+/// three significant digits ("0.0274", "3.21", "1234"); a positive time
+/// never prints as zero.
+std::string fmt_us(double ns);
 /// Ratio ("5.2x").
 std::string fmt_ratio(double r);
 /// Byte counts ("102400").
 std::string fmt_bytes(std::uint64_t n);
 
-/// Measure `fn`, returning median milliseconds per call.
-template <typename Fn>
-double measure_ms(Fn&& fn) {
-  return time_operation(std::forward<Fn>(fn)).median_ns / 1e6;
-}
+/// One JSON object's fields in order, each value already rendered as
+/// JSON (std::to_string, json_num, json_str, "true"/"false", a document).
+using JsonFields = std::vector<std::pair<std::string, std::string>>;
+std::string json_num(double v, int decimals);
+std::string json_str(std::string_view s);
+
+/// Writes `path` as {"bench", "host": {cpu_model, nproc, build_type},
+/// <params>, "rows": [...]}; false when the file cannot be written.
+bool write_bench_json(const std::string& path, std::string_view bench,
+                      const JsonFields& params,
+                      const std::vector<JsonFields>& rows);
+
+/// Monotonic stopwatch: the harness's one clock.
+class Stopwatch {
+ public:
+  void reset() { start_ = clock::now(); }
+  std::uint64_t elapsed_ns() const {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() -
+                                                             start_)
+            .count());
+  }
+
+ private:
+  using clock = std::chrono::steady_clock;
+  clock::time_point start_ = clock::now();
+};
 
 /// ns per call of `fn`, over `reps` back-to-back calls.
 template <typename Fn>
@@ -96,7 +120,8 @@ inline constexpr double kBatchNs = 200'000;
 /// the order of the batches reverses every round so any drift spreads
 /// over all of them. Returns ns per call, one per-round vector per
 /// function in argument order; take medians over the rounds to shed
-/// scheduler noise.
+/// scheduler noise, and median_ratio() for a ratio between two of them.
+/// This is the one timer behind every figure, table and perf invariant.
 template <typename... Fns>
 std::array<std::vector<double>, sizeof...(Fns)> alternating_rounds_ns(
     Fns&... fns) {

@@ -155,8 +155,6 @@ class Conn {
   Verdict service(std::size_t frame_budget, std::uint32_t events);
 
   int fd() const { return ch_.fd(); }
-  bool want_write() const { return !sq_.empty(); }
-  bool read_paused() const { return read_paused_; }
 
  private:
   WIRE_TAINTED Status dispatch(FrameBuf frame);

@@ -1,6 +1,6 @@
 // EINTR-consistent raw I/O wrappers.
 //
-// Every raw read / recv / write / gathered send / accept the transports
+// Every raw read / recv / gathered send / accept the transports
 // make goes through these helpers, so the retry-on-EINTR policy lives in
 // exactly one place (historically each call site open-coded its own loop;
 // an audit found them consistent but the duplication invited drift). The
@@ -36,13 +36,6 @@ inline ssize_t retry_read(int fd, void* buf, std::size_t n) {
 inline ssize_t retry_recv(int fd, void* buf, std::size_t n, int flags) {
   for (;;) {
     const ssize_t r = ::recv(fd, buf, n, flags);
-    if (r >= 0 || errno != EINTR) return r;
-  }
-}
-
-inline ssize_t retry_write(int fd, const void* buf, std::size_t n) {
-  for (;;) {
-    const ssize_t r = ::write(fd, buf, n);
     if (r >= 0 || errno != EINTR) return r;
   }
 }

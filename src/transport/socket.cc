@@ -167,7 +167,6 @@ Status SocketChannel::fill(int flags) {
   }
   drained_ = !eof_pending_ && static_cast<std::size_t>(r) < window.size();
   stream_.commit(static_cast<std::size_t>(r));
-  bytes_received_ += static_cast<std::size_t>(r);
   OBS_COUNT("transport.socket.read_calls", 1);
   OBS_COUNT("transport.socket.read_bytes", r);
   return Status::ok();

@@ -60,7 +60,6 @@ class SocketChannel final : public Channel, public WireSink {
   /// bytes-per-syscall bench metric.
   std::uint64_t send_syscalls() const { return send_syscalls_; }
   std::uint64_t recv_syscalls() const { return recv_syscalls_; }
-  std::uint64_t bytes_received() const { return bytes_received_; }
 
   /// Edge-triggered input readiness, for event-loop servers. fill()
   /// records "drained" when recv() returned less than its window (TCP
@@ -91,7 +90,6 @@ class SocketChannel final : public Channel, public WireSink {
   bool eof_pending_ = false;
   FrameStream stream_;
   std::uint64_t bytes_sent_ = 0;
-  std::uint64_t bytes_received_ = 0;
   std::uint64_t send_syscalls_ = 0;
   std::uint64_t recv_syscalls_ = 0;
   std::vector<iovec> iov_scratch_;

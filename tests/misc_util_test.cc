@@ -4,7 +4,6 @@
 
 #include "util/hash.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 
 namespace pbio {
 namespace {
@@ -28,30 +27,6 @@ TEST(Hash, MixChangesValue) {
 
 TEST(Hash, OrderSensitive) {
   EXPECT_NE(fnv1a("ab"), fnv1a("ba"));
-}
-
-TEST(Stopwatch, MeasuresElapsedTime) {
-  Stopwatch sw;
-  volatile double x = 1.0;
-  for (int i = 0; i < 100000; ++i) x = x * 1.0000001;
-  EXPECT_GT(sw.elapsed_ns(), 0u);
-  EXPECT_GT(sw.elapsed_us(), 0.0);
-  const auto before = sw.elapsed_ns();
-  sw.reset();
-  EXPECT_LE(sw.elapsed_ns(), before + 1000000);
-}
-
-TEST(Stopwatch, TimeOperationProducesStats) {
-  const auto r = time_operation([] {
-    volatile int x = 0;
-    for (int i = 0; i < 1000; ++i) x = x + i;
-  }, /*min_iters=*/8, /*min_total_ns=*/100000);
-  EXPECT_GE(r.iterations, 8u);
-  EXPECT_GT(r.median_ns, 0.0);
-  EXPECT_LE(r.min_ns, r.median_ns);
-  EXPECT_GT(r.mean_ns, 0.0);
-  EXPECT_EQ(r.median_us(), r.median_ns / 1e3);
-  EXPECT_EQ(r.median_ms(), r.median_ns / 1e6);
 }
 
 TEST(Logging, ThresholdReflectsEnvironment) {

@@ -1,6 +1,10 @@
 // Gross performance invariants — the orderings the paper's figures rest on,
 // asserted with 10x+ slack so they catch regressions (an accidentally
 // quadratic loop, a lost zero-copy path) without flaking on noisy machines.
+// Every timing is taken as the figures take theirs: the functions compared
+// run in alternating rounds (bench_support/harness.h), a ratio is the
+// median of same-round ratios and an absolute time a median over rounds.
+// Each timing test records its measured value as a gtest property.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -27,22 +31,20 @@ TEST(PerfInvariants, PbioSendIsFlatAcrossSizes) {
   Context ctx;
   NullChannel ch;
   Writer w(ctx, ch);
-  double small_ms = 0, large_ms = 0;
-  {
-    Workload wk = make_workload(Size::k100B, arch::abi_x86_64(),
-                                arch::abi_x86_64());
-    const auto id = ctx.register_format(wk.src_fmt);
-    (void)w.announce(id);
-    small_ms = measure_ms([&] { (void)w.write_image(id, wk.src_image); });
-  }
-  {
-    Workload wk = make_workload(Size::k100KB, arch::abi_x86_64(),
-                                arch::abi_x86_64());
-    const auto id = ctx.register_format(wk.src_fmt);
-    (void)w.announce(id);
-    large_ms = measure_ms([&] { (void)w.write_image(id, wk.src_image); });
-  }
-  EXPECT_LT(large_ms, small_ms * 20.0)
+  const Workload small = make_workload(Size::k100B, arch::abi_x86_64(),
+                                      arch::abi_x86_64());
+  const Workload large = make_workload(Size::k100KB, arch::abi_x86_64(),
+                                      arch::abi_x86_64());
+  const auto small_id = ctx.register_format(small.src_fmt);
+  const auto large_id = ctx.register_format(large.src_fmt);
+  (void)w.announce(small_id);
+  (void)w.announce(large_id);
+  auto send_small = [&] { (void)w.write_image(small_id, small.src_image); };
+  auto send_large = [&] { (void)w.write_image(large_id, large.src_image); };
+  const auto [t_small, t_large] = alternating_rounds_ns(send_small, send_large);
+  const double ratio = median_ratio(t_large, t_small);
+  RecordProperty("large_over_small", std::to_string(ratio));
+  EXPECT_LT(ratio, 20.0)
       << "send cost scales with payload: NDR fast path lost";
 }
 
@@ -55,15 +57,18 @@ TEST(PerfInvariants, MpichEncodeScalesWithSize) {
   ByteBuffer out;
   const auto dt_small = datatype_for(small.src_fmt);
   const auto dt_large = datatype_for(large.src_fmt);
-  const double t_small = measure_ms([&] {
+  auto pack_small = [&] {
     out.clear();
     (void)mpilite::pack(dt_small, small.src_image.data(), 1, out);
-  });
-  const double t_large = measure_ms([&] {
+  };
+  auto pack_large = [&] {
     out.clear();
     (void)mpilite::pack(dt_large, large.src_image.data(), 1, out);
-  });
-  EXPECT_GT(t_large, t_small * 20.0)
+  };
+  const auto [t_small, t_large] = alternating_rounds_ns(pack_small, pack_large);
+  const double ratio = median_ratio(t_large, t_small);
+  RecordProperty("large_over_small", std::to_string(ratio));
+  EXPECT_GT(ratio, 20.0)
       << "mpilite pack no longer models per-element marshalling";
 }
 
@@ -72,16 +77,19 @@ TEST(PerfInvariants, XmlEncodeCostlierThanMpich) {
                              arch::abi_x86());
   ByteBuffer packed;
   const auto dt = datatype_for(w.src_fmt);
-  const double t_mpich = measure_ms([&] {
+  auto mpich = [&] {
     packed.clear();
     (void)mpilite::pack(dt, w.src_image.data(), 1, packed);
-  });
+  };
   std::string xml;
-  const double t_xml = measure_ms([&] {
+  auto xml_enc = [&] {
     xml.clear();
     (void)xmlwire::encode_xml(w.src_fmt, w.src_image, xml);
-  });
-  EXPECT_GT(t_xml, t_mpich * 3.0) << "XML should cost well above binary";
+  };
+  const auto [t_mpich, t_xml] = alternating_rounds_ns(mpich, xml_enc);
+  const double ratio = median_ratio(t_xml, t_mpich);
+  RecordProperty("xml_over_mpich", std::to_string(ratio));
+  EXPECT_GT(ratio, 3.0) << "XML should cost well above binary";
 }
 
 TEST(PerfInvariants, DcgBeatsPerElementInterpretation) {
@@ -91,9 +99,9 @@ TEST(PerfInvariants, DcgBeatsPerElementInterpretation) {
   (void)mpilite::pack(datatype_for(w.src_fmt), w.src_image.data(), 1, packed);
   const auto dt_dst = datatype_for(w.dst_fmt);
   std::vector<std::uint8_t> out(w.dst_fmt.fixed_size);
-  const double t_mpich = measure_ms([&] {
+  auto mpich = [&] {
     (void)mpilite::unpack(dt_dst, packed.view(), out.data(), out.size(), 1);
-  });
+  };
   const vcode::CompiledConvert dcg(
       convert::compile_plan(w.src_fmt, w.dst_fmt));
   convert::ExecInput in;
@@ -101,8 +109,11 @@ TEST(PerfInvariants, DcgBeatsPerElementInterpretation) {
   in.src_size = w.src_image.size();
   in.dst = out.data();
   in.dst_size = out.size();
-  const double t_dcg = measure_ms([&] { (void)dcg.run(in); });
-  EXPECT_LT(t_dcg * 2.0, t_mpich)
+  auto gen = [&] { (void)dcg.run(in); };
+  const auto [t_mpich, t_dcg] = alternating_rounds_ns(mpich, gen);
+  const double ratio = median_ratio(t_mpich, t_dcg);
+  RecordProperty("mpich_over_dcg", std::to_string(ratio));
+  EXPECT_GT(ratio, 2.0)
       << "generated conversion no faster than per-element interpretation";
 }
 
@@ -134,10 +145,12 @@ TEST(PerfInvariants, LargeArraySwapWithinConstantFactorOfMemcpy) {
   in.src_size = src.size();
   in.dst = dst.data();
   in.dst_size = dst.size();
-  const double t_swap = measure_ms([&] { (void)convert::run_plan(plan, in); });
-  const double t_memcpy = measure_ms(
-      [&] { std::memcpy(dst.data(), src.data(), src.size()); });
-  EXPECT_LT(t_swap, t_memcpy * 8.0)
+  auto swap = [&] { (void)convert::run_plan(plan, in); };
+  auto copy = [&] { std::memcpy(dst.data(), src.data(), src.size()); };
+  const auto [t_swap, t_memcpy] = alternating_rounds_ns(swap, copy);
+  const double ratio = median_ratio(t_swap, t_memcpy);
+  RecordProperty("swap_over_memcpy", std::to_string(ratio));
+  EXPECT_LT(ratio, 8.0)
       << "large-array swap fell back to per-element conversion";
 }
 
@@ -158,29 +171,32 @@ TEST(PerfInvariants, EnabledIdleSpanOverheadUnder2PercentOfDecode) {
   in.src_size = w.src_image.size();
   in.dst = out.data();
   in.dst_size = out.size();
-  const double decode_ms = measure_ms([&] { (void)convert::run_plan(plan, in); });
+  auto decode = [&] { (void)convert::run_plan(plan, in); };
 
   constexpr int kSpans = 1000;
-  const double spans_ms = measure_ms([&] {
+  auto spans = [&] {
     for (int i = 0; i < kSpans; ++i) {
       OBS_SPAN("test.perf.idle_span");
     }
-  });
-  const double per_span_ms = spans_ms / kSpans;
-  EXPECT_LT(per_span_ms, decode_ms * 0.02)
-      << "idle span costs " << per_span_ms * 1e6 << " ns vs decode "
-      << decode_ms * 1e6 << " ns";
+  };
+  const auto [t_decode, t_spans] = alternating_rounds_ns(decode, spans);
+  const double ratio = median_ratio(t_spans, t_decode) / kSpans;
+  RecordProperty("span_over_decode", std::to_string(ratio));
+  EXPECT_LT(ratio, 0.02) << "idle span costs " << median(t_spans) / kSpans
+                         << " ns vs decode " << median(t_decode) << " ns";
 }
 #else   // !PBIO_OBS_ENABLED
 TEST(PerfInvariants, DisabledSpansCompileToNothing) {
   // With PBIO_OBS=OFF OBS_SPAN expands to ((void)0); a million of them
   // must be unmeasurable (well under a microsecond for the whole loop).
-  const double ms = measure_ms([&] {
+  auto spans = [&] {
     for (int i = 0; i < 1000000; ++i) {
       OBS_SPAN("test.perf.compiled_out");
     }
-  });
-  EXPECT_LT(ms, 0.001);
+  };
+  const auto [t] = alternating_rounds_ns(spans);
+  RecordProperty("ns_per_million_spans", std::to_string(median(t)));
+  EXPECT_LT(median(t), 1000.0);
   // Counters are compiled in every configuration.
   OBS_COUNT("test.perf.still_counted", 2);
   const obs::Snapshot snap = obs::snapshot();
@@ -198,9 +214,11 @@ TEST(PerfInvariants, IdentityPlanCostsNothing) {
   // Checking the flag is the whole homogeneous receive path; it must be
   // well under a microsecond.
   volatile bool flag = false;
-  const double t = measure_ms([&] { flag = plan.identity; });
+  auto check = [&] { flag = plan.identity; };
+  const auto [t] = alternating_rounds_ns(check);
   (void)flag;
-  EXPECT_LT(t, 0.001);
+  RecordProperty("ns_per_check", std::to_string(median(t)));
+  EXPECT_LT(median(t), 1000.0);
 }
 
 TEST(PerfInvariants, RecompilingReusesCodePagesWithoutMapping) {

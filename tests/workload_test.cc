@@ -115,9 +115,22 @@ TEST(Harness, TablePrintsAlignedColumns) {
 }
 
 TEST(Harness, Formatters) {
-  EXPECT_EQ(fmt_ms(0.001234), "0.0012");
-  EXPECT_EQ(fmt_ms(0.1234), "0.123");
-  EXPECT_EQ(fmt_ms(12.345), "12.35");
+  // fmt_us: µs in fixed notation, at least three significant digits, and
+  // never zero for a positive time, from sub-ns to seconds.
+  for (double ns = 0.5; ns <= 1e10; ns *= 1.7) {
+    const std::string s = fmt_us(ns);
+    EXPECT_EQ(s.find_first_of("eE"), std::string::npos) << s;
+    EXPECT_GT(std::stod(s), 0.0) << ns << " ns printed as " << s;
+    const std::size_t lead = s.find_first_not_of("0.");
+    ASSERT_NE(lead, std::string::npos) << s;
+    std::size_t digits = 0;
+    for (std::size_t i = lead; i < s.size(); ++i) digits += s[i] != '.';
+    EXPECT_GE(digits, 3u) << ns << " ns printed as " << s;
+    EXPECT_NEAR(std::stod(s), ns / 1e3, ns / 1e3 * 0.01) << s;
+  }
+  EXPECT_EQ(fmt_us(27.4), "0.0274");
+  EXPECT_EQ(fmt_us(3210), "3.21");
+  EXPECT_EQ(fmt_us(1.2346e6), "1235");
   EXPECT_EQ(fmt_ratio(2.04), "2.0x");
   EXPECT_EQ(fmt_bytes(1024), "1024");
 }
@@ -133,13 +146,45 @@ TEST(Harness, NullChannelCountsBytes) {
   EXPECT_FALSE(ch.recv().is_ok());
 }
 
-TEST(Harness, MeasureMsReturnsPositive) {
+TEST(Stopwatch, MeasuresElapsedTime) {
+  Stopwatch sw;
+  volatile double x = 1.0;
+  for (int i = 0; i < 100000; ++i) x = x * 1.0000001;
+  EXPECT_GT(sw.elapsed_ns(), 0u);
+  const auto before = sw.elapsed_ns();
+  sw.reset();
+  EXPECT_LE(sw.elapsed_ns(), before + 1000000);
+}
+
+TEST(Harness, AlternatingRoundsSampleEveryFunctionEachRound) {
   volatile int x = 0;
-  const double ms = measure_ms([&] {
+  auto a = [&] { x = x + 1; };
+  auto b = [&] {
     for (int i = 0; i < 100; ++i) x = x + i;
-  });
-  EXPECT_GT(ms, 0.0);
-  EXPECT_LT(ms, 10.0);
+  };
+  const auto [ta, tb] = alternating_rounds_ns(a, b);
+  for (const auto* t : {&ta, &tb}) {
+    ASSERT_EQ(t->size(), static_cast<std::size_t>(kRounds));
+    for (double ns : *t) EXPECT_GT(ns, 0.0);
+  }
+}
+
+TEST(Harness, AlternatingRoundsRatioTracksWork) {
+  // A function doing 10x the work of another reads 3x-30x by median
+  // ratio.
+  volatile std::uint64_t x = 0;
+  struct Spin {
+    volatile std::uint64_t* x;
+    int n;
+    void operator()() const {
+      for (int i = 0; i < n; ++i) *x = *x * 31 + static_cast<unsigned>(i);
+    }
+  };
+  Spin small{&x, 200};
+  Spin large{&x, 2000};
+  const auto [ts, tl] = alternating_rounds_ns(small, large);
+  EXPECT_GT(median_ratio(tl, ts), 3.0);
+  EXPECT_LT(median_ratio(tl, ts), 30.0);
 }
 
 }  // namespace

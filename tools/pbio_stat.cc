@@ -64,12 +64,6 @@ void run_cell(bench::Size s, const arch::Abi& src, const arch::Abi& dst,
   }
 }
 
-std::string fmt_us_cell(double ns) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.2f", ns / 1e3);
-  return buf;
-}
-
 std::uint64_t counter_or_zero(const obs::Snapshot& snap, const char* name) {
   const obs::CounterSample* c = snap.find_counter(name);
   return c == nullptr ? 0 : c->value;
@@ -116,13 +110,14 @@ void render(const obs::Snapshot& snap, const obs::Snapshot* prev,
   counters.print();
 
   bench::Table spans("Span histograms (us)",
-                     {"span", "count", "mean", "p50<=", "p99<=", "total_ms"});
+                     {"span", "count", "mean", "p50<=", "p99<=", "total"});
   for (const auto& h : snap.histograms) {
     if (h.count == 0) continue;
-    spans.add_row({h.name, std::to_string(h.count), fmt_us_cell(h.mean_ns()),
-                   fmt_us_cell(static_cast<double>(h.percentile_ns(0.5))),
-                   fmt_us_cell(static_cast<double>(h.percentile_ns(0.99))),
-                   bench::fmt_ms(static_cast<double>(h.sum_ns) / 1e6)});
+    spans.add_row({h.name, std::to_string(h.count),
+                   bench::fmt_us(h.mean_ns()),
+                   bench::fmt_us(static_cast<double>(h.percentile_ns(0.5))),
+                   bench::fmt_us(static_cast<double>(h.percentile_ns(0.99))),
+                   bench::fmt_us(static_cast<double>(h.sum_ns))});
   }
   spans.print();
   render_broker(snap, prev, interval_s);
