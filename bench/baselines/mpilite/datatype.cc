@@ -182,4 +182,67 @@ Datatype Datatype::create_struct(std::vector<Block> blocks,
   return t;
 }
 
+Datatype datatype_for(const fmt::FormatDesc& f) {
+  const arch::Abi* abi = arch::find_abi(f.arch_name);
+  if (abi == nullptr) {
+    throw PbioError("datatype_for: format has no known ABI: " + f.arch_name);
+  }
+
+  // Basic kind for an atomic field under this ABI.
+  auto basic_kind = [&](const fmt::FieldDesc& fd) -> Basic {
+    switch (fd.base) {
+      case fmt::BaseType::kChar:
+        return Basic::kChar;
+      case fmt::BaseType::kFloat:
+        return fd.elem_size == 4 ? Basic::kFloat : Basic::kDouble;
+      case fmt::BaseType::kInt:
+        switch (fd.elem_size) {
+          case 1:
+            return Basic::kChar;
+          case 2:
+            return Basic::kShort;
+          case 4:
+            return Basic::kInt;
+          default:
+            return Basic::kLongLong;
+        }
+      case fmt::BaseType::kUInt:
+        switch (fd.elem_size) {
+          case 1:
+            return Basic::kUChar;
+          case 2:
+            return Basic::kUShort;
+          case 4:
+            return Basic::kUInt;
+          default:
+            return Basic::kULongLong;
+        }
+      default:
+        throw PbioError("datatype_for: unsupported field type");
+    }
+  };
+
+  std::vector<Datatype> element_types;  // keep alive for Block pointers
+  std::vector<Datatype::Block> blocks;
+  element_types.reserve(f.fields.size());
+  for (const fmt::FieldDesc& fd : f.fields) {
+    if (fd.is_variable()) {
+      throw PbioError("datatype_for: variable fields unsupported");
+    }
+    if (fd.base == fmt::BaseType::kStruct) {
+      const fmt::FormatDesc* sub = f.find_subformat(fd.subformat);
+      fmt::FormatDesc sub_with_arch = *sub;
+      sub_with_arch.arch_name = f.arch_name;
+      element_types.push_back(datatype_for(sub_with_arch));
+    } else {
+      element_types.push_back(Datatype::basic(basic_kind(fd), *abi));
+    }
+  }
+  for (std::size_t i = 0; i < f.fields.size(); ++i) {
+    blocks.push_back(
+        {f.fields[i].static_elems, f.fields[i].offset, &element_types[i]});
+  }
+  return Datatype::create_struct(std::move(blocks), f.fixed_size);
+}
+
 }  // namespace pbio::mpilite

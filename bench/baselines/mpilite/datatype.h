@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "arch/abi.h"
+#include "fmt/format.h"
 
 namespace pbio::mpilite {
 
@@ -107,5 +108,11 @@ class Datatype {
   std::uint64_t packed_size_ = 0;
   const arch::Abi* abi_ = nullptr;
 };
+
+/// The struct datatype an application would build for the fixed-layout
+/// record `f` (nested structs become nested struct datatypes); the native
+/// displacements follow the ABI named by `f.arch_name`. Throws PbioError
+/// for variable-length fields.
+Datatype datatype_for(const fmt::FormatDesc& f);
 
 }  // namespace pbio::mpilite

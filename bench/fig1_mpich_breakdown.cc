@@ -3,7 +3,7 @@
 //
 // Measured components: sparc encode (MPI pack), i86 decode (MPI unpack),
 // i86 encode, sparc decode. Network components come from the calibrated
-// 100 Mbps model (transport/simnet.h).
+// 100 Mbps model (baselines/netmodel.h).
 //
 // Two views are printed:
 //  * measured CPU — this host's actual marshalling costs, where the 1999
@@ -22,12 +22,12 @@
 #include "bench_support/harness.h"
 #include "bench_support/workload.h"
 #include "roundtrip.h"
-#include "transport/simnet.h"
+#include "baselines/netmodel.h"
 
 namespace pbio::bench {
 namespace {
 
-Roundtrip measure(Size s, const transport::NetworkModel& net) {
+Roundtrip measure(Size s, const netmodel::NetworkModel& net) {
   MpichSteps m(s);
   auto sparc_enc = [&] { m.sparc_enc(); };
   auto i86_dec = [&] { m.i86_dec(); };
@@ -63,7 +63,7 @@ int run() {
   print_header("Figure 1",
                "MPICH round-trip cost breakdown, sparc <-> x86, 100 Mbps "
                "model; median us over alternating rounds");
-  const auto net = transport::paper_network();
+  const auto net = netmodel::paper_network();
   const std::vector<std::string> cols = {"size",    "sparc_enc", "net",
                                          "i86_dec", "i86_enc",   "net ",
                                          "sparc_dec", "total",   "enc+dec%"};

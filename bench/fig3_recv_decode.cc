@@ -34,15 +34,15 @@ int run() {
   for (Size s : all_sizes()) {
     // x86 PC sender, sparc receiver — the paper's measured direction.
     Workload w = make_workload(s, arch::abi_x86(), arch::abi_sparc_v8());
-    const auto dt_dst = datatype_for(w.dst_fmt);
+    const auto dt_dst = mpilite::datatype_for(w.dst_fmt);
 
     // Pre-build each system's wire bytes (sender side is Figure 2).
     std::string xml;
     (void)xmlwire::encode_xml(w.src_fmt, w.src_image, xml,
                               xmlwire::XmlStyle{.element_per_value = true});
     ByteBuffer packed;
-    (void)mpilite::pack(datatype_for(w.src_fmt), w.src_image.data(), 1,
-                        packed);
+    (void)mpilite::pack(mpilite::datatype_for(w.src_fmt),
+                        w.src_image.data(), 1, packed);
     ByteBuffer cdr_stream;
     cdr::Encoder enc(cdr_stream, w.src_fmt.byte_order);
     (void)cdr::encode_record(w.src_fmt, w.src_image, enc);

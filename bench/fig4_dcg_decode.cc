@@ -27,10 +27,10 @@ int run() {
 
   for (Size s : all_sizes()) {
     Workload w = make_workload(s, arch::abi_x86(), arch::abi_sparc_v8());
-    const auto dt_dst = datatype_for(w.dst_fmt);
+    const auto dt_dst = mpilite::datatype_for(w.dst_fmt);
     ByteBuffer packed;
-    (void)mpilite::pack(datatype_for(w.src_fmt), w.src_image.data(), 1,
-                        packed);
+    (void)mpilite::pack(mpilite::datatype_for(w.src_fmt),
+                        w.src_image.data(), 1, packed);
     const convert::Plan plan = convert::compile_plan(w.src_fmt, w.dst_fmt);
     const vcode::CompiledConvert dcg(plan);
 
@@ -85,9 +85,10 @@ int run() {
     const auto src_fmt = arch::layout_format(spec, arch::abi_x86());
     const auto dst_fmt = arch::layout_format(spec, arch::abi_sparc_v8());
     std::vector<std::uint8_t> image(src_fmt.fixed_size, 0x5A);
-    const auto dt_dst = datatype_for(dst_fmt);
+    const auto dt_dst = mpilite::datatype_for(dst_fmt);
     ByteBuffer packed;
-    (void)mpilite::pack(datatype_for(src_fmt), image.data(), 1, packed);
+    (void)mpilite::pack(mpilite::datatype_for(src_fmt),
+                        image.data(), 1, packed);
     const convert::Plan plan = convert::compile_plan(src_fmt, dst_fmt);
     const vcode::CompiledConvert dcg(plan);
 

@@ -12,7 +12,7 @@
 #include "bench_support/workload.h"
 #include "pbio/pbio.h"
 #include "roundtrip.h"
-#include "transport/simnet.h"
+#include "baselines/netmodel.h"
 #include "vcode/jit_convert.h"
 
 namespace pbio::bench {
@@ -25,7 +25,7 @@ struct Row {
 };
 
 Row measure(Size s, Context& ctx, Writer& writer,
-            const transport::NetworkModel& net) {
+            const netmodel::NetworkModel& net) {
   MpichSteps m(s);
   const Workload& ab = m.ab;
   const Workload& ba = m.ba;
@@ -88,8 +88,8 @@ int run() {
   print_header("Figure 5",
                "Round-trip comparison PBIO-DCG vs MPICH, sparc <-> x86; "
                "median us over alternating rounds");
-  const auto net = transport::paper_network();
-  const auto modern = transport::modern_network();
+  const auto net = netmodel::paper_network();
+  const auto modern = netmodel::modern_network();
   Table table("Roundtrip totals (us), measured CPU + 1999 network",
               {"size", "MPICH", "PBIO", "PBIO/MPICH", "paper"});
   Table era("Roundtrip totals (us), era-scaled CPU + 1999 network",

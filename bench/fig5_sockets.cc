@@ -9,7 +9,11 @@
 //  * MPICH-style: mpilite pack -> send -> recv -> unpack on each side,
 //  * raw: untyped byte echo (the transport floor).
 // The three round trips are timed against each other in alternating
-// rounds (bench_support/harness.h); each cell is a median in µs.
+// rounds (bench_support/harness.h); each cell is a median in µs. The
+// client and every echo thread share one CPU, as in perfbench's
+// broker_echo.
+#include <sched.h>
+
 #include <cstdio>
 #include <memory>
 #include <thread>
@@ -52,6 +56,25 @@ class Link {
   std::thread peer_;
 };
 
+/// Pin the calling thread to one CPU, the second it may run on (the only
+/// one on a single-CPU host); threads it starts later inherit the pin.
+/// With the echo threads free to wake on another CPU, the 100 B-1 KB round
+/// trips were bimodal (~12 or ~26 µs) by where the scheduler put them.
+void pin_to_one_cpu() {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+  const int want = CPU_COUNT(&allowed) > 1 ? 1 : 0;
+  for (int cpu = 0, seen = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &allowed) || seen++ != want) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    sched_setaffinity(0, sizeof(one), &one);
+    return;
+  }
+}
+
 /// Per-round differences a[r] - b[r].
 std::vector<double> minus(const std::vector<double>& a,
                           const std::vector<double>& b) {
@@ -61,6 +84,7 @@ std::vector<double> minus(const std::vector<double>& a,
 }
 
 int run() {
+  pin_to_one_cpu();
   print_header("Figure 5 (sockets)",
                "Real TCP-loopback round trips (incl. kernel path); median "
                "us over alternating rounds");
@@ -74,8 +98,8 @@ int run() {
         make_workload(s, arch::abi_sparc_v8(), arch::abi_x86_64());
     const auto wire_id = ctx.register_format(w.src_fmt);
     const auto native_id = ctx.register_format(w.dst_fmt);
-    const auto dt_client = datatype_for(w.src_fmt);
-    const auto dt_peer = datatype_for(w.dst_fmt);
+    const auto dt_client = mpilite::datatype_for(w.src_fmt);
+    const auto dt_peer = mpilite::datatype_for(w.dst_fmt);
 
     Link raw_link([](transport::SocketChannel& ch) {
       for (auto m = ch.recv_buf(); m.is_ok(); m = ch.recv_buf()) {

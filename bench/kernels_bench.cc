@@ -161,6 +161,7 @@ int run() {
       {"i32->i64", key(NumKind::kInt, 4, false, NumKind::kInt, 8, false)},
       {"i32->i64be", key(NumKind::kInt, 4, false, NumKind::kInt, 8, true)},
       {"i64->i32", key(NumKind::kInt, 8, false, NumKind::kInt, 4, false)},
+      {"i64be->i32", key(NumKind::kInt, 8, true, NumKind::kInt, 4, false)},
       {"i16->i32", key(NumKind::kInt, 2, false, NumKind::kInt, 4, false)},
       {"i32->f64", key(NumKind::kInt, 4, false, NumKind::kFloat, 8, false)},
       {"f64->i32", key(NumKind::kFloat, 8, false, NumKind::kInt, 4, false)},

@@ -50,8 +50,8 @@ struct MpichSteps {
   explicit MpichSteps(Size s)
       : ab(make_workload(s, arch::abi_sparc_v8(), arch::abi_x86())),
         ba(make_workload(s, arch::abi_x86(), arch::abi_sparc_v8())),
-        dt_sparc(datatype_for(ab.src_fmt)),
-        dt_x86(datatype_for(ba.src_fmt)),
+        dt_sparc(mpilite::datatype_for(ab.src_fmt)),
+        dt_x86(mpilite::datatype_for(ba.src_fmt)),
         x86_native(ba.src_fmt.fixed_size),
         sparc_native(ab.src_fmt.fixed_size) {
     sparc_enc();

@@ -11,7 +11,7 @@
 #include "bench_support/workload.h"
 #include "fmt/meta.h"
 #include "pbio/pbio.h"
-#include "transport/simnet.h"
+#include "baselines/netmodel.h"
 
 namespace pbio::bench {
 namespace {
@@ -19,7 +19,7 @@ namespace {
 int run() {
   print_header("Table A",
                "Wire sizes per system (bytes) and XML expansion factor");
-  const auto net = transport::paper_network();
+  const auto net = netmodel::paper_network();
   Table table("Wire sizes",
               {"size", "native", "PBIO", "MPICH", "CORBA", "XML",
                "XML_expansion", "XML_compact", "XML_net_us", "PBIO_net_us"});
@@ -27,8 +27,8 @@ int run() {
   for (Size s : all_sizes()) {
     Workload w = make_workload(s, arch::abi_sparc_v8(), arch::abi_x86());
     ByteBuffer packed;
-    (void)mpilite::pack(datatype_for(w.src_fmt), w.src_image.data(), 1,
-                        packed);
+    (void)mpilite::pack(mpilite::datatype_for(w.src_fmt),
+                        w.src_image.data(), 1, packed);
     std::string xml;
     (void)xmlwire::encode_xml(w.src_fmt, w.src_image, xml,
                               xmlwire::XmlStyle{.element_per_value = true});

@@ -37,7 +37,7 @@ int run() {
 
   for (Size s : all_sizes()) {
     Workload w = make_workload(s, abi, abi);
-    const auto dt = datatype_for(w.src_fmt);
+    const auto dt = mpilite::datatype_for(w.src_fmt);
     const auto fmt_id = ctx.register_format(w.src_fmt);
     (void)writer.announce(fmt_id);
 

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "arch/layout.h"
-#include "baselines/mpilite/datatype.h"
 #include "convert/plan.h"
 #include "value/value.h"
 
@@ -29,10 +28,6 @@ arch::StructSpec mech_spec(Size s);
 
 /// Deterministic, fully-populated record value for the spec.
 value::Record mech_record(Size s);
-
-/// Build an mpilite datatype equivalent to format `f` (generic: any
-/// fixed-layout format maps to a struct datatype).
-mpilite::Datatype datatype_for(const fmt::FormatDesc& f);
 
 /// Everything a figure bench needs for one (size, sender, receiver) cell.
 struct Workload {

@@ -34,7 +34,7 @@ obs::MetricId residency_hist(bool ever_paused) {
 
 Conn::Conn(int fd, Shared& sh, BufferPool& pool)
     : pool_(pool),
-      ch_(fd, pool, sh.cfg.stream_chunk_bytes),
+      ch_(fd, pool, kStreamChunkBytes),
       sh_(sh),
       resolver_(sh.ctx, sh.expected) {
   // Conns are born on their worker thread (add_conn); pin the contract.
@@ -261,7 +261,7 @@ Conn::Verdict Conn::service(std::size_t frame_budget, std::uint32_t events) {
 #if PBIO_OBS_ENABLED
         const std::uint64_t disp_ns =
             obs::ticks_to_ns(obs::ticks() - disp_t0);
-        if (disp_ns > sh_.cfg.slow_frame_ns) {
+        if (disp_ns > kSlowFrameNs) {
           sh_.counters.add(kSlowFrames, 1);
           obs::flight_record(obs::FlightKind::kSlowFrame,
                              static_cast<std::uint64_t>(ch_.fd()), disp_ns);

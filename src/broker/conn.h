@@ -53,6 +53,17 @@ enum class OnData : std::uint8_t {
   kSink,  // absorb (count only) — upper bound / drain benchmarks
 };
 
+/// Per-connection stream-buffer chunk. Small by design: 10k connections
+/// each pin one stream block, so the default 64 KiB point-to-point chunk
+/// would cost 640 MB of mostly-empty buffers (and blow the cache working
+/// set); 4 KiB still coalesces ~30 small frames per read. Frames larger
+/// than the chunk grow their window on demand.
+inline constexpr std::size_t kStreamChunkBytes = 4 * 1024;
+
+/// Dispatch time above which a frame counts as "slow" (flight event +
+/// pbio.broker.slow_frames). Only measured in PBIO_OBS builds.
+inline constexpr std::uint64_t kSlowFrameNs = 10'000'000;
+
 struct Config {
   unsigned workers = 1;
   int accept_backlog = 1024;
@@ -60,12 +71,6 @@ struct Config {
   std::size_t max_inflight_frames = 65536;  // global queued-response cap
   std::size_t conn_queue_cap_bytes = 256 * 1024;  // pause reading above this
   std::size_t conn_queue_resume_bytes = 64 * 1024;  // resume below this
-  /// Per-connection stream-buffer chunk. Small by design: 10k connections
-  /// each pin one stream block, so the default 64 KiB point-to-point chunk
-  /// would cost 640 MB of mostly-empty buffers (and blow the cache working
-  /// set); 4 KiB still coalesces ~30 small frames per read. Frames larger
-  /// than the chunk grow their window on demand.
-  std::size_t stream_chunk_bytes = 4 * 1024;
   /// Kernel send-buffer size for accepted sockets (0 = OS default). Small
   /// values bound per-connection kernel memory at high fan-in and make the
   /// userspace send-queue caps the operative backpressure layer.
@@ -83,9 +88,6 @@ struct Config {
   /// Arm the fault flight recorder with this post-mortem path (empty:
   /// off). See obs/flight.h for what gets recorded and when it dumps.
   std::string flight_file;
-  /// Dispatch time above which a frame counts as "slow" (flight event +
-  /// pbio.broker.slow_frames). Only measured in PBIO_OBS builds.
-  std::uint64_t slow_frame_ns = 10'000'000;
 };
 
 /// Monotonic broker counters, in BrokerStats field order: the indices of

@@ -284,7 +284,7 @@ class PlanCompiler {
         op.dst_off = dst_base + d.offset;
         op.byte_len = count * s.elem_size;
         ops.push_back(op);
-      } else if (count <= opts_.flatten_limit) {
+      } else if (count <= kFlattenLimit) {
         for (std::uint32_t i = 0; i < count; ++i) {
           for (Op op : elem_ops) {
             op.src_off += src_base + s.offset + i * s.elem_size;

@@ -258,8 +258,13 @@ KernelFn ssse3_cvt_kernel(const CvtKey& k) {
       return s_signed ? PBIO_PICK_SWAPS1(cvt_i32_i64, true)
                       : PBIO_PICK_SWAPS1(cvt_i32_i64, false);
     }
-    if (k.width_src == 8 && k.width_dst == 4)
-      return PBIO_PICK_SWAPS(cvt_i64_i32);
+    // 8 -> 4 truncation with no byte swap stays scalar: the shufps form
+    // ran at 0.5-1.0x scalar at every count, against 2-4x when either side
+    // swaps (BENCH_kernels.json, "i64->i32" and "i64be->i32").
+    if (k.width_src == 8 && k.width_dst == 4 && (ss || ds)) {
+      return ss ? (ds ? &cvt_i64_i32<true, true> : &cvt_i64_i32<true, false>)
+                : &cvt_i64_i32<false, true>;
+    }
     if (k.width_src == 2 && k.width_dst == 4) {
       return s_signed ? PBIO_PICK_SWAPS1(cvt_i16_i32, true)
                       : PBIO_PICK_SWAPS1(cvt_i16_i32, false);

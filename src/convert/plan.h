@@ -124,13 +124,14 @@ struct Plan {
   std::string describe() const;
 };
 
+/// Flatten struct arrays with at most this many elements instead of
+/// emitting a kSubLoop.
+inline constexpr std::uint32_t kFlattenLimit = 4;
+
 struct CompileOptions {
   /// Coalesce adjacent same-representation regions into block copies and
   /// detect the identity plan. Disabled by the `tableb` ablation bench.
   bool optimize = true;
-  /// Flatten struct arrays with at most this many elements instead of
-  /// emitting a kSubLoop.
-  std::uint32_t flatten_limit = 4;
 };
 
 /// Compile a conversion from wire format `src` to native format `dst`.

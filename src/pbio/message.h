@@ -200,7 +200,7 @@ class Message {
   const fmt::FormatDesc* native_ = nullptr;  // owned by the context registry
   Context::FormatId wire_id_ = 0;
   obs::TraceCtx trace_ctx_;                  // valid only for sampled messages
-  std::shared_ptr<const Conversion> conv_;
+  const Conversion* conv_ = nullptr;         // owned by the context's cache
   Arena arena_;                              // empty until a decode needs it
   std::vector<std::uint8_t> decoded_;        // lazy view<T>() storage
 };

@@ -32,7 +32,7 @@ Result<bool> Reader::consume_frame(FrameBuf frame, Message* m) {
   m->wire_ = entry.wire;
   m->wire_id_ = f.wire_id;
   m->native_ = entry.native;
-  m->conv_ = entry.conv;
+  m->conv_ = entry.conv.get();
 #if PBIO_OBS_ENABLED
   if (f.trace.valid()) {
     // The receive span: sidecar arrival to data-frame delivery. The ctx

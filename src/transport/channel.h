@@ -1,9 +1,9 @@
 // Message-oriented channel abstraction.
 //
 // PBIO is transport-agnostic; the experiments only need message boundaries
-// and byte counts. Three real transports are provided (in-process loopback,
-// TCP and frame-log files) plus an analytic network-cost model (simnet.h)
-// standing in for the paper's 100 Mbps Ethernet testbed.
+// and byte counts. Three transports are provided: in-process loopback,
+// TCP and frame-log files. The paper's 100 Mbps Ethernet testbed is not a
+// transport but an analytic cost model kept with the benches (netmodel.h).
 //
 // The contract: a transport implements one send and one receive.
 //  * send_frames() — every send. Frames arrive as scattered segments
@@ -52,8 +52,8 @@ struct FrameSegments {
 /// can take right now. Returns the byte count written (>= 1), kWouldBlock
 /// when nothing can be accepted without waiting, or a hard error. This is
 /// the primitive event-driven senders (the broker's per-connection send
-/// queues) drain into; SocketChannel implements it over writev, and
-/// simnet's ThrottledWireSink implements it as a deterministic slow client.
+/// queues) drain into; SocketChannel implements it over writev (the
+/// tests drive the broker against a deterministic slow-client fake).
 class WireSink {
  public:
   virtual ~WireSink() = default;

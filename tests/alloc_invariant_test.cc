@@ -16,14 +16,20 @@
 #endif
 
 #include <cstdint>
+#include <cstring>
+#include <random>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "alloc_hook.h"
+#include "bench_support/workload.h"
 #include "pbio/pbio.h"
 #include "transport/loopback.h"
 #include "transport/socket.h"
+#include "value/materialize.h"
+#include "value/random.h"
 
 namespace {
 
@@ -295,6 +301,182 @@ TEST(AllocInvariant, SteadyStateInterleavedFormatsAllocateNothing) {
   EXPECT_EQ(sender_allocs, 0u)
       << "steady-state interleaved Writer::write allocated " << sender_allocs
       << " times over " << kMeasured << " messages";
+}
+
+/// Host-native var-length record (string + variable double array), sent
+/// with Writer::write so encode_native's gather runs.
+struct NativeEvent {
+  int seq;
+  unsigned n;
+  char* name;
+  double* samples;
+};
+
+// The bulk heterogeneous stream: mech records of 1 KB, 10 KB and 100 KB
+// from sparc_v8, x86 and ppc64, decoded into x86-64 with decode_into after
+// tier-up, plus a var-length native record, all sent through a
+// LoopbackChannel and received in bursts of 16 with next_batch. A burst
+// holds up to 16 frames of one size class at once, so the frame pool is
+// warmed with a full burst of each format first; after that no burst,
+// whatever its mix, allocates on the writer, the reader or the decode.
+TEST(AllocInvariant, SteadyStateHeteroBulkBurstsAllocateNothing) {
+  constexpr std::size_t kBurst = 16;
+  constexpr std::size_t kVariants = 2;
+  constexpr int kMeasuredBursts = 24;
+  namespace bench = pbio::bench;
+
+  struct WireFormat {
+    Context::FormatId id = 0;
+    std::size_t target = 0;  // index into natives / references
+    std::vector<std::vector<std::uint8_t>> images;  // per variant
+  };
+  Context wctx;
+  Context rctx;
+  std::vector<fmt::FormatDesc> natives;
+  std::vector<std::vector<std::vector<std::uint8_t>>> references;
+  std::vector<WireFormat> formats;
+  std::mt19937_64 rng(1);
+  for (bench::Size size :
+       {bench::Size::k1KB, bench::Size::k10KB, bench::Size::k100KB}) {
+    std::vector<value::Record> recs;
+    for (std::size_t v = 0; v < kVariants; ++v) {
+      recs.push_back(value::random_record(bench::mech_spec(size), rng));
+    }
+    natives.push_back(
+        bench::make_workload(size, arch::abi_x86_64(), arch::abi_x86_64())
+            .dst_fmt);
+    references.emplace_back();
+    for (const auto& rec : recs) {
+      references.back().push_back(value::materialize(natives.back(), rec));
+    }
+    for (const arch::Abi* abi :
+         {&arch::abi_sparc_v8(), &arch::abi_x86(), &arch::abi_ppc64()}) {
+      WireFormat f;
+      const fmt::FormatDesc desc =
+          bench::make_workload(size, *abi, arch::abi_x86_64()).src_fmt;
+      f.id = wctx.register_format(desc);
+      f.target = natives.size() - 1;
+      for (const auto& rec : recs) {
+        f.images.push_back(value::materialize(desc, rec));
+      }
+      formats.push_back(std::move(f));
+    }
+  }
+  const NativeField event_fields[] = {
+      PBIO_FIELD(NativeEvent, seq, arch::CType::kInt),
+      PBIO_FIELD(NativeEvent, n, arch::CType::kUInt),
+      PBIO_STRING(NativeEvent, name),
+      PBIO_VARARRAY(NativeEvent, samples, arch::CType::kDouble, "n"),
+  };
+  const fmt::FormatDesc event_desc =
+      native_format("event", event_fields, sizeof(NativeEvent));
+  const Context::FormatId event_id = wctx.register_format(event_desc);
+  std::vector<std::string> names;
+  std::vector<std::vector<double>> samples;
+  std::vector<NativeEvent> events;
+  for (std::size_t v = 0; v < kVariants; ++v) {
+    names.push_back("event_" + std::to_string(v) + "_of_the_bulk_stream");
+    samples.emplace_back(1024);
+    for (double& d : samples.back()) d = static_cast<double>(rng() % 1000);
+  }
+  for (std::size_t v = 0; v < kVariants; ++v) {
+    events.push_back(NativeEvent{static_cast<int>(v), 1024,
+                                 names[v].data(), samples[v].data()});
+  }
+  const std::size_t event_format = formats.size();  // pick index of events
+
+  auto [tx, rx] = transport::make_loopback_pair();
+  Writer w(wctx, *tx);
+  Reader r(rctx, *rx);
+  for (const auto& native : natives) r.expect(rctx.register_format(native));
+  r.expect(rctx.register_format(event_desc));
+
+  struct Pick {
+    std::size_t format;
+    std::size_t variant;
+  };
+  std::vector<Message> msgs(kBurst);
+  std::vector<Pick> sent(kBurst);
+  std::vector<std::uint8_t> out;
+  out.reserve(references.back().back().size());  // the 100 KB record
+  int bad = 0;
+  // Write the burst, drain it with next_batch, decode and verify each
+  // message against its reference, then release its frame.
+  const auto burst = [&](std::span<const Pick> order) {
+    std::size_t expected = 0;
+    for (const Pick p : order) {
+      const Status st =
+          p.format == event_format
+              ? w.write(event_id, &events[p.variant])
+              : w.write_image(formats[p.format].id,
+                              formats[p.format].images[p.variant]);
+      if (st.is_ok()) {
+        sent[expected++] = p;
+      } else {
+        ++bad;
+      }
+    }
+    std::size_t got = 0;
+    while (got < expected) {
+      auto n = r.next_batch(std::span(msgs.data(), expected - got));
+      if (!n.is_ok()) {
+        bad += static_cast<int>(expected - got);
+        return;
+      }
+      for (std::size_t j = 0; j < n.value(); ++j) {
+        const Pick p = sent[got + j];
+        if (p.format == event_format) {
+          NativeEvent ev{};
+          const NativeEvent& ref = events[p.variant];
+          if (!msgs[j].decode_into(&ev, sizeof(ev)).is_ok() ||
+              ev.seq != ref.seq || ev.n != ref.n || ev.name == nullptr ||
+              std::strcmp(ev.name, ref.name) != 0 || ev.samples == nullptr ||
+              std::memcmp(ev.samples, ref.samples,
+                          ref.n * sizeof(double)) != 0) {
+            ++bad;
+          }
+        } else {
+          const auto& ref =
+              references[formats[p.format].target][p.variant];
+          out.assign(ref.size(), 0);
+          if (!msgs[j].decode_into(out.data(), out.size()).is_ok() ||
+              std::memcmp(out.data(), ref.data(), ref.size()) != 0) {
+            ++bad;
+          }
+        }
+        msgs[j] = Message();
+      }
+      got += n.value();
+    }
+  };
+
+  // Warm-up: a full burst of each format fills the pool with as many
+  // frames of each size class as any burst can hold, and tiers every pair
+  // up (the second record of a pair generates its code).
+  std::vector<Pick> order(kBurst);
+  for (std::size_t f = 0; f <= event_format; ++f) {
+    for (std::size_t i = 0; i < kBurst; ++i) order[i] = {f, i % kVariants};
+    burst(order);
+  }
+  ASSERT_EQ(bad, 0);
+
+  std::size_t pos = 0;
+  g_allocs = 0;
+  g_counting = true;
+  for (int b = 0; b < kMeasuredBursts; ++b) {
+    for (Pick& p : order) {
+      p = {(pos * 7 + pos / 3) % (event_format + 1), pos % kVariants};
+      ++pos;
+    }
+    burst(order);
+  }
+  g_counting = false;
+  const std::uint64_t allocs = g_allocs;
+
+  EXPECT_EQ(bad, 0);
+  EXPECT_EQ(allocs, 0u)
+      << "steady-state hetero bulk bursts allocated " << allocs
+      << " times over " << kMeasuredBursts * kBurst << " messages";
 }
 
 // The artifact cache rides the same invariant: once a conversion is

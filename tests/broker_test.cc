@@ -1,7 +1,7 @@
 // Broker lifecycle, admission-control, and protocol tests.
 //
 // The deterministic pieces (SendQueue short-write resume) run against
-// simnet's ThrottledWireSink so the exact byte interleavings are
+// the ThrottledWireSink test fake so the exact byte interleavings are
 // reproducible; the lifecycle pieces run a real Broker on loopback with
 // blocking SocketChannel clients. Kernel socket buffers are clamped
 // (Config::so_sndbuf broker-side, SO_RCVBUF client-side) wherever a test
@@ -23,7 +23,7 @@
 #include "fmt/meta.h"
 #include "obs/obs.h"
 #include "pbio/pbio.h"
-#include "transport/simnet.h"
+#include "throttled_sink.h"
 #include "transport/socket.h"
 #include "util/endian.h"
 #include "value/materialize.h"

@@ -217,7 +217,7 @@ TEST(JitConvert, MismatchedFormatsCrossCheck) {
 }
 
 TEST(JitConvert, SubLoopCodePath) {
-  // Struct array with > flatten_limit elements: the JIT emits a counted
+  // Struct array with > kFlattenLimit elements: the JIT emits a counted
   // loop over the element conversion (rbx/rbp cursor registers).
   StructSpec point;
   point.name = "pt";

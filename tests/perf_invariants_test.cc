@@ -55,8 +55,8 @@ TEST(PerfInvariants, MpichEncodeScalesWithSize) {
   Workload large = make_workload(Size::k100KB, arch::abi_sparc_v8(),
                                  arch::abi_x86());
   ByteBuffer out;
-  const auto dt_small = datatype_for(small.src_fmt);
-  const auto dt_large = datatype_for(large.src_fmt);
+  const auto dt_small = mpilite::datatype_for(small.src_fmt);
+  const auto dt_large = mpilite::datatype_for(large.src_fmt);
   auto pack_small = [&] {
     out.clear();
     (void)mpilite::pack(dt_small, small.src_image.data(), 1, out);
@@ -76,7 +76,7 @@ TEST(PerfInvariants, XmlEncodeCostlierThanMpich) {
   Workload w = make_workload(Size::k10KB, arch::abi_sparc_v8(),
                              arch::abi_x86());
   ByteBuffer packed;
-  const auto dt = datatype_for(w.src_fmt);
+  const auto dt = mpilite::datatype_for(w.src_fmt);
   auto mpich = [&] {
     packed.clear();
     (void)mpilite::pack(dt, w.src_image.data(), 1, packed);
@@ -96,8 +96,9 @@ TEST(PerfInvariants, DcgBeatsPerElementInterpretation) {
   Workload w = make_workload(Size::k100KB, arch::abi_x86(),
                              arch::abi_sparc_v8());
   ByteBuffer packed;
-  (void)mpilite::pack(datatype_for(w.src_fmt), w.src_image.data(), 1, packed);
-  const auto dt_dst = datatype_for(w.dst_fmt);
+  (void)mpilite::pack(mpilite::datatype_for(w.src_fmt),
+                      w.src_image.data(), 1, packed);
+  const auto dt_dst = mpilite::datatype_for(w.dst_fmt);
   std::vector<std::uint8_t> out(w.dst_fmt.fixed_size);
   auto mpich = [&] {
     (void)mpilite::unpack(dt_dst, packed.view(), out.data(), out.size(), 1);

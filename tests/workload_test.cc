@@ -60,7 +60,7 @@ TEST(Workload, DatatypeForMatchesFormatGeometry) {
   for (Size s : all_sizes()) {
     for (const auto* abi : {&arch::abi_sparc_v8(), &arch::abi_x86_64()}) {
       const auto f = arch::layout_format(mech_spec(s), *abi);
-      const auto dt = datatype_for(f);
+      const auto dt = mpilite::datatype_for(f);
       EXPECT_EQ(dt.extent(), f.fixed_size) << label(s) << " " << abi->name;
       // Every field contributes its elements to the flattened map.
       std::size_t elems = 0;
@@ -77,11 +77,11 @@ TEST(Workload, MpilitePackAgreesWithPbioConversion) {
       make_workload(Size::k1KB, arch::abi_sparc_v8(), arch::abi_x86_64());
   // mpilite route
   ByteBuffer packed;
-  ASSERT_TRUE(
-      mpilite::pack(datatype_for(w.src_fmt), w.src_image.data(), 1, packed)
-          .is_ok());
+  ASSERT_TRUE(mpilite::pack(mpilite::datatype_for(w.src_fmt),
+                            w.src_image.data(), 1, packed)
+                  .is_ok());
   std::vector<std::uint8_t> via_mpi(w.dst_fmt.fixed_size, 0);
-  ASSERT_TRUE(mpilite::unpack(datatype_for(w.dst_fmt), packed.view(),
+  ASSERT_TRUE(mpilite::unpack(mpilite::datatype_for(w.dst_fmt), packed.view(),
                               via_mpi.data(), via_mpi.size(), 1)
                   .is_ok());
   // pbio route

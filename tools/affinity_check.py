@@ -7,7 +7,8 @@ BufferPool arena are single-threaded by construction and carry no locks —
 so the *only* thing keeping them correct is that no code path ever touches
 them from another thread. This tool is the static half of that contract
 (src/util/affinity.h's ThreadOwner asserts are the dynamic half): a
-structured-grep pass, wire_lint style, over src/**/*.{h,cc}.
+structured-grep pass, wire_lint style, over src/**/*.{h,cc} and the
+bench baselines (bench/baselines/**/*.{h,cc}).
 
 The vocabulary is one comment tag on a declaration:
 
@@ -44,6 +45,7 @@ import sys
 import tempfile
 
 DEFAULT_ALLOWLIST = "tools/affinity_allow.txt"
+SCAN_ROOTS = ("src", "bench/baselines")
 SCAN_SUFFIXES = {".h", ".cc"}
 SKIP_DIR_NAMES = {"CMakeFiles"}
 
@@ -155,13 +157,13 @@ def decl_name(code):
 
 
 def iter_source_files(root):
-    src = root / "src"
-    for path in sorted(src.rglob("*")):
-        if path.suffix not in SCAN_SUFFIXES:
-            continue
-        if any(part in SKIP_DIR_NAMES for part in path.parts):
-            continue
-        yield path
+    for top in SCAN_ROOTS:
+        for path in sorted((root / top).rglob("*")):
+            if path.suffix not in SCAN_SUFFIXES:
+                continue
+            if any(part in SKIP_DIR_NAMES for part in path.parts):
+                continue
+            yield path
 
 
 def collect_symbols(root, findings):

@@ -3,7 +3,9 @@
 
 The conversion engines run (possibly JIT-generated) code over raw network
 buffers, so undisciplined pointer play in src/ is how wire bugs are born.
-This linter enforces these rules over src/**/*.{h,cc}:
+This linter enforces these rules over src/**/*.{h,cc}, and over the
+comparison baselines the benches measure PBIO against
+(bench/baselines/**/*.{h,cc}):
 
   R1 reinterpret-cast   every `reinterpret_cast` must be allowlisted (the
                         allowlist entry documents why the cast is sound) or
@@ -53,6 +55,11 @@ This linter enforces these rules over src/**/*.{h,cc}:
                         wire_taint proves values, R8 pins the casts and
                         cursor mutations even when dataflow can't see
                         them.
+  R9 src-layering       a file under src/ may not include a header that
+                        lives under bench/ or tests/ (the baselines, the
+                        network model, test fakes): the library never
+                        depends on what is only measured or tested
+                        against it. Never allowlisted.
 
 Usage:
     tools/wire_lint.py [--root REPO_ROOT] [--allowlist FILE] [--self-test]
@@ -68,6 +75,7 @@ import sys
 import tempfile
 
 DEFAULT_ALLOWLIST = "tools/wire_lint_allow.txt"
+SCAN_ROOTS = ("src", "bench/baselines")
 SCAN_SUFFIXES = {".h", ".cc"}
 SKIP_DIR_NAMES = {"CMakeFiles"}
 
@@ -95,6 +103,9 @@ RE_CAST_INVOKE = re.compile(
     r"\breinterpret_cast<\w[\w:]*>\s*\((?:[^()]|\([^()]*\))*\)\s*\("
 )
 FNPTR_HOME = "src/vcode/"
+# R9: quoted includes, and the trees a library file may not reach into.
+RE_INCLUDE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
+NON_LIBRARY_TREES = ("bench", "tests")
 # R6: memory_order spellings; seq_cst is the safe default and needs no
 # justification. The `// mo:` marker may sit up to MO_MARKER_LOOKBACK raw
 # lines above the site (multi-line justifications and aliased constants).
@@ -206,6 +217,26 @@ def strip_comments_and_strings(line, in_block_comment):
     return "".join(out), in_block_comment
 
 
+def iter_scan_files(root):
+    for top in SCAN_ROOTS:
+        for path in sorted((root / top).rglob("*")):
+            if path.suffix not in SCAN_SUFFIXES:
+                continue
+            if any(part in SKIP_DIR_NAMES for part in path.parts):
+                continue
+            yield path
+
+
+def include_leaves_library(root, path, header):
+    """True when `header`, included from library file `path`, names a file
+    under bench/ or tests/ rather than one under src/."""
+    if header.split("/", 1)[0] in NON_LIBRARY_TREES + ("..",):
+        return True
+    if (root / "src" / header).exists() or (path.parent / header).exists():
+        return False
+    return any((root / tree / header).exists() for tree in NON_LIBRARY_TREES)
+
+
 def scan_file(root, path, allowlist, findings):
     rel = path.relative_to(root).as_posix()
     in_block = False
@@ -268,6 +299,14 @@ def scan_file(root, path, allowlist, findings):
                         return
             findings.append((rel, lineno, rule, message, raw.strip()))
 
+        inc = RE_INCLUDE.match(raw)
+        if (inc and rel.startswith("src/")
+                and include_leaves_library(root, path, inc.group(1))):
+            report("src-layering",
+                   f"library file includes \"{inc.group(1)}\" from "
+                   "bench/ or tests/ — src/ must build without the "
+                   "baselines and test fakes",
+                   allow_allowlist=False, allow_marker=False)
         if RE_REINTERPRET.search(code):
             report("reinterpret-cast",
                    "reinterpret_cast outside the allowlist — add an "
@@ -467,6 +506,20 @@ SELF_TEST_CASES = [
      "WIRE_TAINTED void c(const uint8_t* p, size_t n) {", set()),
     ("src/pbio/r8_counter.cc", "  size_t used = 0; ++used;", set()),
     ("src/pbio/r8_counter.cc", "}", set()),
+    # R9: a library file reaching into bench/ or tests/ fires, by prefix or
+    # by where the header resolves; library and baseline-side includes of
+    # src/ headers do not. Baseline files are scanned like library files.
+    ("bench/baselines/b/b.h", "int baseline_b();", set()),
+    ("tests/fake.h", "int fake();", set()),
+    ("src/pbio/r9_baseline.cc", '#include "baselines/b/b.h"',
+     {"src-layering"}),
+    ("src/pbio/r9_tests.cc", '#include "tests/fake.h"', {"src-layering"}),
+    ("src/pbio/r9_up.cc", '#include "../../tests/fake.h"',
+     {"src-layering"}),
+    ("src/pbio/r9_ok.cc", '#include "pbio/pbio.h"', set()),
+    ("bench/baselines/b/b.cc", '#include "baselines/b/b.h"', set()),
+    ("bench/baselines/b/r1_hit.cc", "auto* p = reinterpret_cast<char*>(q);",
+     {"reinterpret-cast"}),
     # Comment and string contents never trip rules.
     ("src/pbio/noise_comment.cc",
      "// reinterpret_cast<char*>(q); mprotect(p, n, PROT_EXEC);", set()),
@@ -491,9 +544,8 @@ def self_test():
         stale_entry = AllowEntry("src/pbio/nonexistent.cc", "nothing",
                                  "self-test stale entry", 2)
         findings = []
-        for path in sorted((root / "src").rglob("*")):
-            if path.suffix in SCAN_SUFFIXES:
-                scan_file(root, path, allowlist + [stale_entry], findings)
+        for path in iter_scan_files(root):
+            scan_file(root, path, allowlist + [stale_entry], findings)
         got = {}
         for rel, _lineno, rule, _msg, _raw in findings:
             got.setdefault(rel, set()).add(rule)
@@ -536,12 +588,7 @@ def main():
     allowlist = load_allowlist(allow_path)
 
     findings = []
-    src = root / "src"
-    for path in sorted(src.rglob("*")):
-        if path.suffix not in SCAN_SUFFIXES:
-            continue
-        if any(part in SKIP_DIR_NAMES for part in path.parts):
-            continue
+    for path in iter_scan_files(root):
         scan_file(root, path, allowlist, findings)
 
     status = 0

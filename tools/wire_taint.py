@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """wire_taint: annotation-driven wire-taint dataflow analysis over src/.
 
+The comparison baselines under bench/baselines/ are analysed with the
+library: they parse the same kind of bytes.
+
 The fifth static-analysis layer (lint -> taint -> plan verifier -> tval ->
 concurrency). The existing gauntlet proves the *conversion plans and
 emitted code* correct; this tool checks the *parsing code* that builds
@@ -67,7 +70,7 @@ Usage:
     tools/wire_taint.py [--root ROOT] [--allowlist FILE] [--backend B]
                         [--self-test] [--canary]
 
---canary copies src/ to a scratch tree, injects a WIRE_TAINTED function
+--canary copies the scanned trees to a scratch tree, injects a WIRE_TAINTED function
 with an unguarded `memcpy(dst, src, wire_len)`, and fails unless the
 analysis catches it: an end-to-end proof the CI job still detects the
 bug class it exists for.
@@ -84,6 +87,7 @@ import sys
 import tempfile
 
 DEFAULT_ALLOWLIST = "tools/wire_taint_allow.txt"
+SCAN_ROOTS = ("src", "bench/baselines")
 SCAN_SUFFIXES = {".h", ".cc"}
 SKIP_DIR_NAMES = {"CMakeFiles"}
 
@@ -214,13 +218,13 @@ def strip_comments_and_strings(line, in_block_comment):
 
 
 def iter_source_files(root):
-    src = root / "src"
-    for path in sorted(src.rglob("*")):
-        if path.suffix not in SCAN_SUFFIXES:
-            continue
-        if any(part in SKIP_DIR_NAMES for part in path.parts):
-            continue
-        yield path
+    for top in SCAN_ROOTS:
+        for path in sorted((root / top).rglob("*")):
+            if path.suffix not in SCAN_SUFFIXES:
+                continue
+            if any(part in SKIP_DIR_NAMES for part in path.parts):
+                continue
+            yield path
 
 
 # --- extraction -----------------------------------------------------------
@@ -249,8 +253,12 @@ class FuncRecord:
 
 
 def subdir_of(rel):
-    parts = rel.split("/")
-    return parts[1] if len(parts) > 2 and parts[0] == "src" else ""
+    """Module directory of `rel` under its scan root ("pbio", "cdr")."""
+    for top in SCAN_ROOTS:
+        if rel.startswith(top + "/"):
+            parts = rel[len(top) + 1:].split("/")
+            return parts[0] if len(parts) > 1 else ""
+    return ""
 
 
 def split_top_commas(text):
@@ -962,12 +970,14 @@ WIRE_TAINTED void canary_copy(const unsigned char* src, unsigned char* dst,
 
 
 def run_canary(root, allowlist, allow_path):
-    """Copy src/ to a scratch tree, inject an unguarded wire-sized memcpy
-    in a WIRE_TAINTED function, and demand the analysis catches it."""
+    """Copy the scanned trees to a scratch tree, inject an unguarded
+    wire-sized memcpy in a WIRE_TAINTED function, and demand the analysis
+    catches it."""
     with tempfile.TemporaryDirectory(prefix="wire_taint_canary_") as tmp:
         troot = pathlib.Path(tmp)
-        shutil.copytree(root / "src", troot / "src",
-                        ignore=shutil.ignore_patterns(*SKIP_DIR_NAMES))
+        for top in SCAN_ROOTS:
+            shutil.copytree(root / top, troot / top,
+                            ignore=shutil.ignore_patterns(*SKIP_DIR_NAMES))
         (troot / CANARY_REL).write_text(CANARY_CODE)
         _status, findings = run(troot, allowlist, allow_path, quiet=True)
         hits = [f for f in findings
