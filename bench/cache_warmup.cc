@@ -19,7 +19,6 @@
 #include "arch/layout.h"
 #include "bench_support/harness.h"
 #include "pbio/context.h"
-#include "vcode/jit_convert.h"
 
 namespace pbio::bench {
 namespace {
@@ -140,8 +139,7 @@ int run(std::size_t connections, std::size_t npairs, bool write_json) {
     if (!write_bench_json(
             "BENCH_cache.json", "cache_warmup",
             {{"connections", std::to_string(connections)},
-             {"pairs", std::to_string(npairs)},
-             {"tval", vcode::tval_enabled() ? "true" : "false"}},
+             {"pairs", std::to_string(npairs)}},
             json)) {
       return 1;
     }

@@ -52,8 +52,15 @@ void per_elem_swap(std::uint8_t* dst, const std::uint8_t* src,
 
 constexpr std::array<Isa, 3> kTiers = {Isa::kScalar, Isa::kSsse3, Isa::kAvx2};
 
-/// One row's kernel calls at each tier, in kTiers order. A tier the host
-/// or the conversion lacks (`has` false) runs the scalar kernel in its
+/// `r`, a request resolved at `isa`, as `isa`'s own kernel, or nullptr when
+/// the host lacks the tier or the request resolved to a lower tier's kernel.
+KernelFn own_kernel(const convert::kernels::Resolved& r, Isa isa) {
+  if (convert::kernels::detected_isa() < isa) return nullptr;
+  return r.isa == isa ? r.fn : nullptr;
+}
+
+/// One row's kernel calls at each tier, in kTiers order. A tier without
+/// its own kernel on this host (`has` false) runs the scalar kernel in its
 /// slot, so every row times the same calls; it prints "-" and writes no
 /// JSON row.
 struct TierCalls {
@@ -61,14 +68,12 @@ struct TierCalls {
   std::array<bool, 3> has{};
 };
 
-template <typename KernelOf>
-TierCalls tier_calls(KernelOf kernel_of, std::uint8_t* dst,
+template <typename ResolveAt>
+TierCalls tier_calls(ResolveAt resolve_at, std::uint8_t* dst,
                      const std::uint8_t* src, std::size_t n) {
   TierCalls t;
   for (std::size_t k = 0; k < kTiers.size(); ++k) {
-    const KernelFn fn = convert::kernels::detected_isa() >= kTiers[k]
-                            ? kernel_of(kTiers[k])
-                            : nullptr;
+    const KernelFn fn = own_kernel(resolve_at(kTiers[k]), kTiers[k]);
     t.has[k] = fn != nullptr;
     t.call[k] = {t.has[k] ? fn : t.call[0].fn, dst, src, n};
   }
@@ -121,7 +126,9 @@ int run() {
                                        : &per_elem_swap<std::uint64_t>;
     for (std::size_t n : counts) {
       TierCalls tc = tier_calls(
-          [w](Isa isa) { return convert::kernels::swap_kernel(w, isa); },
+          [w](Isa isa) {
+            return convert::kernels::resolve_swap_kernel(w, isa);
+          },
           dst.data(), src.data(), n);
       Call per{per_elem, dst.data(), src.data(), n};
       const auto [t_per, t0, t1, t2] =
@@ -173,7 +180,9 @@ int run() {
     std::string scalar_cell, ssse3_cell, avx2_cell;
     for (std::size_t n : counts) {
       TierCalls tc = tier_calls(
-          [&c](Isa isa) { return convert::kernels::cvt_kernel(c.key, isa); },
+          [&c](Isa isa) {
+            return convert::kernels::resolve_cvt_kernel(c.key, isa);
+          },
           dst.data(), src.data(), n);
       if (!tc.has[0]) break;
       const auto [t0, t1, t2] =
@@ -226,16 +235,17 @@ int run() {
                 fmt_us(median(tc))});
   };
   for (Isa isa : {Isa::kSsse3, Isa::kAvx2}) {
-    if (convert::kernels::detected_isa() < isa) continue;
     const std::string tier =
         std::string(" ") + convert::kernels::to_string(isa);
     for (unsigned w : {2u, 4u, 8u}) {
-      alignment_row("swap w" + std::to_string(w) + tier,
-                    convert::kernels::swap_kernel(w, isa), w, w);
+      if (KernelFn fn = own_kernel(
+              convert::kernels::resolve_swap_kernel(w, isa), isa)) {
+        alignment_row("swap w" + std::to_string(w) + tier, fn, w, w);
+      }
     }
     for (const Case& c : cases) {
-      KernelFn fn = convert::kernels::cvt_kernel(c.key, isa);
-      if (fn != nullptr) {
+      if (KernelFn fn = own_kernel(
+              convert::kernels::resolve_cvt_kernel(c.key, isa), isa)) {
         alignment_row(c.name + tier, fn, c.key.width_src, c.key.width_dst);
       }
     }
@@ -246,7 +256,7 @@ int run() {
   // Drive the interpreted decode over the heterogeneous workload set (the
   // fig3 direction: x86 wire into sparc native) so the per-tier kernel
   // dispatch counters reflect a realistic mix, then embed the registry
-  // snapshot in the JSON. With PBIO_OBS=OFF it holds the counters only.
+  // snapshot in the JSON.
   obs::reset();
   for (Size s : all_sizes()) {
     Workload w = make_workload(s, arch::abi_x86(), arch::abi_sparc_v8());
@@ -268,7 +278,6 @@ int run() {
        {"detected_isa",
         json_str(convert::kernels::to_string(
             convert::kernels::detected_isa()))},
-       {"obs_enabled", PBIO_OBS_ENABLED ? "true" : "false"},
        {"metrics", metrics}},
       json);
   return written ? 0 : 1;

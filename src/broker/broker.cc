@@ -152,11 +152,9 @@ class Worker {
           owner_.sh_.cfg.max_connections) {
         // Over the connection cap: shed with an immediate close. The
         // client sees a clean EOF, the broker spends no memory on it.
-#if PBIO_OBS_ENABLED
         obs::flight_record(obs::FlightKind::kShedConn,
                            static_cast<std::uint64_t>(fd.value()),
                            owner_.sh_.connections.load(kRelaxed));
-#endif
         ::close(fd.value());
         owner_.sh_.counters.add(kShedConnections, 1);
         continue;

@@ -18,7 +18,6 @@ namespace {
 // the per-worker event loop itself.
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
-#if PBIO_OBS_ENABLED
 // Residency class histograms, registered once per process. "slow" is any
 // connection that has ever hit the pause watermark — separating the tail
 // a misbehaving client creates from the fleet's normal egress latency.
@@ -29,7 +28,6 @@ obs::MetricId residency_hist(bool ever_paused) {
       obs::histogram("pbio.broker.residency_ns.slow");
   return ever_paused ? slow : normal;
 }
-#endif
 }  // namespace
 
 Conn::Conn(int fd, Shared& sh, BufferPool& pool)
@@ -42,10 +40,8 @@ Conn::Conn(int fd, Shared& sh, BufferPool& pool)
   // main thread after the worker loop has exited.
   owner_.bind();
   sh_.connections.fetch_add(1, kRelaxed);
-#if PBIO_OBS_ENABLED
   obs::flight_record(obs::FlightKind::kAccept,
                      static_cast<std::uint64_t>(fd));
-#endif
 }
 
 Conn::~Conn() {
@@ -59,10 +55,8 @@ Conn::~Conn() {
   sh_.queued_bytes.fetch_sub(sq_.queued_bytes(), kRelaxed);
   sh_.counters.add(kRecvSyscalls, ch_.recv_syscalls() - folded_recv_);
   sh_.counters.add(kSendSyscalls, ch_.send_syscalls() - folded_send_);
-#if PBIO_OBS_ENABLED
   obs::flight_record(obs::FlightKind::kClose,
                      static_cast<std::uint64_t>(ch_.fd()));
-#endif
 }
 
 void Conn::fold_syscalls() {
@@ -82,10 +76,8 @@ Status Conn::enqueue(FrameBuf frame, const obs::TraceCtx* trace) {
   if (prev >= sh_.cfg.max_inflight_frames) {
     sh_.inflight.fetch_sub(1, kRelaxed);
     sh_.counters.add(kShedInflight, 1);
-#if PBIO_OBS_ENABLED
     obs::flight_record(obs::FlightKind::kShedInflight,
                        static_cast<std::uint64_t>(ch_.fd()), prev);
-#endif
     return Status(Errc::kOverloaded, "inflight frame cap");
   }
   const std::size_t wire = transport::kFrameHeaderLen + frame.size();
@@ -103,9 +95,7 @@ Status Conn::forward_trace(FrameBuf response, const obs::TraceCtx& trace) {
   // with a fresh span id so each hop's emission is distinguishable; the
   // ids let the Reader on the far side continue the same trace.
   obs::TraceCtx fwd = trace;
-#if PBIO_OBS_ENABLED
   fwd.span_id = obs::new_trace_id();
-#endif
   FrameBuf side = pool().lease(transport::kTraceFrameLen);
   std::uint8_t raw[transport::kTraceFrameLen];
   transport::encode_trace_frame(raw, fwd);
@@ -117,11 +107,7 @@ Status Conn::forward_trace(FrameBuf response, const obs::TraceCtx& trace) {
 
 Status Conn::flush() {
   if (sq_.empty()) return Status::ok();
-#if PBIO_OBS_ENABLED
   auto res = sq_.flush(ch_, residency_hist(ever_paused_));
-#else
-  auto res = sq_.flush(ch_);
-#endif
   if (!res.is_ok()) return res.status();
   sh_.inflight.fetch_sub(res.value().frames, kRelaxed);
   sh_.queued_bytes.fetch_sub(res.value().bytes, kRelaxed);
@@ -133,7 +119,6 @@ Status Conn::flush() {
 Status Conn::on_data_frame(FrameBuf frame, const Resolver::Frame& f) {
   Resolver::Entry* entry = f.entry;  // set when Config::decode is on
   if (entry != nullptr && entry->conv != nullptr) {
-#if PBIO_OBS_ENABLED
     if (f.refilled) {
       // Cold: once per wire id the connection resolves — the per-format-
       // pair latency series behind /metrics p50/p99/p999.
@@ -142,7 +127,6 @@ Status Conn::on_data_frame(FrameBuf frame, const Resolver::Frame& f) {
                                           entry->native->name);
     }
     const std::uint64_t t0 = obs::ticks();
-#endif
     const std::size_t out_size = entry->native->fixed_size;
     if (decode_out_.size() < out_size) decode_out_.resize(out_size);
     // Strings that cannot be borrowed from the frame land here, scoped per
@@ -151,22 +135,18 @@ Status Conn::on_data_frame(FrameBuf frame, const Resolver::Frame& f) {
     Status st = decode_record(*entry->conv, f.payload, decode_out_.data(),
                               out_size, scratch);
     if (!st.is_ok()) return st;
-#if PBIO_OBS_ENABLED
     if (entry->decode_hist != obs::kInvalidMetric) {
       obs::histogram_record(entry->decode_hist,
                             obs::ticks_to_ns(obs::ticks() - t0));
     }
-#endif
     sh_.counters.add(kDecoded, 1);
   }
   // The ingress span: sidecar arrival to dispatch complete.
   const bool traced = f.trace.valid();
-#if PBIO_OBS_ENABLED
   if (traced) {
     obs::trace_emit_ctx("pbio.trace.ingress", f.trace, f.trace_ns,
                         obs::epoch_ns());
   }
-#endif
 
   switch (sh_.cfg.on_data) {
     case OnData::kEcho:
@@ -216,7 +196,6 @@ Status Conn::dispatch(FrameBuf frame) {
     if (st.is_ok() || st.code() == Errc::kOverloaded) return st;
   }
   sh_.counters.add(kProtocolErrors, 1);
-#if PBIO_OBS_ENABLED
   // Garbage framing and records that would not decode leave flight
   // events; a bad announcement or a short data frame does not.
   if (f.kind == Kind::kUnknown || f.kind == Kind::kTrace) {
@@ -227,7 +206,6 @@ Status Conn::dispatch(FrameBuf frame) {
                        static_cast<std::uint64_t>(ch_.fd()),
                        static_cast<std::uint64_t>(st.code()));
   }
-#endif
   return st;
 }
 
@@ -254,11 +232,8 @@ Conn::Verdict Conn::service(std::size_t frame_budget, std::uint32_t events) {
           return Verdict::kClose;
         }
         ++used;
-#if PBIO_OBS_ENABLED
         const std::uint64_t disp_t0 = obs::ticks();
-#endif
         Status st = dispatch(std::move(frame).take());
-#if PBIO_OBS_ENABLED
         const std::uint64_t disp_ns =
             obs::ticks_to_ns(obs::ticks() - disp_t0);
         if (disp_ns > kSlowFrameNs) {
@@ -266,7 +241,6 @@ Conn::Verdict Conn::service(std::size_t frame_budget, std::uint32_t events) {
           obs::flight_record(obs::FlightKind::kSlowFrame,
                              static_cast<std::uint64_t>(ch_.fd()), disp_ns);
         }
-#endif
         if (!st.is_ok()) {
           fold_syscalls();
           return Verdict::kClose;
@@ -278,11 +252,9 @@ Conn::Verdict Conn::service(std::size_t frame_budget, std::uint32_t events) {
           ever_paused_ = true;
           sh_.counters.add(kPauses, 1);
           sh_.paused.fetch_add(1, kRelaxed);
-#if PBIO_OBS_ENABLED
           obs::flight_record(obs::FlightKind::kPause,
                              static_cast<std::uint64_t>(ch_.fd()),
                              sq_.queued_bytes());
-#endif
           break;
         }
       }
@@ -297,11 +269,9 @@ Conn::Verdict Conn::service(std::size_t frame_budget, std::uint32_t events) {
       read_paused_ = false;
       sh_.counters.add(kResumes, 1);
       sh_.paused.fetch_sub(1, kRelaxed);
-#if PBIO_OBS_ENABLED
       obs::flight_record(obs::FlightKind::kResume,
                          static_cast<std::uint64_t>(ch_.fd()),
                          sq_.queued_bytes());
-#endif
       if (used < frame_budget) continue;  // drain what piled up while paused
     }
     fold_syscalls();

@@ -61,7 +61,7 @@ enum class OnData : std::uint8_t {
 inline constexpr std::size_t kStreamChunkBytes = 4 * 1024;
 
 /// Dispatch time above which a frame counts as "slow" (flight event +
-/// pbio.broker.slow_frames). Only measured in PBIO_OBS builds.
+/// pbio.broker.slow_frames).
 inline constexpr std::uint64_t kSlowFrameNs = 10'000'000;
 
 struct Config {

@@ -26,21 +26,14 @@ Status SendQueue::push(FrameBuf frame, const obs::TraceCtx* trace) {
   transport::encode_frame_header(frame.size(), it.hdr);
   queued_bytes_ += transport::kFrameHeaderLen + frame.size();
   it.frame = std::move(frame);
-#if PBIO_OBS_ENABLED
   it.enq_ticks = obs::ticks();
   it.trace = trace != nullptr ? *trace : obs::TraceCtx{};
-#else
-  (void)trace;
-#endif
   ++count_;
   return Status::ok();
 }
 
 Result<SendQueue::FlushResult> SendQueue::flush(transport::WireSink& sink,
                                                 obs::MetricId residency_hist) {
-#if !PBIO_OBS_ENABLED
-  (void)residency_hist;
-#endif
   FlushResult res;
   while (count_ > 0) {
     // Gather up to kFlushFrames frames, the head one adjusted for bytes
@@ -85,7 +78,6 @@ Result<SendQueue::FlushResult> SendQueue::flush(transport::WireSink& sink,
         break;
       }
       w -= wire;
-#if PBIO_OBS_ENABLED
       // Egress stamp: this frame is fully on the wire (kernel-accepted).
       // Residency = enqueue to here — the time a response waited behind a
       // slow peer or a deep queue.
@@ -101,7 +93,6 @@ Result<SendQueue::FlushResult> SendQueue::flush(transport::WireSink& sink,
                             end_ns - res_ns, end_ns);
         head.trace = obs::TraceCtx{};
       }
-#endif
       head.frame.reset();
       head_written_ = 0;
       head_ = (head_ + 1) & mask;

@@ -67,7 +67,7 @@ class SendQueue {
   struct Item {
     std::uint8_t hdr[transport::kFrameHeaderLen];
     FrameBuf frame;
-    std::uint64_t enq_ticks = 0;    // residency stamp (obs builds only)
+    std::uint64_t enq_ticks = 0;    // residency stamp
     obs::TraceCtx trace;            // valid for sampled-message frames
   };
 

@@ -12,8 +12,6 @@
 //
 // Counters owned by one object (a pool, a cache, a broker) live in a
 // CounterBlock: one store behind both its stats() view and snapshot().
-// Counters are compiled in every configuration; PBIO_OBS=OFF removes only
-// the span instrumentation (obs/span.h) and so the histograms.
 #pragma once
 
 #include <array>

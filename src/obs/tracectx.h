@@ -4,11 +4,9 @@
 // decode land in a single causal trace.
 //
 // Split from trace.h on purpose: this header is protocol surface — the
-// broker and Reader must parse (and forward or skip) trace sidecar frames
-// even in a PBIO_OBS=OFF build, because the peer may have been built with
-// observability on. Only the *stamping* (sampling, span emission) is
-// compiled out by the OBS_* macros at the call sites; everything here is a
-// plain struct and cold helpers.
+// broker and Reader parse (and forward or skip) trace sidecar frames from
+// any peer. The *stamping* (sampling, span emission) happens at the call
+// sites; everything here is a plain struct and cold helpers.
 #pragma once
 
 #include <cstdint>

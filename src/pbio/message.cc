@@ -63,7 +63,6 @@ Status Message::decode_into(void* out, std::size_t size, Engine engine) {
   if (!has_native() || conv_ == nullptr) {
     return Status(Errc::kUnknownFormat, "no native format expected");
   }
-#if PBIO_OBS_ENABLED
   // Sampled messages stamp their decode as the final hop of the wire
   // trace; the unsampled majority pays one branch on an invalid ctx.
   const bool traced = trace_ctx_.valid();
@@ -79,7 +78,6 @@ Status Message::decode_into(void* out, std::size_t size, Engine engine) {
       }
     }
   } stamp{this, traced, trace_t0};
-#endif
   return decode_record(*conv_, payload_, out, size, arena_, engine);
 }
 

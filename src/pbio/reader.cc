@@ -33,7 +33,6 @@ Result<bool> Reader::consume_frame(FrameBuf frame, Message* m) {
   m->wire_id_ = f.wire_id;
   m->native_ = entry.native;
   m->conv_ = entry.conv.get();
-#if PBIO_OBS_ENABLED
   if (f.trace.valid()) {
     // The receive span: sidecar arrival to data-frame delivery. The ctx
     // rides on the Message so decode_into can stamp the decode span too.
@@ -41,7 +40,6 @@ Result<bool> Reader::consume_frame(FrameBuf frame, Message* m) {
     obs::trace_emit_ctx("pbio.trace.recv", f.trace, f.trace_ns,
                         obs::epoch_ns());
   }
-#endif
   return true;
 }
 

@@ -30,9 +30,7 @@ Status Resolver::interpret(std::span<const std::uint8_t> frame, Frame* out,
         return Status(Errc::kMalformed, "bad trace sidecar frame");
       }
       pending_trace_ = ctx;
-#if PBIO_OBS_ENABLED
       pending_trace_ns_ = obs::epoch_ns();
-#endif
       return Status::ok();
     }
     case kFrameData:

@@ -115,7 +115,7 @@ class Resolver {
     Entry* entry = nullptr;
     bool refilled = false;
     /// kData or kShortData: the sidecar that preceded the frame (invalid
-    /// when none did) and its arrival wall clock (PBIO_OBS builds).
+    /// when none did) and its arrival wall clock.
     obs::TraceCtx trace;
     std::uint64_t trace_ns = 0;
   };

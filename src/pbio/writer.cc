@@ -44,7 +44,6 @@ Status Writer::send_payload(Context::FormatId fmt_id, Known& k,
   const std::span<const std::uint8_t> data_segs[] = {
       {header, kDataHeaderSize}, image};
 
-#if PBIO_OBS_ENABLED
   // Sampled messages grow a trace sidecar frame that leaves in the same
   // gathered call as the data frame (one writev either way): the broker
   // and Reader stamp their hops onto the ids it carries. Sampling off
@@ -58,7 +57,6 @@ Status Writer::send_payload(Context::FormatId fmt_id, Known& k,
     tctx = obs::make_trace_ctx();
     transport::encode_trace_frame(tframe, tctx);
   }
-#endif
 
   // One send_frames call: [announce]? [trace sidecar]? [data] — on
   // sockets a single writev, so neither the format's meta-information nor
@@ -72,23 +70,19 @@ Status Writer::send_payload(Context::FormatId fmt_id, Known& k,
     fmt_segs[0] = announce_buf_.view();
     frames[n++] = {fmt_segs};
   }
-#if PBIO_OBS_ENABLED
   if (traced) frames[n++] = {trace_segs};
-#endif
   frames[n++] = {data_segs};
   Status st = channel_.send_frames({frames, n});
   if (st.is_ok()) {
     if (announce_now) k.announced = true;
     OBS_COUNT("pbio.encode.records", 1);
     OBS_COUNT("pbio.encode.data_bytes", kDataHeaderSize + image.size());
-#if PBIO_OBS_ENABLED
     if (traced) {
       // The encode span: origin (context creation, before the send) to
       // now (payload handed to the kernel).
       obs::trace_emit_ctx("pbio.trace.encode", tctx, tctx.origin_ns,
                           obs::epoch_ns());
     }
-#endif
   }
   return st;
 }

@@ -5,9 +5,8 @@
 // own frame kind so every hop can handle it with the existing first-byte
 // dispatch: the broker re-stamps and forwards it ahead of the echoed data
 // frame, the Reader attaches it to the next data message, and a peer that
-// does not understand tracing (or a PBIO_OBS=OFF build) just skips it —
-// the kind byte is disjoint from every other frame kind, so mixed
-// configurations interoperate.
+// does not understand tracing just skips it — the kind byte is disjoint
+// from every other frame kind, so mixed peers interoperate.
 //
 // Layout (little-endian, 16-aligned like the data header):
 //   [kFrameTrace u8][7 pad][u64 trace_id][u64 span_id][u64 origin_ns]

@@ -12,10 +12,6 @@
 #include "vcode/vcode.h"
 #include "verify/verify.h"
 
-#ifndef PBIO_TVAL_ENABLED
-#define PBIO_TVAL_ENABLED 1
-#endif
-
 namespace pbio::vcode {
 
 namespace {
@@ -408,7 +404,6 @@ void fill_tval_options(const Plan& plan, verify::tval::Options& opts) {
   });
 }
 
-#if PBIO_TVAL_ENABLED
 /// Validate `code` against `plan` with a per-thread allowlist buffer, so a
 /// warm compile builds the allowlist without allocating.
 verify::tval::Report validate_code(std::span<const std::uint8_t> code,
@@ -418,7 +413,6 @@ verify::tval::Report validate_code(std::span<const std::uint8_t> code,
   fill_tval_options(plan, opts);
   return verify::tval::validate(code, plan, opts);
 }
-#endif
 
 }  // namespace
 
@@ -427,8 +421,6 @@ verify::tval::Options make_tval_options(const Plan& plan) {
   fill_tval_options(plan, opts);
   return opts;
 }
-
-bool tval_enabled() { return PBIO_TVAL_ENABLED != 0; }
 
 struct CompiledConvert::Impl {
   /// Tier-up progress. kPending -> kClaimed by claim_tier_up(), then
@@ -527,7 +519,6 @@ void CompiledConvert::generate() const {
   OBS_COUNT("vcode.jit.code_bytes", code.size());
   im.notes = std::move(out.notes);
   im.labels = std::move(out.labels);
-#if PBIO_TVAL_ENABLED
   // Translation-validate the fresh bytes before they can ever become
   // executable: decode + symbolic execution against the verified plan.
   im.tval = validate_code(code, im.plan);
@@ -539,10 +530,6 @@ void CompiledConvert::generate() const {
     return;  // interpreter fallback: fn stays null, code never sealed
   }
   OBS_COUNT("pbio.jit.tval_accepts", 1);
-#else
-  im.tval.fault = verify::tval::Fault::kNone;
-  im.tval.message = "not validated";
-#endif
   im.seal(code);
 }
 

@@ -393,14 +393,12 @@ TEST(Broker, SlowClientPausesReadingThenResumes) {
   EXPECT_EQ(b.stats().shed_inflight, 0u);
   EXPECT_EQ(b.stats().protocol_errors, 0u);
   b.stop();
-#if PBIO_OBS_ENABLED
   // Frames flushed after the first pause file their queue residency under
   // the slow-client series, keeping well-behaved clients' latency clean.
   const auto snap = obs::snapshot();
   const auto* slow = snap.find_histogram("pbio.broker.residency_ns.slow");
   ASSERT_NE(slow, nullptr);
   EXPECT_GT(slow->count, 0u);
-#endif
   obs::reset();
 }
 
@@ -664,7 +662,6 @@ TEST(Broker, InterleavedDecodeResolvesOncePerFormat) {
   // own histogram.
   TwoFormatBroker t;
   ASSERT_NE(t.ch, nullptr);
-#if PBIO_OBS_ENABLED
   constexpr const char* kPairs[] = {"pbio.broker.decode_ns.sample->sample",
                                      "pbio.broker.decode_ns.other->other"};
   const auto decodes = [](const char* pair) {
@@ -673,7 +670,6 @@ TEST(Broker, InterleavedDecodeResolvesOncePerFormat) {
     return h == nullptr ? std::uint64_t{0} : h->count;
   };
   const std::uint64_t decodes0[] = {decodes(kPairs[0]), decodes(kPairs[1])};
-#endif
   t.announce(t.a_fmt);
   t.announce(t.b_fmt);
   const std::uint64_t hits0 = TwoFormatBroker::hits();
@@ -689,13 +685,11 @@ TEST(Broker, InterleavedDecodeResolvesOncePerFormat) {
   const cache::ArtifactCache::Stats cs = t.ctx.artifact_cache().stats();
   EXPECT_EQ(cs.hits + cs.misses, 2u);
   EXPECT_EQ(TwoFormatBroker::hits() - hits0, 2u * kRounds - 2u);
-#if PBIO_OBS_ENABLED
   for (int p = 0; p < 2; ++p) {
     EXPECT_EQ(decodes(kPairs[p]) - decodes0[p],
               static_cast<std::uint64_t>(kRounds))
         << kPairs[p];
   }
-#endif
 }
 
 TEST(Broker, DecodesCountByTheEngineThatRan) {

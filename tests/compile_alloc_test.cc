@@ -136,18 +136,15 @@ std::vector<Plan> all_plans() {
   return out;
 }
 
-#define REQUIRE_TVAL()                                     \
+#define REQUIRE_JIT()                                      \
   do {                                                     \
     if (!vcode::jit_supported()) {                         \
       GTEST_SKIP() << "no JIT on this host";               \
     }                                                      \
-    if (!vcode::tval_enabled()) {                          \
-      GTEST_SKIP() << "built with PBIO_TVAL=OFF";          \
-    }                                                      \
   } while (0)
 
 TEST(CompileAllocs, WarmValidationAllocatesNothing) {
-  REQUIRE_TVAL();
+  REQUIRE_JIT();
   struct Case {
     Plan plan;
     std::vector<std::uint8_t> code;
@@ -175,7 +172,7 @@ TEST(CompileAllocs, WarmValidationAllocatesNothing) {
 }
 
 TEST(CompileAllocs, CompiledConvertStaysUnderBudget) {
-  REQUIRE_TVAL();
+  REQUIRE_JIT();
   const std::vector<Plan> plans = hetero_bulk_plans();
   for (const Plan& plan : plans) {  // warm-up
     ASSERT_TRUE(vcode::CompiledConvert(plan).tval_report().ok);
@@ -257,7 +254,7 @@ TEST(CompileAllocs, ReaderLearnsAnAnnouncementInFewAllocations) {
 }
 
 TEST(CompileAllocs, PlanVerifyAndCompileStayUnderBudget) {
-  REQUIRE_TVAL();
+  REQUIRE_JIT();
   const std::vector<bench::Workload> workloads = hetero_bulk_workloads();
   const auto set_up = [](const bench::Workload& w) {
     // As ArtifactCache builds an artifact: compile, verify, hand over.

@@ -398,6 +398,34 @@ TEST(KernelsProperty, UnusualWidthsHaveNoBatchKernel) {
   EXPECT_EQ(cvt_kernel(key), nullptr);
 }
 
+/// The 8 -> 4 integer truncation table: with no byte swap the SSSE3 form
+/// ran at half the scalar loop's speed, so that tier resolves it to scalar;
+/// AVX2 keeps its own no-swap form, and each swapping form keeps the tier
+/// that was asked for (BENCH_kernels.json, "i64->i32" and "i64be->i32").
+TEST(KernelsProperty, TruncationResolutionTable) {
+  for (NumKind kind : {NumKind::kInt, NumKind::kUInt}) {
+    for (Isa isa : tiers_up_to_detected()) {
+      if (isa == Isa::kScalar) continue;
+      for (int swaps = 0; swaps < 4; ++swaps) {
+        CvtKey key;
+        key.src_kind = kind;
+        key.width_src = 8;
+        key.src_swap = (swaps & 1) != 0;
+        key.dst_kind = kind;
+        key.width_dst = 4;
+        key.dst_swap = (swaps & 2) != 0;
+        const Resolved r = resolve_cvt_kernel(key, isa);
+        ASSERT_NE(r.fn, nullptr);
+        const Isa expect =
+            swaps == 0 && isa == Isa::kSsse3 ? Isa::kScalar : isa;
+        EXPECT_STREQ(to_string(r.isa), to_string(expect))
+            << "asked " << to_string(isa) << ", src_swap " << key.src_swap
+            << ", dst_swap " << key.dst_swap;
+      }
+    }
+  }
+}
+
 /// Both engines, dispatch forced to every tier including scalar (the
 /// non-SIMD build / old-CPU path), on a large-array plan exercised through
 /// run_plan and CompiledConvert — including the in-place contract.

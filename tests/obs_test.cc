@@ -1,7 +1,6 @@
 // Tests for the observability layer: multi-thread counter aggregation,
 // histogram bucket math, snapshot determinism, the JSON exporter, the
-// chrome-trace writer, and the span macros (the latter only when
-// PBIO_OBS=ON — the registry API itself works in both configurations).
+// chrome-trace writer, and the span macros.
 #include "obs/obs.h"
 
 #include <gtest/gtest.h>
@@ -296,8 +295,8 @@ TEST(ObsTiming, TicksMonotonicAndCalibrated) {
 
 TEST(ObsJson, SnapshotRoundTripsThroughFromJson) {
   // The pbio_stat --watch channel: a broker dumps to_json periodically,
-  // the tool re-parses it. Build a snapshot by hand so the test is
-  // independent of PBIO_OBS gating.
+  // the tool re-parses it. Build a snapshot by hand so the test does not
+  // depend on what other tests recorded.
   Snapshot snap;
   snap.counters.push_back({"pbio.broker.frames_in", 123456789});
   snap.counters.push_back({R"(weird "name" with \ and	tab)", 7});
@@ -392,7 +391,6 @@ TEST(ObsThreads, TidsAreSmallDenseAndStable) {
   EXPECT_NE(other, here);
 }
 
-#if PBIO_OBS_ENABLED
 TEST(ObsSpan, MacroRecordsIntoNamedHistogram) {
   reset();
   for (int i = 0; i < 5; ++i) {
@@ -422,7 +420,6 @@ TEST(ObsSpan, SpansFeedTraceSinkWhenEnabled) {
   EXPECT_NE(body.find("\"args\": {\"arg\": 7}"), std::string::npos);
   std::remove(path.c_str());
 }
-#endif  // PBIO_OBS_ENABLED
 
 // Fills the registry, so it stays the last test (and suite) in this file:
 // anything registered after it aliases onto the sink slot when the binary

@@ -2,11 +2,6 @@
 // Reader sidecar frames stitched into one chrome://tracing trace), the
 // broker's HTTP scrape endpoint (/metrics, /healthz, /tracez), the
 // Prometheus exposition, and the fault flight recorder.
-//
-// The trace-propagation pieces need PBIO_OBS=ON (stamping is compiled out
-// otherwise) and skip themselves cleanly in OFF builds; the protocol
-// surface (sidecar frame codec, HTTP endpoints, flight dump format) is
-// tested unconditionally.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -458,7 +453,6 @@ struct TSample {
   double b;
 };
 
-#if PBIO_OBS_ENABLED
 TEST(Telemetry, OneSampledMessageStitchesOneCrossHopTrace) {
   // The tentpole invariant: with sampling on, one message's journey —
   // Writer encode, broker ingress, broker queue residency, Reader recv,
@@ -647,11 +641,9 @@ TEST(Telemetry, SidecarOfAFailedDataFrameStampsNoLaterMessage) {
   EXPECT_FALSE(msg.value().trace().valid());
   obs::reset();
 }
-#endif  // PBIO_OBS_ENABLED
 
-// The sidecar frame is protocol surface in every build: an obs-off peer
-// must absorb a sidecar (forwarding it is obs-gated) without dropping the
-// connection — here the raw frame goes straight at a broker.
+// The sidecar frame is protocol surface: a bare sidecar from a peer must
+// not drop the connection — here the raw frame goes straight at a broker.
 TEST(Telemetry, BrokerToleratesBareSidecarFrames) {
   Context ctx;
   broker::Broker b(ctx);
@@ -673,8 +665,6 @@ TEST(Telemetry, BrokerToleratesBareSidecarFrames) {
 
   // The next data frame still echoes — and the broker forwards the
   // sidecar ahead of it with the trace id intact and a fresh span id.
-  // Forwarding is protocol behavior, not an obs feature: it happens in
-  // OBS=OFF builds too, so obs-on peers can trace across an obs-off hop.
   std::vector<std::uint8_t> frame(kDataHeaderSize + 8, 5);
   std::fill_n(frame.begin(), kDataHeaderSize, std::uint8_t{0});
   frame[0] = kFrameData;
@@ -686,9 +676,7 @@ TEST(Telemetry, BrokerToleratesBareSidecarFrames) {
       << "expected the forwarded trace sidecar ahead of the echo";
   EXPECT_EQ(fwd.trace_id, tc.trace_id);
   EXPECT_EQ(fwd.origin_ns, tc.origin_ns);
-#if PBIO_OBS_ENABLED
-  EXPECT_NE(fwd.span_id, tc.span_id);  // re-stamping is the obs half
-#endif
+  EXPECT_NE(fwd.span_id, tc.span_id);
   auto echo = ch.value()->recv();
   ASSERT_TRUE(echo.is_ok());
   EXPECT_EQ(echo.value(), frame);

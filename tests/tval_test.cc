@@ -62,9 +62,6 @@ void expect_accepted(const StructSpec& spec, const arch::Abi& src_abi,
     if (!vcode::jit_supported()) {                         \
       GTEST_SKIP() << "no JIT on this host";               \
     }                                                      \
-    if (!vcode::tval_enabled()) {                          \
-      GTEST_SKIP() << "built with PBIO_TVAL=OFF";          \
-    }                                                      \
   } while (0)
 
 // ---------------------------------------------------------------------------

@@ -187,10 +187,6 @@ int run_canned(bool json, bool prom, int messages) {
     return 0;
   }
 
-#if !PBIO_OBS_ENABLED
-  std::printf("note: built with PBIO_OBS=OFF — span histograms are compiled "
-              "out; counters are complete.\n");
-#endif
   render(snap, nullptr, 0.0);
   std::printf(
       "\np50/p99 interpolate within power-of-2 buckets. Set PBIO_TRACE=out.json "
