@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the core primitives: conversion
 // engines at each op granularity, plan compilation, DCG codegen, format
-// meta codec, and the XML SAX parser. Complements the figure benches with
-// statistically-managed per-op numbers.
+// meta codec, the XML SAX parser, and the loopback send against its pooled
+// memcpy floor. Complements the figure benches with statistically-managed
+// per-op numbers.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -16,6 +17,8 @@
 #include "pbio/pbio.h"
 #include "fmt/meta.h"
 #include "obs/obs.h"
+#include "transport/loopback.h"
+#include "util/pool.h"
 #include "vcode/jit_convert.h"
 
 namespace pbio::bench {
@@ -204,6 +207,68 @@ void BM_XmlDecode(benchmark::State& state) {
                           xml.size());
 }
 BENCHMARK(BM_XmlDecode)->DenseRange(0, 3);
+
+// The send floor: hetero_bulk's loopback send against a memcpy into a
+// recycled pooled block. One iteration is one burst of kSendBurst frames,
+// each a 16-byte data header plus a 1 KB, 10 KB or 100 KB image in turn,
+// whose leases are released together as the workload's reader releases a
+// batch. `per_msg` (seconds) compares across the two.
+constexpr std::size_t kSendBurst = 16;
+
+const std::vector<std::vector<std::uint8_t>>& send_images() {
+  static const auto images = [] {
+    std::vector<std::vector<std::uint8_t>> v;
+    for (Size s : {Size::k1KB, Size::k10KB, Size::k100KB}) {
+      v.push_back(
+          workload(s, arch::abi_sparc_v8(), arch::abi_x86_64()).src_image);
+    }
+    return v;
+  }();
+  return images;
+}
+
+void set_per_msg(benchmark::State& state) {
+  const auto msgs = static_cast<double>(state.iterations() * kSendBurst);
+  state.counters["per_msg"] = benchmark::Counter(
+      msgs, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void BM_LoopbackSend(benchmark::State& state) {
+  const auto& images = send_images();
+  auto [tx, rx] = transport::make_loopback_pair();
+  const std::uint8_t header[kDataHeaderSize] = {kFrameData};
+  std::vector<FrameBuf> held(kSendBurst);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kSendBurst; ++i) {
+      const std::span<const std::uint8_t> segs[] = {
+          header, images[i % images.size()]};
+      if (!tx->send_gather(segs).is_ok()) state.SkipWithError("send");
+    }
+    for (FrameBuf& f : held) f = std::move(rx->recv_buf()).take();
+    for (FrameBuf& f : held) f.reset();
+  }
+  set_per_msg(state);
+}
+BENCHMARK(BM_LoopbackSend);
+
+void BM_PooledMemcpy(benchmark::State& state) {
+  const auto& images = send_images();
+  const std::uint8_t header[kDataHeaderSize] = {kFrameData};
+  std::vector<FrameBuf> held(kSendBurst);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kSendBurst; ++i) {
+      const std::vector<std::uint8_t>& image = images[i % images.size()];
+      FrameBuf f = BufferPool::shared().lease(kDataHeaderSize + image.size());
+      std::memcpy(f.data(), header, kDataHeaderSize);
+      std::memcpy(f.data() + kDataHeaderSize, image.data(), image.size());
+      held[i] = std::move(f);
+    }
+    benchmark::ClobberMemory();
+    for (FrameBuf& f : held) f.reset();
+  }
+  set_per_msg(state);
+}
+BENCHMARK(BM_PooledMemcpy);
 
 }  // namespace
 }  // namespace pbio::bench

@@ -164,8 +164,11 @@ RunResult run_mode(Mode mode, int messages, const char* fmt_name) {
   const bool legacy = mode == Mode::kLegacy;
   transport::Channel& ch =
       legacy ? static_cast<transport::Channel&>(two_reads) : sock;
+  // `sock` is the process's only receiving SocketChannel, so its recv()
+  // calls are the transport.socket.read_calls series.
+  const transport::SocketCalls calls = transport::socket_calls();
   auto recv_syscalls = [&] {
-    return legacy ? two_reads.recv_syscalls() : sock.recv_syscalls();
+    return legacy ? two_reads.recv_syscalls() : calls.block->get(calls.recv);
   };
   Reader r(ctx, ch);
   r.expect(id);

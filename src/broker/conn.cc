@@ -32,9 +32,10 @@ obs::MetricId residency_hist(bool ever_paused) {
 
 Conn::Conn(int fd, Shared& sh, BufferPool& pool)
     : pool_(pool),
-      ch_(fd, pool, kStreamChunkBytes),
+      ch_(fd, pool, kStreamChunkBytes,
+          {&sh.counters, kRecvSyscalls, kSendSyscalls}),
       sh_(sh),
-      resolver_(sh.ctx, sh.expected) {
+      resolver_(sh.ctx, sh.expected, sh.counters, kFormatsLearned) {
   // Conns are born on their worker thread (add_conn); pin the contract.
   // The dtor deliberately does not assert: stop() tears down from the
   // main thread after the worker loop has exited.
@@ -53,19 +54,8 @@ Conn::~Conn() {
   // to the pool when the SendQueue member destructs).
   sh_.inflight.fetch_sub(sq_.queued_frames(), kRelaxed);
   sh_.queued_bytes.fetch_sub(sq_.queued_bytes(), kRelaxed);
-  sh_.counters.add(kRecvSyscalls, ch_.recv_syscalls() - folded_recv_);
-  sh_.counters.add(kSendSyscalls, ch_.send_syscalls() - folded_send_);
   obs::flight_record(obs::FlightKind::kClose,
                      static_cast<std::uint64_t>(ch_.fd()));
-}
-
-void Conn::fold_syscalls() {
-  const std::uint64_t r = ch_.recv_syscalls();
-  const std::uint64_t s = ch_.send_syscalls();
-  sh_.counters.add(kRecvSyscalls, r - folded_recv_);
-  sh_.counters.add(kSendSyscalls, s - folded_send_);
-  folded_recv_ = r;
-  folded_send_ = s;
 }
 
 Status Conn::enqueue(FrameBuf frame, const obs::TraceCtx* trace) {
@@ -190,7 +180,6 @@ Status Conn::dispatch(FrameBuf frame) {
   Resolver::Frame f;
   Status st = resolver_.interpret(frame.view(), &f, sh_.cfg.decode);
   if (st.is_ok()) {
-    if (f.kind == Kind::kFormat) sh_.counters.add(kFormatsLearned, 1);
     if (f.kind != Kind::kData) return st;
     st = on_data_frame(std::move(frame), f);
     if (st.is_ok() || st.code() == Errc::kOverloaded) return st;
@@ -228,7 +217,6 @@ Conn::Verdict Conn::service(std::size_t frame_budget, std::uint32_t events) {
             break;
           }
           sh_.counters.add(kProtocolErrors, 1);
-          fold_syscalls();
           return Verdict::kClose;
         }
         ++used;
@@ -241,10 +229,7 @@ Conn::Verdict Conn::service(std::size_t frame_budget, std::uint32_t events) {
           obs::flight_record(obs::FlightKind::kSlowFrame,
                              static_cast<std::uint64_t>(ch_.fd()), disp_ns);
         }
-        if (!st.is_ok()) {
-          fold_syscalls();
-          return Verdict::kClose;
-        }
+        if (!st.is_ok()) return Verdict::kClose;
         if (sq_.queued_bytes() >= sh_.cfg.conn_queue_cap_bytes) {
           // Peer won't drain our responses: stop reading. The kernel
           // receive buffer fills and TCP backpressures the sender.
@@ -260,10 +245,7 @@ Conn::Verdict Conn::service(std::size_t frame_budget, std::uint32_t events) {
       }
     }
     Status st = flush();
-    if (!st.is_ok() || (peer_eof_ && sq_.empty())) {
-      fold_syscalls();
-      return Verdict::kClose;
-    }
+    if (!st.is_ok() || (peer_eof_ && sq_.empty())) return Verdict::kClose;
     if (read_paused_ &&
         sq_.queued_bytes() <= sh_.cfg.conn_queue_resume_bytes) {
       read_paused_ = false;
@@ -274,7 +256,6 @@ Conn::Verdict Conn::service(std::size_t frame_budget, std::uint32_t events) {
                          sq_.queued_bytes());
       if (used < frame_budget) continue;  // drain what piled up while paused
     }
-    fold_syscalls();
     const bool more = !read_paused_ && !peer_eof_ && used >= frame_budget &&
                       ch_.may_have_input();
     return more ? Verdict::kMore : Verdict::kIdle;

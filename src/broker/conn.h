@@ -169,16 +169,12 @@ class Conn {
   // Flush the send queue; updates inflight/byte gauges. kWouldBlock is
   // success (blocked=true inside); hard errors mean the peer is gone.
   Status flush();
-  // Publish the channel's syscall-counter delta into the shared stats.
-  void fold_syscalls();
   BufferPool& pool() { return pool_; }
 
   BufferPool& pool_;
   ThreadOwner owner_;
   transport::SocketChannel ch_;
   Shared& sh_;
-  std::uint64_t folded_recv_ = 0;
-  std::uint64_t folded_send_ = 0;
   SendQueue sq_;
   ByteBuffer svc_reply_{256};
   std::vector<std::uint8_t> decode_out_;

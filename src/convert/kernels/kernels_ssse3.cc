@@ -232,13 +232,15 @@ KernelFn ssse3_swap_kernel(unsigned width) {
   }
 }
 
-// Select the <SSwap, DSwap> instantiation of kernel FN.
+// Select the <SSwap, DSwap> instantiation of kernel FN; the _SWAPPING
+// forms serve keys where a side swaps and have no <false, false> one.
+#define PBIO_PICK_SWAPPING(FN)                                  \
+  (ss ? (ds ? &FN<true, true> : &FN<true, false>) : &FN<false, true>)
 #define PBIO_PICK_SWAPS(FN)                                     \
-  (ss ? (ds ? &FN<true, true> : &FN<true, false>)               \
-      : (ds ? &FN<false, true> : &FN<false, false>))
-#define PBIO_PICK_SWAPS1(FN, A)                                 \
+  (ss || ds ? PBIO_PICK_SWAPPING(FN) : &FN<false, false>)
+#define PBIO_PICK_SWAPPING1(FN, A)                              \
   (ss ? (ds ? &FN<A, true, true> : &FN<A, true, false>)         \
-      : (ds ? &FN<A, false, true> : &FN<A, false, false>))
+      : &FN<A, false, true>)
 
 KernelFn ssse3_cvt_kernel(const CvtKey& k) {
   const bool ss = k.src_swap;
@@ -254,23 +256,22 @@ KernelFn ssse3_cvt_kernel(const CvtKey& k) {
     return nullptr;
   }
   if (!s_float && !d_float) {
-    if (k.width_src == 4 && k.width_dst == 8) {
-      return s_signed ? PBIO_PICK_SWAPS1(cvt_i32_i64, true)
-                      : PBIO_PICK_SWAPS1(cvt_i32_i64, false);
-    }
-    // 8 -> 4 truncation with no byte swap stays scalar: the shufps form
-    // ran at 0.5-1.0x scalar at every count, against 2-4x when either side
-    // swaps (BENCH_kernels.json, "i64->i32" and "i64be->i32").
-    if (k.width_src == 8 && k.width_dst == 4 && (ss || ds)) {
-      return ss ? (ds ? &cvt_i64_i32<true, true> : &cvt_i64_i32<true, false>)
-                : &cvt_i64_i32<false, true>;
-    }
-    if (k.width_src == 2 && k.width_dst == 4) {
-      return s_signed ? PBIO_PICK_SWAPS1(cvt_i16_i32, true)
-                      : PBIO_PICK_SWAPS1(cvt_i16_i32, false);
-    }
     if (k.width_src == 4 && k.width_dst == 2)
       return PBIO_PICK_SWAPS(cvt_i32_i16);
+    // Widening and 8 -> 4 truncation with no byte swap stay scalar: they ran
+    // at 0.5-1.07x scalar at every count, 2-7x when a side swaps
+    // (BENCH_kernels.json, "i32->i64" and "i32->i64be", "i64be->i32").
+    if (!ss && !ds) return nullptr;
+    if (k.width_src == 4 && k.width_dst == 8) {
+      return s_signed ? PBIO_PICK_SWAPPING1(cvt_i32_i64, true)
+                      : PBIO_PICK_SWAPPING1(cvt_i32_i64, false);
+    }
+    if (k.width_src == 8 && k.width_dst == 4)
+      return PBIO_PICK_SWAPPING(cvt_i64_i32);
+    if (k.width_src == 2 && k.width_dst == 4) {
+      return s_signed ? PBIO_PICK_SWAPPING1(cvt_i16_i32, true)
+                      : PBIO_PICK_SWAPPING1(cvt_i16_i32, false);
+    }
     return nullptr;
   }
   if (!s_float && d_float && s_signed && k.width_src == 4 &&
@@ -284,7 +285,8 @@ KernelFn ssse3_cvt_kernel(const CvtKey& k) {
 }
 
 #undef PBIO_PICK_SWAPS
-#undef PBIO_PICK_SWAPS1
+#undef PBIO_PICK_SWAPPING
+#undef PBIO_PICK_SWAPPING1
 
 }  // namespace pbio::convert::kernels
 

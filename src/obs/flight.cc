@@ -36,19 +36,18 @@ struct Ev {
 };
 
 struct Ring {
-  std::atomic<std::uint64_t> idx{0};  // total events ever written
+  std::atomic<std::uint64_t> idx{0};  // events written since the last claim
   Ev ev[kFlightRingEvents];
-  std::uint32_t tid = 0;
+  std::atomic<std::uint32_t> tid{0};  // the thread that last claimed it
+  std::atomic<bool> held{false};
 };
 
 constexpr std::size_t kMaxRings = 128;
 
-// Lock-free ring table: slots are claimed with a fetch_add and published
-// with a release store so a signal handler walking the table sees fully
-// constructed rings. Rings leak on thread exit by design — the crash we
-// are recording for may be that thread's teardown.
-std::atomic<Ring*> g_rings[kMaxRings];
-std::atomic<std::uint32_t> g_ring_count{0};
+// Static, so a signal handler walking the table never meets a ring under
+// construction. A freed ring's events stay in every dump until the next
+// claim: the crash we are recording for may be its thread's teardown.
+Ring g_rings[kMaxRings];
 
 std::atomic<bool> g_armed{false};
 // Deliberately unguarded: read lock-free from signal context by
@@ -69,17 +68,26 @@ std::uint64_t wall_ns() {
          static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
+Ring* claim_ring() {
+  for (Ring& r : g_rings) {
+    bool free = false;
+    if (r.held.compare_exchange_strong(free, true, std::memory_order_acquire)) {  // mo: pairs with the freeing release below: the last owner's writes are done
+      r.idx.store(0, std::memory_order_release);  // mo: a racing dump sees old or new events, each field atomic
+      r.tid.store(thread_tid(), kRelaxed);
+      return &r;
+    }
+  }
+  return nullptr;
+}
+
+// The calling thread's ring from its first record until it exits;
+// nullptr while every ring is held.
 Ring* ring() {
-  thread_local Ring* r = [] {
-    const std::uint32_t slot =
-        g_ring_count.fetch_add(1, std::memory_order_relaxed);  // mo: slot claim; only uniqueness matters, publication is the release store below
-    if (slot >= kMaxRings) return static_cast<Ring*>(nullptr);
-    Ring* fresh = new Ring;
-    fresh->tid = thread_tid();
-    g_rings[slot].store(fresh, std::memory_order_release);  // mo: publishes the constructed Ring to the dump walker's acquire load
-    return fresh;
-  }();
-  return r;
+  thread_local struct Hold {
+    Ring* r = claim_ring();
+    ~Hold() { if (r != nullptr) r->held.store(false, std::memory_order_release); }  // mo: pairs with claim_ring's acquire CAS
+  } hold;
+  return hold.r;
 }
 
 // --- async-signal-safe text emission ---------------------------------------
@@ -117,21 +125,18 @@ std::size_t dump_to(int fd, const char* reason) {
   put_str(fd, "\n");
 
   std::size_t total = 0;
-  const std::uint32_t rings =
-      g_ring_count.load(std::memory_order_acquire);  // mo: pairs with the claim fetch_add + release publish; bounds the slot walk
-  for (std::uint32_t s = 0; s < rings && s < kMaxRings; ++s) {
-    Ring* r = g_rings[s].load(std::memory_order_acquire);  // mo: pairs with ring()'s release store; nullptr means the claimer has not published yet
-    if (r == nullptr) continue;
-    const std::uint64_t idx = r->idx.load(std::memory_order_acquire);  // mo: pairs with flight_record's release publish; events below idx are complete
+  for (const Ring& r : g_rings) {
+    const std::uint64_t idx = r.idx.load(std::memory_order_acquire);  // mo: pairs with flight_record's release publish; events below idx are complete
+    if (idx == 0) continue;
     const std::uint64_t n =
         idx < kFlightRingEvents ? idx : kFlightRingEvents;
     put_str(fd, "ring tid=");
-    put_u64(fd, r->tid);
+    put_u64(fd, r.tid.load(kRelaxed));
     put_str(fd, " count=");
     put_u64(fd, n);
     put_str(fd, "\n");
     for (std::uint64_t i = idx - n; i < idx; ++i) {
-      const Ev& e = r->ev[i % kFlightRingEvents];
+      const Ev& e = r.ev[i % kFlightRingEvents];
       put_str(fd, "e ");
       put_u64(fd, e.ns.load(kRelaxed));
       put_str(fd, " ");
@@ -186,7 +191,11 @@ const char* flight_kind_name(FlightKind k) {
 
 void flight_record(FlightKind k, std::uint64_t a, std::uint64_t b) {
   Ring* r = ring();
-  if (r == nullptr) return;  // past kMaxRings threads: drop, never block
+  if (r == nullptr) {  // every ring is held: drop, never block
+    static const MetricId dropped = counter("obs.flight.dropped");
+    counter_add(dropped, 1);
+    return;
+  }
   const std::uint64_t i = r->idx.load(std::memory_order_relaxed);  // mo: single-writer ring; only this thread ever stores idx
   Ev& e = r->ev[i % kFlightRingEvents];
   e.ns.store(wall_ns(), kRelaxed);

@@ -11,11 +11,11 @@
 //  * the dump format is line-oriented text a human can read raw and
 //    `pbio_dump --flight` can parse (flight_parse below).
 //
-// Rings are fixed-size and registered once per thread in a lock-free
-// global table; they are intentionally leaked on thread exit so a crash
-// during teardown still has the thread's last events. Recording when the
-// recorder was never armed still fills the calling thread's ring (cheap),
-// which is what lets tests exercise it without signals.
+// A thread claims one of 128 fixed-size rings on its first record and
+// frees it on exit; a freed ring keeps its events (a crash in teardown
+// still has them) until reclaimed. With all held, events are dropped and
+// counted in obs.flight.dropped. Recording when the recorder was never
+// armed still fills the thread's ring, which lets tests run without signals.
 #pragma once
 
 #include <cstdint>

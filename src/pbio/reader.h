@@ -32,10 +32,10 @@ class Reader {
   using FormatResolver = Resolver::FormatResolver;
 
   Reader(Context& ctx, transport::Channel& channel)
-      : ctx_(ctx), channel_(channel), resolver_(ctx, expected_) {}
+      : ctx_(ctx), channel_(channel) {}
 
-  // resolver_ borrows expected_: a copy would resolve through the
-  // original's table.
+  // resolver_ borrows expected_ and learned_: a copy would resolve
+  // through the original's table and count into its counter.
   Reader(const Reader&) = delete;
   Reader& operator=(const Reader&) = delete;
 
@@ -62,10 +62,9 @@ class Reader {
   /// returned by the *next* call, so no received message is lost.
   Result<std::size_t> next_batch(std::span<Message> out);
 
-  /// Formats learned from announcements on this channel.
-  std::size_t formats_learned() const {
-    return resolver_.formats_learned();
-  }
+  /// Formats learned on this channel, from announcements and through the
+  /// format resolver: this Reader's share of pbio.recv.formats_learned.
+  std::size_t formats_learned() const { return learned_.get(0); }
 
  private:
   /// Process one frame. Returns true when `m` was filled with a data
@@ -75,7 +74,8 @@ class Reader {
   Context& ctx_;
   transport::Channel& channel_;
   ExpectedTable expected_;
-  Resolver resolver_;
+  obs::CounterBlock learned_{"pbio.recv.formats_learned"};
+  Resolver resolver_{ctx_, expected_, learned_, 0};
   Status pending_ = Status::ok();  // deferred mid-batch error
 };
 

@@ -20,7 +20,7 @@ Status Resolver::interpret(std::span<const std::uint8_t> frame, Frame* out,
       if (!meta.is_ok()) return meta.status();
       auto learned = ctx_.learn_format(std::move(meta).take());
       if (!learned.is_ok()) return learned.status();
-      ++formats_learned_;
+      counters_.add(learned_, 1);
       return Status::ok();
     }
     case transport::kFrameTrace: {
@@ -72,7 +72,7 @@ Result<const fmt::FormatDesc*> Resolver::fetch(Context::FormatId wire_id) {
   auto learned = ctx_.learn_format(std::move(fetched).take());
   if (!learned.is_ok()) return learned.status();
   if (learned.value() != wire_id) return unknown();
-  ++formats_learned_;
+  counters_.add(learned_, 1);
   return ctx_.find(wire_id);
 }
 

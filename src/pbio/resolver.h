@@ -71,11 +71,13 @@ class Resolver {
   using FormatResolver =
       std::function<Result<fmt::FormatDesc>(Context::FormatId)>;
 
-  /// Borrows both: `expected` is owned by the caller (a Reader's own
-  /// table, or one table a broker shares across all its connections) and
-  /// must outlive the Resolver.
-  Resolver(Context& ctx, const ExpectedTable& expected)
-      : ctx_(ctx), expected_(expected) {}
+  /// Borrows `expected` (a Reader's own table, or one table a broker
+  /// shares across all its connections) and `counters`, whose slot
+  /// `learned` counts each format it learns; both must outlive it.
+  Resolver(Context& ctx, const ExpectedTable& expected,
+           obs::CounterBlock& counters, std::size_t learned)
+      : ctx_(ctx), expected_(expected), counters_(counters),
+        learned_(learned) {}
 
   /// What a wire id resolves to.
   struct Entry {
@@ -139,9 +141,6 @@ class Resolver {
     format_resolver_ = std::move(resolver);
   }
 
-  /// Formats learned from announcements and the format resolver.
-  std::size_t formats_learned() const { return formats_learned_; }
-
   /// Resolve `wire_id`. A known id is answered from the table (counted
   /// as pbio.recv.resolve_cache_hits). Otherwise the registry, the
   /// expected table and Context::try_conversion resolve it and the table
@@ -189,7 +188,8 @@ class Resolver {
   const ExpectedTable& expected_;
   IdTable<Known> known_;
   FormatResolver format_resolver_;
-  std::size_t formats_learned_ = 0;
+  obs::CounterBlock& counters_;
+  std::size_t learned_;
 
   // Trace sidecar not yet taken by a data frame. Held in every build: the
   // peer may be an obs-on build, and a broker forwards it regardless.

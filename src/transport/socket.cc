@@ -34,9 +34,16 @@ bool errno_would_block() { return errno == EAGAIN || errno == EWOULDBLOCK; }
 
 }  // namespace
 
+SocketCalls socket_calls() {
+  // Leaked, like the registry: a channel may count during static teardown.
+  static obs::CounterBlock* const block = new obs::CounterBlock{
+      "transport.socket.read_calls", "transport.socket.send_calls"};
+  return {block, 0, 1};
+}
+
 SocketChannel::SocketChannel(int fd, BufferPool& pool,
-                             std::size_t stream_chunk)
-    : fd_(fd), stream_(pool, stream_chunk) {
+                             std::size_t stream_chunk, SocketCalls calls)
+    : fd_(fd), stream_(pool, stream_chunk), calls_(calls) {
   const int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   const int flags = ::fcntl(fd_, F_GETFL);
@@ -58,7 +65,7 @@ Result<std::size_t> SocketChannel::writev_some(std::span<const iovec> iov) {
   if (iov.empty()) return std::size_t{0};
   const ssize_t w =
       io::retry_sendv(fd_, iov.data(), static_cast<int>(iov.size()));
-  ++send_syscalls_;
+  calls_.block->add(calls_.send, 1);
   if (w < 0) {
     if (errno_would_block()) {
       return Status(Errc::kWouldBlock, "would block");
@@ -116,7 +123,7 @@ Status SocketChannel::send_frames(std::span<const FrameSegments> frames) {
     std::size_t iov_left = iov_scratch_.size();
     while (done < want) {
       const ssize_t w = io::retry_sendv(fd_, iov, static_cast<int>(iov_left));
-      ++send_syscalls_;
+      calls_.block->add(calls_.send, 1);
       if (w < 0) {
         return errno_status("sendmsg");
       }
@@ -149,7 +156,7 @@ Status SocketChannel::send_frames(std::span<const FrameSegments> frames) {
 Status SocketChannel::fill(int flags) {
   auto window = stream_.write_window(stream_.fill_hint());
   const ssize_t r = io::retry_recv(fd_, window.data(), window.size(), flags);
-  ++recv_syscalls_;
+  calls_.block->add(calls_.recv, 1);
   if (r < 0) {
     if (errno_would_block()) {
       drained_ = true;
@@ -167,7 +174,6 @@ Status SocketChannel::fill(int flags) {
   }
   drained_ = !eof_pending_ && static_cast<std::size_t>(r) < window.size();
   stream_.commit(static_cast<std::size_t>(r));
-  OBS_COUNT("transport.socket.read_calls", 1);
   OBS_COUNT("transport.socket.read_bytes", r);
   return Status::ok();
 }

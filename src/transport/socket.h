@@ -15,10 +15,19 @@
 #include <memory>
 #include <string>
 
+#include "obs/obs.h"
 #include "transport/channel.h"
 #include "transport/framing.h"
 
 namespace pbio::transport {
+
+/// Where a SocketChannel counts each recv() and sendmsg(), EAGAIN included:
+/// socket_calls() is the process-wide transport.socket.{read,send}_calls.
+struct SocketCalls {
+  obs::CounterBlock* block;
+  std::size_t recv, send;
+};
+SocketCalls socket_calls();
 
 class SocketChannel final : public Channel, public WireSink {
  public:
@@ -31,7 +40,8 @@ class SocketChannel final : public Channel, public WireSink {
   /// don't pin 10k large blocks (frames larger than the chunk still fit —
   /// the stream grows a window to the frame's size on demand).
   explicit SocketChannel(int fd, BufferPool& pool = BufferPool::shared(),
-                         std::size_t stream_chunk = kStreamChunk);
+                         std::size_t stream_chunk = kStreamChunk,
+                         SocketCalls calls = socket_calls());
   ~SocketChannel() override;
 
   SocketChannel(const SocketChannel&) = delete;
@@ -55,11 +65,6 @@ class SocketChannel final : public Channel, public WireSink {
   Result<std::size_t> writev_some(std::span<const iovec> iov) override;
 
   int fd() const { return fd_; }
-
-  /// Kernel crossings so far — syscall-count invariants for tests and the
-  /// bytes-per-syscall bench metric.
-  std::uint64_t send_syscalls() const { return send_syscalls_; }
-  std::uint64_t recv_syscalls() const { return recv_syscalls_; }
 
   /// Edge-triggered input readiness, for event-loop servers. fill()
   /// records "drained" when recv() returned less than its window (TCP
@@ -90,8 +95,7 @@ class SocketChannel final : public Channel, public WireSink {
   bool eof_pending_ = false;
   FrameStream stream_;
   std::uint64_t bytes_sent_ = 0;
-  std::uint64_t send_syscalls_ = 0;
-  std::uint64_t recv_syscalls_ = 0;
+  SocketCalls calls_;
   std::vector<iovec> iov_scratch_;
 };
 

@@ -8,7 +8,9 @@
 // needs backpressure to engage at small, fast byte counts.
 #include "broker/broker.h"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -1071,6 +1073,106 @@ TEST(Broker, StatsAndObsSeriesReadTheSameCounters) {
   EXPECT_EQ(s.protocol_errors, 1u);
   EXPECT_GT(s.recv_syscalls, 0u);
   EXPECT_GT(s.send_syscalls, 0u);
+}
+
+/// A blocking TCP connection to 127.0.0.1:port, as a raw fd.
+int connect_fd(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  return fd;
+}
+
+TEST(Broker, EachSocketCallAndLearnedFormatCountsOnce) {
+  // A broker, a standalone SocketChannel pair and a Reader in one
+  // process. Each recv()/sendmsg() counts once, into the slots its
+  // channel's owner handed it: the broker's block for its connections,
+  // the process-wide transport.socket.* slots for the pair. Each learned
+  // format counts once, into its Reader's or its broker's block.
+  const obs::Snapshot before = obs::snapshot();
+  Context ctx;
+  const NativeField fields[] = {
+      PBIO_FIELD(Sample, a, arch::CType::kInt),
+      PBIO_FIELD(Sample, b, arch::CType::kDouble),
+  };
+  Config cfg;
+  cfg.decode = true;
+  Broker b(ctx, cfg);
+  b.expect("sample", ctx.register_format(
+                         native_format("sample", fields, sizeof(Sample))));
+  ASSERT_TRUE(b.start().is_ok());
+
+  const auto wire_a =
+      arch::layout_format(sample_spec(), arch::abi_sparc_v8());
+  const auto wire_b = arch::layout_format(sample_spec(), arch::abi_mips_be());
+  ASSERT_NE(wire_a.fingerprint(), wire_b.fingerprint());
+  value::Record rec;
+  rec.set("a", value::Value(3));
+  rec.set("b", value::Value(1.5));
+
+  // The broker's client counts into a block of its own, so the
+  // process-wide series see only the pair below.
+  obs::CounterBlock client_calls{"test.client.read_calls",
+                                 "test.client.send_calls"};
+  {
+    SocketChannel client(connect_fd(b.port()), BufferPool::shared(),
+                         transport::kStreamChunk,
+                         {&client_calls, 0, 1});
+    ASSERT_TRUE(client.send(announce_frame(wire_a)).is_ok());
+    const auto frame = record_frame(wire_a, rec);
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(client.send(frame).is_ok());
+      ASSERT_TRUE(client.recv_buf().is_ok());
+    }
+  }
+  ASSERT_TRUE(eventually([&] { return b.stats().closed == 1; }));
+  b.stop();
+
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  SocketChannel tx(fds[0]);
+  SocketChannel rx(fds[1]);
+  Context rx_ctx;  // knows neither wire format
+  Reader r(rx_ctx, rx);
+  r.set_format_resolver(
+      [&](Context::FormatId id) -> Result<fmt::FormatDesc> {
+        if (id == wire_b.fingerprint()) return wire_b;
+        return Status(Errc::kUnknownFormat, "not served");
+      });
+  // Both frames are queued before the Reader reads: one recv() takes them.
+  ASSERT_TRUE(tx.send(announce_frame(wire_a)).is_ok());
+  ASSERT_TRUE(tx.send(record_frame(wire_a, rec)).is_ok());
+  ASSERT_TRUE(r.next().is_ok());
+  // Never announced: the Reader fetches it through the format resolver.
+  ASSERT_TRUE(tx.send(record_frame(wire_b, rec)).is_ok());
+  ASSERT_TRUE(r.next().is_ok());
+
+  const obs::Snapshot after = obs::snapshot();
+  const auto delta = [&](const char* name) {
+    const auto* c0 = before.find_counter(name);
+    const auto* c1 = after.find_counter(name);
+    EXPECT_NE(c1, nullptr) << name << " is not served";
+    return (c1 == nullptr ? 0 : c1->value) - (c0 == nullptr ? 0 : c0->value);
+  };
+  const BrokerStats s = b.stats();
+  EXPECT_EQ(delta("pbio.broker.recv_syscalls"), s.recv_syscalls);
+  EXPECT_EQ(delta("pbio.broker.send_syscalls"), s.send_syscalls);
+  EXPECT_GT(s.recv_syscalls, 0u);
+  EXPECT_GT(s.send_syscalls, 0u);
+  EXPECT_EQ(client_calls.get(1), 4u);  // one sendmsg per frame
+  EXPECT_GT(client_calls.get(0), 0u);
+  // The pair's three sends and two receives, and nothing else.
+  EXPECT_EQ(delta("transport.socket.send_calls"), 3u);
+  EXPECT_EQ(delta("transport.socket.read_calls"), 2u);
+
+  EXPECT_EQ(r.formats_learned(), 2u);  // one announced, one fetched
+  EXPECT_EQ(delta("pbio.recv.formats_learned"), r.formats_learned());
+  EXPECT_EQ(s.formats_learned, 1u);
+  EXPECT_EQ(delta("pbio.broker.formats_learned"), s.formats_learned);
 }
 
 }  // namespace

@@ -154,7 +154,8 @@ TEST(Resolution, UnknownIdRejectedWithoutBuild) {
   // A stream's resolver rejects the id at its registry lookup, before any
   // conversion is requested.
   const ExpectedTable expected{{"sample", {native, ctx.find(native)}}};
-  Resolver resolver(ctx, expected);
+  obs::CounterBlock learned{"pbio.recv.formats_learned"};
+  Resolver resolver(ctx, expected, learned, 0);
   auto e = resolver.resolve(0xdeadbeefdeadbeefull);
   ASSERT_FALSE(e.is_ok());
   EXPECT_EQ(e.status().code(), Errc::kUnknownFormat);

@@ -272,13 +272,15 @@ TEST(OversizedFrame, SocketRefusesBeforeAnyByte) {
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   transport::SocketChannel tx(fds[0]);
   transport::SocketChannel rx(fds[1]);
+  const transport::SocketCalls calls = transport::socket_calls();
+  const std::uint64_t send_calls = calls.block->get(calls.send);
 
   const std::uint8_t small[] = {1, 2, 3};
   const std::span<const std::uint8_t> small_seg[] = {small};
   const std::span<const std::uint8_t> huge_seg[] = {huge.bytes()};
   const FrameSegments frames[] = {{small_seg}, {huge_seg}};
   EXPECT_EQ(tx.send_frames(frames).code(), Errc::kMalformed);
-  EXPECT_EQ(tx.send_syscalls(), 0u);
+  EXPECT_EQ(calls.block->get(calls.send), send_calls);
   EXPECT_EQ(tx.bytes_sent(), 0u);
 
   // The stream is intact: the next frame is the first the peer sees.

@@ -426,6 +426,51 @@ TEST(KernelsProperty, TruncationResolutionTable) {
   }
 }
 
+/// The widening table: with no byte swap the SSSE3 integer widenings ran
+/// at 0.71-1.07x the scalar kernel, so that tier resolves them to scalar;
+/// SSSE3 int -> double keeps its own no-swap form (up to 1.11x at 64
+/// elements), AVX2 keeps every form, and each swapping form keeps the tier
+/// that was asked for (BENCH_kernels.json, "i16->i32", "i32->i64",
+/// "i32->f64").
+TEST(KernelsProperty, WideningResolutionTable) {
+  struct Row {
+    NumKind src, dst;
+    unsigned width_src, width_dst;
+    bool no_swap_scalar_at_ssse3;
+  };
+  const Row rows[] = {
+      {NumKind::kInt, NumKind::kInt, 2, 4, true},
+      {NumKind::kUInt, NumKind::kUInt, 2, 4, true},
+      {NumKind::kInt, NumKind::kInt, 4, 8, true},
+      {NumKind::kUInt, NumKind::kUInt, 4, 8, true},
+      {NumKind::kInt, NumKind::kFloat, 4, 8, false},
+  };
+  for (const Row& row : rows) {
+    for (Isa isa : tiers_up_to_detected()) {
+      if (isa == Isa::kScalar) continue;
+      for (int swaps = 0; swaps < 4; ++swaps) {
+        CvtKey key;
+        key.src_kind = row.src;
+        key.width_src = row.width_src;
+        key.src_swap = (swaps & 1) != 0;
+        key.dst_kind = row.dst;
+        key.width_dst = row.width_dst;
+        key.dst_swap = (swaps & 2) != 0;
+        const Resolved r = resolve_cvt_kernel(key, isa);
+        ASSERT_NE(r.fn, nullptr);
+        const Isa expect = swaps == 0 && isa == Isa::kSsse3 &&
+                                   row.no_swap_scalar_at_ssse3
+                               ? Isa::kScalar
+                               : isa;
+        EXPECT_STREQ(to_string(r.isa), to_string(expect))
+            << "asked " << to_string(isa) << ", widths " << row.width_src
+            << "->" << row.width_dst << ", src_swap " << key.src_swap
+            << ", dst_swap " << key.dst_swap;
+      }
+    }
+  }
+}
+
 /// Both engines, dispatch forced to every tier including scalar (the
 /// non-SIMD build / old-CPU path), on a large-array plan exercised through
 /// run_plan and CompiledConvert — including the in-place contract.

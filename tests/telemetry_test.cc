@@ -293,6 +293,35 @@ TEST(Flight, DumpDuringConcurrentWriteStaysParseable) {
   std::remove(path.c_str());
 }
 
+TEST(Flight, ExitedThreadsReturnTheirRings) {
+  // More short-lived recording threads, one after another, than the
+  // recorder has rings: each finds the ring an exited thread returned, so
+  // the last thread's event reaches the dump and nothing is dropped.
+  const std::string path = testing::TempDir() + "flight_reuse.dump";
+  obs::flight_arm(path);
+  constexpr std::uint64_t kThreads = 200;
+  constexpr std::uint64_t kSentinel = 0x7e5e;
+  for (std::uint64_t i = 0; i < kThreads; ++i) {
+    std::thread([i] {
+      obs::flight_record(obs::FlightKind::kMark, i, kSentinel);
+    }).join();
+  }
+  ASSERT_GT(obs::flight_dump("reuse"), 0u);
+
+  std::vector<obs::FlightEvent> events;
+  ASSERT_TRUE(obs::flight_parse(slurp(path), &events));
+  bool saw_last = false;
+  for (const auto& e : events) {
+    saw_last = saw_last || (e.kind == obs::FlightKind::kMark &&
+                            e.a == kThreads - 1 && e.b == kSentinel);
+  }
+  EXPECT_TRUE(saw_last);
+  const obs::Snapshot snap = obs::snapshot();
+  const obs::CounterSample* dropped = snap.find_counter("obs.flight.dropped");
+  EXPECT_EQ(dropped == nullptr ? 0u : dropped->value, 0u);
+  std::remove(path.c_str());
+}
+
 #ifndef PBIO_TEST_SANITIZED
 TEST(Flight, SegfaultingChildWritesParseableDump) {
   // The post-mortem path end to end: a forked child arms the recorder,

@@ -272,7 +272,8 @@ TEST(TierUp, MoreFormatsThanTheTableHoldsStillDecode) {
     const auto native = ctx.register_format(natives.back());
     expected[natives.back().name] = Expected{native, ctx.find(native)};
   }
-  Resolver resolver(ctx, expected);
+  obs::CounterBlock learned{"pbio.recv.formats_learned"};
+  Resolver resolver(ctx, expected, learned, 0);
 
   std::size_t most_known = 0;
   for (int round = 0; round < kRounds; ++round) {

@@ -60,6 +60,13 @@ comparison baselines the benches measure PBIO against
                         network model, test fakes): the library never
                         depends on what is only measured or tested
                         against it. Never allowlisted.
+  R10 counter-store     a metric-name literal under src/ registered both
+                        through OBS_COUNT / obs::counter(...) (a per-thread
+                        slab series) and in a CounterBlock initializer (an
+                        owner's block) counts one series from two stores:
+                        an event counted in both double-counts it. Each
+                        counter lives in one store. Never allowlisted; both
+                        sites are reported.
 
 Usage:
     tools/wire_lint.py [--root REPO_ROOT] [--allowlist FILE] [--self-test]
@@ -103,6 +110,12 @@ RE_CAST_INVOKE = re.compile(
     r"\breinterpret_cast<\w[\w:]*>\s*\((?:[^()]|\([^()]*\))*\)\s*\("
 )
 FNPTR_HOME = "src/vcode/"
+# R10: metric-name literals registered as slab counters, and the opening
+# of a CounterBlock initializer (whose string literals, up to the brace or
+# paren that closes it, name block counters).
+RE_SLAB_COUNTER = re.compile(r'\b(?:OBS_COUNT|counter)\s*\(\s*"([^"\\]+)"')
+RE_BLOCK_OPEN = re.compile(r"\bCounterBlock\b[^;{(]*[{(]")
+RE_STRING_LITERAL = re.compile(r'"([^"\\]*)"')
 # R9: quoted includes, and the trees a library file may not reach into.
 RE_INCLUDE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 NON_LIBRARY_TREES = ("bench", "tests")
@@ -177,9 +190,10 @@ def load_allowlist(path):
     return entries
 
 
-def strip_comments_and_strings(line, in_block_comment):
+def strip_comments_and_strings(line, in_block_comment, keep_strings=False):
     """Blank out comment and string-literal contents so rule regexes only
-    see code. Returns (code_text, still_in_block_comment)."""
+    see code (`keep_strings`: blank only the comments). Returns
+    (code_text, still_in_block_comment)."""
     out = []
     i = 0
     in_string = None
@@ -195,10 +209,16 @@ def strip_comments_and_strings(line, in_block_comment):
             continue
         if in_string:
             if ch == "\\":
+                if keep_strings:
+                    out.append(line[i:i + 2])
                 i += 2
                 continue
             if ch == in_string:
                 in_string = None
+                if keep_strings:
+                    out.append(ch)
+            elif keep_strings:
+                out.append(ch)
             i += 1
             continue
         if ch == "/" and nxt == "/":
@@ -391,6 +411,58 @@ def scan_file(root, path, allowlist, findings):
                        "handler")
 
 
+def counter_names(path):
+    """(slab, block): metric-name literal -> first line number, for the
+    names `path` registers as slab counters and in CounterBlock
+    initializers."""
+    slab, block = {}, {}
+    in_comment = False
+    depth = 0  # >0 inside a CounterBlock initializer
+    for lineno, raw in enumerate(
+            path.read_text(errors="replace").splitlines(), 1):
+        code, in_comment = strip_comments_and_strings(raw, in_comment,
+                                                      keep_strings=True)
+        for m in RE_SLAB_COUNTER.finditer(code):
+            slab.setdefault(m.group(1), lineno)
+        rest = code
+        if depth == 0:
+            opened = RE_BLOCK_OPEN.search(code)
+            if opened is None:
+                continue
+            rest = code[opened.end() - 1:]
+        for ch in RE_STRING_LITERAL.sub('""', rest):
+            if ch in "{(":
+                depth += 1
+            elif ch in "})":
+                depth -= 1
+        for m in RE_STRING_LITERAL.finditer(rest):
+            block.setdefault(m.group(1), lineno)
+        depth = max(depth, 0)
+    return slab, block
+
+
+def scan_counter_stores(root, paths, findings):
+    """R10 over every src/ file at once: a name may be registered in one
+    store kind only."""
+    slab, block = {}, {}
+    for path in paths:
+        rel = path.relative_to(root).as_posix()
+        if not rel.startswith("src/"):
+            continue
+        s, b = counter_names(path)
+        for name, lineno in s.items():
+            slab.setdefault(name, []).append((rel, lineno))
+        for name, lineno in b.items():
+            block.setdefault(name, []).append((rel, lineno))
+    for name in sorted(set(slab) & set(block)):
+        for rel, lineno in slab[name] + block[name]:
+            findings.append((rel, lineno, "counter-store",
+                             f"metric '{name}' is registered both as a "
+                             "slab counter (OBS_COUNT/obs::counter) and in "
+                             "a CounterBlock — one series, two stores; "
+                             "count it in one", name))
+
+
 # --- self-test -----------------------------------------------------------
 # Each case is one synthetic source line dropped into a scratch tree at the
 # given path; the scan over that tree must produce exactly the expected
@@ -520,6 +592,30 @@ SELF_TEST_CASES = [
     ("bench/baselines/b/b.cc", '#include "baselines/b/b.h"', set()),
     ("bench/baselines/b/r1_hit.cc", "auto* p = reinterpret_cast<char*>(q);",
      {"reinterpret-cast"}),
+    # R10: one name in a slab registration and in a (multi-line)
+    # CounterBlock initializer fires at both sites, whichever file holds
+    # each; names in one store kind only, comments and non-src/ files do
+    # not. All lines of one synthetic file share its expected set.
+    ("src/obs/r10_slab.cc", 'OBS_COUNT("r10.twice", 1);', {"counter-store"}),
+    ("src/obs/r10_block.cc", "obs::CounterBlock counters_{",
+     {"counter-store"}),
+    ("src/obs/r10_block.cc", '    "r10.block_only", "r10.twice"};',
+     {"counter-store"}),
+    ("src/obs/r10_id.cc",
+     'static const MetricId id = obs::counter("r10.by_id");',
+     {"counter-store"}),
+    ("src/obs/r10_id.cc", 'CounterBlock b{"r10.by_id"};',
+     {"counter-store"}),
+    ("src/obs/r10_ok.cc", 'OBS_COUNT("r10.slab_only", n);', set()),
+    ("src/obs/r10_ok.cc", 'auto* blk = new obs::CounterBlock{"r10.new_only",',
+     set()),
+    ("src/obs/r10_ok.cc", '    "r10.other"};  // OBS_COUNT("r10.new_only")',
+     set()),
+    ("src/obs/r10_ok.cc", 'snap.find_counter("r10.slab_only");', set()),
+    ("src/obs/r10_ok.cc", 'obs::CounterBlock& c = owner.counters;', set()),
+    ("src/obs/r10_ok.cc", 'OBS_COUNT("r10.after_ref", 1);', set()),
+    ("bench/baselines/b/r10_bench.cc", 'OBS_COUNT("r10.block_only", 1);',
+     set()),
     # Comment and string contents never trip rules.
     ("src/pbio/noise_comment.cc",
      "// reinterpret_cast<char*>(q); mprotect(p, n, PROT_EXEC);", set()),
@@ -544,8 +640,10 @@ def self_test():
         stale_entry = AllowEntry("src/pbio/nonexistent.cc", "nothing",
                                  "self-test stale entry", 2)
         findings = []
-        for path in iter_scan_files(root):
+        paths = list(iter_scan_files(root))
+        for path in paths:
             scan_file(root, path, allowlist + [stale_entry], findings)
+        scan_counter_stores(root, paths, findings)
         got = {}
         for rel, _lineno, rule, _msg, _raw in findings:
             got.setdefault(rel, set()).add(rule)
@@ -588,8 +686,10 @@ def main():
     allowlist = load_allowlist(allow_path)
 
     findings = []
-    for path in iter_scan_files(root):
+    paths = list(iter_scan_files(root))
+    for path in paths:
         scan_file(root, path, allowlist, findings)
+    scan_counter_stores(root, paths, findings)
 
     status = 0
     if findings:
