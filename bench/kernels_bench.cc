@@ -1,9 +1,11 @@
 // Microbenchmark for the batch conversion kernels (src/convert/kernels):
-// scalar vs SIMD tiers per element width and count, plus the pre-kernel
-// per-element interpreter loop as the baseline the tentpole replaces.
-// Prints the harness tables and also emits machine-readable results to
-// BENCH_kernels.json (in the working directory) so the perf trajectory of
-// the swap/convert hot loops is tracked from run to run.
+// every SIMD instantiation the resolver can return, each against the
+// scalar kernel of the same key, at each element count; the byte swaps
+// also against the pre-kernel per-element interpreter loop. Prints the
+// harness tables and also emits machine-readable results to
+// BENCH_kernels.json (in the working directory), which
+// tools/kernel_rule.py checks against the keep-or-delete rule of
+// docs/kernels.md.
 #include <algorithm>
 #include <array>
 #include <cstdint>
@@ -50,160 +52,167 @@ void per_elem_swap(std::uint8_t* dst, const std::uint8_t* src,
   }
 }
 
-constexpr std::array<Isa, 3> kTiers = {Isa::kScalar, Isa::kSsse3, Isa::kAvx2};
-
-/// `r`, a request resolved at `isa`, as `isa`'s own kernel, or nullptr when
-/// the host lacks the tier or the request resolved to a lower tier's kernel.
-KernelFn own_kernel(const convert::kernels::Resolved& r, Isa isa) {
-  if (convert::kernels::detected_isa() < isa) return nullptr;
-  return r.isa == isa ? r.fn : nullptr;
-}
-
-/// One row's kernel calls at each tier, in kTiers order. A tier without
-/// its own kernel on this host (`has` false) runs the scalar kernel in its
-/// slot, so every row times the same calls; it prints "-" and writes no
-/// JSON row.
-struct TierCalls {
-  std::array<Call, 3> call;
-  std::array<bool, 3> has{};
+/// A SIMD instantiation: its row name, the scalar kernel of the same key,
+/// and its own kernel.
+struct Case {
+  std::string name;
+  unsigned width_src = 0;
+  unsigned width_dst = 0;
+  KernelFn scalar = nullptr;
+  KernelFn simd = nullptr;
 };
 
-template <typename ResolveAt>
-TierCalls tier_calls(ResolveAt resolve_at, std::uint8_t* dst,
-                     const std::uint8_t* src, std::size_t n) {
-  TierCalls t;
-  for (std::size_t k = 0; k < kTiers.size(); ++k) {
-    const KernelFn fn = own_kernel(resolve_at(kTiers[k]), kTiers[k]);
-    t.has[k] = fn != nullptr;
-    t.call[k] = {t.has[k] ? fn : t.call[0].fn, dst, src, n};
+/// "i32", "u16be", "f64": a side of a key, "be" when it swaps (the foreign
+/// order on a little-endian host).
+std::string side_name(NumKind kind, unsigned width, bool swap) {
+  const char* k = kind == NumKind::kFloat  ? "f"
+                  : kind == NumKind::kUInt ? "u"
+                                           : "i";
+  return k + std::to_string(8 * width) + (swap ? "be" : "");
+}
+
+/// An integer destination stores the same low bytes whatever its kind, so
+/// its name takes the source's signedness: "u32->u64", "i64->i32".
+std::string cvt_name(const CvtKey& k) {
+  const NumKind dst_kind = k.dst_kind == NumKind::kFloat ? NumKind::kFloat
+                           : k.src_kind == NumKind::kUInt ? NumKind::kUInt
+                                                          : NumKind::kInt;
+  return side_name(k.src_kind, k.width_src, k.src_swap) + "->" +
+         side_name(dst_kind, k.width_dst, k.dst_swap);
+}
+
+/// Every AVX2 cvt instantiation on this host, once each: the keys the plan
+/// compiler can emit (integers of 1-8 bytes and floats of 4 or 8 on each
+/// side, each swap combination), named after the first key that resolves
+/// to it. Empty on a host without AVX2.
+std::vector<Case> avx2_cvt_cases() {
+  std::vector<Case> cases;
+  if (convert::kernels::detected_isa() < Isa::kAvx2) return cases;
+  const auto widths = [](NumKind k) {
+    return k == NumKind::kFloat ? std::vector<unsigned>{4, 8}
+                                : std::vector<unsigned>{1, 2, 4, 8};
+  };
+  for (NumKind sk : {NumKind::kInt, NumKind::kUInt, NumKind::kFloat}) {
+    for (NumKind dk : {NumKind::kInt, NumKind::kUInt, NumKind::kFloat}) {
+      for (unsigned ws : widths(sk)) {
+        for (unsigned wd : widths(dk)) {
+          for (int swaps = 0; swaps < 4; ++swaps) {
+            CvtKey k;
+            k.src_kind = sk;
+            k.width_src = static_cast<std::uint8_t>(ws);
+            k.src_swap = (swaps & 1) != 0 && ws > 1;
+            k.dst_kind = dk;
+            k.width_dst = static_cast<std::uint8_t>(wd);
+            k.dst_swap = (swaps & 2) != 0 && wd > 1;
+            const auto r = convert::kernels::resolve_cvt_kernel(k, Isa::kAvx2);
+            if (r.isa != Isa::kAvx2 ||
+                std::any_of(cases.begin(), cases.end(),
+                            [&r](const Case& c) { return c.simd == r.fn; })) {
+              continue;
+            }
+            cases.push_back(
+                {cvt_name(k), ws, wd,
+                 convert::kernels::resolve_cvt_kernel(k, Isa::kScalar).fn,
+                 r.fn});
+          }
+        }
+      }
+    }
   }
-  return t;
+  return cases;
 }
 
 int run() {
   print_header("Kernels",
-               "Batch swap/convert kernels: scalar vs SIMD tiers; host " +
+               "Batch swap/convert kernels: scalar vs AVX2 tier; host " +
                    describe(cpu_features()));
   std::vector<JsonFields> json;
   const std::vector<std::size_t> counts = {16, 64, 256, 1024, 4096, 65536};
+  const bool avx2 = convert::kernels::detected_isa() >= Isa::kAvx2;
 
   std::mt19937 rng(42);
   std::vector<std::uint8_t> src(65536 * 8 + 64);
   for (auto& b : src) b = static_cast<std::uint8_t>(rng());
   std::vector<std::uint8_t> dst(65536 * 8 + 64);
-  // Each present tier's speedup over scalar (0 where absent), and its
-  // JSON row.
-  const auto report = [&](const std::string& kernel, unsigned width,
-                          const TierCalls& t,
-                          const std::array<std::vector<double>, 3>& ns) {
-    std::array<double, 3> speedup{};
-    for (std::size_t k = 0; k < kTiers.size(); ++k) {
-      if (!t.has[k]) continue;
-      const std::size_t n = t.call[k].count;
-      speedup[k] = median_ratio(ns[0], ns[k]);
-      json.push_back(
-          {{"kernel", json_str(kernel)},
-           {"width", std::to_string(width)},
-           {"count", std::to_string(n)},
-           {"isa", json_str(convert::kernels::to_string(kTiers[k]))},
-           {"ns_per_elem", json_num(median(ns[k]) / static_cast<double>(n), 4)},
-           {"speedup_vs_scalar", json_num(speedup[k], 3)}});
-    }
-    return speedup;
+  const auto row = [&](const std::string& kernel, unsigned width,
+                       std::size_t n, Isa isa, double ns, double speedup) {
+    json.push_back(
+        {{"kernel", json_str(kernel)},
+         {"width", std::to_string(width)},
+         {"count", std::to_string(n)},
+         {"isa", json_str(convert::kernels::to_string(isa))},
+         {"ns_per_elem", json_num(ns / static_cast<double>(n), 4)},
+         {"speedup_vs_scalar", json_num(speedup, 3)}});
   };
-  const auto cell = [](const TierCalls& t, const std::array<double, 3>& x,
-                       std::size_t k) {
-    return t.has[k] ? fmt_ratio(x[k]) : std::string("-");
+  const auto per_1k = [](const std::vector<double>& ns, std::size_t n) {
+    return fmt_us(median(ns) * 1e3 / static_cast<double>(n));
   };
+  const auto ratio2 = [](double r) { return json_num(r, 2) + "x"; };
 
   // --- byte swap ------------------------------------------------------------
+  std::vector<Case> swaps;
   for (unsigned w : {2u, 4u, 8u}) {
     Table t("Byte swap, width " + std::to_string(w) +
-                " (us per 1k elements; speedup vs scalar kernel)",
-            {"count", "per-elem", "scalar", "ssse3", "avx2", "best_speedup"});
+                " (us per 1k elements; avx2 speedup vs scalar kernel)",
+            {"count", "per-elem", "scalar", "avx2"});
     const KernelFn per_elem = w == 2   ? &per_elem_swap<std::uint16_t>
                               : w == 4 ? &per_elem_swap<std::uint32_t>
                                        : &per_elem_swap<std::uint64_t>;
+    const auto scalar = convert::kernels::resolve_swap_kernel(w, Isa::kScalar);
+    const auto simd = convert::kernels::resolve_swap_kernel(w, Isa::kAvx2);
+    const bool has_simd = avx2 && simd.isa == Isa::kAvx2;
+    if (has_simd) swaps.push_back({"swap w" + std::to_string(w), w, w,
+                                   scalar.fn, simd.fn});
     for (std::size_t n : counts) {
-      TierCalls tc = tier_calls(
-          [w](Isa isa) {
-            return convert::kernels::resolve_swap_kernel(w, isa);
-          },
-          dst.data(), src.data(), n);
       Call per{per_elem, dst.data(), src.data(), n};
-      const auto [t_per, t0, t1, t2] =
-          alternating_rounds_ns(per, tc.call[0], tc.call[1], tc.call[2]);
-      const auto speedup = report("swap", w, tc, {t0, t1, t2});
-      const auto per_1k = [n](const std::vector<double>& ns) {
-        return fmt_us(median(ns) * 1e3 / static_cast<double>(n));
-      };
-      t.add_row({std::to_string(n), per_1k(t_per), per_1k(t0),
-                 cell(tc, speedup, 1), cell(tc, speedup, 2),
-                 fmt_ratio(*std::max_element(speedup.begin(), speedup.end()))});
+      Call c0{scalar.fn, dst.data(), src.data(), n};
+      // Without an AVX2 form the scalar kernel runs in its slot, so every
+      // row times the same calls; the cell prints "-" and writes no row.
+      Call c1{has_simd ? simd.fn : scalar.fn, dst.data(), src.data(), n};
+      const auto [t_per, t0, t1] = alternating_rounds_ns(per, c0, c1);
+      row("swap", w, n, Isa::kScalar, median(t0), 1.0);
+      std::string cell = "-";
+      if (has_simd) {
+        const double s = median_ratio(t0, t1);
+        row("swap", w, n, Isa::kAvx2, median(t1), s);
+        cell = ratio2(s);
+      }
+      t.add_row({std::to_string(n), per_1k(t_per, n), per_1k(t0, n), cell});
     }
     t.print();
   }
 
   // --- numeric conversions --------------------------------------------------
-  struct Case {
-    const char* name;
-    CvtKey key;
-  };
-  const bool host_le = host_byte_order() == ByteOrder::kLittle;
-  auto key = [&](NumKind sk, std::uint8_t sw, bool sswap, NumKind dk,
-                 std::uint8_t dw, bool dswap) {
-    CvtKey k;
-    k.src_kind = sk;
-    k.width_src = sw;
-    k.src_swap = sswap && host_le;  // wire=foreign-order cases on LE hosts
-    k.dst_kind = dk;
-    k.width_dst = dw;
-    k.dst_swap = dswap && host_le;
-    return k;
-  };
-  const std::vector<Case> cases = {
-      {"f32->f64", key(NumKind::kFloat, 4, false, NumKind::kFloat, 8, false)},
-      {"f32be->f64", key(NumKind::kFloat, 4, true, NumKind::kFloat, 8, false)},
-      {"f64->f32", key(NumKind::kFloat, 8, false, NumKind::kFloat, 4, false)},
-      {"i32->i64", key(NumKind::kInt, 4, false, NumKind::kInt, 8, false)},
-      {"i32->i64be", key(NumKind::kInt, 4, false, NumKind::kInt, 8, true)},
-      {"i64->i32", key(NumKind::kInt, 8, false, NumKind::kInt, 4, false)},
-      {"i64be->i32", key(NumKind::kInt, 8, true, NumKind::kInt, 4, false)},
-      {"i16->i32", key(NumKind::kInt, 2, false, NumKind::kInt, 4, false)},
-      {"i32->f64", key(NumKind::kInt, 4, false, NumKind::kFloat, 8, false)},
-      {"f64->i32", key(NumKind::kFloat, 8, false, NumKind::kInt, 4, false)},
-  };
-  Table t("Numeric conversions at count=4096 (us per 1k elements; speedup "
-          "vs scalar)",
-          {"conversion", "scalar", "ssse3", "avx2"});
+  const std::vector<Case> cases = avx2_cvt_cases();
+  std::vector<std::string> columns = {"conversion", "scalar@4096"};
+  for (std::size_t n : counts) columns.push_back("n=" + std::to_string(n));
+  columns.push_back("best");
+  Table t("Numeric conversions: every AVX2 instantiation (scalar us per 1k "
+          "elements at n=4096; avx2 speedup vs scalar kernel per count)",
+          columns);
   for (const Case& c : cases) {
-    std::string scalar_cell, ssse3_cell, avx2_cell;
+    std::vector<std::string> cells = {c.name, ""};
+    double best = 0;
     for (std::size_t n : counts) {
-      TierCalls tc = tier_calls(
-          [&c](Isa isa) {
-            return convert::kernels::resolve_cvt_kernel(c.key, isa);
-          },
-          dst.data(), src.data(), n);
-      if (!tc.has[0]) break;
-      const auto [t0, t1, t2] =
-          alternating_rounds_ns(tc.call[0], tc.call[1], tc.call[2]);
-      const auto speedup = report(c.name, c.key.width_src, tc, {t0, t1, t2});
-      if (n == 4096) {
-        scalar_cell = fmt_us(median(t0) * 1e3 / static_cast<double>(n));
-        ssse3_cell = cell(tc, speedup, 1);
-        avx2_cell = cell(tc, speedup, 2);
-      }
+      Call c0{c.scalar, dst.data(), src.data(), n};
+      Call c1{c.simd, dst.data(), src.data(), n};
+      const auto [t0, t1] = alternating_rounds_ns(c0, c1);
+      const double s = median_ratio(t0, t1);
+      row(c.name, c.width_src, n, Isa::kScalar, median(t0), 1.0);
+      row(c.name, c.width_src, n, Isa::kAvx2, median(t1), s);
+      if (n == 4096) cells[1] = per_1k(t0, n);
+      cells.push_back(ratio2(s));
+      best = std::max(best, s);
     }
-    if (!scalar_cell.empty()) {
-      t.add_row({c.name, scalar_cell, ssse3_cell, avx2_cell});
-    }
+    cells.push_back(ratio2(best));
+    t.add_row(cells);
   }
   t.print();
 
   // --- destination alignment ------------------------------------------------
   // One ~99 KB source (Figure 4's 100 KB record) per call, src 64-byte
-  // aligned, dst at each 8-byte offset from a 32-byte boundary, at each
-  // SIMD tier, with a same-size memcpy (dst at +8) as the floor. Timed in
+  // aligned, dst at each 8-byte offset from a 32-byte boundary, for each
+  // AVX2 kernel, with a same-size memcpy (dst at +8) as the floor. Timed in
   // alternating rounds; median us per call.
   Table at("Destination alignment, ~99 KB per call (us; dst offset mod 32)",
            {"kernel", "+0", "+8", "+16", "+24", "memcpy"});
@@ -217,37 +226,25 @@ int run() {
   };
   const std::uint8_t* asrc = align64(abuf_src.data());
   std::uint8_t* adst = align64(abuf_dst.data());
-  const auto alignment_row = [&](const std::string& name, KernelFn fn,
-                                 unsigned width_src, unsigned width_dst) {
-    const std::size_t n = 99'224 / width_src;
-    auto at_offset = [&, fn, n](std::size_t off) {
-      return [=] { fn(adst + off, asrc, n); };
-    };
-    auto k0 = at_offset(0);
-    auto k8 = at_offset(8);
-    auto k16 = at_offset(16);
-    auto k24 = at_offset(24);
-    auto copy = [&, n] { std::memcpy(adst + 8, asrc, n * width_dst); };
-    const auto [t0, t8, t16, t24, tc] =
-        alternating_rounds_ns(k0, k8, k16, k24, copy);
-    at.add_row({name, fmt_us(median(t0)), fmt_us(median(t8)),
-                fmt_us(median(t16)), fmt_us(median(t24)),
-                fmt_us(median(tc))});
-  };
-  for (Isa isa : {Isa::kSsse3, Isa::kAvx2}) {
-    const std::string tier =
-        std::string(" ") + convert::kernels::to_string(isa);
-    for (unsigned w : {2u, 4u, 8u}) {
-      if (KernelFn fn = own_kernel(
-              convert::kernels::resolve_swap_kernel(w, isa), isa)) {
-        alignment_row("swap w" + std::to_string(w) + tier, fn, w, w);
-      }
-    }
-    for (const Case& c : cases) {
-      if (KernelFn fn = own_kernel(
-              convert::kernels::resolve_cvt_kernel(c.key, isa), isa)) {
-        alignment_row(c.name + tier, fn, c.key.width_src, c.key.width_dst);
-      }
+  for (const std::vector<Case>* group :
+       std::array<const std::vector<Case>*, 2>{&swaps, &cases}) {
+    for (const Case& c : *group) {
+      const std::size_t n = 99'224 / c.width_src;
+      auto at_offset = [&, fn = c.simd, n](std::size_t off) {
+        return [=] { fn(adst + off, asrc, n); };
+      };
+      auto k0 = at_offset(0);
+      auto k8 = at_offset(8);
+      auto k16 = at_offset(16);
+      auto k24 = at_offset(24);
+      auto copy = [&, n, w = c.width_dst] {
+        std::memcpy(adst + 8, asrc, n * w);
+      };
+      const auto [t0, t8, t16, t24, tc] =
+          alternating_rounds_ns(k0, k8, k16, k24, copy);
+      at.add_row({c.name, fmt_us(median(t0)), fmt_us(median(t8)),
+                  fmt_us(median(t16)), fmt_us(median(t24)),
+                  fmt_us(median(tc))});
     }
   }
   at.print();

@@ -15,14 +15,12 @@ namespace {
 /// per dispatched op — amortized over >= kMinCount elements.
 void count_kernel_use(kernels::Isa isa, std::uint64_t elems) {
   using obs::MetricId;
-  static const MetricId calls[3] = {
+  static const MetricId calls[2] = {
       obs::counter("convert.kernels.scalar.calls"),
-      obs::counter("convert.kernels.ssse3.calls"),
       obs::counter("convert.kernels.avx2.calls"),
   };
-  static const MetricId counts[3] = {
+  static const MetricId counts[2] = {
       obs::counter("convert.kernels.scalar.elems"),
-      obs::counter("convert.kernels.ssse3.elems"),
       obs::counter("convert.kernels.avx2.elems"),
   };
   obs::counter_add(calls[static_cast<int>(isa)], 1);

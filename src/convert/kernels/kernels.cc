@@ -10,10 +10,7 @@ namespace pbio::convert::kernels {
 namespace {
 
 Isa detect_tier() {
-  const CpuFeatures& f = cpu_features();
-  if (f.avx2) return Isa::kAvx2;
-  if (f.ssse3) return Isa::kSsse3;
-  return Isa::kScalar;
+  return cpu_features().avx2 ? Isa::kAvx2 : Isa::kScalar;
 }
 
 std::atomic<Isa>& active_slot() {
@@ -58,7 +55,6 @@ KernelFn pick_dst(const CvtKey& k) {
 const char* to_string(Isa isa) {
   switch (isa) {
     case Isa::kScalar: return "scalar";
-    case Isa::kSsse3: return "ssse3";
     case Isa::kAvx2: return "avx2";
   }
   return "?";
@@ -141,44 +137,14 @@ Resolved resolve_swap_kernel(unsigned width, Isa isa) {
   if (isa >= Isa::kAvx2) {
     if (KernelFn fn = avx2_swap_kernel(width)) return {fn, Isa::kAvx2};
   }
-  if (isa >= Isa::kSsse3) {
-    if (KernelFn fn = ssse3_swap_kernel(width)) return {fn, Isa::kSsse3};
-  }
   return {scalar_swap_kernel(width), Isa::kScalar};
-}
-
-Resolved resolve_swap_kernel(unsigned width) {
-  return resolve_swap_kernel(width, active_isa());
 }
 
 Resolved resolve_cvt_kernel(const CvtKey& key, Isa isa) {
   if (isa >= Isa::kAvx2) {
     if (KernelFn fn = avx2_cvt_kernel(key)) return {fn, Isa::kAvx2};
   }
-  if (isa >= Isa::kSsse3) {
-    if (KernelFn fn = ssse3_cvt_kernel(key)) return {fn, Isa::kSsse3};
-  }
   return {scalar_cvt_kernel(key), Isa::kScalar};
-}
-
-Resolved resolve_cvt_kernel(const CvtKey& key) {
-  return resolve_cvt_kernel(key, active_isa());
-}
-
-KernelFn swap_kernel(unsigned width, Isa isa) {
-  return resolve_swap_kernel(width, isa).fn;
-}
-
-KernelFn swap_kernel(unsigned width) {
-  return resolve_swap_kernel(width, active_isa()).fn;
-}
-
-KernelFn cvt_kernel(const CvtKey& key, Isa isa) {
-  return resolve_cvt_kernel(key, isa).fn;
-}
-
-KernelFn cvt_kernel(const CvtKey& key) {
-  return resolve_cvt_kernel(key, active_isa()).fn;
 }
 
 }  // namespace pbio::convert::kernels

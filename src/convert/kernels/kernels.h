@@ -7,10 +7,11 @@
 //  * the DCG engine (vcode/jit_convert.cc) emits a direct call to the
 //    resolved kernel pointer instead of generating N scalar element bodies.
 //
-// Each kernel has a scalar unrolled baseline plus x86-64 SIMD variants
-// (SSSE3 pshufb byte-swap, SSE2/AVX2 converts), selected once per process
-// by cpuid (util/cpu.h). Non-x86 builds and pre-SSSE3 CPUs get the scalar
-// tier; tests can force any tier at or below the detected one.
+// Each kernel has a scalar unrolled baseline; an AVX2 form exists only
+// where it reads >= 1.10x the scalar kernel (docs/kernels.md, "The rule"),
+// selected once per process by cpuid (util/cpu.h). Non-x86 builds and
+// CPUs without AVX2 get the scalar tier; tests can force any tier at or
+// below the detected one.
 //
 // Contract (every kernel, every tier):
 //  * src and dst may be unaligned;
@@ -43,16 +44,15 @@ namespace pbio::convert::kernels {
 using KernelFn = void (*)(std::uint8_t* dst, const std::uint8_t* src,
                           std::size_t count);
 
-/// Dispatch tiers, ordered. kSsse3 also assumes SSE2/SSE4.1-free encodings
-/// only; kAvx2 widens the swap and convert loops to 256 bits.
-enum class Isa : std::uint8_t { kScalar = 0, kSsse3 = 1, kAvx2 = 2 };
+/// Dispatch tiers, ordered.
+enum class Isa : std::uint8_t { kScalar = 0, kAvx2 = 1 };
 
 const char* to_string(Isa isa);
 
 /// Best tier the running CPU supports (cpuid, cached).
 Isa detected_isa();
 
-/// Tier used by the no-Isa-argument lookups below.
+/// Tier the lookups below use when none is given.
 Isa active_isa();
 
 /// Force the active tier (clamped to detected_isa() — forcing down is
@@ -75,11 +75,6 @@ inline constexpr std::uint32_t kMinCount = 16;
 /// break-even is 2-4 KB; EXPERIMENTS.md, "Kernel tier speedups").
 inline constexpr std::size_t kAlignMinBytes = 4096;
 
-/// Byte-swap kernel for elements of `width` bytes (2, 4 or 8; other widths
-/// return nullptr). width_src == width_dst for kSwap ops.
-KernelFn swap_kernel(unsigned width);
-KernelFn swap_kernel(unsigned width, Isa isa);
-
 /// A kCvtNum op reduced to what a batch kernel needs: element kinds and
 /// widths plus whether the wire/native byte order differs from the host's
 /// on each side (exec_cvt's load-in-src-order / store-in-dst-order).
@@ -95,28 +90,23 @@ struct CvtKey {
 /// Build the key for a kCvtNum op given the plan's byte orders.
 CvtKey cvt_key(const Op& op, ByteOrder src_order, ByteOrder dst_order);
 
-/// Batch kernel for a numeric conversion, or nullptr when the combination
-/// has no batch form (unusual widths, e.g. simulated 16-byte long-double
-/// slots) — callers keep their generic per-element loop. The scalar tier
-/// covers every 1/2/4/8-byte integer and 4/8-byte float pairing with
-/// monomorphized loops; SIMD tiers cover the common widen/narrow and
-/// f32<->f64 cases and otherwise fall back to the scalar form.
-KernelFn cvt_kernel(const CvtKey& key);
-KernelFn cvt_kernel(const CvtKey& key, Isa isa);
-
-/// A resolved kernel plus the tier that actually provides it. Requested
-/// SIMD tiers fall through to lower tiers per shape (e.g. a width with no
-/// AVX2 form resolves to the SSSE3 or scalar kernel), so `isa` here is the
-/// tier of the returned function — what per-tier usage accounting wants —
-/// not the tier that was asked for.
+/// A resolved kernel plus the tier that provides it: the requested tier's
+/// own form, else the scalar one. `fn` is nullptr when the shape has no
+/// batch form at all — a swap width other than 2, 4 or 8, a cvt with an
+/// unusual width (e.g. a simulated 16-byte long-double slot), or a
+/// same-width float->float cvt (see scalar_cvt_kernel) — and callers keep
+/// their per-element loop. The scalar tier covers every other 1/2/4/8-byte
+/// integer and 4/8-byte float pairing with monomorphized loops.
 struct Resolved {
   KernelFn fn = nullptr;
   Isa isa = Isa::kScalar;
 };
 
-Resolved resolve_swap_kernel(unsigned width, Isa isa);
-Resolved resolve_swap_kernel(unsigned width);
-Resolved resolve_cvt_kernel(const CvtKey& key, Isa isa);
-Resolved resolve_cvt_kernel(const CvtKey& key);
+/// Byte-swap kernel for elements of `width` bytes (width_src == width_dst
+/// for kSwap ops).
+Resolved resolve_swap_kernel(unsigned width, Isa isa = active_isa());
+
+/// Batch kernel for a numeric conversion.
+Resolved resolve_cvt_kernel(const CvtKey& key, Isa isa = active_isa());
 
 }  // namespace pbio::convert::kernels

@@ -1,8 +1,14 @@
 // AVX2 tier: 256-bit byte-swap and widen/narrow/f32<->f64 loops. Compiled
 // with -mavx2 on x86-64; never executed unless cpuid (plus the XGETBV ymm
 // check) reports AVX2. GCC/Clang insert vzeroupper at the boundaries.
-// As in the SSSE3 tier, the swap and widening kernels convert a scalar
-// head up to the first 32-byte dst boundary before their 256-bit stores.
+// All loads/stores are unaligned forms; tails reuse the scalar templates.
+// The swap and widening kernels first convert a scalar head up to the
+// first 32-byte dst boundary (cvt_head), so with an element-aligned dst
+// no vector store splits a cache line. The narrowing kernels keep no
+// head: one measured mixed there (EXPERIMENTS.md, "Kernel tier speedups").
+// Every kernel processes its blocks in ascending order, each block's loads
+// before its stores — what the forward-overlap contract (kernels.h) rests
+// on.
 #include "convert/kernels/kernels_impl.h"
 
 #if defined(__x86_64__) && defined(__AVX2__)
@@ -158,6 +164,30 @@ void cvt_i16_i32(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
   cvt_scalar<S, std::uint32_t, SS, DS>(dst + 4 * i, src + 2 * i, n - i);
 }
 
+/// 4 -> 2 byte integer truncation, 8 elements per block in 128-bit halves.
+template <bool SS, bool DS>
+void cvt_i32_i16(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
+  const __m128i pick_low_words = _mm_setr_epi8(
+      0, 1, 4, 5, 8, 9, 12, 13, -128, -128, -128, -128, -128, -128, -128,
+      -128);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m128i a = loadu128(src + 4 * i);
+    __m128i b = loadu128(src + 4 * i + 16);
+    if constexpr (SS) {
+      a = bswap32x(a);
+      b = bswap32x(b);
+    }
+    const __m128i alow = _mm_shuffle_epi8(a, pick_low_words);
+    const __m128i blow = _mm_shuffle_epi8(b, pick_low_words);
+    __m128i r = _mm_unpacklo_epi64(alow, blow);
+    if constexpr (DS) r = bswap16x(r);
+    storeu128(dst + 2 * i, r);
+  }
+  cvt_scalar<std::uint32_t, std::uint16_t, SS, DS>(dst + 2 * i, src + 4 * i,
+                                                   n - i);
+}
+
 template <bool SS, bool DS>
 void cvt_i32_f64(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
   std::size_t i = cvt_head<std::int32_t, double, SS, DS, 32>(dst, src, n);
@@ -182,9 +212,12 @@ KernelFn avx2_swap_kernel(unsigned width) {
   }
 }
 
+// Select the <SSwap, DSwap> instantiation of kernel FN; the _SWAPPING
+// form serves keys where a side swaps and has no <false, false> one.
+#define PBIO_PICK_SWAPPING(FN)                                  \
+  (ss ? (ds ? &FN<true, true> : &FN<true, false>) : &FN<false, true>)
 #define PBIO_PICK_SWAPS(FN)                                     \
-  (ss ? (ds ? &FN<true, true> : &FN<true, false>)               \
-      : (ds ? &FN<false, true> : &FN<false, false>))
+  (ss || ds ? PBIO_PICK_SWAPPING(FN) : &FN<false, false>)
 #define PBIO_PICK_SWAPS1(FN, A)                                 \
   (ss ? (ds ? &FN<A, true, true> : &FN<A, true, false>)         \
       : (ds ? &FN<A, false, true> : &FN<A, false, false>))
@@ -207,22 +240,33 @@ KernelFn avx2_cvt_kernel(const CvtKey& k) {
       return s_signed ? PBIO_PICK_SWAPS1(cvt_i32_i64, true)
                       : PBIO_PICK_SWAPS1(cvt_i32_i64, false);
     }
-    if (k.width_src == 8 && k.width_dst == 4)
-      return PBIO_PICK_SWAPS(cvt_i64_i32);
     if (k.width_src == 2 && k.width_dst == 4) {
       return s_signed ? PBIO_PICK_SWAPS1(cvt_i16_i32, true)
                       : PBIO_PICK_SWAPS1(cvt_i16_i32, false);
     }
-    return nullptr;  // 4 -> 2 narrowing: the ssse3 form is used instead
+    // The truncations without a byte swap stay scalar: in five Release
+    // runs their best count read 1.10-1.14x (8 -> 4, under the 1.10x rule
+    // in three runs) and 1.08-1.25x (4 -> 2, under it in one); with a swap
+    // they read 1.6-5.3x (docs/kernels.md, "The rule").
+    if (!ss && !ds) return nullptr;
+    if (k.width_src == 8 && k.width_dst == 4)
+      return PBIO_PICK_SWAPPING(cvt_i64_i32);
+    if (k.width_src == 4 && k.width_dst == 2)
+      return PBIO_PICK_SWAPPING(cvt_i32_i16);
+    return nullptr;
   }
   if (!s_float && d_float && s_signed && k.width_src == 4 &&
       k.width_dst == 8) {
     return PBIO_PICK_SWAPS(cvt_i32_f64);
   }
+  // float -> integer keeps the scalar form: the saturation semantics
+  // (cvttsd2si out-of-range behaviour through a 64-bit intermediate) have
+  // no cheap packed equivalent that stays bit-identical.
   return nullptr;
 }
 
 #undef PBIO_PICK_SWAPS
+#undef PBIO_PICK_SWAPPING
 #undef PBIO_PICK_SWAPS1
 
 }  // namespace pbio::convert::kernels

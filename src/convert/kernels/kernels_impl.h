@@ -138,14 +138,12 @@ inline std::size_t cvt_head(std::uint8_t* dst, const std::uint8_t* src,
   return head;
 }
 
-// Per-tier lookups. The scalar ones live in kernels.cc; the SIMD ones in
-// kernels_ssse3.cc / kernels_avx2.cc compile to nullptr-returning stubs on
-// non-x86 targets (and cover only the common conversions on x86 — the
-// dispatcher falls back to the scalar form for the rest).
+// Per-tier lookups. The scalar ones live in kernels.cc; the AVX2 ones in
+// kernels_avx2.cc compile to nullptr-returning stubs on non-x86 targets
+// (and return nullptr on x86 for every key without an AVX2 form — the
+// dispatcher falls back to the scalar form for those).
 KernelFn scalar_swap_kernel(unsigned width);
 KernelFn scalar_cvt_kernel(const CvtKey& key);
-KernelFn ssse3_swap_kernel(unsigned width);
-KernelFn ssse3_cvt_kernel(const CvtKey& key);
 KernelFn avx2_swap_kernel(unsigned width);
 KernelFn avx2_cvt_kernel(const CvtKey& key);
 

@@ -15,7 +15,6 @@ CpuFeatures detect() {
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
   if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return f;
   f.sse2 = (edx & (1u << 26)) != 0;
-  f.ssse3 = (ecx & (1u << 9)) != 0;
   f.sse41 = (ecx & (1u << 19)) != 0;
 
   // AVX requires the OS to save/restore ymm state: OSXSAVE set and
@@ -59,7 +58,6 @@ std::string describe(const CpuFeatures& f) {
     s += name;
   };
   add(f.sse2, "sse2");
-  add(f.ssse3, "ssse3");
   add(f.sse41, "sse4.1");
   add(f.avx, "avx");
   add(f.avx2, "avx2");

@@ -9,7 +9,6 @@ namespace pbio {
 
 struct CpuFeatures {
   bool sse2 = false;
-  bool ssse3 = false;
   bool sse41 = false;
   bool avx = false;    // includes the OS ymm-state (XGETBV) check
   bool avx2 = false;
@@ -18,7 +17,7 @@ struct CpuFeatures {
 /// Features of the machine this process runs on. Detected once, cached.
 const CpuFeatures& cpu_features();
 
-/// "sse2 ssse3 avx2" — for bench/tool output.
+/// "sse2 sse4.1 avx avx2" — for bench/tool output.
 std::string describe(const CpuFeatures& f);
 
 }  // namespace pbio

@@ -79,7 +79,7 @@ void walk_call_sites(const Plan& plan, Sink&& sink) {
         }
         return;
       case OpCode::kSwap: {
-        kernels::KernelFn fn = kernels::swap_kernel(op.width_src);
+        kernels::KernelFn fn = kernels::resolve_swap_kernel(op.width_src).fn;
         if (kernel_call_emitted(op, top, fn)) {
           sink(reinterpret_cast<std::uint64_t>(fn),
                verify::tval::CalleeKind::kKernel, op.width_src, op.width_src);
@@ -87,8 +87,8 @@ void walk_call_sites(const Plan& plan, Sink&& sink) {
         return;
       }
       case OpCode::kCvtNum: {
-        kernels::KernelFn fn = kernels::cvt_kernel(
-            kernels::cvt_key(op, plan.src_order, plan.dst_order));
+        kernels::KernelFn fn = kernels::resolve_cvt_kernel(
+            kernels::cvt_key(op, plan.src_order, plan.dst_order)).fn;
         if (kernel_call_emitted(op, top, fn)) {
           sink(reinterpret_cast<std::uint64_t>(fn),
                verify::tval::CalleeKind::kKernel, op.width_src, op.width_dst);
@@ -146,8 +146,8 @@ class ConvertCompiler {
         emit_zero(ctx, op.dst_off, op.byte_len);
         return;
       case OpCode::kSwap:
-        if (try_emit_kernel_call(op, ctx,
-                                 kernels::swap_kernel(op.width_src))) {
+        if (try_emit_kernel_call(
+                op, ctx, kernels::resolve_swap_kernel(op.width_src).fn)) {
           return;
         }
         emit_array(ctx, op, [this](Gp sb, std::int32_t so, Gp db,
@@ -158,8 +158,9 @@ class ConvertCompiler {
       case OpCode::kCvtNum:
         if (try_emit_kernel_call(
                 op, ctx,
-                kernels::cvt_kernel(kernels::cvt_key(op, plan_.src_order,
-                                                     plan_.dst_order)))) {
+                kernels::resolve_cvt_kernel(
+                    kernels::cvt_key(op, plan_.src_order, plan_.dst_order))
+                    .fn)) {
           return;
         }
         emit_array(ctx, op, [this](Gp sb, std::int32_t so, Gp db,

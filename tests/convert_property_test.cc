@@ -267,10 +267,14 @@ std::size_t eligible_kernel_runs(const Plan& plan) {
   std::size_t n = 0;
   for (const Op& op : plan.ops) {
     if (op.count < kernels::kMinCount) continue;
-    if (op.code == OpCode::kSwap && kernels::swap_kernel(op.width_src)) ++n;
+    if (op.code == OpCode::kSwap &&
+        kernels::resolve_swap_kernel(op.width_src).fn != nullptr) {
+      ++n;
+    }
     if (op.code == OpCode::kCvtNum &&
-        kernels::cvt_kernel(
-            kernels::cvt_key(op, plan.src_order, plan.dst_order))) {
+        kernels::resolve_cvt_kernel(
+            kernels::cvt_key(op, plan.src_order, plan.dst_order))
+                .fn != nullptr) {
       ++n;
     }
   }

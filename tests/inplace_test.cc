@@ -213,9 +213,6 @@ TEST(Inplace, KernelRunsBehindLeadingFieldMatchOutOfPlace) {
       {.name = "u", .type = CType::kULong, .array_elems = 18},
   };
   std::vector<kernels::Isa> tiers = {kernels::Isa::kScalar};
-  if (kernels::detected_isa() >= kernels::Isa::kSsse3) {
-    tiers.push_back(kernels::Isa::kSsse3);
-  }
   if (kernels::detected_isa() >= kernels::Isa::kAvx2) {
     tiers.push_back(kernels::Isa::kAvx2);
   }

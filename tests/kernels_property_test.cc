@@ -80,7 +80,6 @@ void oracle_swap(unsigned w, std::uint8_t* dst, const std::uint8_t* src,
 
 std::vector<Isa> tiers_up_to_detected() {
   std::vector<Isa> tiers = {Isa::kScalar};
-  if (detected_isa() >= Isa::kSsse3) tiers.push_back(Isa::kSsse3);
   if (detected_isa() >= Isa::kAvx2) tiers.push_back(Isa::kAvx2);
   return tiers;
 }
@@ -100,7 +99,7 @@ TEST(KernelsProperty, SwapMatchesOracleAllTiersCountsAlignments) {
                                 31, 33, 100, 255, 1024, 4097};
   for (unsigned w : {2u, 4u, 8u}) {
     for (Isa isa : tiers_up_to_detected()) {
-      KernelFn fn = swap_kernel(w, isa);
+      KernelFn fn = resolve_swap_kernel(w, isa).fn;
       ASSERT_NE(fn, nullptr);
       for (std::size_t n : counts) {
         for (std::size_t align : {0u, 1u, 3u, 7u, 13u}) {
@@ -159,7 +158,7 @@ TEST(KernelsProperty, CvtMatchesOracleAllPairsTiersAlignments) {
                                  d.kind == NumKind::kFloat &&
                                  s.width == d.width;
           for (Isa isa : tiers_up_to_detected()) {
-            KernelFn fn = cvt_kernel(key, isa);
+            KernelFn fn = resolve_cvt_kernel(key, isa).fn;
             if (uncovered) {
               ASSERT_EQ(fn, nullptr);
               continue;
@@ -182,7 +181,7 @@ TEST(KernelsProperty, CvtMatchesOracleAllPairsTiersAlignments) {
           }
           // Same-width pairs support the dst == src in-place case.
           if (s.width == d.width && !uncovered) {
-            KernelFn fn = cvt_kernel(key);
+            KernelFn fn = resolve_cvt_kernel(key).fn;
             const std::size_t n = 513;
             std::vector<std::uint8_t> buf(1 + n * s.width);
             fill_random(buf.data(), buf.size(), rng);
@@ -234,7 +233,7 @@ TEST(KernelsProperty, SwapForwardOverlapMatchesOracleAllTiers) {
   for (unsigned w : {2u, 4u, 8u}) {
     for (Isa isa : tiers_up_to_detected()) {
       expect_forward_overlap_matches(
-          swap_kernel(w, isa), w,
+          resolve_swap_kernel(w, isa).fn, w,
           [w](std::uint8_t* d, const std::uint8_t* s, std::size_t n) {
             oracle_swap(w, d, s, n);
           },
@@ -265,9 +264,9 @@ int for_each_cvt_kernel(bool widening, Check&& check) {
             key.dst_kind = dk;
             key.width_dst = static_cast<std::uint8_t>(wd);
             key.dst_swap = (swaps & 2) != 0 && wd > 1;
-            KernelFn seen[3] = {};
+            KernelFn seen[2] = {};
             for (Isa isa : tiers_up_to_detected()) {
-              KernelFn fn = cvt_kernel(key, isa);
+              KernelFn fn = resolve_cvt_kernel(key, isa).fn;
               if (fn == nullptr ||
                   std::find(std::begin(seen), std::end(seen), fn) !=
                       std::end(seen)) {
@@ -364,7 +363,7 @@ TEST(KernelsProperty, SwapEveryDstOffsetMatchesOracleAllTiers) {
   for (unsigned w : {2u, 4u, 8u}) {
     for (Isa isa : tiers_up_to_detected()) {
       expect_every_dst_offset_matches(
-          swap_kernel(w, isa), w, w,
+          resolve_swap_kernel(w, isa).fn, w, w,
           [w](std::uint8_t* d, const std::uint8_t* s, std::size_t n) {
             oracle_swap(w, d, s, n);
           },
@@ -388,24 +387,22 @@ TEST(KernelsProperty, CvtEveryDstOffsetMatchesOracleAllTiers) {
 }
 
 TEST(KernelsProperty, UnusualWidthsHaveNoBatchKernel) {
-  EXPECT_EQ(swap_kernel(3), nullptr);
-  EXPECT_EQ(swap_kernel(16), nullptr);
+  EXPECT_EQ(resolve_swap_kernel(3).fn, nullptr);
+  EXPECT_EQ(resolve_swap_kernel(16).fn, nullptr);
   CvtKey key;
   key.src_kind = NumKind::kFloat;
   key.width_src = 16;  // simulated long-double slot
   key.dst_kind = NumKind::kFloat;
   key.width_dst = 8;
-  EXPECT_EQ(cvt_kernel(key), nullptr);
+  EXPECT_EQ(resolve_cvt_kernel(key).fn, nullptr);
 }
 
-/// The 8 -> 4 integer truncation table: with no byte swap the SSSE3 form
-/// ran at half the scalar loop's speed, so that tier resolves it to scalar;
-/// AVX2 keeps its own no-swap form, and each swapping form keeps the tier
-/// that was asked for (BENCH_kernels.json, "i64->i32" and "i64be->i32").
+/// 8->4 integer truncation: the forms that swap either side resolve to AVX2
+/// at the AVX2 tier; the no-swap form, and every form at the scalar tier,
+/// resolve to scalar.
 TEST(KernelsProperty, TruncationResolutionTable) {
   for (NumKind kind : {NumKind::kInt, NumKind::kUInt}) {
     for (Isa isa : tiers_up_to_detected()) {
-      if (isa == Isa::kScalar) continue;
       for (int swaps = 0; swaps < 4; ++swaps) {
         CvtKey key;
         key.src_kind = kind;
@@ -417,7 +414,7 @@ TEST(KernelsProperty, TruncationResolutionTable) {
         const Resolved r = resolve_cvt_kernel(key, isa);
         ASSERT_NE(r.fn, nullptr);
         const Isa expect =
-            swaps == 0 && isa == Isa::kSsse3 ? Isa::kScalar : isa;
+            swaps != 0 && isa == Isa::kAvx2 ? Isa::kAvx2 : Isa::kScalar;
         EXPECT_STREQ(to_string(r.isa), to_string(expect))
             << "asked " << to_string(isa) << ", src_swap " << key.src_swap
             << ", dst_swap " << key.dst_swap;
@@ -426,47 +423,150 @@ TEST(KernelsProperty, TruncationResolutionTable) {
   }
 }
 
-/// The widening table: with no byte swap the SSSE3 integer widenings ran
-/// at 0.71-1.07x the scalar kernel, so that tier resolves them to scalar;
-/// SSSE3 int -> double keeps its own no-swap form (up to 1.11x at 64
-/// elements), AVX2 keeps every form, and each swapping form keeps the tier
-/// that was asked for (BENCH_kernels.json, "i16->i32", "i32->i64",
-/// "i32->f64").
+/// Widening conversions resolve to AVX2 at the AVX2 tier in every swap
+/// form, and to scalar at the scalar tier.
 TEST(KernelsProperty, WideningResolutionTable) {
   struct Row {
     NumKind src, dst;
     unsigned width_src, width_dst;
-    bool no_swap_scalar_at_ssse3;
   };
   const Row rows[] = {
-      {NumKind::kInt, NumKind::kInt, 2, 4, true},
-      {NumKind::kUInt, NumKind::kUInt, 2, 4, true},
-      {NumKind::kInt, NumKind::kInt, 4, 8, true},
-      {NumKind::kUInt, NumKind::kUInt, 4, 8, true},
-      {NumKind::kInt, NumKind::kFloat, 4, 8, false},
+      {NumKind::kInt, NumKind::kInt, 2, 4},
+      {NumKind::kUInt, NumKind::kUInt, 2, 4},
+      {NumKind::kInt, NumKind::kInt, 4, 8},
+      {NumKind::kUInt, NumKind::kUInt, 4, 8},
+      {NumKind::kInt, NumKind::kFloat, 4, 8},
+      {NumKind::kFloat, NumKind::kFloat, 4, 8},
   };
   for (const Row& row : rows) {
     for (Isa isa : tiers_up_to_detected()) {
-      if (isa == Isa::kScalar) continue;
       for (int swaps = 0; swaps < 4; ++swaps) {
         CvtKey key;
         key.src_kind = row.src;
-        key.width_src = row.width_src;
+        key.width_src = static_cast<std::uint8_t>(row.width_src);
         key.src_swap = (swaps & 1) != 0;
         key.dst_kind = row.dst;
-        key.width_dst = row.width_dst;
+        key.width_dst = static_cast<std::uint8_t>(row.width_dst);
         key.dst_swap = (swaps & 2) != 0;
         const Resolved r = resolve_cvt_kernel(key, isa);
         ASSERT_NE(r.fn, nullptr);
-        const Isa expect = swaps == 0 && isa == Isa::kSsse3 &&
-                                   row.no_swap_scalar_at_ssse3
-                               ? Isa::kScalar
-                               : isa;
-        EXPECT_STREQ(to_string(r.isa), to_string(expect))
+        EXPECT_STREQ(to_string(r.isa), to_string(isa))
             << "asked " << to_string(isa) << ", widths " << row.width_src
             << "->" << row.width_dst << ", src_swap " << key.src_swap
             << ", dst_swap " << key.dst_swap;
       }
+    }
+  }
+}
+
+/// The whole resolution map: every swap width and every cvt key the plan
+/// compiler can emit (integer kinds at widths 1/2/4/8, floats at 4/8, each
+/// swap combination) resolves, at each tier the host has, to the tier this
+/// table names. A key resolves to AVX2 exactly when a row below covers it;
+/// every other key, and every key at the scalar tier, resolves to scalar.
+/// Each row is an AVX2 form that reads >= 1.10x its scalar kernel at some
+/// count in every Release run (docs/kernels.md, "The rule"), so an AVX2
+/// instantiation added without a row, or a row left behind by a deleted
+/// one, fails here.
+TEST(KernelsProperty, ResolutionMapTable) {
+  constexpr unsigned kInts = 1u << static_cast<int>(NumKind::kInt) |
+                             1u << static_cast<int>(NumKind::kUInt);
+  constexpr unsigned kSigned = 1u << static_cast<int>(NumKind::kInt);
+  constexpr unsigned kFloats = 1u << static_cast<int>(NumKind::kFloat);
+  // Swap combinations, bit (src_swap | dst_swap << 1).
+  constexpr unsigned kNone = 1u << 0, kSrc = 1u << 1, kDst = 1u << 2,
+                     kBoth = 1u << 3, kSwapping = kSrc | kDst | kBoth,
+                     kAll = kNone | kSwapping;
+  struct Row {
+    unsigned src_kinds;
+    unsigned width_src;
+    unsigned dst_kinds;
+    unsigned width_dst;
+    unsigned swaps;
+  };
+  const Row avx2_rows[] = {
+      {kFloats, 4, kFloats, 8, kAll},   // f32->f64
+      {kFloats, 8, kFloats, 4, kAll},   // f64->f32
+      {kInts, 2, kInts, 4, kAll},       // i16->i32, u16->u32
+      {kInts, 4, kInts, 8, kAll},       // i32->i64, u32->u64
+      {kInts, 4, kInts, 2, kSwapping},  // i32be->i16, i32->i16be, ...
+      {kInts, 8, kInts, 4, kSwapping},  // i64be->i32, i64->i32be, ...
+      {kSigned, 4, kFloats, 8, kAll},   // i32->f64
+  };
+  const unsigned avx2_swap_widths[] = {2, 4, 8};
+
+  const std::vector<Isa> tiers = tiers_up_to_detected();
+  for (unsigned w = 1; w <= 16; ++w) {
+    const bool has_kernel = w == 2 || w == 4 || w == 8;
+    const bool has_avx2 = std::find(std::begin(avx2_swap_widths),
+                                    std::end(avx2_swap_widths),
+                                    w) != std::end(avx2_swap_widths);
+    for (Isa isa : tiers) {
+      const Resolved r = resolve_swap_kernel(w, isa);
+      ASSERT_EQ(r.fn != nullptr, has_kernel) << "swap w=" << w;
+      if (!has_kernel) continue;
+      const Isa expect = isa == Isa::kAvx2 && has_avx2 ? isa : Isa::kScalar;
+      EXPECT_STREQ(to_string(r.isa), to_string(expect))
+          << "swap w=" << w << " asked " << to_string(isa);
+    }
+  }
+
+  std::vector<int> row_hits(std::size(avx2_rows), 0);
+  const NumKind kinds[] = {NumKind::kInt, NumKind::kUInt, NumKind::kFloat};
+  for (NumKind sk : kinds) {
+    for (NumKind dk : kinds) {
+      for (unsigned ws : {1u, 2u, 4u, 8u}) {
+        for (unsigned wd : {1u, 2u, 4u, 8u}) {
+          const bool s_float = sk == NumKind::kFloat;
+          const bool d_float = dk == NumKind::kFloat;
+          // The plan compiler emits floats of 4 and 8 bytes only.
+          if ((s_float && ws < 4) || (d_float && wd < 4)) continue;
+          // Same-width float->float has no batch form (scalar_cvt_kernel).
+          const bool has_kernel = !(s_float && d_float && ws == wd);
+          for (unsigned swaps = 0; swaps < 4; ++swaps) {
+            CvtKey key;
+            key.src_kind = sk;
+            key.width_src = static_cast<std::uint8_t>(ws);
+            key.src_swap = (swaps & 1) != 0 && ws > 1;
+            key.dst_kind = dk;
+            key.width_dst = static_cast<std::uint8_t>(wd);
+            key.dst_swap = (swaps & 2) != 0 && wd > 1;
+            const unsigned form = (key.src_swap ? 1u : 0u) |
+                                  (key.dst_swap ? 2u : 0u);
+            int row = -1;
+            for (std::size_t i = 0; i < std::size(avx2_rows); ++i) {
+              const Row& r = avx2_rows[i];
+              if ((r.src_kinds >> static_cast<int>(sk) & 1u) != 0 &&
+                  (r.dst_kinds >> static_cast<int>(dk) & 1u) != 0 &&
+                  r.width_src == ws && r.width_dst == wd &&
+                  (r.swaps >> form & 1u) != 0) {
+                row = static_cast<int>(i);
+              }
+            }
+            for (Isa isa : tiers) {
+              const Resolved r = resolve_cvt_kernel(key, isa);
+              const std::string what =
+                  "cvt src(" + std::to_string(int(sk)) + ",w" +
+                  std::to_string(ws) + ",s" + std::to_string(key.src_swap) +
+                  ") dst(" + std::to_string(int(dk)) + ",w" +
+                  std::to_string(wd) + ",s" + std::to_string(key.dst_swap) +
+                  ") asked " + to_string(isa);
+              ASSERT_EQ(r.fn != nullptr, has_kernel) << what;
+              if (!has_kernel) continue;
+              const bool avx2 = isa == Isa::kAvx2 && row >= 0;
+              if (avx2) ++row_hits[static_cast<std::size_t>(row)];
+              EXPECT_STREQ(to_string(r.isa),
+                           to_string(avx2 ? Isa::kAvx2 : Isa::kScalar))
+                  << what;
+            }
+          }
+        }
+      }
+    }
+  }
+  if (detected_isa() >= Isa::kAvx2) {
+    for (std::size_t i = 0; i < std::size(avx2_rows); ++i) {
+      EXPECT_GT(row_hits[i], 0) << "avx2 row " << i << " covers no key";
     }
   }
 }
