@@ -53,13 +53,15 @@ void per_elem_swap(std::uint8_t* dst, const std::uint8_t* src,
 }
 
 /// A SIMD instantiation: its row name, the scalar kernel of the same key,
-/// and its own kernel.
+/// its own kernel, and the shortest run it takes (below it the key
+/// resolves to the scalar kernel).
 struct Case {
   std::string name;
   unsigned width_src = 0;
   unsigned width_dst = 0;
   KernelFn scalar = nullptr;
   KernelFn simd = nullptr;
+  std::size_t min_count = convert::kernels::kMinCount;
 };
 
 /// "i32", "u16be", "f64": a side of a key, "be" when it swaps (the foreign
@@ -113,7 +115,7 @@ std::vector<Case> avx2_cvt_cases() {
             cases.push_back(
                 {cvt_name(k), ws, wd,
                  convert::kernels::resolve_cvt_kernel(k, Isa::kScalar).fn,
-                 r.fn});
+                 r.fn, r.min_count});
           }
         }
       }
@@ -184,23 +186,33 @@ int run() {
 
   // --- numeric conversions --------------------------------------------------
   const std::vector<Case> cases = avx2_cvt_cases();
-  std::vector<std::string> columns = {"conversion", "scalar@4096"};
+  std::vector<std::string> columns = {"conversion", "avx2 from",
+                                      "scalar@4096"};
   for (std::size_t n : counts) columns.push_back("n=" + std::to_string(n));
   columns.push_back("best");
   Table t("Numeric conversions: every AVX2 instantiation (scalar us per 1k "
-          "elements at n=4096; avx2 speedup vs scalar kernel per count)",
+          "elements at n=4096; avx2 speedup vs scalar kernel per count, "
+          "\"-\" where the key resolves to scalar)",
           columns);
   for (const Case& c : cases) {
-    std::vector<std::string> cells = {c.name, ""};
+    std::vector<std::string> cells = {c.name, std::to_string(c.min_count),
+                                      ""};
     double best = 0;
     for (std::size_t n : counts) {
+      // Below the form's min_count the scalar kernel runs at this count,
+      // so it times in the AVX2 slot too and writes no AVX2 row.
+      const bool simd_runs = n >= c.min_count;
       Call c0{c.scalar, dst.data(), src.data(), n};
-      Call c1{c.simd, dst.data(), src.data(), n};
+      Call c1{simd_runs ? c.simd : c.scalar, dst.data(), src.data(), n};
       const auto [t0, t1] = alternating_rounds_ns(c0, c1);
-      const double s = median_ratio(t0, t1);
       row(c.name, c.width_src, n, Isa::kScalar, median(t0), 1.0);
+      if (n == 4096) cells[2] = per_1k(t0, n);
+      if (!simd_runs) {
+        cells.push_back("-");
+        continue;
+      }
+      const double s = median_ratio(t0, t1);
       row(c.name, c.width_src, n, Isa::kAvx2, median(t1), s);
-      if (n == 4096) cells[1] = per_1k(t0, n);
       cells.push_back(ratio2(s));
       best = std::max(best, s);
     }

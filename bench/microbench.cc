@@ -1,10 +1,12 @@
 // google-benchmark microbenchmarks for the core primitives: conversion
 // engines at each op granularity, plan compilation, DCG codegen, format
-// meta codec, the XML SAX parser, and the loopback send against its pooled
-// memcpy floor. Complements the figure benches with statistically-managed
+// meta codec, the XML SAX parser, the loopback send against its pooled
+// memcpy floor, and the in-process message against a copy plus run.
+// Complements the figure benches with statistically-managed
 // per-op numbers.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <random>
@@ -269,6 +271,100 @@ void BM_PooledMemcpy(benchmark::State& state) {
   set_per_msg(state);
 }
 BENCHMARK(BM_PooledMemcpy);
+
+// The in-process message's fixed cost: hetero_bulk's sparc_v8 mech record
+// (range 1: 1 KB, 2: 10 KB) written with write_image, carried by a
+// LoopbackChannel, received with next_batch and decoded with decode_into,
+// in bursts of kSendBurst. BM_CopyThenRun is its floor: a memcpy of the
+// same frame plus CompiledConvert::run on the same plan. `per_msg` is
+// seconds per message; `hist_per_msg` counts histogram samples (one per
+// span, two clock reads each) and `counter_per_msg` counter series moves,
+// a series moving at most once per message, both from snapshot deltas.
+void set_obs_per_msg(benchmark::State& state, const obs::Snapshot& before) {
+  const obs::Snapshot after = obs::snapshot();
+  const double msgs = static_cast<double>(state.iterations() * kSendBurst);
+  double hist = 0;
+  for (const obs::HistogramSample& h : after.histograms) {
+    const obs::HistogramSample* b = before.find_histogram(h.name);
+    hist += static_cast<double>(h.count - (b == nullptr ? 0 : b->count));
+  }
+  double moves = 0;
+  for (const obs::CounterSample& c : after.counters) {
+    const obs::CounterSample* b = before.find_counter(c.name);
+    moves += std::min(
+        msgs, static_cast<double>(c.value - (b == nullptr ? 0 : b->value)));
+  }
+  state.counters["hist_per_msg"] = hist / msgs;
+  state.counters["counter_per_msg"] = moves / msgs;
+}
+
+void BM_InProcessMessage(benchmark::State& state) {
+  const Workload& w = workload(static_cast<Size>(state.range(0)),
+                               arch::abi_sparc_v8(), arch::abi_x86_64());
+  Context wctx;
+  Context rctx;
+  auto [tx, rx] = transport::make_loopback_pair();
+  Writer writer(wctx, *tx);
+  Reader reader(rctx, *rx);
+  const Context::FormatId wire = wctx.register_format(w.src_fmt);
+  reader.expect(rctx.register_format(w.dst_fmt));
+  std::vector<std::uint8_t> out(w.dst_fmt.fixed_size);
+  std::vector<Message> msgs(kSendBurst);
+  const auto burst = [&] {
+    for (std::size_t i = 0; i < kSendBurst; ++i) {
+      if (!writer.write_image(wire, w.src_image).is_ok()) {
+        state.SkipWithError("write");
+      }
+    }
+    for (std::size_t got = 0; got < kSendBurst;) {
+      auto n = reader.next_batch(msgs);
+      if (!n.is_ok()) return state.SkipWithError("next_batch");
+      for (std::size_t i = 0; i < n.value(); ++i, ++got) {
+        if (!msgs[i].decode_into(out.data(), out.size()).is_ok()) {
+          state.SkipWithError("decode");
+        }
+      }
+    }
+  };
+  burst();  // announces the format and tiers the pair up to generated code
+  const obs::Snapshot before = obs::snapshot();
+  for (auto _ : state) burst();
+  set_per_msg(state);
+  set_obs_per_msg(state, before);
+}
+BENCHMARK(BM_InProcessMessage)->DenseRange(1, 2);
+
+void BM_CopyThenRun(benchmark::State& state) {
+  const Workload& w = workload(static_cast<Size>(state.range(0)),
+                               arch::abi_sparc_v8(), arch::abi_x86_64());
+  const vcode::CompiledConvert dcg(
+      convert::compile_plan(w.src_fmt, w.dst_fmt));
+  const std::uint8_t header[kDataHeaderSize] = {kFrameData};
+  std::vector<std::uint8_t> frame(kDataHeaderSize + w.src_image.size());
+  std::vector<std::uint8_t> out(w.dst_fmt.fixed_size);
+  Arena arena;
+  convert::ExecInput in;
+  in.src = frame.data() + kDataHeaderSize;
+  in.src_size = w.src_image.size();
+  in.dst = out.data();
+  in.dst_size = out.size();
+  in.mode = convert::VarMode::kPointers;
+  in.arena = &arena;
+  in.borrow_from_src = true;
+  const obs::Snapshot before = obs::snapshot();
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kSendBurst; ++i) {
+      std::memcpy(frame.data(), header, kDataHeaderSize);
+      std::memcpy(frame.data() + kDataHeaderSize, w.src_image.data(),
+                  w.src_image.size());
+      benchmark::DoNotOptimize(dcg.run(in));
+    }
+    benchmark::ClobberMemory();
+  }
+  set_per_msg(state);
+  set_obs_per_msg(state, before);
+}
+BENCHMARK(BM_CopyThenRun)->DenseRange(1, 2);
 
 }  // namespace
 }  // namespace pbio::bench

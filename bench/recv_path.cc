@@ -166,7 +166,7 @@ RunResult run_mode(Mode mode, int messages, const char* fmt_name) {
       legacy ? static_cast<transport::Channel&>(two_reads) : sock;
   // `sock` is the process's only receiving SocketChannel, so its recv()
   // calls are the transport.socket.read_calls series.
-  const transport::SocketCalls calls = transport::socket_calls();
+  const transport::SocketCounters calls = transport::socket_counters();
   auto recv_syscalls = [&] {
     return legacy ? two_reads.recv_syscalls() : calls.block->get(calls.recv);
   };

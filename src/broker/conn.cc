@@ -33,7 +33,8 @@ obs::MetricId residency_hist(bool ever_paused) {
 Conn::Conn(int fd, Shared& sh, BufferPool& pool)
     : pool_(pool),
       ch_(fd, pool, kStreamChunkBytes,
-          {&sh.counters, kRecvSyscalls, kSendSyscalls}),
+          {&sh.counters, kRecvSyscalls, kSendSyscalls, kFramesIn, kFramesOut,
+           kBytesIn, kBytesOut}),
       sh_(sh),
       resolver_(sh.ctx, sh.expected, sh.counters, kFormatsLearned) {
   // Conns are born on their worker thread (add_conn); pin the contract.
@@ -102,7 +103,6 @@ Status Conn::flush() {
   sh_.inflight.fetch_sub(res.value().frames, kRelaxed);
   sh_.queued_bytes.fetch_sub(res.value().bytes, kRelaxed);
   sh_.counters.add(kFramesOut, res.value().frames);
-  sh_.counters.add(kBytesOut, res.value().bytes);
   return Status::ok();
 }
 
@@ -116,19 +116,15 @@ Status Conn::on_data_frame(FrameBuf frame, const Resolver::Frame& f) {
                                           entry->wire->name + "->" +
                                           entry->native->name);
     }
-    const std::uint64_t t0 = obs::ticks();
     const std::size_t out_size = entry->native->fixed_size;
     if (decode_out_.size() < out_size) decode_out_.resize(out_size);
     // Strings that cannot be borrowed from the frame land here, scoped per
     // frame so the arena cannot grow without bound.
     Arena scratch;
     Status st = decode_record(*entry->conv, f.payload, decode_out_.data(),
-                              out_size, scratch);
+                              out_size, scratch, Engine::kDcg,
+                              entry->decode_hist);
     if (!st.is_ok()) return st;
-    if (entry->decode_hist != obs::kInvalidMetric) {
-      obs::histogram_record(entry->decode_hist,
-                            obs::ticks_to_ns(obs::ticks() - t0));
-    }
     sh_.counters.add(kDecoded, 1);
   }
   // The ingress span: sidecar arrival to dispatch complete.
@@ -159,21 +155,17 @@ Status Conn::on_data_frame(FrameBuf frame, const Resolver::Frame& f) {
 }
 
 Status Conn::dispatch(FrameBuf frame) {
-  if (!frame.empty()) {
-    sh_.counters.add(kFramesIn, 1);
-    sh_.counters.add(kBytesIn, transport::kFrameHeaderLen + frame.size());
-    const std::uint8_t kind = frame.data()[0];
-    if (kind == kSvcLookup || kind == kSvcRegister) {
-      Status st = sh_.svc.handle(frame.view(), svc_reply_);
-      if (!st.is_ok()) {
-        sh_.counters.add(kProtocolErrors, 1);
-        return st;
-      }
-      FrameBuf reply = pool().lease(svc_reply_.size());
-      std::copy_n(svc_reply_.data(), svc_reply_.size(), reply.data());
-      frame.reset();
-      return enqueue(std::move(reply));
+  if (const std::uint8_t kind = frame.empty() ? 0 : frame.data()[0];
+      kind == kSvcLookup || kind == kSvcRegister) {
+    Status st = sh_.svc.handle(frame.view(), svc_reply_);
+    if (!st.is_ok()) {
+      sh_.counters.add(kProtocolErrors, 1);
+      return st;
     }
+    FrameBuf reply = pool().lease(svc_reply_.size());
+    std::copy_n(svc_reply_.data(), svc_reply_.size(), reply.data());
+    frame.reset();
+    return enqueue(std::move(reply));
   }
 
   using Kind = Resolver::Frame::Kind;

@@ -75,13 +75,10 @@ void ArtifactCache::tier_up(const Artifact& artifact) {
 Result<ArtifactCache::Artifact> ArtifactCache::build(
     const fmt::FormatDesc& wire, const fmt::FormatDesc& native, Build mode) {
   convert::Plan plan;
-  {
-    OBS_SPAN("pbio.cache.plan");
-    try {
-      plan = convert::compile_plan(wire, native);
-    } catch (const convert::PlanBuildError& e) {
-      return Status(Errc::kMalformed, e.what());
-    }
+  try {
+    plan = convert::compile_plan(wire, native);
+  } catch (const convert::PlanBuildError& e) {
+    return Status(Errc::kMalformed, e.what());
   }
   {
     OBS_SPAN("pbio.cache.verify");
@@ -104,10 +101,7 @@ Result<ArtifactCache::Artifact> ArtifactCache::build(
 }
 
 void ArtifactCache::generate(const Artifact& artifact) {
-  {
-    OBS_SPAN("pbio.cache.compile");
-    artifact->generate();
-  }
+  artifact->generate();
   counters_.add(kJitCodeBytes, artifact->code_size());
 }
 

@@ -137,7 +137,9 @@ class Executor {
     const ByteOrder dord = plan_.dst_order;
     if (op.count >= kernels::kMinCount) {
       const kernels::CvtKey key = kernels::cvt_key(op, so, dord);
-      if (const auto k = kernels::resolve_cvt_kernel(key); k.fn != nullptr) {
+      if (const auto k = kernels::resolve_cvt_kernel(
+              key, kernels::active_isa(), op.count);
+          k.fn != nullptr) {
         k.fn(d, s, op.count);
         count_kernel_use(k.isa, op.count);
         return;

@@ -140,9 +140,10 @@ Resolved resolve_swap_kernel(unsigned width, Isa isa) {
   return {scalar_swap_kernel(width), Isa::kScalar};
 }
 
-Resolved resolve_cvt_kernel(const CvtKey& key, Isa isa) {
+Resolved resolve_cvt_kernel(const CvtKey& key, Isa isa, std::size_t count) {
   if (isa >= Isa::kAvx2) {
-    if (KernelFn fn = avx2_cvt_kernel(key)) return {fn, Isa::kAvx2};
+    const Resolved r = avx2_cvt_kernel(key);
+    if (r.fn != nullptr && count >= r.min_count) return r;
   }
   return {scalar_cvt_kernel(key), Isa::kScalar};
 }

@@ -66,7 +66,8 @@ void reset_isa();
 
 /// Element-count threshold below which callers keep their inline
 /// per-element code (loop setup + call overhead beats the win for tiny
-/// runs; the measured crossover is recorded in EXPERIMENTS.md).
+/// runs; the measured crossover is recorded in EXPERIMENTS.md). A form
+/// may raise it for its own SIMD kernel (Resolved::min_count).
 inline constexpr std::uint32_t kMinCount = 16;
 
 /// dst bytes from which a SIMD kernel first converts scalar elements up to
@@ -97,16 +98,24 @@ CvtKey cvt_key(const Op& op, ByteOrder src_order, ByteOrder dst_order);
 /// same-width float->float cvt (see scalar_cvt_kernel) — and callers keep
 /// their per-element loop. The scalar tier covers every other 1/2/4/8-byte
 /// integer and 4/8-byte float pairing with monomorphized loops.
+/// `min_count` is the shortest run the form takes: a SIMD form slower than
+/// its scalar kernel on short runs carries the count from which it reads
+/// >= 1.0x (docs/kernels.md, "Short runs"), every other form kMinCount.
 struct Resolved {
   KernelFn fn = nullptr;
   Isa isa = Isa::kScalar;
+  std::uint32_t min_count = kMinCount;
 };
 
 /// Byte-swap kernel for elements of `width` bytes (width_src == width_dst
 /// for kSwap ops).
 Resolved resolve_swap_kernel(unsigned width, Isa isa = active_isa());
 
-/// Batch kernel for a numeric conversion.
-Resolved resolve_cvt_kernel(const CvtKey& key, Isa isa = active_isa());
+/// Batch kernel for a numeric conversion of `count` elements: the tier's
+/// form, or the scalar one when `count` is below the form's min_count.
+/// Both engines pass the op's count (the JIT at codegen, the interpreter
+/// per run); the default resolves the form long runs take.
+Resolved resolve_cvt_kernel(const CvtKey& key, Isa isa = active_isa(),
+                            std::size_t count = SIZE_MAX);
 
 }  // namespace pbio::convert::kernels

@@ -222,47 +222,54 @@ KernelFn avx2_swap_kernel(unsigned width) {
   (ss ? (ds ? &FN<A, true, true> : &FN<A, true, false>)         \
       : (ds ? &FN<A, false, true> : &FN<A, false, false>))
 
-KernelFn avx2_cvt_kernel(const CvtKey& k) {
+Resolved avx2_cvt_kernel(const CvtKey& k) {
   const bool ss = k.src_swap;
   const bool ds = k.dst_swap;
   const bool s_float = k.src_kind == NumKind::kFloat;
   const bool d_float = k.dst_kind == NumKind::kFloat;
   const bool s_signed = k.src_kind == NumKind::kInt;
+  // A widening without a byte swap is slower than its scalar kernel on
+  // short runs; it takes its AVX2 form from the smallest count where it
+  // read >= 1.0x in each of five Release runs (docs/kernels.md, "Short
+  // runs"). Every swapping form wins from kMinCount.
+  const auto form = [&](KernelFn fn, std::uint32_t no_swap_min = kMinCount) {
+    return Resolved{fn, Isa::kAvx2, ss || ds ? kMinCount : no_swap_min};
+  };
   if (s_float && d_float) {
     if (k.width_src == 4 && k.width_dst == 8)
-      return PBIO_PICK_SWAPS(cvt_f32_f64);
+      return form(PBIO_PICK_SWAPS(cvt_f32_f64), 32);
     if (k.width_src == 8 && k.width_dst == 4)
-      return PBIO_PICK_SWAPS(cvt_f64_f32);
-    return nullptr;
+      return form(PBIO_PICK_SWAPS(cvt_f64_f32));
+    return {};
   }
   if (!s_float && !d_float) {
     if (k.width_src == 4 && k.width_dst == 8) {
-      return s_signed ? PBIO_PICK_SWAPS1(cvt_i32_i64, true)
-                      : PBIO_PICK_SWAPS1(cvt_i32_i64, false);
+      return s_signed ? form(PBIO_PICK_SWAPS1(cvt_i32_i64, true), 48)
+                      : form(PBIO_PICK_SWAPS1(cvt_i32_i64, false), 512);
     }
     if (k.width_src == 2 && k.width_dst == 4) {
-      return s_signed ? PBIO_PICK_SWAPS1(cvt_i16_i32, true)
-                      : PBIO_PICK_SWAPS1(cvt_i16_i32, false);
+      return s_signed ? form(PBIO_PICK_SWAPS1(cvt_i16_i32, true), 64)
+                      : form(PBIO_PICK_SWAPS1(cvt_i16_i32, false), 128);
     }
     // The truncations without a byte swap stay scalar: in five Release
     // runs their best count read 1.10-1.14x (8 -> 4, under the 1.10x rule
     // in three runs) and 1.08-1.25x (4 -> 2, under it in one); with a swap
     // they read 1.6-5.3x (docs/kernels.md, "The rule").
-    if (!ss && !ds) return nullptr;
+    if (!ss && !ds) return {};
     if (k.width_src == 8 && k.width_dst == 4)
-      return PBIO_PICK_SWAPPING(cvt_i64_i32);
+      return form(PBIO_PICK_SWAPPING(cvt_i64_i32));
     if (k.width_src == 4 && k.width_dst == 2)
-      return PBIO_PICK_SWAPPING(cvt_i32_i16);
-    return nullptr;
+      return form(PBIO_PICK_SWAPPING(cvt_i32_i16));
+    return {};
   }
   if (!s_float && d_float && s_signed && k.width_src == 4 &&
       k.width_dst == 8) {
-    return PBIO_PICK_SWAPS(cvt_i32_f64);
+    return form(PBIO_PICK_SWAPS(cvt_i32_f64), 64);
   }
   // float -> integer keeps the scalar form: the saturation semantics
   // (cvttsd2si out-of-range behaviour through a 64-bit intermediate) have
   // no cheap packed equivalent that stays bit-identical.
-  return nullptr;
+  return {};
 }
 
 #undef PBIO_PICK_SWAPS
@@ -275,7 +282,7 @@ KernelFn avx2_cvt_kernel(const CvtKey& k) {
 
 namespace pbio::convert::kernels {
 KernelFn avx2_swap_kernel(unsigned) { return nullptr; }
-KernelFn avx2_cvt_kernel(const CvtKey&) { return nullptr; }
+Resolved avx2_cvt_kernel(const CvtKey&) { return {}; }
 }  // namespace pbio::convert::kernels
 
 #endif

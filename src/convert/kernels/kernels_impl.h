@@ -145,6 +145,6 @@ inline std::size_t cvt_head(std::uint8_t* dst, const std::uint8_t* src,
 KernelFn scalar_swap_kernel(unsigned width);
 KernelFn scalar_cvt_kernel(const CvtKey& key);
 KernelFn avx2_swap_kernel(unsigned width);
-KernelFn avx2_cvt_kernel(const CvtKey& key);
+Resolved avx2_cvt_kernel(const CvtKey& key);
 
 }  // namespace pbio::convert::kernels

@@ -8,11 +8,12 @@
 // 2% of the fig3 100 KB interpreted decode; it read 1.55-1.58% there,
 // 1.3x under the bound (docs/observability.md).
 //
-//   Status Writer::write(...) {
+//   Status Writer::write_image(...) {
 //     OBS_SPAN("pbio.encode", image.size());   // ns histogram + trace event
-//     OBS_COUNT("pbio.encode.records", 1);     // per-thread counter
 //     ...
 //   }
+// A span's sample count counts its scope's runs: no OBS_COUNT(x, 1) beside
+// it (wire_lint R12).
 #pragma once
 
 #include "obs/obs.h"
@@ -39,21 +40,25 @@ class SpanSite {
 
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const SpanSite& site, std::uint64_t arg = 0)
-      : site_(site), arg_(arg), start_(ticks()) {}
+  explicit ScopedSpan(const SpanSite& site, std::uint64_t arg = 0,
+                      MetricId also = kInvalidMetric)
+      : site_(site), arg_(arg), also_(also), start_(ticks()) {}
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
   ~ScopedSpan() {
     const std::uint64_t end = ticks();
-    histogram_record(site_.hist(), ticks_to_ns(end - start_));
+    const std::uint64_t ns = ticks_to_ns(end - start_);
+    histogram_record(site_.hist(), ns);
+    if (also_ != kInvalidMetric) histogram_record(also_, ns);
     if (trace_enabled()) trace_emit(site_.name(), start_, end, arg_);
   }
 
  private:
   const SpanSite& site_;
   std::uint64_t arg_;
+  MetricId also_;
   std::uint64_t start_;
 };
 
@@ -62,8 +67,8 @@ class ScopedSpan {
 #define PBIO_OBS_CAT2(a, b) a##b
 #define PBIO_OBS_CAT(a, b) PBIO_OBS_CAT2(a, b)
 
-/// Time the rest of the enclosing scope into histogram `name`; the optional
-/// second argument (a byte/element count) rides along on the trace event.
+/// Time the rest of the enclosing scope into histogram `name`. Optional:
+/// a byte/element count for the trace event, then a MetricId to file into.
 #define OBS_SPAN(name, ...)                                              \
   static const ::pbio::obs::SpanSite PBIO_OBS_CAT(pbio_obs_site_,        \
                                                   __LINE__){name};       \

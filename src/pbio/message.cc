@@ -14,19 +14,17 @@ namespace {
 /// where conversion time goes (kDcg vs kInterpreted), with the source size
 /// riding on the trace event. Span sites latch their name at first use, so
 /// the conditional needs two distinct sites rather than one dynamic name.
-/// Records count by the engine that ran: a kDcg request interprets while
-/// the conversion has no code (before its tier-up, after a tval
-/// rejection, on a host without a JIT). Code, once published, stays, so
-/// the run takes the engine the check saw.
+/// Each span's sample count is the engine's record count: a kDcg request
+/// interprets while the conversion has no code (before its tier-up, after
+/// a tval rejection, on a host without a JIT). Code, once published,
+/// stays, so the run takes the engine the check saw.
 Status run_conversion(const Conversion& conv, const convert::ExecInput& in,
-                      Engine engine) {
+                      Engine engine, obs::MetricId pair_hist) {
   if (engine == Engine::kDcg && conv.jitted()) {
-    OBS_SPAN("pbio.decode.dcg", in.src_size);
-    OBS_COUNT("pbio.decode.records.dcg", 1);
+    OBS_SPAN("pbio.decode.dcg", in.src_size, pair_hist);
     return conv.run(in);
   }
-  OBS_SPAN("pbio.decode.interp", in.src_size);
-  OBS_COUNT("pbio.decode.records.interp", 1);
+  OBS_SPAN("pbio.decode.interp", in.src_size, pair_hist);
   return run(conv, in, Engine::kInterpreted);
 }
 
@@ -34,7 +32,7 @@ Status run_conversion(const Conversion& conv, const convert::ExecInput& in,
 
 Status decode_record(const Conversion& conv, std::span<const std::uint8_t> src,
                      void* out, std::size_t size, Arena& arena,
-                     Engine engine) {
+                     Engine engine, obs::MetricId pair_hist) {
   const convert::Plan& plan = conv.plan();
   if (plan.identity) {
     // Identity layouts: a single block copy of the fixed part suffices; in
@@ -43,9 +41,14 @@ Status decode_record(const Conversion& conv, std::span<const std::uint8_t> src,
       return Status(Errc::kTruncated, "output smaller than record");
     }
     OBS_COUNT("pbio.decode.identity_hits", 1);
+    const bool timed = pair_hist != obs::kInvalidMetric;
+    const std::uint64_t t0 = timed ? obs::ticks() : 0;
     const std::size_t n =
         std::min(src.size(), std::size_t{plan.dst_fixed_size});
     std::memcpy(out, src.data(), n);
+    if (timed) {
+      obs::histogram_record(pair_hist, obs::ticks_to_ns(obs::ticks() - t0));
+    }
     return Status::ok();
   }
   convert::ExecInput in;
@@ -56,7 +59,7 @@ Status decode_record(const Conversion& conv, std::span<const std::uint8_t> src,
   in.mode = convert::VarMode::kPointers;
   in.arena = &arena;
   in.borrow_from_src = true;  // pointers may alias the received frame
-  return run_conversion(conv, in, engine);
+  return run_conversion(conv, in, engine, pair_hist);
 }
 
 Status Message::decode_into(void* out, std::size_t size, Engine engine) {
@@ -171,7 +174,7 @@ Status Message::convert_in_place(Engine engine) {
   in.src_size = payload_.size();
   in.dst = base;
   in.dst_size = payload_.size();
-  Status st = run_conversion(*conv_, in, engine);
+  Status st = run_conversion(*conv_, in, engine, obs::kInvalidMetric);
   if (st.is_ok()) converted_in_place_ = true;
   return st;
 }

@@ -31,14 +31,17 @@ class Reader;
 /// Decode one received record into `out` (`size` bytes). `src` is its
 /// wire image through the end of the payload, since a variable part lies
 /// past the fixed one. An identity layout copies the fixed part; any other
-/// pair runs `conv` on `engine`, counted by the engine that ran
-/// (pbio.decode.records.{dcg,interp}), with variable-length data pointing
-/// into `src` or landing in `arena`. Message's decodes and a decoding
-/// broker connection both run this.
+/// pair runs `conv` on `engine`, timed once into the span of the engine
+/// that ran (pbio.decode.{dcg,interp}), with variable-length data pointing
+/// into `src` or landing in `arena`. `pair_hist`, when valid, receives the
+/// same sample (identity copies included). Message's decodes and a
+/// decoding broker connection both run this.
 WIRE_TAINTED Status decode_record(const Conversion& conv,
                                   std::span<const std::uint8_t> src,
                                   void* out, std::size_t size, Arena& arena,
-                                  Engine engine = Engine::kDcg);
+                                  Engine engine = Engine::kDcg,
+                                  obs::MetricId pair_hist =
+                                      obs::kInvalidMetric);
 
 class Message {
  public:

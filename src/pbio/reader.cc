@@ -17,10 +17,6 @@ Result<bool> Reader::consume_frame(FrameBuf frame, Message* m) {
   using Kind = Resolver::Frame::Kind;
   Resolver::Frame f;
   const Status st = resolver_.interpret(frame.view(), &f);
-  if (f.kind != Kind::kEmpty) {
-    OBS_COUNT("pbio.recv.frames", 1);
-    OBS_COUNT("pbio.recv.bytes", frame.size());
-  }
   if (f.kind == Kind::kFormat) OBS_COUNT("pbio.recv.format_frames", 1);
   if (f.kind == Kind::kData) OBS_COUNT("pbio.recv.data_frames", 1);
   if (!st.is_ok()) return st;
@@ -47,6 +43,10 @@ Result<Message> Reader::next() {
   // Spans the whole fetch — including any transport wait, which is exactly
   // what a round-trip trace wants to show between encode and decode.
   OBS_SPAN("pbio.recv.next");
+  return receive();
+}
+
+Result<Message> Reader::receive() {
   if (!pending_.is_ok()) {
     Status deferred = pending_;
     pending_ = Status::ok();
@@ -65,7 +65,7 @@ Result<Message> Reader::next() {
 Result<std::size_t> Reader::next_batch(std::span<Message> out) {
   OBS_SPAN("pbio.recv.next_batch");
   if (out.empty()) return std::size_t{0};
-  auto first = next();  // blocks; also surfaces any deferred error
+  auto first = receive();  // blocks; also surfaces any deferred error
   if (!first.is_ok()) return first.status();
   out[0] = std::move(first).take();
   std::size_t filled = 1;
@@ -87,7 +87,6 @@ Result<std::size_t> Reader::next_batch(std::span<Message> out) {
     }
     if (got.value()) out[filled++] = std::move(m);
   }
-  OBS_COUNT("pbio.recv.batches", 1);
   OBS_COUNT("pbio.recv.batch_frames", filled);
   return filled;
 }

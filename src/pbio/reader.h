@@ -70,6 +70,8 @@ class Reader {
   /// Process one frame. Returns true when `m` was filled with a data
   /// message, false when the frame was a format announcement (consumed).
   WIRE_TAINTED Result<bool> consume_frame(FrameBuf frame, Message* m);
+  /// next() without its span: next_batch()'s first, blocking receive.
+  Result<Message> receive();
 
   Context& ctx_;
   transport::Channel& channel_;

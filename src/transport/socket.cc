@@ -11,7 +11,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include "obs/span.h"
 #include "transport/io_retry.h"
 
 namespace pbio::transport {
@@ -34,16 +33,18 @@ bool errno_would_block() { return errno == EAGAIN || errno == EWOULDBLOCK; }
 
 }  // namespace
 
-SocketCalls socket_calls() {
+SocketCounters socket_counters() {
   // Leaked, like the registry: a channel may count during static teardown.
   static obs::CounterBlock* const block = new obs::CounterBlock{
-      "transport.socket.read_calls", "transport.socket.send_calls"};
-  return {block, 0, 1};
+      "transport.socket.read_calls", "transport.socket.send_calls",
+      "transport.socket.msgs_in",    "transport.socket.msgs_out",
+      "transport.socket.bytes_in",   "transport.socket.bytes_out"};
+  return {block, 0, 1, 2, 3, 4, 5};
 }
 
 SocketChannel::SocketChannel(int fd, BufferPool& pool,
-                             std::size_t stream_chunk, SocketCalls calls)
-    : fd_(fd), stream_(pool, stream_chunk), calls_(calls) {
+                             std::size_t stream_chunk, SocketCounters counters)
+    : fd_(fd), stream_(pool, stream_chunk), counters_(counters) {
   const int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   const int flags = ::fcntl(fd_, F_GETFL);
@@ -65,7 +66,7 @@ Result<std::size_t> SocketChannel::writev_some(std::span<const iovec> iov) {
   if (iov.empty()) return std::size_t{0};
   const ssize_t w =
       io::retry_sendv(fd_, iov.data(), static_cast<int>(iov.size()));
-  calls_.block->add(calls_.send, 1);
+  counters_.block->add(counters_.send, 1);
   if (w < 0) {
     if (errno_would_block()) {
       return Status(Errc::kWouldBlock, "would block");
@@ -73,7 +74,7 @@ Result<std::size_t> SocketChannel::writev_some(std::span<const iovec> iov) {
     return errno_status("sendmsg");
   }
   bytes_sent_ += static_cast<std::size_t>(w);
-  OBS_COUNT("transport.socket.bytes_out", w);
+  counters_.block->add(counters_.bytes_out, static_cast<std::uint64_t>(w));
   return static_cast<std::size_t>(w);
 }
 
@@ -123,10 +124,11 @@ Status SocketChannel::send_frames(std::span<const FrameSegments> frames) {
     std::size_t iov_left = iov_scratch_.size();
     while (done < want) {
       const ssize_t w = io::retry_sendv(fd_, iov, static_cast<int>(iov_left));
-      calls_.block->add(calls_.send, 1);
+      counters_.block->add(counters_.send, 1);
       if (w < 0) {
         return errno_status("sendmsg");
       }
+      counters_.block->add(counters_.bytes_out, static_cast<std::uint64_t>(w));
       done += static_cast<std::size_t>(w);
       if (done >= want) break;
       // Short write: advance the iovec view.
@@ -142,8 +144,7 @@ Status SocketChannel::send_frames(std::span<const FrameSegments> frames) {
       }
     }
     bytes_sent_ += payload;
-    OBS_COUNT("transport.socket.msgs_out", n);
-    OBS_COUNT("transport.socket.bytes_out", payload);
+    counters_.block->add(counters_.frames_out, n);
     at += n;
   }
   return Status::ok();
@@ -156,7 +157,7 @@ Status SocketChannel::send_frames(std::span<const FrameSegments> frames) {
 Status SocketChannel::fill(int flags) {
   auto window = stream_.write_window(stream_.fill_hint());
   const ssize_t r = io::retry_recv(fd_, window.data(), window.size(), flags);
-  calls_.block->add(calls_.recv, 1);
+  counters_.block->add(counters_.recv, 1);
   if (r < 0) {
     if (errno_would_block()) {
       drained_ = true;
@@ -174,7 +175,6 @@ Status SocketChannel::fill(int flags) {
   }
   drained_ = !eof_pending_ && static_cast<std::size_t>(r) < window.size();
   stream_.commit(static_cast<std::size_t>(r));
-  OBS_COUNT("transport.socket.read_bytes", r);
   return Status::ok();
 }
 
@@ -184,8 +184,9 @@ Result<FrameBuf> SocketChannel::pull(int flags) {
     Status err;
     switch (stream_.next_frame(&frame, &err)) {
       case FrameStream::Pull::kFrame:
-        OBS_COUNT("transport.socket.msgs_in", 1);
-        OBS_COUNT("transport.socket.bytes_in", frame.size());
+        counters_.block->add(counters_.frames_in, 1);
+        counters_.block->add(counters_.bytes_in,
+                             kFrameHeaderLen + frame.size());
         return frame;
       case FrameStream::Pull::kBad:
         return err;

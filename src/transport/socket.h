@@ -21,13 +21,15 @@
 
 namespace pbio::transport {
 
-/// Where a SocketChannel counts each recv() and sendmsg(), EAGAIN included:
-/// socket_calls() is the process-wide transport.socket.{read,send}_calls.
-struct SocketCalls {
+/// Where a SocketChannel counts each recv() and sendmsg() (EAGAIN included),
+/// each frame it pulls or send_frames() sends (writev_some()'s caller counts
+/// its own), and its wire bytes in and out: socket_counters() is the
+/// process-wide transport.socket.*.
+struct SocketCounters {
   obs::CounterBlock* block;
-  std::size_t recv, send;
+  std::size_t recv, send, frames_in, frames_out, bytes_in, bytes_out;
 };
-SocketCalls socket_calls();
+SocketCounters socket_counters();
 
 class SocketChannel final : public Channel, public WireSink {
  public:
@@ -41,7 +43,7 @@ class SocketChannel final : public Channel, public WireSink {
   /// the stream grows a window to the frame's size on demand).
   explicit SocketChannel(int fd, BufferPool& pool = BufferPool::shared(),
                          std::size_t stream_chunk = kStreamChunk,
-                         SocketCalls calls = socket_calls());
+                         SocketCounters counters = socket_counters());
   ~SocketChannel() override;
 
   SocketChannel(const SocketChannel&) = delete;
@@ -95,7 +97,7 @@ class SocketChannel final : public Channel, public WireSink {
   bool eof_pending_ = false;
   FrameStream stream_;
   std::uint64_t bytes_sent_ = 0;
-  SocketCalls calls_;
+  SocketCounters counters_;
   std::vector<iovec> iov_scratch_;
 };
 

@@ -87,8 +87,11 @@ void walk_call_sites(const Plan& plan, Sink&& sink) {
         return;
       }
       case OpCode::kCvtNum: {
-        kernels::KernelFn fn = kernels::resolve_cvt_kernel(
-            kernels::cvt_key(op, plan.src_order, plan.dst_order)).fn;
+        kernels::KernelFn fn =
+            kernels::resolve_cvt_kernel(
+                kernels::cvt_key(op, plan.src_order, plan.dst_order),
+                kernels::active_isa(), op.count)
+                .fn;
         if (kernel_call_emitted(op, top, fn)) {
           sink(reinterpret_cast<std::uint64_t>(fn),
                verify::tval::CalleeKind::kKernel, op.width_src, op.width_dst);
@@ -159,7 +162,8 @@ class ConvertCompiler {
         if (try_emit_kernel_call(
                 op, ctx,
                 kernels::resolve_cvt_kernel(
-                    kernels::cvt_key(op, plan_.src_order, plan_.dst_order))
+                    kernels::cvt_key(op, plan_.src_order, plan_.dst_order),
+                    kernels::active_isa(), op.count)
                     .fn)) {
           return;
         }
@@ -514,7 +518,6 @@ void CompiledConvert::generate() const {
   } finish{im};
   if (!jit_supported()) return;
   OBS_SPAN("vcode.jit.compile");
-  OBS_COUNT("vcode.jit.compiles", 1);
   Emitted out = ConvertCompiler(im.plan).compile();
   const std::vector<std::uint8_t>& code = out.code;
   OBS_COUNT("vcode.jit.code_bytes", code.size());
@@ -530,7 +533,6 @@ void CompiledConvert::generate() const {
     assert(im.tval.ok && "tval rejected freshly generated code");
     return;  // interpreter fallback: fn stays null, code never sealed
   }
-  OBS_COUNT("pbio.jit.tval_accepts", 1);
   im.seal(code);
 }
 

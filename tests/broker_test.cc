@@ -718,9 +718,8 @@ TEST(Broker, DecodesCountByTheEngineThatRan) {
   const auto frame = record_frame(wire_fmt, rec);
   const auto records = [](const char* engine) {
     const auto snap = obs::snapshot();
-    const auto* c = snap.find_counter(std::string("pbio.decode.records.") +
-                                      engine);
-    return c == nullptr ? std::uint64_t{0} : c->value;
+    const auto* h = snap.find_histogram(std::string("pbio.decode.") + engine);
+    return h == nullptr ? std::uint64_t{0} : h->count;
   };
   const std::uint64_t interp0 = records("interp");
   const std::uint64_t dcg0 = records("dcg");

@@ -272,7 +272,7 @@ TEST(OversizedFrame, SocketRefusesBeforeAnyByte) {
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   transport::SocketChannel tx(fds[0]);
   transport::SocketChannel rx(fds[1]);
-  const transport::SocketCalls calls = transport::socket_calls();
+  const transport::SocketCounters calls = transport::socket_counters();
   const std::uint64_t send_calls = calls.block->get(calls.send);
 
   const std::uint8_t small[] = {1, 2, 3};

@@ -108,10 +108,11 @@ TEST_P(ConvertPropertyTest, OptimizerNeverChangesResults) {
   }
 }
 
-std::uint64_t counter(const char* name) {
+/// Records decoded by one engine: its decode span's sample count.
+std::uint64_t decodes(const char* name) {
   const obs::Snapshot snap = obs::snapshot();
-  const obs::CounterSample* c = snap.find_counter(name);
-  return c == nullptr ? 0 : c->value;
+  const obs::HistogramSample* h = snap.find_histogram(name);
+  return h == nullptr ? 0 : h->count;
 }
 
 TEST_P(ConvertPropertyTest, ReaderInterpretsThenGeneratesIdenticalBytes) {
@@ -141,17 +142,17 @@ TEST_P(ConvertPropertyTest, ReaderInterpretsThenGeneratesIdenticalBytes) {
       ASSERT_TRUE(writer.write_image(wire, image).is_ok()) << pair;
       auto m = reader.next();
       ASSERT_TRUE(m.is_ok()) << pair << ": " << m.status().to_string();
-      const std::uint64_t interp0 = counter("pbio.decode.records.interp");
-      const std::uint64_t dcg0 = counter("pbio.decode.records.dcg");
+      const std::uint64_t interp0 = decodes("pbio.decode.interp");
+      const std::uint64_t dcg0 = decodes("pbio.decode.dcg");
       std::vector<std::uint8_t> out(dst.fixed_size, 0xAB);
       ASSERT_TRUE(
           m.value().decode_into(out.data(), out.size(), Engine::kDcg).is_ok())
           << pair;
       if (!m.value().zero_copy()) {
         const bool dcg = i + 1 >= kTierUpUses && vcode::jit_supported();
-        EXPECT_EQ(counter("pbio.decode.records.interp") - interp0, dcg ? 0u : 1u)
+        EXPECT_EQ(decodes("pbio.decode.interp") - interp0, dcg ? 0u : 1u)
             << pair << " record " << i;
-        EXPECT_EQ(counter("pbio.decode.records.dcg") - dcg0, dcg ? 1u : 0u)
+        EXPECT_EQ(decodes("pbio.decode.dcg") - dcg0, dcg ? 1u : 0u)
             << pair << " record " << i;
       }
       outs.push_back(std::move(out));

@@ -18,6 +18,7 @@
 
 #include "convert/interp.h"
 #include "convert/kernels/kernels.h"
+#include "obs/obs.h"
 #include "util/cpu.h"
 #include "util/endian.h"
 #include "vcode/jit_convert.h"
@@ -467,11 +468,14 @@ TEST(KernelsProperty, WideningResolutionTable) {
 /// Each row is an AVX2 form that reads >= 1.10x its scalar kernel at some
 /// count in every Release run (docs/kernels.md, "The rule"), so an AVX2
 /// instantiation added without a row, or a row left behind by a deleted
-/// one, fails here.
+/// one, fails here. A row also pins the shortest run its form takes
+/// without a byte swap (docs/kernels.md, "Short runs"): one element less
+/// resolves to scalar. Swapping forms take kMinCount.
 TEST(KernelsProperty, ResolutionMapTable) {
   constexpr unsigned kInts = 1u << static_cast<int>(NumKind::kInt) |
                              1u << static_cast<int>(NumKind::kUInt);
   constexpr unsigned kSigned = 1u << static_cast<int>(NumKind::kInt);
+  constexpr unsigned kUnsigned = 1u << static_cast<int>(NumKind::kUInt);
   constexpr unsigned kFloats = 1u << static_cast<int>(NumKind::kFloat);
   // Swap combinations, bit (src_swap | dst_swap << 1).
   constexpr unsigned kNone = 1u << 0, kSrc = 1u << 1, kDst = 1u << 2,
@@ -483,15 +487,18 @@ TEST(KernelsProperty, ResolutionMapTable) {
     unsigned dst_kinds;
     unsigned width_dst;
     unsigned swaps;
+    std::uint32_t no_swap_min = kMinCount;
   };
   const Row avx2_rows[] = {
-      {kFloats, 4, kFloats, 8, kAll},   // f32->f64
-      {kFloats, 8, kFloats, 4, kAll},   // f64->f32
-      {kInts, 2, kInts, 4, kAll},       // i16->i32, u16->u32
-      {kInts, 4, kInts, 8, kAll},       // i32->i64, u32->u64
-      {kInts, 4, kInts, 2, kSwapping},  // i32be->i16, i32->i16be, ...
-      {kInts, 8, kInts, 4, kSwapping},  // i64be->i32, i64->i32be, ...
-      {kSigned, 4, kFloats, 8, kAll},   // i32->f64
+      {kFloats, 4, kFloats, 8, kAll, 32},     // f32->f64
+      {kFloats, 8, kFloats, 4, kAll},         // f64->f32
+      {kSigned, 2, kInts, 4, kAll, 64},       // i16->i32
+      {kUnsigned, 2, kInts, 4, kAll, 128},    // u16->u32
+      {kSigned, 4, kInts, 8, kAll, 48},       // i32->i64
+      {kUnsigned, 4, kInts, 8, kAll, 512},    // u32->u64
+      {kInts, 4, kInts, 2, kSwapping},        // i32be->i16, i32->i16be, ...
+      {kInts, 8, kInts, 4, kSwapping},        // i64be->i32, i64->i32be, ...
+      {kSigned, 4, kFloats, 8, kAll, 64},     // i32->f64
   };
   const unsigned avx2_swap_widths[] = {2, 4, 8};
 
@@ -558,6 +565,19 @@ TEST(KernelsProperty, ResolutionMapTable) {
               EXPECT_STREQ(to_string(r.isa),
                            to_string(avx2 ? Isa::kAvx2 : Isa::kScalar))
                   << what;
+              const std::uint32_t min =
+                  avx2 && form == 0
+                      ? avx2_rows[static_cast<std::size_t>(row)].no_swap_min
+                      : kMinCount;
+              EXPECT_EQ(r.min_count, min) << what;
+              EXPECT_EQ(resolve_cvt_kernel(key, isa, min).fn, r.fn) << what;
+              if (avx2 && min > kMinCount) {
+                const Resolved below = resolve_cvt_kernel(key, isa, min - 1);
+                EXPECT_STREQ(to_string(below.isa), to_string(Isa::kScalar))
+                    << what;
+                EXPECT_EQ(below.fn, resolve_cvt_kernel(key, Isa::kScalar).fn)
+                    << what;
+              }
             }
           }
         }
@@ -568,6 +588,66 @@ TEST(KernelsProperty, ResolutionMapTable) {
     for (std::size_t i = 0; i < std::size(avx2_rows); ++i) {
       EXPECT_GT(row_hits[i], 0) << "avx2 row " << i << " covers no key";
     }
+  }
+}
+
+/// Both engines pass an op's count to the resolver: a no-swap u32->u64 run
+/// below its AVX2 form's min_count runs the scalar kernel (the interpreter
+/// counts the tier that ran; generated code embeds the kernel's address),
+/// and a run of min_count elements runs the AVX2 form.
+TEST(KernelsProperty, EnginesResolveEachRunByItsCount) {
+  if (detected_isa() < Isa::kAvx2) GTEST_SKIP() << "no AVX2 tier";
+  CvtKey key;
+  key.src_kind = NumKind::kUInt;
+  key.width_src = 4;
+  key.dst_kind = NumKind::kUInt;
+  key.width_dst = 8;
+  const std::uint32_t min = resolve_cvt_kernel(key).min_count;
+  ASSERT_GT(min, kMinCount);
+  const auto calls = [](Isa isa) {
+    const obs::Snapshot snap = obs::snapshot();
+    const obs::CounterSample* c = snap.find_counter(
+        std::string("convert.kernels.") + to_string(isa) + ".calls");
+    return c == nullptr ? std::uint64_t{0} : c->value;
+  };
+  for (const std::uint32_t count : {min - 1, min}) {
+    const Isa want = count >= min ? Isa::kAvx2 : Isa::kScalar;
+    Plan plan;
+    plan.src_order = host_byte_order();
+    plan.dst_order = host_byte_order();
+    plan.src_fixed_size = count * 4;
+    plan.dst_fixed_size = count * 8;
+    Op op;
+    op.code = OpCode::kCvtNum;
+    op.src_kind = NumKind::kUInt;
+    op.dst_kind = NumKind::kUInt;
+    op.width_src = 4;
+    op.width_dst = 8;
+    op.count = count;
+    plan.ops.push_back(op);
+    std::vector<std::uint8_t> src(plan.src_fixed_size, 7);
+    std::vector<std::uint8_t> out(plan.dst_fixed_size);
+    ExecInput in;
+    in.src = src.data();
+    in.src_size = src.size();
+    in.dst = out.data();
+    in.dst_size = out.size();
+    const std::uint64_t before = calls(want);
+    ASSERT_TRUE(run_plan(plan, in).is_ok());
+    EXPECT_EQ(calls(want) - before, 1u) << "interp, count " << count;
+
+    const vcode::CompiledConvert dcg(plan);
+    if (!dcg.jitted()) continue;
+    const auto fn = reinterpret_cast<std::uintptr_t>(
+        resolve_cvt_kernel(key, want).fn);
+    std::uint8_t addr[sizeof fn];
+    std::memcpy(addr, &fn, sizeof fn);
+    const auto code = dcg.code();
+    EXPECT_NE(std::search(code.begin(), code.end(), std::begin(addr),
+                          std::end(addr)),
+              code.end())
+        << "jit, count " << count << " calls no " << to_string(want)
+        << " kernel";
   }
 }
 

@@ -447,7 +447,7 @@ TEST(PbioApi, FirstWriteCoalescesAnnouncementIntoOneSyscall) {
   auto client = transport::socket_connect(listener.port());
   ASSERT_TRUE(client.is_ok());
   // The server only receives, so every send call is the client's.
-  const transport::SocketCalls calls = transport::socket_calls();
+  const transport::SocketCounters calls = transport::socket_counters();
   const std::uint64_t sends0 = calls.block->get(calls.send);
   Writer w(ctx, *client.value());
   Particle p{};

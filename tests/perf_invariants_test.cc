@@ -274,8 +274,8 @@ TEST(PerfInvariants, FirstRecordOfEachPairGeneratesNoCode) {
 
   const std::uint64_t jit0 = [] {
     const obs::Snapshot snap = obs::snapshot();
-    const obs::CounterSample* c = snap.find_counter("vcode.jit.compiles");
-    return c == nullptr ? std::uint64_t{0} : c->value;
+    const obs::HistogramSample* h = snap.find_histogram("vcode.jit.compile");
+    return h == nullptr ? std::uint64_t{0} : h->count;
   }();
   for (int i = 0; i < 10; ++i) {
     auto m = reader.next();
@@ -288,8 +288,8 @@ TEST(PerfInvariants, FirstRecordOfEachPairGeneratesNoCode) {
   EXPECT_EQ(st.jit_code_bytes, 0u);
   EXPECT_EQ(rctx.stats().conversions_compiled, 10u);
   const obs::Snapshot snap = obs::snapshot();
-  const obs::CounterSample* jit = snap.find_counter("vcode.jit.compiles");
-  EXPECT_EQ(jit == nullptr ? 0 : jit->value, jit0) << "code was generated";
+  const obs::HistogramSample* jit = snap.find_histogram("vcode.jit.compile");
+  EXPECT_EQ(jit == nullptr ? 0 : jit->count, jit0) << "code was generated";
 }
 
 }  // namespace

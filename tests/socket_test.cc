@@ -276,8 +276,7 @@ std::uint64_t socket_series(const char* name) {
 TEST(SocketSyscalls, CoalescedReceiveAmortizesReads) {
   // 100 small frames written in one burst must cost far fewer than the
   // legacy two reads per frame.
-  const std::uint64_t read_bytes =
-      socket_series("transport.socket.read_bytes");
+  const std::uint64_t bytes_in = socket_series("transport.socket.bytes_in");
   const std::uint64_t read_calls =
       socket_series("transport.socket.read_calls");
   RawPair pair;
@@ -296,7 +295,7 @@ TEST(SocketSyscalls, CoalescedReceiveAmortizesReads) {
   EXPECT_LT(socket_series("transport.socket.read_calls") - read_calls,
             kFrames)
       << "buffered framing should need far fewer reads than frames";
-  EXPECT_EQ(socket_series("transport.socket.read_bytes") - read_bytes,
+  EXPECT_EQ(socket_series("transport.socket.bytes_in") - bytes_in,
             stream.size());
 }
 

@@ -723,5 +723,168 @@ TEST(Telemetry, BrokerToleratesBareSidecarFrames) {
   b.stop();
 }
 
+
+// --- one count per wire-path event -------------------------------------------
+
+/// One snapshot's counter values and histogram sample counts, by name.
+struct Series {
+  obs::Snapshot snap = obs::snapshot();
+  std::uint64_t counter(const std::string& name) const {
+    const obs::CounterSample* c = snap.find_counter(name);
+    return c == nullptr ? 0 : c->value;
+  }
+  std::uint64_t samples(const std::string& name) const {
+    const obs::HistogramSample* h = snap.find_histogram(name);
+    return h == nullptr ? 0 : h->count;
+  }
+};
+
+TEST(Obs, EachWirePathEventCountsOnce) {
+  // A Reader stream, a decoding broker echo and a standalone socket pair in
+  // one process: each decode, frame and byte lands in exactly one series,
+  // and the series that used to repeat another are not registered at all.
+  obs::set_trace_sampling(0);
+  const char* const kSocket[] = {
+      "transport.socket.read_calls", "transport.socket.send_calls",
+      "transport.socket.msgs_in",    "transport.socket.msgs_out",
+      "transport.socket.bytes_in",   "transport.socket.bytes_out"};
+  const auto decodes = [](const Series& s) {
+    return s.samples("pbio.decode.dcg") + s.samples("pbio.decode.interp");
+  };
+  Context ctx;
+  const NativeField fields[] = {
+      PBIO_FIELD(TSample, a, arch::CType::kInt),
+      PBIO_FIELD(TSample, b, arch::CType::kDouble),
+  };
+  const auto native_id = ctx.register_format(
+      native_format("tsample_once", fields, sizeof(TSample)));
+  arch::StructSpec spec;
+  spec.name = "tsample_once";
+  spec.fields = {{.name = "a", .type = arch::CType::kInt},
+                 {.name = "b", .type = arch::CType::kDouble}};
+  const auto wire_fmt = arch::layout_format(spec, arch::abi_sparc_v8());
+  const auto wire_id = ctx.register_format(wire_fmt);
+  value::Record rec;
+  rec.set("a", value::Value(3));
+  rec.set("b", value::Value(1.5));
+  const auto image = value::materialize(wire_fmt, rec);
+  constexpr std::size_t kRecords = 8;
+
+  // Reader over loopback, in batches: one decode-span sample per record,
+  // and no pbio.recv.next sample from a batch's first receive.
+  {
+    auto [tx, rx] = transport::make_loopback_pair();
+    Writer w(ctx, *tx);
+    Reader r(ctx, *rx);
+    r.expect(native_id);
+    const Series before;
+    for (std::size_t i = 0; i < kRecords; ++i) {
+      ASSERT_TRUE(w.write_image(wire_id, image).is_ok());
+    }
+    Message batch[3];
+    for (std::size_t got = 0; got < kRecords;) {
+      auto n = r.next_batch(batch);
+      ASSERT_TRUE(n.is_ok()) << n.status().to_string();
+      for (std::size_t i = 0; i < n.value(); ++i, ++got) {
+        TSample out{};
+        ASSERT_TRUE(batch[i].decode_into(&out, sizeof out).is_ok());
+        EXPECT_EQ(out.a, 3);
+      }
+    }
+    const Series after;
+    EXPECT_EQ(decodes(after) - decodes(before), kRecords);
+    EXPECT_EQ(after.samples("pbio.recv.next"),
+              before.samples("pbio.recv.next"));
+  }
+
+  // A decoding broker echo. The client counts into a block of its own, so
+  // any transport.socket.* movement here would be the broker's.
+  broker::Config cfg;
+  cfg.decode = true;
+  broker::Broker b(ctx, cfg);
+  b.expect("tsample_once", native_id);
+  ASSERT_TRUE(b.start().is_ok());
+  obs::CounterBlock client_counts{
+      "test.client.read_calls", "test.client.send_calls",
+      "test.client.msgs_in",    "test.client.msgs_out",
+      "test.client.bytes_in",   "test.client.bytes_out"};
+  auto conn = transport::socket_connect(b.port());
+  ASSERT_TRUE(conn.is_ok());
+  transport::SocketChannel client(::dup(conn.value()->fd()),
+                                  BufferPool::shared(), transport::kStreamChunk,
+                                  {&client_counts, 0, 1, 2, 3, 4, 5});
+  conn.value().reset();  // closes its own descriptor only
+  std::vector<std::uint8_t> announce{kFrameFormat};
+  const auto meta = fmt::encode_meta(wire_fmt);
+  announce.insert(announce.end(), meta.begin(), meta.end());
+  std::vector<std::uint8_t> data(kDataHeaderSize, 0);
+  data[0] = kFrameData;
+  store_uint(data.data() + kDataHeaderIdOffset, wire_fmt.fingerprint(), 8,
+             ByteOrder::kLittle);
+  data.insert(data.end(), image.begin(), image.end());
+  // Warm-up: the announcement and one echo, fully flushed, so the deltas
+  // below cover data frames only.
+  ASSERT_TRUE(client.send(announce).is_ok());
+  ASSERT_TRUE(client.send(data).is_ok());
+  ASSERT_TRUE(client.recv_buf().is_ok());
+  ASSERT_TRUE(eventually([&] { return b.stats().frames_out == 1; }));
+  const Series before;
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    ASSERT_TRUE(client.send(data).is_ok());
+    auto echo = client.recv_buf();
+    ASSERT_TRUE(echo.is_ok()) << echo.status().to_string();
+    EXPECT_EQ(echo.value().size(), data.size());
+  }
+  b.stop();  // the workers' last counts land before stop returns
+  const Series after;
+  const auto delta = [&](const std::string& name) {
+    return after.counter(name) - before.counter(name);
+  };
+  const std::uint64_t wire =
+      kRecords * (transport::kFrameHeaderLen + data.size());
+  EXPECT_EQ(delta("pbio.broker.frames_in"), kRecords);
+  EXPECT_EQ(delta("pbio.broker.decoded"), kRecords);
+  EXPECT_EQ(delta("pbio.broker.bytes_in"), wire);
+  EXPECT_EQ(delta("pbio.broker.bytes_out"), wire);
+  EXPECT_EQ(delta("test.client.bytes_in"), wire);
+  EXPECT_EQ(decodes(after) - decodes(before), kRecords);
+  const std::string pair = "pbio.broker.decode_ns.tsample_once->tsample_once";
+  EXPECT_EQ(after.samples(pair) - before.samples(pair), kRecords);
+  for (const char* name : kSocket) EXPECT_EQ(delta(name), 0u) << name;
+
+  // A standalone socket pair counts into transport.socket.*, in wire bytes
+  // on both sides.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  transport::SocketChannel tx(fds[0]);
+  transport::SocketChannel rx(fds[1]);
+  const std::vector<std::uint8_t> small(3, 1), large(100, 2);
+  const Series pair0;
+  ASSERT_TRUE(tx.send(small).is_ok());
+  ASSERT_TRUE(tx.send(large).is_ok());
+  ASSERT_TRUE(rx.recv_buf().is_ok());
+  ASSERT_TRUE(rx.recv_buf().is_ok());
+  const Series pair1;
+  const auto moved = [&](const char* name) {
+    return pair1.counter(name) - pair0.counter(name);
+  };
+  const std::uint64_t pair_wire = 2 * transport::kFrameHeaderLen + 3 + 100;
+  EXPECT_EQ(moved("transport.socket.bytes_out"), pair_wire);
+  EXPECT_EQ(moved("transport.socket.bytes_in"), pair_wire);
+  EXPECT_EQ(moved("transport.socket.msgs_out"), 2u);
+  EXPECT_EQ(moved("transport.socket.msgs_in"), 2u);
+
+  for (const char* gone :
+       {"pbio.decode.records.dcg", "pbio.decode.records.interp",
+        "vcode.jit.compiles", "pbio.jit.tval_accepts", "pbio.recv.batches",
+        "pbio.cache.plan", "pbio.cache.compile",
+        "transport.socket.read_bytes", "pbio.recv.frames",
+        "pbio.recv.bytes"}) {
+    EXPECT_EQ(pair1.snap.find_counter(gone), nullptr) << gone;
+    EXPECT_EQ(pair1.snap.find_histogram(gone), nullptr) << gone;
+  }
+  obs::reset();
+}
+
 }  // namespace
 }  // namespace pbio

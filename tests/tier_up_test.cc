@@ -65,10 +65,11 @@ fmt::FormatDesc native_desc() {
   return arch::layout_format(sample_spec(), arch::abi_x86_64());
 }
 
-std::uint64_t counter(const char* name) {
+/// Records decoded by one engine: its decode span's sample count.
+std::uint64_t decodes(const char* name) {
   const obs::Snapshot snap = obs::snapshot();
-  const obs::CounterSample* c = snap.find_counter(name);
-  return c == nullptr ? 0 : c->value;
+  const obs::HistogramSample* h = snap.find_histogram(name);
+  return h == nullptr ? 0 : h->count;
 }
 
 /// Decode `m` into `native` with kDcg requested and check it equals `rec`.
@@ -168,15 +169,15 @@ TEST(TierUp, DecodeCountsTheEngineThatRan) {
   // runs them, and the counters must say so.
   if (!vcode::jit_supported()) GTEST_SKIP() << "no JIT on this host";
   Stream s;
-  const std::uint64_t dcg0 = counter("pbio.decode.records.dcg");
-  const std::uint64_t interp0 = counter("pbio.decode.records.interp");
+  const std::uint64_t dcg0 = decodes("pbio.decode.dcg");
+  const std::uint64_t interp0 = decodes("pbio.decode.interp");
   s.round_trip(1);
-  EXPECT_EQ(counter("pbio.decode.records.dcg") - dcg0, 0u);
-  EXPECT_EQ(counter("pbio.decode.records.interp") - interp0, 1u);
+  EXPECT_EQ(decodes("pbio.decode.dcg") - dcg0, 0u);
+  EXPECT_EQ(decodes("pbio.decode.interp") - interp0, 1u);
   for (std::uint32_t i = 1; i <= kTierUpUses; ++i) s.round_trip(2);
-  EXPECT_EQ(counter("pbio.decode.records.interp") - interp0,
+  EXPECT_EQ(decodes("pbio.decode.interp") - interp0,
             kTierUpUses - 1);
-  EXPECT_EQ(counter("pbio.decode.records.dcg") - dcg0, 2u);
+  EXPECT_EQ(decodes("pbio.decode.dcg") - dcg0, 2u);
 }
 
 /// Format `i` of a family whose members differ in name and structure, so

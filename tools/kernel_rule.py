@@ -7,8 +7,12 @@ rule"). kernels_bench writes one row per (kernel, width, count, isa); this
 tool reads those rows and times nothing. It fails when
 
   * the document lacks its `host` record or its `detected_isa` field
-    (a row that cannot name its host backs no decision), or
-  * some SIMD (kernel, width, isa) never reaches the bar at any count.
+    (a row that cannot name its host backs no decision),
+  * some SIMD (kernel, width, isa) never reaches the bar at any count, or
+  * some SIMD row reads under FLOOR: kernels_bench labels each row with
+    the tier that runs at its count, so such a row is a count where the
+    resolver picks a SIMD form slower than scalar (docs/kernels.md,
+    "Short runs").
 
 The rule asks for the bar in each of >= 3 Release runs; the committed file
 is one of them, so this check keeps a regenerated file honest, and the
@@ -27,6 +31,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BAR = 1.10
+FLOOR = 0.90
 MIN_COUNT = 16  # kernels::kMinCount
 
 
@@ -41,6 +46,10 @@ def violations(doc):
     for row in doc.get("rows", []):
         if row["isa"] == "scalar" or row["count"] < MIN_COUNT:
             continue
+        if row["speedup_vs_scalar"] < FLOOR:
+            out.append("%s w%d %s n=%d: %.3fx, under %.2fx"
+                       % (row["kernel"], row["width"], row["isa"],
+                          row["count"], row["speedup_vs_scalar"], FLOOR))
         key = (row["kernel"], row["width"], row["isa"])
         best[key] = max(best.get(key, 0.0), row["speedup_vs_scalar"])
     for (kernel, width, isa), speedup in sorted(best.items()):
@@ -65,6 +74,9 @@ def self_test():
                                            row("i64->i32", 8, "avx2", 3.0)])
     found = violations(slow)
     assert len(found) == 1 and found[0].startswith("i64->i32 w4 avx2"), found
+    short = dict(good, rows=good["rows"] + [row("swap", 16, "avx2", 0.89)])
+    found = violations(short)
+    assert len(found) == 1 and found[0].startswith("swap w4 avx2 n=16"), found
     assert violations(dict(good, host={})) == ["no host record"]
     no_isa = {k: v for k, v in good.items() if k != "detected_isa"}
     assert violations(no_isa) == ["no detected_isa field"]

@@ -67,6 +67,10 @@ comparison baselines the benches measure PBIO against
                         an event counted in both double-counts it. Each
                         counter lives in one store. Never allowlisted; both
                         sites are reported.
+  R12 span-count        an `OBS_COUNT(name, 1)` in the same brace block as a
+                        preceding `OBS_SPAN` (nested blocks and braceless
+                        if/for/while bodies excluded) counts what the span's
+                        histogram count already counts. Never allowlisted.
 
 Usage:
     tools/wire_lint.py [--root REPO_ROOT] [--allowlist FILE] [--self-test]
@@ -116,6 +120,12 @@ FNPTR_HOME = "src/vcode/"
 RE_SLAB_COUNTER = re.compile(r'\b(?:OBS_COUNT|counter)\s*\(\s*"([^"\\]+)"')
 RE_BLOCK_OPEN = re.compile(r"\bCounterBlock\b[^;{(]*[{(]")
 RE_STRING_LITERAL = re.compile(r'"([^"\\]*)"')
+# R12: span sites, +1 counts (string contents blanked, so a literal name
+# reads as a lone quote), and the keywords that make a statement
+# conditional.
+RE_SPAN_SITE = re.compile(r"\bOBS_SPAN\s*\(")
+RE_COUNT_ONE = re.compile(r"\bOBS_COUNT\s*\([^,;]*,\s*1\s*\)")
+RE_CONDITIONAL = re.compile(r"\b(?:if|else|for|while|do|case|default)\b")
 # R9: quoted includes, and the trees a library file may not reach into.
 RE_INCLUDE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 NON_LIBRARY_TREES = ("bench", "tests")
@@ -463,6 +473,50 @@ def scan_counter_stores(root, paths, findings):
                              "count it in one", name))
 
 
+def scan_span_counts(root, path, findings):
+    """R12: walk `path`'s brace blocks; within one block, an OBS_COUNT(x, 1)
+    statement after an OBS_SPAN is a finding unless the statement is
+    conditional."""
+    rel = path.relative_to(root).as_posix()
+    spans = [False]  # per open block: an OBS_SPAN seen earlier in it
+    stmt = ""        # code since the last `;`, `{` or `}` outside parens
+    parens = 0       # a `for (;;)` header's semicolons end no statement
+    in_comment = False
+    in_macro = False
+    for lineno, raw in enumerate(
+            path.read_text(errors="replace").splitlines(), 1):
+        code, in_comment = strip_comments_and_strings(raw, in_comment)
+        if in_macro or code.lstrip().startswith("#"):
+            in_macro = code.rstrip().endswith("\\")
+            continue
+        i = 0
+        while i < len(code):
+            if RE_SPAN_SITE.match(code, i):
+                spans[-1] = True
+            count = RE_COUNT_ONE.match(code, i)
+            if (count and spans[-1]
+                    and not RE_CONDITIONAL.search(stmt)):
+                findings.append((rel, lineno, "span-count",
+                                 "OBS_COUNT(..., 1) after an OBS_SPAN in "
+                                 "the same block counts what the span's "
+                                 "histogram count already counts — read "
+                                 "the span's count instead", raw.strip()))
+            ch = code[i]
+            if ch == "{":
+                spans.append(False)
+                stmt, parens = "", 0
+            elif ch == "}":
+                if len(spans) > 1:
+                    spans.pop()
+                stmt, parens = "", 0
+            elif ch == ";" and parens == 0:
+                stmt = ""
+            else:
+                parens = max(0, parens + (ch == "(") - (ch == ")"))
+                stmt += ch
+            i += 1
+
+
 # --- self-test -----------------------------------------------------------
 # Each case is one synthetic source line dropped into a scratch tree at the
 # given path; the scan over that tree must produce exactly the expected
@@ -616,6 +670,30 @@ SELF_TEST_CASES = [
     ("src/obs/r10_ok.cc", 'OBS_COUNT("r10.after_ref", 1);', set()),
     ("bench/baselines/b/r10_bench.cc", 'OBS_COUNT("r10.block_only", 1);',
      set()),
+    # R12: a +1 count after a span in the same block fires, an early return
+    # between them included; a count in a nested or braceless conditional
+    # body, a count of something other than 1, a count before the span and
+    # a count in another function do not. All lines of one synthetic file
+    # share its expected set.
+    ("src/pbio/r12_hit.cc", "Status f(bool e) {", {"span-count"}),
+    ("src/pbio/r12_hit.cc", '  OBS_SPAN("r12.span", n);', {"span-count"}),
+    ("src/pbio/r12_hit.cc", "  if (e) return Status::ok();", {"span-count"}),
+    ("src/pbio/r12_hit.cc", '  OBS_COUNT("r12.runs", 1);', {"span-count"}),
+    ("src/pbio/r12_hit.cc", "}", {"span-count"}),
+    ("src/pbio/r12_ok.cc", "void g(bool e, int n) {", set()),
+    ("src/pbio/r12_ok.cc", '  OBS_COUNT("r12.before", 1);', set()),
+    ("src/pbio/r12_ok.cc", '  OBS_SPAN("r12.span");', set()),
+    ("src/pbio/r12_ok.cc", '  if (e) {', set()),
+    ("src/pbio/r12_ok.cc", '    OBS_COUNT("r12.subset", 1);', set()),
+    ("src/pbio/r12_ok.cc", '  }', set()),
+    ("src/pbio/r12_ok.cc", '  if (e) OBS_COUNT("r12.braceless", 1);', set()),
+    ("src/pbio/r12_ok.cc", "  for (int i = 0; i < n; ++i)", set()),
+    ("src/pbio/r12_ok.cc", '    OBS_COUNT("r12.loop", 1);', set()),
+    ("src/pbio/r12_ok.cc", '  OBS_COUNT("r12.bytes", n);', set()),
+    ("src/pbio/r12_ok.cc", "}", set()),
+    ("src/pbio/r12_ok.cc", "void h() {", set()),
+    ("src/pbio/r12_ok.cc", '  OBS_COUNT("r12.other_function", 1);', set()),
+    ("src/pbio/r12_ok.cc", "}", set()),
     # Comment and string contents never trip rules.
     ("src/pbio/noise_comment.cc",
      "// reinterpret_cast<char*>(q); mprotect(p, n, PROT_EXEC);", set()),
@@ -643,6 +721,7 @@ def self_test():
         paths = list(iter_scan_files(root))
         for path in paths:
             scan_file(root, path, allowlist + [stale_entry], findings)
+            scan_span_counts(root, path, findings)
         scan_counter_stores(root, paths, findings)
         got = {}
         for rel, _lineno, rule, _msg, _raw in findings:
@@ -689,6 +768,7 @@ def main():
     paths = list(iter_scan_files(root))
     for path in paths:
         scan_file(root, path, allowlist, findings)
+        scan_span_counts(root, path, findings)
     scan_counter_stores(root, paths, findings)
 
     status = 0
