@@ -42,12 +42,12 @@ class TwoReadsChannel final : public transport::Channel {
     return Status(Errc::kUnsupported, "receive-only baseline channel");
   }
   Result<FrameBuf> recv_buf() override {
-    std::uint8_t header[transport::kFrameHeaderLen];
+    std::uint8_t header[kFrameHeaderLen];
     Status st = read_full(header, sizeof(header));
     if (!st.is_ok()) return st;
     const std::uint64_t len =
-        load_uint(header, transport::kFrameHeaderLen, ByteOrder::kLittle);
-    if (len > transport::kMaxFrameLen) {
+        load_uint(header, kFrameHeaderLen, ByteOrder::kLittle);
+    if (len > kMaxFrameLen) {
       return Status(Errc::kMalformed, "oversized frame");
     }
     FrameBuf msg = FrameBuf::heap(static_cast<std::size_t>(len));

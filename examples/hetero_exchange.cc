@@ -71,8 +71,8 @@ int main() {
     auto msg = reader.next();
     if (!msg.is_ok()) return 1;
     Reading out{};
-    // Engine::kDcg (the default) runs the generated machine code; swap to
-    // Engine::kInterpreted to compare against the table-driven converter.
+    // The conversion runs its generated machine code once the pair has
+    // tiered up, and the table-driven interpreter before that.
     if (!msg.value().decode_into(&out, sizeof(out)).is_ok()) return 1;
     std::printf("sensor %d @%ld: %.2f %.2f ... %s  (byte-swapped, "
                 "4->8 byte long, realigned)\n",

@@ -27,7 +27,7 @@ namespace {
 constexpr auto kRelaxed = std::memory_order_relaxed;
 /// Frames one service() call may consume — the fairness quantum keeping a
 /// firehose connection from starving its worker's other connections.
-constexpr std::size_t kFrameBudget = 64;
+constexpr std::size_t kServiceBudget = 64;
 constexpr int kEpollWaitMs = 50;
 }  // namespace
 
@@ -221,7 +221,7 @@ class Worker {
     loop_owner_.assert_held("Worker epoll state");
     auto it = conns_.find(fd);
     if (it == conns_.end()) return;
-    switch (it->second->service(kFrameBudget, events)) {
+    switch (it->second->service(kServiceBudget, events)) {
       case Conn::Verdict::kIdle:
         break;
       case Conn::Verdict::kMore:

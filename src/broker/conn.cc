@@ -4,11 +4,9 @@
 
 #include "obs/flight.h"
 #include "obs/span.h"
-#include "pbio/encode.h"
 #include "pbio/message.h"
-#include "transport/tracewire.h"
+#include "transport/wire.h"
 #include "util/arena.h"
-#include "util/endian.h"
 
 namespace pbio::broker {
 
@@ -71,7 +69,7 @@ Status Conn::enqueue(FrameBuf frame, const obs::TraceCtx* trace) {
                        static_cast<std::uint64_t>(ch_.fd()), prev);
     return Status(Errc::kOverloaded, "inflight frame cap");
   }
-  const std::size_t wire = transport::kFrameHeaderLen + frame.size();
+  const std::size_t wire = kFrameHeaderLen + frame.size();
   Status st = sq_.push(std::move(frame), trace);
   if (!st.is_ok()) {
     sh_.inflight.fetch_sub(1, kRelaxed);
@@ -87,10 +85,8 @@ Status Conn::forward_trace(FrameBuf response, const obs::TraceCtx& trace) {
   // ids let the Reader on the far side continue the same trace.
   obs::TraceCtx fwd = trace;
   fwd.span_id = obs::new_trace_id();
-  FrameBuf side = pool().lease(transport::kTraceFrameLen);
-  std::uint8_t raw[transport::kTraceFrameLen];
-  transport::encode_trace_frame(raw, fwd);
-  std::copy_n(raw, transport::kTraceFrameLen, side.data());
+  FrameBuf side = pool().lease(kTraceFrameLen);
+  encode_trace_frame(side.data(), fwd);
   Status st = enqueue(std::move(side));
   if (!st.is_ok()) return st;
   return enqueue(std::move(response), &trace);
@@ -122,8 +118,7 @@ Status Conn::on_data_frame(FrameBuf frame, const Resolver::Frame& f) {
     // frame so the arena cannot grow without bound.
     Arena scratch;
     Status st = decode_record(*entry->conv, f.payload, decode_out_.data(),
-                              out_size, scratch, Engine::kDcg,
-                              entry->decode_hist);
+                              out_size, scratch, entry->decode_hist);
     if (!st.is_ok()) return st;
     sh_.counters.add(kDecoded, 1);
   }
@@ -141,10 +136,7 @@ Status Conn::on_data_frame(FrameBuf frame, const Resolver::Frame& f) {
     case OnData::kAck: {
       frame.reset();  // drop the lease before taking a fresh one
       FrameBuf ack = pool().lease(kDataHeaderSize);
-      std::fill_n(ack.data(), kDataHeaderSize, std::uint8_t{0});
-      ack.data()[0] = kFrameAck;
-      store_uint(ack.data() + kDataHeaderIdOffset, f.wire_id, 8,
-                 ByteOrder::kLittle);
+      encode_id_header(ack.data(), kFrameAck, f.wire_id);
       if (traced) return forward_trace(std::move(ack), f.trace);
       return enqueue(std::move(ack));
     }
@@ -155,8 +147,7 @@ Status Conn::on_data_frame(FrameBuf frame, const Resolver::Frame& f) {
 }
 
 Status Conn::dispatch(FrameBuf frame) {
-  if (const std::uint8_t kind = frame.empty() ? 0 : frame.data()[0];
-      kind == kSvcLookup || kind == kSvcRegister) {
+  if (!frame.empty() && is_svc_request(frame.data()[0])) {
     Status st = sh_.svc.handle(frame.view(), svc_reply_);
     if (!st.is_ok()) {
       sh_.counters.add(kProtocolErrors, 1);

@@ -13,7 +13,7 @@
 // service() is the whole per-connection protocol: drain complete frames
 // from the socket (poll_buf, which slices coalesced frames out of one
 // pooled stream buffer without allocating), dispatch each on its first
-// payload byte (pbio frame kinds and format-service request bytes are
+// payload byte (the frame kinds of docs/wire.md are all
 // disjoint), flush responses with gathered send. Draining stops at the
 // first short read rather than at EAGAIN: under EPOLLET any later byte
 // raises a new edge (see SocketChannel::may_have_input). Backpressure is a
@@ -40,11 +40,6 @@
 #include "util/wire_taint.h"
 
 namespace pbio::broker {
-
-/// Ack frame kind: [kFrameAck u8][7 pad][u64 wire format id], 16 bytes like
-/// a data-frame header. Disjoint from kFrameFormat/kFrameData and from the
-/// format-service request/response bytes.
-inline constexpr std::uint8_t kFrameAck = 0x30;
 
 /// What the broker does with a data frame.
 enum class OnData : std::uint8_t {

@@ -23,8 +23,8 @@ Status SendQueue::push(FrameBuf frame, const obs::TraceCtx* trace) {
   if (!st.is_ok()) return st;
   if (count_ == ring_.size()) grow();
   Item& it = ring_[(head_ + count_) & (ring_.size() - 1)];
-  transport::encode_frame_header(frame.size(), it.hdr);
-  queued_bytes_ += transport::kFrameHeaderLen + frame.size();
+  encode_frame_header(frame.size(), it.hdr);
+  queued_bytes_ += kFrameHeaderLen + frame.size();
   it.frame = std::move(frame);
   it.enq_ticks = obs::ticks();
   it.trace = trace != nullptr ? *trace : obs::TraceCtx{};
@@ -44,12 +44,11 @@ Result<SendQueue::FlushResult> SendQueue::flush(transport::WireSink& sink,
     for (std::size_t i = 0; i < n; ++i) {
       Item& it = ring_[(head_ + i) & mask];
       std::size_t skip = (i == 0) ? head_written_ : 0;
-      if (skip < transport::kFrameHeaderLen) {
-        iov_scratch_.push_back(
-            {it.hdr + skip, transport::kFrameHeaderLen - skip});
+      if (skip < kFrameHeaderLen) {
+        iov_scratch_.push_back({it.hdr + skip, kFrameHeaderLen - skip});
         skip = 0;
       } else {
-        skip -= transport::kFrameHeaderLen;
+        skip -= kFrameHeaderLen;
       }
       if (it.frame.size() > skip) {
         iov_scratch_.push_back({it.frame.data() + skip, it.frame.size() - skip});
@@ -71,7 +70,7 @@ Result<SendQueue::FlushResult> SendQueue::flush(transport::WireSink& sink,
     while (count_ > 0 && w > 0) {
       Item& head = ring_[head_ & mask];
       const std::size_t wire =
-          transport::kFrameHeaderLen + head.frame.size() - head_written_;
+          kFrameHeaderLen + head.frame.size() - head_written_;
       if (w < wire) {
         head_written_ += w;
         w = 0;

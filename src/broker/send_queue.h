@@ -38,7 +38,7 @@ class SendQueue {
 
   /// Append `frame` (taking ownership of the lease). The wire image is
   /// [len u32 LE][frame bytes], matching FrameStream on the peer side; a
-  /// frame longer than transport::kMaxFrameLen is refused (kMalformed,
+  /// frame longer than kMaxFrameLen is refused (kMalformed,
   /// nothing queued). A non-null `trace` marks the frame as belonging to
   /// a sampled message: its queue-residency span is emitted when the
   /// frame fully drains.
@@ -65,7 +65,7 @@ class SendQueue {
 
  private:
   struct Item {
-    std::uint8_t hdr[transport::kFrameHeaderLen];
+    std::uint8_t hdr[kFrameHeaderLen];
     FrameBuf frame;
     std::uint64_t enq_ticks = 0;    // residency stamp
     obs::TraceCtx trace;            // valid for sampled-message frames

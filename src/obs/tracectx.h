@@ -1,5 +1,5 @@
 // Wire-level trace context: the sampled per-message identity that rides a
-// sidecar frame (transport/tracewire.h) from Writer through the broker to
+// sidecar frame (transport/wire.h) from Writer through the broker to
 // Reader, so one message's encode, broker ingress, queue residency and
 // decode land in a single causal trace.
 //

@@ -10,19 +10,11 @@
 #pragma once
 
 #include "fmt/format.h"
+#include "transport/wire.h"
 #include "util/buffer.h"
 #include "util/error.h"
 
 namespace pbio {
-
-/// Wire frame kinds.
-inline constexpr std::uint8_t kFrameFormat = 1;  // payload = format meta
-inline constexpr std::uint8_t kFrameData = 2;    // payload = record image
-/// Data frame header: [kind u8][7 pad bytes][format id u64]. 16 bytes so
-/// the record image lands 16-byte aligned in the receive buffer — required
-/// for the zero-copy path to hand out legally-aligned struct pointers.
-inline constexpr std::size_t kDataHeaderSize = 16;
-inline constexpr std::size_t kDataHeaderIdOffset = 8;
 
 /// Append the wire image of native record `record` (described by `f`,
 /// which must be a host-ABI format) to `out`. For fixed-layout formats this

@@ -14,11 +14,10 @@ Status FormatServiceServer::handle(std::span<const std::uint8_t> request,
   requests_.add(0, 1);
   switch (request[0]) {
     case kSvcLookup: {
-      if (request.size() < 9) {
+      Context::FormatId id = 0;
+      if (!decode_svc_id(request, &id)) {
         return Status(Errc::kTruncated, "short lookup request");
       }
-      const Context::FormatId id =
-          load_uint(request.data() + 1, 8, ByteOrder::kLittle);
       const fmt::FormatDesc* f = ctx_.find(id);
       if (f == nullptr) {
         reply.append_uint(kSvcMiss, 1, ByteOrder::kLittle);
@@ -33,8 +32,7 @@ Status FormatServiceServer::handle(std::span<const std::uint8_t> request,
       if (!meta.is_ok()) return meta.status();
       auto id = ctx_.learn_format(std::move(meta).take());
       if (!id.is_ok()) return id.status();
-      reply.append_uint(kSvcRegistered, 1, ByteOrder::kLittle);
-      reply.append_uint(id.value(), 8, ByteOrder::kLittle);
+      reply.append(encode_svc_id(kSvcRegistered, id.value()));
       return Status::ok();
     }
     default:
@@ -61,10 +59,7 @@ void FormatServiceServer::serve_until_closed(transport::Channel& ch) {
 }
 
 Result<fmt::FormatDesc> FormatServiceClient::lookup(Context::FormatId id) {
-  ByteBuffer req(16);
-  req.append_uint(kSvcLookup, 1, ByteOrder::kLittle);
-  req.append_uint(id, 8, ByteOrder::kLittle);
-  Status st = ch_.send(req.view());
+  Status st = ch_.send(encode_svc_id(kSvcLookup, id));
   if (!st.is_ok()) return st;
   auto reply = ch_.recv_buf();
   if (!reply.is_ok()) return reply.status();
@@ -91,10 +86,11 @@ Result<Context::FormatId> FormatServiceClient::publish(
   auto reply = ch_.recv_buf();
   if (!reply.is_ok()) return reply.status();
   const auto bytes = reply.value().view();
-  if (bytes.size() < 9 || bytes[0] != kSvcRegistered) {
+  Context::FormatId id = 0;
+  if (!decode_svc_id(bytes, &id) || bytes[0] != kSvcRegistered) {
     return Status(Errc::kMalformed, "unexpected service reply");
   }
-  return load_uint(bytes.data() + 1, 8, ByteOrder::kLittle);
+  return id;
 }
 
 }  // namespace pbio

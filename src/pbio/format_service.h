@@ -7,12 +7,8 @@
 // format service is that party: writers register format descriptions (by
 // content id), late-joining readers resolve unknown wire ids against it.
 //
-// Protocol (all integers little-endian):
-//   requests:   [0x10][u64 id]      lookup
-//               [0x11][meta bytes]  register
-//   responses:  [0x20][meta bytes]  lookup hit / register echo
-//               [0x21][u64 id]      register ack
-//               [0x2F]              lookup miss
+// Its requests and replies are the kSvc* frames of transport/wire.h
+// (docs/wire.md).
 #pragma once
 
 #include <functional>
@@ -20,16 +16,11 @@
 #include "obs/obs.h"
 #include "pbio/context.h"
 #include "transport/channel.h"
+#include "transport/wire.h"
 #include "util/buffer.h"
 #include "util/wire_taint.h"
 
 namespace pbio {
-
-inline constexpr std::uint8_t kSvcLookup = 0x10;
-inline constexpr std::uint8_t kSvcRegister = 0x11;
-inline constexpr std::uint8_t kSvcFound = 0x20;
-inline constexpr std::uint8_t kSvcRegistered = 0x21;
-inline constexpr std::uint8_t kSvcMiss = 0x2F;
 
 /// Server side: backs lookups with a Context's registry (typically a
 /// dedicated one). Two serving shapes:

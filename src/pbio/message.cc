@@ -10,29 +10,29 @@ namespace pbio {
 
 namespace {
 
-/// Engine-split decode spans: one histogram per engine so snapshots show
-/// where conversion time goes (kDcg vs kInterpreted), with the source size
+/// Per-engine decode spans: one histogram per engine so snapshots show
+/// where conversion time goes (code vs interpreter), with the source size
 /// riding on the trace event. Span sites latch their name at first use, so
 /// the conditional needs two distinct sites rather than one dynamic name.
-/// Each span's sample count is the engine's record count: a kDcg request
-/// interprets while the conversion has no code (before its tier-up, after
+/// Each span's sample count is the engine's record count: a conversion
+/// interprets while it has no code (before its tier-up, after
 /// a tval rejection, on a host without a JIT). Code, once published,
 /// stays, so the run takes the engine the check saw.
 Status run_conversion(const Conversion& conv, const convert::ExecInput& in,
-                      Engine engine, obs::MetricId pair_hist) {
-  if (engine == Engine::kDcg && conv.jitted()) {
+                      obs::MetricId pair_hist) {
+  if (conv.jitted()) {
     OBS_SPAN("pbio.decode.dcg", in.src_size, pair_hist);
     return conv.run(in);
   }
   OBS_SPAN("pbio.decode.interp", in.src_size, pair_hist);
-  return run(conv, in, Engine::kInterpreted);
+  return convert::run_plan(conv.plan(), in);
 }
 
 }  // namespace
 
 Status decode_record(const Conversion& conv, std::span<const std::uint8_t> src,
                      void* out, std::size_t size, Arena& arena,
-                     Engine engine, obs::MetricId pair_hist) {
+                     obs::MetricId pair_hist) {
   const convert::Plan& plan = conv.plan();
   if (plan.identity) {
     // Identity layouts: a single block copy of the fixed part suffices; in
@@ -59,10 +59,10 @@ Status decode_record(const Conversion& conv, std::span<const std::uint8_t> src,
   in.mode = convert::VarMode::kPointers;
   in.arena = &arena;
   in.borrow_from_src = true;  // pointers may alias the received frame
-  return run_conversion(conv, in, engine, pair_hist);
+  return run_conversion(conv, in, pair_hist);
 }
 
-Status Message::decode_into(void* out, std::size_t size, Engine engine) {
+Status Message::decode_into(void* out, std::size_t size) {
   if (!has_native() || conv_ == nullptr) {
     return Status(Errc::kUnknownFormat, "no native format expected");
   }
@@ -81,11 +81,10 @@ Status Message::decode_into(void* out, std::size_t size, Engine engine) {
       }
     }
   } stamp{this, traced, trace_t0};
-  return decode_record(*conv_, payload_, out, size, arena_, engine);
+  return decode_record(*conv_, payload_, out, size, arena_);
 }
 
-Status Message::decode_at(std::size_t index, void* out, std::size_t size,
-                          Engine engine) {
+Status Message::decode_at(std::size_t index, void* out, std::size_t size) {
   if (!has_native() || conv_ == nullptr) {
     return Status(Errc::kUnknownFormat, "no native format expected");
   }
@@ -93,11 +92,11 @@ Status Message::decode_at(std::size_t index, void* out, std::size_t size,
     return Status(Errc::kTruncated, "record index out of range");
   }
   return decode_record(*conv_, payload_.subspan(index * wire_->fixed_size),
-                       out, size, arena_, engine);
+                       out, size, arena_);
 }
 
 Status Message::decode_all(void* out, std::size_t stride,
-                           std::size_t capacity, Engine engine) {
+                           std::size_t capacity) {
   if (!has_native() || conv_ == nullptr) {
     return Status(Errc::kUnknownFormat, "no native format expected");
   }
@@ -153,13 +152,13 @@ Status Message::decode_all(void* out, std::size_t stride,
     }
   }
   for (std::size_t i = 0; i < n; ++i) {
-    Status st = decode_at(i, base + i * stride, stride, engine);
+    Status st = decode_at(i, base + i * stride, stride);
     if (!st.is_ok()) return st;
   }
   return Status::ok();
 }
 
-Status Message::convert_in_place(Engine engine) {
+Status Message::convert_in_place() {
   if (converted_in_place_ || zero_copy()) return Status::ok();
   if (conv_ == nullptr) {
     return Status(Errc::kUnknownFormat, "no native format expected");
@@ -174,7 +173,7 @@ Status Message::convert_in_place(Engine engine) {
   in.src_size = payload_.size();
   in.dst = base;
   in.dst_size = payload_.size();
-  Status st = run_conversion(*conv_, in, engine, obs::kInvalidMetric);
+  Status st = run_conversion(*conv_, in, obs::kInvalidMetric);
   if (st.is_ok()) converted_in_place_ = true;
   return st;
 }

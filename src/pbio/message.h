@@ -31,7 +31,7 @@ class Reader;
 /// Decode one received record into `out` (`size` bytes). `src` is its
 /// wire image through the end of the payload, since a variable part lies
 /// past the fixed one. An identity layout copies the fixed part; any other
-/// pair runs `conv` on `engine`, timed once into the span of the engine
+/// pair runs `conv`, timed once into the span of the engine
 /// that ran (pbio.decode.{dcg,interp}), with variable-length data pointing
 /// into `src` or landing in `arena`. `pair_hist`, when valid, receives the
 /// same sample (identity copies included). Message's decodes and a
@@ -39,7 +39,6 @@ class Reader;
 WIRE_TAINTED Status decode_record(const Conversion& conv,
                                   std::span<const std::uint8_t> src,
                                   void* out, std::size_t size, Arena& arena,
-                                  Engine engine = Engine::kDcg,
                                   obs::MetricId pair_hist =
                                       obs::kInvalidMetric);
 
@@ -68,14 +67,13 @@ class Message {
   /// stay valid for the Message's lifetime.
   /// WIRE_TAINTED: decode paths size their copies from the received
   /// payload, so every length they compute is wire-derived until compared.
-  WIRE_TAINTED Status decode_into(void* out, std::size_t size,
-                                  Engine engine = Engine::kDcg);
+  WIRE_TAINTED Status decode_into(void* out, std::size_t size);
 
   /// Typed view: zero-copy reinterpretation when layouts match, otherwise
   /// a decode into message-owned storage. The pointer is valid for the
   /// Message's lifetime.
   template <typename T>
-  Result<const T*> view(Engine engine = Engine::kDcg) {
+  Result<const T*> view() {
     static_assert(std::is_trivially_copyable_v<T>);
     if (!has_native()) {
       return Status(Errc::kUnknownFormat, "no native format expected");
@@ -89,7 +87,7 @@ class Message {
     }
     if (decoded_.empty()) {
       decoded_.resize(native_->fixed_size);
-      Status st = decode_into(decoded_.data(), decoded_.size(), engine);
+      Status st = decode_into(decoded_.data(), decoded_.size());
       if (!st.is_ok()) {
         decoded_.clear();
         return st;
@@ -131,8 +129,7 @@ class Message {
 
   /// Decode record `index` into caller storage (any layout pair).
   WIRE_TAINTED Status decode_at(std::size_t index, void* out,
-                                std::size_t size,
-                                Engine engine = Engine::kDcg);
+                                std::size_t size);
 
   /// Decode every record into caller storage: record `i` lands at
   /// `out + i * stride` (`stride` >= native fixed size, `capacity` >=
@@ -142,8 +139,7 @@ class Message {
   /// entire message per dispatch instead of per record. Other plans fall
   /// back to per-record conversion; results are bit-identical either way.
   WIRE_TAINTED Status decode_all(void* out, std::size_t stride,
-                                 std::size_t capacity,
-                                 Engine engine = Engine::kDcg);
+                                 std::size_t capacity);
 
   /// True when the conversion can run *inside* the receive buffer (every
   /// field written at or before where it was read) — PBIO's receive-buffer
@@ -157,7 +153,7 @@ class Message {
   /// receive buffer (as we do)"). Fails with kUnsupported when the layout
   /// pair is not in-place safe — fall back to view<T>(). Idempotent.
   template <typename T>
-  Result<const T*> in_place_view(Engine engine = Engine::kDcg) {
+  Result<const T*> in_place_view() {
     static_assert(std::is_trivially_copyable_v<T>);
     if (!has_native()) {
       return Status(Errc::kUnknownFormat, "no native format expected");
@@ -165,7 +161,7 @@ class Message {
     if (sizeof(T) < native_->fixed_size) {
       return Status(Errc::kTypeMismatch, "T smaller than native format");
     }
-    Status st = convert_in_place(engine);
+    Status st = convert_in_place();
     if (!st.is_ok()) return st;
     return reinterpret_cast<const T*>(payload_.data());
   }
@@ -194,7 +190,7 @@ class Message {
  private:
   friend class Reader;
 
-  Status convert_in_place(Engine engine);
+  Status convert_in_place();
 
   FrameBuf buffer_;                          // lease on the received frame
   bool converted_in_place_ = false;

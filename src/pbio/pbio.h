@@ -18,7 +18,7 @@
 #include "arch/layout.h"    // portable struct specs + layout engine
 #include "fmt/format.h"     // format descriptions
 #include "fmt/meta.h"       // wire meta-information codec
-#include "pbio/context.h"   // Context, Conversion, Engine
+#include "pbio/context.h"   // Context, Conversion
 #include "pbio/encode.h"    // sender-side gather encoding
 #include "pbio/message.h"   // received messages
 #include "pbio/native.h"    // describing host structs (PBIO_FIELD etc.)

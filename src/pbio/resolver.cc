@@ -3,9 +3,7 @@
 #include <utility>
 
 #include "fmt/meta.h"
-#include "pbio/encode.h"
-#include "transport/tracewire.h"
-#include "util/endian.h"
+#include "transport/wire.h"
 
 namespace pbio {
 
@@ -23,10 +21,10 @@ Status Resolver::interpret(std::span<const std::uint8_t> frame, Frame* out,
       counters_.add(learned_, 1);
       return Status::ok();
     }
-    case transport::kFrameTrace: {
+    case kFrameTrace: {
       out->kind = Kind::kTrace;
       obs::TraceCtx ctx;
-      if (!transport::decode_trace_frame(frame, &ctx)) {
+      if (!decode_trace_frame(frame, &ctx)) {
         return Status(Errc::kMalformed, "bad trace sidecar frame");
       }
       pending_trace_ = ctx;
@@ -44,13 +42,11 @@ Status Resolver::interpret(std::span<const std::uint8_t> frame, Frame* out,
   // whatever becomes of the frame.
   out->trace = std::exchange(pending_trace_, obs::TraceCtx{});
   out->trace_ns = pending_trace_ns_;
-  if (frame.size() < kDataHeaderSize) {
+  if (!decode_id_header(frame, &out->wire_id)) {
     out->kind = Kind::kShortData;
     return Status(Errc::kTruncated, "short data frame");
   }
   out->kind = Kind::kData;
-  out->wire_id =
-      load_uint(frame.data() + kDataHeaderIdOffset, 8, ByteOrder::kLittle);
   out->payload = frame.subspan(kDataHeaderSize);
   if (!resolve_data) return Status::ok();
   auto resolved = resolve(out->wire_id, &out->refilled);

@@ -3,7 +3,7 @@
 #include "fmt/meta.h"
 #include "obs/span.h"
 #include "obs/tracectx.h"
-#include "transport/tracewire.h"
+#include "transport/wire.h"
 
 namespace pbio {
 
@@ -38,9 +38,8 @@ Status Writer::announce(Context::FormatId fmt_id) {
 
 Status Writer::send_payload(Context::FormatId fmt_id, Known& k,
                             std::span<const std::uint8_t> image) {
-  std::uint8_t header[kDataHeaderSize] = {};
-  header[0] = kFrameData;
-  store_uint(header + kDataHeaderIdOffset, fmt_id, 8, ByteOrder::kLittle);
+  std::uint8_t header[kDataHeaderSize];
+  encode_id_header(header, kFrameData, fmt_id);
   const std::span<const std::uint8_t> data_segs[] = {
       {header, kDataHeaderSize}, image};
 
@@ -49,13 +48,12 @@ Status Writer::send_payload(Context::FormatId fmt_id, Known& k,
   // and Reader stamp their hops onto the ids it carries. Sampling off
   // (the default) costs one relaxed load here.
   obs::TraceCtx tctx;
-  std::uint8_t tframe[transport::kTraceFrameLen];
-  const std::span<const std::uint8_t> trace_segs[] = {
-      {tframe, transport::kTraceFrameLen}};
+  std::uint8_t tframe[kTraceFrameLen];
+  const std::span<const std::uint8_t> trace_segs[] = {{tframe, kTraceFrameLen}};
   const bool traced = obs::trace_sample();
   if (traced) {
     tctx = obs::make_trace_ctx();
-    transport::encode_trace_frame(tframe, tctx);
+    encode_trace_frame(tframe, tctx);
   }
 
   // One send_frames call: [announce]? [trace sidecar]? [data] — on
@@ -75,7 +73,6 @@ Status Writer::send_payload(Context::FormatId fmt_id, Known& k,
   Status st = channel_.send_frames({frames, n});
   if (st.is_ok()) {
     if (announce_now) k.announced = true;
-    OBS_COUNT("pbio.encode.records", 1);
     OBS_COUNT("pbio.encode.data_bytes", kDataHeaderSize + image.size());
     if (traced) {
       // The encode span: origin (context creation, before the send) to
@@ -87,50 +84,59 @@ Status Writer::send_payload(Context::FormatId fmt_id, Known& k,
   return st;
 }
 
+namespace {
+
+// Every write* returns through here, so a failed write counts once in
+// pbio.encode.failed; its pbio.encode span sample counts every write.
+Status counted(Status st) {
+  if (!st.is_ok()) OBS_COUNT("pbio.encode.failed", 1);
+  return st;
+}
+
+Status unknown_format(const char* what) {
+  return counted(Status(Errc::kUnknownFormat, what));
+}
+
+}  // namespace
+
 Status Writer::write(Context::FormatId fmt_id, const void* record) {
   OBS_SPAN("pbio.encode");
   Known* k = known(fmt_id);
-  if (k == nullptr) {
-    return Status(Errc::kUnknownFormat, "write: format not registered");
-  }
+  if (k == nullptr) return unknown_format("write: format not registered");
   const fmt::FormatDesc& f = *k->desc;
   if (f.is_fixed_layout()) {
     // NDR fast path: the record *is* the wire image.
-    return send_payload(
-        fmt_id, *k, {static_cast<const std::uint8_t*>(record), f.fixed_size});
+    return counted(send_payload(
+        fmt_id, *k, {static_cast<const std::uint8_t*>(record), f.fixed_size}));
   }
   gather_buf_.clear();
   Status st = encode_native(f, record, gather_buf_);
-  if (!st.is_ok()) return st;
-  return send_payload(fmt_id, *k, gather_buf_.view());
+  if (!st.is_ok()) return counted(st);
+  return counted(send_payload(fmt_id, *k, gather_buf_.view()));
 }
 
 Status Writer::write_image(Context::FormatId fmt_id,
                            std::span<const std::uint8_t> image) {
   OBS_SPAN("pbio.encode", image.size());
   Known* k = known(fmt_id);
-  if (k == nullptr) {
-    return Status(Errc::kUnknownFormat, "write_image: format not registered");
-  }
-  return send_payload(fmt_id, *k, image);
+  if (k == nullptr) return unknown_format("write_image: format not registered");
+  return counted(send_payload(fmt_id, *k, image));
 }
 
 Status Writer::write_array(Context::FormatId fmt_id, const void* records,
                            std::uint32_t count) {
   OBS_SPAN("pbio.encode", count);
   Known* k = known(fmt_id);
-  if (k == nullptr) {
-    return Status(Errc::kUnknownFormat, "write_array: format not registered");
-  }
+  if (k == nullptr) return unknown_format("write_array: format not registered");
   const fmt::FormatDesc& f = *k->desc;
   if (!f.is_fixed_layout()) {
-    return Status(Errc::kUnsupported,
-                  "write_array requires a fixed-layout format");
+    return counted(Status(Errc::kUnsupported,
+                          "write_array requires a fixed-layout format"));
   }
-  return send_payload(
+  return counted(send_payload(
       fmt_id, *k,
       {static_cast<const std::uint8_t*>(records),
-       static_cast<std::size_t>(f.fixed_size) * count});
+       static_cast<std::size_t>(f.fixed_size) * count}));
 }
 
 }  // namespace pbio

@@ -39,7 +39,7 @@ Status FileWriteChannel::send_frames(std::span<const FrameSegments> frames) {
     }
     bytes_sent_ += len;
     OBS_COUNT("transport.file.msgs_out", 1);
-    OBS_COUNT("transport.file.bytes_out", len);
+    OBS_COUNT("transport.file.bytes_out", kFrameHeaderLen + len);
   }
   return Status::ok();
 }
@@ -79,7 +79,7 @@ Result<FrameBuf> FileReadChannel::recv_buf() {
     switch (stream_.next_frame(&frame, &err)) {
       case FrameStream::Pull::kFrame:
         OBS_COUNT("transport.file.msgs_in", 1);
-        OBS_COUNT("transport.file.bytes_in", frame.size());
+        OBS_COUNT("transport.file.bytes_in", kFrameHeaderLen + frame.size());
         return frame;
       case FrameStream::Pull::kBad:
         // Preserve the log-specific diagnostics of the unbuffered reader.
@@ -101,7 +101,6 @@ Result<FrameBuf> FileReadChannel::recv_buf() {
     }
     stream_.commit(r);
     OBS_COUNT("transport.file.read_calls", 1);
-    OBS_COUNT("transport.file.read_bytes", r);
   }
 }
 

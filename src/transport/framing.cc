@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "obs/span.h"
-#include "util/endian.h"
 
 namespace pbio::transport {
 
@@ -23,23 +22,17 @@ Status check_frame_len(std::size_t len) {
   return Status::ok();
 }
 
-void encode_frame_header(std::size_t len, std::uint8_t* out) {
-  store_uint(out, len, kFrameHeaderLen, ByteOrder::kLittle);
-}
-
 bool FrameStream::has_complete_frame() const {
   const std::size_t have = buffered_bytes();
   if (have < kFrameHeaderLen) return false;
-  const std::uint64_t len =
-      load_uint(buf_.data() + rd_, kFrameHeaderLen, ByteOrder::kLittle);
+  const std::uint64_t len = decode_frame_header(buf_.data() + rd_);
   return have >= kFrameHeaderLen + len;
 }
 
 std::size_t FrameStream::fill_hint() const {
   const std::size_t have = buffered_bytes();
   if (have < kFrameHeaderLen) return 1;
-  const std::uint64_t len =
-      load_uint(buf_.data() + rd_, kFrameHeaderLen, ByteOrder::kLittle);
+  const std::uint64_t len = decode_frame_header(buf_.data() + rd_);
   if (len > kMaxFrameLen) return 1;  // next_frame will reject it
   const std::size_t total = kFrameHeaderLen + static_cast<std::size_t>(len);
   return total > have ? total - have : 1;
@@ -48,8 +41,7 @@ std::size_t FrameStream::fill_hint() const {
 FrameStream::Pull FrameStream::next_frame(FrameBuf* out, Status* err) {
   const std::size_t have = buffered_bytes();
   if (have < kFrameHeaderLen) return Pull::kNeedMore;
-  const std::uint64_t len =
-      load_uint(buf_.data() + rd_, kFrameHeaderLen, ByteOrder::kLittle);
+  const std::uint64_t len = decode_frame_header(buf_.data() + rd_);
   if (len > kMaxFrameLen) {
     *err = Status(Errc::kMalformed, "oversized frame");
     return Pull::kBad;

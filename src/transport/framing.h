@@ -9,7 +9,7 @@
 // (short reads, adversarial split points) simply stay buffered and carry
 // over to the next fill.
 //
-// Alignment: data-frame payloads sit 16 bytes into a frame (pbio/encode.h)
+// Alignment: data-frame payloads sit 16 bytes into a frame (wire.h)
 // and the zero-copy decode path hands out struct pointers into them, so a
 // frame is sliced zero-copy only when its start is 16-aligned; otherwise
 // it is copied into a fresh pooled lease (still allocation-free in steady
@@ -21,16 +21,13 @@
 #include <cstdint>
 #include <span>
 
+#include "transport/wire.h"
 #include "util/error.h"
 #include "util/pool.h"
 #include "util/wire_taint.h"
 
 namespace pbio::transport {
 
-/// Maximum accepted frame length (matches the pre-buffering limit).
-inline constexpr std::size_t kMaxFrameLen = 1u << 30;
-/// The `len` prefix width.
-inline constexpr std::size_t kFrameHeaderLen = 4;
 /// Default stream-buffer fill size: one read gathers up to this many bytes.
 inline constexpr std::size_t kStreamChunk = 64 * 1024;
 
@@ -39,10 +36,6 @@ inline constexpr std::size_t kStreamChunk = 64 * 1024;
 /// would wrap and desync the stream. Every sender checks each frame of a
 /// call before it writes any byte of it.
 Status check_frame_len(std::size_t len);
-
-/// Write the `[len u32 LE]` prefix of a `len`-byte frame into `out`, the
-/// one place a sender builds it. `len` must have passed check_frame_len.
-void encode_frame_header(std::size_t len, std::uint8_t* out);
 
 class FrameStream {
  public:

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "obs/span.h"
+#include "transport/wire.h"
 
 namespace pbio::transport {
 
@@ -35,7 +36,7 @@ FrameBuf LoopbackChannel::Queue::pop() {
   head = (head + 1) % ring.size();
   --count;
   OBS_COUNT("transport.loopback.msgs_in", 1);
-  OBS_COUNT("transport.loopback.bytes_in", msg.size());
+  OBS_COUNT("transport.loopback.bytes_in", kFrameHeaderLen + msg.size());
   return msg;
 }
 
@@ -57,7 +58,7 @@ Status LoopbackChannel::send_frames(std::span<const FrameSegments> frames) {
     out_->push(std::move(msg));
     bytes_sent_ += len;
     OBS_COUNT("transport.loopback.msgs_out", 1);
-    OBS_COUNT("transport.loopback.bytes_out", len);
+    OBS_COUNT("transport.loopback.bytes_out", kFrameHeaderLen + len);
     if (out_->waiters != 0) out_->cv.notify_one();
   }
   return Status::ok();

@@ -520,7 +520,6 @@ void CompiledConvert::generate() const {
   OBS_SPAN("vcode.jit.compile");
   Emitted out = ConvertCompiler(im.plan).compile();
   const std::vector<std::uint8_t>& code = out.code;
-  OBS_COUNT("vcode.jit.code_bytes", code.size());
   im.notes = std::move(out.notes);
   im.labels = std::move(out.labels);
   // Translation-validate the fresh bytes before they can ever become

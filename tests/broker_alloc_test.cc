@@ -55,15 +55,15 @@ TEST(BrokerAllocInvariant, WarmEchoPathAllocatesNothing) {
 
   // Prebuilt wire image of one data frame: [len u32][hdr 16][payload].
   constexpr std::size_t kPayload = 64;
-  std::vector<std::uint8_t> wire(transport::kFrameHeaderLen +
+  std::vector<std::uint8_t> wire(kFrameHeaderLen +
                                  kDataHeaderSize + kPayload);
   store_uint(wire.data(), kDataHeaderSize + kPayload,
-             transport::kFrameHeaderLen, ByteOrder::kLittle);
-  wire[transport::kFrameHeaderLen] = kFrameData;
-  store_uint(wire.data() + transport::kFrameHeaderLen + kDataHeaderIdOffset,
+             kFrameHeaderLen, ByteOrder::kLittle);
+  wire[kFrameHeaderLen] = kFrameData;
+  store_uint(wire.data() + kFrameHeaderLen + kDataHeaderIdOffset,
              0x5A5A, 8, ByteOrder::kLittle);
   for (std::size_t i = 0; i < kPayload; ++i) {
-    wire[transport::kFrameHeaderLen + kDataHeaderSize + i] =
+    wire[kFrameHeaderLen + kDataHeaderSize + i] =
         static_cast<std::uint8_t>(i);
   }
 

@@ -35,8 +35,6 @@ namespace {
 
 using transport::SocketChannel;
 using transport::ThrottledWireSink;
-using transport::kFrameHeaderLen;
-using transport::kMaxFrameLen;
 
 /// Build a self-contained data frame: header + `payload` bytes of `fill`.
 /// With Config::decode off the broker never resolves the id, so tests that

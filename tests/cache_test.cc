@@ -96,7 +96,7 @@ void expect_converts(const Context& /*ctx*/, const Conversion& conv,
   in.src_size = bytes.size();
   in.dst = out.data();
   in.dst_size = out.size();
-  ASSERT_TRUE(run(conv, in, Engine::kDcg).is_ok());
+  ASSERT_TRUE(conv.run(in).is_ok());
   auto back = value::read_record(native, out);
   ASSERT_TRUE(back.is_ok());
   EXPECT_TRUE(value::equivalent(back.value(), sample_record()))
@@ -381,8 +381,7 @@ struct Stream {
     auto m = reader.next();
     ASSERT_TRUE(m.is_ok()) << m.status().to_string();
     std::vector<std::uint8_t> out(nfmt.fixed_size, 0);
-    ASSERT_TRUE(m.value().decode_into(out.data(), out.size(), Engine::kDcg)
-                    .is_ok());
+    ASSERT_TRUE(m.value().decode_into(out.data(), out.size()).is_ok());
     auto back = value::read_record(nfmt, out);
     ASSERT_TRUE(back.is_ok());
     EXPECT_TRUE(value::equivalent(back.value(), rec))

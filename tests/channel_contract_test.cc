@@ -232,7 +232,7 @@ TEST(ChannelContract, LoopbackSendFramesToClosedPeerFails) {
 class HugeFrame {
  public:
   HugeFrame()
-      : size_(transport::kMaxFrameLen + 1),
+      : size_(kMaxFrameLen + 1),
         base_(::mmap(nullptr, size_, PROT_NONE,
                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0)) {}
   ~HugeFrame() {
@@ -252,13 +252,13 @@ class HugeFrame {
 };
 
 TEST(OversizedFrame, LengthCheckRefusesPastTheLimit) {
-  ASSERT_TRUE(transport::check_frame_len(transport::kMaxFrameLen).is_ok());
-  std::uint8_t h[transport::kFrameHeaderLen] = {0xAA, 0xAA, 0xAA, 0xAA};
-  transport::encode_frame_header(transport::kMaxFrameLen, h);
-  EXPECT_EQ(load_uint(h, transport::kFrameHeaderLen, ByteOrder::kLittle),
-            transport::kMaxFrameLen);
+  ASSERT_TRUE(transport::check_frame_len(kMaxFrameLen).is_ok());
+  std::uint8_t h[kFrameHeaderLen] = {0xAA, 0xAA, 0xAA, 0xAA};
+  encode_frame_header(kMaxFrameLen, h);
+  EXPECT_EQ(load_uint(h, kFrameHeaderLen, ByteOrder::kLittle),
+            kMaxFrameLen);
   for (const std::size_t len :
-       {transport::kMaxFrameLen + 1, std::size_t{1} << 32,
+       {kMaxFrameLen + 1, std::size_t{1} << 32,
         (std::size_t{1} << 32) + 5}) {
     EXPECT_EQ(transport::check_frame_len(len).code(), Errc::kMalformed)
         << len;
@@ -310,7 +310,7 @@ TEST(OversizedFrame, FileLogRefusesBeforeAnyByte) {
     const std::uint8_t next[] = {9};
     ASSERT_TRUE(w.value()->send(next).is_ok());
   }
-  EXPECT_EQ(std::filesystem::file_size(path), transport::kFrameHeaderLen + 1);
+  EXPECT_EQ(std::filesystem::file_size(path), kFrameHeaderLen + 1);
   auto r = transport::FileReadChannel::open(path);
   ASSERT_TRUE(r.is_ok());
   auto got = r.value()->recv_buf();

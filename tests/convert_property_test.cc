@@ -145,8 +145,7 @@ TEST_P(ConvertPropertyTest, ReaderInterpretsThenGeneratesIdenticalBytes) {
       const std::uint64_t interp0 = decodes("pbio.decode.interp");
       const std::uint64_t dcg0 = decodes("pbio.decode.dcg");
       std::vector<std::uint8_t> out(dst.fixed_size, 0xAB);
-      ASSERT_TRUE(
-          m.value().decode_into(out.data(), out.size(), Engine::kDcg).is_ok())
+      ASSERT_TRUE(m.value().decode_into(out.data(), out.size()).is_ok())
           << pair;
       if (!m.value().zero_copy()) {
         const bool dcg = i + 1 >= kTierUpUses && vcode::jit_supported();

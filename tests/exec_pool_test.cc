@@ -96,10 +96,10 @@ TEST(ExecBufferPool, ThreadsShareThePoolAndMatchTheInterpreter) {
           in.src_size = bytes.size();
           in.dst = dcg.data();
           in.dst_size = dcg.size();
-          const bool dcg_ok = run(*conv.value(), in, Engine::kDcg).is_ok();
+          const bool dcg_ok = conv.value()->run(in).is_ok();
           in.dst = interp.data();
           const bool interp_ok =
-              run(*conv.value(), in, Engine::kInterpreted).is_ok();
+              convert::run_plan(conv.value()->plan(), in).is_ok();
           if (!dcg_ok || !interp_ok || dcg != interp) mismatches.fetch_add(1);
           live.push_back(conv.value());
         }

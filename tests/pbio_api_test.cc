@@ -180,7 +180,6 @@ TEST(PbioApi, HeterogeneousSenderConvertsOnReceive) {
 
 TEST(PbioApi, InterpretedAndDcgEnginesAgree) {
   Context ctx;
-  auto [wch, rch] = transport::make_loopback_pair();
   arch::StructSpec spec;
   spec.name = "particle";
   spec.fields = {
@@ -198,19 +197,27 @@ TEST(PbioApi, InterpretedAndDcgEnginesAgree) {
   rec.set("mass", value::Value(-2.25));
   rec.set("tag", value::Value("mips"));
   const auto image = value::materialize(mips_fmt, rec);
-  Writer w(ctx, *wch);
-  ASSERT_TRUE(w.write_image(mips_id, image).is_ok());
 
-  Reader r(ctx, *rch);
-  r.expect(native_id);
-  auto msg = r.next();
-  ASSERT_TRUE(msg.is_ok());
+  // try_conversion compiles eagerly: on x86-64 the conversion carries
+  // generated code, which must agree with its plan on the interpreter.
+  auto conv = ctx.try_conversion(mips_id, native_id);
+  ASSERT_TRUE(conv.is_ok());
+#if defined(__x86_64__)
+  ASSERT_TRUE(conv.value()->jitted());
+#endif
   Particle a{}, b{};
-  ASSERT_TRUE(msg.value().decode_into(&a, sizeof(a), Engine::kDcg).is_ok());
-  ASSERT_TRUE(
-      msg.value().decode_into(&b, sizeof(b), Engine::kInterpreted).is_ok());
+  convert::ExecInput in;
+  in.src = image.data();
+  in.src_size = image.size();
+  in.dst = reinterpret_cast<std::uint8_t*>(&a);
+  in.dst_size = sizeof(a);
+  ASSERT_TRUE(conv.value()->run(in).is_ok());
+  in.dst = reinterpret_cast<std::uint8_t*>(&b);
+  ASSERT_TRUE(convert::run_plan(conv.value()->plan(), in).is_ok());
   EXPECT_EQ(std::memcmp(&a, &b, sizeof(a)), 0);
   EXPECT_EQ(a.id, 123);
+  EXPECT_EQ(a.mass, -2.25);
+  EXPECT_STREQ(a.tag, "mips");
 }
 
 TEST(PbioApi, ReflectionOnUnknownFormat) {

@@ -16,7 +16,7 @@
 #include "fmt/meta.h"
 #include "pbio/pbio.h"
 #include "transport/socket.h"
-#include "transport/tracewire.h"
+#include "transport/wire.h"
 #include "util/endian.h"
 
 namespace pbio {
@@ -71,7 +71,7 @@ std::vector<HostileCase> hostile_cases() {
       {"payload shorter than fixed_size",
        {announcement(shorted), data_frame(shorted.fingerprint(), 7)},
        Errc::kTruncated, "payload smaller than record"},
-      {"runt trace sidecar", {{transport::kFrameTrace, 0, 0, 0}},
+      {"runt trace sidecar", {{kFrameTrace, 0, 0, 0}},
        Errc::kMalformed, "bad trace sidecar frame"},
       {"malformed announcement", {{kFrameFormat, 0xFF, 0xFF, 0xFF}},
        Errc::kMalformed, "bad meta version"},

@@ -14,6 +14,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
@@ -30,7 +31,7 @@
 #include "obs/tracectx.h"
 #include "pbio/pbio.h"
 #include "transport/socket.h"
-#include "transport/tracewire.h"
+#include "transport/wire.h"
 #include "value/materialize.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -71,26 +72,26 @@ TEST(TraceWire, FrameRoundTrips) {
   ctx.trace_id = 0x0123456789abcdefull;
   ctx.span_id = 0xfedcba9876543210ull;
   ctx.origin_ns = 1'722'000'000'123'456'789ull;
-  std::uint8_t frame[transport::kTraceFrameLen];
-  transport::encode_trace_frame(frame, ctx);
-  EXPECT_EQ(frame[0], transport::kFrameTrace);
+  std::uint8_t frame[kTraceFrameLen];
+  encode_trace_frame(frame, ctx);
+  EXPECT_EQ(frame[0], kFrameTrace);
 
   obs::TraceCtx back;
-  ASSERT_TRUE(transport::decode_trace_frame(frame, &back));
+  ASSERT_TRUE(decode_trace_frame(frame, &back));
   EXPECT_EQ(back.trace_id, ctx.trace_id);
   EXPECT_EQ(back.span_id, ctx.span_id);
   EXPECT_EQ(back.origin_ns, ctx.origin_ns);
 }
 
 TEST(TraceWire, DecodeRejectsWrongSizeOrKind) {
-  std::uint8_t frame[transport::kTraceFrameLen] = {};
-  frame[0] = transport::kFrameTrace;
+  std::uint8_t frame[kTraceFrameLen] = {};
+  frame[0] = kFrameTrace;
   obs::TraceCtx out;
-  EXPECT_TRUE(transport::decode_trace_frame(frame, &out));
-  EXPECT_FALSE(transport::decode_trace_frame(
+  EXPECT_TRUE(decode_trace_frame(frame, &out));
+  EXPECT_FALSE(decode_trace_frame(
       std::span<const std::uint8_t>(frame, 31), &out));
   frame[0] = 0x41;
-  EXPECT_FALSE(transport::decode_trace_frame(frame, &out));
+  EXPECT_FALSE(decode_trace_frame(frame, &out));
 }
 
 TEST(TraceCtx, SamplingIsDeterministicPerMille) {
@@ -649,8 +650,8 @@ TEST(Telemetry, SidecarOfAFailedDataFrameStampsNoLaterMessage) {
   obs::TraceCtx tc;
   tc.trace_id = 0x1234;
   tc.span_id = 0x5678;
-  std::uint8_t sidecar[transport::kTraceFrameLen];
-  transport::encode_trace_frame(sidecar, tc);
+  std::uint8_t sidecar[kTraceFrameLen];
+  encode_trace_frame(sidecar, tc);
   auto flipped = data;
   flipped[kDataHeaderIdOffset] ^= 1;
 
@@ -684,8 +685,8 @@ TEST(Telemetry, BrokerToleratesBareSidecarFrames) {
   tc.trace_id = 0x1111;
   tc.span_id = 0x2222;
   tc.origin_ns = 3;
-  std::uint8_t sidecar[transport::kTraceFrameLen];
-  transport::encode_trace_frame(sidecar, tc);
+  std::uint8_t sidecar[kTraceFrameLen];
+  encode_trace_frame(sidecar, tc);
   ASSERT_TRUE(
       ch.value()
           ->send(std::vector<std::uint8_t>(sidecar,
@@ -701,7 +702,7 @@ TEST(Telemetry, BrokerToleratesBareSidecarFrames) {
   auto first = ch.value()->recv();
   ASSERT_TRUE(first.is_ok());
   obs::TraceCtx fwd;
-  ASSERT_TRUE(transport::decode_trace_frame(first.value(), &fwd))
+  ASSERT_TRUE(decode_trace_frame(first.value(), &fwd))
       << "expected the forwarded trace sidecar ahead of the echo";
   EXPECT_EQ(fwd.trace_id, tc.trace_id);
   EXPECT_EQ(fwd.origin_ns, tc.origin_ns);
@@ -715,7 +716,7 @@ TEST(Telemetry, BrokerToleratesBareSidecarFrames) {
   // that connection.
   auto bad = transport::socket_connect(b.port());
   ASSERT_TRUE(bad.is_ok());
-  std::vector<std::uint8_t> runt{transport::kFrameTrace, 0, 0, 0};
+  std::vector<std::uint8_t> runt{kFrameTrace, 0, 0, 0};
   ASSERT_TRUE(bad.value()->send(runt).is_ok());
   auto dropped = bad.value()->recv();
   EXPECT_EQ(dropped.status().code(), Errc::kChannelClosed);
@@ -740,8 +741,9 @@ struct Series {
 };
 
 TEST(Obs, EachWirePathEventCountsOnce) {
-  // A Reader stream, a decoding broker echo and a standalone socket pair in
-  // one process: each decode, frame and byte lands in exactly one series,
+  // A Reader stream, a decoding broker echo, a standalone socket pair and a
+  // frame log in one process: each decode, frame and byte lands in exactly
+  // one series,
   // and the series that used to repeat another are not registered at all.
   obs::set_trace_sampling(0);
   const char* const kSocket[] = {
@@ -841,7 +843,7 @@ TEST(Obs, EachWirePathEventCountsOnce) {
     return after.counter(name) - before.counter(name);
   };
   const std::uint64_t wire =
-      kRecords * (transport::kFrameHeaderLen + data.size());
+      kRecords * (kFrameHeaderLen + data.size());
   EXPECT_EQ(delta("pbio.broker.frames_in"), kRecords);
   EXPECT_EQ(delta("pbio.broker.decoded"), kRecords);
   EXPECT_EQ(delta("pbio.broker.bytes_in"), wire);
@@ -868,20 +870,56 @@ TEST(Obs, EachWirePathEventCountsOnce) {
   const auto moved = [&](const char* name) {
     return pair1.counter(name) - pair0.counter(name);
   };
-  const std::uint64_t pair_wire = 2 * transport::kFrameHeaderLen + 3 + 100;
+  const std::uint64_t pair_wire = 2 * kFrameHeaderLen + 3 + 100;
   EXPECT_EQ(moved("transport.socket.bytes_out"), pair_wire);
   EXPECT_EQ(moved("transport.socket.bytes_in"), pair_wire);
   EXPECT_EQ(moved("transport.socket.msgs_out"), 2u);
   EXPECT_EQ(moved("transport.socket.msgs_in"), 2u);
+
+  // A frame log and a loopback pair count the same wire bytes, and a write
+  // that fails counts once in pbio.encode.failed beside its span sample.
+  const std::filesystem::path log =
+      std::filesystem::temp_directory_path() /
+      ("pbio_counts_once_" + std::to_string(::getpid()) + ".log");
+  {
+    auto fw = transport::FileWriteChannel::open(log.string());
+    ASSERT_TRUE(fw.is_ok());
+    ASSERT_TRUE(fw.value()->send(small).is_ok());
+    ASSERT_TRUE(fw.value()->send(large).is_ok());
+    ASSERT_TRUE(fw.value()->flush().is_ok());
+    auto fr = transport::FileReadChannel::open(log.string());
+    ASSERT_TRUE(fr.is_ok());
+    ASSERT_TRUE(fr.value()->recv_buf().is_ok());
+    ASSERT_TRUE(fr.value()->recv_buf().is_ok());
+    auto [wtx, wrx] = transport::make_loopback_pair();
+    ASSERT_TRUE(wtx->send(small).is_ok());
+    ASSERT_TRUE(wtx->send(large).is_ok());
+    ASSERT_TRUE(wrx->recv_buf().is_ok());
+    ASSERT_TRUE(wrx->recv_buf().is_ok());
+    Writer w(ctx, *wtx);
+    EXPECT_EQ(w.write_image(wire_id ^ 1, image).code(), Errc::kUnknownFormat);
+  }
+  std::filesystem::remove(log);
+  const Series pair2;
+  const auto moved2 = [&](const char* name) {
+    return pair2.counter(name) - pair1.counter(name);
+  };
+  EXPECT_EQ(moved2("transport.file.bytes_out"), pair_wire);
+  EXPECT_EQ(moved2("transport.file.bytes_in"), pair_wire);
+  EXPECT_EQ(moved2("transport.loopback.bytes_out"), pair_wire);
+  EXPECT_EQ(moved2("transport.loopback.bytes_in"), pair_wire);
+  EXPECT_EQ(moved2("pbio.encode.failed"), 1u);
+  EXPECT_EQ(pair2.samples("pbio.encode") - pair1.samples("pbio.encode"), 1u);
 
   for (const char* gone :
        {"pbio.decode.records.dcg", "pbio.decode.records.interp",
         "vcode.jit.compiles", "pbio.jit.tval_accepts", "pbio.recv.batches",
         "pbio.cache.plan", "pbio.cache.compile",
         "transport.socket.read_bytes", "pbio.recv.frames",
-        "pbio.recv.bytes"}) {
-    EXPECT_EQ(pair1.snap.find_counter(gone), nullptr) << gone;
-    EXPECT_EQ(pair1.snap.find_histogram(gone), nullptr) << gone;
+        "pbio.recv.bytes", "pbio.encode.records", "transport.file.read_bytes",
+        "vcode.jit.code_bytes"}) {
+    EXPECT_EQ(pair2.snap.find_counter(gone), nullptr) << gone;
+    EXPECT_EQ(pair2.snap.find_histogram(gone), nullptr) << gone;
   }
   obs::reset();
 }

@@ -76,7 +76,7 @@ std::uint64_t decodes(const char* name) {
 void expect_decodes(Message& m, const fmt::FormatDesc& native,
                     const Record& rec) {
   std::vector<std::uint8_t> out(native.fixed_size, 0);
-  ASSERT_TRUE(m.decode_into(out.data(), out.size(), Engine::kDcg).is_ok());
+  ASSERT_TRUE(m.decode_into(out.data(), out.size()).is_ok());
   auto back = value::read_record(native, out);
   ASSERT_TRUE(back.is_ok());
   EXPECT_TRUE(value::equivalent(back.value(), rec))

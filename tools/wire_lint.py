@@ -71,6 +71,11 @@ comparison baselines the benches measure PBIO against
                         preceding `OBS_SPAN` (nested blocks and braceless
                         if/for/while bodies excluded) counts what the span's
                         histogram count already counts. Never allowlisted.
+  R13 wire-definition   a `kFrame*`/`kSvc*` constant defined under src/
+                        outside src/transport/wire.h defines the wire a
+                        second time, and one defined there that
+                        docs/wire.md does not name is missing from the
+                        spec. Never allowlisted.
 
 Usage:
     tools/wire_lint.py [--root REPO_ROOT] [--allowlist FILE] [--self-test]
@@ -126,6 +131,11 @@ RE_STRING_LITERAL = re.compile(r'"([^"\\]*)"')
 RE_SPAN_SITE = re.compile(r"\bOBS_SPAN\s*\(")
 RE_COUNT_ONE = re.compile(r"\bOBS_COUNT\s*\([^,;]*,\s*1\s*\)")
 RE_CONDITIONAL = re.compile(r"\b(?:if|else|for|while|do|case|default)\b")
+# R13: the definition of a kFrame*/kSvc* constant, the one file that may
+# hold it, and the spec that must name it.
+RE_WIRE_DEF = re.compile(r"\bconstexpr\b[^;=()]*\b(k(?:Frame|Svc)\w*)\s*[={]")
+WIRE_HOME = "src/transport/wire.h"
+WIRE_SPEC = "docs/wire.md"
 # R9: quoted includes, and the trees a library file may not reach into.
 RE_INCLUDE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 NON_LIBRARY_TREES = ("bench", "tests")
@@ -517,6 +527,33 @@ def scan_span_counts(root, path, findings):
             i += 1
 
 
+def scan_wire_definitions(root, paths, findings):
+    """R13 over every src/ file: kFrame*/kSvc* constants live in WIRE_HOME,
+    and WIRE_SPEC names each of them."""
+    spec = root / WIRE_SPEC
+    spec_text = spec.read_text(errors="replace") if spec.exists() else ""
+    for path in paths:
+        rel = path.relative_to(root).as_posix()
+        if not rel.startswith("src/"):
+            continue
+        in_comment = False
+        for lineno, raw in enumerate(
+                path.read_text(errors="replace").splitlines(), 1):
+            code, in_comment = strip_comments_and_strings(raw, in_comment)
+            for m in RE_WIRE_DEF.finditer(code):
+                name = m.group(1)
+                if rel != WIRE_HOME:
+                    findings.append((rel, lineno, "wire-definition",
+                                     f"wire constant '{name}' defined "
+                                     f"outside {WIRE_HOME} — define it "
+                                     "there, once", raw.strip()))
+                elif not re.search(rf"\b{name}\b", spec_text):
+                    findings.append((rel, lineno, "wire-definition",
+                                     f"wire constant '{name}' is not "
+                                     f"named in {WIRE_SPEC} — specify it",
+                                     raw.strip()))
+
+
 # --- self-test -----------------------------------------------------------
 # Each case is one synthetic source line dropped into a scratch tree at the
 # given path; the scan over that tree must produce exactly the expected
@@ -694,6 +731,25 @@ SELF_TEST_CASES = [
     ("src/pbio/r12_ok.cc", "void h() {", set()),
     ("src/pbio/r12_ok.cc", '  OBS_COUNT("r12.other_function", 1);', set()),
     ("src/pbio/r12_ok.cc", "}", set()),
+    # R13: a kind or layout constant defined outside wire.h fires; wire.h's
+    # own constants fire only when docs/wire.md does not name them (checked
+    # by name below, as both cases share wire.h); uses, enumerators,
+    # non-constexpr names and comments do not. All lines of one synthetic
+    # file share its expected set.
+    ("docs/wire.md", "| 0x01 | `kFrameOne` | a documented kind |", set()),
+    ("src/transport/wire.h",
+     "inline constexpr std::uint8_t kFrameOne = 0x01;", {"wire-definition"}),
+    ("src/transport/wire.h",
+     "inline constexpr std::size_t kSvcUnspecified = 9;",
+     {"wire-definition"}),
+    ("src/pbio/r13_again.h",
+     "inline constexpr std::uint8_t kFrameOne = 0x01;", {"wire-definition"}),
+    ("src/broker/r13_local.cc", "constexpr std::size_t kFrameBudget{64};",
+     {"wire-definition"}),
+    ("src/pbio/r13_ok.cc", "if (kind == kFrameOne) return kSvcIdLen;", set()),
+    ("src/pbio/r13_ok.cc", "enum class Pull { kFrame, kBad };", set()),
+    ("src/pbio/r13_ok.cc", "// constexpr std::uint8_t kFrameOld = 3;", set()),
+    ("tests/r13_test.cc", "constexpr int kFrames = 40;", set()),
     # Comment and string contents never trip rules.
     ("src/pbio/noise_comment.cc",
      "// reinterpret_cast<char*>(q); mprotect(p, n, PROT_EXEC);", set()),
@@ -723,6 +779,7 @@ def self_test():
             scan_file(root, path, allowlist + [stale_entry], findings)
             scan_span_counts(root, path, findings)
         scan_counter_stores(root, paths, findings)
+        scan_wire_definitions(root, paths, findings)
         got = {}
         for rel, _lineno, rule, _msg, _raw in findings:
             got.setdefault(rel, set()).add(rule)
@@ -731,6 +788,11 @@ def self_test():
             if actual != expected:
                 failures.append(f"  {rel}: expected {sorted(expected)}, "
                                 f"got {sorted(actual)}\n    {line}")
+        spec_misses = [raw for rel, _l, rule, _m, raw in findings
+                       if rel == WIRE_HOME and rule == "wire-definition"]
+        if len(spec_misses) != 1 or "kSvcUnspecified" not in spec_misses[0]:
+            failures.append("  R13 must flag exactly the wire.h constant "
+                            f"docs/wire.md does not name, got {spec_misses}")
         if not allowlist[0].used:
             failures.append("  allowlist entry that matches was not "
                             "marked used")
@@ -770,6 +832,7 @@ def main():
         scan_file(root, path, allowlist, findings)
         scan_span_counts(root, path, findings)
     scan_counter_stores(root, paths, findings)
+    scan_wire_definitions(root, paths, findings)
 
     status = 0
     if findings:

@@ -102,7 +102,7 @@ REQUIRED_SOURCES = [
     ("src/transport/framing", "next_frame"),          # frame slicing
     ("src/transport/framing", "has_complete_frame"),
     ("src/transport/framing", "fill_hint"),
-    ("src/transport/tracewire", "decode_trace_frame"),
+    ("src/transport/wire", "decode_trace_frame"),
     ("src/fmt/meta", "decode_meta"),                  # announcement decode
     ("src/pbio/resolver", "interpret"),               # stream frame protocol
     ("src/pbio/reader", "consume_frame"),             # reader dispatch
